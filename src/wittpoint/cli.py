@@ -14,9 +14,9 @@ import sys
 from dataclasses import dataclass
 
 from . import jsonio
-from .cobordism import cobordism_class, h0_form, validate, verify_witness
-from .core import FactorBoundExceeded, set_trial_division_bound
-from .forms import SKEW, invariants, metabolic_reduce, symplectic_reduce
+from .cobordism import _class_of_h0, _h0_form_of, validate, verify_witness
+from .core import FactorBoundExceeded, get_trial_division_bound, set_trial_division_bound
+from .forms import invariants, metabolic_reduce
 from .genus import (
     chi_y,
     epsilon,
@@ -114,7 +114,7 @@ def _cmd_complex_class(args) -> Outcome:
     report = validate(cpx)
     if not report.ok:
         raise ValueError(f"invalid complex: {report.problems}")
-    cls = cobordism_class(cpx)
+    cls, cert = _class_of_h0(_h0_form_of(cpx, report))
     payload = {
         "symmetry": "symmetric" if cpx.epsilon == 1 else "skew",
         "witt_class": jsonio.witt_class_to_json(cls),
@@ -122,9 +122,7 @@ def _cmd_complex_class(args) -> Outcome:
     }
     text = [f"cobordism class: signature {cls.signature}, "
             f"{len(cls.residues)} nonzero residues"]
-    if cpx.epsilon == SKEW:
-        form = h0_form(cpx)
-        cert = symplectic_reduce(form)
+    if cert is not None:
         payload["symplectic_certificate"] = {"hyperbolic_count": cert.hyperbolic_count}
         text.append(f"skew sector: certified zero ({cert.hyperbolic_count} hyperbolic planes on H^0)")
     return Outcome(None, payload, text)
@@ -325,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--trial-division-bound", type=int, metavar="B",
-                        help="cap for trial-division factoring (default 10^6)")
+                        help="cap for trial-division factoring, at least 2 (default 10^6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="rank, signature, discriminant, Hasse symbols")
@@ -401,9 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.trial_division_bound:
-        set_trial_division_bound(args.trial_division_bound)
+    previous_bound = get_trial_division_bound()
     try:
+        if args.trial_division_bound is not None:
+            set_trial_division_bound(args.trial_division_bound)
         outcome: Outcome = args.handler(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -414,6 +413,8 @@ def main(argv=None) -> int:
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_trial_division_bound(previous_bound)
     if args.json:
         print(json.dumps(_plain(outcome.payload), sort_keys=True, indent=2))
     else:

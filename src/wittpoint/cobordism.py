@@ -33,6 +33,7 @@ from .forms import (
     SYMMETRIC,
     BilinearForm,
     BlockMetabolicForm,
+    SymplecticReduction,
     symplectic_reduce,
 )
 from .linalg import Mat, extend_to_complement
@@ -62,9 +63,6 @@ class ChainComplex:
 
     def degrees(self) -> list[int]:
         return sorted(self.spaces)
-
-    def total_dim(self) -> int:
-        return sum(self.spaces.values())
 
     def dd_failures(self) -> list[dict]:
         problems = []
@@ -332,6 +330,7 @@ class ComplexReport:
     problems: list
     cohomology_dims: dict[int, int]
     induced_pairings: dict[int, Mat]
+    cohomology: Cohomology  # the representatives the induced pairings use
 
 
 def validate(c: SelfDualComplex) -> ComplexReport:
@@ -389,7 +388,7 @@ def validate(c: SelfDualComplex) -> ComplexReport:
                 "witness_class_vector": [str(x) for x in kernel.col(0)],
             })
     return ComplexReport(ok=not problems, problems=problems,
-                         cohomology_dims=dims, induced_pairings=induced)
+                         cohomology_dims=dims, induced_pairings=induced, cohomology=coh)
 
 
 def ensure_valid(c: SelfDualComplex) -> ComplexReport:
@@ -401,10 +400,12 @@ def ensure_valid(c: SelfDualComplex) -> ComplexReport:
 
 def h0_form(c: SelfDualComplex) -> BilinearForm:
     """The induced form on H^0; perfectness makes it nondegenerate."""
-    ensure_valid(c)
-    coh = Cohomology(c.complex)
-    reps = coh.reps(0)
-    gram = reps.T * c.s(0) * reps
+    return _h0_form_of(c, ensure_valid(c))
+
+
+def _h0_form_of(c: SelfDualComplex, report: ComplexReport) -> BilinearForm:
+    """h0_form from the report of a valid complex (H^0 = 0 gives the empty form)."""
+    gram = report.induced_pairings.get(0, Mat.zeros(0, 0))
     return BilinearForm(RATIONAL, c.epsilon, gram)
 
 
@@ -414,11 +415,15 @@ def cobordism_class(c: SelfDualComplex) -> WittClassQ:
     The skew sector vanishes; for epsilon = -1 the zero class is certified
     by a symplectic basis of the H^0 form.
     """
-    form = h0_form(c)
-    if c.epsilon == SKEW:
-        symplectic_reduce(form)
-        return WittClassQ.zero()
-    return witt_class_of(form)
+    return _class_of_h0(h0_form(c))[0]
+
+
+def _class_of_h0(form: BilinearForm) -> tuple[WittClassQ, SymplecticReduction | None]:
+    """cobordism_class from the H^0 form, with the symplectic certificate
+    of a skew form."""
+    if form.symmetry == SKEW:
+        return WittClassQ.zero(), symplectic_reduce(form)
+    return witt_class_of(form), None
 
 
 # -- witnesses ----------------------------------------------------------
@@ -623,9 +628,9 @@ def quotient_data(n: int, sub: Mat) -> tuple[Mat, Mat]:
 def truncation_witness(c: SelfDualComplex) -> CobordismWitness:
     """The witness realizing that a complex is directly cobordant to its H^0 form:
     G is the lower truncation, G' the upper truncation, and S'' is induced."""
-    ensure_valid(c)
+    report = ensure_valid(c)
     cx = c.complex
-    coh = Cohomology(cx)
+    coh = report.cohomology
     kernel = cx.d(0).nullspace()  # ker d^0 as columns in F^0
     z = kernel.n
     boundaries = cx.d(-1).column_space_basis()
@@ -650,8 +655,7 @@ def truncation_witness(c: SelfDualComplex) -> CobordismWitness:
         gp_diffs[0] = cx.d(0) * section
     gp = ChainComplex(gp_spaces, gp_diffs)
 
-    h0 = h0_form(c)
-    f_obj = SelfDualComplex.from_form(h0)
+    f_obj = SelfDualComplex.from_form(_h0_form_of(c, report))
 
     rho_prime = {i: Mat.identity(cx.dim(i)) for i in cx.degrees() if i < 0}
     if z:
@@ -1039,7 +1043,7 @@ def random_witness_chain(rng: Random, core_rank: int, steps: int,
             else:
                 p = Mat.identity(current.gram.n)
             w = congruence_witness(current, p)
-            current = current.congruent_by(p)
+            current = BilinearForm(RATIONAL, symmetry, w.f_prime.s(0))
             links.append(ChainLink("congruence", current, w))
         else:
             cpx = acyclic_extension(current, rng, rng.randint(1, 2))

@@ -54,16 +54,14 @@ class BilinearForm:
                 raise ValueError("Gram matrix does not match the declared symmetry")
         else:
             p = self.field
+            if any(x.denominator != 1 for r in g.rows for x in r):
+                raise ValueError("prime field Gram entries must be integers")
             for i in range(g.m):
                 for j in range(g.n):
                     lhs = int(g[j, i]) % p
                     rhs = self.symmetry * int(g[i, j]) % p
                     if lhs != rhs:
                         raise ValueError("Gram matrix does not match the declared symmetry mod p")
-
-    @property
-    def rank_of_space(self) -> int:
-        return self.gram.n
 
     @property
     def is_symmetric(self) -> bool:
@@ -99,27 +97,7 @@ class BilinearForm:
         return BilinearForm(self.field, self.symmetry, basis.T * self.gram * basis)
 
     def is_nondegenerate(self) -> bool:
-        return bool(self.gram.det()) if self.field == RATIONAL else (self._fp_det() % self.field != 0)
-
-    def _fp_det(self) -> int:
-        p = self.field
-        a = [[int(x) % p for x in r] for r in self.gram.rows]
-        n = self.gram.n
-        d = 1
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if a[i][c] % p), None)
-            if pivot is None:
-                return 0
-            if pivot != c:
-                a[c], a[pivot] = a[pivot], a[c]
-                d = -d
-            d = d * a[c][c] % p
-            inv = pow(a[c][c], -1, p)
-            for i in range(c + 1, n):
-                if a[i][c]:
-                    f = a[i][c] * inv % p
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
-        return d % p
+        return bool(self.gram.det()) if self.field == RATIONAL else self.gram.det() % self.field != 0
 
 
 HYPERBOLIC_PLANE = BilinearForm.from_rows([[0, 1], [1, 0]])
@@ -271,10 +249,6 @@ class FormInvariants:
     signature: tuple[int, int]
     discriminant: SquareClass
     hasse: dict
-
-    @property
-    def signature_int(self) -> int:
-        return self.signature[0] - self.signature[1]
 
 
 def hasse_of_entries(entries, places=None) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from .core import SturmCertificate, sturm_positive_real_roots
@@ -94,18 +95,14 @@ class HodgeStructure:
         return not self.validate()
 
 
-def _ensure_valid(h: HodgeStructure):
-    problems = h.validate()
-    if problems:
-        raise ValueError(f"invalid Hodge structure: {problems}")
-
-
 def weil_operator(h: HodgeStructure) -> Mat:
     """The real operator acting by i^(p-q) on the (p, q) piece.
 
-    Returned over Q; C^2 = (-1)^w id.
+    Validates the structure first.  Returned over Q; C^2 = (-1)^w id.
     """
-    _ensure_valid(h)
+    problems = h.validate()
+    if problems:
+        raise ValueError(f"invalid Hodge structure: {problems}")
     full = h.full_basis()
     scaled_cols = []
     for piece in h.pieces:
@@ -113,18 +110,17 @@ def weil_operator(h: HodgeStructure) -> Mat:
         for col in piece.basis.columns():
             scaled_cols.append([factor * x for x in col])
     scaled = Mat.from_columns(scaled_cols, m=h.dimension)
-    c_complex = scaled * full.inv()
-    rows = []
-    for r in c_complex.rows:
-        row = []
-        for x in r:
-            if not x.is_real:
-                raise AssertionError("Weil operator came out non-real; bigrading is inconsistent")
-            row.append(x.re)
-        rows.append(row)
-    c = Mat(h.dimension, h.dimension, rows)
+    c = _real_matrix(scaled * full.inv(),
+                     "Weil operator came out non-real; bigrading is inconsistent")
     assert c * c == Mat.identity(h.dimension).scale(Fraction((-1) ** h.weight))
     return c
+
+
+def _real_matrix(m: Mat, error: str) -> Mat:
+    """The rational matrix of a Q(i) matrix whose entries are all real."""
+    if not all(x.is_real for r in m.rows for x in r):
+        raise AssertionError(error)
+    return m.map(lambda x: x.re)
 
 
 def _complexify(m: Mat) -> Mat:
@@ -146,8 +142,12 @@ def is_polarization(h: HodgeStructure, s: BilinearForm) -> PolarizationCheck:
     (q, p) (the first bilinear relation), nondegeneracy, and positive
     definiteness of S_C(u, v) = S(u, Cv) via leading principal minors.
     """
+    return _check_polarization(h, weil_operator(h), s)
+
+
+def _check_polarization(h: HodgeStructure, weil: Mat, s: BilinearForm) -> PolarizationCheck:
+    """is_polarization for a structure already validated, with its Weil operator."""
     problems = []
-    _ensure_valid(h)
     expected_sym = 1 if h.weight % 2 == 0 else -1
     if s.field != RATIONAL:
         return PolarizationCheck(False, ["pairing must be defined over Q"])
@@ -166,7 +166,6 @@ def is_polarization(h: HodgeStructure, s: BilinearForm) -> PolarizationCheck:
                 problems.append(f"pieces ({a.p},{a.q}) and ({b.p},{b.q}) are not S-orthogonal")
     if h.dimension and not s.gram.det():
         problems.append("pairing is degenerate")
-    weil = weil_operator(h)
     s_c = s.gram * weil
     if s_c != s_c.T:
         problems.append("S(u, Cv) is not symmetric")
@@ -227,19 +226,18 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     Sturm and semisimple by a squarefree minimal polynomial.  Eigenspaces
     are computed only when the characteristic polynomial splits over Q.
     """
-    chk = is_polarization(h, s)
+    weil = weil_operator(h)
+    chk = _check_polarization(h, weil, s)
     if not chk.ok:
         raise ValueError(f"first pairing is not a polarization: {chk.problems}")
-    chk2 = is_polarization(h, s_prime)
+    chk2 = _check_polarization(h, weil, s_prime)
     if not chk2.ok:
         raise ValueError(f"second pairing is not a polarization: {chk2.problems}")
-    weil = chk.weil
     phi = s.gram.inv() * s_prime.gram
     assert phi.T * s.gram == s_prime.gram  # defining identity for phi
 
     # identity chain: S(phi u, Cv) = S'(u, Cv) = S'(v, Cu) = S(phi v, Cu) = S(u, C phi v)
-    sc = s.gram * weil
-    spc = s_prime.gram * weil
+    sc, spc = chk.s_c, chk2.s_c
     chain_ok = (
         phi.T * sc == spc
         and spc.T == spc
@@ -300,7 +298,7 @@ def _rational_roots(p: list[Fraction]) -> list[Fraction]:
     # clear denominators to a primitive integer polynomial
     denom = 1
     for c in p:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = lcm(denom, c.denominator)
     ints = [int(c * denom) for c in p]
     roots = []
     low = next(c for c in ints if c)
@@ -313,12 +311,6 @@ def _rational_roots(p: list[Fraction]) -> list[Fraction]:
             if poly_eval(p, cand) == 0 and cand not in roots:
                 roots.append(cand)
     return roots
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def _divisors(n: int) -> list[int]:
@@ -465,22 +457,8 @@ def random_hodge_endomorphism(rng: Random, h: HodgeStructure, bound: int = 2) ->
             image = piece.basis * block
             cols.extend(image.columns())
         image_full = Mat.from_columns(cols, m=h.dimension)
-        psi_c = image_full * full.inv()
-        rows = []
-        real = True
-        for r in psi_c.rows:
-            row = []
-            for x in r:
-                if not x.is_real:
-                    real = False
-                    break
-                row.append(x.re)
-            if not real:
-                break
-            rows.append(row)
-        if not real:
-            raise AssertionError("conjugation-equivariant blocks must give a real matrix")
-        psi = Mat(h.dimension, h.dimension, rows)
+        psi = _real_matrix(image_full * full.inv(),
+                           "conjugation-equivariant blocks must give a real matrix")
         if psi.det():
             return psi
 

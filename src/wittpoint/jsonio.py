@@ -364,10 +364,6 @@ def diamond_from_json(doc, pointer: str = "$") -> HodgeDiamond:
         raise SchemaError(f"{pointer}.h", str(exc)) from exc
 
 
-def diamond_to_json(d: HodgeDiamond) -> dict:
-    return {"dim": d.dim, "h": [list(r) for r in d.h]}
-
-
 def pieces_from_json(doc, pointer: str = "$") -> tuple[list[PrimitivePiece], int]:
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")

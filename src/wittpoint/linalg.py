@@ -474,13 +474,3 @@ def poly_eval_matrix(p: list[Fraction], a: Mat) -> Mat:
     for c in reversed(p):
         acc = acc * a + Mat.identity(a.n).scale(c)
     return acc
-
-
-def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_normalize(out)

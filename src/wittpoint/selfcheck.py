@@ -23,13 +23,9 @@ from .core import hilbert_symbol, relevant_places
 from .forms import (
     HYPERBOLIC_PLANE,
     SKEW,
-    BilinearForm,
     BlockMetabolicForm,
-    diagonalize,
-    hasse_of_entries,
     invariants,
     metabolic_reduce,
-    radical_split,
     symplectic_reduce,
 )
 from .linalg import Mat
@@ -48,14 +44,6 @@ class SuiteResult:
     failures: list = field(default_factory=list)
 
 
-def _hasse_comparable(f: BilinearForm, g: BilinearForm) -> bool:
-    ef = diagonalize(radical_split(f).nondegenerate).entries
-    eg = diagonalize(radical_split(g).nondegenerate).entries
-    places = sorted(set(relevant_places(ef)[:-1]) | set(relevant_places(eg)[:-1]))
-    places.append("real")
-    return hasse_of_entries(ef, places) == hasse_of_entries(eg, places)
-
-
 def suite_congruence_invariance(rng: Random, trials: int) -> SuiteResult:
     failures = []
     for t in range(trials):
@@ -67,7 +55,7 @@ def suite_congruence_invariance(rng: Random, trials: int) -> SuiteResult:
         if (inv_f.rank, inv_f.signature, inv_f.discriminant) != (inv_g.rank, inv_g.signature, inv_g.discriminant):
             failures.append({"trial": t, "reason": "rank/signature/discriminant changed"})
             continue
-        if not _hasse_comparable(f, g):
+        if not classes_equal_hasse_route(f, g):
             failures.append({"trial": t, "reason": "Hasse symbols changed under congruence"})
             continue
         if witt_class_of(f) != witt_class_of(g):

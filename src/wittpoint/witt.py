@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import REAL_PLACE, is_prime, is_residue, p_adic_split, square_class
 from .forms import (
@@ -195,13 +196,21 @@ def witt_class_of(f: BilinearForm) -> WittClassQ:
     Degenerate forms are accepted (the radical does not change the class);
     skew forms land in the zero class, certified by symplectic reduction.
     """
-    if f.field != RATIONAL:
-        raise ValueError("witt_class_of computes classes over Q")
+    _require_rational(f)
     if f.symmetry == SKEW:
         split = radical_split(f)
         symplectic_reduce(split.nondegenerate)  # certificate that the class is zero
         return WittClassQ.zero()
-    entries = _diagonal_entries(f)
+    return _class_of_entries(_diagonal_entries(f))
+
+
+def _require_rational(f: BilinearForm):
+    if f.field != RATIONAL:
+        raise ValueError("witt_class_of computes classes over Q")
+
+
+def _class_of_entries(entries) -> WittClassQ:
+    """Class of the nondegenerate diagonal form <entries> over Q."""
     signature = sum(1 if e > 0 else -1 for e in entries)
     primes = set()
     for e in entries:
@@ -226,27 +235,15 @@ def group_law(a: WittClassQ, b: WittClassQ, op: str):
 # -- equality oracles ---------------------------------------------------
 
 
-def _stabilized_entries(f: BilinearForm, g: BilinearForm):
-    ef = _diagonal_entries(f)
-    eg = _diagonal_entries(g)
+def _hasse_route_entries(ef: list, eg: list) -> bool:
+    """classes_equal_hasse_route on the forms' diagonal entries."""
     if (len(ef) - len(eg)) % 2:
-        return None
+        return False
     pad = [Fraction(1), Fraction(-1)] * (abs(len(ef) - len(eg)) // 2)
     if len(ef) < len(eg):
         ef = ef + pad
     else:
         eg = eg + pad
-    return ef, eg
-
-
-def classes_equal_hasse_route(f: BilinearForm, g: BilinearForm) -> bool:
-    """Witt equality via the complete invariant system of equal-rank forms:
-    pad with hyperbolic planes, then compare rank, signature, discriminant,
-    and every Hasse symbol (including the place 2 and the real place)."""
-    stab = _stabilized_entries(f, g)
-    if stab is None:
-        return False
-    ef, eg = stab
     sig_f = sum(1 if e > 0 else -1 for e in ef)
     sig_g = sum(1 if e > 0 else -1 for e in eg)
     if sig_f != sig_g:
@@ -268,6 +265,13 @@ def classes_equal_hasse_route(f: BilinearForm, g: BilinearForm) -> bool:
     return hf == hg
 
 
+def classes_equal_hasse_route(f: BilinearForm, g: BilinearForm) -> bool:
+    """Witt equality via the complete invariant system of equal-rank forms:
+    pad with hyperbolic planes, then compare rank, signature, discriminant,
+    and every Hasse symbol (including the place 2 and the real place)."""
+    return _hasse_route_entries(_diagonal_entries(f), _diagonal_entries(g))
+
+
 def classes_equal_residue_route(f: BilinearForm, g: BilinearForm) -> bool:
     return witt_class_of(f) == witt_class_of(g)
 
@@ -276,14 +280,19 @@ def equivalent(f: BilinearForm, g: BilinearForm) -> bool:
     """Decide Witt equality of two symmetric forms over Q.
 
     Runs both the residue-based canonical comparison and the Hasse-based
-    stabilized comparison; disagreement would be an internal error.
+    stabilized comparison; disagreement would be an internal error.  The
+    two oracles share one diagonalization per form and nothing else.
     """
-    by_residues = classes_equal_residue_route(f, g)
-    by_hasse = classes_equal_hasse_route(f, g)
+    _require_rational(f)
+    _require_rational(g)
+    ef, eg = _diagonal_entries(f), _diagonal_entries(g)
+    class_f, class_g = _class_of_entries(ef), _class_of_entries(eg)
+    by_residues = class_f == class_g
+    by_hasse = _hasse_route_entries(ef, eg)
     if by_residues != by_hasse:
         raise AssertionError(
             "residue and Hasse equality oracles disagree; this is a bug: "
-            f"{witt_class_of(f)} vs {witt_class_of(g)}"
+            f"{class_f} vs {class_g}"
         )
     return by_hasse
 
@@ -307,16 +316,10 @@ def fp_group_table(p: int) -> dict:
         generator = fp_class_of([1], p)
     exponent = 1
     for x in elements:
-        exponent = _lcm(exponent, x.order())
+        exponent = lcm(exponent, x.order())
     return {
         "p": p,
         "cardinality": len(elements),
         "exponent": exponent,
         "order_of_one": generator.order(),
     }
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)

@@ -1,0 +1,96 @@
+"""Each certificate is computed once per object it certifies.
+
+A counter is patched over every binding of a function in the package, so
+calls made through names imported into other modules are counted too.
+"""
+
+import functools
+import json
+import sys
+from random import Random
+
+from wittpoint import cobordism, forms, hodge, witt
+from wittpoint.cli import main
+from wittpoint.cobordism import acyclic_extension, cobordism_class, truncation_witness
+from wittpoint.forms import HYPERBOLIC_PLANE, BilinearForm
+from wittpoint.hodge import (
+    HodgeStructure,
+    compare_polarizations,
+    is_polarization,
+    random_polarization_pair,
+    standard_structure,
+)
+from wittpoint.jsonio import complex_to_json
+from wittpoint.witt import equivalent
+
+
+def count(monkeypatch, owner, attr) -> list[int]:
+    """Patch a counter over owner.attr: a method on its class, or a
+    module-level function or class wherever the package binds it."""
+    original = getattr(owner, attr)
+    calls = [0]
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+    for name, module in list(sys.modules.items()):
+        if name == "wittpoint" or name.startswith("wittpoint."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_compare_polarizations_validates_once_and_builds_one_weil_operator(monkeypatch):
+    h, s, s_prime = random_polarization_pair(Random(41), 2, 4)
+    validations = count(monkeypatch, HodgeStructure, "validate")
+    weils = count(monkeypatch, hodge, "weil_operator")
+    assert compare_polarizations(h, s, s_prime).certified
+    assert (validations[0], weils[0]) == (1, 1)
+
+
+def test_is_polarization_validates_once(monkeypatch):
+    h, s = standard_structure(3, 4)
+    validations = count(monkeypatch, HodgeStructure, "validate")
+    assert is_polarization(h, s).ok
+    assert validations[0] == 1
+
+
+def test_equivalent_diagonalizes_each_form_once(monkeypatch):
+    diagonalizations = count(monkeypatch, witt, "_diagonal_entries")
+    assert equivalent(HYPERBOLIC_PLANE, BilinearForm.from_diagonal([3, -3]))
+    assert diagonalizations[0] == 2
+    assert not equivalent(BilinearForm.from_diagonal([1, 2, 5]), BilinearForm.from_diagonal([-7]))
+    assert diagonalizations[0] == 4
+
+
+def test_truncation_witness_validates_once_with_one_cohomology(monkeypatch):
+    ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
+    validations = count(monkeypatch, cobordism, "validate")
+    cohomologies = count(monkeypatch, cobordism, "Cohomology")
+    truncation_witness(ext)
+    assert (validations[0], cohomologies[0]) == (1, 1)
+
+
+def test_cobordism_class_builds_one_cohomology(monkeypatch):
+    ext = acyclic_extension(BilinearForm.from_diagonal([5]), Random(3), 1)
+    cohomologies = count(monkeypatch, cobordism, "Cohomology")
+    assert cobordism_class(ext).signature == 1
+    assert cohomologies[0] == 1
+
+
+def test_cli_skew_complex_class_validates_and_reduces_once(tmp_path, monkeypatch, capsys):
+    skew = BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=-1)
+    path = tmp_path / "sk.json"
+    path.write_text(json.dumps(complex_to_json(acyclic_extension(skew, Random(5), 1))))
+    validations = count(monkeypatch, cobordism, "validate")
+    reductions = count(monkeypatch, forms, "symplectic_reduce")
+    cohomologies = count(monkeypatch, cobordism, "Cohomology")
+    assert main(["--json", "complex-class", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["symplectic_certificate"] == {"hyperbolic_count": 1}
+    assert (validations[0], reductions[0], cohomologies[0]) == (1, 1, 1)

@@ -213,7 +213,11 @@ def test_round_trip_structures():
 
 
 def test_trial_division_bound_flag(tmp_path, capsys):
-    from wittpoint.core import DEFAULT_TRIAL_DIVISION_BOUND, set_trial_division_bound
+    from wittpoint.core import (
+        DEFAULT_TRIAL_DIVISION_BOUND,
+        get_trial_division_bound,
+        set_trial_division_bound,
+    )
 
     try:
         hard = write(tmp_path, "hard.json", form_doc([[1009 * 1013]]))
@@ -223,5 +227,18 @@ def test_trial_division_bound_flag(tmp_path, capsys):
         assert main(["--trial-division-bound", "2000", "witt-class", hard]) == 0
         out = capsys.readouterr().out
         assert "residue at 1009" in out and "residue at 1013" in out
+        # main leaves the process-wide bound as it found it
+        assert get_trial_division_bound() == DEFAULT_TRIAL_DIVISION_BOUND
     finally:
         set_trial_division_bound(DEFAULT_TRIAL_DIVISION_BOUND)
+
+
+def test_trial_division_bound_below_two_is_an_input_error(tmp_path, capsys):
+    from wittpoint.core import DEFAULT_TRIAL_DIVISION_BOUND, get_trial_division_bound
+
+    path = write(tmp_path, "f.json", form_doc([[6]]))
+    for bound in ("1", "0"):
+        assert main(["--trial-division-bound", bound, "witt-class", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: trial division bound must be at least 2\n"
+        assert get_trial_division_bound() == DEFAULT_TRIAL_DIVISION_BOUND

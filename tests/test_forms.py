@@ -244,3 +244,18 @@ def test_form_symmetry_validation():
         BilinearForm.from_rows([[1]], field=2)
     with pytest.raises(ValueError, match="odd prime"):
         BilinearForm.from_rows([[1]], field=6)
+
+
+def test_fp_gram_entries_must_be_integers():
+    with pytest.raises(ValueError, match="Gram entries must be integers"):
+        BilinearForm.from_rows([["1/2", 0], [0, 1]], field=3)
+
+
+def test_fp_nondegeneracy_is_the_determinant_mod_p():
+    assert BilinearForm.from_rows([[2, 0], [0, 1]], field=3).is_nondegenerate()
+    assert BilinearForm.from_rows([[1, 1], [1, 3]], field=3).is_nondegenerate()  # det 2
+    assert not BilinearForm.from_rows([[1, 1], [1, 4]], field=3).is_nondegenerate()  # det 3
+    assert not BilinearForm.from_rows([[2, 1], [1, 4]], field=7).is_nondegenerate()  # det 7
+    assert BilinearForm.from_rows([[1, 2], [2, 1]], field=5).is_nondegenerate()  # det -3
+    assert not BilinearForm.from_rows([[1, 2], [2, 1]], field=3).is_nondegenerate()
+

@@ -43,6 +43,9 @@ def test_form_schema_errors_carry_pointers():
         form_from_json({"symmetry": "skew", "gram": [["1"]]})  # not skew
     with pytest.raises(SchemaError, match=r"\$\.gram"):
         form_from_json({"symmetry": "symmetric", "gram": [["1", "2"]]})  # ragged
+    with pytest.raises(SchemaError, match=r"\$\.gram: prime field Gram entries must be integers"):
+        form_from_json({"symmetry": "symmetric", "field": {"Fp": 3},
+                        "gram": [["1/2", "0"], ["0", "1"]]})
 
 
 def test_fp_class_round_trip():

@@ -180,6 +180,18 @@ def test_equivalent_spec_example():
     assert not equivalent(HYPERBOLIC_PLANE, BilinearForm.from_diagonal([-2]))
 
 
+def test_equivalent_error_messages():
+    fp = BilinearForm.from_rows([[1]], field=3)
+    skew = BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=-1)
+    cases = [(fp, "witt_class_of computes classes over Q"),
+             (skew, "diagonalization requires symmetric form")]
+    for bad, message in cases:
+        for f, g in ((bad, HYPERBOLIC_PLANE), (HYPERBOLIC_PLANE, bad)):
+            with pytest.raises(ValueError) as exc:
+                equivalent(f, g)
+            assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_canonical_form_stores_sorted_nonzero_residues():
     cls = witt_class_of(BilinearForm.from_diagonal([30, 2, 3]))
     primes = [p for p, _ in cls.residues]
