@@ -729,12 +729,17 @@ def metabolic_witness(block: BlockMetabolicForm, p: Mat | None = None) -> Cobord
     """Subquotient witness between the core S and (a congruent image of) the
     assembled block form: the isotropic block is divided out."""
     form = block.assemble()
+    if p is None:
+        p = Mat.identity(form.gram.n)
+    return _metabolic_witness(block, form, form.congruent_by(p), p)
+
+
+def _metabolic_witness(block: BlockMetabolicForm, form: BilinearForm,
+                       f_big: BilinearForm, p: Mat) -> CobordismWitness:
+    """metabolic_witness given the assembled block form and its image P^T G P."""
     n = form.gram.n
     k = block.isotropic_rank
     m = block.s.gram.n
-    if p is None:
-        p = Mat.identity(n)
-    f_big = form.congruent_by(p)
     incl = Mat.from_columns([Mat.identity(n).col(j) for j in range(k + m)], m=n)
     pi = Mat.zeros(m, k).hstack(Mat.identity(m))
     proj_old = Mat.zeros(m, k).hstack(Mat.identity(m)).hstack(Mat.zeros(m, k)).vstack(
@@ -1026,13 +1031,14 @@ def random_witness_chain(rng: Random, core_rank: int, steps: int,
                 b = Mat(m, k, [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(m)])
                 block = BlockMetabolicForm(current, a, b)
                 p = random_invertible(rng, m + 2 * k, bound=1)
-                candidate = block.assemble().congruent_by(p)
+                form = block.assemble()
+                candidate = form.congruent_by(p)
                 if form_height_ok(candidate):
                     break
             else:
                 p = Mat.identity(m + 2 * k)
-                candidate = block.assemble()
-            w = metabolic_witness(block, p)
+                candidate = form
+            w = _metabolic_witness(block, form, candidate, p)
             current = BilinearForm(RATIONAL, symmetry, w.f_prime.s(0))
             links.append(ChainLink("metabolic", current, w, block=block))
         elif step == "congruence" and current.gram.n > 0:

@@ -187,9 +187,15 @@ def p_adic_split(a, p: int) -> LocalUnitData:
         raise ValueError(f"{p} is not prime")
     v = p_adic_valuation(a, p)
     unit = a / Fraction(p) ** v
-    num, den = unit.numerator, unit.denominator
-    residue = num % p * pow(den % p, -1, p) % p
-    return LocalUnitData(prime=p, valuation=v, unit=unit, unit_residue=residue)
+    return LocalUnitData(prime=p, valuation=v, unit=unit, unit_residue=residue_mod(unit, p))
+
+
+def residue_mod(a, p: int) -> int:
+    """The image in F_p of an integer or a rational whose denominator is prime to p."""
+    a = Fraction(a)
+    if a.denominator % p == 0:
+        raise ValueError(f"{a} has no image mod {p}: {p} divides its denominator")
+    return a.numerator * pow(a.denominator, -1, p) % p
 
 
 def is_residue(u: int, p: int) -> bool:

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .core import (
     REAL_PLACE,
     SquareClass,
     hilbert_symbol,
     is_prime,
+    residue_mod,
     square_class,
 )
-from .linalg import Mat, extend_to_complement, primitive_integer_column
+from .linalg import Mat, extend_to_complement
 
 RATIONAL = "Q"
 
@@ -87,7 +89,7 @@ class BilinearForm:
         """The form with Gram matrix P^T G P (same class, new basis)."""
         g = p.T * self.gram * p
         if self.field != RATIONAL:
-            g = g.map(lambda x: Fraction(int(x) % self.field))
+            g = g.map(lambda x: Fraction(residue_mod(x, self.field)))
         return BilinearForm(self.field, self.symmetry, g)
 
     def scaled(self, c) -> "BilinearForm":
@@ -128,7 +130,9 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
     nonzero diagonal entry; on an all-zero diagonal add basis vector j to
     basis vector i for the lexicographically first (i, j) with G[i][j] != 0.
     Over Q each cleared basis column is rescaled to a primitive integer
-    vector, which keeps reported entries integral for integral input.
+    vector, which keeps reported entries integral for integral input; the
+    elimination runs on integers, on the Gram matrix times the lcm of its
+    denominators.
     """
     if not f.is_symmetric:
         raise ValueError("diagonalization requires symmetric form")
@@ -139,30 +143,27 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
 
 def _diagonalize_q(f: BilinearForm) -> Diagonalization:
     n = f.gram.n
-    m = [list(r) for r in f.gram.rows]
-    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    scale = lcm(*[x.denominator for r in f.gram.rows for x in r])
+    m = [[x.numerator * (scale // x.denominator) for x in r] for r in f.gram.rows]
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    # basis[k] is column k of the congruence; m is kept in sync as B^T G B
-    # by mirrored row/column operations.
-    def add_multiple(i, j, c):
-        basis[i] = [a + c * b for a, b in zip(basis[i], basis[j])]
-        for t in range(n):
-            m[i][t] = m[i][t] + c * m[j][t]
-        for t in range(n):
-            m[t][i] = m[t][i] + c * m[t][j]
+    # basis[k] is column k of the congruence, an integer vector; m is kept in
+    # sync as scale * B^T G B by mirrored row/column operations.
+    def combine(i, a, j, b, primitive):
+        """Column i becomes a * column i + b * column j, divided by its
+        content if ``primitive``; every division is exact."""
+        col = [a * x + b * y for x, y in zip(basis[i], basis[j])]
+        g = gcd(*col) if primitive else 1
+        basis[i] = [x // g for x in col] if g > 1 else col
+        m[i] = [(a * x + b * y) // g for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[i] = (a * row[i] + b * row[j]) // g
 
     def swap(i, j):
         basis[i], basis[j] = basis[j], basis[i]
         m[i], m[j] = m[j], m[i]
-        for t in range(n):
-            m[t][i], m[t][j] = m[t][j], m[t][i]
-
-    def rescale(i, c):
-        basis[i] = [c * a for a in basis[i]]
-        for t in range(n):
-            m[i][t] = c * m[i][t]
-        for t in range(n):
-            m[t][i] = c * m[t][i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
 
     k = 0
     while k < n:
@@ -175,24 +176,24 @@ def _diagonalize_q(f: BilinearForm) -> Diagonalization:
             if off is None:
                 break  # trailing block is zero: the radical
             i, j = off
-            add_multiple(i, j, Fraction(1))
+            combine(i, 1, j, 1, primitive=False)
             pivot = i
         if pivot != k:
             swap(k, pivot)
         d = m[k][k]
+        sign = 1 if d > 0 else -1
         for i in range(k + 1, n):
-            if m[k][i] != 0:
-                add_multiple(i, k, -m[k][i] / d)
-        for i in range(k + 1, n):
-            prim = primitive_integer_column(basis[i])
-            scale = next((a / b for a, b in zip(prim, basis[i]) if b != 0), Fraction(1))
-            if scale != 1:
-                rescale(i, scale)
+            c = m[k][i]
+            if c != 0:
+                # |d| * (column i - (c / d) * column k): the same ray, rescaled
+                # to its primitive integer vector
+                combine(i, abs(d), k, -sign * c, primitive=True)
         k += 1
     rank = k
-    entries = tuple(m[i][i] for i in range(rank))
+    entries = tuple(Fraction(m[i][i], scale) for i in range(rank))
     congruence = Mat.from_columns(basis, m=n) if n else Mat.zeros(0, 0)
-    assert congruence.T * f.gram * congruence == Mat.diag(list(entries) + [Fraction(0)] * (n - rank))
+    if congruence.T * f.gram * congruence != Mat.diag(list(entries) + [Fraction(0)] * (n - rank)):
+        raise AssertionError("diagonalization certificate failed: P^T G P is not the diagonal D")
     return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
 
 
@@ -441,38 +442,45 @@ def metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
     transvection sequence replays to the reduced Gram matrix exactly.
     """
     form = block.assemble()
-    g = form.gram
+    g = [list(r) for r in form.gram.rows]
     k = block.isotropic_rank
     m = block.s.gram.n
-    n = g.n
+    n = len(g)
+    congruence = Mat.identity(n)
     moves = []
 
     def apply(alpha, p, q):
-        nonlocal g
-        e = transvection(n, alpha, p, q)
-        g = e.T * g * e
+        # E = I + alpha e_p e_q^T: g becomes E^T g E and the congruence C E.
+        # p is an isotropic basis vector: its row and column are sparse.
+        for rows in (g, congruence.rows):
+            for row in rows:
+                if row[p]:
+                    row[q] += alpha * row[p]
+        gq = g[q]
+        for t, y in enumerate(g[p]):
+            if y:
+                gq[t] += alpha * y
         moves.append((Fraction(alpha), p, q))
 
     # clear B: basis vector k+j (middle) += alpha * basis vector l (isotropic)
     for j in range(m):
         for l in range(k):
-            val = g[k + j, k + m + l]
+            val = g[k + j][k + m + l]
             if val:
                 apply(-val, l, k + j)
     # clear A: basis vector k+m+l += alpha * basis vector i (isotropic)
     for l in range(k):
-        diag = g[k + m + l, k + m + l]
+        diag = g[k + m + l][k + m + l]
         if diag:
             apply(-diag / 2, l, k + m + l)
         for i in range(l + 1, k):
-            val = g[k + m + l, k + m + i]
+            val = g[k + m + l][k + m + i]
             if val:
                 apply(-val, l, k + m + i)
-    expected = BlockMetabolicForm(block.s, Mat.zeros(k, k), Mat.zeros(m, k)).assemble().gram if k or m else g
-    assert g == expected, "metabolic reduction failed to clear A and B"
-    congruence = Mat.identity(n)
-    for alpha, p, q in moves:
-        congruence = congruence * transvection(n, alpha, p, q)
+    reduced = Mat(n, n, g)
+    expected = BlockMetabolicForm(block.s, Mat.zeros(k, k), Mat.zeros(m, k)).assemble().gram if k or m else reduced
+    if reduced != expected:
+        raise AssertionError("metabolic reduction certificate failed: A and B are not cleared")
     return MetabolicReduction(
         core=block.s,
         hyperbolic_count=k,

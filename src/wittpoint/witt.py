@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import REAL_PLACE, is_prime, is_residue, p_adic_split, square_class
+from .core import REAL_PLACE, is_prime, is_residue, p_adic_split, residue_mod, square_class
 from .forms import (
     RATIONAL,
     SKEW,
@@ -103,7 +103,7 @@ def fp_class_of(entries, p: int) -> WittClassFp:
         raise ValueError(f"{p} is not prime")
     residues = []
     for e in entries:
-        e = int(e) % p
+        e = residue_mod(e, p)
         if e == 0:
             raise ValueError("diagonal entries must be nonzero mod p")
         residues.append(is_residue(e, p))
@@ -116,8 +116,14 @@ def fp_class_of(entries, p: int) -> WittClassFp:
 
 
 def _diagonal_entries(f: BilinearForm) -> list[Fraction]:
-    split = radical_split(f)
-    return list(diagonalize(split.nondegenerate).entries)
+    """Diagonal entries of f with its radical split off.
+
+    A nondegenerate form is its own complement of the radical (radical_split
+    would restrict it to the identity basis), so only a degenerate one is split.
+    """
+    if f.field == RATIONAL and f.gram.det():
+        return list(diagonalize(f).entries)
+    return list(diagonalize(radical_split(f).nondegenerate).entries)
 
 
 def psi(form_or_entries, p: int, k: int) -> WittClassFp:

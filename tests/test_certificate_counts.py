@@ -5,14 +5,20 @@ calls made through names imported into other modules are counted too.
 """
 
 import functools
+import hashlib
 import json
 import sys
 from random import Random
 
 from wittpoint import cobordism, forms, hodge, witt
 from wittpoint.cli import main
-from wittpoint.cobordism import acyclic_extension, cobordism_class, truncation_witness
-from wittpoint.forms import HYPERBOLIC_PLANE, BilinearForm
+from wittpoint.cobordism import (
+    acyclic_extension,
+    cobordism_class,
+    random_witness_chain,
+    truncation_witness,
+)
+from wittpoint.forms import HYPERBOLIC_PLANE, BilinearForm, BlockMetabolicForm
 from wittpoint.hodge import (
     HodgeStructure,
     compare_polarizations,
@@ -94,3 +100,14 @@ def test_cli_skew_complex_class_validates_and_reduces_once(tmp_path, monkeypatch
     assert main(["--json", "complex-class", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["symplectic_certificate"] == {"hyperbolic_count": 1}
     assert (validations[0], reductions[0], cohomologies[0]) == (1, 1, 1)
+
+
+def test_chain_generator_assembles_each_metabolic_block_once(monkeypatch):
+    assemblies = count(monkeypatch, BlockMetabolicForm, "assemble")
+    rng = Random(4)
+    chains = [random_witness_chain(rng, 2, 1) for _ in range(40)]
+    links = sum(link.step == "metabolic" for chain in chains for link in chain.links)
+    assert (links, assemblies[0]) == (21, 21)
+    # the same chains, witnesses and RNG draws as when every block was assembled twice
+    digest = hashlib.sha256(repr(chains).encode()).hexdigest()
+    assert digest == "2809d19accece7394e646218a052f5d65fb37f1947c7a53d581429a22f861174"

@@ -3,6 +3,11 @@
 from fractions import Fraction
 from random import Random
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -259,3 +264,55 @@ def test_fp_nondegeneracy_is_the_determinant_mod_p():
     assert BilinearForm.from_rows([[1, 2], [2, 1]], field=5).is_nondegenerate()  # det -3
     assert not BilinearForm.from_rows([[1, 2], [2, 1]], field=3).is_nondegenerate()
 
+
+
+def test_fp_congruence_reads_rationals_mod_p():
+    f = BilinearForm.from_diagonal([1, 1], field=3)
+    g = f.congruent_by(Mat.diag([Fraction(1, 2), 1]))  # 1/4 = 1 mod 3
+    assert g.gram == Mat.diag([1, 1])
+    assert g.is_nondegenerate()
+    with pytest.raises(ValueError, match="3 divides its denominator"):
+        f.congruent_by(Mat.diag([Fraction(1, 3), 1]))
+
+
+CORRUPTED_CERTIFICATES = """
+from fractions import Fraction
+from wittpoint.forms import BilinearForm, BlockMetabolicForm, diagonalize, metabolic_reduce
+from wittpoint.linalg import Mat
+
+assert False, "bare asserts run: not under -O"
+
+def fired(run):
+    try:
+        run()
+    except AssertionError as e:
+        return str(e)
+    return "nothing fired"
+
+diag = Mat.diag
+Mat.diag = staticmethod(lambda entries: diag([e + 1 for e in entries]))
+print(fired(lambda: diagonalize(BilinearForm.from_diagonal([2, -3]))))
+Mat.diag = staticmethod(diag)
+
+assemble = BlockMetabolicForm.assemble
+def corrupted(block):  # the clearing target is the block with A = B = 0
+    form = assemble(block)
+    if block.a.is_zero() and block.b.is_zero():
+        form.gram.rows[0][0] = Fraction(1)
+    return form
+BlockMetabolicForm.assemble = corrupted
+block = BlockMetabolicForm(BilinearForm.from_diagonal([5]), Mat.from_rows([[1]]), Mat.from_rows([[2]]))
+print(fired(lambda: metabolic_reduce(block)))
+"""
+
+
+def test_certificates_fire_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_CERTIFICATES], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "diagonalization certificate failed: P^T G P is not the diagonal D",
+        "metabolic reduction certificate failed: A and B are not cleared",
+    ]

@@ -1,0 +1,319 @@
+"""The integer elimination kernel returns exactly what elimination over Q returns.
+
+The references below are the plain ``Fraction`` loops the kernel replaced:
+Gauss-Jordan and the determinant over the field, the congruence
+diagonalization with its primitive rescale, and the metabolic reduction by
+full n x n products.  Every property requires the kernel's output to equal
+the reference's, entry by entry.
+"""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from hypothesis import given, settings, strategies as st
+
+from wittpoint.forms import (
+    RATIONAL,
+    BilinearForm,
+    BlockMetabolicForm,
+    Diagonalization,
+    MetabolicReduction,
+    diagonalize,
+    metabolic_reduce,
+    transvection,
+)
+from wittpoint.linalg import Mat
+
+EXAMPLES = settings(max_examples=150, deadline=None)
+
+# -- references -----------------------------------------------------------
+
+
+def ref_rref(a: Mat):
+    rows = [list(r) for r in a.rows]
+    pivots = []
+    r = 0
+    for c in range(a.n):
+        if r == a.m:
+            break
+        pivot = next((i for i in range(r, a.m) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(a.m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Mat(a.m, a.n, rows), pivots
+
+
+def ref_det(a: Mat):
+    rows = [list(r) for r in a.rows]
+    d = Fraction(1)
+    for c in range(a.n):
+        pivot = next((i for i in range(c, a.n) if rows[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            d = -d
+        d = d * rows[c][c]
+        for i in range(c + 1, a.n):
+            if rows[i][c]:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return d
+
+
+def ref_nullspace(a: Mat) -> Mat:
+    r, pivots = ref_rref(a)
+    cols = []
+    for f in (j for j in range(a.n) if j not in pivots):
+        v = [Fraction(0)] * a.n
+        v[f] = Fraction(1)
+        for row, p in enumerate(pivots):
+            v[p] = -r.rows[row][f]
+        cols.append(v)
+    return Mat.from_columns(cols, m=a.n)
+
+
+def ref_solve(a: Mat, b: Mat):
+    r, pivots = ref_rref(a.hstack(b))
+    if any(p >= a.n for p in pivots):
+        return None
+    out = [[Fraction(0)] * b.n for _ in range(a.n)]
+    for row, p in enumerate(pivots):
+        for j in range(b.n):
+            out[p][j] = r.rows[row][a.n + j]
+    return Mat(a.n, b.n, out)
+
+
+def ref_primitive(vec):
+    if all(x == 0 for x in vec):
+        return list(vec)
+    ints = [x * lcm(*(y.denominator for y in vec)) for x in vec]
+    g = gcd(*(int(x) for x in ints))
+    return [x / g for x in ints]
+
+
+def ref_diagonalize(f: BilinearForm) -> Diagonalization:
+    n = f.gram.n
+    m = [list(r) for r in f.gram.rows]
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def add_multiple(i, j, c):
+        basis[i] = [a + c * b for a, b in zip(basis[i], basis[j])]
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        for row in m:
+            row[i] = row[i] + c * row[j]
+
+    def swap(i, j):
+        basis[i], basis[j] = basis[j], basis[i]
+        m[i], m[j] = m[j], m[i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    def rescale(i, c):
+        basis[i] = [c * a for a in basis[i]]
+        m[i] = [c * a for a in m[i]]
+        for row in m:
+            row[i] = c * row[i]
+
+    k = 0
+    while k < n:
+        pivot = next((i for i in range(k, n) if m[i][i] != 0), None)
+        if pivot is None:
+            off = next(((i, j) for i in range(k, n) for j in range(k, n) if j != i and m[i][j] != 0),
+                       None)
+            if off is None:
+                break
+            add_multiple(off[0], off[1], Fraction(1))
+            pivot = off[0]
+        if pivot != k:
+            swap(k, pivot)
+        d = m[k][k]
+        for i in range(k + 1, n):
+            if m[k][i] != 0:
+                add_multiple(i, k, -m[k][i] / d)
+        for i in range(k + 1, n):
+            prim = ref_primitive(basis[i])
+            scale = next((a / b for a, b in zip(prim, basis[i]) if b != 0), Fraction(1))
+            if scale != 1:
+                rescale(i, scale)
+        k += 1
+    congruence = Mat.from_columns(basis, m=n) if n else Mat.zeros(0, 0)
+    return Diagonalization(entries=tuple(m[i][i] for i in range(k)), radical_dim=n - k,
+                           congruence=congruence)
+
+
+def ref_metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
+    g = block.assemble().gram
+    k, m = block.isotropic_rank, block.s.gram.n
+    moves = []
+
+    def apply(alpha, p, q):
+        nonlocal g
+        e = transvection(g.n, alpha, p, q)
+        g = e.T * g * e
+        moves.append((Fraction(alpha), p, q))
+
+    for j in range(m):
+        for l in range(k):
+            if g[k + j, k + m + l]:
+                apply(-g[k + j, k + m + l], l, k + j)
+    for l in range(k):
+        if g[k + m + l, k + m + l]:
+            apply(-g[k + m + l, k + m + l] / 2, l, k + m + l)
+        for i in range(l + 1, k):
+            if g[k + m + l, k + m + i]:
+                apply(-g[k + m + l, k + m + i], l, k + m + i)
+    congruence = Mat.identity(g.n)
+    for alpha, p, q in moves:
+        congruence = congruence * transvection(g.n, alpha, p, q)
+    return MetabolicReduction(core=block.s, hyperbolic_count=k, transvections=tuple(moves),
+                              congruence=congruence)
+
+
+# -- strategies -----------------------------------------------------------
+
+# zero often, so that rows, columns and diagonals vanish; small denominators
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4, 6])),
+)
+
+
+@st.composite
+def matrices(draw, m=None, n=None):
+    m = draw(st.integers(0, 5)) if m is None else m
+    n = draw(st.integers(0, 5)) if n is None else n
+    if draw(st.booleans()) and m and n:  # rank at most r < min(m, n)
+        r = draw(st.integers(0, min(m, n) - 1))
+        left = Mat(m, r, [[draw(rationals) for _ in range(r)] for _ in range(m)])
+        right = Mat(r, n, [[draw(rationals) for _ in range(n)] for _ in range(r)])
+        return left * right if r else Mat.zeros(m, n)
+    return Mat(m, n, [[draw(rationals) for _ in range(n)] for _ in range(m)])
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Block sums of <a>, hyperbolic [[0, b], [b, 0]] and [[a, b], [b, 0]]
+    blocks plus a zero radical, optionally moved by an integer congruence so
+    the blocks mix; a zero diagonal forces the off-diagonal pivot path."""
+    blocks = draw(st.lists(st.sampled_from(["unit", "hyperbolic", "mixed", "zero"]), max_size=4))
+    entries = []
+    for kind in blocks:
+        a, b = draw(rationals), draw(rationals.filter(bool))
+        entries.append({"unit": [[a]], "hyperbolic": [[0, b], [b, 0]],
+                        "mixed": [[a, b], [b, 0]], "zero": [[0]]}[kind])
+    n = sum(len(e) for e in entries)
+    gram = Mat.zeros(n, n)
+    at = 0
+    for e in entries:
+        for i, row in enumerate(e):
+            for j, x in enumerate(row):
+                gram.rows[at + i][at + j] = Fraction(x)
+        at += len(e)
+    if draw(st.booleans()):
+        p = Mat(n, n, [[Fraction(draw(st.integers(-2, 2))) for _ in range(n)] for _ in range(n)])
+        if p.det():
+            gram = p.T * gram * p
+    return BilinearForm(RATIONAL, 1, gram)
+
+
+@st.composite
+def metabolic_blocks(draw):
+    m = draw(st.integers(0, 3))
+    k = draw(st.integers(1, 3))
+    core = Mat.diag([draw(rationals.filter(bool)) for _ in range(m)])
+    if m and draw(st.booleans()):
+        p = Mat(m, m, [[Fraction(draw(st.integers(-2, 2))) for _ in range(m)] for _ in range(m)])
+        if p.det():
+            core = p.T * core * p
+    a = Mat.zeros(k, k)
+    for i in range(k):
+        for j in range(i + 1):
+            a.rows[i][j] = a.rows[j][i] = draw(rationals)
+    b = Mat(m, k, [[draw(rationals) for _ in range(k)] for _ in range(m)])
+    return BlockMetabolicForm(BilinearForm(RATIONAL, 1, core), a, b)
+
+
+def same_entries(x: Mat, y: Mat) -> bool:
+    return x == y and all(type(a) is type(b) for ra, rb in zip(x.rows, y.rows) for a, b in zip(ra, rb))
+
+
+# -- properties -----------------------------------------------------------
+
+
+@EXAMPLES
+@given(a=matrices())
+def test_rref_and_nullspace_match_the_field_loop(a):
+    r, pivots = a.rref()
+    ref_r, ref_pivots = ref_rref(a)
+    assert pivots == ref_pivots
+    assert same_entries(r, ref_r)
+    assert a.rank() == len(ref_pivots)
+    assert same_entries(a.nullspace(), ref_nullspace(a))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_det_matches_the_field_loop(data):
+    n = data.draw(st.integers(0, 5))
+    a = data.draw(matrices(n, n))
+    d = a.det()
+    assert type(d) is Fraction
+    assert d == ref_det(a)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_solve_matches_the_field_loop(data):
+    a = data.draw(matrices())
+    cols = data.draw(st.integers(0, 2))
+    if data.draw(st.booleans()):  # consistent by construction
+        b = a * data.draw(matrices(a.n, cols))
+    else:
+        b = data.draw(matrices(a.m, cols))
+    x, ref_x = a.solve(b), ref_solve(a, b)
+    assert (x is None) == (ref_x is None)
+    if x is not None:
+        assert same_entries(x, ref_x)
+        assert a * x == b
+
+
+@EXAMPLES
+@given(f=symmetric_forms())
+def test_diagonalization_matches_the_field_loop(f):
+    d = diagonalize(f)
+    ref = ref_diagonalize(f)
+    assert d == ref
+    assert all(type(e) is Fraction for e in d.entries)
+    assert same_entries(d.congruence, ref.congruence)
+
+
+@EXAMPLES
+@given(block=metabolic_blocks())
+def test_metabolic_reduction_matches_the_full_products(block):
+    red = metabolic_reduce(block)
+    ref = ref_metabolic_reduce(block)
+    assert red == ref
+    assert same_entries(red.congruence, ref.congruence)
+    assert red.replay(block) == red.congruence.T * block.assemble().gram * red.congruence
+
+
+def test_kernel_edge_shapes():
+    for m, n in [(0, 0), (0, 3), (3, 0)]:
+        a = Mat.zeros(m, n)
+        assert a.rref() == ref_rref(a)
+        assert a.nullspace() == ref_nullspace(a)
+    assert Mat.zeros(0, 0).det() == 1
+    # negative, non-integral pivots and an all-zero diagonal
+    a = Mat.from_rows([["-1/2", "3/4", 0], ["1/3", 0, "-5/6"], [0, "-2/7", 1]])
+    assert a.rref() == ref_rref(a) and a.det() == ref_det(a)
+    f = BilinearForm.from_rows([[0, "1/2", 0], ["1/2", 0, "-3"], [0, "-3", 0]])
+    assert diagonalize(f) == ref_diagonalize(f)

@@ -15,7 +15,6 @@ from wittpoint.linalg import (
     poly_eval,
     poly_gcd,
     poly_squarefree_part,
-    primitive_integer_column,
 )
 
 
@@ -94,12 +93,6 @@ def test_integer_fast_path_matches_generic():
     assert prod == expected
     half = b.scale(Fraction(1, 2))
     assert (a * half).scale(2) == prod
-
-
-def test_primitive_integer_column():
-    col = [Fraction(-1, 2), Fraction(1, 2), Fraction(0)]
-    assert primitive_integer_column(col) == [Fraction(-1), Fraction(1), Fraction(0)]
-    assert primitive_integer_column([Fraction(4), Fraction(6)]) == [Fraction(2), Fraction(3)]
 
 
 def test_poly_helpers():

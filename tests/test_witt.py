@@ -208,3 +208,10 @@ def test_fp_payload_validation():
         WittClassFp(4, 1)  # not prime
     with pytest.raises(ValueError):
         WittClassFp(5, (2, True))  # bad parity
+
+
+def test_fp_class_reads_rationals_mod_p():
+    assert fp_class_of([Fraction(1, 2)], 3) == fp_class_of([2], 3)
+    assert fp_class_of([Fraction(-3, 4), 5], 7) == fp_class_of([1, 5], 7)  # -3/4 = 1 mod 7
+    with pytest.raises(ValueError, match="3 divides its denominator"):
+        fp_class_of([Fraction(1, 3)], 3)
