@@ -112,7 +112,8 @@ def weil_operator(h: HodgeStructure) -> Mat:
     scaled = Mat.from_columns(scaled_cols, m=h.dimension)
     c = _real_matrix(scaled * full.inv(),
                      "Weil operator came out non-real; bigrading is inconsistent")
-    assert c * c == Mat.identity(h.dimension).scale(Fraction((-1) ** h.weight))
+    if c * c != Mat.identity(h.dimension).scale(Fraction((-1) ** h.weight)):
+        raise AssertionError("Weil operator certificate failed: C^2 is not (-1)^w")
     return c
 
 
@@ -234,7 +235,8 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     if not chk2.ok:
         raise ValueError(f"second pairing is not a polarization: {chk2.problems}")
     phi = s.gram.inv() * s_prime.gram
-    assert phi.T * s.gram == s_prime.gram  # defining identity for phi
+    if phi.T * s.gram != s_prime.gram:  # defining identity for phi
+        raise AssertionError("comparison certificate failed: phi^T S is not S'")
 
     # identity chain: S(phi u, Cv) = S'(u, Cv) = S'(v, Cu) = S(phi v, Cu) = S(u, C phi v)
     sc, spc = chk.s_c, chk2.s_c
@@ -267,11 +269,14 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
             space = (phi - Mat.identity(phi.n).scale(alpha)).nullspace()
             eigenspaces.append(Eigenspace(eigenvalue=alpha, basis=space))
             total += space.n
-        assert total == phi.n  # semisimplicity realized by the decomposition
+        if total != phi.n:  # semisimplicity realized by the decomposition
+            raise AssertionError("eigenspace certificate failed: dimensions do not add up")
         for i in range(len(eigenspaces)):
             for j in range(i + 1, len(eigenspaces)):
                 prod = eigenspaces[i].basis.T * s.gram * eigenspaces[j].basis
-                assert prod.is_zero(), "eigenspaces are not S-orthogonal"
+                if not prod.is_zero():
+                    raise AssertionError("eigenspace certificate failed: "
+                                         "eigenspaces are not S-orthogonal")
 
     sig_s = diagonalize(_sym_for_signature(s)).signature()
     sig_sp = diagonalize(_sym_for_signature(s_prime)).signature()

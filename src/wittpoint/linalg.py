@@ -1,14 +1,17 @@
 """Exact dense linear algebra over Q and Q(i).
 
-Elimination on a matrix of ``Fraction`` entries runs over the integers:
-each row is scaled to integers once, on entry, and only integers are
+Every elimination runs over the integers.  Each row of a ``Fraction``
+matrix is scaled to integers once, on entry, and only integers are
 combined after that.  ``rref`` runs Gauss-Jordan by cross-multiplication,
 dividing each changed row by its content, and divides by the pivots only
 when it builds the result; ``det`` is Bareiss's fraction-free elimination
 (Bareiss 1968; Cohen, *A Course in Computational Algebraic Number Theory*,
 2.2).  The reduced row echelon form is unique, so both return exactly what
-elimination over Q returns.  A matrix with a ``GaussianRational`` entry
-takes the plain field loop.  Zero-row and zero-column matrices occur
+elimination over Q returns.  A matrix with a ``GaussianRational`` entry is
+eliminated through its realification, a + bi becoming the real block
+[[a, -b], [b, a]]: ``rank``, ``solve`` and ``inv`` run on that rational
+matrix and read the answer back, and ``rref``, ``det`` and ``nullspace``
+take rational matrices only.  Zero-row and zero-column matrices occur
 constantly (empty forms, zero complexes), so the shape is carried
 explicitly instead of being inferred from nested lists.
 """
@@ -215,8 +218,13 @@ class Mat:
                     return False
         return True
 
-    def _is_rational(self) -> bool:
-        return all(type(x) is Fraction for r in self.rows for x in r)
+    def _is_complex(self) -> bool:
+        return any(type(x) is GaussianRational for r in self.rows for x in r)
+
+    def _require_rational(self, what: str):
+        if self._is_complex():
+            raise TypeError(f"{what} takes a matrix over Q; a Q(i) matrix is "
+                            "eliminated through its realification (rank, solve, inv)")
 
     @property
     def T(self) -> "Mat":
@@ -265,36 +273,16 @@ class Mat:
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        if not self._is_rational():
-            return self._rref_field()
+        self._require_rational("rref")
         a, _ = _integer_rows(self.rows)
         pivots = _integer_gauss_jordan(a, self.n)
         out = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
         out += [[Fraction(0)] * self.n for _ in range(self.m - len(pivots))]
         return Mat(self.m, self.n, out), pivots
 
-    def _rref_field(self) -> tuple["Mat", list[int]]:
-        a = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.n):
-            if r == self.m:
-                break
-            pivot = next((i for i in range(r, self.m) if a[i][c]), None)
-            if pivot is None:
-                continue
-            a[r], a[pivot] = a[pivot], a[r]
-            inv = a[r][c]
-            a[r] = [x / inv for x in a[r]]
-            for i in range(self.m):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-        return Mat(self.m, self.n, a), pivots
-
     def rank(self) -> int:
+        if self._is_complex():
+            return _realify(self).rank() // 2
         return len(self.rref()[1])
 
     def nullspace(self) -> "Mat":
@@ -302,10 +290,9 @@ class Mat:
         R, pivots = self.rref()
         free = [j for j in range(self.n) if j not in pivots]
         cols = []
-        zero, one = _zero_one_like(self)
         for f in free:
-            v = [zero] * self.n
-            v[f] = one
+            v = [Fraction(0)] * self.n
+            v[f] = Fraction(1)
             for r, p in enumerate(pivots):
                 v[p] = -R.rows[r][f]
             cols.append(v)
@@ -319,50 +306,33 @@ class Mat:
         """One solution of self @ X = b, or None if inconsistent."""
         if b.m != self.m:
             raise ValueError("solve shape mismatch")
-        aug = self.hstack(b)
-        R, pivots = aug.rref()
-        pivots_in_a = [p for p in pivots if p < self.n]
-        if len(pivots_in_a) != len(pivots):
+        if self._is_complex() or b._is_complex():
+            x = _realify(self).solve(_realify(b))
+            return None if x is None else _read_back(x)
+        R, pivots = self.hstack(b).rref()
+        if pivots and pivots[-1] >= self.n:
             return None  # pivot in the augmented block: inconsistent
-        zero, _ = _zero_one_like(self, b)
-        out = [[zero] * b.n for _ in range(self.n)]
-        for r, p in enumerate(pivots_in_a):
-            for j in range(b.n):
-                out[p][j] = R.rows[r][self.n + j]
+        out = [[Fraction(0)] * b.n for _ in range(self.n)]
+        for r, p in enumerate(pivots):
+            out[p] = R.rows[r][self.n:]
         return Mat(self.n, b.n, out)
 
     def inv(self) -> "Mat":
         if self.m != self.n:
             raise ValueError("inverse of a non-square matrix")
-        zero, one = _zero_one_like(self)
-        x = self.solve(Mat.identity(self.n, one=one, zero=zero))
-        if x is None or (self * x) != Mat.identity(self.n, one=one, zero=zero):
+        if self._is_complex():
+            return _read_back(_realify(self).inv())
+        x = self.solve(Mat.identity(self.n))
+        if x is None or (self * x) != Mat.identity(self.n):
             raise ValueError("matrix is singular")
         return x
 
     def det(self):
         if self.m != self.n:
             raise ValueError("determinant of a non-square matrix")
-        if self._is_rational():
-            a, scales = _integer_rows(self.rows)
-            return Fraction(_bareiss_det(a), prod(scales))
-        zero, one = _zero_one_like(self)
-        a = [list(r) for r in self.rows]
-        d = one
-        for c in range(self.n):
-            pivot = next((i for i in range(c, self.n) if a[i][c]), None)
-            if pivot is None:
-                return zero
-            if pivot != c:
-                a[c], a[pivot] = a[pivot], a[c]
-                d = -d
-            d = d * a[c][c]
-            inv = a[c][c]
-            for i in range(c + 1, self.n):
-                if a[i][c]:
-                    f = a[i][c] / inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-        return d
+        self._require_rational("det")
+        a, scales = _integer_rows(self.rows)
+        return Fraction(_bareiss_det(a), prod(scales))
 
     def charpoly(self) -> list[Fraction]:
         """Coefficients of det(t*I - A), ascending in t (Faddeev-LeVerrier)."""
@@ -390,32 +360,39 @@ def _same_shape(a: Mat, b: Mat):
         raise ValueError(f"shape mismatch: {a.m}x{a.n} vs {b.m}x{b.n}")
 
 
-def _zero_one_like(*mats):
-    for mat in mats:
-        for r in mat.rows:
-            for x in r:
-                if isinstance(x, GaussianRational):
-                    return QI_ZERO, QI_ONE
-    return Fraction(0), Fraction(1)
+def _realify(a: Mat) -> Mat:
+    """The real 2m x 2n matrix of a Q(i) matrix: a + bi becomes [[a, -b], [b, a]].
+
+    It multiplies as the complex matrix does, and column j of ``a`` is a
+    pivot exactly when real columns 2j and 2j + 1 are, so ``rank`` doubles
+    and the rref particular solution of a realified system is the
+    realification of the complex one.
+    """
+    rows = []
+    for r in a.rows:
+        r = [_promote(x) for x in r]
+        rows.append([y for x in r for y in (x.re, -x.im)])
+        rows.append([y for x in r for y in (x.im, x.re)])
+    return Mat(2 * a.m, 2 * a.n, rows)
+
+
+def _read_back(a: Mat) -> Mat:
+    """The Q(i) matrix whose realification is ``a``: each block read from its first column."""
+    return Mat(a.m // 2, a.n // 2, [
+        [GaussianRational(re[j], im[j]) for j in range(0, a.n, 2)]
+        for re, im in zip(a.rows[::2], a.rows[1::2])
+    ])
 
 
 def extend_to_complement(base: Mat, candidates: Mat) -> list[int]:
     """Indices of candidate columns greedily extending base to a spanning set.
 
     Deterministic: candidates are scanned left to right and kept whenever the
-    rank grows.  Used for quotient sections and cohomology representatives.
+    rank grows, that is, when they are pivots of [base | candidates].  Used
+    for quotient sections and cohomology representatives.
     """
-    current = base
-    picked = []
-    r = current.rank()
-    for j in range(candidates.n):
-        trial = current.hstack(Mat.from_columns([candidates.col(j)], m=candidates.m))
-        tr = trial.rank()
-        if tr > r:
-            picked.append(j)
-            current = trial
-            r = tr
-    return picked
+    _, pivots = base.hstack(candidates).rref()
+    return [p - base.n for p in pivots if p >= base.n]
 
 
 def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:

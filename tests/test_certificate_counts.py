@@ -18,7 +18,7 @@ from wittpoint.cobordism import (
     random_witness_chain,
     truncation_witness,
 )
-from wittpoint.forms import HYPERBOLIC_PLANE, BilinearForm, BlockMetabolicForm
+from wittpoint.forms import HYPERBOLIC_PLANE, BilinearForm, BlockMetabolicForm, metabolic_reduce
 from wittpoint.hodge import (
     HodgeStructure,
     compare_polarizations,
@@ -27,6 +27,7 @@ from wittpoint.hodge import (
     standard_structure,
 )
 from wittpoint.jsonio import complex_to_json
+from wittpoint.linalg import Mat
 from wittpoint.witt import equivalent
 
 
@@ -111,3 +112,11 @@ def test_chain_generator_assembles_each_metabolic_block_once(monkeypatch):
     # the same chains, witnesses and RNG draws as when every block was assembled twice
     digest = hashlib.sha256(repr(chains).encode()).hexdigest()
     assert digest == "2809d19accece7394e646218a052f5d65fb37f1947c7a53d581429a22f861174"
+
+
+def test_metabolic_reduce_takes_one_determinant(monkeypatch):
+    block = BlockMetabolicForm(BilinearForm.from_diagonal([5, -2]), Mat.from_rows([[1]]),
+                               Mat.from_rows([[2], [3]]))
+    determinants = count(monkeypatch, Mat, "det")
+    assert metabolic_reduce(block).hyperbolic_count == 1
+    assert determinants[0] == 1  # the input's nondegeneracy; the clearing target is not re-checked

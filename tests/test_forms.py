@@ -277,6 +277,7 @@ def test_fp_congruence_reads_rationals_mod_p():
 
 CORRUPTED_CERTIFICATES = """
 from fractions import Fraction
+from wittpoint import forms, hodge
 from wittpoint.forms import BilinearForm, BlockMetabolicForm, diagonalize, metabolic_reduce
 from wittpoint.linalg import Mat
 
@@ -294,15 +295,19 @@ Mat.diag = staticmethod(lambda entries: diag([e + 1 for e in entries]))
 print(fired(lambda: diagonalize(BilinearForm.from_diagonal([2, -3]))))
 Mat.diag = staticmethod(diag)
 
-assemble = BlockMetabolicForm.assemble
-def corrupted(block):  # the clearing target is the block with A = B = 0
-    form = assemble(block)
-    if block.a.is_zero() and block.b.is_zero():
-        form.gram.rows[0][0] = Fraction(1)
-    return form
-BlockMetabolicForm.assemble = corrupted
+block_gram = forms._block_gram
+def corrupted(s, a, b):  # the clearing target is the block with A = B = 0
+    gram = block_gram(s, a, b)
+    if a.is_zero() and b.is_zero():
+        gram.rows[0][0] = Fraction(1)
+    return gram
+forms._block_gram = corrupted
 block = BlockMetabolicForm(BilinearForm.from_diagonal([5]), Mat.from_rows([[1]]), Mat.from_rows([[2]]))
 print(fired(lambda: metabolic_reduce(block)))
+
+real_matrix = hodge._real_matrix
+hodge._real_matrix = lambda m, error: real_matrix(m, error).scale(2)  # a wrong C
+print(fired(lambda: hodge.weil_operator(hodge.standard_structure(2, 3)[0])))
 """
 
 
@@ -315,4 +320,5 @@ def test_certificates_fire_under_python_O():
     assert out.stdout.splitlines() == [
         "diagonalization certificate failed: P^T G P is not the diagonal D",
         "metabolic reduction certificate failed: A and B are not cleared",
+        "Weil operator certificate failed: C^2 is not (-1)^w",
     ]

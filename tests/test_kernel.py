@@ -1,15 +1,18 @@
-"""The integer elimination kernel returns exactly what elimination over Q returns.
+"""The integer elimination kernel returns exactly what elimination over the field returns.
 
-The references below are the plain ``Fraction`` loops the kernel replaced:
-Gauss-Jordan and the determinant over the field, the congruence
-diagonalization with its primitive rescale, and the metabolic reduction by
-full n x n products.  Every property requires the kernel's output to equal
-the reference's, entry by entry.
+The references below are the plain field loops the kernel replaced:
+Gauss-Jordan over Q or Q(i) (the same loop serves both), the determinant,
+the congruence diagonalization with its primitive rescale, the metabolic
+reduction by full n x n products and the greedy rank-growth scan of
+``extend_to_complement``.  Every property requires the kernel's output to
+equal the reference's, entry by entry and entry type by entry type; a Q(i)
+matrix reaches the kernel through its realification.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittpoint.forms import (
@@ -22,7 +25,7 @@ from wittpoint.forms import (
     metabolic_reduce,
     transvection,
 )
-from wittpoint.linalg import Mat
+from wittpoint.linalg import QI_ONE, QI_ZERO, GaussianRational, Mat, extend_to_complement
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
@@ -30,6 +33,7 @@ EXAMPLES = settings(max_examples=150, deadline=None)
 
 
 def ref_rref(a: Mat):
+    """Gauss-Jordan over the field of the entries: Q, or Q(i) for ``GaussianRational``."""
     rows = [list(r) for r in a.rows]
     pivots = []
     r = 0
@@ -85,11 +89,32 @@ def ref_solve(a: Mat, b: Mat):
     r, pivots = ref_rref(a.hstack(b))
     if any(p >= a.n for p in pivots):
         return None
-    out = [[Fraction(0)] * b.n for _ in range(a.n)]
+    qi = any(type(x) is GaussianRational for m in (a, b) for row in m.rows for x in row)
+    out = [[QI_ZERO if qi else Fraction(0)] * b.n for _ in range(a.n)]
     for row, p in enumerate(pivots):
         for j in range(b.n):
             out[p][j] = r.rows[row][a.n + j]
     return Mat(a.n, b.n, out)
+
+
+def ref_qi_inv(a: Mat) -> Mat:
+    ident = Mat.identity(a.n, one=QI_ONE, zero=QI_ZERO)
+    x = ref_solve(a, ident)
+    if x is None or a * x != ident:
+        raise ValueError("matrix is singular")
+    return x
+
+
+def ref_extend_to_complement(base: Mat, candidates: Mat) -> list[int]:
+    current, picked = base, []
+    r = len(ref_rref(current)[1])
+    for j in range(candidates.n):
+        trial = current.hstack(Mat.from_columns([candidates.col(j)], m=candidates.m))
+        tr = len(ref_rref(trial)[1])
+        if tr > r:
+            picked.append(j)
+            current, r = trial, tr
+    return picked
 
 
 def ref_primitive(vec):
@@ -187,16 +212,24 @@ rationals = st.one_of(
 )
 
 
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
 @st.composite
-def matrices(draw, m=None, n=None):
-    m = draw(st.integers(0, 5)) if m is None else m
-    n = draw(st.integers(0, 5)) if n is None else n
+def matrices(draw, m=None, n=None, entries=rationals, zero=Fraction(0), size=5):
+    m = draw(st.integers(0, size)) if m is None else m
+    n = draw(st.integers(0, size)) if n is None else n
     if draw(st.booleans()) and m and n:  # rank at most r < min(m, n)
         r = draw(st.integers(0, min(m, n) - 1))
-        left = Mat(m, r, [[draw(rationals) for _ in range(r)] for _ in range(m)])
-        right = Mat(r, n, [[draw(rationals) for _ in range(n)] for _ in range(r)])
-        return left * right if r else Mat.zeros(m, n)
-    return Mat(m, n, [[draw(rationals) for _ in range(n)] for _ in range(m)])
+        left = Mat(m, r, [[draw(entries) for _ in range(r)] for _ in range(m)])
+        right = Mat(r, n, [[draw(entries) for _ in range(n)] for _ in range(r)])
+        return left * right if r else Mat.zeros(m, n, zero=zero)
+    return Mat(m, n, [[draw(entries) for _ in range(n)] for _ in range(m)])
+
+
+def qi_matrices(m=None, n=None):
+    """All-``GaussianRational`` matrices; the realified ones are up to 8 x 8."""
+    return matrices(m, n, entries=gaussians, zero=QI_ZERO, size=4)
 
 
 @st.composite
@@ -243,7 +276,8 @@ def metabolic_blocks(draw):
 
 
 def same_entries(x: Mat, y: Mat) -> bool:
-    return x == y and all(type(a) is type(b) for ra, rb in zip(x.rows, y.rows) for a, b in zip(ra, rb))
+    # equal reprs: equal entries of equal types, down to the parts of a Q(i) entry
+    return x == y and repr(x) == repr(y)
 
 
 # -- properties -----------------------------------------------------------
@@ -317,3 +351,51 @@ def test_kernel_edge_shapes():
     assert a.rref() == ref_rref(a) and a.det() == ref_det(a)
     f = BilinearForm.from_rows([[0, "1/2", 0], ["1/2", 0, "-3"], [0, "-3", 0]])
     assert diagonalize(f) == ref_diagonalize(f)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_realified_rank_and_solve_match_the_qi_field_loop(data):
+    a = data.draw(qi_matrices())
+    assert a.rank() == len(ref_rref(a)[1])
+    cols = data.draw(st.integers(0, 2))
+    if data.draw(st.booleans()):  # consistent by construction
+        b = a * data.draw(qi_matrices(a.n, cols))
+    else:
+        b = data.draw(qi_matrices(a.m, cols))
+    x, ref_x = a.solve(b), ref_solve(a, b)
+    assert (x is None) == (ref_x is None)
+    if x is not None:
+        assert same_entries(x, ref_x)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_realified_inverse_matches_the_qi_field_loop(data):
+    n = data.draw(st.integers(0, 4))
+    a = data.draw(qi_matrices(n, n))
+    try:
+        ref = ref_qi_inv(a)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            a.inv()
+        return
+    assert same_entries(a.inv(), ref)
+
+
+def test_qi_elimination_runs_through_the_realification():
+    z = GaussianRational.of
+    a = Mat(2, 2, [[z(1, 1), z(0, 2)], [z(1), z(1, 1)]])  # det = (1 + i)^2 - 2i = 0: rank 1
+    assert a.rank() == 1
+    assert Mat(2, 2, [[z(0, 1), z(0)], [z(0), z(0, 1)]]).inv() == Mat.identity(2, one=z(0, -1), zero=z(0))
+    for what in ("rref", "det", "nullspace", "column_space_basis"):
+        with pytest.raises(TypeError, match="realification"):
+            getattr(a, what)()
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_extend_to_complement_matches_the_greedy_scan(data):
+    base = data.draw(matrices())
+    candidates = data.draw(matrices(base.m))
+    assert extend_to_complement(base, candidates) == ref_extend_to_complement(base, candidates)
