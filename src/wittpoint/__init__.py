@@ -4,6 +4,7 @@ signature sign calculus."""
 
 from .core import (
     REAL_PLACE,
+    CertificateError,
     LocalUnitData,
     SquareClass,
     SturmCertificate,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success and true verdicts, 2 for a false mathematical
 verdict (something computed, and it is false), 1 for input or precondition
-errors.  Output is plain text by default; --json emits deterministic JSON
+errors, 3 for an internal error (a certificate failed its own check, which
+is a bug).  Output is plain text by default; --json emits deterministic JSON
 (sorted keys, sorted primes and degrees) for golden files.
 """
 
@@ -15,7 +16,12 @@ from dataclasses import dataclass
 
 from . import jsonio
 from .cobordism import _class_of_h0, _h0_form_of, validate, verify_witness
-from .core import FactorBoundExceeded, get_trial_division_bound, set_trial_division_bound
+from .core import (
+    CertificateError,
+    FactorBoundExceeded,
+    get_trial_division_bound,
+    set_trial_division_bound,
+)
 from .forms import invariants, metabolic_reduce
 from .genus import (
     chi_y,
@@ -410,9 +416,12 @@ def main(argv=None) -> int:
     except FactorBoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CertificateError as exc:
+        print(f"internal error: {exc} (this is a bug)", file=sys.stderr)
+        return 3
     finally:
         set_trial_division_bound(previous_bound)
     if args.json:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
+from .core import CertificateError
 from .forms import (
     RATIONAL,
     SKEW,
@@ -642,7 +643,8 @@ def truncation_witness(c: SelfDualComplex) -> CobordismWitness:
     g_diffs = {i: cx.d(i) for i in cx.degrees() if i < -1 and cx.d(i).m}
     if cx.dim(-1) and z:
         lift = kernel.solve(cx.d(-1))
-        assert lift is not None  # d^{-1} lands in ker d^0
+        if lift is None:
+            raise CertificateError("truncation certificate failed: d^-1 does not land in ker d^0")
         g_diffs[-1] = lift
     g = ChainComplex(g_spaces, g_diffs)
 
@@ -802,7 +804,7 @@ def orthogonal_split(f: BilinearForm, sub: Mat) -> OrthogonalSplit:
     perp = (sub.T * f.gram).nullspace()  # contains sub
     inside = perp.solve(sub)
     if inside is None:
-        raise AssertionError("isotropic subspace not inside its orthogonal complement")
+        raise CertificateError("isotropic subspace not inside its orthogonal complement")
     picked = extend_to_complement(sub, perp)
     quot_reps = Mat.from_columns([perp.col(j) for j in picked], m=n)
     q_gram = quot_reps.T * f.gram * quot_reps
@@ -848,7 +850,8 @@ def witness_common_core(w: CobordismWitness) -> WitnessCoreResult:
     rho_p0 = ch_g.induced(w.rho_prime, 0, ch_fp)
     pi_p0 = ch_fp.induced(w.pi_prime, 0, ch_gp)
     delta = rho0 * pi0
-    assert delta == pi_p0 * rho_p0  # the square commutes on cohomology
+    if delta != pi_p0 * rho_p0:
+        raise CertificateError("core certificate failed: the square does not commute on H^0")
 
     mf = ch_f.reps(0).T * w.f.s(0) * ch_f.reps(0)
     mfp = ch_fp.reps(0).T * w.f_prime.s(0) * ch_fp.reps(0)
@@ -856,10 +859,12 @@ def witness_common_core(w: CobordismWitness) -> WitnessCoreResult:
     im_delta = delta.column_space_basis()
     dd = im_delta.n
     x = delta.solve(im_delta)
-    assert x is not None
+    if x is None:
+        raise CertificateError("core certificate failed: Im delta has no preimage under delta")
     core_gram = (pi0 * x).T * mf * (pi0 * x)
     core_gram_2 = (rho_p0 * x).T * mfp * (rho_p0 * x)
-    assert core_gram == core_gram_2  # both ends induce the same core form
+    if core_gram != core_gram_2:
+        raise CertificateError("core certificate failed: the two ends induce different core forms")
     core = BilinearForm(RATIONAL, w.f.epsilon, core_gram)
 
     w1 = _core_side_witness(mf, w.f.epsilon, pi0, rho0, im_delta, x, core)
@@ -867,7 +872,7 @@ def witness_common_core(w: CobordismWitness) -> WitnessCoreResult:
     for side in (w1, w2):
         rep = verify_witness(side)
         if not rep.ok:
-            raise AssertionError(f"constructed subquotient witness failed: {rep.failures}")
+            raise CertificateError(f"constructed subquotient witness failed: {rep.failures}")
     return WitnessCoreResult(core=core, witness_to_f=w1, witness_to_f_prime=w2)
 
 
@@ -877,11 +882,12 @@ def _core_side_witness(mf: Mat, epsilon: int, pi0: Mat, rho0: Mat, im_delta: Mat
     bl = pi0.column_space_basis()  # L = Im pi0
     lk = rho0.nullspace()  # L'' = Ker rho0
     if bl.solve(lk) is None:
-        raise AssertionError("Ker rho0 is not inside Im pi0")
+        raise CertificateError("Ker rho0 is not inside Im pi0")
     projection, section = quotient_data(hf, lk) if lk.n else (Mat.identity(hf), Mat.identity(hf))
     dd = im_delta.n
     pi_w = im_delta.solve(rho0 * bl) if bl.n else Mat.zeros(dd, 0)
-    assert pi_w is not None
+    if pi_w is None:
+        raise CertificateError("core certificate failed: rho0 of Im pi0 is not inside Im delta")
     rho_w = projection * pi0 * x
     f_amb = BilinearForm(RATIONAL, epsilon, mf)
     return CobordismWitness(

@@ -29,6 +29,15 @@ DEFAULT_TRIAL_DIVISION_BOUND = 1_000_000
 _trial_division_bound = DEFAULT_TRIAL_DIVISION_BOUND
 
 
+class CertificateError(AssertionError):
+    """A certificate the package computed failed its own exact check.
+
+    This is an internal error, not bad input: every check that raises it
+    holds for all valid inputs.  It is raised explicitly, so it still fires
+    under ``python -O``.
+    """
+
+
 class FactorBoundExceeded(ValueError):
     """Raised when trial division up to the configured bound cannot finish."""
 

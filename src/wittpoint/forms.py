@@ -14,6 +14,7 @@ from math import gcd, lcm
 
 from .core import (
     REAL_PLACE,
+    CertificateError,
     SquareClass,
     hilbert_symbol,
     is_prime,
@@ -193,7 +194,7 @@ def _diagonalize_q(f: BilinearForm) -> Diagonalization:
     entries = tuple(Fraction(m[i][i], scale) for i in range(rank))
     congruence = Mat.from_columns(basis, m=n) if n else Mat.zeros(0, 0)
     if congruence.T * f.gram * congruence != Mat.diag(list(entries) + [Fraction(0)] * (n - rank)):
-        raise AssertionError("diagonalization certificate failed: P^T G P is not the diagonal D")
+        raise CertificateError("diagonalization certificate failed: P^T G P is not the diagonal D")
     return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
 
 
@@ -309,7 +310,9 @@ def radical_split(f: BilinearForm) -> RadicalSplit:
     complement = Mat.from_columns([Mat.identity(n).col(j) for j in picked], m=n)
     basis = complement.hstack(kernel)
     nondeg = f.restrict(complement)
-    assert nondeg.is_nondegenerate() or complement.n == 0
+    if not nondeg.is_nondegenerate() and complement.n:
+        raise CertificateError("radical split certificate failed: "
+                               "the form on the complement of the radical is degenerate")
     return RadicalSplit(nondegenerate=nondeg, radical_dim=kernel.n, basis=basis)
 
 
@@ -366,7 +369,9 @@ def symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
         remaining = reduced
         basis.extend([u, v])
     congruence = Mat.from_columns(basis, m=n) if n else Mat.zeros(0, 0)
-    assert congruence.T * g * congruence == standard_symplectic_gram(n // 2)
+    if congruence.T * g * congruence != standard_symplectic_gram(n // 2):
+        raise CertificateError("symplectic certificate failed: "
+                               "P^T G P is not the standard symplectic Gram")
     return SymplecticReduction(hyperbolic_count=n // 2, congruence=congruence)
 
 
@@ -481,7 +486,7 @@ def metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
             if val:
                 apply(-val, l, k + m + i)
     if Mat(n, n, g) != _block_gram(block.s.gram, Mat.zeros(k, k), Mat.zeros(m, k)):
-        raise AssertionError("metabolic reduction certificate failed: A and B are not cleared")
+        raise CertificateError("metabolic reduction certificate failed: A and B are not cleared")
     return MetabolicReduction(
         core=block.s,
         hyperbolic_count=k,

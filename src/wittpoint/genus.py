@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
+from .core import CertificateError
 from .forms import BilinearForm
 from .witt import psi, witt_class_of
 
@@ -176,7 +177,9 @@ def lefschetz_cancellation_check(pieces: list[PrimitivePiece], w: int) -> Lefsch
             # converting by [P, f_*S] = (-1)^(j(j-1)/2) [P, S_p] recovers rhs
             push[j] = 1
             conversion = (-1) ** ((j * (j - 1) // 2) % 2)
-            assert epsilon(w) * push[j] * conversion == rhs[j]
+            if epsilon(w) * push[j] * conversion != rhs[j]:
+                raise CertificateError(f"pushforward sign certificate failed at j = {j}: "
+                                       "the converted coefficient is not the collapsed one")
     lhs_sig = sum(lhs[p.j] * p.signature for p in pieces)
     rhs_sig = sum(rhs[p.j] * p.signature for p in pieces)
     return LefschetzReport(

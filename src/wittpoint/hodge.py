@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from random import Random
 
-from .core import SturmCertificate, sturm_positive_real_roots
+from .core import CertificateError, SturmCertificate, sturm_positive_real_roots
 from .forms import RATIONAL, SYMMETRIC, BilinearForm, diagonalize, symplectic_reduce
 from .genus import epsilon
 from .linalg import (
@@ -113,19 +113,15 @@ def weil_operator(h: HodgeStructure) -> Mat:
     c = _real_matrix(scaled * full.inv(),
                      "Weil operator came out non-real; bigrading is inconsistent")
     if c * c != Mat.identity(h.dimension).scale(Fraction((-1) ** h.weight)):
-        raise AssertionError("Weil operator certificate failed: C^2 is not (-1)^w")
+        raise CertificateError("Weil operator certificate failed: C^2 is not (-1)^w")
     return c
 
 
 def _real_matrix(m: Mat, error: str) -> Mat:
     """The rational matrix of a Q(i) matrix whose entries are all real."""
     if not all(x.is_real for r in m.rows for x in r):
-        raise AssertionError(error)
+        raise CertificateError(error)
     return m.map(lambda x: x.re)
-
-
-def _complexify(m: Mat) -> Mat:
-    return m.map(lambda x: GaussianRational(Fraction(x), Fraction(0)))
 
 
 @dataclass
@@ -157,12 +153,11 @@ def _check_polarization(h: HodgeStructure, weil: Mat, s: BilinearForm) -> Polari
     if s.symmetry != expected_sym:
         problems.append(f"pairing must be {'symmetric' if expected_sym == 1 else 'skew'} "
                         f"for weight {h.weight}")
-    gram_c = _complexify(s.gram)
     for a in h.pieces:
         for b in h.pieces:
             if b.p == h.weight - a.p:
                 continue
-            prod = a.basis.T * gram_c * b.basis
+            prod = a.basis.T * s.gram * b.basis
             if not prod.is_zero():
                 problems.append(f"pieces ({a.p},{a.q}) and ({b.p},{b.q}) are not S-orthogonal")
     if h.dimension and not s.gram.det():
@@ -236,7 +231,7 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
         raise ValueError(f"second pairing is not a polarization: {chk2.problems}")
     phi = s.gram.inv() * s_prime.gram
     if phi.T * s.gram != s_prime.gram:  # defining identity for phi
-        raise AssertionError("comparison certificate failed: phi^T S is not S'")
+        raise CertificateError("comparison certificate failed: phi^T S is not S'")
 
     # identity chain: S(phi u, Cv) = S'(u, Cv) = S'(v, Cu) = S(phi v, Cu) = S(u, C phi v)
     sc, spc = chk.s_c, chk2.s_c
@@ -248,9 +243,8 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     )
 
     preserves = True
-    phi_c = _complexify(phi)
     for piece in h.pieces:
-        image = phi_c * piece.basis
+        image = phi * piece.basis
         if piece.basis.solve(image) is None:
             preserves = False
             break
@@ -270,13 +264,13 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
             eigenspaces.append(Eigenspace(eigenvalue=alpha, basis=space))
             total += space.n
         if total != phi.n:  # semisimplicity realized by the decomposition
-            raise AssertionError("eigenspace certificate failed: dimensions do not add up")
+            raise CertificateError("eigenspace certificate failed: dimensions do not add up")
         for i in range(len(eigenspaces)):
             for j in range(i + 1, len(eigenspaces)):
                 prod = eigenspaces[i].basis.T * s.gram * eigenspaces[j].basis
                 if not prod.is_zero():
-                    raise AssertionError("eigenspace certificate failed: "
-                                         "eigenspaces are not S-orthogonal")
+                    raise CertificateError("eigenspace certificate failed: "
+                                           "eigenspaces are not S-orthogonal")
 
     sig_s = diagonalize(_sym_for_signature(s)).signature()
     sig_sp = diagonalize(_sym_for_signature(s_prime)).signature()

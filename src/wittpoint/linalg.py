@@ -1,19 +1,23 @@
 """Exact dense linear algebra over Q and Q(i).
 
-Every elimination runs over the integers.  Each row of a ``Fraction``
-matrix is scaled to integers once, on entry, and only integers are
-combined after that.  ``rref`` runs Gauss-Jordan by cross-multiplication,
+Every elimination and every product runs over the integers.  Each row of a
+``Fraction`` matrix is scaled to integers once, on entry, and only integers
+are combined after that.  ``rref`` runs Gauss-Jordan by cross-multiplication,
 dividing each changed row by its content, and divides by the pivots only
 when it builds the result; ``det`` is Bareiss's fraction-free elimination
 (Bareiss 1968; Cohen, *A Course in Computational Algebraic Number Theory*,
 2.2).  The reduced row echelon form is unique, so both return exactly what
-elimination over Q returns.  A matrix with a ``GaussianRational`` entry is
-eliminated through its realification, a + bi becoming the real block
-[[a, -b], [b, a]]: ``rank``, ``solve`` and ``inv`` run on that rational
-matrix and read the answer back, and ``rref``, ``det`` and ``nullspace``
-take rational matrices only.  Zero-row and zero-column matrices occur
-constantly (empty forms, zero complexes), so the shape is carried
-explicitly instead of being inferred from nested lists.
+elimination over Q returns.  A product scales each row of the left factor
+and each column of the right one, a Q(i) one with its real and imaginary
+parts over one scale, and divides each entry's integer dot products by the
+two scales only when it builds the entry; the entry is a
+``GaussianRational`` exactly when its row or column holds one.  A matrix
+with a ``GaussianRational`` entry is eliminated through its realification,
+a + bi becoming the real block [[a, -b], [b, a]]: ``rank``, ``solve`` and
+``inv`` run on that rational matrix and read the answer back, and ``rref``,
+``det`` and ``nullspace`` take rational matrices only.  Zero-row and
+zero-column matrices occur constantly (empty forms, zero complexes), so the
+shape is carried explicitly instead of being inferred from nested lists.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -187,36 +192,36 @@ class Mat:
         return Mat(self.m, self.n, [[c * a for a in r] for r in self.rows])
 
     def __mul__(self, other: "Mat") -> "Mat":
+        """The product, on integers.
+
+        Each row of ``self`` and each column of ``other`` is scaled to
+        integers once, a Q(i) one with its real and imaginary parts over one
+        scale, so entry (i, j) is an integer dot product per part over row
+        scale x column scale.  It is a ``GaussianRational`` exactly when row
+        i or column j holds one, as in the product over the entries' fields.
+        """
         if self.n != other.m:
             raise ValueError(f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        if self._is_integral() and other._is_integral():
-            # integer fast path: avoids per-term gcd normalization in Fraction
-            a = [[x.numerator for x in r] for r in self.rows]
-            bt = [[other.rows[k][j].numerator for k in range(other.m)] for j in range(other.n)]
-            out = [
-                [Fraction(sum(map(lambda x, y: x * y, ra, bc))) for bc in bt]
-                for ra in a
-            ]
-            return Mat(self.m, other.n, out)
-        ot = other.rows
+        cols = [_integer_parts(c) for c in (zip(*other.rows) if other.m else [()] * other.n)]
         out = []
-        for r in self.rows:
+        for s, re, im in map(_integer_parts, self.rows):
             row = []
-            for j in range(other.n):
-                acc = None
-                for k in range(self.n):
-                    term = r[k] * ot[k][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc if acc is not None else Fraction(0))
+            for t, cre, cim in cols:
+                d = s * t
+                x = sum(map(mul, re, cre))
+                if im is None and cim is None:
+                    row.append(_fraction(x, d))
+                    continue
+                y = 0
+                if im:
+                    y = sum(map(mul, im, cre))
+                    if cim:
+                        x -= sum(map(mul, im, cim))
+                if cim:
+                    y += sum(map(mul, re, cim))
+                row.append(GaussianRational(_fraction(x, d), _fraction(y, d)))
             out.append(row)
         return Mat(self.m, other.n, out)
-
-    def _is_integral(self) -> bool:
-        for r in self.rows:
-            for x in r:
-                if type(x) is not Fraction or x.denominator != 1:
-                    return False
-        return True
 
     def _is_complex(self) -> bool:
         return any(type(x) is GaussianRational for r in self.rows for x in r)
@@ -397,14 +402,45 @@ def extend_to_complement(base: Mat, candidates: Mat) -> list[int]:
 
 def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     """Each Fraction row times the lcm of its denominators, and those lcms."""
-    out, scales = [], []
-    for r in rows:
-        # unpack a list: unpacking a generator here raised the peak RSS of
-        # witness-chain generation by about 7% (CPython 3.11)
-        s = lcm(*[x.denominator for x in r])
-        out.append([x.numerator * (s // x.denominator) for x in r])
-        scales.append(s)
-    return out, scales
+    scaled = [_integer_row(r) for r in rows]
+    return [r for _, r in scaled], [s for s, _ in scaled]
+
+
+def _integer_row(r) -> tuple[int, list[int]]:
+    """The lcm of the denominators of a Fraction row, and the row times it."""
+    if not r:
+        return 1, []
+    # unpack lists: unpacking a generator here raised the peak RSS of
+    # witness-chain generation by about 7% (CPython 3.11)
+    nums, dens = zip(*[x.as_integer_ratio() for x in r])
+    s = lcm(*dens)
+    if s == 1:
+        return 1, list(nums)
+    return s, [n * (s // d) for n, d in zip(nums, dens)]
+
+
+def _integer_parts(r) -> tuple[int, list[int], list[int] | None]:
+    """A row of Q or Q(i) entries over one integer scale: the lcm of all its
+    denominators, real and imaginary, its real parts times it, and its
+    imaginary parts times it (None for a row of Fractions, empty when a Q(i)
+    row's imaginary parts are all zero)."""
+    if GaussianRational not in map(type, r):
+        return (*_integer_row(r), None)
+    r = [_promote(x) for x in r]
+    s, parts = _integer_row([x.re for x in r] + [x.im for x in r])
+    im = parts[len(r):]
+    return s, parts[:len(r)], im if any(im) else []
+
+
+_ZERO = Fraction(0)
+
+
+def _fraction(x: int, d: int) -> Fraction:
+    # about half the entries of witness-chain products are zero; they share
+    # one immutable Fraction instead of building one each
+    if not x:
+        return _ZERO
+    return Fraction(x, d) if d != 1 else Fraction(x)
 
 
 def _integer_gauss_jordan(a: list[list[int]], n: int) -> list[int]:
@@ -517,7 +553,10 @@ def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 def poly_squarefree_part(p: list[Fraction]) -> list[Fraction]:
     g = poly_gcd(p, poly_derivative(p))
     q, r = poly_divmod(p, g)
-    assert not r
+    if r:
+        from .core import CertificateError  # core imports this module
+
+        raise CertificateError("squarefree certificate failed: gcd(p, p') does not divide p")
     lead = q[-1]
     return [c / lead for c in q]
 

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import REAL_PLACE, is_prime, is_residue, p_adic_split, residue_mod, square_class
+from .core import (
+    REAL_PLACE,
+    CertificateError,
+    is_prime,
+    is_residue,
+    p_adic_split,
+    residue_mod,
+    square_class,
+)
 from .forms import (
     RATIONAL,
     SKEW,
@@ -296,8 +304,8 @@ def equivalent(f: BilinearForm, g: BilinearForm) -> bool:
     by_residues = class_f == class_g
     by_hasse = _hasse_route_entries(ef, eg)
     if by_residues != by_hasse:
-        raise AssertionError(
-            "residue and Hasse equality oracles disagree; this is a bug: "
+        raise CertificateError(
+            "residue and Hasse equality oracles disagree: "
             f"{class_f} vs {class_g}"
         )
     return by_hasse

@@ -3,6 +3,7 @@
 import json
 from random import Random
 
+from wittpoint import witt
 from wittpoint.cli import main
 from wittpoint.jsonio import (
     complex_from_json,
@@ -70,6 +71,19 @@ def test_precondition_failure_exits_1(tmp_path, capsys):
     degenerate = write(tmp_path, "d.json", form_doc([[1, 0], [0, 0]]))
     assert main(["invariants", degenerate]) == 1
     assert "radical" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    # a Hasse-route oracle that answers wrong makes the two oracles disagree
+    hasse_route = witt._hasse_route_entries
+    monkeypatch.setattr(witt, "_hasse_route_entries", lambda ef, eg: not hasse_route(ef, eg))
+    hyper = write(tmp_path, "h.json", form_doc([[0, 1], [1, 0]]))
+    split = write(tmp_path, "s.json", form_doc([[1, 0], [0, -1]]))
+    assert main(["equivalent", hyper, split]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: residue and Hasse equality oracles disagree")
+    assert captured.err.rstrip().endswith("(this is a bug)")
 
 
 def test_residue_command(tmp_path, capsys):

@@ -277,8 +277,11 @@ def test_fp_congruence_reads_rationals_mod_p():
 
 CORRUPTED_CERTIFICATES = """
 from fractions import Fraction
-from wittpoint import forms, hodge
-from wittpoint.forms import BilinearForm, BlockMetabolicForm, diagonalize, metabolic_reduce
+from wittpoint import cobordism, forms, hodge
+from wittpoint.core import CertificateError
+from wittpoint.forms import (
+    BilinearForm, BlockMetabolicForm, diagonalize, metabolic_reduce, symplectic_reduce,
+)
 from wittpoint.linalg import Mat
 
 assert False, "bare asserts run: not under -O"
@@ -287,7 +290,7 @@ def fired(run):
     try:
         run()
     except AssertionError as e:
-        return str(e)
+        return str(e) if type(e) is CertificateError else f"not a CertificateError: {e!r}"
     return "nothing fired"
 
 diag = Mat.diag
@@ -308,6 +311,18 @@ print(fired(lambda: metabolic_reduce(block)))
 real_matrix = hodge._real_matrix
 hodge._real_matrix = lambda m, error: real_matrix(m, error).scale(2)  # a wrong C
 print(fired(lambda: hodge.weil_operator(hodge.standard_structure(2, 3)[0])))
+
+symplectic_gram = forms.standard_symplectic_gram
+forms.standard_symplectic_gram = lambda k: symplectic_gram(k).scale(2)
+print(fired(lambda: symplectic_reduce(BilinearForm.from_rows([[0, 3], [-3, 0]], symmetry=-1))))
+
+w = cobordism.congruence_witness(BilinearForm.from_diagonal([2]), Mat.from_rows([[3]]))
+induced = cobordism.Cohomology.induced
+def corrupted(self, fmap, i, target):  # pi on H^0 doubled
+    m = induced(self, fmap, i, target)
+    return m.scale(2) if fmap is w.pi else m
+cobordism.Cohomology.induced = corrupted
+print(fired(lambda: cobordism.witness_common_core(w)))
 """
 
 
@@ -321,4 +336,6 @@ def test_certificates_fire_under_python_O():
         "diagonalization certificate failed: P^T G P is not the diagonal D",
         "metabolic reduction certificate failed: A and B are not cleared",
         "Weil operator certificate failed: C^2 is not (-1)^w",
+        "symplectic certificate failed: P^T G P is not the standard symplectic Gram",
+        "core certificate failed: the square does not commute on H^0",
     ]

@@ -1,12 +1,13 @@
-"""The integer elimination kernel returns exactly what elimination over the field returns.
+"""The integer kernel returns exactly what arithmetic over the field returns.
 
-The references below are the plain field loops the kernel replaced:
-Gauss-Jordan over Q or Q(i) (the same loop serves both), the determinant,
-the congruence diagonalization with its primitive rescale, the metabolic
-reduction by full n x n products and the greedy rank-growth scan of
-``extend_to_complement``.  Every property requires the kernel's output to
-equal the reference's, entry by entry and entry type by entry type; a Q(i)
-matrix reaches the kernel through its realification.
+The references below are the plain field loops the kernel replaced: the
+element-wise matrix product, Gauss-Jordan over Q or Q(i) (the same loop
+serves both), the determinant, the congruence diagonalization with its
+primitive rescale, the metabolic reduction by full n x n products and the
+greedy rank-growth scan of ``extend_to_complement``.  Every property
+requires the kernel's output to equal the reference's, entry by entry and
+entry type by entry type; a Q(i) matrix reaches the elimination kernel
+through its realification.
 """
 
 from fractions import Fraction
@@ -30,6 +31,21 @@ from wittpoint.linalg import QI_ONE, QI_ZERO, GaussianRational, Mat, extend_to_c
 EXAMPLES = settings(max_examples=150, deadline=None)
 
 # -- references -----------------------------------------------------------
+
+
+def ref_product(a: Mat, b: Mat) -> Mat:
+    """The element-wise product over the entries' own fields."""
+    out = []
+    for r in a.rows:
+        row = []
+        for j in range(b.n):
+            acc = None
+            for k in range(a.n):
+                term = r[k] * b.rows[k][j]
+                acc = term if acc is None else acc + term
+            row.append(acc if acc is not None else Fraction(0))
+        out.append(row)
+    return Mat(a.m, b.n, out)
 
 
 def ref_rref(a: Mat):
@@ -100,7 +116,7 @@ def ref_solve(a: Mat, b: Mat):
 def ref_qi_inv(a: Mat) -> Mat:
     ident = Mat.identity(a.n, one=QI_ONE, zero=QI_ZERO)
     x = ref_solve(a, ident)
-    if x is None or a * x != ident:
+    if x is None or ref_product(a, x) != ident:
         raise ValueError("matrix is singular")
     return x
 
@@ -183,7 +199,7 @@ def ref_metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
     def apply(alpha, p, q):
         nonlocal g
         e = transvection(g.n, alpha, p, q)
-        g = e.T * g * e
+        g = ref_product(ref_product(e.T, g), e)
         moves.append((Fraction(alpha), p, q))
 
     for j in range(m):
@@ -198,7 +214,7 @@ def ref_metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
                 apply(-g[k + m + l, k + m + i], l, k + m + i)
     congruence = Mat.identity(g.n)
     for alpha, p, q in moves:
-        congruence = congruence * transvection(g.n, alpha, p, q)
+        congruence = ref_product(congruence, transvection(g.n, alpha, p, q))
     return MetabolicReduction(core=block.s, hyperbolic_count=k, transvections=tuple(moves),
                               congruence=congruence)
 
@@ -280,7 +296,78 @@ def same_entries(x: Mat, y: Mat) -> bool:
     return x == y and repr(x) == repr(y)
 
 
+@st.composite
+def factors(draw, entries=rationals):
+    """A product's two factors, each dimension 0 to 4."""
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    a = Mat(m, k, [[draw(entries) for _ in range(k)] for _ in range(m)])
+    b = Mat(k, n, [[draw(entries) for _ in range(n)] for _ in range(k)])
+    return a, b
+
+
+@st.composite
+def mixed_factors(draw):
+    """Rational factors with a ``GaussianRational`` put into one row of the
+    left factor, one column of the right, or both; an imaginary part may be 0."""
+    a, b = draw(factors())
+    where = draw(st.sampled_from(["row", "column", "both"]))
+    if where != "column" and a.m and a.n:
+        i = draw(st.integers(0, a.m - 1))
+        for j in draw(st.lists(st.integers(0, a.n - 1), min_size=1, max_size=3)):
+            a.rows[i][j] = draw(gaussians)
+    if where != "row" and b.m and b.n:
+        j = draw(st.integers(0, b.n - 1))
+        for i in draw(st.lists(st.integers(0, b.m - 1), min_size=1, max_size=3)):
+            b.rows[i][j] = draw(gaussians)
+    return a, b
+
+
 # -- properties -----------------------------------------------------------
+
+
+@EXAMPLES
+@given(ab=factors(st.builds(Fraction, st.integers(-30, 30))))
+def test_product_of_integral_matrices_matches_the_field_loop(ab):
+    a, b = ab
+    assert same_entries(a * b, ref_product(a, b))
+
+
+@EXAMPLES
+@given(ab=factors())
+def test_product_of_rational_matrices_matches_the_field_loop(ab):
+    a, b = ab
+    assert same_entries(a * b, ref_product(a, b))
+
+
+@EXAMPLES
+@given(ab=factors(gaussians))
+def test_product_of_qi_matrices_matches_the_field_loop(ab):
+    a, b = ab
+    assert same_entries(a * b, ref_product(a, b))
+
+
+@EXAMPLES
+@given(ab=mixed_factors())
+def test_product_of_mixed_matrices_matches_the_field_loop(ab):
+    # entry (i, j) is a GaussianRational exactly when row i of a or column j of b holds one
+    a, b = ab
+    assert same_entries(a * b, ref_product(a, b))
+
+
+def test_product_edge_shapes():
+    z = GaussianRational.of
+    for m, k, n in [(0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0), (0, 2, 0)]:
+        for zero in (Fraction(0), QI_ZERO):
+            a, b = Mat.zeros(m, k, zero=zero), Mat.zeros(k, n, zero=zero)
+            assert same_entries(a * b, ref_product(a, b))
+    # an empty inner dimension gives Fraction(0) whatever the factors' fields
+    assert repr(Mat.zeros(2, 0) * Mat.zeros(0, 3)) == repr(Mat.zeros(2, 3))
+    a = Mat(2, 2, [[Fraction(-1, 2), z(1, -1)], [Fraction(3), Fraction(0)]])
+    b = Mat(2, 1, [[Fraction(2, 3)], [Fraction(-5, 4)]])
+    assert same_entries(a * b, ref_product(a, b))
+    assert [type(x) for x in (a * b).col(0)] == [GaussianRational, Fraction]
+    with pytest.raises(ValueError, match="cannot multiply"):
+        a * Mat.zeros(3, 1)
 
 
 @EXAMPLES

@@ -1,11 +1,19 @@
-"""The traced benchmark run wraps package functions by name; every name it
-wraps must still exist, or ``perfbench/run.py --trace 1`` breaks."""
+"""Guards on the package source.
 
+The traced benchmark run wraps package functions by name; every name it
+wraps must still exist, or ``perfbench/run.py --trace 1`` breaks.  A
+certificate check must run under ``python -O``, so the package holds no
+``assert`` statement.
+"""
+
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "wittpoint"
 
 
 def load_tracer():
@@ -29,3 +37,12 @@ def test_tracer_targets_resolve_in_the_package():
                    for attr, value in vars(module).items()), name
     for mod in tracer.MODULES:
         importlib.import_module(f"wittpoint.{mod}")
+
+
+def test_package_has_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert sorted(PACKAGE.glob("*.py")), PACKAGE
+    assert not found, f"bare asserts vanish under python -O; raise CertificateError: {found}"
