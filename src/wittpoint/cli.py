@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import jsonio
 from .cobordism import _class_of_h0, _h0_form_of, validate, verify_witness
@@ -309,8 +310,6 @@ def _cmd_selfcheck(args) -> Outcome:
 
 
 def _plain(obj):
-    from fractions import Fraction
-
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

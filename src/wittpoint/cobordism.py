@@ -35,6 +35,8 @@ from .forms import (
     BilinearForm,
     BlockMetabolicForm,
     SymplecticReduction,
+    _identity_rows,
+    diagonalize,
     symplectic_reduce,
 )
 from .linalg import Mat, extend_to_complement
@@ -913,20 +915,18 @@ def random_invertible(rng: Random, n: int, bound: int = 2, density: float = 0.35
     Sparse by default so Gram entries stay in trial-division range along
     witness chains.
     """
-    lower = Mat.identity(n)
-    upper = Mat.identity(n)
+    lower = _identity_rows(n)
+    upper = _identity_rows(n)
     for i in range(n):
         for j in range(i):
             if rng.random() < density:
-                lower.rows[i][j] = Fraction(rng.randint(-bound, bound))
+                lower[i][j] = Fraction(rng.randint(-bound, bound))
             if rng.random() < density:
-                upper.rows[j][i] = Fraction(rng.randint(-bound, bound))
+                upper[j][i] = Fraction(rng.randint(-bound, bound))
     perm = list(range(n))
     rng.shuffle(perm)
-    pm = Mat.zeros(n, n)
-    for i, j in enumerate(perm):
-        pm.rows[i][j] = Fraction(1)
-    return lower * upper * pm
+    ident = _identity_rows(n)
+    return Mat(n, n, lower) * Mat(n, n, upper) * Mat(n, n, [ident[j] for j in perm])
 
 
 def random_nondegenerate_form(rng: Random, n: int, symmetry: int = SYMMETRIC,
@@ -934,21 +934,25 @@ def random_nondegenerate_form(rng: Random, n: int, symmetry: int = SYMMETRIC,
     if symmetry == SKEW and n % 2:
         raise ValueError("skew nondegenerate forms need even rank")
     while True:
-        g = Mat.zeros(n, n)
-        for i in range(n):
-            for j in range(i + 1):
-                v = Fraction(rng.randint(-bound, bound))
-                if symmetry == SYMMETRIC:
-                    g.rows[i][j] = v
-                    g.rows[j][i] = v
-                else:
-                    if i == j:
-                        continue
-                    g.rows[i][j] = v
-                    g.rows[j][i] = -v
-        form = BilinearForm(RATIONAL, symmetry, g)
+        form = BilinearForm(RATIONAL, symmetry, random_gram(rng, n, bound, symmetry))
         if n == 0 or form.is_nondegenerate():
             return form
+
+
+def random_gram(rng: Random, n: int, bound: int, symmetry: int = SYMMETRIC) -> Mat:
+    """A random epsilon-symmetric n x n Gram matrix, entries in [-bound, bound].
+
+    One entry is drawn for each (i, j <= i) in row order; a skew matrix
+    draws its diagonal entries too and keeps them zero.
+    """
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            v = Fraction(rng.randint(-bound, bound))
+            if symmetry == SYMMETRIC or i != j:
+                rows[i][j] = v
+                rows[j][i] = v if symmetry == SYMMETRIC else -v
+    return Mat(n, n, rows)
 
 
 def acyclic_extension(f: BilinearForm, rng: Random, a: int) -> SelfDualComplex:
@@ -961,16 +965,7 @@ def acyclic_extension(f: BilinearForm, rng: Random, a: int) -> SelfDualComplex:
     n = f.gram.n
     mm = random_invertible(rng, a, bound=1)
     r = Mat(n, a, [[Fraction(rng.randint(-1, 1)) for _ in range(a)] for _ in range(n)])
-    y = Mat.zeros(a, a)
-    for i in range(a):
-        for j in range(i + 1):
-            v = Fraction(rng.randint(-1, 1))
-            if eps == SYMMETRIC:
-                y.rows[i][j] = v
-                y.rows[j][i] = v
-            elif i != j:
-                y.rows[i][j] = v
-                y.rows[j][i] = -v
+    y = random_gram(rng, a, 1, eps)
     d_minus1 = Mat.zeros(n, a).vstack(Mat.identity(a)).vstack(Mat.zeros(a, a))
     d_0 = Mat.zeros(a, n).hstack(Mat.zeros(a, a)).hstack(Mat.identity(a))
     s1 = mm
@@ -1002,8 +997,6 @@ class WitnessChain:
 
 def form_height_ok(f: BilinearForm, cap: int = 10**8) -> bool:
     """Keep diagonal entries small enough for trial-division factoring."""
-    from .forms import diagonalize
-
     return all(abs(e.numerator * e.denominator) <= cap for e in diagonalize(f).entries)
 
 
@@ -1028,12 +1021,7 @@ def random_witness_chain(rng: Random, core_rank: int, steps: int,
             k = rng.randint(1, 2)
             m = current.gram.n
             for _attempt in range(20):
-                a = Mat.zeros(k, k)
-                for i in range(k):
-                    for j in range(i + 1):
-                        v = Fraction(rng.randint(-2, 2))
-                        a.rows[i][j] = v
-                        a.rows[j][i] = v
+                a = random_gram(rng, k, 2)
                 b = Mat(m, k, [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(m)])
                 block = BlockMetabolicForm(current, a, b)
                 p = random_invertible(rng, m + 2 * k, bound=1)

@@ -1,9 +1,10 @@
 """Epsilon-symmetric bilinear forms over Q and over F_p (p odd).
 
-Diagonalization, the classical invariant system (rank, signature,
-discriminant, Hasse symbols), radical splitting, symplectic reduction of
-skew forms, and the block-metabolic reduction that splits hyperbolic planes
-off a form written against a half-rank isotropic subspace.
+Diagonalization (one certified integer pivot loop serves Q and F_p), the
+classical invariant system (rank, signature, discriminant, Hasse symbols),
+radical splitting, symplectic reduction of skew forms, and the
+block-metabolic reduction that splits hyperbolic planes off a form written
+against a half-rank isotropic subspace.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core import (
     SquareClass,
     hilbert_symbol,
     is_prime,
+    relevant_places,
     residue_mod,
     square_class,
 )
@@ -52,19 +54,15 @@ class BilinearForm:
         g = self.gram
         if g.m != g.n:
             raise ValueError("Gram matrix must be square")
+        mirror = g if self.symmetry == SYMMETRIC else -g
         if self.field == RATIONAL:
-            if g.T != (g if self.symmetry == SYMMETRIC else -g):
+            if g.T != mirror:
                 raise ValueError("Gram matrix does not match the declared symmetry")
         else:
-            p = self.field
             if any(x.denominator != 1 for r in g.rows for x in r):
                 raise ValueError("prime field Gram entries must be integers")
-            for i in range(g.m):
-                for j in range(g.n):
-                    lhs = int(g[j, i]) % p
-                    rhs = self.symmetry * int(g[i, j]) % p
-                    if lhs != rhs:
-                        raise ValueError("Gram matrix does not match the declared symmetry mod p")
+            if not _divisible(g.T - mirror, self.field):
+                raise ValueError("Gram matrix does not match the declared symmetry mod p")
 
     @property
     def is_symmetric(self) -> bool:
@@ -125,40 +123,49 @@ class Diagonalization:
 
 
 def diagonalize(f: BilinearForm) -> Diagonalization:
-    """Symmetric Gaussian congruence diagonalization.
+    """Symmetric Gaussian congruence diagonalization, over Q or F_p.
 
     Pivot policy (fixed for golden-test determinism): prefer the first
     nonzero diagonal entry; on an all-zero diagonal add basis vector j to
     basis vector i for the lexicographically first (i, j) with G[i][j] != 0.
-    Over Q each cleared basis column is rescaled to a primitive integer
-    vector, which keeps reported entries integral for integral input; the
-    elimination runs on integers, on the Gram matrix times the lcm of its
-    denominators.
+    One integer pivot loop serves both fields.  Over Q it runs on the Gram
+    matrix times the lcm of its denominators, and each cleared basis column
+    is rescaled to a primitive integer vector, which keeps reported entries
+    integral for integral input.  Over F_p it runs on residues in [0, p), and
+    each cleared column is scaled by the inverse of its pivot.  The
+    certificate P^T G P = D is checked exactly over Q and mod p over F_p.
     """
     if not f.is_symmetric:
         raise ValueError("diagonalization requires symmetric form")
-    if f.field == RATIONAL:
-        return _diagonalize_q(f)
-    return _diagonalize_fp(f)
-
-
-def _diagonalize_q(f: BilinearForm) -> Diagonalization:
+    p = None if f.field == RATIONAL else f.field
     n = f.gram.n
-    scale = lcm(*[x.denominator for r in f.gram.rows for x in r])
-    m = [[x.numerator * (scale // x.denominator) for x in r] for r in f.gram.rows]
+    if p is None:
+        scale = lcm(*[x.denominator for r in f.gram.rows for x in r])
+        m = [[x.numerator * (scale // x.denominator) for x in r] for r in f.gram.rows]
+    else:
+        m = [[x.numerator % p for x in r] for r in f.gram.rows]
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
     # basis[k] is column k of the congruence, an integer vector; m is kept in
-    # sync as scale * B^T G B by mirrored row/column operations.
+    # sync with B^T G B (times scale over Q, mod p over F_p) by mirrored
+    # row/column operations.
     def combine(i, a, j, b, primitive):
-        """Column i becomes a * column i + b * column j, divided by its
-        content if ``primitive``; every division is exact."""
-        col = [a * x + b * y for x, y in zip(basis[i], basis[j])]
-        g = gcd(*col) if primitive else 1
-        basis[i] = [x // g for x in col] if g > 1 else col
-        m[i] = [(a * x + b * y) // g for x, y in zip(m[i], m[j])]
-        for row in m:
-            row[i] = (a * row[i] + b * row[j]) // g
+        """Column i becomes a * column i + b * column j; over Q divided by its
+        content if ``primitive`` (every division is exact), over F_p times
+        a^-1 mod p."""
+        if p is None:
+            col = [a * x + b * y for x, y in zip(basis[i], basis[j])]
+            g = gcd(*col) if primitive else 1
+            basis[i] = [x // g for x in col] if g > 1 else col
+            m[i] = [(a * x + b * y) // g for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] = (a * row[i] + b * row[j]) // g
+        else:
+            b = b * pow(a, -1, p) % p
+            basis[i] = [(x + b * y) % p for x, y in zip(basis[i], basis[j])]
+            m[i] = [(x + b * y) % p for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] = (row[i] + b * row[j]) % p
 
     def swap(i, j):
         basis[i], basis[j] = basis[j], basis[i]
@@ -187,60 +194,26 @@ def _diagonalize_q(f: BilinearForm) -> Diagonalization:
             c = m[k][i]
             if c != 0:
                 # |d| * (column i - (c / d) * column k): the same ray, rescaled
-                # to its primitive integer vector
                 combine(i, abs(d), k, -sign * c, primitive=True)
         k += 1
     rank = k
-    entries = tuple(Fraction(m[i][i], scale) for i in range(rank))
-    congruence = Mat.from_columns(basis, m=n) if n else Mat.zeros(0, 0)
-    if congruence.T * f.gram * congruence != Mat.diag(list(entries) + [Fraction(0)] * (n - rank)):
+    if p is None:
+        entries = tuple(Fraction(m[i][i], scale) for i in range(rank))
+    else:
+        entries = tuple(m[i][i] for i in range(rank))
+    congruence = Mat.from_columns(basis, m=n)
+    lhs = congruence.T * f.gram * congruence
+    diag = Mat.diag(list(entries) + [Fraction(0)] * (n - rank))
+    if p is None and lhs != diag:
         raise CertificateError("diagonalization certificate failed: P^T G P is not the diagonal D")
+    if p is not None and not _divisible(lhs - diag, p):
+        raise CertificateError("diagonalization certificate failed: P^T G P is not the diagonal D mod p")
     return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
 
 
-def _diagonalize_fp(f: BilinearForm) -> Diagonalization:
-    p = f.field
-    n = f.gram.n
-    m = [[int(x) % p for x in r] for r in f.gram.rows]
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def add_multiple(i, j, c):
-        basis[i] = [(a + c * b) % p for a, b in zip(basis[i], basis[j])]
-        for t in range(n):
-            m[i][t] = (m[i][t] + c * m[j][t]) % p
-        for t in range(n):
-            m[t][i] = (m[t][i] + c * m[t][j]) % p
-
-    def swap(i, j):
-        basis[i], basis[j] = basis[j], basis[i]
-        m[i], m[j] = m[j], m[i]
-        for t in range(n):
-            m[t][i], m[t][j] = m[t][j], m[t][i]
-
-    k = 0
-    while k < n:
-        pivot = next((i for i in range(k, n) if m[i][i] % p), None)
-        if pivot is None:
-            off = next(((i, j) for i in range(k, n) for j in range(k, n) if j != i and m[i][j] % p), None)
-            if off is None:
-                break
-            i, j = off
-            add_multiple(i, j, 1)
-            pivot = i
-        if pivot != k:
-            swap(k, pivot)
-        d = m[k][k]
-        dinv = pow(d, -1, p)
-        for i in range(k + 1, n):
-            if m[k][i] % p:
-                add_multiple(i, k, -(m[k][i] * dinv) % p)
-        k += 1
-    rank = k
-    entries = tuple(m[i][i] % p for i in range(rank))
-    congruence = (
-        Mat.from_columns([[Fraction(x) for x in col] for col in basis], m=n) if n else Mat.zeros(0, 0)
-    )
-    return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
+def _divisible(g: Mat, p: int) -> bool:
+    """Whether every entry of an integer matrix is divisible by p."""
+    return all(x.numerator % p == 0 for r in g.rows for x in r)
 
 
 @dataclass(frozen=True)
@@ -257,8 +230,6 @@ def hasse_of_entries(entries, places=None) -> dict:
     """prod_{i<j} (a_i, a_j)_v over the relevant finite place set."""
     entries = [Fraction(e) for e in entries]
     if places is None:
-        from .core import relevant_places
-
         places = relevant_places(entries) if entries else [2, REAL_PLACE]
     out = {}
     for v in places:
@@ -323,11 +294,11 @@ class SymplecticReduction:
 
 
 def standard_symplectic_gram(k: int) -> Mat:
-    blocks = Mat.zeros(2 * k, 2 * k)
+    rows = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
     for t in range(k):
-        blocks.rows[2 * t][2 * t + 1] = Fraction(1)
-        blocks.rows[2 * t + 1][2 * t] = Fraction(-1)
-    return blocks
+        rows[2 * t][2 * t + 1] = Fraction(1)
+        rows[2 * t + 1][2 * t] = Fraction(-1)
+    return Mat(2 * k, 2 * k, rows)
 
 
 def symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
@@ -423,9 +394,15 @@ def _block_gram(s: Mat, a: Mat, b: Mat) -> Mat:
 
 def transvection(n: int, alpha: Fraction, p: int, q: int) -> Mat:
     """Elementary matrix E with E - I having single entry alpha at (p, q)."""
-    e = Mat.identity(n)
-    e.rows[p][q] = e.rows[p][q] + Fraction(alpha)
-    return e
+    rows = _identity_rows(n)
+    rows[p][q] += Fraction(alpha)
+    return Mat(n, n, rows)
+
+
+def _identity_rows(n: int) -> list[list[Fraction]]:
+    """The rows of the n x n identity, as new lists for a builder to write."""
+    one, zero = Fraction(1), Fraction(0)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -454,13 +431,13 @@ def metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
     k = block.isotropic_rank
     m = block.s.gram.n
     n = len(g)
-    congruence = Mat.identity(n)
+    congruence = _identity_rows(n)
     moves = []
 
     def apply(alpha, p, q):
         # E = I + alpha e_p e_q^T: g becomes E^T g E and the congruence C E.
         # p is an isotropic basis vector: its row and column are sparse.
-        for rows in (g, congruence.rows):
+        for rows in (g, congruence):
             for row in rows:
                 if row[p]:
                     row[q] += alpha * row[p]
@@ -491,5 +468,5 @@ def metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
         core=block.s,
         hyperbolic_count=k,
         transvections=tuple(moves),
-        congruence=congruence,
+        congruence=Mat(n, n, congruence),
     )

@@ -14,8 +14,15 @@ from fractions import Fraction
 from math import lcm
 from random import Random
 
-from .core import CertificateError, SturmCertificate, sturm_positive_real_roots
-from .forms import RATIONAL, SYMMETRIC, BilinearForm, diagonalize, symplectic_reduce
+from .core import CertificateError, SturmCertificate, factor, sturm_positive_real_roots
+from .forms import (
+    RATIONAL,
+    SYMMETRIC,
+    BilinearForm,
+    diagonalize,
+    standard_symplectic_gram,
+    symplectic_reduce,
+)
 from .genus import epsilon
 from .linalg import (
     GaussianRational,
@@ -313,8 +320,6 @@ def _rational_roots(p: list[Fraction]) -> list[Fraction]:
 
 
 def _divisors(n: int) -> list[int]:
-    from .core import factor
-
     n = abs(n)
     divs = [1]
     for prime, e in factor(n).items():
@@ -371,11 +376,7 @@ def standard_structure(weight: int, dimension: int) -> tuple[HodgeStructure, Bil
             HodgePiece(1, 0, Mat.from_columns(plus_cols, m=dimension)),
             HodgePiece(0, 1, Mat.from_columns(minus_cols, m=dimension)),
         ])
-        gram = Mat.zeros(dimension, dimension)
-        for t in range(m):
-            gram.rows[2 * t][2 * t + 1] = Fraction(-1)
-            gram.rows[2 * t + 1][2 * t] = Fraction(1)
-        return h, BilinearForm(RATIONAL, -1, gram)
+        return h, BilinearForm(RATIONAL, -1, -standard_symplectic_gram(m))
     if weight == 2:
         if dimension < 3:
             raise ValueError("weight 2 fixture needs dimension >= 3")
@@ -414,15 +415,15 @@ def standard_structure(weight: int, dimension: int) -> tuple[HodgeStructure, Bil
             pieces.append(HodgePiece(q, p, Mat.from_columns(
                 [[x.conjugate() for x in col] for col in cols], m=dimension)))
         h = HodgeStructure(3, dimension, pieces)
-        gram = Mat.zeros(dimension, dimension)
+        gram = [[Fraction(0)] * dimension for _ in range(dimension)]
         for t in range(m):
             # (3,0) pair: C acts by -i, needs S = [[0,1],[-1,0]] on the block
-            gram.rows[4 * t][4 * t + 1] = Fraction(1)
-            gram.rows[4 * t + 1][4 * t] = Fraction(-1)
+            gram[4 * t][4 * t + 1] = Fraction(1)
+            gram[4 * t + 1][4 * t] = Fraction(-1)
             # (2,1) pair: C acts by +i, opposite block sign
-            gram.rows[4 * t + 2][4 * t + 3] = Fraction(-1)
-            gram.rows[4 * t + 3][4 * t + 2] = Fraction(1)
-        return h, BilinearForm(RATIONAL, -1, gram)
+            gram[4 * t + 2][4 * t + 3] = Fraction(-1)
+            gram[4 * t + 3][4 * t + 2] = Fraction(1)
+        return h, BilinearForm(RATIONAL, -1, Mat(dimension, dimension, gram))
     raise ValueError("standard fixtures cover weights 0..3")
 
 
@@ -432,7 +433,7 @@ def random_hodge_endomorphism(rng: Random, h: HodgeStructure, bound: int = 2) ->
     Built blockwise in the adapted basis with conjugate blocks tied
     together, so the matrix is real (rational) on the rational structure.
     """
-    full = h.full_basis()
+    full_inv = h.full_basis().inv()
     while True:
         blocks: dict[tuple[int, int], Mat] = {}
         for piece in h.pieces:
@@ -456,7 +457,7 @@ def random_hodge_endomorphism(rng: Random, h: HodgeStructure, bound: int = 2) ->
             image = piece.basis * block
             cols.extend(image.columns())
         image_full = Mat.from_columns(cols, m=h.dimension)
-        psi = _real_matrix(image_full * full.inv(),
+        psi = _real_matrix(image_full * full_inv,
                            "conjugation-equivariant blocks must give a real matrix")
         if psi.det():
             return psi

@@ -18,6 +18,9 @@ a + bi becoming the real block [[a, -b], [b, a]]: ``rank``, ``solve`` and
 ``det`` and ``nullspace`` take rational matrices only.  Zero-row and
 zero-column matrices occur constantly (empty forms, zero complexes), so the
 shape is carried explicitly instead of being inferred from nested lists.
+A ``Mat`` takes ownership of the row lists it is built from and copies none
+of them, and its rows are not written after it is first used, so matrices
+may share rows.
 """
 
 from __future__ import annotations
@@ -108,16 +111,23 @@ def i_power(k: int) -> GaussianRational:
 
 
 class Mat:
-    """Dense matrix with explicit shape; entries are Fraction or GaussianRational."""
+    """Dense matrix with explicit shape; entries are Fraction or GaussianRational.
+
+    ``__init__`` keeps the list of row lists it is handed, without copying
+    it, so a caller builds its rows and wraps them once; ``from_rows`` is the
+    constructor that copies and coerces any nested iterable.  Rows are not
+    written after a matrix is first used.  ``zeros`` and ``identity`` build
+    new row lists on every call.
+    """
 
     __slots__ = ("m", "n", "rows")
 
-    def __init__(self, m: int, n: int, rows):
+    def __init__(self, m: int, n: int, rows: list[list]):
+        if len(rows) != m or any(len(r) != n for r in rows):
+            raise ValueError(f"shape mismatch: declared {m}x{n}")
         self.m = m
         self.n = n
-        self.rows = [list(r) for r in rows]
-        if len(self.rows) != m or any(len(r) != n for r in self.rows):
-            raise ValueError(f"shape mismatch: declared {m}x{n}")
+        self.rows = rows
 
     # -- constructors -------------------------------------------------
 
@@ -156,9 +166,6 @@ class Mat:
             return Mat(m, 0, [[] for _ in range(m)])
         m = len(cols[0])
         return Mat(m, len(cols), [[_coerce(c[i]) for c in cols] for i in range(m)])
-
-    def copy(self) -> "Mat":
-        return Mat(self.m, self.n, [list(r) for r in self.rows])
 
     # -- basic algebra ------------------------------------------------
 
@@ -258,7 +265,7 @@ class Mat:
     def vstack(self, other: "Mat") -> "Mat":
         if self.n != other.n:
             raise ValueError("vstack column mismatch")
-        return Mat(self.m + other.m, self.n, [list(r) for r in self.rows] + [list(r) for r in other.rows])
+        return Mat(self.m + other.m, self.n, self.rows + other.rows)
 
     def submatrix(self, rows, cols) -> "Mat":
         return Mat(len(rows), len(cols), [[self.rows[i][j] for j in cols] for i in rows])

@@ -16,6 +16,7 @@ from random import Random
 from .cobordism import (
     acyclic_extension,
     cobordism_class,
+    random_gram,
     random_invertible,
     random_nondegenerate_form,
 )
@@ -88,12 +89,7 @@ def suite_hyperbolic_stabilization(rng: Random, trials: int) -> SuiteResult:
             continue
         if n:
             k = rng.randint(1, 2)
-            a = Mat.zeros(k, k)
-            for i in range(k):
-                for j in range(i + 1):
-                    v = Fraction(rng.randint(-2, 2))
-                    a.rows[i][j] = v
-                    a.rows[j][i] = v
+            a = random_gram(rng, k, 2)
             b = Mat(n, k, [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(n)])
             block = BlockMetabolicForm(f, a, b)
             reduction = metabolic_reduce(block)

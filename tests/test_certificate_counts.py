@@ -23,6 +23,7 @@ from wittpoint.hodge import (
     HodgeStructure,
     compare_polarizations,
     is_polarization,
+    random_hodge_endomorphism,
     random_polarization_pair,
     standard_structure,
 )
@@ -120,3 +121,12 @@ def test_metabolic_reduce_takes_one_determinant(monkeypatch):
     determinants = count(monkeypatch, Mat, "det")
     assert metabolic_reduce(block).hyperbolic_count == 1
     assert determinants[0] == 1  # the input's nondegeneracy; the clearing target is not re-checked
+
+
+def test_random_hodge_endomorphism_inverts_the_full_basis_once(monkeypatch):
+    h, _ = standard_structure(2, 3)
+    attempts = count(monkeypatch, Mat, "det")  # one per drawn candidate
+    inversions = count(monkeypatch, Mat, "inv")
+    assert random_hodge_endomorphism(Random(5), h).det()
+    assert attempts[0] == 3  # two candidates drawn, then the check above
+    assert inversions[0] == 2  # one Q(i) inversion and the realified one under it

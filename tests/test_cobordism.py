@@ -136,9 +136,9 @@ def test_verify_witness_rejects_perturbed_s2():
     w = truncation_witness(ext)
     assert verify_witness(w).ok
     bad_s2 = dict(w.s2)
-    block = bad_s2[0].copy()
-    block.rows[0][0] = block.rows[0][0] + 1
-    bad_s2[0] = block
+    block = bad_s2[0]
+    e00 = Mat.from_rows([[int(i == j == 0) for j in range(block.n)] for i in range(block.m)])
+    bad_s2[0] = block + e00
     bad = CobordismWitness(kind=w.kind, f=w.f, f_prime=w.f_prime, g=w.g, g_prime=w.g_prime,
                            pi=w.pi, rho=w.rho, rho_prime=w.rho_prime, pi_prime=w.pi_prime,
                            s2=bad_s2, homotopy=w.homotopy)

@@ -251,6 +251,13 @@ def test_form_symmetry_validation():
         BilinearForm.from_rows([[1]], field=6)
 
 
+def test_fp_symmetry_is_checked_mod_p():
+    with pytest.raises(ValueError, match="does not match the declared symmetry mod p"):
+        BilinearForm.from_rows([[0, 1], [1, 0]], symmetry=-1, field=5)
+    skew = BilinearForm.from_rows([[0, 1], [2, 0]], symmetry=-1, field=3)  # 2 = -1 mod 3
+    assert skew.gram == Mat.from_rows([[0, 1], [2, 0]])
+
+
 def test_fp_gram_entries_must_be_integers():
     with pytest.raises(ValueError, match="Gram entries must be integers"):
         BilinearForm.from_rows([["1/2", 0], [0, 1]], field=3)
@@ -298,6 +305,11 @@ Mat.diag = staticmethod(lambda entries: diag([e + 1 for e in entries]))
 print(fired(lambda: diagonalize(BilinearForm.from_diagonal([2, -3]))))
 Mat.diag = staticmethod(diag)
 
+from_columns = Mat.from_columns
+Mat.from_columns = staticmethod(lambda cols, m=None: from_columns(cols, m).scale(2))  # a wrong P
+print(fired(lambda: diagonalize(BilinearForm.from_diagonal([2, 3], field=5))))
+Mat.from_columns = staticmethod(from_columns)
+
 block_gram = forms._block_gram
 def corrupted(s, a, b):  # the clearing target is the block with A = B = 0
     gram = block_gram(s, a, b)
@@ -334,6 +346,7 @@ def test_certificates_fire_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "diagonalization certificate failed: P^T G P is not the diagonal D",
+        "diagonalization certificate failed: P^T G P is not the diagonal D mod p",
         "metabolic reduction certificate failed: A and B are not cleared",
         "Weil operator certificate failed: C^2 is not (-1)^w",
         "symplectic certificate failed: P^T G P is not the standard symplectic Gram",

@@ -3,8 +3,9 @@
 The references below are the plain field loops the kernel replaced: the
 element-wise matrix product, Gauss-Jordan over Q or Q(i) (the same loop
 serves both), the determinant, the congruence diagonalization with its
-primitive rescale, the metabolic reduction by full n x n products and the
-greedy rank-growth scan of ``extend_to_complement``.  Every property
+primitive rescale, the separate F_p diagonalization loop, the metabolic
+reduction by full n x n products and the greedy rank-growth scan of
+``extend_to_complement``.  Every property
 requires the kernel's output to equal the reference's, entry by entry and
 entry type by entry type; a Q(i) matrix reaches the elimination kernel
 through its realification.
@@ -191,6 +192,51 @@ def ref_diagonalize(f: BilinearForm) -> Diagonalization:
                            congruence=congruence)
 
 
+def ref_diagonalize_fp(f: BilinearForm) -> Diagonalization:
+    p = f.field
+    n = f.gram.n
+    m = [[int(x) % p for x in r] for r in f.gram.rows]
+    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def add_multiple(i, j, c):
+        basis[i] = [(a + c * b) % p for a, b in zip(basis[i], basis[j])]
+        for t in range(n):
+            m[i][t] = (m[i][t] + c * m[j][t]) % p
+        for t in range(n):
+            m[t][i] = (m[t][i] + c * m[t][j]) % p
+
+    def swap(i, j):
+        basis[i], basis[j] = basis[j], basis[i]
+        m[i], m[j] = m[j], m[i]
+        for t in range(n):
+            m[t][i], m[t][j] = m[t][j], m[t][i]
+
+    k = 0
+    while k < n:
+        pivot = next((i for i in range(k, n) if m[i][i] % p), None)
+        if pivot is None:
+            off = next(((i, j) for i in range(k, n) for j in range(k, n) if j != i and m[i][j] % p), None)
+            if off is None:
+                break
+            i, j = off
+            add_multiple(i, j, 1)
+            pivot = i
+        if pivot != k:
+            swap(k, pivot)
+        d = m[k][k]
+        dinv = pow(d, -1, p)
+        for i in range(k + 1, n):
+            if m[k][i] % p:
+                add_multiple(i, k, -(m[k][i] * dinv) % p)
+        k += 1
+    rank = k
+    entries = tuple(m[i][i] % p for i in range(rank))
+    congruence = (
+        Mat.from_columns([[Fraction(x) for x in col] for col in basis], m=n) if n else Mat.zeros(0, 0)
+    )
+    return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
+
+
 def ref_metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
     g = block.assemble().gram
     k, m = block.isotropic_rank, block.s.gram.n
@@ -272,6 +318,28 @@ def symmetric_forms(draw):
         if p.det():
             gram = p.T * gram * p
     return BilinearForm(RATIONAL, 1, gram)
+
+
+@st.composite
+def fp_forms(draw):
+    """Symmetric integer Grams over F_p with negative entries and entries
+    beyond p; the diagonal is often zero, forcing the off-diagonal pivot
+    path, and some basis vectors pair to multiples of p with everything, so
+    the form is degenerate mod p though not over Q."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 101]))
+    n = draw(st.integers(0, 6))
+    entries = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
+    zero_diagonal = draw(st.booleans())
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else set()
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if i in dead or j in dead:
+                x = p * draw(st.integers(-2, 2))
+            else:
+                x = 0 if i == j and zero_diagonal else draw(entries)
+            rows[i][j] = rows[j][i] = x
+    return BilinearForm.from_rows(rows, field=p)
 
 
 @st.composite
@@ -415,6 +483,16 @@ def test_diagonalization_matches_the_field_loop(f):
     assert d == ref
     assert all(type(e) is Fraction for e in d.entries)
     assert same_entries(d.congruence, ref.congruence)
+
+
+@EXAMPLES
+@given(f=fp_forms())
+def test_fp_diagonalization_matches_the_separate_fp_loop(f):
+    d = diagonalize(f)
+    ref = ref_diagonalize_fp(f)
+    assert d == ref
+    assert repr(d.entries) == repr(ref.entries)  # ints, as the old loop reported them
+    assert repr(d.congruence) == repr(ref.congruence)
 
 
 @EXAMPLES

@@ -3,7 +3,8 @@
 The traced benchmark run wraps package functions by name; every name it
 wraps must still exist, or ``perfbench/run.py --trace 1`` breaks.  A
 certificate check must run under ``python -O``, so the package holds no
-``assert`` statement.
+``assert`` statement.  A ``Mat`` keeps the row lists it is built from and
+may share them with other matrices, so the package never writes rows.
 """
 
 import ast
@@ -46,3 +47,62 @@ def test_package_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert sorted(PACKAGE.glob("*.py")), PACKAGE
     assert not found, f"bare asserts vanish under python -O; raise CertificateError: {found}"
+
+
+ROW_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def reaches_rows(node) -> bool:
+    """Whether ``node`` is ``x.rows`` or a subscript of it, ``x.rows[i][j]``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "rows"
+
+
+def row_writes(tree) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ROW_MUTATORS and reaches_rows(node.func.value)):
+            lines.append(node.lineno)
+            continue
+        else:
+            continue
+        if any(isinstance(t, ast.Subscript) and reaches_rows(t)
+               for target in targets for t in ast.walk(target)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_package_never_writes_matrix_rows():
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line in row_writes(ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, f"build row lists and wrap them once instead of writing a Mat's rows: {found}"
+
+
+def test_row_write_guard_sees_every_kind_of_write():
+    writes = """
+m.rows[0][1] = x
+m.rows[0] = r
+m.rows[i][j] += 1
+a, m.rows[1][1] = 1, 2
+del m.rows[0]
+m.rows.append(r)
+m.rows[0].sort()
+"""
+    reads = """
+rows[0][1] = x
+y = m.rows[0][1]
+out.append(m.rows[0])
+r = list(m.rows[0]); r.append(1)
+self.rows = rows
+"""
+    assert row_writes(ast.parse(writes)) == list(range(2, 9))
+    assert row_writes(ast.parse(reads)) == []
