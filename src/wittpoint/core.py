@@ -4,14 +4,19 @@ and Sturm root counting.
 This is the numeric substrate for every Witt invariant in the package.  All
 arithmetic is exact; nothing here ever touches a float.  Factoring is trial
 division with a configurable bound: inputs are desk scale and the bound gives
-a clear failure mode instead of an open-ended search.
+a clear failure mode instead of an open-ended search.  The bound applies to
+the integer num*den of each diagonal entry, never to a product of entries:
+a square class carries the odd-exponent primes of its entry, products of
+classes combine those prime sets, and the local symbols read integer
+valuations and units at each place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .linalg import (
     poly_degree,
@@ -80,6 +85,14 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
+    out = _trial_division(n, bound)
+    if prod(p**e for p, e in out) != n:
+        raise CertificateError(
+            f"factorization certificate failed: {out} does not multiply back to {n}")
+    return out
+
+
+def _trial_division(n: int, bound: int) -> tuple[tuple[int, int], ...]:
     out = []
     for p in (2, 3):
         e = 0
@@ -118,29 +131,48 @@ def factor(n: int, bound: int | None = None) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class SquareClass:
-    """A nonzero rational modulo squares, stored as a signed squarefree integer."""
+    """A nonzero rational modulo squares, stored as a signed squarefree integer.
+
+    It carries the primes dividing its representative, so a product of
+    classes is the symmetric difference of their prime sets and factors
+    nothing.
+    """
 
     representative: int
+    _primes: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.representative == 0:
             raise ValueError("zero has no square class")
-        for p, e in factor(self.representative).items():
+        primes = factor(self.representative)
+        for p, e in primes.items():
             if e > 1:
                 raise ValueError(f"{self.representative} is not squarefree (p={p})")
+        object.__setattr__(self, "_primes", frozenset(primes))
+
+    @classmethod
+    def _of_primes(cls, sign: int, primes: frozenset) -> "SquareClass":
+        """The class sign * prod(primes) of distinct primes, without factoring."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "representative", sign * prod(primes))
+        object.__setattr__(out, "_primes", primes)
+        return out
 
     @staticmethod
     def of(a) -> "SquareClass":
         return square_class(a)
 
+    def _sign(self) -> int:
+        return -1 if self.representative < 0 else 1
+
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return square_class(self.representative * other.representative)
+        return SquareClass._of_primes(self._sign() * other._sign(), self._primes ^ other._primes)
 
     def __neg__(self) -> "SquareClass":
-        return SquareClass(-self.representative)
+        return SquareClass._of_primes(-self._sign(), self._primes)
 
     def prime_support(self) -> list[int]:
-        return sorted(factor(self.representative))
+        return sorted(self._primes)
 
     def __str__(self):
         return str(self.representative)
@@ -152,11 +184,8 @@ def square_class(a) -> SquareClass:
     if a == 0:
         raise ValueError("zero has no square class")
     n = a.numerator * a.denominator  # a and n*d differ by the square d^2
-    rep = -1 if n < 0 else 1
-    for p, e in factor(n).items():
-        if e % 2:
-            rep *= p
-    return SquareClass(rep)
+    odd = frozenset(p for p, e in factor(n).items() if e % 2)
+    return SquareClass._of_primes(-1 if n < 0 else 1, odd)
 
 
 @dataclass(frozen=True)
@@ -172,19 +201,13 @@ class LocalUnitData:
         return self.unit * Fraction(self.prime) ** self.valuation
 
 
-def p_adic_valuation(a: Fraction, p: int) -> int:
-    if a == 0:
-        raise ValueError("zero has no p-adic valuation")
+def _int_split(n: int, p: int) -> tuple[int, int]:
+    """(valuation, unit) of the nonzero integer n = unit * p^valuation."""
     v = 0
-    n = a.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = a.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return v, n
 
 
 def p_adic_split(a, p: int) -> LocalUnitData:
@@ -194,9 +217,10 @@ def p_adic_split(a, p: int) -> LocalUnitData:
         raise ValueError("zero has no p-adic splitting")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    v = p_adic_valuation(a, p)
-    unit = a / Fraction(p) ** v
-    return LocalUnitData(prime=p, valuation=v, unit=unit, unit_residue=residue_mod(unit, p))
+    vn, un = _int_split(a.numerator, p)
+    vd, ud = _int_split(a.denominator, p)
+    unit = Fraction(un, ud)
+    return LocalUnitData(prime=p, valuation=vn - vd, unit=unit, unit_residue=residue_mod(unit, p))
 
 
 def residue_mod(a, p: int) -> int:
@@ -246,22 +270,25 @@ def hilbert_symbol(a, b, place) -> int:
     # replace by integers in the same square classes
     ai = a.numerator * a.denominator
     bi = b.numerator * b.denominator
-    sa, sb = p_adic_split(ai, p), p_adic_split(bi, p)
-    alpha, u = sa.valuation, sa.unit
-    beta, v = sb.valuation, sb.unit
+    return _hilbert_at_prime(_int_split(ai, p), _int_split(bi, p), p)
+
+
+def _hilbert_at_prime(split_a: tuple[int, int], split_b: tuple[int, int], p: int) -> int:
+    """(a, b)_p from the integer splits a = u * p^alpha and b = v * p^beta."""
+    alpha, u = split_a
+    beta, v = split_b
     if p == 2:
         # units mod 8 determine epsilon and omega
-        u8 = (u.numerator * pow(u.denominator % 8, -1, 8)) % 8
-        v8 = (v.numerator * pow(v.denominator % 8, -1, 8)) % 8
+        u8, v8 = u % 8, v % 8
         e = _eps2(u8) * _eps2(v8) + alpha * _omega2(v8) + beta * _omega2(u8)
         return -1 if e % 2 else 1
     sign = 1
     if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
         sign = -sign
     if beta % 2:
-        sign *= legendre(sa.unit_residue, p)
+        sign *= legendre(u, p)
     if alpha % 2:
-        sign *= legendre(sb.unit_residue, p)
+        sign *= legendre(v, p)
     return sign
 
 
@@ -271,7 +298,6 @@ def relevant_places(values) -> list:
     primes = {2}
     for a in values:
         primes.update(square_class(a).prime_support())
-    primes.discard(1)
     return sorted(primes) + [REAL_PLACE]
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .core import (
     REAL_PLACE,
     CertificateError,
     SquareClass,
-    hilbert_symbol,
+    _hilbert_at_prime,
+    _int_split,
     is_prime,
     relevant_places,
     residue_mod,
@@ -227,16 +228,33 @@ class FormInvariants:
 
 
 def hasse_of_entries(entries, places=None) -> dict:
-    """prod_{i<j} (a_i, a_j)_v over the relevant finite place set."""
+    """prod_{i<j} (a_i, a_j)_v over the relevant finite place set.
+
+    Each entry becomes the integer num*den of its square class once, and is
+    split at each place once; the real place is the parity of the pairs of
+    negative entries.
+    """
     entries = [Fraction(e) for e in entries]
     if places is None:
         places = relevant_places(entries) if entries else [2, REAL_PLACE]
+    if len(entries) < 2:
+        return {v: 1 for v in places}  # no pairs: no symbol is evaluated
+    if places and any(e == 0 for e in entries):
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    ints = [e.numerator * e.denominator for e in entries]
     out = {}
     for v in places:
+        if v == REAL_PLACE:
+            negative = sum(1 for a in ints if a < 0)
+            out[v] = -1 if negative * (negative - 1) // 2 % 2 else 1
+            continue
+        if not isinstance(v, int) or not is_prime(v):
+            raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {v!r}")
+        splits = [_int_split(a, v) for a in ints]
         s = 1
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                s *= hilbert_symbol(entries[i], entries[j], v)
+        for i, split_i in enumerate(splits):
+            for split_j in splits[i + 1:]:
+                s *= _hilbert_at_prime(split_i, split_j, v)
         out[v] = s
     return out
 
@@ -252,9 +270,7 @@ def invariants(f: BilinearForm) -> FormInvariants:
     if diag.radical_dim:
         raise ValueError("split off radical first")
     entries = diag.entries
-    disc = square_class(1)
-    for e in entries:
-        disc = disc * square_class(e)
+    disc = prod((square_class(e) for e in entries), start=square_class(1))
     return FormInvariants(
         rank=len(entries),
         signature=diag.signature(),

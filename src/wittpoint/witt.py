@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .core import (
     REAL_PLACE,
     CertificateError,
+    _int_split,
     is_prime,
     is_residue,
-    p_adic_split,
     residue_mod,
     square_class,
 )
@@ -151,9 +151,10 @@ def psi(form_or_entries, p: int, k: int) -> WittClassFp:
             raise ValueError("diagonal entries must be nonzero")
     kept = []
     for e in entries:
-        data = p_adic_split(e, p)
-        if data.valuation % 2 == k:
-            kept.append(data.unit_residue)
+        vn, un = _int_split(e.numerator, p)
+        vd, ud = _int_split(e.denominator, p)
+        if (vn - vd) % 2 == k:
+            kept.append(un * pow(ud, -1, p) % p)
     if p == 2:
         return WittClassFp.rank_parity(2, len(kept))
     return fp_class_of(kept, p)
@@ -262,18 +263,15 @@ def _hasse_route_entries(ef: list, eg: list) -> bool:
     sig_g = sum(1 if e > 0 else -1 for e in eg)
     if sig_f != sig_g:
         return False
-    disc_f = square_class(1)
-    for e in ef:
-        disc_f = disc_f * square_class(e)
-    disc_g = square_class(1)
-    for e in eg:
-        disc_g = disc_g * square_class(e)
-    if disc_f != disc_g:
+    classes_f = [square_class(e) for e in ef]
+    classes_g = [square_class(e) for e in eg]
+    one = square_class(1)
+    if prod(classes_f, start=one) != prod(classes_g, start=one):
         return False
-    places = {2, REAL_PLACE}
-    for e in ef + eg:
-        places.update(square_class(e).prime_support())
-    ordered = sorted(p for p in places if p != REAL_PLACE) + [REAL_PLACE]
+    places = {2}
+    for c in classes_f + classes_g:
+        places.update(c.prime_support())
+    ordered = sorted(places) + [REAL_PLACE]
     hf = hasse_of_entries(ef, ordered)
     hg = hasse_of_entries(eg, ordered)
     return hf == hg
@@ -295,7 +293,8 @@ def equivalent(f: BilinearForm, g: BilinearForm) -> bool:
 
     Runs both the residue-based canonical comparison and the Hasse-based
     stabilized comparison; disagreement would be an internal error.  The
-    two oracles share one diagonalization per form and nothing else.
+    two oracles share one diagonalization per form and the factorization of
+    each diagonal entry; each computes its own symbols.
     """
     _require_rational(f)
     _require_rational(g)

@@ -8,9 +8,10 @@ import functools
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from random import Random
 
-from wittpoint import cobordism, forms, hodge, witt
+from wittpoint import cobordism, core, forms, hodge, witt
 from wittpoint.cli import main
 from wittpoint.cobordism import (
     acyclic_extension,
@@ -18,7 +19,13 @@ from wittpoint.cobordism import (
     random_witness_chain,
     truncation_witness,
 )
-from wittpoint.forms import HYPERBOLIC_PLANE, BilinearForm, BlockMetabolicForm, metabolic_reduce
+from wittpoint.forms import (
+    HYPERBOLIC_PLANE,
+    BilinearForm,
+    BlockMetabolicForm,
+    diagonalize,
+    metabolic_reduce,
+)
 from wittpoint.hodge import (
     HodgeStructure,
     compare_polarizations,
@@ -75,6 +82,25 @@ def test_equivalent_diagonalizes_each_form_once(monkeypatch):
     assert diagonalizations[0] == 2
     assert not equivalent(BilinearForm.from_diagonal([1, 2, 5]), BilinearForm.from_diagonal([-7]))
     assert diagonalizations[0] == 4
+
+
+def test_equivalent_factors_only_the_entries(monkeypatch):
+    factored = []
+    factor_cached = core._factor_cached
+
+    def recorded(n, bound):
+        factored.append(n)
+        return factor_cached(n, bound)
+
+    monkeypatch.setattr(core, "_factor_cached", recorded)
+    f = BilinearForm.from_diagonal([3 * 1009, -5 * 1013, Fraction(7, 2)])
+    g = BilinearForm.from_diagonal([Fraction(5 * 1013 * 4, 9), -7 * 8, 3 * 1009 * 25, 11, -11])
+    assert not equivalent(f, g)
+    entries = [e for form in (f, g) for e in diagonalize(form).entries]
+    singles = {abs(e.numerator * e.denominator) for e in entries}
+    products = {a * b for a in singles for b in singles} - singles
+    assert factored and set(factored) <= singles | {1}
+    assert not set(factored) & products
 
 
 def test_truncation_witness_validates_once_with_one_cohomology(monkeypatch):

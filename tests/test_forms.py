@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittpoint.core import hilbert_symbol, relevant_places
+from wittpoint.core import REAL_PLACE, hilbert_symbol, relevant_places
 from wittpoint.forms import (
     HYPERBOLIC_PLANE,
     RATIONAL,
@@ -101,6 +101,18 @@ def test_invariants_spec_examples():
     inv = invariants(BilinearForm.from_diagonal([3, 3]))
     assert inv.discriminant.representative == 1
     assert inv.hasse[3] == -1
+
+
+# primes above the trial-division bound whose product has no factor below it
+BIG_P1, BIG_P2 = 1_000_003, 99_999_989
+
+
+def test_invariants_factor_entries_never_their_product():
+    inv = invariants(BilinearForm.from_diagonal([3 * BIG_P1, 5 * BIG_P2]))
+    assert (inv.rank, inv.signature) == (2, (2, 0))
+    assert inv.discriminant.representative == 15 * BIG_P1 * BIG_P2
+    assert inv.discriminant.prime_support() == [3, 5, BIG_P1, BIG_P2]
+    assert sorted(inv.hasse, key=str) == sorted([2, 3, 5, BIG_P1, BIG_P2, REAL_PLACE], key=str)
 
 
 def test_invariants_requires_nondegenerate():
@@ -335,6 +347,12 @@ def corrupted(self, fmap, i, target):  # pi on H^0 doubled
     return m.scale(2) if fmap is w.pi else m
 cobordism.Cohomology.induced = corrupted
 print(fired(lambda: cobordism.witness_common_core(w)))
+
+from wittpoint import core
+trial_division = core._trial_division
+core._trial_division = lambda n, bound: trial_division(n, bound)[:-1]  # drops the largest prime
+print(fired(lambda: core.factor(2 * 3 * 1009)))
+core._trial_division = trial_division
 """
 
 
@@ -351,4 +369,5 @@ def test_certificates_fire_under_python_O():
         "Weil operator certificate failed: C^2 is not (-1)^w",
         "symplectic certificate failed: P^T G P is not the standard symplectic Gram",
         "core certificate failed: the square does not commute on H^0",
+        "factorization certificate failed: ((2, 1), (3, 1)) does not multiply back to 6054",
     ]

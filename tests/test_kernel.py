@@ -9,6 +9,11 @@ reduction by full n x n products and the greedy rank-growth scan of
 requires the kernel's output to equal the reference's, entry by entry and
 entry type by entry type; a Q(i) matrix reaches the elimination kernel
 through its realification.
+
+The local symbols have references too: the ``Fraction`` splitting and the
+per-pair Hilbert symbols that the integer local formulas replaced, and the
+residue loop of ``psi`` over that splitting.  Square classes are checked
+against a fresh factorization of their representative.
 """
 
 from fractions import Fraction
@@ -17,6 +22,18 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittpoint.core import (
+    REAL_PLACE,
+    LocalUnitData,
+    SquareClass,
+    hilbert_symbol,
+    is_prime,
+    legendre,
+    p_adic_split,
+    relevant_places,
+    residue_mod,
+    square_class,
+)
 from wittpoint.forms import (
     RATIONAL,
     BilinearForm,
@@ -24,10 +41,12 @@ from wittpoint.forms import (
     Diagonalization,
     MetabolicReduction,
     diagonalize,
+    hasse_of_entries,
     metabolic_reduce,
     transvection,
 )
 from wittpoint.linalg import QI_ONE, QI_ZERO, GaussianRational, Mat, extend_to_complement
+from wittpoint.witt import WittClassFp, fp_class_of, psi
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
@@ -265,6 +284,103 @@ def ref_metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
                               congruence=congruence)
 
 
+def ref_p_adic_valuation(a: Fraction, p: int) -> int:
+    if a == 0:
+        raise ValueError("zero has no p-adic valuation")
+    v = 0
+    n = a.numerator
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = a.denominator
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def ref_p_adic_split(a, p: int) -> LocalUnitData:
+    """Split a nonzero rational as u * p^i with u a p-adic unit."""
+    a = Fraction(a)
+    if a == 0:
+        raise ValueError("zero has no p-adic splitting")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    v = ref_p_adic_valuation(a, p)
+    unit = a / Fraction(p) ** v
+    return LocalUnitData(prime=p, valuation=v, unit=unit, unit_residue=residue_mod(unit, p))
+
+
+def ref_eps2(u: int) -> int:
+    # (u - 1)/2 mod 2 for odd u
+    return (u - 1) // 2 % 2
+
+
+def ref_omega2(u: int) -> int:
+    # (u^2 - 1)/8 mod 2 for odd u
+    return (u * u - 1) // 8 % 2
+
+
+def ref_hilbert_symbol(a, b, place) -> int:
+    """The symbol from ``Fraction`` splittings, the primality of a prime place
+    tested again in each splitting."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    if place == REAL_PLACE:
+        return -1 if a < 0 and b < 0 else 1
+    p = place
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}")
+    # replace by integers in the same square classes
+    ai = a.numerator * a.denominator
+    bi = b.numerator * b.denominator
+    sa, sb = ref_p_adic_split(ai, p), ref_p_adic_split(bi, p)
+    alpha, u = sa.valuation, sa.unit
+    beta, v = sb.valuation, sb.unit
+    if p == 2:
+        # units mod 8 determine epsilon and omega
+        u8 = (u.numerator * pow(u.denominator % 8, -1, 8)) % 8
+        v8 = (v.numerator * pow(v.denominator % 8, -1, 8)) % 8
+        e = ref_eps2(u8) * ref_eps2(v8) + alpha * ref_omega2(v8) + beta * ref_omega2(u8)
+        return -1 if e % 2 else 1
+    sign = 1
+    if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
+        sign = -sign
+    if beta % 2:
+        sign *= legendre(sa.unit_residue, p)
+    if alpha % 2:
+        sign *= legendre(sb.unit_residue, p)
+    return sign
+
+
+def ref_hasse_of_entries(entries, places=None) -> dict:
+    """prod_{i<j} (a_i, a_j)_v, one Hilbert symbol per pair and place."""
+    entries = [Fraction(e) for e in entries]
+    if places is None:
+        places = relevant_places(entries) if entries else [2, REAL_PLACE]
+    out = {}
+    for v in places:
+        s = 1
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                s *= ref_hilbert_symbol(entries[i], entries[j], v)
+        out[v] = s
+    return out
+
+
+def ref_psi(entries, p: int, k: int) -> WittClassFp:
+    """The residue loop of ``psi`` over ``Fraction`` splittings."""
+    kept = []
+    for e in entries:
+        data = ref_p_adic_split(e, p)
+        if data.valuation % 2 == k:
+            kept.append(data.unit_residue)
+    if p == 2:
+        return WittClassFp.rank_parity(2, len(kept))
+    return fp_class_of(kept, p)
+
+
 # -- strategies -----------------------------------------------------------
 
 # zero often, so that rows, columns and diagonals vanish; small denominators
@@ -388,6 +504,18 @@ def mixed_factors(draw):
         for i in draw(st.lists(st.integers(0, b.m - 1), min_size=1, max_size=3)):
             b.rows[i][j] = draw(gaussians)
     return a, b
+
+
+# nonzero rationals with p-adic valuations from -4 to 4 at the small primes
+PLACE_PRIMES = (2, 3, 5, 7, 11, 13)
+local_rationals = st.builds(
+    lambda sign, num, den, p, e: Fraction(sign * num * p ** max(e, 0), den * p ** max(-e, 0)),
+    st.sampled_from((1, -1)), st.integers(1, 10**4), st.integers(1, 500),
+    st.sampled_from(PLACE_PRIMES), st.integers(-4, 4),
+)
+entry_lists = st.lists(local_rationals, max_size=6)
+place_lists = st.lists(st.sampled_from(PLACE_PRIMES + (10007, REAL_PLACE)), unique=True, max_size=5)
+NOT_PLACES = (0, 1, -3, 4, 9, 15, 2.0, "2", None)
 
 
 # -- properties -----------------------------------------------------------
@@ -564,3 +692,56 @@ def test_extend_to_complement_matches_the_greedy_scan(data):
     base = data.draw(matrices())
     candidates = data.draw(matrices(base.m))
     assert extend_to_complement(base, candidates) == ref_extend_to_complement(base, candidates)
+
+
+@EXAMPLES
+@given(a=local_rationals, b=local_rationals, place=st.sampled_from(PLACE_PRIMES + (10007, REAL_PLACE)))
+def test_local_symbols_match_the_fraction_splitting(a, b, place):
+    assert hilbert_symbol(a, b, place) == ref_hilbert_symbol(a, b, place)
+    if place != REAL_PLACE:
+        assert repr(p_adic_split(a, place)) == repr(ref_p_adic_split(a, place))
+
+
+@EXAMPLES
+@given(entries=entry_lists, places=st.one_of(st.none(), place_lists))
+def test_hasse_of_entries_matches_the_per_pair_symbols(entries, places):
+    assert hasse_of_entries(entries, places) == ref_hasse_of_entries(entries, places)
+
+
+@EXAMPLES
+@given(entries=st.lists(local_rationals, min_size=2, max_size=5), places=place_lists,
+       bad=st.sampled_from(NOT_PLACES), at=st.integers(0, 5))
+def test_hasse_of_entries_rejects_a_non_place_as_before(entries, places, bad, at):
+    places = places[:at] + [bad] + places[at:]
+    with pytest.raises(ValueError) as ref:
+        ref_hasse_of_entries(entries, places)
+    with pytest.raises(ValueError) as got:
+        hasse_of_entries(entries, places)
+    assert str(got.value) == str(ref.value)
+
+
+@EXAMPLES
+@given(entries=entry_lists, p=st.sampled_from((2, 5, 13, 3, 7, 11)), k=st.sampled_from((0, 1)))
+def test_psi_matches_the_fraction_splitting(entries, p, k):
+    assert psi(entries, p, k) == ref_psi(entries, p, k)
+
+
+@EXAMPLES
+@given(a=local_rationals, b=local_rationals)
+def test_square_class_products_carry_the_primes_of_their_representative(a, b):
+    assert square_class(a) * square_class(b) == square_class(a * b)
+    assert -square_class(a) == square_class(-a)
+    for c in (square_class(a) * square_class(b), -square_class(a), square_class(a)):
+        fresh = SquareClass(c.representative)
+        assert c._primes == fresh._primes
+        assert repr(c) == f"SquareClass(representative={c.representative})" == repr(fresh)
+        assert c == fresh and hash(c) == hash(fresh)
+
+
+def test_square_class_equality_and_hash_ignore_the_primes():
+    c = square_class(Fraction(-50, 3))
+    assert repr(c) == "SquareClass(representative=-6)"
+    tampered = SquareClass(-6)
+    object.__setattr__(tampered, "_primes", frozenset({7}))
+    assert tampered == c and hash(tampered) == hash(c) == hash(SquareClass(-6))
+    assert repr(tampered) == repr(c)

@@ -180,6 +180,14 @@ def test_equivalent_spec_example():
     assert not equivalent(HYPERBOLIC_PLANE, BilinearForm.from_diagonal([-2]))
 
 
+def test_equivalent_factors_entries_never_their_product():
+    p1, p2 = 1_000_003, 99_999_989  # their product has no factor below the trial-division bound
+    f = BilinearForm.from_diagonal([3 * p1, 5 * p2])
+    assert equivalent(f, BilinearForm.from_diagonal([5 * p2 * 9, Fraction(3 * p1, 4), 7, -7]))
+    assert not equivalent(f, BilinearForm.from_diagonal([3 * p1, -5 * p2]))
+    assert not equivalent(f, BilinearForm.from_diagonal([3 * p1, 5 * p1]))
+
+
 def test_equivalent_error_messages():
     fp = BilinearForm.from_rows([[1]], field=3)
     skew = BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=-1)
