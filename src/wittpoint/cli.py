@@ -15,8 +15,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+# Every form-reading command needs these; the handlers import the rest
+# (cobordism, hodge, genus, selfcheck) themselves, so that a process runs
+# no more module bodies than its one command uses.
 from . import jsonio
-from .cobordism import _class_of_h0, _h0_form_of, validate, verify_witness
 from .core import (
     CertificateError,
     FactorBoundExceeded,
@@ -24,17 +26,7 @@ from .core import (
     set_trial_division_bound,
 )
 from .forms import invariants, metabolic_reduce
-from .genus import (
-    chi_y,
-    epsilon,
-    example_drivers,
-    format_poly,
-    lefschetz_cancellation_check,
-    specialize,
-)
-from .hodge import compare_polarizations, is_polarization, pol_class
 from .jsonio import SchemaError
-from .selfcheck import run_all
 from .witt import equivalent, psi, witt_class_of
 
 
@@ -117,6 +109,7 @@ def _cmd_metabolic_reduce(args) -> Outcome:
 
 
 def _cmd_complex_class(args) -> Outcome:
+    from .cobordism import _class_of_h0, _h0_form_of, validate
     cpx = jsonio.complex_from_json(_load(args.complex))
     report = validate(cpx)
     if not report.ok:
@@ -136,6 +129,7 @@ def _cmd_complex_class(args) -> Outcome:
 
 
 def _cmd_verify_witness(args) -> Outcome:
+    from .cobordism import verify_witness
     w = jsonio.witness_from_json(_load(args.witness))
     report = verify_witness(w)
     payload = {"ok": report.ok, "failures": _plain(report.failures)}
@@ -146,6 +140,7 @@ def _cmd_verify_witness(args) -> Outcome:
 
 
 def _cmd_hodge_check(args) -> Outcome:
+    from .hodge import is_polarization
     h = jsonio.hodge_from_json(_load(args.hodge))
     s = jsonio.form_from_json(_load(args.form))
     chk = is_polarization(h, s)
@@ -155,6 +150,8 @@ def _cmd_hodge_check(args) -> Outcome:
 
 
 def _cmd_hodge_compare(args) -> Outcome:
+    from .genus import format_poly
+    from .hodge import compare_polarizations
     h = jsonio.hodge_from_json(_load(args.hodge))
     s = jsonio.form_from_json(_load(args.s))
     s2 = jsonio.form_from_json(_load(args.s2))
@@ -195,6 +192,7 @@ def _cmd_hodge_compare(args) -> Outcome:
 
 
 def _cmd_pol_class(args) -> Outcome:
+    from .hodge import pol_class
     h = jsonio.hodge_from_json(_load(args.hodge))
     s = jsonio.form_from_json(_load(args.form))
     cls = pol_class(h, s)
@@ -204,6 +202,7 @@ def _cmd_pol_class(args) -> Outcome:
 
 
 def _cmd_chi_y(args) -> Outcome:
+    from .genus import chi_y, format_poly, specialize
     d = jsonio.diamond_from_json(_load(args.diamond))
     chi = chi_y(d)
     spec = specialize(chi, d.dim)
@@ -226,11 +225,13 @@ def _cmd_chi_y(args) -> Outcome:
 
 
 def _cmd_epsilon(args) -> Outcome:
+    from .genus import epsilon
     value = epsilon(args.m)
     return Outcome(None, {"m": args.m, "epsilon": value}, [f"epsilon({args.m}) = {value:+d}"])
 
 
 def _cmd_lefschetz_check(args) -> Outcome:
+    from .genus import lefschetz_cancellation_check
     pieces, weight = jsonio.pieces_from_json(_load(args.pieces))
     report = lefschetz_cancellation_check(pieces, weight)
     payload = {
@@ -253,6 +254,7 @@ def _cmd_lefschetz_check(args) -> Outcome:
 
 
 def _cmd_worked_examples(args) -> Outcome:
+    from .genus import example_drivers
     report = example_drivers()
     dp = report.double_point
     payload = {
@@ -295,6 +297,7 @@ def _cmd_worked_examples(args) -> Outcome:
 
 
 def _cmd_selfcheck(args) -> Outcome:
+    from .selfcheck import run_all
     results = run_all(args.seed, args.trials)
     payload = {
         "seed": args.seed,

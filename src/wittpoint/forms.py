@@ -237,10 +237,13 @@ def hasse_of_entries(entries, places=None) -> dict:
     entries = [Fraction(e) for e in entries]
     if places is None:
         places = relevant_places(entries) if entries else [2, REAL_PLACE]
+    if any(e == 0 for e in entries):
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    for v in places:
+        if v != REAL_PLACE and (not isinstance(v, int) or not is_prime(v)):
+            raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {v!r}")
     if len(entries) < 2:
         return {v: 1 for v in places}  # no pairs: no symbol is evaluated
-    if places and any(e == 0 for e in entries):
-        raise ValueError("Hilbert symbol needs nonzero arguments")
     ints = [e.numerator * e.denominator for e in entries]
     out = {}
     for v in places:
@@ -248,8 +251,6 @@ def hasse_of_entries(entries, places=None) -> dict:
             negative = sum(1 for a in ints if a < 0)
             out[v] = -1 if negative * (negative - 1) // 2 % 2 else 1
             continue
-        if not isinstance(v, int) or not is_prime(v):
-            raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {v!r}")
         splits = [_int_split(a, v) for a in ints]
         s = 1
         for i, split_i in enumerate(splits):

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cobordism import ChainComplex, CobordismWitness, SelfDualComplex
+# The readers of complexes, witnesses, Hodge structures, diamonds and pieces
+# import their types (cobordism, hodge, genus) when called, so reading a form
+# loads none of those modules; the annotations are strings.
 from .forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm, BlockMetabolicForm
-from .genus import HodgeDiamond, PrimitivePiece
-from .hodge import HodgePiece, HodgeStructure
 from .linalg import GaussianRational, Mat
 from .witt import WittClassFp, WittClassQ
 
@@ -176,6 +176,7 @@ def _degree_map_to_json(maps: dict[int, Mat]) -> dict:
 
 
 def chain_complex_from_json(doc, pointer: str = "$") -> ChainComplex:
+    from .cobordism import ChainComplex
     spaces_doc = doc.get("spaces", {})
     if not isinstance(spaces_doc, dict):
         raise SchemaError(f"{pointer}.spaces", "expected an object keyed by degree")
@@ -196,6 +197,7 @@ def chain_complex_from_json(doc, pointer: str = "$") -> ChainComplex:
 
 
 def complex_from_json(doc, pointer: str = "$") -> SelfDualComplex:
+    from .cobordism import SelfDualComplex
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")
     sym = doc.get("symmetry")
@@ -229,6 +231,7 @@ def chain_complex_to_json(c: ChainComplex) -> dict:
 
 
 def witness_from_json(doc, pointer: str = "$") -> CobordismWitness:
+    from .cobordism import CobordismWitness
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")
     kind = doc.get("kind", "direct")
@@ -298,6 +301,7 @@ def _gaussian_to_json(z: GaussianRational):
 
 
 def hodge_from_json(doc, pointer: str = "$") -> HodgeStructure:
+    from .hodge import HodgePiece, HodgeStructure
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")
     weight = doc.get("weight")
@@ -350,6 +354,7 @@ def hodge_to_json(h: HodgeStructure) -> dict:
 
 
 def diamond_from_json(doc, pointer: str = "$") -> HodgeDiamond:
+    from .genus import HodgeDiamond
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")
     dim = doc.get("dim")
@@ -365,6 +370,7 @@ def diamond_from_json(doc, pointer: str = "$") -> HodgeDiamond:
 
 
 def pieces_from_json(doc, pointer: str = "$") -> tuple[list[PrimitivePiece], int]:
+    from .genus import PrimitivePiece
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")
     weight = doc.get("weight")

@@ -1,6 +1,10 @@
 """CLI surface: exit codes, JSON round trips, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 from wittpoint import witt
@@ -256,3 +260,48 @@ def test_trial_division_bound_below_two_is_an_input_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == "error: trial division bound must be at least 2\n"
         assert get_trial_division_bound() == DEFAULT_TRIAL_DIVISION_BOUND
+
+# Runs each argv of sys.argv[1] through cli.main in one process and prints,
+# after each import and each command, the wittpoint submodules then loaded.
+LOADED_MODULES = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(k.split(".", 1)[1] for k in sys.modules if k.startswith("wittpoint."))
+
+stages = {}
+import wittpoint
+stages["import wittpoint"] = [0, loaded()]
+import wittpoint.cli
+stages["import wittpoint.cli"] = [0, loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        stages[argv[0]] = [wittpoint.cli.main(argv), loaded()]
+print(json.dumps(stages))
+"""
+
+
+def test_commands_load_only_the_modules_they_use(tmp_path):
+    form = write(tmp_path, "f.json", form_doc([[6, 1], [1, -15]]))
+    block = write(tmp_path, "block.json", {"s": form_doc([[1]]), "a": [["4"]], "b": [["2"]]})
+    h, s = standard_structure(0, 2)
+    hodge = write(tmp_path, "h.json", hodge_to_json(h))
+    spath = write(tmp_path, "s.json", form_to_json(s))
+    s2path = write(tmp_path, "s2.json", form_doc([[2, 1], [1, 3]]))
+    argvs = [["witt-class", form], ["invariants", form], ["equivalent", form, form],
+             ["metabolic-reduce", block], ["hodge-compare", hodge, spath, s2path]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    stages = json.loads(out.stdout)
+    assert stages.pop("import wittpoint") == [0, []]
+    hodge_code, hodge_loaded = stages.pop("hodge-compare")
+    assert hodge_code == 0 and "hodge" in hodge_loaded
+    assert not {"cobordism", "selfcheck"} & set(hodge_loaded)
+    assert list(stages) == ["import wittpoint.cli", "witt-class", "invariants", "equivalent",
+                            "metabolic-reduce"]
+    for stage, (code, loaded) in stages.items():
+        assert code == 0, stage
+        assert not {"cobordism", "hodge", "genus", "selfcheck"} & set(loaded), (stage, loaded)

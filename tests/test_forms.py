@@ -115,6 +115,17 @@ def test_invariants_factor_entries_never_their_product():
     assert sorted(inv.hasse, key=str) == sorted([2, 3, 5, BIG_P1, BIG_P2, REAL_PLACE], key=str)
 
 
+def test_hasse_of_entries_checks_its_inputs_without_pairs():
+    # fewer than two entries evaluate no symbol, but places and entries are still checked
+    with pytest.raises(ValueError, match="place must be a prime or 'real', got 4"):
+        hasse_of_entries([3], [4])
+    for entries, places in (([0], [3]), ([0], [REAL_PLACE]), ([0, 1], [])):
+        with pytest.raises(ValueError, match="Hilbert symbol needs nonzero arguments"):
+            hasse_of_entries(entries, places)
+    assert hasse_of_entries([3], [3, REAL_PLACE]) == {3: 1, REAL_PLACE: 1}
+    assert hasse_of_entries([]) == {2: 1, REAL_PLACE: 1}
+
+
 def test_invariants_requires_nondegenerate():
     with pytest.raises(ValueError, match="radical"):
         invariants(BilinearForm.from_diagonal([1, 0]))

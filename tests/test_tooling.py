@@ -5,12 +5,17 @@ wraps must still exist, or ``perfbench/run.py --trace 1`` breaks.  A
 certificate check must run under ``python -O``, so the package holds no
 ``assert`` statement.  A ``Mat`` keeps the row lists it is built from and
 may share them with other matrices, so the package never writes rows.
+The package loads its submodules lazily, but re-exports the same names.
 """
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+import wittpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -106,3 +111,39 @@ self.rows = rows
 """
     assert row_writes(ast.parse(writes)) == list(range(2, 9))
     assert row_writes(ast.parse(reads)) == []
+
+
+# The names ``wittpoint`` re-exports, by the submodule that defines them.
+EXPORTS = {
+    "core": ["REAL_PLACE", "CertificateError", "LocalUnitData", "SquareClass", "SturmCertificate",
+             "hilbert_symbol", "p_adic_split", "square_class", "sturm_positive_real_roots"],
+    "forms": ["BilinearForm", "BlockMetabolicForm", "Diagonalization", "FormInvariants",
+              "HYPERBOLIC_PLANE", "diagonalize", "invariants", "metabolic_reduce", "radical_split",
+              "symplectic_reduce"],
+    "witt": ["WittClassFp", "WittClassQ", "equivalent", "fp_class_of", "fp_group_table",
+             "group_law", "psi", "witt_class_of"],
+    "cobordism": ["ChainComplex", "CobordismWitness", "SelfDualComplex", "cobordism_class",
+                  "h0_form", "null_witness", "orthogonal_split", "witness_common_core",
+                  "truncation_witness", "validate", "verify_witness"],
+    "hodge": ["HodgePiece", "HodgeStructure", "PolarizationPair", "compare_polarizations",
+              "is_polarization", "pol_class", "weil_operator"],
+    "genus": ["HodgeDiamond", "PrimitivePiece", "chi_y", "epsilon", "example_drivers",
+              "lefschetz_cancellation_check", "sign_dictionary_check", "specialize"],
+}
+
+
+def test_package_exports_the_same_names_lazily():
+    names = sorted(name for group in EXPORTS.values() for name in group)
+    assert len(names) == 53
+    assert sorted(wittpoint.__all__) == names
+    assert set(names) <= set(dir(wittpoint))
+    for mod, group in EXPORTS.items():
+        module = importlib.import_module(f"wittpoint.{mod}")
+        for name in group:
+            assert getattr(wittpoint, name) is getattr(module, name), name
+            assert vars(wittpoint)[name] is getattr(module, name), name  # bound on first access
+    star = {}
+    exec("from wittpoint import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == names
+    with pytest.raises(AttributeError, match="^module 'wittpoint' has no attribute 'no_such_name'$"):
+        getattr(wittpoint, "no_such_name")
