@@ -18,15 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .linalg import (
-    poly_degree,
-    poly_derivative,
-    poly_divmod,
-    poly_gcd,
-    poly_normalize,
-    poly_squarefree_part,
-)
-
 REAL_PLACE = "real"
 
 DEFAULT_TRIAL_DIVISION_BOUND = 1_000_000
@@ -319,23 +310,13 @@ class SturmCertificate:
         return self.all_real and self.positive_roots == self.distinct_roots
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
 def _sign_variations(signs) -> int:
     signs = [s for s in signs if s != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s * t < 0)
-
-
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [p, poly_derivative(p)]
-    while chain[-1]:
-        r = poly_divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return chain
 
 
 def _variations_at_zero(chain) -> int:
@@ -350,7 +331,7 @@ def _variations_at_inf(chain, sign: int) -> int:
             out.append(0)
         else:
             s = _sign(q[-1])
-            out.append(s if sign > 0 else s * (-1) ** poly_degree(q))
+            out.append(s if sign > 0 else s * (-1) ** (len(q) - 1))
     return _sign_variations(out)
 
 
@@ -359,27 +340,28 @@ def sturm_positive_real_roots(coeffs) -> SturmCertificate:
 
     The counts are taken on the squarefree part, so multiplicities are
     ignored; ``all_real`` means every complex root of the input is real.
+    The chain runs on the primitive integer polynomial of the input, with
+    positive leading coefficient, and takes gcd(p, p') once.
     """
-    p = poly_normalize(coeffs)
+    # imported here, so that loading core does not load poly
+    from .poly import int_poly, int_poly_squarefree, int_sturm_chain
+
+    p = int_poly(coeffs)
     if not p:
         raise ValueError("the zero polynomial has no Sturm certificate")
-    squarefree = poly_degree(poly_gcd(p, poly_derivative(p))) <= 0
-    q = poly_squarefree_part(p)
-    distinct = poly_degree(q)
+    g, q = int_poly_squarefree(p)
+    distinct = len(q) - 1
     if distinct == 0:
-        return SturmCertificate(0, 0, 0, True, squarefree)
-    # strip the root at 0 so the open interval (0, inf) is counted correctly
-    q_pos = q
-    if q_pos[0] == 0:
-        q_pos = poly_normalize(q_pos[1:])
-    chain_pos = _sturm_chain(q_pos)
-    positive = _variations_at_zero(chain_pos) - _variations_at_inf(chain_pos, +1)
-    chain = _sturm_chain(q)
+        return SturmCertificate(0, 0, 0, True, len(g) <= 1)
+    chain = int_sturm_chain(q)
+    # V(a) - V(b) counts the roots of a squarefree q in (a, b], a root at a
+    # included, so a root at 0 is left out of the positive count
+    positive = _variations_at_zero(chain) - _variations_at_inf(chain, +1)
     real = _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
     return SturmCertificate(
         positive_roots=positive,
         real_roots=real,
         distinct_roots=distinct,
         all_real=(real == distinct),
-        squarefree=squarefree,
+        squarefree=len(g) <= 1,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from random import Random
 
 from .core import CertificateError, SturmCertificate, factor, sturm_positive_real_roots
@@ -23,19 +23,14 @@ from .forms import (
     standard_symplectic_gram,
     symplectic_reduce,
 )
-from .genus import epsilon
 from .linalg import (
     GaussianRational,
     Mat,
     QI_ONE,
     QI_ZERO,
     i_power,
-    poly_degree,
-    poly_eval,
-    poly_eval_matrix,
-    poly_normalize,
-    poly_squarefree_part,
 )
+from .poly import int_poly, int_poly_at, int_poly_squarefree, poly_degree
 from .witt import WittClassQ, witt_class_of
 
 
@@ -258,8 +253,9 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
 
     char = phi.charpoly()
     cert = sturm_positive_real_roots(char)
-    radical = poly_squarefree_part(char)
-    semisimple = poly_eval_matrix(radical, phi).is_zero()
+    # radical(phi) = 0 is checked as an integer identity: d^m * radical(phi) = 0
+    radical = int_poly_squarefree(int_poly(char))[1]
+    semisimple = not any(map(any, int_poly_at(radical, phi)[1]))
 
     eigenspaces = None
     rational_roots = _rational_roots(radical)
@@ -296,27 +292,34 @@ def _sym_for_signature(s: BilinearForm) -> BilinearForm:
     return BilinearForm(RATIONAL, SYMMETRIC, Mat.zeros(0, 0))
 
 
-def _rational_roots(p: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a nonzero rational polynomial (desk scale)."""
-    p = poly_normalize(p)
+def _rational_roots(p: list[int]) -> list[Fraction]:
+    """All rational roots of a nonzero integer polynomial (desk scale).
+
+    A root num/den in lowest terms has num dividing the lowest nonzero
+    coefficient and den the leading one.  Each coprime pair is tested on
+    integers, by the homogenized value sum p_k num^k den^(deg - k); a pair
+    with a common factor is the same number as a coprime pair scanned
+    before it.
+    """
     if poly_degree(p) <= 0:
         return []
-    # clear denominators to a primitive integer polynomial
-    denom = 1
-    for c in p:
-        denom = lcm(denom, c.denominator)
-    ints = [int(c * denom) for c in p]
-    roots = []
-    low = next(c for c in ints if c)
-    if ints[0] == 0:
-        roots.append(Fraction(0))
-    high = ints[-1]
-    for num in _signed_divisors(low):
-        for den in _divisors(high):
-            cand = Fraction(num, den)
-            if poly_eval(p, cand) == 0 and cand not in roots:
-                roots.append(cand)
+    roots = [Fraction(0)] if p[0] == 0 else []
+    nums = _signed_divisors(next(c for c in p if c))
+    dens = _divisors(p[-1])
+    for num in nums:
+        for den in dens:
+            if gcd(num, den) == 1 and _homogenized_value(p, num, den) == 0:
+                roots.append(Fraction(num, den))
     return roots
+
+
+def _homogenized_value(p: list[int], num: int, den: int) -> int:
+    """den^deg(p) * p(num / den), by Horner."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
 
 
 def _divisors(n: int) -> list[int]:
@@ -344,6 +347,8 @@ def pol_class(h: HodgeStructure, s: BilinearForm) -> WittClassQ:
     if h.weight % 2:
         symplectic_reduce(s)
         return WittClassQ.zero()
+    from .genus import epsilon  # here, so that loading hodge does not load genus
+
     return witt_class_of(s.scaled(epsilon(h.weight)))
 
 

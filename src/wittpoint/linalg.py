@@ -15,7 +15,9 @@ two scales only when it builds the entry; the entry is a
 with a ``GaussianRational`` entry is eliminated through its realification,
 a + bi becoming the real block [[a, -b], [b, a]]: ``rank``, ``solve`` and
 ``inv`` run on that rational matrix and read the answer back, and ``rref``,
-``det`` and ``nullspace`` take rational matrices only.  Zero-row and
+``det``, ``nullspace`` and ``charpoly`` take rational matrices only;
+``charpoly`` runs on the matrix times the lcm of all its denominators.
+Polynomials, and their values at a matrix, live in ``poly``.  Zero-row and
 zero-column matrices occur constantly (empty forms, zero complexes), so the
 shape is carried explicitly instead of being inferred from nested lists.
 A ``Mat`` takes ownership of the row lists it is built from and copies none
@@ -270,14 +272,6 @@ class Mat:
     def submatrix(self, rows, cols) -> "Mat":
         return Mat(len(rows), len(cols), [[self.rows[i][j] for j in cols] for i in rows])
 
-    def trace(self):
-        if self.m != self.n:
-            raise ValueError("trace of a non-square matrix")
-        acc = Fraction(0)
-        for i in range(self.m):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def __repr__(self):
         return f"Mat({self.m}x{self.n}, {self.rows})"
 
@@ -347,18 +341,29 @@ class Mat:
         return Fraction(_bareiss_det(a), prod(scales))
 
     def charpoly(self) -> list[Fraction]:
-        """Coefficients of det(t*I - A), ascending in t (Faddeev-LeVerrier)."""
+        """Coefficients of det(t*I - A), ascending in t (Faddeev-LeVerrier).
+
+        It runs on the integer matrix B = D*A, D the lcm of A's denominators.
+        B's characteristic polynomial has integer coefficients b_k, so each
+        division by k is exact, and the coefficient of t^k for A is
+        b_k / D^(n-k).
+        """
         if self.m != self.n:
             raise ValueError("characteristic polynomial of a non-square matrix")
+        self._require_rational("charpoly")
+        d, b = _integer_matrix(self)
+        cols = list(zip(*b))
         n = self.n
-        coeffs_desc = [Fraction(1)]
-        M = Mat.identity(n)
+        coeffs_desc = [1]
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
         for k in range(1, n + 1):
-            AM = self * M
-            c = -AM.trace() / k
+            bm = [[sum(map(mul, row, col)) for col in cols] for row in m]  # M commutes with B
+            c = -sum(bm[i][i] for i in range(n)) // k
             coeffs_desc.append(c)
-            M = AM + Mat.identity(n).scale(c)
-        return list(reversed(coeffs_desc))
+            for i, row in enumerate(bm):
+                row[i] += c
+            m = bm
+        return [Fraction(c, d**k) for k, c in enumerate(coeffs_desc)][::-1]
 
 
 def _coerce(x):
@@ -439,6 +444,12 @@ def _integer_parts(r) -> tuple[int, list[int], list[int] | None]:
     return s, parts[:len(r)], im if any(im) else []
 
 
+def _integer_matrix(a: Mat) -> tuple[int, list[list[int]]]:
+    """The lcm d of all denominators of a rational matrix, and the rows of d * a."""
+    d, flat = _integer_row([x for r in a.rows for x in r])
+    return d, [flat[i * a.n:(i + 1) * a.n] for i in range(a.m)]
+
+
 _ZERO = Fraction(0)
 
 
@@ -505,71 +516,3 @@ def _bareiss_det(a: list[list[int]]) -> int:
                 row[j] = (row[j] * akk - f * rk[j]) // prev
         prev = akk
     return sign * a[n - 1][n - 1]
-
-
-# -- polynomials over Q (ascending coefficient lists) ------------------
-
-
-def poly_normalize(coeffs) -> list[Fraction]:
-    c = [Fraction(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def poly_degree(p: list[Fraction]) -> int:
-    return len(p) - 1  # -1 for the zero polynomial
-
-
-def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(p: list[Fraction]) -> list[Fraction]:
-    return poly_normalize([k * p[k] for k in range(1, len(p))])
-
-
-def poly_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv_lead
-        q[k] = c
-        if c:
-            for j in range(len(b)):
-                a[k + j] -= c * b[j]
-    return poly_normalize(q), poly_normalize(a)
-
-
-def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = poly_normalize(a), poly_normalize(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def poly_squarefree_part(p: list[Fraction]) -> list[Fraction]:
-    g = poly_gcd(p, poly_derivative(p))
-    q, r = poly_divmod(p, g)
-    if r:
-        from .core import CertificateError  # core imports this module
-
-        raise CertificateError("squarefree certificate failed: gcd(p, p') does not divide p")
-    lead = q[-1]
-    return [c / lead for c in q]
-
-
-def poly_eval_matrix(p: list[Fraction], a: Mat) -> Mat:
-    acc = Mat.zeros(a.m, a.n)
-    for c in reversed(p):
-        acc = acc * a + Mat.identity(a.n).scale(c)
-    return acc

@@ -1,0 +1,202 @@
+"""Exact polynomials over Q and Z, as ascending coefficient lists.
+
+The ``Fraction`` helpers serve callers that hold rational coefficients; the
+gcd, the squarefree part and the value at a matrix run on integers.  A
+rational polynomial enters as its primitive integer multiple with positive
+leading coefficient, and the gcd is the last term of the primitive
+pseudo-remainder sequence (Collins 1967; Cohen, *A Course in Computational
+Algebraic Number Theory*, 3.3).  Every remainder is scaled only by |lc| and
+divided only by its positive content, so each term of a sequence is a
+positive multiple of the term over Q: it has the same degree, the same
+signs at 0 and at infinity and the same monic form.  That is what the Sturm
+counts of ``core.sturm_positive_real_roots`` read.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+from operator import mul
+
+from .core import CertificateError
+from .linalg import Mat, _fraction, _integer_matrix, _integer_row
+
+
+# -- over Q -------------------------------------------------------------
+
+
+def poly_normalize(coeffs) -> list[Fraction]:
+    c = [Fraction(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def poly_degree(p: list) -> int:
+    return len(p) - 1  # -1 for the zero polynomial
+
+
+def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def poly_divmod(a: list[Fraction], b: list[Fraction]):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv_lead = 1 / b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        c = a[k + len(b) - 1] * inv_lead
+        q[k] = c
+        if c:
+            for j in range(len(b)):
+                a[k + j] -= c * b[j]
+    return poly_normalize(q), poly_normalize(a)
+
+
+def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The monic gcd ([] when both are zero), by the remainder sequence over Z."""
+    g = int_poly_gcd(int_poly(a), int_poly(b))
+    return [Fraction(c, g[-1]) for c in g]
+
+
+def poly_squarefree_part(p: list[Fraction]) -> list[Fraction]:
+    """The monic squarefree part p / gcd(p, p'), by the remainder sequence over Z."""
+    p = int_poly(p)
+    if not p:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = int_poly_squarefree(p)[1]
+    return [Fraction(c, r[-1]) for c in r]
+
+
+def poly_eval_matrix(p: list[Fraction], a: Mat) -> Mat:
+    p = poly_normalize(p)
+    if not p:
+        return Mat.zeros(a.m, a.n)
+    e, q = _integer_row(p)
+    s, acc = int_poly_at(q, a)
+    s *= e
+    return Mat(a.m, a.n, [[_fraction(x, s) for x in row] for row in acc])
+
+
+# -- over Z: the primitive pseudo-remainder sequence ---------------------
+
+
+def int_poly(coeffs) -> list[int]:
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of ``coeffs`` ([] for the zero polynomial)."""
+    _, p = _integer_row(poly_normalize(coeffs))
+    if p and p[-1] < 0:
+        p = [-c for c in p]
+    return _content_free(p)
+
+
+def int_poly_derivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _content_free(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients, which is positive, so signs stay."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def int_poly_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The primitive positive multiple of the remainder of a by the nonzero b.
+
+    Each step multiplies by |lc(b)|, never by lc(b), so the result has the
+    signs of the remainder over Q.
+    """
+    r = list(a)
+    n = len(b) - 1
+    lead = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r.pop() * sign  # the coefficient of t^(k + n), cleared by c * t^k * b
+        if c:
+            if lead != 1:
+                r = [lead * x for x in r]
+            for j in range(n):
+                r[k + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return _content_free(r)
+
+
+def int_sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p' and the negated remainders: each term a positive multiple of
+    the Sturm chain over Q, so it has the same signs at 0 and at infinity."""
+    chain = [p, int_poly_derivative(p)]
+    while chain[-1]:
+        r = int_poly_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of two integer polynomials ([] when both are zero):
+    the last nonzero term of their primitive remainder sequence."""
+    while b:
+        a, b = b, int_poly_remainder(a, b)
+    return _content_free(a)
+
+
+def int_poly_squarefree(p: list[int]) -> tuple[list[int], list[int]]:
+    """(g, r) with g = gcd(p, p') and r = p / g, the squarefree part, for a
+    primitive nonzero p with positive leading coefficient.
+
+    Both are primitive with positive leading coefficients.  The gcd is taken
+    once, and the division is exact over Z (Gauss's lemma), so a coefficient
+    the leading one of g does not divide, or a nonzero remainder, fails the
+    squarefree certificate.
+    """
+    g = int_poly_gcd(p, int_poly_derivative(p))
+    if g[-1] < 0:
+        g = [-c for c in g]
+    n = len(g) - 1
+    r = list(p)
+    q = [0] * (len(p) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + n], g[-1])
+        if rest:
+            raise _not_a_divisor()
+        q[k] = c
+        if c:
+            for j in range(n):
+                r[k + j] -= c * g[j]
+    if any(r[:n]):
+        raise _not_a_divisor()
+    return g, q
+
+
+def _not_a_divisor() -> CertificateError:
+    return CertificateError("squarefree certificate failed: gcd(p, p') does not divide p")
+
+
+def int_poly_at(q: list[int], a: Mat) -> tuple[int, list[list[int]]]:
+    """(d^m, d^m * q(a)) for a nonzero integer polynomial q of degree m and a
+    square rational matrix a, with d the lcm of a's denominators.
+
+    Horner runs on the integer matrix d * a with coefficients q_k * d^(m-k),
+    so the value is an integer matrix and no Fraction is formed.
+    """
+    if a.m != a.n:
+        raise ValueError("a polynomial is evaluated at a square matrix")
+    a._require_rational("int_poly_at")
+    d, b = _integer_matrix(a)
+    cols = list(zip(*b))
+    acc = [[q[-1] if i == j else 0 for j in range(a.n)] for i in range(a.n)]
+    scale = 1
+    for c in reversed(q[:-1]):
+        scale *= d
+        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+        if c:
+            for i, row in enumerate(acc):
+                row[i] += c * scale
+    return scale, acc

@@ -61,13 +61,19 @@ class WittClassFp:
             if r not in (0, 1) or not isinstance(d, bool):
                 raise ValueError("payload must be (rank parity, residue bit)")
 
+    @classmethod
+    def _of(cls, p: int, payload) -> "WittClassFp":
+        """The class of a payload of the right shape over a prime p, built
+        without testing p again: for results of checked classes and of
+        ``fp_class_of``, which tests its p itself."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "payload", payload)
+        return out
+
     @staticmethod
     def zero(p: int) -> "WittClassFp":
-        if p == 2:
-            return WittClassFp(2, 0)
-        if p % 4 == 3:
-            return WittClassFp(p, 0)
-        return WittClassFp(p, (0, True))
+        return WittClassFp(p, _zero_payload(p))
 
     @staticmethod
     def rank_parity(p: int, parity: int) -> "WittClassFp":
@@ -76,23 +82,23 @@ class WittClassFp:
         return WittClassFp(2, parity % 2)
 
     def is_zero(self) -> bool:
-        return self == WittClassFp.zero(self.p)
+        return self.payload == _zero_payload(self.p)
 
     def __add__(self, other: "WittClassFp") -> "WittClassFp":
         if self.p != other.p:
             raise ValueError("cannot add classes over different primes")
         p = self.p
         if p == 2:
-            return WittClassFp(2, (self.payload + other.payload) % 2)
+            return WittClassFp._of(2, (self.payload + other.payload) % 2)
         if p % 4 == 3:
-            return WittClassFp(p, (self.payload + other.payload) % 4)
+            return WittClassFp._of(p, (self.payload + other.payload) % 4)
         r1, d1 = self.payload
         r2, d2 = other.payload
-        return WittClassFp(p, ((r1 + r2) % 2, not (d1 ^ d2)))
+        return WittClassFp._of(p, ((r1 + r2) % 2, not (d1 ^ d2)))
 
     def __neg__(self) -> "WittClassFp":
         if self.p % 4 == 3:
-            return WittClassFp(self.p, (-self.payload) % 4)
+            return WittClassFp._of(self.p, (-self.payload) % 4)
         return self  # exponent-2 groups for p = 2 and p = 1 mod 4
 
     def order(self) -> int:
@@ -101,6 +107,10 @@ class WittClassFp:
         if self.p % 4 == 3 and self.payload % 2 == 1:
             return 4
         return 2
+
+
+def _zero_payload(p: int):
+    return 0 if p == 2 or p % 4 == 3 else (0, True)
 
 
 def fp_class_of(entries, p: int) -> WittClassFp:
@@ -117,10 +127,10 @@ def fp_class_of(entries, p: int) -> WittClassFp:
         residues.append(is_residue(e, p))
     if p % 4 == 3:
         value = sum(1 if r else -1 for r in residues) % 4
-        return WittClassFp(p, value)
+        return WittClassFp._of(p, value)
     parity = len(residues) % 2
     disc_is_residue = sum(1 for r in residues if not r) % 2 == 0
-    return WittClassFp(p, (parity, disc_is_residue))
+    return WittClassFp._of(p, (parity, disc_is_residue))
 
 
 def _diagonal_entries(f: BilinearForm) -> list[Fraction]:

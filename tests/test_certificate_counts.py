@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from random import Random
 
-from wittpoint import cobordism, core, forms, hodge, witt
+from wittpoint import cobordism, core, forms, hodge, poly, witt
 from wittpoint.cli import main
 from wittpoint.cobordism import (
     acyclic_extension,
@@ -36,7 +36,7 @@ from wittpoint.hodge import (
 )
 from wittpoint.jsonio import complex_to_json
 from wittpoint.linalg import Mat
-from wittpoint.witt import equivalent
+from wittpoint.witt import equivalent, fp_class_of
 
 
 def count(monkeypatch, owner, attr) -> list[int]:
@@ -67,6 +67,18 @@ def test_compare_polarizations_validates_once_and_builds_one_weil_operator(monke
     weils = count(monkeypatch, hodge, "weil_operator")
     assert compare_polarizations(h, s, s_prime).certified
     assert (validations[0], weils[0]) == (1, 1)
+
+
+def test_compare_polarizations_takes_one_spectral_certificate(monkeypatch):
+    h, s, s_prime = random_polarization_pair(Random(41), 2, 4)
+    charpolys = count(monkeypatch, Mat, "charpoly")
+    sturms = count(monkeypatch, core, "sturm_positive_real_roots")
+    squarefree_parts = count(monkeypatch, poly, "int_poly_squarefree")
+    gcds = count(monkeypatch, poly, "int_poly_gcd")
+    assert compare_polarizations(h, s, s_prime).certified
+    assert (charpolys[0], sturms[0]) == (1, 1)
+    # one inside the Sturm certificate, one for the radical; each takes one gcd(p, p')
+    assert (squarefree_parts[0], gcds[0]) == (2, 2)
 
 
 def test_is_polarization_validates_once(monkeypatch):
@@ -156,3 +168,16 @@ def test_random_hodge_endomorphism_inverts_the_full_basis_once(monkeypatch):
     assert random_hodge_endomorphism(Random(5), h).det()
     assert attempts[0] == 3  # two candidates drawn, then the check above
     assert inversions[0] == 2  # one Q(i) inversion and the realified one under it
+
+
+def test_fp_class_arithmetic_tests_no_prime_again(monkeypatch):
+    tests = count(monkeypatch, core, "is_prime")
+    a, b = fp_class_of([1, 2], 7), fp_class_of([3], 5)
+    assert tests[0] == 2  # fp_class_of tests its p, once each
+    assert (a.payload, b.payload) == (2, (1, False))
+    assert ((a + a).payload, (-a).payload, (b + b).payload, (-b).payload) == (0, 2, (0, True), (1, False))
+    assert (a + a).is_zero() and (b + b).is_zero() and not a.is_zero() and not (-b).is_zero()
+    assert tests[0] == 2
+    assert a + a == witt.WittClassFp.zero(7) and b + b == witt.WittClassFp.zero(5)
+    assert tests[0] == 4  # zero(p) is handed a new p, so it tests it
+

@@ -289,7 +289,8 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
     spath = write(tmp_path, "s.json", form_to_json(s))
     s2path = write(tmp_path, "s2.json", form_doc([[2, 1], [1, 3]]))
     argvs = [["witt-class", form], ["invariants", form], ["equivalent", form, form],
-             ["metabolic-reduce", block], ["hodge-compare", hodge, spath, s2path]]
+             ["metabolic-reduce", block], ["hodge-check", hodge, spath],
+             ["hodge-compare", hodge, spath, s2path]]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argvs)], env=env,
@@ -297,6 +298,9 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
     assert out.returncode == 0, out.stderr
     stages = json.loads(out.stdout)
     assert stages.pop("import wittpoint") == [0, []]
+    check_code, check_loaded = stages.pop("hodge-check")
+    assert check_code == 0 and "hodge" in check_loaded
+    assert not {"cobordism", "genus", "selfcheck"} & set(check_loaded)
     hodge_code, hodge_loaded = stages.pop("hodge-compare")
     assert hodge_code == 0 and "hodge" in hodge_loaded
     assert not {"cobordism", "selfcheck"} & set(hodge_loaded)
@@ -304,4 +308,4 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
                             "metabolic-reduce"]
     for stage, (code, loaded) in stages.items():
         assert code == 0, stage
-        assert not {"cobordism", "hodge", "genus", "selfcheck"} & set(loaded), (stage, loaded)
+        assert not {"cobordism", "hodge", "poly", "genus", "selfcheck"} & set(loaded), (stage, loaded)

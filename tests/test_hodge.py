@@ -1,5 +1,6 @@
 """Hodge structures at a point: Weil operator, polarizations, comparison."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -157,6 +158,31 @@ def test_random_pairs_certified_across_weights():
             pair = compare_polarizations(h, s, s2)
             assert pair.certified, (weight, dim)
             assert pair.signature_s == pair.signature_s_prime
+
+
+# the (weight, dimension) shapes of acceptance criterion 4
+SHAPES = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
+          (1, 2), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4)]
+
+
+def test_comparison_certificates_are_unchanged():
+    """Two seeded pairs of each shape: their characteristic polynomials,
+    Sturm certificates, semisimplicity, eigenspaces and signatures hash to
+    the digest the Fraction polynomial arithmetic gave."""
+    rng = Random(9)
+    out = []
+    for weight, dim in SHAPES:
+        for _ in range(2):
+            pair = compare_polarizations(*random_polarization_pair(rng, weight, dim))
+            eigen = pair.eigenspaces
+            if eigen is not None:
+                eigen = [(e.eigenvalue, e.basis) for e in eigen]
+            out.append((pair.char_poly, pair.sturm, pair.semisimple, eigen,
+                        pair.signature_s, pair.signature_s_prime))
+    assert sum(o[3] is not None for o in out) == 10  # split over Q
+    assert sum(not o[1].squarefree for o in out) == 16  # repeated eigenvalues
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "d8ab5a4fcbf4d41d3f49072e291b4dae6ccb403b1bb67ce282bdbcd2b08e6dec"
 
 
 def test_pol_class_spec_examples():

@@ -14,6 +14,13 @@ The local symbols have references too: the ``Fraction`` splitting and the
 per-pair Hilbert symbols that the integer local formulas replaced, and the
 residue loop of ``psi`` over that splitting.  Square classes are checked
 against a fresh factorization of their representative.
+
+The spectral certificate of ``compare_polarizations`` runs on integers; its
+references are the ``Fraction`` loops it replaced: Faddeev-LeVerrier over
+Q, Euclid's gcd and the squarefree part over Q, the Sturm chain of
+remainders over Q and its sign counts, Horner's rule on ``Fraction``
+matrices, and the rational-root scan that evaluates every candidate as a
+``Fraction``.
 """
 
 from fractions import Fraction
@@ -22,10 +29,13 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittpoint import poly
 from wittpoint.core import (
     REAL_PLACE,
+    CertificateError,
     LocalUnitData,
     SquareClass,
+    SturmCertificate,
     hilbert_symbol,
     is_prime,
     legendre,
@@ -33,6 +43,7 @@ from wittpoint.core import (
     relevant_places,
     residue_mod,
     square_class,
+    sturm_positive_real_roots,
 )
 from wittpoint.forms import (
     RATIONAL,
@@ -45,7 +56,19 @@ from wittpoint.forms import (
     metabolic_reduce,
     transvection,
 )
+from wittpoint.hodge import _divisors, _rational_roots, _signed_divisors
 from wittpoint.linalg import QI_ONE, QI_ZERO, GaussianRational, Mat, extend_to_complement
+from wittpoint.poly import (
+    int_poly,
+    int_sturm_chain,
+    poly_degree,
+    poly_divmod,
+    poly_eval,
+    poly_eval_matrix,
+    poly_gcd,
+    poly_normalize,
+    poly_squarefree_part,
+)
 from wittpoint.witt import WittClassFp, fp_class_of, psi
 
 EXAMPLES = settings(max_examples=150, deadline=None)
@@ -381,6 +404,115 @@ def ref_psi(entries, p: int, k: int) -> WittClassFp:
     return fp_class_of(kept, p)
 
 
+def ref_charpoly(a: Mat) -> list[Fraction]:
+    """Faddeev-LeVerrier over Q: M_1 = I, c = -tr(A M_k) / k, M_(k+1) = A M_k + c I."""
+    n = a.n
+    coeffs_desc = [Fraction(1)]
+    m = Mat.identity(n)
+    for k in range(1, n + 1):
+        am = ref_product(a, m)
+        c = -sum((am.rows[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs_desc.append(c)
+        m = Mat(n, n, [[x + c if i == j else x for j, x in enumerate(r)]
+                       for i, r in enumerate(am.rows)])
+    return coeffs_desc[::-1]
+
+
+def ref_poly_derivative(p):
+    return poly_normalize([k * p[k] for k in range(1, len(p))])
+
+
+def ref_poly_gcd(a, b):
+    a, b = poly_normalize(a), poly_normalize(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
+def ref_squarefree_part(p):
+    q, r = poly_divmod(p, ref_poly_gcd(p, ref_poly_derivative(p)))
+    assert not r
+    return [c / q[-1] for c in q]
+
+
+def ref_sturm_chain(p):
+    chain = [p, ref_poly_derivative(p)]
+    while chain[-1]:
+        r = poly_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def ref_sign_variations(signs) -> int:
+    signs = [s for s in signs if s != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s * t < 0)
+
+
+def ref_variations_at_zero(chain) -> int:
+    return ref_sign_variations([(q[0] > 0) - (q[0] < 0) if q else 0 for q in chain])
+
+
+def ref_variations_at_inf(chain, sign: int) -> int:
+    out = []
+    for q in chain:
+        s = (q[-1] > 0) - (q[-1] < 0) if q else 0
+        out.append(s if sign > 0 else s * (-1) ** poly_degree(q))
+    return ref_sign_variations(out)
+
+
+def ref_sturm(coeffs) -> SturmCertificate:
+    """The Sturm certificate over Q: the chains of the monic squarefree part."""
+    p = poly_normalize(coeffs)
+    if not p:
+        raise ValueError("the zero polynomial has no Sturm certificate")
+    squarefree = poly_degree(ref_poly_gcd(p, ref_poly_derivative(p))) <= 0
+    q = ref_squarefree_part(p)
+    distinct = poly_degree(q)
+    if distinct == 0:
+        return SturmCertificate(0, 0, 0, True, squarefree)
+    chain_pos = ref_sturm_chain(poly_normalize(q[1:]) if q[0] == 0 else q)
+    positive = ref_variations_at_zero(chain_pos) - ref_variations_at_inf(chain_pos, +1)
+    chain = ref_sturm_chain(q)
+    real = ref_variations_at_inf(chain, -1) - ref_variations_at_inf(chain, +1)
+    return SturmCertificate(positive, real, distinct, real == distinct, squarefree)
+
+
+def ref_poly_eval_matrix(p, a: Mat) -> Mat:
+    """Horner's rule on Fraction matrices."""
+    acc = Mat.zeros(a.m, a.n)
+    for c in reversed(p):
+        acc = ref_product(acc, a) + Mat.identity(a.n).scale(c)
+    return acc
+
+
+def ref_rational_roots(p) -> list[Fraction]:
+    """Every num/den with num | the lowest and den | the leading coefficient
+    of the cleared polynomial, evaluated as a Fraction."""
+    p = poly_normalize(p)
+    if poly_degree(p) <= 0:
+        return []
+    denom = lcm(*(c.denominator for c in p))
+    ints = [int(c * denom) for c in p]
+    roots = [Fraction(0)] if ints[0] == 0 else []
+    low = next(c for c in ints if c)
+    for num in _signed_divisors(low):
+        for den in _divisors(ints[-1]):
+            cand = Fraction(num, den)
+            if poly_eval(p, cand) == 0 and cand not in roots:
+                roots.append(cand)
+    return roots
+
+
+def ref_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 # -- strategies -----------------------------------------------------------
 
 # zero often, so that rows, columns and diagonals vanish; small denominators
@@ -504,6 +636,24 @@ def mixed_factors(draw):
         for i in draw(st.lists(st.integers(0, b.m - 1), min_size=1, max_size=3)):
             b.rows[i][j] = draw(gaussians)
     return a, b
+
+
+@st.composite
+def polynomials(draw):
+    """Rational polynomials of degree up to 7, zero and constants included:
+    free coefficients (trailing zeros too), or a nonzero multiple, of either
+    sign, of linear factors with repeated roots and roots at 0 times
+    quadratics t^2 + bt + c, some of them with non-real roots."""
+    if draw(st.booleans()):
+        return draw(st.lists(rationals, max_size=8))
+    p = [draw(rationals.filter(bool))]
+    for root in draw(st.lists(st.sampled_from([0, 0, 1, 1, -1, 2, Fraction(1, 2),
+                                               Fraction(-3, 2), 3]), max_size=5)):
+        p = ref_poly_mul(p, [-Fraction(root), Fraction(1)])
+    for _ in range(draw(st.integers(0, 1 if len(p) > 4 else 2))):
+        b, c = draw(st.integers(-3, 3)), draw(st.integers(-2, 4))
+        p = ref_poly_mul(p, [Fraction(c), Fraction(b), Fraction(1)])
+    return p
 
 
 # nonzero rationals with p-adic valuations from -4 to 4 at the small primes
@@ -745,3 +895,95 @@ def test_square_class_equality_and_hash_ignore_the_primes():
     object.__setattr__(tampered, "_primes", frozenset({7}))
     assert tampered == c and hash(tampered) == hash(c) == hash(SquareClass(-6))
     assert repr(tampered) == repr(c)
+
+
+# -- the spectral certificate --------------------------------------------
+
+
+def same_list(x: list, y: list) -> bool:
+    return x == y and [type(c) for c in x] == [type(c) for c in y]
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_charpoly_matches_faddeev_leverrier_over_q(data):
+    n = data.draw(st.integers(0, 5))
+    a = data.draw(matrices(n, n))
+    assert same_list(a.charpoly(), ref_charpoly(a))
+
+
+@EXAMPLES
+@given(p=polynomials())
+def test_sturm_certificate_matches_the_chain_over_q(p):
+    if not poly_normalize(p):
+        for certify in (sturm_positive_real_roots, ref_sturm):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                certify(p)
+        return
+    assert sturm_positive_real_roots(p) == ref_sturm(p)
+    # each term of the integer chain is a positive multiple of the term over Q
+    q = ref_squarefree_part(poly_normalize(p))
+    if poly_degree(q) > 0:
+        chain, ref = int_sturm_chain(int_poly(q)), ref_sturm_chain(q)
+        assert len(chain) == len(ref)
+        for z, f in zip(chain, ref):
+            ratio = Fraction(z[-1]) / f[-1]
+            assert ratio > 0 and [Fraction(c) for c in z] == [ratio * c for c in f]
+
+
+@EXAMPLES
+@given(p=polynomials(), shared=polynomials(), other=polynomials())
+def test_gcd_and_squarefree_part_match_euclid_over_q(p, shared, other):
+    if poly_normalize(p):
+        assert same_list(poly_squarefree_part(p), ref_squarefree_part(poly_normalize(p)))
+    else:
+        for part in (poly_squarefree_part, ref_squarefree_part):
+            with pytest.raises(ZeroDivisionError):
+                part(p)
+    a = ref_poly_mul(shared, p) if shared and p else p
+    b = ref_poly_mul(shared, other) if shared and other else other
+    for x, y in ((a, b), (b, a), (a, []), ([], b), ([], [])):
+        assert same_list(poly_gcd(x, y), ref_poly_gcd(x, y))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_poly_eval_matrix_matches_horner_over_q(data):
+    n = data.draw(st.integers(0, 4))
+    a = data.draw(matrices(n, n, size=4))
+    p = data.draw(polynomials())
+    assert same_entries(poly_eval_matrix(p, a), ref_poly_eval_matrix(p, a))
+
+
+@EXAMPLES
+@given(p=polynomials())
+def test_rational_roots_match_the_fraction_scan(p):
+    if not poly_normalize(p):
+        return
+    radical = ref_squarefree_part(poly_normalize(p))  # what compare_polarizations scans
+    for q in (radical, p):
+        assert same_list(_rational_roots(int_poly(q)), ref_rational_roots(q))
+
+
+def test_spectral_certificate_edge_cases(monkeypatch):
+    assert Mat.zeros(0, 0).charpoly() == [Fraction(1)]
+    one = Mat.from_rows([["-7/3"]])
+    assert same_list(one.charpoly(), [Fraction(7, 3), Fraction(1)])
+    assert same_entries(poly_eval_matrix([7, 3], one), Mat.from_rows([[0]]))
+    assert same_entries(poly_eval_matrix([], one), Mat.zeros(1, 1))
+    # a constant is squarefree with no roots, whatever its sign
+    for c in ([5], ["-1/2"], [3, 0, 0]):
+        assert sturm_positive_real_roots(c) == ref_sturm(c) == SturmCertificate(0, 0, 0, True, True)
+        assert poly_squarefree_part(c) == [Fraction(1)] and _rational_roots(int_poly(c)) == []
+    # negative leading coefficient, a double root at 0 and a double root at 2
+    p = ["0", "0", "-4", "4", "-1"]
+    assert sturm_positive_real_roots(p) == ref_sturm(p) == SturmCertificate(1, 2, 2, True, False)
+    assert int_poly(p) == [0, 0, 4, -4, 1]
+    assert _rational_roots(int_poly(ref_squarefree_part(poly_normalize(p)))) == [0, 2]
+    # a gcd that does not divide p fails the certificate, not the input
+    monkeypatch.setattr(poly, "int_poly_gcd", lambda a, b: [1, 1])
+    with pytest.raises(CertificateError, match="does not divide p"):
+        poly_squarefree_part([1, 0, 1])
+    with pytest.raises(TypeError, match="over Q"):
+        Mat.from_rows([[QI_ONE]]).charpoly()
+

@@ -5,17 +5,8 @@ from random import Random
 
 import pytest
 
-from wittpoint.linalg import (
-    GaussianRational,
-    Mat,
-    QI_I,
-    QI_ONE,
-    i_power,
-    poly_divmod,
-    poly_eval,
-    poly_gcd,
-    poly_squarefree_part,
-)
+from wittpoint.linalg import GaussianRational, Mat, QI_I, QI_ONE, i_power
+from wittpoint.poly import poly_divmod, poly_eval, poly_gcd, poly_squarefree_part
 
 
 def test_gaussian_arithmetic():
@@ -77,7 +68,7 @@ def test_charpoly_random_cayley_hamilton():
         n = rng.randint(1, 4)
         a = Mat.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         p = a.charpoly()
-        from wittpoint.linalg import poly_eval_matrix
+        from wittpoint.poly import poly_eval_matrix
 
         assert poly_eval_matrix(p, a).is_zero()
 

@@ -212,8 +212,10 @@ def test_canonical_form_stores_sorted_nonzero_residues():
 
 
 def test_fp_payload_validation():
-    with pytest.raises(ValueError):
-        WittClassFp(4, 1)  # not prime
+    for not_prime in (lambda: WittClassFp(4, 1), lambda: WittClassFp(4, 0),
+                      lambda: WittClassFp.zero(4), lambda: fp_class_of([1], 9)):
+        with pytest.raises(ValueError, match="not prime"):
+            not_prime()
     with pytest.raises(ValueError):
         WittClassFp(5, (2, True))  # bad parity
 
