@@ -21,7 +21,6 @@ from fractions import Fraction
 from . import jsonio
 from .core import (
     CertificateError,
-    FactorBoundExceeded,
     get_trial_division_bound,
     set_trial_division_bound,
 )
@@ -414,9 +413,6 @@ def main(argv=None) -> int:
         outcome: Outcome = args.handler(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except FactorBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

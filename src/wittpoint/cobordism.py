@@ -52,7 +52,7 @@ class ChainComplex:
 
     def __post_init__(self):
         self.spaces = {i: n for i, n in self.spaces.items() if n}
-        self.differentials = {i: d for i, d in self.differentials.items() if d.m and d.n}
+        self.differentials = _nonempty(self.differentials)
         for i, d in self.differentials.items():
             if d.m != self.dim(i + 1) or d.n != self.dim(i):
                 raise ValueError(f"differential at degree {i} has shape {d.m}x{d.n}, "
@@ -62,7 +62,7 @@ class ChainComplex:
         return self.spaces.get(i, 0)
 
     def d(self, i: int) -> Mat:
-        return self.differentials.get(i, Mat.zeros(self.dim(i + 1), self.dim(i)))
+        return _block(self.differentials, i, self.dim(i + 1), self.dim(i), "differential")
 
     def degrees(self) -> list[int]:
         return sorted(self.spaces)
@@ -92,12 +92,8 @@ class ChainComplex:
     def direct_sum(self, other: "ChainComplex") -> "ChainComplex":
         degrees = set(self.spaces) | set(other.spaces)
         spaces = {i: self.dim(i) + other.dim(i) for i in degrees}
-        diffs = {}
-        for i in set(self.differentials) | set(other.differentials):
-            a, b = self.d(i), other.d(i)
-            top = a.hstack(Mat.zeros(a.m, b.n))
-            bot = Mat.zeros(b.m, a.n).hstack(b)
-            diffs[i] = top.vstack(bot)
+        diffs = {i: self.d(i).direct_sum(other.d(i))
+                 for i in set(self.differentials) | set(other.differentials)}
         return ChainComplex(spaces, diffs)
 
 
@@ -141,14 +137,27 @@ class Cohomology:
         return target.coords(i, f_i * self.reps(i))
 
 
+# A map, pairing or homotopy is a dict of blocks by degree.  An absent block
+# is the zero matrix of its shape, and a block with no rows or no columns is
+# not stored.
+
+
+def _nonempty(blocks: dict[int, Mat]) -> dict[int, Mat]:
+    return {i: b for i, b in blocks.items() if b.m and b.n}
+
+
+def _block(blocks: dict[int, Mat], i: int, m: int, n: int, what: str) -> Mat:
+    """The m x n block at degree i, checked, or zeros when it is absent."""
+    b = blocks.get(i)
+    if b is None:
+        return Mat.zeros(m, n)
+    if b.m != m or b.n != n:
+        raise ValueError(f"{what} block at degree {i} has shape {b.m}x{b.n}, expected {m}x{n}")
+    return b
+
+
 def map_block(fmap: dict[int, Mat], i: int, src: ChainComplex, dst: ChainComplex) -> Mat:
-    m = fmap.get(i)
-    if m is None:
-        return Mat.zeros(dst.dim(i), src.dim(i))
-    if m.m != dst.dim(i) or m.n != src.dim(i):
-        raise ValueError(f"chain map block at degree {i} has shape {m.m}x{m.n}, "
-                         f"expected {dst.dim(i)}x{src.dim(i)}")
-    return m
+    return _block(fmap, i, dst.dim(i), src.dim(i), "chain map")
 
 
 def chain_map_failure(fmap: dict[int, Mat], src: ChainComplex, dst: ChainComplex):
@@ -162,21 +171,13 @@ def chain_map_failure(fmap: dict[int, Mat], src: ChainComplex, dst: ChainComplex
 
 def compose(f: dict[int, Mat], g: dict[int, Mat], a: ChainComplex, b: ChainComplex, c: ChainComplex) -> dict[int, Mat]:
     """Degreewise f after g for g: A -> B, f: B -> C."""
-    out = {}
-    for i in sorted(set(a.spaces) | set(b.spaces) | set(c.spaces)):
-        m = map_block(f, i, b, c) * map_block(g, i, a, b)
-        if m.m and m.n:
-            out[i] = m
-    return out
+    return _nonempty({i: map_block(f, i, b, c) * map_block(g, i, a, b)
+                      for i in sorted(set(a.spaces) | set(b.spaces) | set(c.spaces))})
 
 
 def map_difference(f: dict[int, Mat], g: dict[int, Mat], src: ChainComplex, dst: ChainComplex) -> dict[int, Mat]:
-    out = {}
-    for i in sorted(set(src.spaces) | set(dst.spaces)):
-        m = map_block(f, i, src, dst) - map_block(g, i, src, dst)
-        if m.m and m.n:
-            out[i] = m
-    return out
+    return _nonempty({i: map_block(f, i, src, dst) - map_block(g, i, src, dst)
+                      for i in sorted(set(src.spaces) | set(dst.spaces))})
 
 
 def solve_homotopy(src: ChainComplex, dst: ChainComplex, target: dict[int, Mat]) -> dict[int, Mat] | None:
@@ -247,7 +248,8 @@ def cone_comparison(
     f2: dict[int, Mat], a2: ChainComplex, b2: ChainComplex,
     alpha: dict[int, Mat], beta: dict[int, Mat], h: dict[int, Mat],
 ) -> dict[int, Mat]:
-    """The map C(f1) -> C(f2), (x, y) |-> (alpha x, beta y + h x)."""
+    """The map C(f1) -> C(f2), (x, y) |-> (alpha x, beta y + h x), where
+    h^{i+1}: A1^{i+1} -> B2^i is read with shape B2^i x A1^{i+1}."""
     out = {}
     for i in sorted(set(a1.spaces) | set(b1.spaces) | set(a2.spaces) | set(b2.spaces) | {j - 1 for j in a1.spaces} | {j - 1 for j in a2.spaces}):
         rows = a2.dim(i + 1) + b2.dim(i)
@@ -255,7 +257,7 @@ def cone_comparison(
         if not rows or not cols:
             continue
         top = map_block(alpha, i + 1, a1, a2).hstack(Mat.zeros(a2.dim(i + 1), b1.dim(i)))
-        hpart = map_block(h, i + 1, a1, b2) if h else Mat.zeros(b2.dim(i), a1.dim(i + 1))
+        hpart = _block(h, i + 1, b2.dim(i), a1.dim(i + 1), "homotopy")
         bot = hpart.hstack(map_block(beta, i, b1, b2))
         out[i] = top.vstack(bot)
     return out
@@ -279,7 +281,7 @@ class SelfDualComplex:
         if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
         cx = ChainComplex(spaces, differentials)
-        given = {i: s for i, s in pairings.items() if s.m and s.n}
+        given = _nonempty(pairings)
         completed = dict(given)
         for i, s in given.items():
             if s.m != cx.dim(i) or s.n != cx.dim(-i):
@@ -298,8 +300,7 @@ class SelfDualComplex:
     def from_form(f: BilinearForm) -> "SelfDualComplex":
         if f.field != RATIONAL:
             raise ValueError("complexes are built over Q")
-        n = f.gram.n
-        return SelfDualComplex.make(f.symmetry, {0: n} if n else {}, {}, {0: f.gram} if n else {})
+        return SelfDualComplex.make(f.symmetry, {0: f.gram.n}, {}, {0: f.gram})
 
     def s(self, i: int) -> Mat:
         got = self.pairings.get(i)
@@ -314,12 +315,8 @@ class SelfDualComplex:
         if self.epsilon != other.epsilon:
             raise ValueError("direct sum needs matching symmetry")
         cx = self.complex.direct_sum(other.complex)
-        pairings = {}
-        for i in set(self.pairings) | set(other.pairings):
-            a, b = self.s(i), other.s(i)
-            top = a.hstack(Mat.zeros(a.m, b.n))
-            bot = Mat.zeros(b.m, a.n).hstack(b)
-            pairings[i] = top.vstack(bot)
+        pairings = {i: self.s(i).direct_sum(other.s(i))
+                    for i in set(self.pairings) | set(other.pairings)}
         return SelfDualComplex(self.epsilon, cx, pairings)
 
     def negated(self) -> "SelfDualComplex":
@@ -491,16 +488,15 @@ def verify_witness(w: CobordismWitness) -> WitnessReport:
         compose(w.rho, w.pi, w.g, fc, w.g_prime),
         w.g, w.g_prime,
     )
-    if w.homotopy is not None:
-        ok_h = True
+    h = w.homotopy
+    if h is not None:
         for i in sorted(set(w.g.spaces) | set(w.g_prime.spaces)):
-            dh = w.g_prime.d(i - 1) * _h_block(w.homotopy, i, w.g, w.g_prime)
-            hd = _h_block(w.homotopy, i + 1, w.g, w.g_prime) * w.g.d(i)
+            # h^i: G^i -> G'^{i-1}
+            dh = w.g_prime.d(i - 1) * _block(h, i, w.g_prime.dim(i - 1), w.g.dim(i), "homotopy")
+            hd = _block(h, i + 1, w.g_prime.dim(i), w.g.dim(i + 1), "homotopy") * w.g.d(i)
             if dh + hd != map_block(diff, i, w.g, w.g_prime):
                 failures.append({"check": "homotopy_identity", "degree": i})
-                ok_h = False
                 break
-        h = w.homotopy if ok_h else None
     else:
         h = solve_homotopy(w.g, w.g_prime, diff)
         if h is None:
@@ -546,7 +542,7 @@ def verify_witness(w: CobordismWitness) -> WitnessReport:
     cone_src = mapping_cone(w.rho_prime, w.g, fpc)
     cone_dst = mapping_cone(w.rho, fc, w.g_prime)
     phi = cone_comparison(w.rho_prime, w.g, fpc, w.rho, fc, w.g_prime,
-                          w.pi, w.pi_prime, h or {})
+                          w.pi, w.pi_prime, h)
     bad = chain_map_failure(phi, cone_src, cone_dst)
     if bad:
         failures.append({"check": "cone_comparison_chain_map", "degree": bad["degree"]})
@@ -572,21 +568,8 @@ def verify_witness(w: CobordismWitness) -> WitnessReport:
     return WitnessReport(not failures, failures, h)
 
 
-def _h_block(h: dict[int, Mat], i: int, g: ChainComplex, gp: ChainComplex) -> Mat:
-    m = h.get(i)
-    if m is None:
-        return Mat.zeros(gp.dim(i - 1), g.dim(i))
-    return m
-
-
 def _s2_block(w: CobordismWitness, i: int) -> Mat:
-    m = w.s2.get(i)
-    if m is None:
-        return Mat.zeros(w.g.dim(i), w.g_prime.dim(-i))
-    if m.m != w.g.dim(i) or m.n != w.g_prime.dim(-i):
-        raise ValueError(f"S'' block at degree {i} has shape {m.m}x{m.n}, "
-                         f"expected {w.g.dim(i)}x{w.g_prime.dim(-i)}")
-    return m
+    return _block(w.s2, i, w.g.dim(i), w.g_prime.dim(-i), "S''")
 
 
 def _subquotient_shape_failures(w: CobordismWitness) -> list:
@@ -686,21 +669,12 @@ def null_witness(w: CobordismWitness) -> CobordismWitness:
     """From a direct witness between (F, S) and (F', S'), the witness showing
     (F', S') + (F, -S) is directly cobordant to 0."""
     fsum = w.f_prime.direct_sum(w.f.negated())
-    fc, fpc = w.f.complex, w.f_prime.complex
-    rho_prime = {}
-    for i in sorted(set(w.g.spaces) | set(fsum.complex.spaces)):
-        top = map_block(w.rho_prime, i, w.g, fpc)
-        bot = map_block(w.pi, i, w.g, fc)
-        m = top.vstack(bot)
-        if m.m and m.n:
-            rho_prime[i] = m
-    pi_prime = {}
-    for i in sorted(set(fsum.complex.spaces) | set(w.g_prime.spaces)):
-        left = map_block(w.pi_prime, i, fpc, w.g_prime)
-        right = -map_block(w.rho, i, fc, w.g_prime)
-        m = left.hstack(right)
-        if m.m and m.n:
-            pi_prime[i] = m
+    fc, fpc, g, gp = w.f.complex, w.f_prime.complex, w.g, w.g_prime
+    # the new rho' is (rho', pi): G -> F' + F, the new pi' is (pi', -rho): F' + F -> G'
+    rho_prime = _nonempty({i: map_block(w.rho_prime, i, g, fpc).vstack(map_block(w.pi, i, g, fc))
+                           for i in sorted(set(g.spaces) | set(fsum.complex.spaces))})
+    pi_prime = _nonempty({i: map_block(w.pi_prime, i, fpc, gp).hstack(-map_block(w.rho, i, fc, gp))
+                          for i in sorted(set(fsum.complex.spaces) | set(gp.spaces))})
     zero_obj = SelfDualComplex.make(w.f.epsilon, {}, {}, {})
     return CobordismWitness(
         kind="direct", f=zero_obj, f_prime=fsum, g=w.g, g_prime=w.g_prime,
@@ -711,22 +685,9 @@ def null_witness(w: CobordismWitness) -> CobordismWitness:
 
 def congruence_witness(f: BilinearForm, p: Mat) -> CobordismWitness:
     """Witness between a form and its congruent image P^T G P (an isometry)."""
-    f2 = f.congruent_by(p)
-    n = f.gram.n
-    gc = ChainComplex.single(n) if n else ChainComplex.zero()
-    ident = Mat.identity(n)
-    pinv = p.inv()
-    return CobordismWitness(
-        kind="direct_subquotient",
-        f=SelfDualComplex.from_form(f),
-        f_prime=SelfDualComplex.from_form(f2),
-        g=gc, g_prime=gc,
-        pi={0: ident} if n else {},
-        rho={0: ident} if n else {},
-        rho_prime={0: pinv} if n else {},
-        pi_prime={0: p} if n else {},
-        s2={0: f.gram} if n else {},
-    )
+    ident = Mat.identity(f.gram.n)
+    return _degree0_witness(f, f.congruent_by(p), pi=ident, rho=ident,
+                            rho_prime=p.inv(), pi_prime=p, s2=f.gram)
 
 
 def metabolic_witness(block: BlockMetabolicForm, p: Mat | None = None) -> CobordismWitness:
@@ -741,27 +702,17 @@ def metabolic_witness(block: BlockMetabolicForm, p: Mat | None = None) -> Cobord
 def _metabolic_witness(block: BlockMetabolicForm, form: BilinearForm,
                        f_big: BilinearForm, p: Mat) -> CobordismWitness:
     """metabolic_witness given the assembled block form and its image P^T G P."""
-    n = form.gram.n
-    k = block.isotropic_rank
-    m = block.s.gram.n
-    incl = Mat.from_columns([Mat.identity(n).col(j) for j in range(k + m)], m=n)
-    pi = Mat.zeros(m, k).hstack(Mat.identity(m))
-    proj_old = Mat.zeros(m, k).hstack(Mat.identity(m)).hstack(Mat.zeros(m, k)).vstack(
-        Mat.zeros(k, k + m).hstack(Mat.identity(k)))
-    section_old = Mat.zeros(k, m + k).vstack(Mat.identity(m + k))
-    rho = Mat.identity(m).vstack(Mat.zeros(k, m))
-    s2 = incl.T * form.gram * section_old
-    return CobordismWitness(
-        kind="direct_subquotient",
-        f=SelfDualComplex.from_form(block.s),
-        f_prime=SelfDualComplex.from_form(f_big),
-        g=ChainComplex.single(k + m),
-        g_prime=ChainComplex.single(m + k),
-        pi={0: pi},
-        rho={0: rho},
-        rho_prime={0: p.inv() * incl},
-        pi_prime={0: proj_old * p},
-        s2={0: s2},
+    n, k, m = form.gram.n, block.isotropic_rank, block.s.gram.n
+    # G: the first k + m basis vectors; G': the last m + k, modulo the first k
+    incl = Mat.identity(n).submatrix(range(n), range(k + m))
+    section_old = Mat.identity(n).submatrix(range(n), range(k, n))
+    return _degree0_witness(
+        block.s, f_big,
+        pi=Mat.identity(k + m).submatrix(range(k, k + m), range(k + m)),
+        rho=Mat.identity(m + k).submatrix(range(m + k), range(m)),
+        rho_prime=p.inv() * incl,
+        pi_prime=section_old.T * p,
+        s2=incl.T * form.gram * section_old,
     )
 
 
@@ -813,20 +764,14 @@ def orthogonal_split(f: BilinearForm, sub: Mat) -> OrthogonalSplit:
     quotient_form = BilinearForm(RATIONAL, f.symmetry, q_gram)
 
     g_basis = quot_reps.hstack(sub)  # basis of G', quotient representatives first
-    dd = quot_reps.n
     projection, section = quotient_data(n, sub)
-    pi = Mat.identity(dd).hstack(Mat.zeros(dd, sub.n))
-    witness = CobordismWitness(
-        kind="direct_subquotient",
-        f=SelfDualComplex.from_form(quotient_form),
-        f_prime=SelfDualComplex.from_form(f),
-        g=ChainComplex.single(g_basis.n),
-        g_prime=ChainComplex.single(projection.m),
-        pi={0: pi} if dd and g_basis.n else {},
-        rho={0: projection * quot_reps} if dd else {},
-        rho_prime={0: g_basis} if g_basis.n else {},
-        pi_prime={0: projection} if projection.m else {},
-        s2={0: g_basis.T * f.gram * section} if g_basis.n and projection.m else {},
+    witness = _degree0_witness(
+        quotient_form, f,
+        pi=Mat.identity(g_basis.n).submatrix(range(quot_reps.n), range(g_basis.n)),
+        rho=projection * quot_reps,
+        rho_prime=g_basis,
+        pi_prime=projection,
+        s2=g_basis.T * f.gram * section,
     )
     return OrthogonalSplit(kind="subquotient", quotient_form=quotient_form, witness=witness)
 
@@ -886,23 +831,31 @@ def _core_side_witness(mf: Mat, epsilon: int, pi0: Mat, rho0: Mat, im_delta: Mat
     if bl.solve(lk) is None:
         raise CertificateError("Ker rho0 is not inside Im pi0")
     projection, section = quotient_data(hf, lk) if lk.n else (Mat.identity(hf), Mat.identity(hf))
-    dd = im_delta.n
-    pi_w = im_delta.solve(rho0 * bl) if bl.n else Mat.zeros(dd, 0)
+    pi_w = im_delta.solve(rho0 * bl) if bl.n else Mat.zeros(im_delta.n, 0)
     if pi_w is None:
         raise CertificateError("core certificate failed: rho0 of Im pi0 is not inside Im delta")
-    rho_w = projection * pi0 * x
-    f_amb = BilinearForm(RATIONAL, epsilon, mf)
+    return _degree0_witness(
+        core, BilinearForm(RATIONAL, epsilon, mf),
+        pi=pi_w,
+        rho=projection * pi0 * x,
+        rho_prime=bl,
+        pi_prime=projection,
+        s2=bl.T * mf * section,
+    )
+
+
+def _degree0_witness(f: BilinearForm, f_prime: BilinearForm, *, pi: Mat, rho: Mat,
+                     rho_prime: Mat, pi_prime: Mat, s2: Mat) -> CobordismWitness:
+    """The subquotient witness between two forms placed in degree 0: G is
+    the source of rho' and G' the target of pi'."""
     return CobordismWitness(
         kind="direct_subquotient",
-        f=SelfDualComplex.from_form(core),
-        f_prime=SelfDualComplex.from_form(f_amb),
-        g=ChainComplex.single(bl.n),
-        g_prime=ChainComplex.single(projection.m),
-        pi={0: pi_w} if dd and bl.n else {},
-        rho={0: rho_w} if dd and projection.m else {},
-        rho_prime={0: bl} if bl.n else {},
-        pi_prime={0: projection} if projection.m else {},
-        s2={0: bl.T * mf * section} if bl.n and projection.m else {},
+        f=SelfDualComplex.from_form(f),
+        f_prime=SelfDualComplex.from_form(f_prime),
+        g=ChainComplex.single(rho_prime.n),
+        g_prime=ChainComplex.single(pi_prime.m),
+        pi=_nonempty({0: pi}), rho=_nonempty({0: rho}), rho_prime=_nonempty({0: rho_prime}),
+        pi_prime=_nonempty({0: pi_prime}), s2=_nonempty({0: s2}),
     )
 
 

@@ -149,10 +149,6 @@ class SquareClass:
         object.__setattr__(out, "_primes", primes)
         return out
 
-    @staticmethod
-    def of(a) -> "SquareClass":
-        return square_class(a)
-
     def _sign(self) -> int:
         return -1 if self.representative < 0 else 1
 
@@ -304,6 +300,8 @@ class SturmCertificate:
     distinct_roots: int
     all_real: bool
     squarefree: bool
+    # the primitive squarefree part the counts were taken on
+    squarefree_part: list[int] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def all_real_positive(self) -> bool:
@@ -352,7 +350,7 @@ def sturm_positive_real_roots(coeffs) -> SturmCertificate:
     g, q = int_poly_squarefree(p)
     distinct = len(q) - 1
     if distinct == 0:
-        return SturmCertificate(0, 0, 0, True, len(g) <= 1)
+        return SturmCertificate(0, 0, 0, True, len(g) <= 1, q)
     chain = int_sturm_chain(q)
     # V(a) - V(b) counts the roots of a squarefree q in (a, b], a root at a
     # included, so a root at 0 is left out of the positive count
@@ -364,4 +362,5 @@ def sturm_positive_real_roots(coeffs) -> SturmCertificate:
         distinct_roots=distinct,
         all_real=(real == distinct),
         squarefree=len(g) <= 1,
+        squarefree_part=q,
     )

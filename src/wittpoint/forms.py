@@ -80,10 +80,7 @@ class BilinearForm:
     def direct_sum(self, other: "BilinearForm") -> "BilinearForm":
         if self.field != other.field or self.symmetry != other.symmetry:
             raise ValueError("direct sum needs matching field and symmetry")
-        n, m = self.gram.n, other.gram.n
-        top = self.gram.hstack(Mat.zeros(n, m))
-        bot = Mat.zeros(m, n).hstack(other.gram)
-        return BilinearForm(self.field, self.symmetry, top.vstack(bot))
+        return BilinearForm(self.field, self.symmetry, self.gram.direct_sum(other.gram))
 
     def congruent_by(self, p: Mat) -> "BilinearForm":
         """The form with Gram matrix P^T G P (same class, new basis)."""

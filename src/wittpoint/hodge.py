@@ -30,7 +30,7 @@ from .linalg import (
     QI_ZERO,
     i_power,
 )
-from .poly import int_poly, int_poly_at, int_poly_squarefree, poly_degree
+from .poly import int_poly_at, poly_degree
 from .witt import WittClassQ, witt_class_of
 
 
@@ -254,7 +254,7 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     char = phi.charpoly()
     cert = sturm_positive_real_roots(char)
     # radical(phi) = 0 is checked as an integer identity: d^m * radical(phi) = 0
-    radical = int_poly_squarefree(int_poly(char))[1]
+    radical = cert.squarefree_part
     semisimple = not any(map(any, int_poly_at(radical, phi)[1]))
 
     eigenspaces = None

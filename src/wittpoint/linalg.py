@@ -269,6 +269,13 @@ class Mat:
             raise ValueError("vstack column mismatch")
         return Mat(self.m + other.m, self.n, self.rows + other.rows)
 
+    def direct_sum(self, other: "Mat") -> "Mat":
+        """The block-diagonal matrix with blocks self and other."""
+        zero = Fraction(0)
+        return Mat(self.m + other.m, self.n + other.n,
+                   [r + [zero] * other.n for r in self.rows]
+                   + [[zero] * self.n + r for r in other.rows])
+
     def submatrix(self, rows, cols) -> "Mat":
         return Mat(len(rows), len(cols), [[self.rows[i][j] for j in cols] for i in rows])
 

@@ -77,8 +77,8 @@ def test_compare_polarizations_takes_one_spectral_certificate(monkeypatch):
     gcds = count(monkeypatch, poly, "int_poly_gcd")
     assert compare_polarizations(h, s, s_prime).certified
     assert (charpolys[0], sturms[0]) == (1, 1)
-    # one inside the Sturm certificate, one for the radical; each takes one gcd(p, p')
-    assert (squarefree_parts[0], gcds[0]) == (2, 2)
+    # the Sturm certificate takes it, with one gcd(p, p'), and carries the radical
+    assert (squarefree_parts[0], gcds[0]) == (1, 1)
 
 
 def test_is_polarization_validates_once(monkeypatch):

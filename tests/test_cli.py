@@ -20,9 +20,16 @@ from wittpoint.jsonio import (
     witness_to_json,
     witt_class_from_json,
 )
-from wittpoint.cobordism import acyclic_extension, random_witness_chain, truncation_witness
+from wittpoint.cobordism import (
+    CobordismWitness,
+    acyclic_extension,
+    random_witness_chain,
+    truncation_witness,
+    verify_witness,
+)
 from wittpoint.forms import BilinearForm
 from wittpoint.hodge import standard_structure
+from wittpoint.linalg import Mat
 from wittpoint.witt import witt_class_of
 
 
@@ -124,6 +131,24 @@ def test_complex_commands(tmp_path, capsys):
     bad["s2"]["0"][0][0] = "17"
     wbad = write(tmp_path, "wb.json", bad)
     assert main(["verify-witness", wbad]) == 2
+
+
+def test_verify_witness_command_accepts_a_homotopy_with_blocks(tmp_path, capsys):
+    # the identity witness on a three-degree complex: its solved homotopy
+    # has blocks in degrees 0 and 1, which the cone comparison must read
+    ext = acyclic_extension(BilinearForm.from_diagonal([2, 3]), Random(1), 1)
+    cx = ext.complex
+    ident = {i: Mat.identity(cx.dim(i)) for i in cx.degrees()}
+    w = CobordismWitness(kind="direct", f=ext, f_prime=ext, g=cx, g_prime=cx, pi=ident,
+                         rho=ident, rho_prime=ident, pi_prime=ident, s2=dict(ext.pairings))
+    wpath = write(tmp_path, "w.json", witness_to_json(w))
+    assert main(["verify-witness", wpath]) == 0
+    assert capsys.readouterr().out == "witness verifies\n"
+    w.homotopy = verify_witness(w).homotopy
+    assert sorted(w.homotopy) == [0, 1]
+    hpath = write(tmp_path, "wh.json", witness_to_json(w))
+    assert main(["verify-witness", hpath]) == 0
+    assert capsys.readouterr().out == "witness verifies\n"
 
 
 def test_skew_complex_class_certificate(tmp_path, capsys):

@@ -434,3 +434,35 @@ def test_cone_verdict_is_homotopy_sign_independent():
         rep2 = verify_witness(w_flipped)
         cone_failures = [x for x in rep2.failures if x["check"].startswith("cone_isomorphism")]
         assert not cone_failures
+
+
+def identity_witness(homotopy=None):
+    """(F, F) with G = G' = F, every map the identity and S'' = S, on a
+    complex with spaces in degrees -1, 0, 1."""
+    c = acyclic_extension(BilinearForm.from_diagonal([2, 3]), Random(1), 1)
+    cx = c.complex
+    ident = {i: Mat.identity(cx.dim(i)) for i in cx.degrees()}
+    return CobordismWitness(kind="direct", f=c, f_prime=c, g=cx, g_prime=cx,
+                            pi=ident, rho=ident, rho_prime=ident, pi_prime=ident,
+                            s2=dict(c.pairings), homotopy=homotopy)
+
+
+def test_cone_comparison_reads_homotopy_blocks_as_g_prime_below_by_g():
+    # h^i: G^i -> G'^(i-1); the solved homotopy has a block in each degree
+    # where both sides are nonzero, and the cone map must read it that way
+    assert identity_witness().g.spaces == {-1: 1, 0: 4, 1: 1}
+    report = verify_witness(identity_witness())
+    assert report.ok, report.failures
+    assert {i: (m.m, m.n) for i, m in report.homotopy.items()} == {0: (1, 4), 1: (4, 1)}
+    assert verify_witness(identity_witness({})).ok
+    assert verify_witness(identity_witness(report.homotopy)).ok
+
+
+def test_supplied_homotopy_is_checked_not_trusted():
+    # a nonzero h with d h + h d != 0 fails the identity for the identity square
+    h = {0: Mat.from_rows([[1, 0, 0, 0]]), 1: Mat.from_rows([[0], [0], [0], [0]])}
+    report = verify_witness(identity_witness(h))
+    assert not report.ok
+    assert [x["check"] for x in report.failures] == ["homotopy_identity"]
+    with pytest.raises(ValueError, match=r"homotopy block at degree 0 has shape 4x1, expected 1x4"):
+        verify_witness(identity_witness({0: Mat.zeros(4, 1)}))

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from wittpoint import hodge
 from wittpoint.forms import BilinearForm
 from wittpoint.hodge import (
     HodgePiece,
@@ -18,6 +19,7 @@ from wittpoint.hodge import (
     weil_operator,
 )
 from wittpoint.linalg import GaussianRational, Mat, QI_ONE, QI_ZERO
+from wittpoint.poly import int_poly_at
 from wittpoint.witt import witt_class_of
 
 
@@ -122,6 +124,26 @@ def test_compare_polarizations_scaling():
     assert pair.eigenspaces is not None
     assert [e.eigenvalue for e in pair.eigenspaces] == [Fraction(2)]
     assert pair.certified
+
+
+def test_semisimplicity_is_checked_on_the_radical(monkeypatch):
+    # phi = 2I has characteristic polynomial (t - 2)^3, which vanishes at phi
+    # by Cayley-Hamilton; only the radical t - 2 tests semisimplicity
+    h, s = standard_structure(2, 3)
+    evaluated = []
+
+    def spy(q, a):
+        evaluated.append(list(q))
+        return int_poly_at(q, a)
+
+    monkeypatch.setattr(hodge, "int_poly_at", spy)
+    pair = compare_polarizations(h, s, s.scaled(2))
+    assert pair.char_poly == [Fraction(-8), Fraction(12), Fraction(-6), Fraction(1)]
+    assert evaluated == [[-2, 1]]
+    assert pair.semisimple and pair.certified
+    # a Jordan block is not semisimple: its radical t - 1 does not vanish at it
+    _, value = int_poly_at([-1, 1], Mat.from_rows([[1, 1], [0, 1]]))
+    assert any(map(any, value))
 
 
 def test_compare_polarizations_rational_failure_witness():

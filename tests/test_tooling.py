@@ -6,6 +6,8 @@ certificate check must run under ``python -O``, so the package holds no
 ``assert`` statement.  A ``Mat`` keeps the row lists it is built from and
 may share them with other matrices, so the package never writes rows.
 The package loads its submodules lazily, but re-exports the same names.
+Degree-0 subquotient witnesses are built by one function, so their block
+conventions live in one place.
 """
 
 import ast
@@ -111,6 +113,48 @@ self.rows = rows
 """
     assert row_writes(ast.parse(writes)) == list(range(2, 9))
     assert row_writes(ast.parse(reads)) == []
+
+
+def subquotient_witness_builders(tree) -> list[str]:
+    """The functions that call ``CobordismWitness(...)`` with kind
+    ``"direct_subquotient"``, by keyword or as the first argument, one entry per call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == "CobordismWitness"):
+                kinds = [k.value for k in child.keywords if k.arg == "kind"] + child.args[:1]
+                if any(isinstance(k, ast.Constant) and k.value == "direct_subquotient" for k in kinds):
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_degree0_witnesses_are_built_in_one_place():
+    found = {path.name: subquotient_witness_builders(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: owners for name, owners in found.items() if owners}
+    assert found == {"cobordism.py": ["_degree0_witness"]}, (
+        f"build degree-0 subquotient witnesses with cobordism._degree0_witness: {found}")
+
+
+def test_degree0_witness_guard_sees_every_spelling():
+    source = """
+def a():
+    return CobordismWitness(kind="direct_subquotient", f=f)
+def b():
+    def inner():
+        return cobordism.CobordismWitness("direct_subquotient", f)
+    return inner
+w = CobordismWitness(kind="direct", f=f)
+"""
+    assert subquotient_witness_builders(ast.parse(source)) == ["a", "inner"]
 
 
 # The names ``wittpoint`` re-exports, by the submodule that defines them.
