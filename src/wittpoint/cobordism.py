@@ -954,13 +954,13 @@ def form_height_ok(f: BilinearForm, cap: int = 10**8) -> bool:
 
 
 def random_witness_chain(rng: Random, core_rank: int, steps: int,
-                         max_metabolic: int = 2, symmetry: int = SYMMETRIC) -> WitnessChain:
+                         max_metabolic: int = 2) -> WitnessChain:
     """Random chain of witnessed cobordisms with class fixed at the core's.
 
     Steps whose Gram entries grow past factoring range are regenerated, so
     every object in the chain has a computable Witt class.
     """
-    core = random_nondegenerate_form(rng, core_rank, symmetry=symmetry)
+    core = random_nondegenerate_form(rng, core_rank)
     current = core
     links = []
     metabolic_used = 0
@@ -986,7 +986,7 @@ def random_witness_chain(rng: Random, core_rank: int, steps: int,
                 p = Mat.identity(m + 2 * k)
                 candidate = form
             w = _metabolic_witness(block, form, candidate, p)
-            current = BilinearForm(RATIONAL, symmetry, w.f_prime.s(0))
+            current = BilinearForm(RATIONAL, SYMMETRIC, w.f_prime.s(0))
             links.append(ChainLink("metabolic", current, w, block=block))
         elif step == "congruence" and current.gram.n > 0:
             for _attempt in range(20):
@@ -996,7 +996,7 @@ def random_witness_chain(rng: Random, core_rank: int, steps: int,
             else:
                 p = Mat.identity(current.gram.n)
             w = congruence_witness(current, p)
-            current = BilinearForm(RATIONAL, symmetry, w.f_prime.s(0))
+            current = BilinearForm(RATIONAL, SYMMETRIC, w.f_prime.s(0))
             links.append(ChainLink("congruence", current, w))
         else:
             cpx = acyclic_extension(current, rng, rng.randint(1, 2))

@@ -1,16 +1,21 @@
 """Exact polarizable Hodge structures at a point and polarization comparison.
 
-The bigrading lives in Q(i)-coordinates over a rational real structure, so
-every verdict here is a certificate: the Weil operator is an exact rational
-matrix, positivity is Sylvester minors, and the spectrum of the comparison
-endomorphism between two polarizations is certified real, positive, and
-semisimple by Sturm counts plus a squarefree minimal-polynomial check.
+A structure comes as Q(i)-bases B_{p,q} of its pieces; every check runs over
+Q on one rational frame R of V = ⊕ W_{p,q}, one summand per pair {p, q}
+(Deligne, *Théorie de Hodge II*, 1971, §2).  For p > q, W_{p,q} has the basis
+X = Re B_{p,q}, Y = Im B_{p,q} and the complex structure J X = -Y, J Y = X
+(i on H^{p,q}, -i on H^{q,p}); W_{p,p} is spanned by Re B_{p,p}, Im B_{p,p}.
+The Weil operator is R Λ R^-1, Λ = i^(p-q) on each summand, positivity is
+Sylvester minors, and the spectrum of the comparison endomorphism is
+certified real, positive and semisimple by Sturm counts plus a squarefree
+minimal-polynomial check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from random import Random
 
@@ -23,13 +28,7 @@ from .forms import (
     standard_symplectic_gram,
     symplectic_reduce,
 )
-from .linalg import (
-    GaussianRational,
-    Mat,
-    QI_ONE,
-    QI_ZERO,
-    i_power,
-)
+from .linalg import QI_I, QI_ONE, QI_ZERO, Mat, _promote, i_power
 from .poly import int_poly_at, poly_degree
 from .witt import WittClassQ, witt_class_of
 
@@ -60,41 +59,168 @@ class HodgeStructure:
         return None
 
     def full_basis(self) -> Mat:
-        cols = []
-        for piece in self.pieces:
-            cols.extend(piece.basis.columns())
+        cols = [c for piece in self.pieces for c in piece.basis.columns()]
         return Mat.from_columns(cols, m=self.dimension)
 
     def validate(self) -> list[str]:
-        problems = []
-        total = 0
-        for piece in self.pieces:
-            if piece.p + piece.q != self.weight:
-                problems.append(f"piece ({piece.p},{piece.q}) violates p + q = {self.weight}")
-            if piece.basis.m != self.dimension:
-                problems.append(f"piece ({piece.p},{piece.q}) has vectors of wrong length")
-            total += piece.basis.n
-        if total != self.dimension:
-            problems.append(f"pieces span {total} dimensions, expected {self.dimension}")
-            return problems
-        full = self.full_basis()
-        if full.rank() != self.dimension:
-            problems.append("piece bases are not jointly independent")
-            return problems
-        for piece in self.pieces:
-            partner = self.piece(piece.q, piece.p)
-            if partner is None:
-                problems.append(f"piece ({piece.p},{piece.q}) has no conjugate partner")
-                continue
-            conj = piece.basis.map(lambda z: z.conjugate())
-            if partner.basis.solve(conj) is None or partner.basis.n != piece.basis.n:
-                problems.append(
-                    f"conjugate of piece ({piece.p},{piece.q}) does not span ({piece.q},{piece.p})"
-                )
-        return problems
+        return _frame_and_problems(self)[1]
 
     def is_valid(self) -> bool:
         return not self.validate()
+
+
+@dataclass(frozen=True)
+class _Summand:
+    """W_{p,q}, p >= q, from column ``start`` of R: X, Y for p > q; for p = q the
+    pivot columns of [Re B | Im B], in which it has coordinates ``coords``."""
+
+    p: int
+    q: int
+    start: int
+    k: int
+    coords: Mat | None = None
+    pivots: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Frame:
+    basis: Mat  # R
+    inverse: Mat
+    summands: list[_Summand]
+
+
+def _frame_and_problems(h: HodgeStructure) -> tuple[_Frame | None, list[str]]:
+    """Validate h: its frame and no problems, or None and every problem."""
+    problems = []
+    total = 0
+    for piece in h.pieces:
+        if piece.p + piece.q != h.weight:
+            problems.append(f"piece ({piece.p},{piece.q}) violates p + q = {h.weight}")
+        if piece.basis.m != h.dimension:
+            problems.append(f"piece ({piece.p},{piece.q}) has vectors of wrong length")
+        total += piece.basis.n
+    if total != h.dimension:
+        problems.append(f"pieces span {total} dimensions, expected {h.dimension}")
+        return None, problems
+    frame = None if problems else _certified_frame(h)
+    if frame is None:
+        found = _bigrading_problems(h)
+        if not problems and not found:
+            raise CertificateError("Hodge frame certificate failed on a valid structure")
+        problems += found
+    return (None if problems else frame), problems
+
+
+def _frame(h: HodgeStructure) -> _Frame:
+    frame, problems = _frame_and_problems(h)
+    if problems:
+        raise ValueError(f"invalid Hodge structure: {problems}")
+    return frame
+
+
+def _certified_frame(h: HodgeStructure) -> _Frame | None:
+    """The frame of a structure of the right shape, or None if it is not
+    valid: each nonempty (p, q) occurs once, with a (q, p) partner of its
+    size; R is invertible; each (p, p) block U + iV is invertible; and the
+    partner of each (p, q), p > q, has coordinates (T, -iT) in (X, Y), T
+    invertible, so it spans X - iY.  Then R^-1 B is block-diagonal with
+    invertible blocks."""
+    n = h.dimension
+    keys = [(piece.p, piece.q) for piece in h.pieces if piece.basis.n]
+    if len(set(keys)) < len(keys):
+        return None
+    spans, summands, partners = [], [], []
+    for piece in h.pieces:
+        partner = h.piece(piece.q, piece.p)
+        if partner is None or partner.basis.n != piece.basis.n:
+            return None
+        if piece.p < piece.q:
+            continue
+        k, start, span = piece.basis.n, sum(s.n for s in spans), _re_im(piece.basis)
+        if piece.p > piece.q:
+            summands.append(_Summand(piece.p, piece.q, start, k))
+            partners.append((start, k, _re_im(partner.basis)))
+        else:
+            reduced, pivots = span.rref()
+            coords = reduced.submatrix(range(k), range(2 * k))
+            if len(pivots) != k or not _invertible(coords):
+                return None
+            span = span.submatrix(range(n), pivots)
+            summands.append(_Summand(piece.p, piece.q, start, k, coords, tuple(pivots)))
+        spans.append(span)
+    basis = reduce(Mat.hstack, spans, Mat.zeros(n, 0))
+    if basis.n != n:
+        return None
+    try:
+        inverse = basis.inv()
+    except ValueError:
+        return None
+    for start, k, parts in partners:
+        rows = (inverse * parts).rows  # [U | V] of the partner
+        xs, ys = rows[start:start + k], rows[start + k:start + 2 * k]
+        if (any(map(any, rows[:start] + rows[start + 2 * k:]))
+                or any(y != x[k:] + [-t for t in x[:k]] for x, y in zip(xs, ys))
+                or not _invertible(Mat(k, 2 * k, xs))):
+            return None
+    return _Frame(basis, inverse, summands)
+
+
+def _re_im(b: Mat) -> Mat:
+    """[Re B | Im B] over Q, for B over Q(i)."""
+    rows = [[_promote(z) for z in r] for r in b.rows]
+    return Mat(b.m, 2 * b.n, [[z.re for z in r] + [z.im for z in r] for r in rows])
+
+
+def _realification(uv: Mat) -> Mat:
+    """[[U, -V], [V, U]], the rational matrix of U + iV, for uv = [U | V]."""
+    k = uv.n // 2
+    return Mat(2 * uv.m, uv.n, [r[:k] + [-t for t in r[k:]] for r in uv.rows]
+               + [r[k:] + r[:k] for r in uv.rows])
+
+
+def _invertible(uv: Mat) -> bool:
+    """Whether U + iV is invertible, by the determinant of its realification,
+    |det(U + iV)|^2, or of U when V = 0."""
+    k = uv.n // 2
+    if any(any(r[k:]) for r in uv.rows):
+        return bool(_realification(uv).det())
+    return bool(uv.submatrix(range(k), range(k)).det())
+
+
+def _bigrading_problems(h: HodgeStructure) -> list[str]:
+    """Why a structure of the right shape has no frame: its pieces are
+    dependent over Q(i), or a piece's conjugate does not span its partner."""
+    if _realification(_re_im(h.full_basis())).rank() != 2 * h.dimension:
+        return ["piece bases are not jointly independent"]
+    problems = []
+    for piece in h.pieces:
+        partner = h.piece(piece.q, piece.p)
+        if partner is None:
+            problems.append(f"piece ({piece.p},{piece.q}) has no conjugate partner")
+            continue
+        # the pieces are independent, so the partner has full column rank, and
+        # the conjugate lies in its span exactly when that rank does not grow
+        conj = partner.basis.hstack(piece.basis.map(lambda z: z.conjugate()))
+        if (partner.basis.n != piece.basis.n
+                or _realification(_re_im(conj)).rank() != 2 * partner.basis.n):
+            problems.append(
+                f"conjugate of piece ({piece.p},{piece.q}) does not span ({piece.q},{piece.p})"
+            )
+    return problems
+
+
+def _weil(frame: _Frame, weight: int) -> Mat:
+    """C = R Λ R^-1, Λ acting by i^(p-q) on each summand; C^2 = (-1)^w id.
+    B -> B M on B = X + iY is, on [X | Y], the realification of conj(M)."""
+    blocks = []
+    for w in frame.summands:
+        z, one = i_power(w.p - w.q), Mat.identity(w.k)
+        blocks.append(_realification(one.scale(z.re).hstack(one.scale(-z.im)))
+                      if w.p > w.q else one)
+    c = frame.basis * reduce(Mat.direct_sum, blocks, Mat.zeros(0, 0)) * frame.inverse
+    if c * c != Mat.identity(c.n).scale(Fraction((-1) ** weight)):
+        raise CertificateError("Weil operator certificate failed: C^2 is not (-1)^w")
+    return c
 
 
 def weil_operator(h: HodgeStructure) -> Mat:
@@ -102,28 +228,21 @@ def weil_operator(h: HodgeStructure) -> Mat:
 
     Validates the structure first.  Returned over Q; C^2 = (-1)^w id.
     """
-    problems = h.validate()
-    if problems:
-        raise ValueError(f"invalid Hodge structure: {problems}")
-    full = h.full_basis()
-    scaled_cols = []
-    for piece in h.pieces:
-        factor = i_power(piece.p - piece.q)
-        for col in piece.basis.columns():
-            scaled_cols.append([factor * x for x in col])
-    scaled = Mat.from_columns(scaled_cols, m=h.dimension)
-    c = _real_matrix(scaled * full.inv(),
-                     "Weil operator came out non-real; bigrading is inconsistent")
-    if c * c != Mat.identity(h.dimension).scale(Fraction((-1) ** h.weight)):
-        raise CertificateError("Weil operator certificate failed: C^2 is not (-1)^w")
-    return c
+    return _weil(_frame(h), h.weight)
 
 
-def _real_matrix(m: Mat, error: str) -> Mat:
-    """The rational matrix of a Q(i) matrix whose entries are all real."""
-    if not all(x.is_real for r in m.rows for x in r):
-        raise CertificateError(error)
-    return m.map(lambda x: x.re)
+def _respects_frame(frame: _Frame, a: Mat) -> bool:
+    """Whether a matrix in frame coordinates is block-diagonal over the
+    summands and J-linear on each W_{p,q}, p > q: a_XX = a_YY, a_XY = -a_YX.
+    For R^T S R that is the first bilinear relation (J^T S J = S); for
+    R^-1 phi R, that phi keeps every H^{p,q}, the eigenspaces of J."""
+    owner = [t for t, w in enumerate(frame.summands)
+             for _ in range(2 * w.k if w.p > w.q else w.k)]
+    rows = a.rows
+    return (not any(x and owner[i] != owner[j] for i, r in enumerate(rows) for j, x in enumerate(r))
+            and all(rows[x][j] == rows[x + w.k][j + w.k] and rows[x][j + w.k] == -rows[x + w.k][j]
+                    for w in frame.summands if w.p > w.q
+                    for x in range(w.start, w.start + w.k) for j in range(w.start, w.start + w.k)))
 
 
 @dataclass
@@ -141,11 +260,13 @@ def is_polarization(h: HodgeStructure, s: BilinearForm) -> PolarizationCheck:
     (q, p) (the first bilinear relation), nondegeneracy, and positive
     definiteness of S_C(u, v) = S(u, Cv) via leading principal minors.
     """
-    return _check_polarization(h, weil_operator(h), s)
+    frame = _frame(h)
+    return _check_polarization(h, frame, _weil(frame, h.weight), s)
 
 
-def _check_polarization(h: HodgeStructure, weil: Mat, s: BilinearForm) -> PolarizationCheck:
-    """is_polarization for a structure already validated, with its Weil operator."""
+def _check_polarization(h: HodgeStructure, frame: _Frame, weil: Mat,
+                        s: BilinearForm) -> PolarizationCheck:
+    """is_polarization for a valid structure, with its frame and Weil operator."""
     problems = []
     expected_sym = 1 if h.weight % 2 == 0 else -1
     if s.field != RATIONAL:
@@ -155,13 +276,11 @@ def _check_polarization(h: HodgeStructure, weil: Mat, s: BilinearForm) -> Polari
     if s.symmetry != expected_sym:
         problems.append(f"pairing must be {'symmetric' if expected_sym == 1 else 'skew'} "
                         f"for weight {h.weight}")
-    for a in h.pieces:
-        for b in h.pieces:
-            if b.p == h.weight - a.p:
-                continue
-            prod = a.basis.T * s.gram * b.basis
-            if not prod.is_zero():
-                problems.append(f"pieces ({a.p},{a.q}) and ({b.p},{b.q}) are not S-orthogonal")
+    if not _respects_frame(frame, frame.basis.T * s.gram * frame.basis):
+        found = _orthogonality_problems(h, s)
+        if not found:
+            raise CertificateError("first bilinear relation certificate failed on R^T S R")
+        problems += found
     if h.dimension and not s.gram.det():
         problems.append("pairing is degenerate")
     s_c = s.gram * weil
@@ -175,6 +294,19 @@ def _check_polarization(h: HodgeStructure, weil: Mat, s: BilinearForm) -> Polari
                                 f"(leading {k}x{k} minor is {minor})")
                 break
     return PolarizationCheck(ok=not problems, problems=problems, weil=weil, s_c=s_c)
+
+
+def _orthogonality_problems(h: HodgeStructure, s: BilinearForm) -> list[str]:
+    """The pairs of pieces, partners aside, with B_a^T S B_b != 0, whose
+    realification is that of B_a^T times S ⊕ S times that of B_b."""
+    ss = s.gram.direct_sum(s.gram)
+    problems = []
+    for a in h.pieces:
+        left = _realification(_re_im(a.basis.T)) * ss
+        for b in h.pieces:
+            if b.p != h.weight - a.p and not (left * _realification(_re_im(b.basis))).is_zero():
+                problems.append(f"pieces ({a.p},{a.q}) and ({b.p},{b.q}) are not S-orthogonal")
+    return problems
 
 
 @dataclass
@@ -224,11 +356,12 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     Sturm and semisimple by a squarefree minimal polynomial.  Eigenspaces
     are computed only when the characteristic polynomial splits over Q.
     """
-    weil = weil_operator(h)
-    chk = _check_polarization(h, weil, s)
+    frame = _frame(h)
+    weil = _weil(frame, h.weight)
+    chk = _check_polarization(h, frame, weil, s)
     if not chk.ok:
         raise ValueError(f"first pairing is not a polarization: {chk.problems}")
-    chk2 = _check_polarization(h, weil, s_prime)
+    chk2 = _check_polarization(h, frame, weil, s_prime)
     if not chk2.ok:
         raise ValueError(f"second pairing is not a polarization: {chk2.problems}")
     phi = s.gram.inv() * s_prime.gram
@@ -244,12 +377,7 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
         and phi.T * sc == sc * phi  # self-adjointness for the positive form
     )
 
-    preserves = True
-    for piece in h.pieces:
-        image = phi * piece.basis
-        if piece.basis.solve(image) is None:
-            preserves = False
-            break
+    preserves = _respects_frame(frame, frame.inverse * phi * frame.basis)
 
     char = phi.charpoly()
     cert = sturm_positive_real_roots(char)
@@ -370,100 +498,74 @@ def standard_structure(weight: int, dimension: int) -> tuple[HodgeStructure, Bil
         if dimension % 2:
             raise ValueError("weight 1 needs even dimension")
         m = dimension // 2
-        plus_cols, minus_cols = [], []
-        for t in range(m):
-            v = [QI_ZERO] * dimension
-            v[2 * t] = QI_ONE
-            v[2 * t + 1] = GaussianRational(Fraction(0), Fraction(1))
-            plus_cols.append(v)
-            minus_cols.append([x.conjugate() for x in v])
-        h = HodgeStructure(1, dimension, [
-            HodgePiece(1, 0, Mat.from_columns(plus_cols, m=dimension)),
-            HodgePiece(0, 1, Mat.from_columns(minus_cols, m=dimension)),
-        ])
+        h = HodgeStructure(1, dimension, _conjugate_pieces(1, 0, dimension, range(0, dimension, 2)))
         return h, BilinearForm(RATIONAL, -1, -standard_symplectic_gram(m))
     if weight == 2:
         if dimension < 3:
             raise ValueError("weight 2 fixture needs dimension >= 3")
-        v20 = [QI_ZERO] * dimension
-        v20[0] = QI_ONE
-        v20[1] = GaussianRational(Fraction(0), Fraction(1))
-        v02 = [x.conjugate() for x in v20]
-        mid_cols = []
-        for t in range(2, dimension):
-            v = [QI_ZERO] * dimension
-            v[t] = QI_ONE
-            mid_cols.append(v)
-        h = HodgeStructure(2, dimension, [
-            HodgePiece(2, 0, Mat.from_columns([v20], m=dimension)),
-            HodgePiece(1, 1, Mat.from_columns(mid_cols, m=dimension)),
-            HodgePiece(0, 2, Mat.from_columns([v02], m=dimension)),
-        ])
+        mid = Mat.identity(dimension, one=QI_ONE, zero=QI_ZERO).submatrix(range(dimension),
+                                                                          range(2, dimension))
+        p20, p02 = _conjugate_pieces(2, 0, dimension, [0])
+        h = HodgeStructure(2, dimension, [p20, HodgePiece(1, 1, mid), p02])
         return h, BilinearForm.from_diagonal([-1, -1] + [1] * (dimension - 2))
     if weight == 3:
         if dimension % 4:
             raise ValueError("weight 3 fixture needs dimension divisible by 4")
-        m = dimension // 4
-        pieces_cols = {(3, 0): [], (2, 1): []}
-        for t in range(m):
-            v = [QI_ZERO] * dimension
-            v[4 * t] = QI_ONE
-            v[4 * t + 1] = GaussianRational(Fraction(0), Fraction(1))
-            pieces_cols[(3, 0)].append(v)
-            w = [QI_ZERO] * dimension
-            w[4 * t + 2] = QI_ONE
-            w[4 * t + 3] = GaussianRational(Fraction(0), Fraction(1))
-            pieces_cols[(2, 1)].append(w)
-        pieces = []
-        for (p, q), cols in pieces_cols.items():
-            pieces.append(HodgePiece(p, q, Mat.from_columns(cols, m=dimension)))
-            pieces.append(HodgePiece(q, p, Mat.from_columns(
-                [[x.conjugate() for x in col] for col in cols], m=dimension)))
-        h = HodgeStructure(3, dimension, pieces)
-        gram = [[Fraction(0)] * dimension for _ in range(dimension)]
-        for t in range(m):
-            # (3,0) pair: C acts by -i, needs S = [[0,1],[-1,0]] on the block
-            gram[4 * t][4 * t + 1] = Fraction(1)
-            gram[4 * t + 1][4 * t] = Fraction(-1)
-            # (2,1) pair: C acts by +i, opposite block sign
-            gram[4 * t + 2][4 * t + 3] = Fraction(-1)
-            gram[4 * t + 3][4 * t + 2] = Fraction(1)
-        return h, BilinearForm(RATIONAL, -1, Mat(dimension, dimension, gram))
+        h = HodgeStructure(3, dimension, _conjugate_pieces(3, 0, dimension, range(0, dimension, 4))
+                           + _conjugate_pieces(2, 1, dimension, range(2, dimension, 4)))
+        # on each (3,0) pair C acts by -i and needs S = [[0,1],[-1,0]];
+        # on each (2,1) pair C acts by +i, with the opposite sign
+        block = Mat.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+        gram = reduce(Mat.direct_sum, [block] * (dimension // 4), Mat.zeros(0, 0))
+        return h, BilinearForm(RATIONAL, -1, gram)
     raise ValueError("standard fixtures cover weights 0..3")
+
+
+def _conjugate_pieces(p: int, q: int, dimension: int, starts) -> list[HodgePiece]:
+    """The (p, q) piece spanned by e_t + i e_(t+1) for t in ``starts``, and its conjugate."""
+    cols = []
+    for t in starts:
+        v = [QI_ZERO] * dimension
+        v[t], v[t + 1] = QI_ONE, QI_I
+        cols.append(v)
+    return [HodgePiece(p, q, Mat.from_columns(cols, m=dimension)),
+            HodgePiece(q, p, Mat.from_columns([[x.conjugate() for x in c] for c in cols],
+                                              m=dimension))]
 
 
 def random_hodge_endomorphism(rng: Random, h: HodgeStructure, bound: int = 2) -> Mat:
     """Random invertible rational endomorphism preserving the bigrading.
 
-    Built blockwise in the adapted basis with conjugate blocks tied
-    together, so the matrix is real (rational) on the rational structure.
+    It sends each piece B to B M, M random, rational for a (p, p) piece and
+    conjugate to the (p, q) block for the (q, p) piece.  On [Re B | Im B] =
+    R_W [U | V] a (p, p) block acts as Ψ with Ψ [U | V] = [UM | VM], read off
+    the pivot columns and checked on all of them.
     """
-    full_inv = h.full_basis().inv()
+    frame = _frame(h)
     while True:
-        blocks: dict[tuple[int, int], Mat] = {}
+        blocks: dict[tuple[int, int], tuple[Mat, Mat]] = {}  # (p, q) -> (Re M, Im M)
         for piece in h.pieces:
-            key = (piece.p, piece.q)
-            mirror = (piece.q, piece.p)
-            if mirror in blocks:
-                blocks[key] = blocks[mirror].map(lambda z: z.conjugate())
+            key, mirror = (piece.p, piece.q), (piece.q, piece.p)
+            if mirror in blocks:  # the conjugate block
+                blocks[key] = (blocks[mirror][0], -blocks[mirror][1])
                 continue
             k = piece.basis.n
-            if piece.p == piece.q:
-                rows = [[GaussianRational(Fraction(rng.randint(-bound, bound)), Fraction(0))
-                         for _ in range(k)] for _ in range(k)]
-            else:
-                rows = [[GaussianRational(Fraction(rng.randint(-bound, bound)),
-                                          Fraction(rng.randint(-bound, bound)))
-                         for _ in range(k)] for _ in range(k)]
-            blocks[key] = Mat(k, k, rows)
-        cols = []
-        for piece in h.pieces:
-            block = blocks[(piece.p, piece.q)]
-            image = piece.basis * block
-            cols.extend(image.columns())
-        image_full = Mat.from_columns(cols, m=h.dimension)
-        psi = _real_matrix(image_full * full_inv,
-                           "conjugation-equivariant blocks must give a real matrix")
+            draws = [[(rng.randint(-bound, bound),
+                       rng.randint(-bound, bound) if piece.p != piece.q else 0)
+                      for _ in range(k)] for _ in range(k)]
+            blocks[key] = tuple(Mat(k, k, [[Fraction(d[part]) for d in r] for r in draws])
+                                for part in (0, 1))
+        out = []
+        for w in frame.summands:
+            re, im = blocks[(w.p, w.q)]
+            if w.p > w.q:
+                out.append(_realification(re.hstack(-im)))
+                continue
+            image = w.coords * re.direct_sum(re)  # [UM | VM]
+            out.append(image.submatrix(range(w.k), w.pivots))
+            if out[-1] * w.coords != image:
+                raise CertificateError("conjugation-equivariant blocks must give a real matrix")
+        psi = frame.basis * reduce(Mat.direct_sum, out, Mat.zeros(0, 0)) * frame.inverse
         if psi.det():
             return psi
 

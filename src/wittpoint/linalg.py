@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q and Q(i).
+"""Exact dense linear algebra over Q, and the Q(i) entries of Hodge bases.
 
 Every elimination and every product runs over the integers.  Each row of a
 ``Fraction`` matrix is scaled to integers once, on entry, and only integers
@@ -8,15 +8,13 @@ when it builds the result; ``det`` is Bareiss's fraction-free elimination
 (Bareiss 1968; Cohen, *A Course in Computational Algebraic Number Theory*,
 2.2).  The reduced row echelon form is unique, so both return exactly what
 elimination over Q returns.  A product scales each row of the left factor
-and each column of the right one, a Q(i) one with its real and imaginary
-parts over one scale, and divides each entry's integer dot products by the
-two scales only when it builds the entry; the entry is a
-``GaussianRational`` exactly when its row or column holds one.  A matrix
-with a ``GaussianRational`` entry is eliminated through its realification,
-a + bi becoming the real block [[a, -b], [b, a]]: ``rank``, ``solve`` and
-``inv`` run on that rational matrix and read the answer back, and ``rref``,
-``det``, ``nullspace`` and ``charpoly`` take rational matrices only;
-``charpoly`` runs on the matrix times the lcm of all its denominators.
+and each column of the right one, and divides each entry's integer dot
+product by the two scales only when it builds the entry; ``charpoly`` runs
+on the matrix times the lcm of all its denominators.  The kernel works over
+Q only: a ``GaussianRational`` entry that reaches it raises ``TypeError``
+where its row is scaled to integers.  A ``Mat`` may still hold Q(i) entries,
+as the piece bases of a Hodge structure do; ``hodge`` splits them into real
+and imaginary parts before any elimination or product.
 Polynomials, and their values at a matrix, live in ``poly``.  Zero-row and
 zero-column matrices occur constantly (empty forms, zero complexes), so the
 shape is carried explicitly instead of being inferred from nested lists.
@@ -54,9 +52,6 @@ class GaussianRational:
         other = _promote(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        return _promote(other) - self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
@@ -76,25 +71,11 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero in Q(i)")
         return self * GaussianRational(other.re / n, -other.im / n)
 
-    def __rtruediv__(self, other):
-        return _promote(other) / self
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i"
 
 
 def _promote(x):
@@ -113,7 +94,8 @@ def i_power(k: int) -> GaussianRational:
 
 
 class Mat:
-    """Dense matrix with explicit shape; entries are Fraction or GaussianRational.
+    """Dense matrix with explicit shape; entries are Fraction (GaussianRational
+    in a Hodge piece basis, which no kernel method takes).
 
     ``__init__`` keeps the list of row lists it is handed, without copying
     it, so a caller builds its rows and wraps them once; ``from_rows`` is the
@@ -154,11 +136,6 @@ class Mat:
         n = len(entries)
         rows = [[entries[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         return Mat(n, n, rows)
-
-    @staticmethod
-    def column(vec) -> "Mat":
-        vec = [_coerce(x) for x in vec]
-        return Mat(len(vec), 1, [[x] for x in vec])
 
     @staticmethod
     def from_columns(cols, m: int | None = None) -> "Mat":
@@ -204,41 +181,14 @@ class Mat:
         """The product, on integers.
 
         Each row of ``self`` and each column of ``other`` is scaled to
-        integers once, a Q(i) one with its real and imaginary parts over one
-        scale, so entry (i, j) is an integer dot product per part over row
-        scale x column scale.  It is a ``GaussianRational`` exactly when row
-        i or column j holds one, as in the product over the entries' fields.
+        integers once, so entry (i, j) is an integer dot product over row
+        scale x column scale.
         """
         if self.n != other.m:
             raise ValueError(f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        cols = [_integer_parts(c) for c in (zip(*other.rows) if other.m else [()] * other.n)]
-        out = []
-        for s, re, im in map(_integer_parts, self.rows):
-            row = []
-            for t, cre, cim in cols:
-                d = s * t
-                x = sum(map(mul, re, cre))
-                if im is None and cim is None:
-                    row.append(_fraction(x, d))
-                    continue
-                y = 0
-                if im:
-                    y = sum(map(mul, im, cre))
-                    if cim:
-                        x -= sum(map(mul, im, cim))
-                if cim:
-                    y += sum(map(mul, re, cim))
-                row.append(GaussianRational(_fraction(x, d), _fraction(y, d)))
-            out.append(row)
-        return Mat(self.m, other.n, out)
-
-    def _is_complex(self) -> bool:
-        return any(type(x) is GaussianRational for r in self.rows for x in r)
-
-    def _require_rational(self, what: str):
-        if self._is_complex():
-            raise TypeError(f"{what} takes a matrix over Q; a Q(i) matrix is "
-                            "eliminated through its realification (rank, solve, inv)")
+        cols = [_integer_row(c) for c in (zip(*other.rows) if other.m else [()] * other.n)]
+        return Mat(self.m, other.n, [[_fraction(sum(map(mul, r, c)), s * t) for t, c in cols]
+                                     for s, r in map(_integer_row, self.rows)])
 
     @property
     def T(self) -> "Mat":
@@ -286,7 +236,6 @@ class Mat:
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        self._require_rational("rref")
         a, _ = _integer_rows(self.rows)
         pivots = _integer_gauss_jordan(a, self.n)
         out = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
@@ -294,8 +243,6 @@ class Mat:
         return Mat(self.m, self.n, out), pivots
 
     def rank(self) -> int:
-        if self._is_complex():
-            return _realify(self).rank() // 2
         return len(self.rref()[1])
 
     def nullspace(self) -> "Mat":
@@ -319,9 +266,6 @@ class Mat:
         """One solution of self @ X = b, or None if inconsistent."""
         if b.m != self.m:
             raise ValueError("solve shape mismatch")
-        if self._is_complex() or b._is_complex():
-            x = _realify(self).solve(_realify(b))
-            return None if x is None else _read_back(x)
         R, pivots = self.hstack(b).rref()
         if pivots and pivots[-1] >= self.n:
             return None  # pivot in the augmented block: inconsistent
@@ -333,8 +277,6 @@ class Mat:
     def inv(self) -> "Mat":
         if self.m != self.n:
             raise ValueError("inverse of a non-square matrix")
-        if self._is_complex():
-            return _read_back(_realify(self).inv())
         x = self.solve(Mat.identity(self.n))
         if x is None or (self * x) != Mat.identity(self.n):
             raise ValueError("matrix is singular")
@@ -343,7 +285,6 @@ class Mat:
     def det(self):
         if self.m != self.n:
             raise ValueError("determinant of a non-square matrix")
-        self._require_rational("det")
         a, scales = _integer_rows(self.rows)
         return Fraction(_bareiss_det(a), prod(scales))
 
@@ -357,7 +298,6 @@ class Mat:
         """
         if self.m != self.n:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        self._require_rational("charpoly")
         d, b = _integer_matrix(self)
         cols = list(zip(*b))
         n = self.n
@@ -384,30 +324,6 @@ def _same_shape(a: Mat, b: Mat):
         raise ValueError(f"shape mismatch: {a.m}x{a.n} vs {b.m}x{b.n}")
 
 
-def _realify(a: Mat) -> Mat:
-    """The real 2m x 2n matrix of a Q(i) matrix: a + bi becomes [[a, -b], [b, a]].
-
-    It multiplies as the complex matrix does, and column j of ``a`` is a
-    pivot exactly when real columns 2j and 2j + 1 are, so ``rank`` doubles
-    and the rref particular solution of a realified system is the
-    realification of the complex one.
-    """
-    rows = []
-    for r in a.rows:
-        r = [_promote(x) for x in r]
-        rows.append([y for x in r for y in (x.re, -x.im)])
-        rows.append([y for x in r for y in (x.im, x.re)])
-    return Mat(2 * a.m, 2 * a.n, rows)
-
-
-def _read_back(a: Mat) -> Mat:
-    """The Q(i) matrix whose realification is ``a``: each block read from its first column."""
-    return Mat(a.m // 2, a.n // 2, [
-        [GaussianRational(re[j], im[j]) for j in range(0, a.n, 2)]
-        for re, im in zip(a.rows[::2], a.rows[1::2])
-    ])
-
-
 def extend_to_complement(base: Mat, candidates: Mat) -> list[int]:
     """Indices of candidate columns greedily extending base to a spanning set.
 
@@ -431,24 +347,15 @@ def _integer_row(r) -> tuple[int, list[int]]:
         return 1, []
     # unpack lists: unpacking a generator here raised the peak RSS of
     # witness-chain generation by about 7% (CPython 3.11)
-    nums, dens = zip(*[x.as_integer_ratio() for x in r])
+    try:
+        nums, dens = zip(*[x.as_integer_ratio() for x in r])
+    except AttributeError:
+        bad = next(type(x).__name__ for x in r if not hasattr(x, "as_integer_ratio"))
+        raise TypeError(f"the matrix kernel works over Q, not on {bad} entries") from None
     s = lcm(*dens)
     if s == 1:
         return 1, list(nums)
     return s, [n * (s // d) for n, d in zip(nums, dens)]
-
-
-def _integer_parts(r) -> tuple[int, list[int], list[int] | None]:
-    """A row of Q or Q(i) entries over one integer scale: the lcm of all its
-    denominators, real and imaginary, its real parts times it, and its
-    imaginary parts times it (None for a row of Fractions, empty when a Q(i)
-    row's imaginary parts are all zero)."""
-    if GaussianRational not in map(type, r):
-        return (*_integer_row(r), None)
-    r = [_promote(x) for x in r]
-    s, parts = _integer_row([x.re for x in r] + [x.im for x in r])
-    im = parts[len(r):]
-    return s, parts[:len(r)], im if any(im) else []
 
 
 def _integer_matrix(a: Mat) -> tuple[int, list[list[int]]]:

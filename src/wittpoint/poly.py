@@ -1,7 +1,6 @@
-"""Exact polynomials over Q and Z, as ascending coefficient lists.
+"""Exact polynomials over Z, as ascending coefficient lists.
 
-The ``Fraction`` helpers serve callers that hold rational coefficients; the
-gcd, the squarefree part and the value at a matrix run on integers.  A
+The gcd, the squarefree part and the value at a matrix run on integers.  A
 rational polynomial enters as its primitive integer multiple with positive
 leading coefficient, and the gcd is the last term of the primitive
 pseudo-remainder sequence (Collins 1967; Cohen, *A Course in Computational
@@ -19,7 +18,7 @@ from math import gcd
 from operator import mul
 
 from .core import CertificateError
-from .linalg import Mat, _fraction, _integer_matrix, _integer_row
+from .linalg import Mat, _integer_matrix, _integer_row
 
 
 # -- over Q -------------------------------------------------------------
@@ -34,53 +33,6 @@ def poly_normalize(coeffs) -> list[Fraction]:
 
 def poly_degree(p: list) -> int:
     return len(p) - 1  # -1 for the zero polynomial
-
-
-def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv_lead
-        q[k] = c
-        if c:
-            for j in range(len(b)):
-                a[k + j] -= c * b[j]
-    return poly_normalize(q), poly_normalize(a)
-
-
-def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """The monic gcd ([] when both are zero), by the remainder sequence over Z."""
-    g = int_poly_gcd(int_poly(a), int_poly(b))
-    return [Fraction(c, g[-1]) for c in g]
-
-
-def poly_squarefree_part(p: list[Fraction]) -> list[Fraction]:
-    """The monic squarefree part p / gcd(p, p'), by the remainder sequence over Z."""
-    p = int_poly(p)
-    if not p:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = int_poly_squarefree(p)[1]
-    return [Fraction(c, r[-1]) for c in r]
-
-
-def poly_eval_matrix(p: list[Fraction], a: Mat) -> Mat:
-    p = poly_normalize(p)
-    if not p:
-        return Mat.zeros(a.m, a.n)
-    e, q = _integer_row(p)
-    s, acc = int_poly_at(q, a)
-    s *= e
-    return Mat(a.m, a.n, [[_fraction(x, s) for x in row] for row in acc])
 
 
 # -- over Z: the primitive pseudo-remainder sequence ---------------------
@@ -188,7 +140,6 @@ def int_poly_at(q: list[int], a: Mat) -> tuple[int, list[list[int]]]:
     """
     if a.m != a.n:
         raise ValueError("a polynomial is evaluated at a square matrix")
-    a._require_rational("int_poly_at")
     d, b = _integer_matrix(a)
     cols = list(zip(*b))
     acc = [[q[-1] if i == j else 0 for j in range(a.n)] for i in range(a.n)]

@@ -27,7 +27,6 @@ from wittpoint.forms import (
     metabolic_reduce,
 )
 from wittpoint.hodge import (
-    HodgeStructure,
     compare_polarizations,
     is_polarization,
     random_hodge_endomorphism,
@@ -62,11 +61,23 @@ def count(monkeypatch, owner, attr) -> list[int]:
 
 
 def test_compare_polarizations_validates_once_and_builds_one_weil_operator(monkeypatch):
+    # validation builds the rational frame, and the Weil operator is read off it
     h, s, s_prime = random_polarization_pair(Random(41), 2, 4)
-    validations = count(monkeypatch, HodgeStructure, "validate")
-    weils = count(monkeypatch, hodge, "weil_operator")
+    validations = count(monkeypatch, hodge, "_frame_and_problems")
+    weils = count(monkeypatch, hodge, "_weil")
     assert compare_polarizations(h, s, s_prime).certified
     assert (validations[0], weils[0]) == (1, 1)
+
+
+def test_compare_polarizations_inverts_the_frame_and_s_only(monkeypatch):
+    # at most R^-1 and S^-1, each one solve; no solve per piece
+    for weight, dim in [(0, 6), (1, 6), (2, 6), (3, 4)]:
+        h, s, s_prime = random_polarization_pair(Random(41), weight, dim)
+        inversions = count(monkeypatch, Mat, "inv")
+        solves = count(monkeypatch, Mat, "solve")
+        assert compare_polarizations(h, s, s_prime).certified
+        assert (inversions[0], solves[0]) == (2, 2), (weight, dim)
+        monkeypatch.undo()
 
 
 def test_compare_polarizations_takes_one_spectral_certificate(monkeypatch):
@@ -83,7 +94,7 @@ def test_compare_polarizations_takes_one_spectral_certificate(monkeypatch):
 
 def test_is_polarization_validates_once(monkeypatch):
     h, s = standard_structure(3, 4)
-    validations = count(monkeypatch, HodgeStructure, "validate")
+    validations = count(monkeypatch, hodge, "_frame_and_problems")
     assert is_polarization(h, s).ok
     assert validations[0] == 1
 
@@ -166,8 +177,10 @@ def test_random_hodge_endomorphism_inverts_the_full_basis_once(monkeypatch):
     attempts = count(monkeypatch, Mat, "det")  # one per drawn candidate
     inversions = count(monkeypatch, Mat, "inv")
     assert random_hodge_endomorphism(Random(5), h).det()
-    assert attempts[0] == 3  # two candidates drawn, then the check above
-    assert inversions[0] == 2  # one Q(i) inversion and the realified one under it
+    # the frame tests its two 1 x 1 coordinate blocks, two candidates are
+    # drawn, then the check above
+    assert attempts[0] == 5
+    assert inversions[0] == 1  # the rational frame, once for every candidate
 
 
 def test_fp_class_arithmetic_tests_no_prime_again(monkeypatch):

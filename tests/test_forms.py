@@ -343,8 +343,11 @@ forms._block_gram = corrupted
 block = BlockMetabolicForm(BilinearForm.from_diagonal([5]), Mat.from_rows([[1]]), Mat.from_rows([[2]]))
 print(fired(lambda: metabolic_reduce(block)))
 
-real_matrix = hodge._real_matrix
-hodge._real_matrix = lambda m, error: real_matrix(m, error).scale(2)  # a wrong C
+certified_frame = hodge._certified_frame
+def corrupted(h):  # a wrong R^-1, so a wrong C
+    f = certified_frame(h)
+    return hodge._Frame(f.basis, f.inverse.scale(2), f.summands)
+hodge._certified_frame = corrupted
 print(fired(lambda: hodge.weil_operator(hodge.standard_structure(2, 3)[0])))
 
 symplectic_gram = forms.standard_symplectic_gram

@@ -244,3 +244,65 @@ def test_invalid_structure_rejected():
     assert problems
     with pytest.raises(ValueError, match="invalid Hodge structure"):
         weil_operator(h)
+
+
+def _structure(weight, dimension, *pieces):
+    """A structure from (p, q, columns) triples; the columns may have any length."""
+    built = []
+    for p, q, cols in pieces:
+        basis = Mat.from_columns(cols, m=dimension) if cols else Mat.zeros(dimension, 0, zero=QI_ZERO)
+        built.append(HodgePiece(p, q, basis))
+    return HodgeStructure(weight, dimension, built)
+
+
+I_ = GaussianRational.of(0, 1)
+INVALID_STRUCTURES = [
+    (_structure(0, 2, (1, 0, [[QI_ONE, I_]]), (0, 1, [[QI_ONE, -I_]])),
+     ["piece (1,0) violates p + q = 0", "piece (0,1) violates p + q = 0"]),
+    (_structure(0, 2, (1, 0, [[QI_ONE, I_]]), (0, 1, [[QI_ONE, QI_ZERO]])),
+     ["piece (1,0) violates p + q = 0", "piece (0,1) violates p + q = 0",
+      "conjugate of piece (1,0) does not span (0,1)",
+      "conjugate of piece (0,1) does not span (1,0)"]),
+    (_structure(0, 2, (0, 0, [[QI_ONE, QI_ZERO, QI_ZERO], [QI_ZERO, QI_ONE, QI_ZERO]])),
+     ["piece (0,0) has vectors of wrong length"]),
+    (_structure(0, 2, (0, 0, [[QI_ONE], [I_]])),
+     ["piece (0,0) has vectors of wrong length", "piece bases are not jointly independent"]),
+    (_structure(0, 3, (0, 0, [[QI_ONE, QI_ZERO, QI_ZERO], [QI_ZERO, QI_ONE, QI_ZERO]])),
+     ["pieces span 2 dimensions, expected 3"]),
+    (_structure(1, 2, (1, 0, [[QI_ONE, I_]]), (0, 1, [[QI_ONE, I_]])),
+     ["piece bases are not jointly independent"]),
+    # rank_Q [Re B, Im B] = 2 = k, yet (1, i) and (-i, 1) = -i (1, i) are dependent
+    (_structure(0, 2, (0, 0, [[QI_ONE, I_], [-I_, QI_ONE]])),
+     ["piece bases are not jointly independent"]),
+    (_structure(1, 2, (1, 0, [[QI_ONE, I_], [QI_ONE, -I_]])),
+     ["piece (1,0) has no conjugate partner"]),
+    (_structure(1, 3, (1, 0, [[QI_ONE, I_, QI_ZERO]]),
+                (0, 1, [[QI_ONE, -I_, QI_ZERO], [QI_ZERO, QI_ZERO, QI_ONE]])),
+     ["conjugate of piece (1,0) does not span (0,1)",
+      "conjugate of piece (0,1) does not span (1,0)"]),
+    (_structure(1, 2, (1, 0, [[QI_ONE, I_]]), (0, 1, [[QI_ONE, QI_ZERO]])),
+     ["conjugate of piece (1,0) does not span (0,1)",
+      "conjugate of piece (0,1) does not span (1,0)"]),
+]
+
+
+@pytest.mark.parametrize("h, problems", INVALID_STRUCTURES)
+def test_validate_reports_the_same_problems_in_order(h, problems):
+    assert h.validate() == problems
+    with pytest.raises(ValueError) as err:
+        weil_operator(h)
+    assert str(err.value) == f"invalid Hodge structure: {problems}"
+
+
+def test_hodge_check_reports_a_degenerate_bigrading(tmp_path, capsys):
+    from wittpoint.cli import main
+
+    hpath = tmp_path / "h.json"
+    hpath.write_text('{"weight": 0, "pieces": [{"p": 0, "q": 0, '
+                     '"basis": [["1", ["0", "1"]], [["0", "-1"], "1"]]}]}')
+    spath = tmp_path / "s.json"
+    spath.write_text('{"symmetry": "symmetric", "field": "Q", "gram": [["1", "0"], ["0", "1"]]}')
+    assert main(["hodge-check", str(hpath), str(spath)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: invalid Hodge structure: ['piece bases are not jointly independent']\n"

@@ -7,8 +7,9 @@ primitive rescale, the separate F_p diagonalization loop, the metabolic
 reduction by full n x n products and the greedy rank-growth scan of
 ``extend_to_complement``.  Every property
 requires the kernel's output to equal the reference's, entry by entry and
-entry type by entry type; a Q(i) matrix reaches the elimination kernel
-through its realification.
+entry type by entry type.  The kernel works over Q only and refuses a Q(i)
+matrix with ``TypeError``; the Q(i) field loops are checked against the
+rational kernel on realifications, built here.
 
 The local symbols have references too: the ``Fraction`` splitting and the
 per-pair Hilbert symbols that the integer local formulas replaced, and the
@@ -20,7 +21,9 @@ references are the ``Fraction`` loops it replaced: Faddeev-LeVerrier over
 Q, Euclid's gcd and the squarefree part over Q, the Sturm chain of
 remainders over Q and its sign counts, Horner's rule on ``Fraction``
 matrices, and the rational-root scan that evaluates every candidate as a
-``Fraction``.
+``Fraction``.  The ``Fraction`` polynomial helpers those references use, and
+the rational front ends of the integer gcd, squarefree part and value at a
+matrix, live here too.
 """
 
 from fractions import Fraction
@@ -60,18 +63,66 @@ from wittpoint.hodge import _divisors, _rational_roots, _signed_divisors
 from wittpoint.linalg import QI_ONE, QI_ZERO, GaussianRational, Mat, extend_to_complement
 from wittpoint.poly import (
     int_poly,
+    int_poly_at,
+    int_poly_gcd,
+    int_poly_squarefree,
     int_sturm_chain,
     poly_degree,
-    poly_divmod,
-    poly_eval,
-    poly_eval_matrix,
-    poly_gcd,
     poly_normalize,
-    poly_squarefree_part,
 )
 from wittpoint.witt import WittClassFp, fp_class_of, psi
 
 EXAMPLES = settings(max_examples=150, deadline=None)
+
+# -- Fraction polynomials -------------------------------------------------
+
+
+def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def poly_divmod(a: list[Fraction], b: list[Fraction]):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv_lead = 1 / b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        c = a[k + len(b) - 1] * inv_lead
+        q[k] = c
+        if c:
+            for j in range(len(b)):
+                a[k + j] -= c * b[j]
+    return poly_normalize(q), poly_normalize(a)
+
+
+def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The monic gcd ([] when both are zero), by the remainder sequence over Z."""
+    g = int_poly_gcd(int_poly(a), int_poly(b))
+    return [Fraction(c, g[-1]) for c in g]
+
+
+def poly_squarefree_part(p: list[Fraction]) -> list[Fraction]:
+    """The monic squarefree part p / gcd(p, p'), by the remainder sequence over Z."""
+    p = int_poly(p)
+    if not p:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = int_poly_squarefree(p)[1]
+    return [Fraction(c, r[-1]) for c in r]
+
+
+def poly_eval_matrix(p: list[Fraction], a: Mat) -> Mat:
+    """p(a), by Horner's rule on the integer matrix of ``int_poly_at``."""
+    p = poly_normalize(p)
+    if not p:
+        return Mat.zeros(a.m, a.n)
+    e = lcm(*(c.denominator for c in p))
+    s, acc = int_poly_at([int(c * e) for c in p], a)
+    return Mat(a.m, a.n, [[Fraction(x, s * e) for x in row] for row in acc])
+
 
 # -- references -----------------------------------------------------------
 
@@ -154,6 +205,26 @@ def ref_solve(a: Mat, b: Mat):
         for j in range(b.n):
             out[p][j] = r.rows[row][a.n + j]
     return Mat(a.n, b.n, out)
+
+
+def realify(a: Mat) -> Mat:
+    """The rational 2m x 2n matrix of a Q(i) matrix: a + bi becomes [[a, -b], [b, a]].
+
+    It multiplies as the complex matrix does, and column j of ``a`` is a
+    pivot exactly when real columns 2j and 2j + 1 are, so the rank doubles
+    and the rref particular solution of a realified system is the
+    realification of the complex one.
+    """
+    rows = []
+    for r in a.rows:
+        r = [z if type(z) is GaussianRational else GaussianRational(z, Fraction(0)) for z in r]
+        rows.append([y for z in r for y in (z.re, -z.im)])
+        rows.append([y for z in r for y in (z.im, z.re)])
+    return Mat(2 * a.m, 2 * a.n, rows)
+
+
+def holds_qi(*mats) -> bool:
+    return any(type(x) is GaussianRational for m in mats for r in m.rows for x in r)
 
 
 def ref_qi_inv(a: Mat) -> Mat:
@@ -533,7 +604,7 @@ def matrices(draw, m=None, n=None, entries=rationals, zero=Fraction(0), size=5):
         r = draw(st.integers(0, min(m, n) - 1))
         left = Mat(m, r, [[draw(entries) for _ in range(r)] for _ in range(m)])
         right = Mat(r, n, [[draw(entries) for _ in range(n)] for _ in range(r)])
-        return left * right if r else Mat.zeros(m, n, zero=zero)
+        return ref_product(left, right) if r else Mat.zeros(m, n, zero=zero)
     return Mat(m, n, [[draw(entries) for _ in range(n)] for _ in range(m)])
 
 
@@ -688,30 +759,46 @@ def test_product_of_rational_matrices_matches_the_field_loop(ab):
 @EXAMPLES
 @given(ab=factors(gaussians))
 def test_product_of_qi_matrices_matches_the_field_loop(ab):
+    # the kernel refuses Q(i) factors; their realifications multiply over Q
+    # as the field loop multiplies over Q(i)
     a, b = ab
-    assert same_entries(a * b, ref_product(a, b))
+    if holds_qi(a, b):
+        with pytest.raises(TypeError, match="over Q"):
+            a * b
+    assert same_entries(realify(a) * realify(b), realify(ref_product(a, b)))
 
 
 @EXAMPLES
 @given(ab=mixed_factors())
 def test_product_of_mixed_matrices_matches_the_field_loop(ab):
-    # entry (i, j) is a GaussianRational exactly when row i of a or column j of b holds one
+    # one GaussianRational entry in either factor is refused
     a, b = ab
-    assert same_entries(a * b, ref_product(a, b))
+    if holds_qi(a, b):
+        with pytest.raises(TypeError, match="over Q, not on GaussianRational entries"):
+            a * b
+    else:
+        assert same_entries(a * b, ref_product(a, b))
+    assert same_entries(realify(a) * realify(b), realify(ref_product(a, b)))
 
 
 def test_product_edge_shapes():
     z = GaussianRational.of
     for m, k, n in [(0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0), (0, 2, 0)]:
-        for zero in (Fraction(0), QI_ZERO):
-            a, b = Mat.zeros(m, k, zero=zero), Mat.zeros(k, n, zero=zero)
+        a, b = Mat.zeros(m, k), Mat.zeros(k, n)
+        assert same_entries(a * b, ref_product(a, b))
+        a, b = Mat.zeros(m, k, zero=QI_ZERO), Mat.zeros(k, n, zero=QI_ZERO)
+        if holds_qi(a, b):
+            with pytest.raises(TypeError, match="over Q"):
+                a * b
+        else:  # no entry reaches the kernel
             assert same_entries(a * b, ref_product(a, b))
-    # an empty inner dimension gives Fraction(0) whatever the factors' fields
+    # an empty inner dimension gives Fraction(0)
     assert repr(Mat.zeros(2, 0) * Mat.zeros(0, 3)) == repr(Mat.zeros(2, 3))
     a = Mat(2, 2, [[Fraction(-1, 2), z(1, -1)], [Fraction(3), Fraction(0)]])
     b = Mat(2, 1, [[Fraction(2, 3)], [Fraction(-5, 4)]])
-    assert same_entries(a * b, ref_product(a, b))
-    assert [type(x) for x in (a * b).col(0)] == [GaussianRational, Fraction]
+    with pytest.raises(TypeError, match="over Q"):
+        a * b
+    assert same_entries(realify(a) * realify(b), realify(ref_product(a, b)))
     with pytest.raises(ValueError, match="cannot multiply"):
         a * Mat.zeros(3, 1)
 
@@ -800,16 +887,22 @@ def test_kernel_edge_shapes():
 @given(data=st.data())
 def test_realified_rank_and_solve_match_the_qi_field_loop(data):
     a = data.draw(qi_matrices())
-    assert a.rank() == len(ref_rref(a)[1])
+    if holds_qi(a):
+        with pytest.raises(TypeError, match="over Q"):
+            a.rank()
+    assert realify(a).rank() == 2 * len(ref_rref(a)[1])
     cols = data.draw(st.integers(0, 2))
     if data.draw(st.booleans()):  # consistent by construction
-        b = a * data.draw(qi_matrices(a.n, cols))
+        b = ref_product(a, data.draw(qi_matrices(a.n, cols)))
     else:
         b = data.draw(qi_matrices(a.m, cols))
-    x, ref_x = a.solve(b), ref_solve(a, b)
+    if holds_qi(a.hstack(b)):
+        with pytest.raises(TypeError, match="over Q"):
+            a.solve(b)
+    x, ref_x = realify(a).solve(realify(b)), ref_solve(a, b)
     assert (x is None) == (ref_x is None)
     if x is not None:
-        assert same_entries(x, ref_x)
+        assert same_entries(x, realify(ref_x))
 
 
 @EXAMPLES
@@ -817,22 +910,26 @@ def test_realified_rank_and_solve_match_the_qi_field_loop(data):
 def test_realified_inverse_matches_the_qi_field_loop(data):
     n = data.draw(st.integers(0, 4))
     a = data.draw(qi_matrices(n, n))
+    if holds_qi(a):
+        with pytest.raises(TypeError, match="over Q"):
+            a.inv()
     try:
         ref = ref_qi_inv(a)
     except ValueError:
         with pytest.raises(ValueError, match="singular"):
-            a.inv()
+            realify(a).inv()
         return
-    assert same_entries(a.inv(), ref)
+    assert same_entries(realify(a).inv(), realify(ref))
 
 
 def test_qi_elimination_runs_through_the_realification():
     z = GaussianRational.of
     a = Mat(2, 2, [[z(1, 1), z(0, 2)], [z(1), z(1, 1)]])  # det = (1 + i)^2 - 2i = 0: rank 1
-    assert a.rank() == 1
-    assert Mat(2, 2, [[z(0, 1), z(0)], [z(0), z(0, 1)]]).inv() == Mat.identity(2, one=z(0, -1), zero=z(0))
+    assert realify(a).rank() == 2
+    unit = Mat(2, 2, [[z(0, 1), z(0)], [z(0), z(0, 1)]])
+    assert realify(unit).inv() == realify(Mat.identity(2, one=z(0, -1), zero=z(0)))
     for what in ("rref", "det", "nullspace", "column_space_basis"):
-        with pytest.raises(TypeError, match="realification"):
+        with pytest.raises(TypeError, match="over Q"):
             getattr(a, what)()
 
 

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from wittpoint.linalg import GaussianRational, Mat, QI_I, QI_ONE, i_power
-from wittpoint.poly import poly_divmod, poly_eval, poly_gcd, poly_squarefree_part
+from wittpoint.poly import int_poly, int_poly_at, int_poly_gcd, int_poly_squarefree
 
 
 def test_gaussian_arithmetic():
@@ -67,10 +67,8 @@ def test_charpoly_random_cayley_hamilton():
     for _ in range(10):
         n = rng.randint(1, 4)
         a = Mat.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        p = a.charpoly()
-        from wittpoint.poly import poly_eval_matrix
-
-        assert poly_eval_matrix(p, a).is_zero()
+        _, value = int_poly_at(int_poly(a.charpoly()), a)
+        assert not any(map(any, value))
 
 
 def test_integer_fast_path_matches_generic():
@@ -88,12 +86,10 @@ def test_integer_fast_path_matches_generic():
 
 def test_poly_helpers():
     # (t - 1)^2 (t + 2)
-    p = [Fraction(2), Fraction(-3), Fraction(0), Fraction(1)]
-    q, r = poly_divmod(p, [Fraction(-1), Fraction(1)])
-    assert not r
-    assert poly_eval(p, Fraction(1)) == 0
-    g = poly_gcd(p, [Fraction(-1), Fraction(1)])
-    assert g == [Fraction(-1), Fraction(1)]
-    sf = poly_squarefree_part(p)
-    assert poly_eval(sf, Fraction(1)) == 0 and poly_eval(sf, Fraction(-2)) == 0
-    assert len(sf) == 3  # degree 2
+    p = int_poly([Fraction(2), Fraction(-3), Fraction(0), Fraction(1)])
+    assert p == [2, -3, 0, 1]
+    assert int_poly([Fraction(1, 2), Fraction(-1, 2)]) == [-1, 1]  # primitive, leading coefficient > 0
+    assert int_poly_gcd(p, [-1, 1]) == [-1, 1]
+    g, r = int_poly_squarefree(p)
+    assert g == [-1, 1]  # gcd(p, p') = t - 1
+    assert r == [-2, 1, 1]  # the squarefree part (t - 1)(t + 2)

@@ -7,17 +7,23 @@ certificate check must run under ``python -O``, so the package holds no
 may share them with other matrices, so the package never writes rows.
 The package loads its submodules lazily, but re-exports the same names.
 Degree-0 subquotient witnesses are built by one function, so their block
-conventions live in one place.
+conventions live in one place.  The matrix kernel works over Q only: the
+Hodge layer hands it rational matrices, and a Q(i) matrix is refused.
 """
 
 import ast
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import wittpoint
+from wittpoint import linalg, poly
+from wittpoint.hodge import compare_polarizations, is_polarization, random_polarization_pair
+from wittpoint.linalg import GaussianRational, Mat
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -191,3 +197,36 @@ def test_package_exports_the_same_names_lazily():
     assert sorted(set(star) - {"__builtins__"}) == names
     with pytest.raises(AttributeError, match="^module 'wittpoint' has no attribute 'no_such_name'$"):
         getattr(wittpoint, "no_such_name")
+
+
+# the (weight, dimension) shapes of acceptance criterion 4
+CRITERION_4_SHAPES = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
+                      (1, 2), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4)]
+
+
+def test_no_qi_entry_reaches_the_matrix_kernel(monkeypatch):
+    seen = set()
+    integer_row = linalg._integer_row
+
+    def spy(r):
+        seen.update(map(type, r))
+        return integer_row(r)
+
+    for module in (linalg, poly):
+        monkeypatch.setattr(module, "_integer_row", spy)
+    rng = Random(41)
+    for weight, dim in CRITERION_4_SHAPES:
+        h, s, s_prime = random_polarization_pair(rng, weight, dim)
+        assert is_polarization(h, s_prime).ok
+        assert compare_polarizations(h, s, s_prime).certified
+    assert seen == {Fraction}
+
+
+def test_the_matrix_kernel_refuses_qi_matrices():
+    z = GaussianRational.of
+    a = Mat(2, 2, [[z(1, 1), z(0, 2)], [z(1), z(1, 1)]])
+    one = Mat.identity(2)
+    for call in (a.rank, lambda: a.solve(one), a.inv, lambda: a * one, lambda: one * a,
+                 a.det, a.charpoly):
+        with pytest.raises(TypeError, match="over Q, not on GaussianRational entries"):
+            call()
