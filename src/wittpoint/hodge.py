@@ -28,7 +28,7 @@ from .forms import (
     standard_symplectic_gram,
     symplectic_reduce,
 )
-from .linalg import QI_I, QI_ONE, QI_ZERO, Mat, _promote, i_power
+from .linalg import GaussianRational, Mat, QI_ONE, QI_ZERO, _promote, i_power
 from .poly import int_poly_at, poly_degree
 from .witt import WittClassQ, witt_class_of
 
@@ -59,7 +59,9 @@ class HodgeStructure:
         return None
 
     def full_basis(self) -> Mat:
-        cols = [c for piece in self.pieces for c in piece.basis.columns()]
+        cols = []
+        for piece in self.pieces:
+            cols.extend(piece.basis.columns())
         return Mat.from_columns(cols, m=self.dimension)
 
     def validate(self) -> list[str]:
@@ -180,11 +182,8 @@ def _realification(uv: Mat) -> Mat:
 
 def _invertible(uv: Mat) -> bool:
     """Whether U + iV is invertible, by the determinant of its realification,
-    |det(U + iV)|^2, or of U when V = 0."""
-    k = uv.n // 2
-    if any(any(r[k:]) for r in uv.rows):
-        return bool(_realification(uv).det())
-    return bool(uv.submatrix(range(k), range(k)).det())
+    |det(U + iV)|^2."""
+    return bool(_realification(uv).det())
 
 
 def _bigrading_problems(h: HodgeStructure) -> list[str]:
@@ -238,11 +237,15 @@ def _respects_frame(frame: _Frame, a: Mat) -> bool:
     R^-1 phi R, that phi keeps every H^{p,q}, the eigenspaces of J."""
     owner = [t for t, w in enumerate(frame.summands)
              for _ in range(2 * w.k if w.p > w.q else w.k)]
-    rows = a.rows
-    return (not any(x and owner[i] != owner[j] for i, r in enumerate(rows) for j, x in enumerate(r))
-            and all(rows[x][j] == rows[x + w.k][j + w.k] and rows[x][j + w.k] == -rows[x + w.k][j]
-                    for w in frame.summands if w.p > w.q
-                    for x in range(w.start, w.start + w.k) for j in range(w.start, w.start + w.k)))
+    if any(x and owner[i] != owner[j] for i, r in enumerate(a.rows) for j, x in enumerate(r)):
+        return False
+    for w in frame.summands:
+        if w.p > w.q:
+            xs, ys = range(w.start, w.start + w.k), range(w.start + w.k, w.start + 2 * w.k)
+            if (a.submatrix(xs, xs) != a.submatrix(ys, ys)
+                    or a.submatrix(xs, ys) != -a.submatrix(ys, xs)):
+                return False
+    return True
 
 
 @dataclass
@@ -498,39 +501,66 @@ def standard_structure(weight: int, dimension: int) -> tuple[HodgeStructure, Bil
         if dimension % 2:
             raise ValueError("weight 1 needs even dimension")
         m = dimension // 2
-        h = HodgeStructure(1, dimension, _conjugate_pieces(1, 0, dimension, range(0, dimension, 2)))
+        plus_cols, minus_cols = [], []
+        for t in range(m):
+            v = [QI_ZERO] * dimension
+            v[2 * t] = QI_ONE
+            v[2 * t + 1] = GaussianRational(Fraction(0), Fraction(1))
+            plus_cols.append(v)
+            minus_cols.append([x.conjugate() for x in v])
+        h = HodgeStructure(1, dimension, [
+            HodgePiece(1, 0, Mat.from_columns(plus_cols, m=dimension)),
+            HodgePiece(0, 1, Mat.from_columns(minus_cols, m=dimension)),
+        ])
         return h, BilinearForm(RATIONAL, -1, -standard_symplectic_gram(m))
     if weight == 2:
         if dimension < 3:
             raise ValueError("weight 2 fixture needs dimension >= 3")
-        mid = Mat.identity(dimension, one=QI_ONE, zero=QI_ZERO).submatrix(range(dimension),
-                                                                          range(2, dimension))
-        p20, p02 = _conjugate_pieces(2, 0, dimension, [0])
-        h = HodgeStructure(2, dimension, [p20, HodgePiece(1, 1, mid), p02])
+        v20 = [QI_ZERO] * dimension
+        v20[0] = QI_ONE
+        v20[1] = GaussianRational(Fraction(0), Fraction(1))
+        v02 = [x.conjugate() for x in v20]
+        mid_cols = []
+        for t in range(2, dimension):
+            v = [QI_ZERO] * dimension
+            v[t] = QI_ONE
+            mid_cols.append(v)
+        h = HodgeStructure(2, dimension, [
+            HodgePiece(2, 0, Mat.from_columns([v20], m=dimension)),
+            HodgePiece(1, 1, Mat.from_columns(mid_cols, m=dimension)),
+            HodgePiece(0, 2, Mat.from_columns([v02], m=dimension)),
+        ])
         return h, BilinearForm.from_diagonal([-1, -1] + [1] * (dimension - 2))
     if weight == 3:
         if dimension % 4:
             raise ValueError("weight 3 fixture needs dimension divisible by 4")
-        h = HodgeStructure(3, dimension, _conjugate_pieces(3, 0, dimension, range(0, dimension, 4))
-                           + _conjugate_pieces(2, 1, dimension, range(2, dimension, 4)))
-        # on each (3,0) pair C acts by -i and needs S = [[0,1],[-1,0]];
-        # on each (2,1) pair C acts by +i, with the opposite sign
-        block = Mat.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-        gram = reduce(Mat.direct_sum, [block] * (dimension // 4), Mat.zeros(0, 0))
-        return h, BilinearForm(RATIONAL, -1, gram)
+        m = dimension // 4
+        pieces_cols = {(3, 0): [], (2, 1): []}
+        for t in range(m):
+            v = [QI_ZERO] * dimension
+            v[4 * t] = QI_ONE
+            v[4 * t + 1] = GaussianRational(Fraction(0), Fraction(1))
+            pieces_cols[(3, 0)].append(v)
+            w = [QI_ZERO] * dimension
+            w[4 * t + 2] = QI_ONE
+            w[4 * t + 3] = GaussianRational(Fraction(0), Fraction(1))
+            pieces_cols[(2, 1)].append(w)
+        pieces = []
+        for (p, q), cols in pieces_cols.items():
+            pieces.append(HodgePiece(p, q, Mat.from_columns(cols, m=dimension)))
+            pieces.append(HodgePiece(q, p, Mat.from_columns(
+                [[x.conjugate() for x in col] for col in cols], m=dimension)))
+        h = HodgeStructure(3, dimension, pieces)
+        gram = [[Fraction(0)] * dimension for _ in range(dimension)]
+        for t in range(m):
+            # (3,0) pair: C acts by -i, needs S = [[0,1],[-1,0]] on the block
+            gram[4 * t][4 * t + 1] = Fraction(1)
+            gram[4 * t + 1][4 * t] = Fraction(-1)
+            # (2,1) pair: C acts by +i, opposite block sign
+            gram[4 * t + 2][4 * t + 3] = Fraction(-1)
+            gram[4 * t + 3][4 * t + 2] = Fraction(1)
+        return h, BilinearForm(RATIONAL, -1, Mat(dimension, dimension, gram))
     raise ValueError("standard fixtures cover weights 0..3")
-
-
-def _conjugate_pieces(p: int, q: int, dimension: int, starts) -> list[HodgePiece]:
-    """The (p, q) piece spanned by e_t + i e_(t+1) for t in ``starts``, and its conjugate."""
-    cols = []
-    for t in starts:
-        v = [QI_ZERO] * dimension
-        v[t], v[t + 1] = QI_ONE, QI_I
-        cols.append(v)
-    return [HodgePiece(p, q, Mat.from_columns(cols, m=dimension)),
-            HodgePiece(q, p, Mat.from_columns([[x.conjugate() for x in c] for c in cols],
-                                              m=dimension))]
 
 
 def random_hodge_endomorphism(rng: Random, h: HodgeStructure, bound: int = 2) -> Mat:

@@ -306,3 +306,19 @@ def test_hodge_check_reports_a_degenerate_bigrading(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: invalid Hodge structure: ['piece bases are not jointly independent']\n"
+
+
+def test_hodge_check_refuses_a_form_of_the_wrong_size(tmp_path, capsys):
+    from wittpoint.cli import main
+
+    hpath = tmp_path / "h.json"
+    hpath.write_text('{"weight": 1, "pieces": [{"p": 1, "q": 0, "basis": [["1", ["0", "1"]]]}, '
+                     '{"p": 0, "q": 1, "basis": [["1", ["0", "-1"]]]}]}')
+    spath = tmp_path / "s.json"
+    spath.write_text('{"symmetry": "skew", "field": "Q", '
+                     '"gram": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]}')
+    # the size is checked before any product with the form
+    assert main(["hodge-check", str(hpath), str(spath)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "not a polarization\n  pairing size does not match the structure\n"
+    assert err == ""
