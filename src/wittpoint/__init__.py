@@ -10,9 +10,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "core": (
-        "REAL_PLACE", "CertificateError", "LocalUnitData", "SquareClass",
-        "SturmCertificate", "hilbert_symbol", "p_adic_split", "square_class",
-        "sturm_positive_real_roots",
+        "REAL_PLACE", "CertificateError", "SquareClass", "SturmCertificate",
+        "hilbert_symbol", "square_class", "sturm_positive_real_roots",
     ),
     "forms": (
         "BilinearForm", "BlockMetabolicForm", "Diagonalization", "FormInvariants",

@@ -175,19 +175,6 @@ def square_class(a) -> SquareClass:
     return SquareClass._of_primes(-1 if n < 0 else 1, odd)
 
 
-@dataclass(frozen=True)
-class LocalUnitData:
-    """p-adic splitting a = unit * p^valuation with the unit's residue mod p."""
-
-    prime: int
-    valuation: int
-    unit: Fraction
-    unit_residue: int
-
-    def reconstruct(self) -> Fraction:
-        return self.unit * Fraction(self.prime) ** self.valuation
-
-
 def _int_split(n: int, p: int) -> tuple[int, int]:
     """(valuation, unit) of the nonzero integer n = unit * p^valuation."""
     v = 0
@@ -195,19 +182,6 @@ def _int_split(n: int, p: int) -> tuple[int, int]:
         n //= p
         v += 1
     return v, n
-
-
-def p_adic_split(a, p: int) -> LocalUnitData:
-    """Split a nonzero rational as u * p^i with u a p-adic unit."""
-    a = Fraction(a)
-    if a == 0:
-        raise ValueError("zero has no p-adic splitting")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    vn, un = _int_split(a.numerator, p)
-    vd, ud = _int_split(a.denominator, p)
-    unit = Fraction(un, ud)
-    return LocalUnitData(prime=p, valuation=vn - vd, unit=unit, unit_residue=residue_mod(unit, p))
 
 
 def residue_mod(a, p: int) -> int:

@@ -1,8 +1,9 @@
 """Exact polarizable Hodge structures at a point and polarization comparison.
 
-A structure comes as Q(i)-bases B_{p,q} of its pieces; every check runs over
-Q on one rational frame R of V = ⊕ W_{p,q}, one summand per pair {p, q}
-(Deligne, *Théorie de Hodge II*, 1971, §2).  For p > q, W_{p,q} has the basis
+A structure comes as Q(i)-bases B_{p,q} = X + iY of its pieces, each stored as
+its two rational matrices X = Re B and Y = Im B; every check runs over Q on
+one rational frame R of V = ⊕ W_{p,q}, one summand per pair {p, q} (Deligne,
+*Théorie de Hodge II*, 1971, §2).  For p > q, W_{p,q} has the basis
 X = Re B_{p,q}, Y = Im B_{p,q} and the complex structure J X = -Y, J Y = X
 (i on H^{p,q}, -i on H^{q,p}); W_{p,p} is spanned by Re B_{p,p}, Im B_{p,p}.
 The Weil operator is R Λ R^-1, Λ = i^(p-q) on each summand, positivity is
@@ -28,16 +29,23 @@ from .forms import (
     standard_symplectic_gram,
     symplectic_reduce,
 )
-from .linalg import GaussianRational, Mat, QI_ONE, QI_ZERO, _promote, i_power
+from .linalg import Mat
 from .poly import int_poly_at, poly_degree
 from .witt import WittClassQ, witt_class_of
 
 
 @dataclass
 class HodgePiece:
+    """The (p, q) summand, spanned by the columns of B = re + i im."""
+
     p: int
     q: int
-    basis: Mat  # columns in Q(i)^n
+    re: Mat
+    im: Mat
+
+    def __post_init__(self):
+        if (self.re.m, self.re.n) != (self.im.m, self.im.n):
+            raise ValueError("real and imaginary parts of a piece basis differ in shape")
 
 
 @dataclass
@@ -45,7 +53,8 @@ class HodgeStructure:
     """Pure Hodge structure of weight w on a rational vector space.
 
     Pieces are given by Q(i)-bases of the (p, q) summands of the
-    complexification; conjugation symmetry ties (p, q) to (q, p).
+    complexification, as their real and imaginary parts; conjugation
+    symmetry ties (p, q) to (q, p).
     """
 
     weight: int
@@ -57,12 +66,6 @@ class HodgeStructure:
             if piece.p == p and piece.q == q:
                 return piece
         return None
-
-    def full_basis(self) -> Mat:
-        cols = []
-        for piece in self.pieces:
-            cols.extend(piece.basis.columns())
-        return Mat.from_columns(cols, m=self.dimension)
 
     def validate(self) -> list[str]:
         return _frame_and_problems(self)[1]
@@ -98,12 +101,14 @@ def _frame_and_problems(h: HodgeStructure) -> tuple[_Frame | None, list[str]]:
     for piece in h.pieces:
         if piece.p + piece.q != h.weight:
             problems.append(f"piece ({piece.p},{piece.q}) violates p + q = {h.weight}")
-        if piece.basis.m != h.dimension:
+        if piece.re.m != h.dimension:
             problems.append(f"piece ({piece.p},{piece.q}) has vectors of wrong length")
-        total += piece.basis.n
+        total += piece.re.n
     if total != h.dimension:
         problems.append(f"pieces span {total} dimensions, expected {h.dimension}")
         return None, problems
+    if len({piece.re.m for piece in h.pieces}) > 1:
+        return None, problems  # the bigrading diagnostics need one vector length
     frame = None if problems else _certified_frame(h)
     if frame is None:
         found = _bigrading_problems(h)
@@ -128,20 +133,20 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
     invertible, so it spans X - iY.  Then R^-1 B is block-diagonal with
     invertible blocks."""
     n = h.dimension
-    keys = [(piece.p, piece.q) for piece in h.pieces if piece.basis.n]
+    keys = [(piece.p, piece.q) for piece in h.pieces if piece.re.n]
     if len(set(keys)) < len(keys):
         return None
     spans, summands, partners = [], [], []
     for piece in h.pieces:
         partner = h.piece(piece.q, piece.p)
-        if partner is None or partner.basis.n != piece.basis.n:
+        if partner is None or partner.re.n != piece.re.n:
             return None
         if piece.p < piece.q:
             continue
-        k, start, span = piece.basis.n, sum(s.n for s in spans), _re_im(piece.basis)
+        k, start, span = piece.re.n, sum(s.n for s in spans), piece.re.hstack(piece.im)
         if piece.p > piece.q:
             summands.append(_Summand(piece.p, piece.q, start, k))
-            partners.append((start, k, _re_im(partner.basis)))
+            partners.append((start, k, partner.re.hstack(partner.im)))
         else:
             reduced, pivots = span.rref()
             coords = reduced.submatrix(range(k), range(2 * k))
@@ -167,12 +172,6 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
     return _Frame(basis, inverse, summands)
 
 
-def _re_im(b: Mat) -> Mat:
-    """[Re B | Im B] over Q, for B over Q(i)."""
-    rows = [[_promote(z) for z in r] for r in b.rows]
-    return Mat(b.m, 2 * b.n, [[z.re for z in r] + [z.im for z in r] for r in rows])
-
-
 def _realification(uv: Mat) -> Mat:
     """[[U, -V], [V, U]], the rational matrix of U + iV, for uv = [U | V]."""
     k = uv.n // 2
@@ -189,7 +188,9 @@ def _invertible(uv: Mat) -> bool:
 def _bigrading_problems(h: HodgeStructure) -> list[str]:
     """Why a structure of the right shape has no frame: its pieces are
     dependent over Q(i), or a piece's conjugate does not span its partner."""
-    if _realification(_re_im(h.full_basis())).rank() != 2 * h.dimension:
+    re = reduce(Mat.hstack, [piece.re for piece in h.pieces])
+    im = reduce(Mat.hstack, [piece.im for piece in h.pieces])
+    if _realification(re.hstack(im)).rank() != 2 * h.dimension:
         return ["piece bases are not jointly independent"]
     problems = []
     for piece in h.pieces:
@@ -199,13 +200,17 @@ def _bigrading_problems(h: HodgeStructure) -> list[str]:
             continue
         # the pieces are independent, so the partner has full column rank, and
         # the conjugate lies in its span exactly when that rank does not grow
-        conj = partner.basis.hstack(piece.basis.map(lambda z: z.conjugate()))
-        if (partner.basis.n != piece.basis.n
-                or _realification(_re_im(conj)).rank() != 2 * partner.basis.n):
+        conj = partner.re.hstack(piece.re).hstack(partner.im.hstack(-piece.im))  # [partner | conj B]
+        if (partner.re.n != piece.re.n
+                or _realification(conj).rank() != 2 * partner.re.n):
             problems.append(
                 f"conjugate of piece ({piece.p},{piece.q}) does not span ({piece.q},{piece.p})"
             )
     return problems
+
+
+# i^k as (Re, Im), k mod 4
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def _weil(frame: _Frame, weight: int) -> Mat:
@@ -213,9 +218,11 @@ def _weil(frame: _Frame, weight: int) -> Mat:
     B -> B M on B = X + iY is, on [X | Y], the realification of conj(M)."""
     blocks = []
     for w in frame.summands:
-        z, one = i_power(w.p - w.q), Mat.identity(w.k)
-        blocks.append(_realification(one.scale(z.re).hstack(one.scale(-z.im)))
-                      if w.p > w.q else one)
+        block = Mat.identity(w.k)
+        if w.p > w.q:
+            re, im = _I_POWERS[(w.p - w.q) % 4]
+            block = _realification(block.scale(re).hstack(block.scale(-im)))
+        blocks.append(block)
     c = frame.basis * reduce(Mat.direct_sum, blocks, Mat.zeros(0, 0)) * frame.inverse
     if c * c != Mat.identity(c.n).scale(Fraction((-1) ** weight)):
         raise CertificateError("Weil operator certificate failed: C^2 is not (-1)^w")
@@ -290,8 +297,7 @@ def _check_polarization(h: HodgeStructure, frame: _Frame, weil: Mat,
     if s_c != s_c.T:
         problems.append("S(u, Cv) is not symmetric")
     else:
-        for k in range(1, h.dimension + 1):
-            minor = s_c.submatrix(range(k), range(k)).det()
+        for k, minor in enumerate(s_c.leading_minors(), 1):
             if minor <= 0:
                 problems.append(f"S(u, Cv) is not positive definite "
                                 f"(leading {k}x{k} minor is {minor})")
@@ -305,9 +311,9 @@ def _orthogonality_problems(h: HodgeStructure, s: BilinearForm) -> list[str]:
     ss = s.gram.direct_sum(s.gram)
     problems = []
     for a in h.pieces:
-        left = _realification(_re_im(a.basis.T)) * ss
+        left = _realification(a.re.T.hstack(a.im.T)) * ss
         for b in h.pieces:
-            if b.p != h.weight - a.p and not (left * _realification(_re_im(b.basis))).is_zero():
+            if b.p != h.weight - a.p and not (left * _realification(b.re.hstack(b.im))).is_zero():
                 problems.append(f"pieces ({a.p},{a.q}) and ({b.p},{b.q}) are not S-orthogonal")
     return problems
 
@@ -373,11 +379,12 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
 
     # identity chain: S(phi u, Cv) = S'(u, Cv) = S'(v, Cu) = S(phi v, Cu) = S(u, C phi v)
     sc, spc = chk.s_c, chk2.s_c
+    phi_t_sc, sc_phi = phi.T * sc, sc * phi
     chain_ok = (
-        phi.T * sc == spc
+        phi_t_sc == spc
         and spc.T == spc
-        and (phi.T * sc).T == sc * phi
-        and phi.T * sc == sc * phi  # self-adjointness for the positive form
+        and phi_t_sc.T == sc_phi
+        and phi_t_sc == sc_phi  # self-adjointness for the positive form
     )
 
     preserves = _respects_frame(frame, frame.inverse * phi * frame.basis)
@@ -494,62 +501,39 @@ def standard_structure(weight: int, dimension: int) -> tuple[HodgeStructure, Bil
     (1,1) block.  Weight 3: (3,0)+(0,3) and (2,1)+(1,2) symplectic pairs.
     """
     if weight == 0:
-        basis = Mat.identity(dimension, one=QI_ONE, zero=QI_ZERO)
-        h = HodgeStructure(0, dimension, [HodgePiece(0, 0, basis)])
-        return h, BilinearForm.from_diagonal([1] * dimension)
+        piece = HodgePiece(0, 0, Mat.identity(dimension), Mat.zeros(dimension, dimension))
+        return HodgeStructure(0, dimension, [piece]), BilinearForm.from_diagonal([1] * dimension)
     if weight == 1:
         if dimension % 2:
             raise ValueError("weight 1 needs even dimension")
         m = dimension // 2
-        plus_cols, minus_cols = [], []
-        for t in range(m):
-            v = [QI_ZERO] * dimension
-            v[2 * t] = QI_ONE
-            v[2 * t + 1] = GaussianRational(Fraction(0), Fraction(1))
-            plus_cols.append(v)
-            minus_cols.append([x.conjugate() for x in v])
-        h = HodgeStructure(1, dimension, [
-            HodgePiece(1, 0, Mat.from_columns(plus_cols, m=dimension)),
-            HodgePiece(0, 1, Mat.from_columns(minus_cols, m=dimension)),
-        ])
+        # (1,0) is spanned by e_2t + i e_2t+1
+        re = _unit_columns(dimension, range(0, dimension, 2))
+        im = _unit_columns(dimension, range(1, dimension, 2))
+        h = HodgeStructure(1, dimension, [HodgePiece(1, 0, re, im), HodgePiece(0, 1, re, -im)])
         return h, BilinearForm(RATIONAL, -1, -standard_symplectic_gram(m))
     if weight == 2:
         if dimension < 3:
             raise ValueError("weight 2 fixture needs dimension >= 3")
-        v20 = [QI_ZERO] * dimension
-        v20[0] = QI_ONE
-        v20[1] = GaussianRational(Fraction(0), Fraction(1))
-        v02 = [x.conjugate() for x in v20]
-        mid_cols = []
-        for t in range(2, dimension):
-            v = [QI_ZERO] * dimension
-            v[t] = QI_ONE
-            mid_cols.append(v)
+        # (2,0) is spanned by e_0 + i e_1, (1,1) by e_2, ..., e_(n-1)
+        re, im = _unit_columns(dimension, [0]), _unit_columns(dimension, [1])
         h = HodgeStructure(2, dimension, [
-            HodgePiece(2, 0, Mat.from_columns([v20], m=dimension)),
-            HodgePiece(1, 1, Mat.from_columns(mid_cols, m=dimension)),
-            HodgePiece(0, 2, Mat.from_columns([v02], m=dimension)),
+            HodgePiece(2, 0, re, im),
+            HodgePiece(1, 1, _unit_columns(dimension, range(2, dimension)),
+                       Mat.zeros(dimension, dimension - 2)),
+            HodgePiece(0, 2, re, -im),
         ])
         return h, BilinearForm.from_diagonal([-1, -1] + [1] * (dimension - 2))
     if weight == 3:
         if dimension % 4:
             raise ValueError("weight 3 fixture needs dimension divisible by 4")
         m = dimension // 4
-        pieces_cols = {(3, 0): [], (2, 1): []}
-        for t in range(m):
-            v = [QI_ZERO] * dimension
-            v[4 * t] = QI_ONE
-            v[4 * t + 1] = GaussianRational(Fraction(0), Fraction(1))
-            pieces_cols[(3, 0)].append(v)
-            w = [QI_ZERO] * dimension
-            w[4 * t + 2] = QI_ONE
-            w[4 * t + 3] = GaussianRational(Fraction(0), Fraction(1))
-            pieces_cols[(2, 1)].append(w)
+        # (3,0) is spanned by e_4t + i e_4t+1, (2,1) by e_4t+2 + i e_4t+3
         pieces = []
-        for (p, q), cols in pieces_cols.items():
-            pieces.append(HodgePiece(p, q, Mat.from_columns(cols, m=dimension)))
-            pieces.append(HodgePiece(q, p, Mat.from_columns(
-                [[x.conjugate() for x in col] for col in cols], m=dimension)))
+        for (p, q), at in (((3, 0), 0), ((2, 1), 2)):
+            re = _unit_columns(dimension, range(at, dimension, 4))
+            im = _unit_columns(dimension, range(at + 1, dimension, 4))
+            pieces += [HodgePiece(p, q, re, im), HodgePiece(q, p, re, -im)]
         h = HodgeStructure(3, dimension, pieces)
         gram = [[Fraction(0)] * dimension for _ in range(dimension)]
         for t in range(m):
@@ -561,6 +545,11 @@ def standard_structure(weight: int, dimension: int) -> tuple[HodgeStructure, Bil
             gram[4 * t + 3][4 * t + 2] = Fraction(1)
         return h, BilinearForm(RATIONAL, -1, Mat(dimension, dimension, gram))
     raise ValueError("standard fixtures cover weights 0..3")
+
+
+def _unit_columns(n: int, at) -> Mat:
+    """The n-row matrix whose columns are the unit vectors e_j, j in ``at``."""
+    return Mat.identity(n).submatrix(range(n), at)
 
 
 def random_hodge_endomorphism(rng: Random, h: HodgeStructure, bound: int = 2) -> Mat:
@@ -579,7 +568,7 @@ def random_hodge_endomorphism(rng: Random, h: HodgeStructure, bound: int = 2) ->
             if mirror in blocks:  # the conjugate block
                 blocks[key] = (blocks[mirror][0], -blocks[mirror][1])
                 continue
-            k = piece.basis.n
+            k = piece.re.n
             draws = [[(rng.randint(-bound, bound),
                        rng.randint(-bound, bound) if piece.p != piece.q else 0)
                       for _ in range(k)] for _ in range(k)]

@@ -13,7 +13,7 @@ from fractions import Fraction
 # import their types (cobordism, hodge, genus) when called, so reading a form
 # loads none of those modules; the annotations are strings.
 from .forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm, BlockMetabolicForm
-from .linalg import GaussianRational, Mat
+from .linalg import Mat
 from .witt import WittClassFp, WittClassQ
 
 
@@ -287,17 +287,14 @@ def witness_to_json(w: CobordismWitness) -> dict:
 # -- hodge structures ------------------------------------------------------
 
 
-def _gaussian_from_json(value, pointer: str) -> GaussianRational:
+def _gaussian_from_json(value, pointer: str) -> tuple[Fraction, Fraction]:
+    """An entry of Q(i) as its (re, im) pair; a rational stands for (re, 0)."""
     if isinstance(value, (str, int)):
-        return GaussianRational(parse_rational(value, pointer), Fraction(0))
+        return parse_rational(value, pointer), Fraction(0)
     if isinstance(value, list) and len(value) == 2:
-        return GaussianRational(parse_rational(value[0], f"{pointer}[0]"),
-                                parse_rational(value[1], f"{pointer}[1]"))
+        return (parse_rational(value[0], f"{pointer}[0]"),
+                parse_rational(value[1], f"{pointer}[1]"))
     raise SchemaError(pointer, "expected a rational or an [re, im] pair")
-
-
-def _gaussian_to_json(z: GaussianRational):
-    return [format_rational(z.re), format_rational(z.im)]
 
 
 def hodge_from_json(doc, pointer: str = "$") -> HodgeStructure:
@@ -317,22 +314,23 @@ def hodge_from_json(doc, pointer: str = "$") -> HodgeStructure:
         if not isinstance(pd, dict) or "p" not in pd or "q" not in pd:
             raise SchemaError(pp, "expected {p, q, basis}")
         basis_doc = pd.get("basis", [])
-        vectors = []
+        re, im = [], []
         for vk, vec in enumerate(basis_doc):
             if not isinstance(vec, list):
                 raise SchemaError(f"{pp}.basis[{vk}]", "expected a vector")
-            vectors.append([_gaussian_from_json(x, f"{pp}.basis[{vk}][{xk}]")
-                            for xk, x in enumerate(vec)])
-        if vectors:
+            pairs = [_gaussian_from_json(x, f"{pp}.basis[{vk}][{xk}]") for xk, x in enumerate(vec)]
+            re.append([x for x, _ in pairs])
+            im.append([y for _, y in pairs])
+        if re:
             if dimension is None:
-                dimension = len(vectors[0])
-            if any(len(v) != dimension for v in vectors):
+                dimension = len(re[0])
+            if any(len(v) != dimension for v in re):
                 raise SchemaError(f"{pp}.basis", "vector lengths disagree")
-        pieces.append((pd["p"], pd["q"], vectors))
+        pieces.append((pd["p"], pd["q"], re, im))
     if dimension is None:
         raise SchemaError(f"{pointer}.pieces", "no basis vectors given")
-    built = [HodgePiece(p, q, Mat.from_columns(vectors, m=dimension) if vectors
-             else Mat.zeros(dimension, 0)) for p, q, vectors in pieces]
+    built = [HodgePiece(p, q, Mat.from_columns(re, m=dimension), Mat.from_columns(im, m=dimension))
+             for p, q, re, im in pieces]
     return HodgeStructure(weight=weight, dimension=dimension, pieces=built)
 
 
@@ -343,7 +341,8 @@ def hodge_to_json(h: HodgeStructure) -> dict:
             {
                 "p": piece.p,
                 "q": piece.q,
-                "basis": [[_gaussian_to_json(x) for x in col] for col in piece.basis.columns()],
+                "basis": [[[format_rational(x), format_rational(y)] for x, y in zip(re, im)]
+                          for re, im in zip(piece.re.columns(), piece.im.columns())],
             }
             for piece in sorted(h.pieces, key=lambda x: (-x.p, -x.q))
         ],

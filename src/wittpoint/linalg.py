@@ -1,20 +1,20 @@
-"""Exact dense linear algebra over Q, and the Q(i) entries of Hodge bases.
+"""Exact dense linear algebra over Q.
 
 Every elimination and every product runs over the integers.  Each row of a
 ``Fraction`` matrix is scaled to integers once, on entry, and only integers
 are combined after that.  ``rref`` runs Gauss-Jordan by cross-multiplication,
 dividing each changed row by its content, and divides by the pivots only
-when it builds the result; ``det`` is Bareiss's fraction-free elimination
-(Bareiss 1968; Cohen, *A Course in Computational Algebraic Number Theory*,
-2.2).  The reduced row echelon form is unique, so both return exactly what
-elimination over Q returns.  A product scales each row of the left factor
-and each column of the right one, and divides each entry's integer dot
-product by the two scales only when it builds the entry; ``charpoly`` runs
-on the matrix times the lcm of all its denominators.  The kernel works over
-Q only: a ``GaussianRational`` entry that reaches it raises ``TypeError``
-where its row is scaled to integers.  A ``Mat`` may still hold Q(i) entries,
-as the piece bases of a Hodge structure do; ``hodge`` splits them into real
-and imaginary parts before any elimination or product.
+when it builds the result; ``det`` and ``leading_minors`` run Bareiss's
+fraction-free elimination (Bareiss 1968; Cohen, *A Course in Computational
+Algebraic Number Theory*, 2.2).  The reduced row echelon form is unique, so
+each returns exactly what elimination over Q returns.  A product scales each
+row of the left factor and each column of the right one, and divides each
+entry's integer dot product by the two scales only when it builds the entry;
+``charpoly`` runs on the matrix times the lcm of all its denominators.
+Every entry is a
+``Fraction``: the kernel raises ``TypeError`` where it scales a row holding
+any other number type to integers.  A Hodge structure keeps the real and
+imaginary parts of its piece bases as two rational matrices (``hodge``).
 Polynomials, and their values at a matrix, live in ``poly``.  Zero-row and
 zero-column matrices occur constantly (empty forms, zero complexes), so the
 shape is carried explicitly instead of being inferred from nested lists.
@@ -25,77 +25,13 @@ may share rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element of Q(i), kept exact for Hodge bigrading arithmetic."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(re, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
-
-    def __add__(self, other):
-        other = _promote(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _promote(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = _promote(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _promote(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return self * GaussianRational(other.re / n, -other.im / n)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-
-def _promote(x):
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(Fraction(x), Fraction(0))
-
-
-QI_ZERO = GaussianRational(Fraction(0), Fraction(0))
-QI_ONE = GaussianRational(Fraction(1), Fraction(0))
-QI_I = GaussianRational(Fraction(0), Fraction(1))
-
-
-def i_power(k: int) -> GaussianRational:
-    return (QI_ONE, QI_I, -QI_ONE, -QI_I)[k % 4]
-
-
 class Mat:
-    """Dense matrix with explicit shape; entries are Fraction (GaussianRational
-    in a Hodge piece basis, which no kernel method takes).
+    """Dense matrix with explicit shape; entries are Fraction.
 
     ``__init__`` keeps the list of row lists it is handed, without copying
     it, so a caller builds its rows and wraps them once; ``from_rows`` is the
@@ -123,12 +59,12 @@ class Mat:
         return Mat(m, n, rows)
 
     @staticmethod
-    def zeros(m: int, n: int, zero=Fraction(0)) -> "Mat":
-        return Mat(m, n, [[zero] * n for _ in range(m)])
+    def zeros(m: int, n: int) -> "Mat":
+        return Mat(m, n, [[_ZERO] * n for _ in range(m)])
 
     @staticmethod
-    def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> "Mat":
-        return Mat(n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(n: int) -> "Mat":
+        return Mat(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
     def diag(entries) -> "Mat":
@@ -139,11 +75,14 @@ class Mat:
 
     @staticmethod
     def from_columns(cols, m: int | None = None) -> "Mat":
-        if not cols:
-            if m is None:
+        """The matrix with the given columns, each of length m (by default,
+        the length of the first column)."""
+        if m is None:
+            if not cols:
                 raise ValueError("need row count for empty column list")
-            return Mat(m, 0, [[] for _ in range(m)])
-        m = len(cols[0])
+            m = len(cols[0])
+        if any(len(c) != m for c in cols):
+            raise ValueError(f"every column must have length {m}")
         return Mat(m, len(cols), [[_coerce(c[i]) for c in cols] for i in range(m)])
 
     # -- basic algebra ------------------------------------------------
@@ -286,7 +225,24 @@ class Mat:
         if self.m != self.n:
             raise ValueError("determinant of a non-square matrix")
         a, scales = _integer_rows(self.rows)
-        return Fraction(_bareiss_det(a), prod(scales))
+        d = 1
+        for d in _bareiss(a):  # the last value is the determinant
+            pass
+        return Fraction(d, prod(scales))
+
+    def leading_minors(self):
+        """The leading principal minors of a square matrix, in order, up to and
+        including the first zero one, from one elimination without row
+        exchanges."""
+        if self.m != self.n:
+            raise ValueError("leading minors of a non-square matrix")
+        a, scales = _integer_rows(self.rows)
+        scale = 1
+        for s, d in zip(scales, _bareiss(a)):
+            scale *= s
+            yield Fraction(d, scale)
+            if not d:
+                return
 
     def charpoly(self) -> list[Fraction]:
         """Coefficients of det(t*I - A), ascending in t (Faddeev-LeVerrier).
@@ -314,9 +270,7 @@ class Mat:
 
 
 def _coerce(x):
-    if isinstance(x, (Fraction, GaussianRational)):
-        return x
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _same_shape(a: Mat, b: Mat):
@@ -364,7 +318,7 @@ def _integer_matrix(a: Mat) -> tuple[int, list[list[int]]]:
     return d, [flat[i * a.n:(i + 1) * a.n] for i in range(a.m)]
 
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _fraction(x: int, d: int) -> Fraction:
@@ -405,21 +359,24 @@ def _integer_gauss_jordan(a: list[list[int]], n: int) -> list[int]:
     return pivots
 
 
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination, in place.
+def _bareiss(a: list[list[int]]):
+    """Bareiss elimination of a square integer matrix, in place.
 
-    After step k every entry below row k is a (k+1)-minor of the input, so the
-    division by the previous pivot is exact.
+    Step k first yields sign * a[k][k].  Before any row has been exchanged,
+    that is the leading (k+1)-minor of the input.  A row is exchanged only
+    below a zero pivot, and a column with no pivot ends the elimination, so
+    the last value yielded is the determinant.  After step k every entry
+    below row k is a (k+2)-minor of the input, so the division by the
+    previous pivot is exact.
     """
     n = len(a)
-    if n == 0:
-        return 1
     sign, prev = 1, 1
-    for k in range(n - 1):
+    for k in range(n):
+        yield sign * a[k][k]
         if not a[k][k]:
             pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot is None:
-                return 0
+                return
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         rk = a[k]
@@ -429,4 +386,3 @@ def _bareiss_det(a: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 row[j] = (row[j] * akk - f * rk[j]) // prev
         prev = akk
-    return sign * a[n - 1][n - 1]

@@ -8,6 +8,7 @@ import functools
 import hashlib
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -21,17 +22,21 @@ from wittpoint.cobordism import (
 )
 from wittpoint.forms import (
     HYPERBOLIC_PLANE,
+    RATIONAL,
     BilinearForm,
     BlockMetabolicForm,
     diagonalize,
     metabolic_reduce,
 )
 from wittpoint.hodge import (
+    HodgePiece,
+    HodgeStructure,
     compare_polarizations,
     is_polarization,
     random_hodge_endomorphism,
     random_polarization_pair,
     standard_structure,
+    weil_operator,
 )
 from wittpoint.jsonio import complex_to_json
 from wittpoint.linalg import Mat
@@ -170,6 +175,33 @@ def test_metabolic_reduce_takes_one_determinant(monkeypatch):
     determinants = count(monkeypatch, Mat, "det")
     assert metabolic_reduce(block).hyperbolic_count == 1
     assert determinants[0] == 1  # the input's nondegeneracy; the clearing target is not re-checked
+
+
+def test_compare_polarizations_forms_each_product_once(monkeypatch):
+    # a seeded (2, 4) pair moved to another basis by g, so that S(u, Cv) is
+    # not the identity and no two products of the comparison coincide by value
+    h, s, s_prime = random_polarization_pair(Random(41), 2, 4)
+    g = Mat.from_rows([[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, -1], [1, 0, 0, 1]])
+    h = HodgeStructure(2, 4, [HodgePiece(p.p, p.q, g * p.re, g * p.im) for p in h.pieces])
+    s, s_prime = (BilinearForm(RATIONAL, f.symmetry, g.inv().T * f.gram * g.inv())
+                  for f in (s, s_prime))
+    phi, s_c = compare_polarizations(h, s, s_prime).phi, s.gram * weil_operator(h)
+    products = Counter()
+    multiply = Mat.__mul__
+
+    def spy(a, b):
+        products[(a, b)] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", spy)
+    determinants = count(monkeypatch, Mat, "det")
+    assert compare_polarizations(h, s, s_prime).identity_chain_ok
+    assert (products[(phi.T, s_c)], products[(s_c, phi)]) == (1, 1)
+    assert max(products.values()) == 1 and sum(products.values()) == 22
+    # the frame's (1, 1) block, the coordinates of the (0, 2) partner and each
+    # pairing's nondegeneracy; the positivity minors come from one
+    # elimination, not one det per minor
+    assert determinants[0] == 4
 
 
 def test_random_hodge_endomorphism_inverts_the_full_basis_once(monkeypatch):

@@ -1,4 +1,4 @@
-"""Scalar substrate: square classes, p-adic splitting, Hilbert symbols, Sturm.
+"""Scalar substrate: square classes, Hilbert symbols, Sturm.
 
 The Hilbert symbol is checked against an independent solubility oracle:
 exhaustive primitive search for z^2 = a x^2 + b y^2 modulo p^N, with a
@@ -18,7 +18,6 @@ from wittpoint.core import (
     factor,
     hilbert_symbol,
     is_prime,
-    p_adic_split,
     relevant_places,
     square_class,
     sturm_positive_real_roots,
@@ -134,37 +133,6 @@ def test_square_class_type_invariant():
         SquareClass(12)  # not squarefree
     with pytest.raises(ValueError):
         SquareClass(0)
-
-
-# -- p-adic splitting ------------------------------------------------------
-
-
-def test_p_adic_split_spec_values():
-    d = p_adic_split(-2, 2)
-    assert (d.prime, d.valuation, d.unit, d.unit_residue) == (2, 1, Fraction(-1), 1)
-    d = p_adic_split(-2, 3)
-    assert (d.valuation, d.unit_residue) == (0, 1)
-    d = p_adic_split(Fraction(9, 4), 3)
-    assert (d.valuation, d.unit_residue) == (2, 1)  # 1/4 = 1 mod 3
-
-
-def test_p_adic_split_rejects_bad_input():
-    with pytest.raises(ValueError):
-        p_adic_split(0, 3)
-    with pytest.raises(ValueError, match="not prime"):
-        p_adic_split(5, 6)
-
-
-@given(a=nonzero_rationals, p=st.sampled_from([2, 3, 5, 7, 11]))
-def test_p_adic_split_reassembles(a, p):
-    d = p_adic_split(a, p)
-    assert d.reconstruct() == a
-    assert d.unit.numerator % p != 0 and d.unit.denominator % p != 0
-    assert 1 <= d.unit_residue < p
-    # same square class at p: valuation parity and unit residue class agree
-    again = p_adic_split(a * p * p, p)
-    assert again.valuation == d.valuation + 2
-    assert again.unit_residue == d.unit_residue
 
 
 # -- hilbert symbol properties ---------------------------------------------

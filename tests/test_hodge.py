@@ -18,18 +18,29 @@ from wittpoint.hodge import (
     standard_structure,
     weil_operator,
 )
-from wittpoint.linalg import GaussianRational, Mat, QI_ONE, QI_ZERO
+from wittpoint.jsonio import hodge_from_json, hodge_to_json
+from wittpoint.linalg import Mat
 from wittpoint.poly import int_poly_at
 from wittpoint.witt import witt_class_of
 
 
+def _structure(weight, dimension, *pieces):
+    """A structure from (p, q, columns) triples.  The entries are Gaussian
+    integers written as Python numbers (1, 1j, -1j, ...), exact at this size;
+    the columns may have any length, and a piece with no columns has
+    ``dimension`` rows."""
+    built = []
+    for p, q, cols in pieces:
+        re, im = ([[Fraction(getattr(complex(z), part)) for z in col] for col in cols]
+                  for part in ("real", "imag"))
+        m = None if cols else dimension
+        built.append(HodgePiece(p, q, Mat.from_columns(re, m=m), Mat.from_columns(im, m=m)))
+    return HodgeStructure(weight, dimension, built)
+
+
 def elliptic_curve_structure():
     """Weight 1, dimension 2, H^{1,0} spanned by (1, i)."""
-    v = [QI_ONE, GaussianRational.of(0, 1)]
-    return HodgeStructure(1, 2, [
-        HodgePiece(1, 0, Mat.from_columns([v], m=2)),
-        HodgePiece(0, 1, Mat.from_columns([[x.conjugate() for x in v]], m=2)),
-    ])
+    return _structure(1, 2, (1, 0, [[1, 1j]]), (0, 1, [[1, -1j]]))
 
 
 def test_weil_operator_weight0_identity():
@@ -232,57 +243,65 @@ def test_pol_class_signature_invariance_under_second_polarization():
         assert pol_class(h, s).signature == pol_class(h, s2).signature
 
 
+def test_structures_hold_rational_matrices_only():
+    structures = [standard_structure(w, d)[0] for w, d in [(0, 3), (1, 4), (2, 5), (3, 8)]]
+    rng = Random(41)
+    structures += [random_polarization_pair(rng, w, d)[0] for w, d in SHAPES]
+    structures += [hodge_from_json(hodge_to_json(h)) for h in structures]
+    structures.append(hodge_from_json({"weight": 0, "pieces": [
+        {"p": 0, "q": 0, "basis": [["1", 0], [["0", "1/2"], "-3"]]}]}))
+    for h in structures:
+        for piece in h.pieces:
+            mats = [v for v in vars(piece).values() if isinstance(v, Mat)]
+            assert len(mats) == 2
+            assert all(type(x) is Fraction for mat in mats for row in mat.rows for x in row)
+
+
+def test_piece_parts_must_share_a_shape():
+    with pytest.raises(ValueError, match="differ in shape"):
+        HodgePiece(1, 0, Mat.zeros(2, 1), Mat.zeros(2, 2))
+
+
 def test_invalid_structure_rejected():
     # conjugate of (1,0) must span (0,1); give an unrelated basis instead
-    v = [QI_ONE, GaussianRational.of(0, 1)]
-    w = [QI_ONE, QI_ZERO]
-    h = HodgeStructure(1, 2, [
-        HodgePiece(1, 0, Mat.from_columns([v], m=2)),
-        HodgePiece(0, 1, Mat.from_columns([w], m=2)),
-    ])
+    h = _structure(1, 2, (1, 0, [[1, 1j]]), (0, 1, [[1, 0]]))
     problems = h.validate()
     assert problems
     with pytest.raises(ValueError, match="invalid Hodge structure"):
         weil_operator(h)
 
 
-def _structure(weight, dimension, *pieces):
-    """A structure from (p, q, columns) triples; the columns may have any length."""
-    built = []
-    for p, q, cols in pieces:
-        basis = Mat.from_columns(cols, m=dimension) if cols else Mat.zeros(dimension, 0, zero=QI_ZERO)
-        built.append(HodgePiece(p, q, basis))
-    return HodgeStructure(weight, dimension, built)
-
-
-I_ = GaussianRational.of(0, 1)
 INVALID_STRUCTURES = [
-    (_structure(0, 2, (1, 0, [[QI_ONE, I_]]), (0, 1, [[QI_ONE, -I_]])),
+    (_structure(0, 2, (1, 0, [[1, 1j]]), (0, 1, [[1, -1j]])),
      ["piece (1,0) violates p + q = 0", "piece (0,1) violates p + q = 0"]),
-    (_structure(0, 2, (1, 0, [[QI_ONE, I_]]), (0, 1, [[QI_ONE, QI_ZERO]])),
+    (_structure(0, 2, (1, 0, [[1, 1j]]), (0, 1, [[1, 0]])),
      ["piece (1,0) violates p + q = 0", "piece (0,1) violates p + q = 0",
       "conjugate of piece (1,0) does not span (0,1)",
       "conjugate of piece (0,1) does not span (1,0)"]),
-    (_structure(0, 2, (0, 0, [[QI_ONE, QI_ZERO, QI_ZERO], [QI_ZERO, QI_ONE, QI_ZERO]])),
+    (_structure(0, 2, (0, 0, [[1, 0, 0], [0, 1, 0]])),
      ["piece (0,0) has vectors of wrong length"]),
-    (_structure(0, 2, (0, 0, [[QI_ONE], [I_]])),
+    (_structure(0, 2, (0, 0, [[1], [1j]])),
      ["piece (0,0) has vectors of wrong length", "piece bases are not jointly independent"]),
-    (_structure(0, 3, (0, 0, [[QI_ONE, QI_ZERO, QI_ZERO], [QI_ZERO, QI_ONE, QI_ZERO]])),
+    (_structure(0, 3, (0, 0, [[1, 0, 0], [0, 1, 0]])),
      ["pieces span 2 dimensions, expected 3"]),
-    (_structure(1, 2, (1, 0, [[QI_ONE, I_]]), (0, 1, [[QI_ONE, I_]])),
+    (_structure(1, 2, (1, 0, [[1, 1j]]), (0, 1, [[1, 1j]])),
      ["piece bases are not jointly independent"]),
     # rank_Q [Re B, Im B] = 2 = k, yet (1, i) and (-i, 1) = -i (1, i) are dependent
-    (_structure(0, 2, (0, 0, [[QI_ONE, I_], [-I_, QI_ONE]])),
+    (_structure(0, 2, (0, 0, [[1, 1j], [-1j, 1]])),
      ["piece bases are not jointly independent"]),
-    (_structure(1, 2, (1, 0, [[QI_ONE, I_], [QI_ONE, -I_]])),
+    (_structure(1, 2, (1, 0, [[1, 1j], [1, -1j]])),
      ["piece (1,0) has no conjugate partner"]),
-    (_structure(1, 3, (1, 0, [[QI_ONE, I_, QI_ZERO]]),
-                (0, 1, [[QI_ONE, -I_, QI_ZERO], [QI_ZERO, QI_ZERO, QI_ONE]])),
+    (_structure(1, 3, (1, 0, [[1, 1j, 0]]), (0, 1, [[1, -1j, 0], [0, 0, 1]])),
      ["conjugate of piece (1,0) does not span (0,1)",
       "conjugate of piece (0,1) does not span (1,0)"]),
-    (_structure(1, 2, (1, 0, [[QI_ONE, I_]]), (0, 1, [[QI_ONE, QI_ZERO]])),
+    (_structure(1, 2, (1, 0, [[1, 1j]]), (0, 1, [[1, 0]])),
      ["conjugate of piece (1,0) does not span (0,1)",
       "conjugate of piece (0,1) does not span (1,0)"]),
+    # pieces whose vectors differ in length get no bigrading diagnostics
+    (_structure(1, 2, (1, 0, [[1, 1j, 0]]), (0, 1, [[1, -1j]])),
+     ["piece (1,0) has vectors of wrong length"]),
+    (_structure(1, 2, (1, 0, [[1, 1j]]), (0, 1, [[1, -1j, 0]])),
+     ["piece (0,1) has vectors of wrong length"]),
 ]
 
 

@@ -9,11 +9,13 @@ reduction by full n x n products and the greedy rank-growth scan of
 requires the kernel's output to equal the reference's, entry by entry and
 entry type by entry type.  The kernel works over Q only and refuses a Q(i)
 matrix with ``TypeError``; the Q(i) field loops are checked against the
-rational kernel on realifications, built here.
+rational kernel on realifications, built here, and so is the Q(i) scalar
+they run on, ``GaussianRational``.
 
 The local symbols have references too: the ``Fraction`` splitting and the
 per-pair Hilbert symbols that the integer local formulas replaced, and the
-residue loop of ``psi`` over that splitting.  Square classes are checked
+residue loop of ``psi`` over that splitting; the ``Fraction`` splitting is
+also the reference for the integer one, ``core._int_split``.  Square classes are checked
 against a fresh factorization of their representative.
 
 The spectral certificate of ``compare_polarizations`` runs on integers; its
@@ -26,6 +28,7 @@ the rational front ends of the integer gcd, squarefree part and value at a
 matrix, live here too.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -36,13 +39,12 @@ from wittpoint import poly
 from wittpoint.core import (
     REAL_PLACE,
     CertificateError,
-    LocalUnitData,
     SquareClass,
     SturmCertificate,
     hilbert_symbol,
     is_prime,
+    _int_split,
     legendre,
-    p_adic_split,
     relevant_places,
     residue_mod,
     square_class,
@@ -60,7 +62,7 @@ from wittpoint.forms import (
     transvection,
 )
 from wittpoint.hodge import _divisors, _rational_roots, _signed_divisors
-from wittpoint.linalg import QI_ONE, QI_ZERO, GaussianRational, Mat, extend_to_complement
+from wittpoint.linalg import Mat, extend_to_complement
 from wittpoint.poly import (
     int_poly,
     int_poly_at,
@@ -73,6 +75,68 @@ from wittpoint.poly import (
 from wittpoint.witt import WittClassFp, fp_class_of, psi
 
 EXAMPLES = settings(max_examples=150, deadline=None)
+
+# -- Q(i) scalars ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GaussianRational:
+    """Element of Q(i), the scalar of the Q(i) field loops."""
+
+    re: Fraction
+    im: Fraction
+
+    @staticmethod
+    def of(re, im=0) -> "GaussianRational":
+        return GaussianRational(Fraction(re), Fraction(im))
+
+    def __add__(self, other):
+        other = _promote(other)
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _promote(other)
+        return GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = _promote(other)
+        return GaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _promote(other)
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return self * GaussianRational(other.re / n, -other.im / n)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+
+def _promote(x):
+    if isinstance(x, GaussianRational):
+        return x
+    return GaussianRational(Fraction(x), Fraction(0))
+
+
+QI_ZERO = GaussianRational(Fraction(0), Fraction(0))
+QI_ONE = GaussianRational(Fraction(1), Fraction(0))
+
+
+def qi_diag(n: int, z) -> Mat:
+    """z times the n x n identity over Q(i)."""
+    return Mat(n, n, [[z if i == j else QI_ZERO for j in range(n)] for i in range(n)])
+
 
 # -- Fraction polynomials -------------------------------------------------
 
@@ -228,7 +292,7 @@ def holds_qi(*mats) -> bool:
 
 
 def ref_qi_inv(a: Mat) -> Mat:
-    ident = Mat.identity(a.n, one=QI_ONE, zero=QI_ZERO)
+    ident = qi_diag(a.n, QI_ONE)
     x = ref_solve(a, ident)
     if x is None or ref_product(a, x) != ident:
         raise ValueError("matrix is singular")
@@ -391,6 +455,16 @@ def ref_p_adic_valuation(a: Fraction, p: int) -> int:
         d //= p
         v -= 1
     return v
+
+
+@dataclass(frozen=True)
+class LocalUnitData:
+    """p-adic splitting a = unit * p^valuation with the unit's residue mod p."""
+
+    prime: int
+    valuation: int
+    unit: Fraction
+    unit_residue: int
 
 
 def ref_p_adic_split(a, p: int) -> LocalUnitData:
@@ -604,7 +678,7 @@ def matrices(draw, m=None, n=None, entries=rationals, zero=Fraction(0), size=5):
         r = draw(st.integers(0, min(m, n) - 1))
         left = Mat(m, r, [[draw(entries) for _ in range(r)] for _ in range(m)])
         right = Mat(r, n, [[draw(entries) for _ in range(n)] for _ in range(r)])
-        return ref_product(left, right) if r else Mat.zeros(m, n, zero=zero)
+        return ref_product(left, right) if r else Mat(m, n, [[zero] * n for _ in range(m)])
     return Mat(m, n, [[draw(entries) for _ in range(n)] for _ in range(m)])
 
 
@@ -786,7 +860,7 @@ def test_product_edge_shapes():
     for m, k, n in [(0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0), (0, 2, 0)]:
         a, b = Mat.zeros(m, k), Mat.zeros(k, n)
         assert same_entries(a * b, ref_product(a, b))
-        a, b = Mat.zeros(m, k, zero=QI_ZERO), Mat.zeros(k, n, zero=QI_ZERO)
+        a, b = (Mat(r, c, [[QI_ZERO] * c for _ in range(r)]) for r, c in ((m, k), (k, n)))
         if holds_qi(a, b):
             with pytest.raises(TypeError, match="over Q"):
                 a * b
@@ -927,10 +1001,38 @@ def test_qi_elimination_runs_through_the_realification():
     a = Mat(2, 2, [[z(1, 1), z(0, 2)], [z(1), z(1, 1)]])  # det = (1 + i)^2 - 2i = 0: rank 1
     assert realify(a).rank() == 2
     unit = Mat(2, 2, [[z(0, 1), z(0)], [z(0), z(0, 1)]])
-    assert realify(unit).inv() == realify(Mat.identity(2, one=z(0, -1), zero=z(0)))
+    assert realify(unit).inv() == realify(qi_diag(2, z(0, -1)))
     for what in ("rref", "det", "nullspace", "column_space_basis"):
         with pytest.raises(TypeError, match="over Q"):
             getattr(a, what)()
+
+
+@st.composite
+def symmetric_by_first_nonpositive_minor(draw):
+    """A symmetric L D L^T with L unit lower triangular, whose leading
+    k-minor is d_1 ... d_k, and the index of its first nonpositive leading
+    minor (n when there is none), drawn first: zero, negative or absent."""
+    n = draw(st.integers(1, 5))
+    at = draw(st.integers(0, n))
+    positive = rationals.filter(lambda x: x > 0)
+    d = [draw(positive) for _ in range(at)]
+    if at < n:
+        d.append(draw(st.one_of(st.just(Fraction(0)), positive.map(lambda x: -x))))
+        d += [draw(rationals) for _ in range(n - at - 1)]
+    lower = Mat(n, n, [[Fraction(1) if i == j else draw(rationals) if j < i else Fraction(0)
+                        for j in range(n)] for i in range(n)])
+    return lower * Mat.diag(d) * lower.T, at
+
+
+@EXAMPLES
+@given(case=symmetric_by_first_nonpositive_minor())
+def test_leading_minors_match_the_leading_block_determinants(case):
+    a, at = case
+    minors = list(a.leading_minors())
+    blocks = [a.submatrix(range(k), range(k)).det() for k in range(1, a.n + 1)]
+    first_zero = next((k for k, x in enumerate(blocks) if not x), a.n - 1)
+    assert same_entries(Mat(1, len(minors), [minors]), Mat(1, first_zero + 1, [blocks[:first_zero + 1]]))
+    assert next((k for k, x in enumerate(minors) if x <= 0), a.n) == at
 
 
 @EXAMPLES
@@ -946,7 +1048,9 @@ def test_extend_to_complement_matches_the_greedy_scan(data):
 def test_local_symbols_match_the_fraction_splitting(a, b, place):
     assert hilbert_symbol(a, b, place) == ref_hilbert_symbol(a, b, place)
     if place != REAL_PLACE:
-        assert repr(p_adic_split(a, place)) == repr(ref_p_adic_split(a, place))
+        ref = ref_p_adic_split(a, place)
+        (vn, un), (vd, ud) = (_int_split(n, place) for n in (a.numerator, a.denominator))
+        assert (vn - vd, Fraction(un, ud)) == (ref.valuation, ref.unit)
 
 
 @EXAMPLES
@@ -1082,5 +1186,5 @@ def test_spectral_certificate_edge_cases(monkeypatch):
     with pytest.raises(CertificateError, match="does not divide p"):
         poly_squarefree_part([1, 0, 1])
     with pytest.raises(TypeError, match="over Q"):
-        Mat.from_rows([[QI_ONE]]).charpoly()
+        Mat(1, 1, [[QI_ONE]]).charpoly()
 

@@ -5,18 +5,8 @@ from random import Random
 
 import pytest
 
-from wittpoint.linalg import GaussianRational, Mat, QI_I, QI_ONE, i_power
+from wittpoint.linalg import Mat
 from wittpoint.poly import int_poly, int_poly_at, int_poly_gcd, int_poly_squarefree
-
-
-def test_gaussian_arithmetic():
-    z = GaussianRational.of(1, 2)
-    w = GaussianRational.of(3, -1)
-    assert z * w == GaussianRational.of(5, 5)
-    assert (z / w) * w == z
-    assert z.conjugate().im == -z.im
-    assert QI_I * QI_I == -QI_ONE
-    assert [i_power(k) for k in range(4)] == [QI_ONE, QI_I, -QI_ONE, -QI_I]
 
 
 def test_zero_dimensional_matrices():
@@ -47,6 +37,15 @@ def test_nullspace_and_column_space():
     assert ns.n == 2
     assert (a * ns).is_zero()
     assert a.column_space_basis().n == 1
+
+
+def test_from_columns_refuses_columns_of_another_length():
+    assert Mat.from_columns([[1, 2], [3, 4]], m=2) == Mat.from_rows([[1, 3], [2, 4]])
+    assert Mat.from_columns([], m=3) == Mat.zeros(3, 0)
+    for cols, m in [([[1, 2], [3, 4, 5]], 3), ([[1, 2], [3, 4, 5]], None), ([[1, 2, 3]], 2),
+                    ([[1, 2, 3], [4, 5]], None)]:
+        with pytest.raises(ValueError, match="every column must have length"):
+            Mat.from_columns(cols, m=m)
 
 
 def test_rref_pivots():

@@ -8,12 +8,15 @@ may share them with other matrices, so the package never writes rows.
 The package loads its submodules lazily, but re-exports the same names.
 Degree-0 subquotient witnesses are built by one function, so their block
 conventions live in one place.  The matrix kernel works over Q only: the
-Hodge layer hands it rational matrices, and a Q(i) matrix is refused.
+Hodge layer hands it rational matrices, and a Q(i) matrix is refused.  The
+package has no Q(i) scalar at all; the one the tests build Q(i) matrices
+from lives in ``test_kernel``.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -23,7 +26,8 @@ import pytest
 import wittpoint
 from wittpoint import linalg, poly
 from wittpoint.hodge import compare_polarizations, is_polarization, random_polarization_pair
-from wittpoint.linalg import GaussianRational, Mat
+from wittpoint.linalg import Mat
+from test_kernel import GaussianRational
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -163,10 +167,52 @@ w = CobordismWitness(kind="direct", f=f)
     assert subquotient_witness_builders(ast.parse(source)) == ["a", "inner"]
 
 
+QI_SCALAR = re.compile(r"GaussianRational|QI_\w+|i_power|_promote")
+
+
+def qi_scalar_names(tree) -> list[str]:
+    """The Q(i) scalar names a module defines, imports or reads, one entry per place."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.alias):
+            names = [node.name.rsplit(".", 1)[-1]]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [name for name in names if QI_SCALAR.fullmatch(name)]
+    return found
+
+
+def test_package_has_no_qi_scalar():
+    found = {path.name: qi_scalar_names(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: names for name, names in found.items() if names}
+    assert found == {}, f"keep Q(i) data as (Re, Im) pairs of rational matrices: {found}"
+
+
+def test_qi_scalar_guard_sees_every_spelling():
+    source = """
+from .linalg import GaussianRational as G, Mat
+class GaussianRational: pass
+def i_power(k): return k
+def _promote(x): return x
+QI_ONE = 1
+z = linalg.QI_I
+ok = (QI, qi_one, promote, power, GaussianRationals, i_powers, G, Mat)
+"""
+    assert sorted(qi_scalar_names(ast.parse(source))) == [
+        "GaussianRational", "GaussianRational", "QI_I", "QI_ONE", "_promote", "i_power"]
+
+
 # The names ``wittpoint`` re-exports, by the submodule that defines them.
 EXPORTS = {
-    "core": ["REAL_PLACE", "CertificateError", "LocalUnitData", "SquareClass", "SturmCertificate",
-             "hilbert_symbol", "p_adic_split", "square_class", "sturm_positive_real_roots"],
+    "core": ["REAL_PLACE", "CertificateError", "SquareClass", "SturmCertificate",
+             "hilbert_symbol", "square_class", "sturm_positive_real_roots"],
     "forms": ["BilinearForm", "BlockMetabolicForm", "Diagonalization", "FormInvariants",
               "HYPERBOLIC_PLANE", "diagonalize", "invariants", "metabolic_reduce", "radical_split",
               "symplectic_reduce"],
@@ -184,7 +230,7 @@ EXPORTS = {
 
 def test_package_exports_the_same_names_lazily():
     names = sorted(name for group in EXPORTS.values() for name in group)
-    assert len(names) == 53
+    assert len(names) == 51
     assert sorted(wittpoint.__all__) == names
     assert set(names) <= set(dir(wittpoint))
     for mod, group in EXPORTS.items():
