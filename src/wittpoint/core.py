@@ -7,8 +7,8 @@ division with a configurable bound: inputs are desk scale and the bound gives
 a clear failure mode instead of an open-ended search.  The bound applies to
 the integer num*den of each diagonal entry, never to a product of entries:
 a square class carries the odd-exponent primes of its entry, products of
-classes combine those prime sets, and the local symbols read integer
-valuations and units at each place.
+classes combine those prime sets, and the local symbols and Witt residues read
+integer valuations and units at each place (residues at an entry's own primes).
 """
 
 from __future__ import annotations

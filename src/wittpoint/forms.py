@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .core import (
     REAL_PLACE,
@@ -62,7 +63,7 @@ class BilinearForm:
         else:
             if any(x.denominator != 1 for r in g.rows for x in r):
                 raise ValueError("prime field Gram entries must be integers")
-            if not _divisible(g.T - mirror, self.field):
+            if any(x.numerator % self.field for r in (g.T - mirror).rows for x in r):
                 raise ValueError("Gram matrix does not match the declared symmetry mod p")
 
     @property
@@ -130,8 +131,8 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
     matrix times the lcm of its denominators, and each cleared basis column
     is rescaled to a primitive integer vector, which keeps reported entries
     integral for integral input.  Over F_p it runs on residues in [0, p), and
-    each cleared column is scaled by the inverse of its pivot.  The
-    certificate P^T G P = D is checked exactly over Q and mod p over F_p.
+    each cleared column is scaled by the inverse of its pivot.  The certificate
+    B^T (scale G) B = scale D runs on its integers, exactly over Q, mod p over F_p.
     """
     if not f.is_symmetric:
         raise ValueError("diagonalization requires symmetric form")
@@ -142,6 +143,7 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
         m = [[x.numerator * (scale // x.denominator) for x in r] for r in f.gram.rows]
     else:
         m = [[x.numerator % p for x in r] for r in f.gram.rows]
+    gram = [list(r) for r in m]  # scale * G, kept for the certificate
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
     # basis[k] is column k of the congruence, an integer vector; m is kept in
@@ -195,23 +197,23 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
                 combine(i, abs(d), k, -sign * c, primitive=True)
         k += 1
     rank = k
-    if p is None:
-        entries = tuple(Fraction(m[i][i], scale) for i in range(rank))
-    else:
-        entries = tuple(m[i][i] for i in range(rank))
-    congruence = Mat.from_columns(basis, m=n)
-    lhs = congruence.T * f.gram * congruence
-    diag = Mat.diag(list(entries) + [Fraction(0)] * (n - rank))
-    if p is None and lhs != diag:
-        raise CertificateError("diagonalization certificate failed: P^T G P is not the diagonal D")
-    if p is not None and not _divisible(lhs - diag, p):
-        raise CertificateError("diagonalization certificate failed: P^T G P is not the diagonal D mod p")
+    diag = [m[i][i] for i in range(rank)]
+    _certify_congruence(basis, gram, diag, p)
+    entries = tuple(Fraction(d, scale) for d in diag) if p is None else tuple(diag)
+    congruence = Mat(n, n, [[Fraction(c[i]) for c in basis] for i in range(n)])
     return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
 
 
-def _divisible(g: Mat, p: int) -> bool:
-    """Whether every entry of an integer matrix is divisible by p."""
-    return all(x.numerator % p == 0 for r in g.rows for x in r)
+def _certify_congruence(cols, gram, diag, p) -> None:
+    """Raise ``CertificateError`` unless B^T G B = diag(diag, 0...0), exactly
+    (p None) or mod p, for the integer columns ``cols`` of B and Gram ``gram``."""
+    for j, cj in enumerate(cols):
+        gcj = [sum(map(mul, row, cj)) for row in gram]
+        for i, ci in enumerate(cols):
+            x = sum(map(mul, ci, gcj)) - (diag[i] if i == j and i < len(diag) else 0)
+            if x if p is None else x % p:
+                raise CertificateError("diagonalization certificate failed: P^T G P is not the diagonal D"
+                                       + ("" if p is None else " mod p"))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,12 @@ class SchemaError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
+def _integer(value, pointer: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(pointer, "expected an integer")
+    return value
+
+
 def parse_rational(value, pointer: str = "$") -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(pointer, "expected a rational, got a boolean")
@@ -143,9 +149,7 @@ def witt_class_to_json(c: WittClassQ) -> dict:
 
 
 def witt_class_from_json(doc, pointer: str = "$") -> WittClassQ:
-    sig = doc.get("signature")
-    if not isinstance(sig, int):
-        raise SchemaError(f"{pointer}.signature", "expected an integer")
+    sig = _integer(doc.get("signature"), f"{pointer}.signature")
     residues = {}
     for k, entry in enumerate(doc.get("residues", [])):
         c = fp_class_from_json(entry, f"{pointer}.residues[{k}]")
@@ -301,9 +305,7 @@ def hodge_from_json(doc, pointer: str = "$") -> HodgeStructure:
     from .hodge import HodgePiece, HodgeStructure
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")
-    weight = doc.get("weight")
-    if not isinstance(weight, int):
-        raise SchemaError(f"{pointer}.weight", "expected an integer")
+    weight = _integer(doc.get("weight"), f"{pointer}.weight")
     pieces_doc = doc.get("pieces")
     if not isinstance(pieces_doc, list) or not pieces_doc:
         raise SchemaError(f"{pointer}.pieces", "expected a nonempty list")
@@ -326,7 +328,7 @@ def hodge_from_json(doc, pointer: str = "$") -> HodgeStructure:
                 dimension = len(re[0])
             if any(len(v) != dimension for v in re):
                 raise SchemaError(f"{pp}.basis", "vector lengths disagree")
-        pieces.append((pd["p"], pd["q"], re, im))
+        pieces.append((_integer(pd["p"], f"{pp}.p"), _integer(pd["q"], f"{pp}.q"), re, im))
     if dimension is None:
         raise SchemaError(f"{pointer}.pieces", "no basis vectors given")
     built = [HodgePiece(p, q, Mat.from_columns(re, m=dimension), Mat.from_columns(im, m=dimension))
@@ -372,9 +374,7 @@ def pieces_from_json(doc, pointer: str = "$") -> tuple[list[PrimitivePiece], int
     from .genus import PrimitivePiece
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")
-    weight = doc.get("weight")
-    if not isinstance(weight, int):
-        raise SchemaError(f"{pointer}.weight", "expected an integer")
+    weight = _integer(doc.get("weight"), f"{pointer}.weight")
     out = []
     for k, pd in enumerate(doc.get("pieces", [])):
         pp = f"{pointer}.pieces[{k}]"

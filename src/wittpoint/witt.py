@@ -1,7 +1,7 @@
 """Witt classes over Q and F_p in canonical form.
 
-A class over Q is stored as (signature, second residues), where the residue
-at p reads off the odd-valuation diagonal entries' unit residues in W(F_p).
+A class over Q is stored as (signature, second residues), read in one pass
+that sends each diagonal entry's unit to W(F_p) at each prime p of its class.
 Together these are a complete invariant (Milnor's residue exact sequence);
 the structured F_p payloads follow the classical group tables
 
@@ -21,6 +21,7 @@ from math import lcm, prod
 from .core import (
     REAL_PLACE,
     CertificateError,
+    SquareClass,
     _int_split,
     is_prime,
     is_residue,
@@ -119,18 +120,28 @@ def fp_class_of(entries, p: int) -> WittClassFp:
         raise ValueError("use rank parity directly for p = 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    residues = []
-    for e in entries:
-        e = residue_mod(e, p)
-        if e == 0:
-            raise ValueError("diagonal entries must be nonzero mod p")
-        residues.append(is_residue(e, p))
+    units = [residue_mod(e, p) for e in entries]
+    if 0 in units:
+        raise ValueError("diagonal entries must be nonzero mod p")
+    return _fp_class(units, p)
+
+
+def _fp_class(units, p: int) -> WittClassFp:
+    """Class of <units> in W(F_p), unchecked: p is a prime (2 gives the
+    rank parity) and every unit is nonzero mod p."""
+    if p == 2:
+        return WittClassFp._of(2, len(units) % 2)
+    nonresidues = sum(1 for u in units if not is_residue(u, p))
     if p % 4 == 3:
-        value = sum(1 if r else -1 for r in residues) % 4
-        return WittClassFp._of(p, value)
-    parity = len(residues) % 2
-    disc_is_residue = sum(1 for r in residues if not r) % 2 == 0
-    return WittClassFp._of(p, (parity, disc_is_residue))
+        return WittClassFp._of(p, (len(units) - 2 * nonresidues) % 4)
+    return WittClassFp._of(p, (len(units) % 2, nonresidues % 2 == 0))
+
+
+def _split_at(e: Fraction, p: int) -> tuple[int, int]:
+    """(valuation parity, unit residue mod p) at the prime p of num*den = e den^2,
+    whose unit and e's differ by a square, so both give one class in W(F_p)."""
+    v, u = _int_split(e.numerator * e.denominator, p)
+    return v % 2, u % p
 
 
 def _diagonal_entries(f: BilinearForm) -> list[Fraction]:
@@ -159,15 +170,7 @@ def psi(form_or_entries, p: int, k: int) -> WittClassFp:
         entries = [Fraction(e) for e in form_or_entries]
         if any(e == 0 for e in entries):
             raise ValueError("diagonal entries must be nonzero")
-    kept = []
-    for e in entries:
-        vn, un = _int_split(e.numerator, p)
-        vd, ud = _int_split(e.denominator, p)
-        if (vn - vd) % 2 == k:
-            kept.append(un * pow(ud, -1, p) % p)
-    if p == 2:
-        return WittClassFp.rank_parity(2, len(kept))
-    return fp_class_of(kept, p)
+    return _fp_class([u for v, u in (_split_at(e, p) for e in entries) if v == k], p)
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,7 @@ def witt_class_of(f: BilinearForm) -> WittClassQ:
         split = radical_split(f)
         symplectic_reduce(split.nondegenerate)  # certificate that the class is zero
         return WittClassQ.zero()
-    return _class_of_entries(_diagonal_entries(f))
+    return _class_of_entries(*_classed_entries(f))
 
 
 def _require_rational(f: BilinearForm):
@@ -234,14 +237,21 @@ def _require_rational(f: BilinearForm):
         raise ValueError("witt_class_of computes classes over Q")
 
 
-def _class_of_entries(entries) -> WittClassQ:
-    """Class of the nondegenerate diagonal form <entries> over Q."""
+def _classed_entries(f: BilinearForm) -> tuple[list[Fraction], list[SquareClass]]:
+    """The diagonal entries of f and their square classes, each factored once."""
+    entries = _diagonal_entries(f)
+    return entries, [square_class(e) for e in entries]
+
+
+def _class_of_entries(entries, classes) -> WittClassQ:
+    """Class over Q of the nondegenerate diagonal form <entries>, given their square
+    classes: the residue psi(entries, p, 1) reads the entries with p among their primes."""
     signature = sum(1 if e > 0 else -1 for e in entries)
-    primes = set()
-    for e in entries:
-        primes.update(square_class(e).prime_support())
-    residues = {p: psi(entries, p, 1) for p in sorted(primes)}
-    return WittClassQ.make(signature, residues)
+    units = {}  # p -> unit residues of the entries of odd valuation at p
+    for e, c in zip(entries, classes):
+        for p in c.prime_support():
+            units.setdefault(p, []).append(_split_at(e, p)[1])
+    return WittClassQ.make(signature, {p: _fp_class(us, p) for p, us in units.items()})
 
 
 def group_law(a: WittClassQ, b: WittClassQ, op: str):
@@ -260,23 +270,24 @@ def group_law(a: WittClassQ, b: WittClassQ, op: str):
 # -- equality oracles ---------------------------------------------------
 
 
-def _hasse_route_entries(ef: list, eg: list) -> bool:
-    """classes_equal_hasse_route on the forms' diagonal entries."""
+_ONE = SquareClass._of_primes(1, frozenset())
+
+
+def _hasse_route_entries(ef: list, classes_f: list, eg: list, classes_g: list) -> bool:
+    """classes_equal_hasse_route on the forms' diagonal entries and square classes."""
     if (len(ef) - len(eg)) % 2:
         return False
-    pad = [Fraction(1), Fraction(-1)] * (abs(len(ef) - len(eg)) // 2)
+    half = abs(len(ef) - len(eg)) // 2
+    pad, pad_classes = [Fraction(1), Fraction(-1)] * half, [_ONE, -_ONE] * half
     if len(ef) < len(eg):
-        ef = ef + pad
+        ef, classes_f = ef + pad, classes_f + pad_classes
     else:
-        eg = eg + pad
+        eg, classes_g = eg + pad, classes_g + pad_classes
     sig_f = sum(1 if e > 0 else -1 for e in ef)
     sig_g = sum(1 if e > 0 else -1 for e in eg)
     if sig_f != sig_g:
         return False
-    classes_f = [square_class(e) for e in ef]
-    classes_g = [square_class(e) for e in eg]
-    one = square_class(1)
-    if prod(classes_f, start=one) != prod(classes_g, start=one):
+    if prod(classes_f, start=_ONE) != prod(classes_g, start=_ONE):
         return False
     places = {2}
     for c in classes_f + classes_g:
@@ -291,7 +302,7 @@ def classes_equal_hasse_route(f: BilinearForm, g: BilinearForm) -> bool:
     """Witt equality via the complete invariant system of equal-rank forms:
     pad with hyperbolic planes, then compare rank, signature, discriminant,
     and every Hasse symbol (including the place 2 and the real place)."""
-    return _hasse_route_entries(_diagonal_entries(f), _diagonal_entries(g))
+    return _hasse_route_entries(*_classed_entries(f), *_classed_entries(g))
 
 
 def classes_equal_residue_route(f: BilinearForm, g: BilinearForm) -> bool:
@@ -303,15 +314,17 @@ def equivalent(f: BilinearForm, g: BilinearForm) -> bool:
 
     Runs both the residue-based canonical comparison and the Hasse-based
     stabilized comparison; disagreement would be an internal error.  The
-    two oracles share one diagonalization per form and the factorization of
-    each diagonal entry; each computes its own symbols.
+    two oracles share one diagonalization per form and one square class per
+    diagonal entry, so each entry is factored and classed once; each oracle
+    computes its own symbols.
     """
     _require_rational(f)
     _require_rational(g)
-    ef, eg = _diagonal_entries(f), _diagonal_entries(g)
-    class_f, class_g = _class_of_entries(ef), _class_of_entries(eg)
+    ef, cf = _classed_entries(f)
+    eg, cg = _classed_entries(g)
+    class_f, class_g = _class_of_entries(ef, cf), _class_of_entries(eg, cg)
     by_residues = class_f == class_g
-    by_hasse = _hasse_route_entries(ef, eg)
+    by_hasse = _hasse_route_entries(ef, cf, eg, cg)
     if by_residues != by_hasse:
         raise CertificateError(
             "residue and Hasse equality oracles disagree: "

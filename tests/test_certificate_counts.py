@@ -131,6 +131,44 @@ def test_equivalent_factors_only_the_entries(monkeypatch):
     assert not set(factored) & products
 
 
+def test_diagonalize_takes_no_matrix_product(monkeypatch):
+    # the certificate runs on the integer columns and Gram of the pivot loop
+    products = count(monkeypatch, Mat, "__mul__")
+    for f in (BilinearForm.from_rows([[0, 1, 2], [1, 0, 0], [2, 0, Fraction(1, 3)]]),
+              BilinearForm.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 0]]),
+              BilinearForm.from_rows([[0, 1], [1, 0]], field=5),
+              BilinearForm.from_diagonal([2, 3, 0], field=7)):
+        diagonalize(f)
+    assert products[0] == 0
+
+
+def test_equivalent_classes_each_entry_once_and_reads_it_at_its_own_primes(monkeypatch):
+    # shared primes, the prime 2, even exponents, non-integral entries, and
+    # ranks 3 and 5, so that the Hasse route pads f with a hyperbolic plane
+    f = BilinearForm.from_diagonal([3 * 1009, -5 * 1013, Fraction(7, 2)])
+    g = BilinearForm.from_diagonal([Fraction(5 * 1013 * 4, 9), -7 * 8, 3 * 1009 * 25, 11, -11])
+    entries = [e for form in (f, g) for e in diagonalize(form).entries]
+    own_primes = sum(len(core.square_class(e).prime_support()) for e in entries)
+    classes = count(monkeypatch, core, "square_class")
+
+    def count_in_witt(name):
+        # witt's binding only: the Hasse route splits every entry at every
+        # place, and tests its places, through the bindings in forms
+        original, calls = getattr(witt, name), [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(witt, name, counted)
+        return calls
+
+    splits, prime_tests = count_in_witt("_int_split"), count_in_witt("is_prime")
+    assert not equivalent(f, g)
+    assert (classes[0], splits[0], prime_tests[0]) == (len(entries), own_primes, 0)
+    assert (len(entries), own_primes) == (8, 14)
+
+
 def test_truncation_witness_validates_once_with_one_cohomology(monkeypatch):
     ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
     validations = count(monkeypatch, cobordism, "validate")
@@ -197,7 +235,8 @@ def test_compare_polarizations_forms_each_product_once(monkeypatch):
     determinants = count(monkeypatch, Mat, "det")
     assert compare_polarizations(h, s, s_prime).identity_chain_ok
     assert (products[(phi.T, s_c)], products[(s_c, phi)]) == (1, 1)
-    assert max(products.values()) == 1 and sum(products.values()) == 22
+    # diagonalize certifies on integers and takes no Mat product
+    assert max(products.values()) == 1 and sum(products.values()) == 18
     # the frame's (1, 1) block, the coordinates of the (0, 2) partner and each
     # pairing's nondegeneracy; the positivity minors come from one
     # elimination, not one det per minor

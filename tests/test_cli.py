@@ -87,7 +87,7 @@ def test_precondition_failure_exits_1(tmp_path, capsys):
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     # a Hasse-route oracle that answers wrong makes the two oracles disagree
     hasse_route = witt._hasse_route_entries
-    monkeypatch.setattr(witt, "_hasse_route_entries", lambda ef, eg: not hasse_route(ef, eg))
+    monkeypatch.setattr(witt, "_hasse_route_entries", lambda *entries: not hasse_route(*entries))
     hyper = write(tmp_path, "h.json", form_doc([[0, 1], [1, 0]]))
     split = write(tmp_path, "s.json", form_doc([[1, 0], [0, -1]]))
     assert main(["equivalent", hyper, split]) == 3
@@ -176,6 +176,22 @@ def test_hodge_commands(tmp_path, capsys):
 
     bad = write(tmp_path, "bad.json", form_doc([[1, 0], [0, -1]]))
     assert main(["hodge-check", hpath, bad]) == 2
+
+
+def test_hodge_check_rejects_non_integer_degrees(tmp_path, capsys):
+    h, s = standard_structure(0, 2)
+    spath = write(tmp_path, "s.json", form_to_json(s))
+    for key, value, pointer in [("p", "1", "$.pieces[0].p"), ("q", 0.0, "$.pieces[0].q"),
+                                ("p", True, "$.pieces[0].p"), ("weight", False, "$.weight")]:
+        doc = hodge_to_json(h)
+        if key == "weight":
+            doc[key] = value
+        else:
+            doc["pieces"][0][key] = value
+        assert main(["hodge-check", write(tmp_path, "h.json", doc), spath]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {pointer}: expected an integer"), captured.err
 
 
 def test_chi_y_epsilon_lefschetz_commands(tmp_path, capsys):

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittpoint.core import REAL_PLACE, hilbert_symbol, relevant_places
+from wittpoint import forms
+from wittpoint.core import REAL_PLACE, CertificateError, hilbert_symbol, relevant_places
 from wittpoint.forms import (
     HYPERBOLIC_PLANE,
     RATIONAL,
@@ -87,6 +88,29 @@ def test_diagonalize_fp():
     prod = p.T * f.gram * p
     assert all(int(prod[i, j]) % 5 == 0 for i in range(2) for j in range(2) if i != j)
     assert [int(prod[i, i]) % 5 for i in range(2)] == [int(e) % 5 for e in d.entries]
+
+
+def test_integer_certificate_rejects_a_wrong_congruence():
+    # B^T G B = diag(2, 10) for G = [[2, 1], [1, 3]] and the columns of B
+    gram, cols, diag = [[2, 1], [1, 3]], [[1, 0], [-1, 2]], [2, 10]
+    for p, message in [(None, "the diagonal D$"), (5, "the diagonal D mod p$")]:
+        forms._certify_congruence(cols, gram, diag, p)
+        for wrong in ([[2, 0], [-1, 2]], [[1, 2], [-1, 2]], [[-1, 2], [1, 0]]):
+            with pytest.raises(CertificateError, match=message):
+                forms._certify_congruence(wrong, gram, diag, p)
+    # 6 = 1 mod 5: a P right mod p only passes over F_5, not over Q
+    sixfold = [[6 * x for x in c] for c in cols]
+    forms._certify_congruence(sixfold, gram, diag, 5)
+    with pytest.raises(CertificateError, match="the diagonal D$"):
+        forms._certify_congruence(sixfold, gram, diag, None)
+    # right on the diagonal, wrong off it: the identity does not clear G[0][1]
+    for p in (None, 5):
+        with pytest.raises(CertificateError):
+            forms._certify_congruence([[1, 0], [0, 1]], gram, [2, 3], p)
+    # the radical's diagonal is zero: diag lists the rank's entries only
+    forms._certify_congruence([[1, 0], [0, 1]], [[3, 0], [0, 0]], [3], None)
+    with pytest.raises(CertificateError):
+        forms._certify_congruence([[1, 0], [0, 1]], [[3, 0], [0, 1]], [3], None)
 
 
 def test_invariants_spec_examples():
@@ -323,15 +347,15 @@ def fired(run):
         return str(e) if type(e) is CertificateError else f"not a CertificateError: {e!r}"
     return "nothing fired"
 
-diag = Mat.diag
-Mat.diag = staticmethod(lambda entries: diag([e + 1 for e in entries]))
+certify_congruence = forms._certify_congruence
+def corrupted(cols, gram, diag, p):  # a wrong P: its first column gains e_1
+    certify_congruence([[cols[0][0] + 1] + cols[0][1:]] + cols[1:], gram, diag, p)
+forms._certify_congruence = corrupted
 print(fired(lambda: diagonalize(BilinearForm.from_diagonal([2, -3]))))
-Mat.diag = staticmethod(diag)
-
-from_columns = Mat.from_columns
-Mat.from_columns = staticmethod(lambda cols, m=None: from_columns(cols, m).scale(2))  # a wrong P
+forms._certify_congruence = lambda cols, gram, diag, p: certify_congruence(  # a wrong P: 2P
+    [[2 * x for x in c] for c in cols], gram, diag, p)
 print(fired(lambda: diagonalize(BilinearForm.from_diagonal([2, 3], field=5))))
-Mat.from_columns = staticmethod(from_columns)
+forms._certify_congruence = certify_congruence
 
 block_gram = forms._block_gram
 def corrupted(s, a, b):  # the clearing target is the block with A = B = 0

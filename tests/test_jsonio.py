@@ -116,6 +116,15 @@ def test_diamond_and_pieces_schema():
         pieces_from_json({"weight": 2, "pieces": [{"j": 1}]})
 
 
+def test_integer_fields_reject_booleans_and_strings():
+    # JSON true is a Python int; an integer field takes neither it nor "2"
+    for value in (True, "2", 2.0):
+        with pytest.raises(SchemaError, match=r"^\$\.weight: expected an integer$"):
+            pieces_from_json({"weight": value, "pieces": []})
+        with pytest.raises(SchemaError, match=r"^\$\.signature: expected an integer$"):
+            witt_class_from_json({"signature": value, "residues": []})
+
+
 @given(sig=st.integers(min_value=-10, max_value=10),
        parity2=st.integers(min_value=0, max_value=1),
        entries=st.lists(st.sampled_from([(1, 3), (2, 3), (1, 5), (2, 7)]),

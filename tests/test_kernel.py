@@ -72,7 +72,7 @@ from wittpoint.poly import (
     poly_degree,
     poly_normalize,
 )
-from wittpoint.witt import WittClassFp, fp_class_of, psi
+from wittpoint.witt import WittClassFp, WittClassQ, _class_of_entries, fp_class_of, psi
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
@@ -547,6 +547,17 @@ def ref_psi(entries, p: int, k: int) -> WittClassFp:
     if p == 2:
         return WittClassFp.rank_parity(2, len(kept))
     return fp_class_of(kept, p)
+
+
+def ref_class_of_entries(entries) -> WittClassQ:
+    """The per-prime loop ``_class_of_entries`` replaced, one ``psi`` call per
+    prime of the form, with ``psi``'s own reference in its place."""
+    signature = sum(1 if e > 0 else -1 for e in entries)
+    primes = set()
+    for e in entries:
+        primes.update(square_class(e).prime_support())
+    residues = {p: ref_psi(entries, p, 1) for p in sorted(primes)}
+    return WittClassQ.make(signature, residues)
 
 
 def ref_charpoly(a: Mat) -> list[Fraction]:
@@ -1075,6 +1086,16 @@ def test_hasse_of_entries_rejects_a_non_place_as_before(entries, places, bad, at
 @given(entries=entry_lists, p=st.sampled_from((2, 5, 13, 3, 7, 11)), k=st.sampled_from((0, 1)))
 def test_psi_matches_the_fraction_splitting(entries, p, k):
     assert psi(entries, p, k) == ref_psi(entries, p, k)
+
+
+@EXAMPLES
+@given(entries=entry_lists, shared=st.lists(local_rationals, max_size=3))
+def test_class_of_entries_matches_the_per_prime_psi_loop(entries, shared):
+    # entries times shared factors share their primes; p = 2, negative and
+    # non-integral entries and even exponents all come from local_rationals
+    entries = entries + [e * s for e in entries[:2] for s in shared]
+    got = _class_of_entries(entries, [square_class(e) for e in entries])
+    assert repr(got) == repr(ref_class_of_entries(entries))
 
 
 @EXAMPLES
