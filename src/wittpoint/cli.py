@@ -19,11 +19,7 @@ from fractions import Fraction
 # (cobordism, hodge, genus, selfcheck) themselves, so that a process runs
 # no more module bodies than its one command uses.
 from . import jsonio
-from .core import (
-    CertificateError,
-    get_trial_division_bound,
-    set_trial_division_bound,
-)
+from .core import CertificateError
 from .forms import invariants, metabolic_reduce
 from .jsonio import SchemaError
 from .witt import equivalent, psi, witt_class_of
@@ -329,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Witt-group, point-cobordism, polarization, and chi_y computations.",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--trial-division-bound", type=int, metavar="B",
-                        help="cap for trial-division factoring, at least 2 (default 10^6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="rank, signature, discriminant, Hasse symbols")
@@ -406,10 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    previous_bound = get_trial_division_bound()
     try:
-        if args.trial_division_bound is not None:
-            set_trial_division_bound(args.trial_division_bound)
         outcome: Outcome = args.handler(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -420,8 +411,6 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"internal error: {exc} (this is a bug)", file=sys.stderr)
         return 3
-    finally:
-        set_trial_division_bound(previous_bound)
     if args.json:
         print(json.dumps(_plain(outcome.payload), sort_keys=True, indent=2))
     else:

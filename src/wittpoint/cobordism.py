@@ -274,26 +274,27 @@ class SelfDualComplex:
     complex: ChainComplex
     pairings: dict[int, Mat]
 
+    def __post_init__(self):
+        if self.epsilon not in (1, -1):
+            raise ValueError("epsilon must be +1 or -1")
+        for i, s in self.pairings.items():
+            if s.m != self.dim(i) or s.n != self.dim(-i):
+                raise ValueError(f"pairing block at degree {i} has shape {s.m}x{s.n}, "
+                                 f"expected {self.dim(i)}x{self.dim(-i)}")
+
     @staticmethod
     def make(epsilon: int, spaces: dict[int, int], differentials: dict[int, Mat],
              pairings: dict[int, Mat]) -> "SelfDualComplex":
         """Build, completing missing S_{-i} blocks from S_{-i} = (-1)^i eps S_i^T."""
-        if epsilon not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1")
-        cx = ChainComplex(spaces, differentials)
         given = _nonempty(pairings)
+        cx = ChainComplex(spaces, differentials)
+        SelfDualComplex(epsilon, cx, given)  # checks epsilon and each block's shape
         completed = dict(given)
         for i, s in given.items():
-            if s.m != cx.dim(i) or s.n != cx.dim(-i):
-                raise ValueError(f"pairing block at degree {i} has shape {s.m}x{s.n}, "
-                                 f"expected {cx.dim(i)}x{cx.dim(-i)}")
             mirror = s.T.scale(Fraction((-1) ** i * epsilon))
-            if -i in completed:
-                if completed[-i] != mirror:
-                    raise ValueError(f"pairing blocks at degrees {i} and {-i} violate the "
-                                     f"(-1)^i involution symmetry")
-            else:
-                completed[-i] = mirror
+            if completed.setdefault(-i, mirror) != mirror:
+                raise ValueError(f"pairing blocks at degrees {i} and {-i} violate the "
+                                 f"(-1)^i involution symmetry")
         return SelfDualComplex(epsilon, cx, completed)
 
     @staticmethod
@@ -865,7 +866,7 @@ def _degree0_witness(f: BilinearForm, f_prime: BilinearForm, *, pi: Mat, rho: Ma
 def random_invertible(rng: Random, n: int, bound: int = 2, density: float = 0.35) -> Mat:
     """Product of unit triangular matrices and a permutation: always invertible.
 
-    Sparse by default so Gram entries stay in trial-division range along
+    Sparse by default so Gram entries stay small enough to factor quickly along
     witness chains.
     """
     lower = _identity_rows(n)
@@ -949,7 +950,7 @@ class WitnessChain:
 
 
 def form_height_ok(f: BilinearForm, cap: int = 10**8) -> bool:
-    """Keep diagonal entries small enough for trial-division factoring."""
+    """Keep diagonal entries small enough to factor quickly."""
     return all(abs(e.numerator * e.denominator) <= cap for e in diagonalize(f).entries)
 
 

@@ -2,27 +2,29 @@
 and Sturm root counting.
 
 This is the numeric substrate for every Witt invariant in the package.  All
-arithmetic is exact; nothing here ever touches a float.  Factoring is trial
-division with a configurable bound: inputs are desk scale and the bound gives
-a clear failure mode instead of an open-ended search.  The bound applies to
-the integer num*den of each diagonal entry, never to a product of entries:
-a square class carries the odd-exponent primes of its entry, products of
-classes combine those prime sets, and the local symbols and Witt residues read
-integer valuations and units at each place (residues at an entry's own primes).
+arithmetic is exact; nothing here ever touches a float.  Factoring has no
+setting: trial division below TRIAL_CUTOFF, then Miller-Rabin and Brent's rho
+on what is left, each factorization checked by multiplying it back.  It runs on
+the integer num*den of each diagonal entry, never on a product of entries: a
+square class carries the odd-exponent primes of its entry, products of classes
+combine those prime sets, and the local symbols and Witt residues read integer
+valuations and units at each place (residues at an entry's own primes).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import prod
+from itertools import count
+from math import gcd, prod
 
 REAL_PLACE = "real"
 
-DEFAULT_TRIAL_DIVISION_BOUND = 1_000_000
-
-_trial_division_bound = DEFAULT_TRIAL_DIVISION_BOUND
+TRIAL_CUTOFF = 1_000  # trial division by 2, 3 and the 6k +- 1 below it
+_TRIAL_DIVISORS = (2, 3) + tuple(d + k for d in range(5, TRIAL_CUTOFF, 6) for k in (0, 2))
+RHO_STEPS = 1 << 18  # squarings Brent's rho may take on one composite cofactor
+RHO_BATCH = 128  # differences multiplied together per gcd
 
 
 class CertificateError(AssertionError):
@@ -35,18 +37,7 @@ class CertificateError(AssertionError):
 
 
 class FactorBoundExceeded(ValueError):
-    """Raised when trial division up to the configured bound cannot finish."""
-
-
-def set_trial_division_bound(bound: int) -> None:
-    global _trial_division_bound
-    if bound < 2:
-        raise ValueError("trial division bound must be at least 2")
-    _trial_division_bound = bound
-
-
-def get_trial_division_bound() -> int:
-    return _trial_division_bound
+    """Raised when Brent's rho uses up its step budget on a composite cofactor."""
 
 
 def is_prime(n: int) -> bool:
@@ -74,50 +65,68 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
-    out = _trial_division(n, bound)
-    if prod(p**e for p, e in out) != n:
-        raise CertificateError(
-            f"factorization certificate failed: {out} does not multiply back to {n}")
-    return out
-
-
-def _trial_division(n: int, bound: int) -> tuple[tuple[int, int], ...]:
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1, with multiplicity, ascending."""
     out = []
-    for p in (2, 3):
-        e = 0
+    for p in _TRIAL_DIVISORS:
+        if p * p > n:
+            break
         while n % p == 0:
             n //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    d = 5
-    while d * d <= n and d <= bound:
-        for p in (d, d + 2):
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e:
-                out.append((p, e))
-        d += 6
-    if n > 1:
-        if n <= bound * bound or is_prime(n):
-            out.append((n, 1))
+            out.append(p)
+    # no prime below TRIAL_CUTOFF divides what is left, so a cofactor below its square is prime
+    cofactors = [n] if n > 1 else []
+    while cofactors:
+        m = cofactors.pop()
+        if m < TRIAL_CUTOFF**2 or is_prime(m):
+            out.append(m)
         else:
-            raise FactorBoundExceeded(
-                f"cofactor {n} is composite with no prime factor below the "
-                f"trial division bound {bound}; raise --trial-division-bound"
-            )
-    return tuple(out)
+            cofactors += _rho_split(m)
+    return sorted(out)
 
 
-def factor(n: int, bound: int | None = None) -> dict[int, int]:
-    """Prime factorization of |n| by trial division; n must be nonzero."""
+def _rho_split(n: int) -> tuple[int, int]:
+    """Two proper factors of the composite n, free of primes below TRIAL_CUTOFF,
+    by Brent's rho on x -> x^2 + c for c = 1, 2, ... (Brent 1980; Cohen, GTM 138,
+    8.5).  Raises ``FactorBoundExceeded`` rather than take over RHO_STEPS squarings."""
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r  # r to move x on, at most r more to compare
+            if steps > RHO_STEPS:
+                raise FactorBoundExceeded(f"cofactor {n} is composite and Brent's rho found "
+                                          f"no factor of it within {RHO_STEPS} steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, RHO_BATCH):
+                ys = y
+                for _ in range(min(RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if (g := gcd(q, n)) > 1:
+                    break
+            r *= 2
+        if g == n:  # the batch met every factor at once: step through it singly
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g < n:
+            return g, n // g
+
+
+def factor(n: int) -> dict[int, int]:
+    """Prime factorization of |n|, n nonzero, checked by multiplying it back."""
     if n == 0:
         raise ValueError("cannot factor zero")
-    return dict(_factor_cached(abs(n), bound if bound is not None else _trial_division_bound))
+    n = abs(n)
+    out = dict(Counter(_prime_factors(n)))
+    if prod(p**e for p, e in out.items()) != n:
+        raise CertificateError(
+            f"factorization certificate failed: {tuple(out.items())} does not multiply back to {n}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -256,9 +265,14 @@ def _hilbert_at_prime(split_a: tuple[int, int], split_b: tuple[int, int], p: int
 def relevant_places(values) -> list:
     """Places where a Hilbert symbol of the given rationals can be nontrivial:
     2, the odd primes in some square class, and the real place."""
+    return _places_of([square_class(a) for a in values])
+
+
+def _places_of(classes) -> list:
+    """2 and the primes of the given square classes, ascending, then the real place."""
     primes = {2}
-    for a in values:
-        primes.update(square_class(a).prime_support())
+    for c in classes:
+        primes |= c._primes
     return sorted(primes) + [REAL_PLACE]
 
 

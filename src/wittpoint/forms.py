@@ -20,6 +20,7 @@ from .core import (
     SquareClass,
     _hilbert_at_prime,
     _int_split,
+    _places_of,
     is_prime,
     relevant_places,
     residue_mod,
@@ -235,12 +236,18 @@ def hasse_of_entries(entries, places=None) -> dict:
     """
     entries = [Fraction(e) for e in entries]
     if places is None:
-        places = relevant_places(entries) if entries else [2, REAL_PLACE]
+        places = relevant_places(entries)
     if any(e == 0 for e in entries):
         raise ValueError("Hilbert symbol needs nonzero arguments")
     for v in places:
         if v != REAL_PLACE and (not isinstance(v, int) or not is_prime(v)):
             raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {v!r}")
+    return _hasse_symbols(entries, places)
+
+
+def _hasse_symbols(entries, places) -> dict:
+    """hasse_of_entries on nonzero rational entries at places it does not
+    check: the real place, 2 and primes read off certified factorizations."""
     if len(entries) < 2:
         return {v: 1 for v in places}  # no pairs: no symbol is evaluated
     ints = [e.numerator * e.denominator for e in entries]
@@ -270,12 +277,12 @@ def invariants(f: BilinearForm) -> FormInvariants:
     if diag.radical_dim:
         raise ValueError("split off radical first")
     entries = diag.entries
-    disc = prod((square_class(e) for e in entries), start=square_class(1))
+    classes = [square_class(e) for e in entries]
     return FormInvariants(
         rank=len(entries),
         signature=diag.signature(),
-        discriminant=disc,
-        hasse=hasse_of_entries(entries),
+        discriminant=prod(classes, start=square_class(1)),
+        hasse=_hasse_symbols(entries, _places_of(classes)),
     )
 
 

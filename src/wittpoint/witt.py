@@ -19,10 +19,10 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .core import (
-    REAL_PLACE,
     CertificateError,
     SquareClass,
     _int_split,
+    _places_of,
     is_prime,
     is_residue,
     residue_mod,
@@ -32,8 +32,8 @@ from .forms import (
     RATIONAL,
     SKEW,
     BilinearForm,
+    _hasse_symbols,
     diagonalize,
-    hasse_of_entries,
     radical_split,
     symplectic_reduce,
 )
@@ -144,17 +144,6 @@ def _split_at(e: Fraction, p: int) -> tuple[int, int]:
     return v % 2, u % p
 
 
-def _diagonal_entries(f: BilinearForm) -> list[Fraction]:
-    """Diagonal entries of f with its radical split off.
-
-    A nondegenerate form is its own complement of the radical (radical_split
-    would restrict it to the identity basis), so only a degenerate one is split.
-    """
-    if f.field == RATIONAL and f.gram.det():
-        return list(diagonalize(f).entries)
-    return list(diagonalize(radical_split(f).nondegenerate).entries)
-
-
 def psi(form_or_entries, p: int, k: int) -> WittClassFp:
     """Residue map into W(F_p): keep diagonal entries with valuation = k mod 2
     and read their unit residues (rank parity for p = 2)."""
@@ -165,7 +154,9 @@ def psi(form_or_entries, p: int, k: int) -> WittClassFp:
     if isinstance(form_or_entries, BilinearForm):
         if not form_or_entries.is_symmetric:
             raise ValueError("residues of skew forms are not defined; class is zero")
-        entries = _diagonal_entries(form_or_entries)
+        if form_or_entries.field != RATIONAL:
+            raise ValueError("residues are read from forms over Q")
+        entries = diagonalize(form_or_entries).entries
     else:
         entries = [Fraction(e) for e in form_or_entries]
         if any(e == 0 for e in entries):
@@ -238,8 +229,8 @@ def _require_rational(f: BilinearForm):
 
 
 def _classed_entries(f: BilinearForm) -> tuple[list[Fraction], list[SquareClass]]:
-    """The diagonal entries of f and their square classes, each factored once."""
-    entries = _diagonal_entries(f)
+    """The diagonal entries of f, radical left out, and their square classes."""
+    entries = list(diagonalize(f).entries)
     return entries, [square_class(e) for e in entries]
 
 
@@ -289,13 +280,8 @@ def _hasse_route_entries(ef: list, classes_f: list, eg: list, classes_g: list) -
         return False
     if prod(classes_f, start=_ONE) != prod(classes_g, start=_ONE):
         return False
-    places = {2}
-    for c in classes_f + classes_g:
-        places.update(c.prime_support())
-    ordered = sorted(places) + [REAL_PLACE]
-    hf = hasse_of_entries(ef, ordered)
-    hg = hasse_of_entries(eg, ordered)
-    return hf == hg
+    places = _places_of(classes_f + classes_g)
+    return _hasse_symbols(ef, places) == _hasse_symbols(eg, places)
 
 
 def classes_equal_hasse_route(f: BilinearForm, g: BilinearForm) -> bool:

@@ -26,6 +26,7 @@ from wittpoint.forms import (
     BilinearForm,
     BlockMetabolicForm,
     diagonalize,
+    invariants,
     metabolic_reduce,
 )
 from wittpoint.hodge import (
@@ -105,7 +106,7 @@ def test_is_polarization_validates_once(monkeypatch):
 
 
 def test_equivalent_diagonalizes_each_form_once(monkeypatch):
-    diagonalizations = count(monkeypatch, witt, "_diagonal_entries")
+    diagonalizations = count(monkeypatch, witt, "diagonalize")
     assert equivalent(HYPERBOLIC_PLANE, BilinearForm.from_diagonal([3, -3]))
     assert diagonalizations[0] == 2
     assert not equivalent(BilinearForm.from_diagonal([1, 2, 5]), BilinearForm.from_diagonal([-7]))
@@ -114,13 +115,13 @@ def test_equivalent_diagonalizes_each_form_once(monkeypatch):
 
 def test_equivalent_factors_only_the_entries(monkeypatch):
     factored = []
-    factor_cached = core._factor_cached
+    factor = core.factor
 
-    def recorded(n, bound):
-        factored.append(n)
-        return factor_cached(n, bound)
+    def recorded(n):
+        factored.append(abs(n))
+        return factor(n)
 
-    monkeypatch.setattr(core, "_factor_cached", recorded)
+    monkeypatch.setattr(core, "factor", recorded)
     f = BilinearForm.from_diagonal([3 * 1009, -5 * 1013, Fraction(7, 2)])
     g = BilinearForm.from_diagonal([Fraction(5 * 1013 * 4, 9), -7 * 8, 3 * 1009 * 25, 11, -11])
     assert not equivalent(f, g)
@@ -129,6 +130,18 @@ def test_equivalent_factors_only_the_entries(monkeypatch):
     products = {a * b for a in singles for b in singles} - singles
     assert factored and set(factored) <= singles | {1}
     assert not set(factored) & products
+
+
+def test_hasse_symbols_test_no_place_for_primality(monkeypatch):
+    # equivalent and invariants read their places off certified factorizations
+    tested = []
+    monkeypatch.setattr(forms, "is_prime", lambda n: tested.append(n) or core.is_prime(n))
+    f = BilinearForm.from_diagonal([3 * 1009, -5 * 1013, Fraction(7, 2)])
+    g = BilinearForm.from_diagonal([Fraction(5 * 1013 * 4, 9), -7 * 8, 3 * 1009 * 25, 11, -11])
+    assert not equivalent(f, g)
+    assert equivalent(f, f.direct_sum(HYPERBOLIC_PLANE))
+    assert set(invariants(f).hasse) == {2, 3, 5, 7, 1009, 1013, "real"}
+    assert tested == []
 
 
 def test_diagonalize_takes_no_matrix_product(monkeypatch):

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 from random import Random
 
+import pytest
+
 from wittpoint import witt
 from wittpoint.cli import main
 from wittpoint.jsonio import (
@@ -271,36 +273,29 @@ def test_round_trip_structures():
     assert hodge_to_json(hodge_from_json(doc)) == doc
 
 
-def test_trial_division_bound_flag(tmp_path, capsys):
-    from wittpoint.core import (
-        DEFAULT_TRIAL_DIVISION_BOUND,
-        get_trial_division_bound,
-        set_trial_division_bound,
-    )
-
-    try:
-        hard = write(tmp_path, "hard.json", form_doc([[1009 * 1013]]))
-        assert main(["--trial-division-bound", "100", "witt-class", hard]) == 1
-        assert "trial division bound" in capsys.readouterr().err
-        # raising the bound makes the same input factorable
-        assert main(["--trial-division-bound", "2000", "witt-class", hard]) == 0
-        out = capsys.readouterr().out
-        assert "residue at 1009" in out and "residue at 1013" in out
-        # main leaves the process-wide bound as it found it
-        assert get_trial_division_bound() == DEFAULT_TRIAL_DIVISION_BOUND
-    finally:
-        set_trial_division_bound(DEFAULT_TRIAL_DIVISION_BOUND)
+def test_witt_class_factors_a_product_of_two_large_primes(tmp_path, capsys):
+    # 1000003 and 1000033 are prime; their product has no factor below 10^6
+    path = write(tmp_path, "big.json", form_doc([[1000003 * 1000033]]))
+    assert main(["witt-class", path]) == 0
+    out = capsys.readouterr().out
+    assert "residue at 1000003" in out and "residue at 1000033" in out
 
 
-def test_trial_division_bound_below_two_is_an_input_error(tmp_path, capsys):
-    from wittpoint.core import DEFAULT_TRIAL_DIVISION_BOUND, get_trial_division_bound
+def test_a_factor_beyond_the_rho_budget_is_an_input_error(tmp_path, capsys):
+    n = 1000000000000037 * 1000000000000091  # two primes near 10^15
+    path = write(tmp_path, "huge.json", form_doc([[n]]))
+    assert main(["witt-class", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cofactor {n} is composite")
 
+
+def test_the_trial_division_flag_is_gone(tmp_path, capsys):
     path = write(tmp_path, "f.json", form_doc([[6]]))
-    for bound in ("1", "0"):
-        assert main(["--trial-division-bound", bound, "witt-class", path]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: trial division bound must be at least 2\n"
-        assert get_trial_division_bound() == DEFAULT_TRIAL_DIVISION_BOUND
+    with pytest.raises(SystemExit) as exc:
+        main(["--trial-division-bound", "100", "witt-class", path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: wittpoint")
+
 
 # Runs each argv of sys.argv[1] through cli.main in one process and prints,
 # after each import and each command, the wittpoint submodules then loaded.

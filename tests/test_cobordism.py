@@ -76,6 +76,15 @@ def test_validate_reports_symmetry_violation_with_witness():
     assert any(p["check"] == "involution_symmetry" and "witness_pair" in p for p in report.problems)
 
 
+def test_every_construction_checks_the_pairing_shapes():
+    with pytest.raises(ValueError, match="pairing block at degree 0 has shape 2x2, expected 1x1"):
+        SelfDualComplex(1, ChainComplex({0: 1}), {0: Mat.identity(2)})
+    with pytest.raises(ValueError, match="pairing block at degree 1 has shape 1x1, expected 1x2"):
+        SelfDualComplex.make(1, {-1: 2, 1: 1}, {}, {1: Mat.from_rows([[1]])})
+    with pytest.raises(ValueError, match="epsilon must be"):
+        SelfDualComplex(0, ChainComplex({0: 1}), {0: Mat.from_rows([[1]])})
+
+
 def test_validate_reports_imperfect_pairing():
     c = SelfDualComplex(1, ChainComplex({0: 1}, {}), {0: Mat.from_rows([[0]])})
     report = validate(c)

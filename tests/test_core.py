@@ -170,18 +170,17 @@ def test_hilbert_trivial_first_argument():
 # -- factoring / primality ---------------------------------------------------
 
 
-def test_factor_bound_error():
-    n = 999979 * 999983  # both prime, below the default bound
-    with pytest.raises(FactorBoundExceeded, match="trial division bound"):
-        factor(n, bound=1000)
-    assert factor(n) == {999979: 1, 999983: 1}
+def test_factor_splits_a_product_of_two_primes_near_10_9():
+    p, q = 10**9 + 7, 10**9 + 9
+    assert factor(p * q) == {p: 1, q: 1}
+    assert factor(-12 * p**2) == {2: 2, 3: 1, p: 2}
 
 
-def test_set_trial_division_bound_validation():
-    from wittpoint.core import set_trial_division_bound
-
-    with pytest.raises(ValueError, match="at least 2"):
-        set_trial_division_bound(1)
+def test_factor_refuses_a_cofactor_beyond_the_rho_budget():
+    p, q = 1000000000000037, 1000000000000091  # primes near 10^15
+    assert is_prime(p) and is_prime(q)
+    with pytest.raises(FactorBoundExceeded, match=f"cofactor {p * q} is composite"):
+        factor(2 * p * q)
 
 
 def test_is_prime_small():

@@ -127,7 +127,7 @@ def test_invariants_spec_examples():
     assert inv.hasse[3] == -1
 
 
-# primes above the trial-division bound whose product has no factor below it
+# primes above the trial-division cutoff: each entry is factored, never their product
 BIG_P1, BIG_P2 = 1_000_003, 99_999_989
 
 
@@ -387,10 +387,10 @@ cobordism.Cohomology.induced = corrupted
 print(fired(lambda: cobordism.witness_common_core(w)))
 
 from wittpoint import core
-trial_division = core._trial_division
-core._trial_division = lambda n, bound: trial_division(n, bound)[:-1]  # drops the largest prime
+prime_factors = core._prime_factors
+core._prime_factors = lambda n: prime_factors(n)[:-1]  # a wrong split: the largest prime dropped
 print(fired(lambda: core.factor(2 * 3 * 1009)))
-core._trial_division = trial_division
+core._prime_factors = prime_factors
 """
 
 

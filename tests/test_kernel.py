@@ -16,7 +16,8 @@ The local symbols have references too: the ``Fraction`` splitting and the
 per-pair Hilbert symbols that the integer local formulas replaced, and the
 residue loop of ``psi`` over that splitting; the ``Fraction`` splitting is
 also the reference for the integer one, ``core._int_split``.  Square classes are checked
-against a fresh factorization of their representative.
+against a fresh factorization of their representative, and ``factor`` against
+plain trial division.
 
 The spectral certificate of ``compare_polarizations`` runs on integers; its
 references are the ``Fraction`` loops it replaced: Faddeev-LeVerrier over
@@ -31,6 +32,7 @@ matrix, live here too.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,7 @@ from wittpoint.core import (
     CertificateError,
     SquareClass,
     SturmCertificate,
+    factor,
     hilbert_symbol,
     is_prime,
     _int_split,
@@ -440,6 +443,21 @@ def ref_metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
         congruence = ref_product(congruence, transvection(g.n, alpha, p, q))
     return MetabolicReduction(core=block.s, hyperbolic_count=k, transvections=tuple(moves),
                               congruence=congruence)
+
+
+def ref_factor(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division by 2 and every odd d
+    with d^2 <= n, the loop ``factor`` replaced."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def ref_p_adic_valuation(a: Fraction, p: int) -> int:
@@ -1117,6 +1135,29 @@ def test_square_class_equality_and_hash_ignore_the_primes():
     object.__setattr__(tampered, "_primes", frozenset({7}))
     assert tampered == c and hash(tampered) == hash(c) == hash(SquareClass(-6))
     assert repr(tampered) == repr(c)
+
+
+def test_factor_matches_trial_division_up_to_10_12():
+    # uniform n, and n whose cofactor after trial division is composite, so
+    # that rho splits it: products of two primes in (10^3, 10^6), squares and
+    # cubes of primes in (10^3, 10^4)
+    rng = Random(20261018)
+
+    def prime(lo, hi):
+        while not is_prime(p := rng.randrange(lo, hi)):
+            pass
+        return p
+
+    cases = [rng.randrange(1, 10**12) for _ in range(30)]
+    cases += [prime(10**3, 10**6) * prime(10**3, 10**6) for _ in range(30)]
+    cases += [rng.randrange(1, 10**4) * prime(10**3, 10**4) ** 2 for _ in range(20)]
+    cases += [prime(10**3, 10**4) ** 3 for _ in range(10)]
+    assert max(cases) <= 10**12
+    for n in cases:
+        got = factor(n)
+        assert got == ref_factor(n), n
+        assert list(got) == sorted(got)
+        assert factor(-n) == got
 
 
 # -- the spectral certificate --------------------------------------------

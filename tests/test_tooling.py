@@ -6,6 +6,7 @@ certificate check must run under ``python -O``, so the package holds no
 ``assert`` statement.  A ``Mat`` keeps the row lists it is built from and
 may share them with other matrices, so the package never writes rows.
 The package loads its submodules lazily, but re-exports the same names.
+It keeps no process-wide state: no ``global`` statement and no memo cache.
 Degree-0 subquotient witnesses are built by one function, so their block
 conventions live in one place.  The matrix kernel works over Q only: the
 Hodge layer hands it rational matrices, and a Q(i) matrix is refused.  The
@@ -207,6 +208,53 @@ ok = (QI, qi_one, promote, power, GaussianRationals, i_powers, G, Mat)
 """
     assert sorted(qi_scalar_names(ast.parse(source))) == [
         "GaussianRational", "GaussianRational", "QI_I", "QI_ONE", "_promote", "i_power"]
+
+
+MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def process_state(tree) -> list[str]:
+    """The ``global`` statements and memo decorators (``lru_cache`` or
+    ``functools.cache``, called or not) of a module, one entry per place."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append(f"global {', '.join(node.names)}:{node.lineno}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in MEMO_DECORATORS:
+                    found.append(f"@{name}:{deco.lineno}")
+    return found
+
+
+def test_package_has_no_process_wide_state():
+    found = {path.name: process_state(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: places for name, places in found.items() if places}
+    assert found == {}, f"pass state in, or compute it again, instead of keeping it per process: {found}"
+
+
+def test_process_state_guard_sees_every_spelling():
+    source = """
+def a():
+    global _bound
+    _bound = 3
+@lru_cache(maxsize=None)
+def b(n): return n
+@functools.lru_cache
+def c(n): return n
+@functools.cache
+def d(n): return n
+class E:
+    @cache
+    def f(self): return 1
+@dataclass(frozen=True)
+def g(): return cached
+"""
+    assert sorted(process_state(ast.parse(source))) == [
+        "@cache:12", "@cache:9", "@lru_cache:5", "@lru_cache:7", "global _bound:3"]
 
 
 # The names ``wittpoint`` re-exports, by the submodule that defines them.

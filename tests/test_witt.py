@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wittpoint.cobordism import random_invertible, random_nondegenerate_form
-from wittpoint.forms import HYPERBOLIC_PLANE, BilinearForm, diagonalize
+from wittpoint.forms import HYPERBOLIC_PLANE, BilinearForm, diagonalize, radical_split
 from wittpoint.witt import (
     WittClassFp,
     WittClassQ,
@@ -100,6 +100,17 @@ def test_psi_additive_and_rediagonalization_invariant():
                 assert psi(f, p, k) == psi(moved, p, k)
 
 
+def test_psi_of_a_form_reads_its_nondegenerate_part():
+    f = BilinearForm.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, Fraction(3, 5)]])
+    nondegenerate = radical_split(f).nondegenerate
+    for p in (2, 3, 5, 7):
+        for k in (0, 1):
+            assert psi(f, p, k) == psi(nondegenerate, p, k)
+    with pytest.raises(ValueError) as exc:
+        psi(BilinearForm.from_diagonal([1, 2], field=3), 3, 1)
+    assert type(exc.value) is ValueError and str(exc.value) == "residues are read from forms over Q"
+
+
 def test_witt_class_spec_examples():
     assert witt_class_of(HYPERBOLIC_PLANE).is_zero()
     cls = witt_class_of(BilinearForm.from_diagonal([-2]))
@@ -181,7 +192,7 @@ def test_equivalent_spec_example():
 
 
 def test_equivalent_factors_entries_never_their_product():
-    p1, p2 = 1_000_003, 99_999_989  # their product has no factor below the trial-division bound
+    p1, p2 = 1_000_003, 99_999_989  # each entry is factored, never their product
     f = BilinearForm.from_diagonal([3 * p1, 5 * p2])
     assert equivalent(f, BilinearForm.from_diagonal([5 * p2 * 9, Fraction(3 * p1, 4), 7, -7]))
     assert not equivalent(f, BilinearForm.from_diagonal([3 * p1, -5 * p2]))
