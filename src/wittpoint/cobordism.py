@@ -101,19 +101,21 @@ class Cohomology:
     """Cocycle representatives and coordinates for one complex.
 
     Representatives are deterministic: kernel basis columns greedily
-    extending the boundary basis, scanned left to right.
+    extending the boundary basis, scanned left to right.  Each stored
+    differential d(i) is eliminated once, for its kernel at degree i and its
+    image at degree i + 1; an absent one is zero.
     """
 
     def __init__(self, c: ChainComplex):
         self.c = c
         self._cache: dict[int, tuple[Mat, Mat]] = {}
+        self._split = {i: d.kernel_and_image() for i, d in c.differentials.items()}
 
     def _data(self, i: int) -> tuple[Mat, Mat]:
         if i not in self._cache:
-            boundaries = self.c.d(i - 1).column_space_basis()
-            kernel = self.c.d(i).nullspace()
-            picked = extend_to_complement(boundaries, kernel)
-            reps = Mat.from_columns([kernel.col(j) for j in picked], m=self.c.dim(i))
+            boundaries = self._split[i - 1][1] if i - 1 in self._split else Mat.zeros(self.c.dim(i), 0)
+            kernel = self._split[i][0] if i in self._split else Mat.identity(self.c.dim(i))
+            reps = kernel.submatrix(range(kernel.m), extend_to_complement(boundaries, kernel))
             self._cache[i] = (reps, reps.hstack(boundaries))
         return self._cache[i]
 
@@ -129,7 +131,7 @@ class Cohomology:
         sol = aug.solve(vectors)
         if sol is None:
             raise ValueError(f"columns are not cocycles modulo boundaries in degree {i}")
-        return Mat(reps.n, vectors.n, sol.rows[: reps.n])
+        return sol.submatrix(range(reps.n), range(sol.n))
 
     def induced(self, fmap: dict[int, Mat], i: int, target: "Cohomology") -> Mat:
         """Map on degree-i cohomology induced by a chain map into target."""
@@ -291,7 +293,7 @@ class SelfDualComplex:
         SelfDualComplex(epsilon, cx, given)  # checks epsilon and each block's shape
         completed = dict(given)
         for i, s in given.items():
-            mirror = s.T.scale(Fraction((-1) ** i * epsilon))
+            mirror = s.T if (-1) ** i * epsilon == 1 else -s.T
             if completed.setdefault(-i, mirror) != mirror:
                 raise ValueError(f"pairing blocks at degrees {i} and {-i} violate the "
                                  f"(-1)^i involution symmetry")
@@ -341,7 +343,7 @@ def validate(c: SelfDualComplex) -> ComplexReport:
     degrees = cx.degrees()
     for i in degrees:
         s_i, s_mi = c.s(i), c.s(-i)
-        mirror = s_i.T.scale(Fraction((-1) ** i * c.epsilon))
+        mirror = s_i.T if (-1) ** i * c.epsilon == 1 else -s_i.T
         if s_mi != mirror:
             u, v = next(((a, b) for a in range(s_mi.m) for b in range(s_mi.n)
                          if s_mi[a, b] != mirror[a, b]))
@@ -355,9 +357,9 @@ def validate(c: SelfDualComplex) -> ComplexReport:
     for i in range(min(degrees, default=0) - 1, max(degrees, default=0) + 1):
         # S(du, v) + (-1)^deg(u) S(u, dv) = 0 on F^i x F^{-i-1}
         a = cx.d(i).T * c.s(i + 1)
-        b = (c.s(i) * cx.d(-i - 1)).scale(Fraction((-1) ** i))
-        total = a + b
-        if not total.is_zero():
+        b = c.s(i) * cx.d(-i - 1)
+        if a != (-b if i % 2 == 0 else b):  # a + (-1)^i b is not zero
+            total = a + b if i % 2 == 0 else a - b
             u, v = next(((r, cc) for r in range(total.m) for cc in range(total.n) if total[r, cc]))
             problems.append({
                 "check": "pairing_chain_map",
@@ -604,11 +606,8 @@ def quotient_data(n: int, sub: Mat) -> tuple[Mat, Mat]:
     """(projection, section) for Q^n / span(sub); projection . section = I."""
     if sub.rank() != sub.n:
         raise ValueError("subspace basis is not independent")
-    picked = extend_to_complement(sub, Mat.identity(n))
-    section = Mat.from_columns([Mat.identity(n).col(j) for j in picked], m=n)
-    full = section.hstack(sub)
-    inv = full.inv()
-    projection = Mat(section.n, n, inv.rows[: section.n])
+    section = Mat.identity(n).submatrix(range(n), extend_to_complement(sub, Mat.identity(n)))
+    projection = section.hstack(sub).inv().submatrix(range(section.n), range(n))
     return projection, section
 
 
@@ -759,8 +758,7 @@ def orthogonal_split(f: BilinearForm, sub: Mat) -> OrthogonalSplit:
     inside = perp.solve(sub)
     if inside is None:
         raise CertificateError("isotropic subspace not inside its orthogonal complement")
-    picked = extend_to_complement(sub, perp)
-    quot_reps = Mat.from_columns([perp.col(j) for j in picked], m=n)
+    quot_reps = perp.submatrix(range(n), extend_to_complement(sub, perp))
     q_gram = quot_reps.T * f.gram * quot_reps
     quotient_form = BilinearForm(RATIONAL, f.symmetry, q_gram)
 
@@ -924,8 +922,8 @@ def acyclic_extension(f: BilinearForm, rng: Random, a: int) -> SelfDualComplex:
     d_0 = Mat.zeros(a, n).hstack(Mat.zeros(a, a)).hstack(Mat.identity(a))
     s1 = mm
     s0_top = f.gram.hstack(Mat.zeros(n, a)).hstack(r)
-    s0_mid = Mat.zeros(a, n).hstack(Mat.zeros(a, a)).hstack((-mm.T).scale(Fraction(eps)))
-    s0_bot = (r.T.scale(Fraction(eps))).hstack(-mm).hstack(y)
+    s0_mid = Mat.zeros(a, n).hstack(Mat.zeros(a, a)).hstack(-mm.T if eps == 1 else mm.T)
+    s0_bot = (r.T if eps == 1 else -r.T).hstack(-mm).hstack(y)
     s0 = s0_top.vstack(s0_mid).vstack(s0_bot)
     return SelfDualComplex.make(
         eps,

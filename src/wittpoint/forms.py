@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
 from .core import (
@@ -88,7 +88,7 @@ class BilinearForm:
         """The form with Gram matrix P^T G P (same class, new basis)."""
         g = p.T * self.gram * p
         if self.field != RATIONAL:
-            g = g.map(lambda x: Fraction(residue_mod(x, self.field)))
+            g = Mat(g.m, g.n, [[Fraction(residue_mod(x, self.field)) for x in r] for r in g.rows])
         return BilinearForm(self.field, self.symmetry, g)
 
     def scaled(self, c) -> "BilinearForm":
@@ -139,12 +139,9 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
         raise ValueError("diagonalization requires symmetric form")
     p = None if f.field == RATIONAL else f.field
     n = f.gram.n
-    if p is None:
-        scale = lcm(*[x.denominator for r in f.gram.rows for x in r])
-        m = [[x.numerator * (scale // x.denominator) for x in r] for r in f.gram.rows]
-    else:
-        m = [[x.numerator % p for x in r] for r in f.gram.rows]
-    gram = [list(r) for r in m]  # scale * G, kept for the certificate
+    # scale * G, by its columns, which are its rows; the certificate reads it
+    scale, gram = f.gram.integer_columns()
+    m = [list(c) if p is None else [x % p for x in c] for c in gram]
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
     # basis[k] is column k of the congruence, an integer vector; m is kept in
@@ -201,7 +198,7 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
     diag = [m[i][i] for i in range(rank)]
     _certify_congruence(basis, gram, diag, p)
     entries = tuple(Fraction(d, scale) for d in diag) if p is None else tuple(diag)
-    congruence = Mat(n, n, [[Fraction(c[i]) for c in basis] for i in range(n)])
+    congruence = Mat(n, n, ints=[(1, [c[i] for c in basis]) for i in range(n)])
     return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
 
 
@@ -300,8 +297,7 @@ def radical_split(f: BilinearForm) -> RadicalSplit:
     g = f.gram
     n = g.n
     kernel = g.nullspace()
-    picked = extend_to_complement(kernel, Mat.identity(n))
-    complement = Mat.from_columns([Mat.identity(n).col(j) for j in picked], m=n)
+    complement = Mat.identity(n).submatrix(range(n), extend_to_complement(kernel, Mat.identity(n)))
     basis = complement.hstack(kernel)
     nondeg = f.restrict(complement)
     if not nondeg.is_nondegenerate() and complement.n:
@@ -389,7 +385,7 @@ class BlockMetabolicForm:
             raise ValueError("core S must be nondegenerate")
         k = self.a.n
         m = self.s.gram.n
-        if self.a.m != k or not self.a.is_symmetric():
+        if self.a.m != k or self.a != self.a.T:
             raise ValueError("block A must be symmetric k x k")
         if self.b.m != m or self.b.n != k:
             raise ValueError(f"block B must be {m} x {k}")

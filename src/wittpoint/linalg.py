@@ -1,26 +1,20 @@
 """Exact dense linear algebra over Q.
 
-Every elimination and every product runs over the integers.  Each row of a
-``Fraction`` matrix is scaled to integers once, on entry, and only integers
-are combined after that.  ``rref`` runs Gauss-Jordan by cross-multiplication,
-dividing each changed row by its content, and divides by the pivots only
-when it builds the result; ``det`` and ``leading_minors`` run Bareiss's
-fraction-free elimination (Bareiss 1968; Cohen, *A Course in Computational
-Algebraic Number Theory*, 2.2).  The reduced row echelon form is unique, so
-each returns exactly what elimination over Q returns.  A product scales each
-row of the left factor and each column of the right one, and divides each
-entry's integer dot product by the two scales only when it builds the entry;
-``charpoly`` runs on the matrix times the lcm of all its denominators.
-Every entry is a
-``Fraction``: the kernel raises ``TypeError`` where it scales a row holding
-any other number type to integers.  A Hodge structure keeps the real and
-imaginary parts of its piece bases as two rational matrices (``hodge``).
-Polynomials, and their values at a matrix, live in ``poly``.  Zero-row and
-zero-column matrices occur constantly (empty forms, zero complexes), so the
-shape is carried explicitly instead of being inferred from nested lists.
-A ``Mat`` takes ownership of the row lists it is built from and copies none
-of them, and its rows are not written after it is first used, so matrices
-may share rows.
+A ``Mat`` holds its entries as ``Fraction`` rows, as an integer form, or as
+both.  The integer form has one pair (d, nums) per row: the row is nums / d
+in lowest terms with d > 0, so equal matrices have equal forms.  A matrix
+built from rows makes its integer form at most once, on first use by a
+kernel.  Products, eliminations, negation, ``T``, ``hstack``, ``vstack``
+and ``submatrix`` pass integer forms on; ``Fraction`` rows are made from one
+only when read.  ``rref`` runs Gauss-Jordan by cross-multiplication,
+dividing each changed row by its content; ``det`` and ``leading_minors`` run
+Bareiss's fraction-free elimination (Bareiss 1968; Cohen, *A Course in
+Computational Algebraic Number Theory*, 2.2).  The reduced row echelon form
+is unique, so each returns what elimination over Q returns.  The kernel
+raises ``TypeError`` on a row holding any number type but ``Fraction``.
+Shapes are explicit, as zero-row and zero-column matrices occur constantly.
+A ``Mat`` owns the row lists it is built from, and neither form is written
+after first use, so matrices may share rows.
 """
 
 from __future__ import annotations
@@ -35,28 +29,45 @@ class Mat:
 
     ``__init__`` keeps the list of row lists it is handed, without copying
     it, so a caller builds its rows and wraps them once; ``from_rows`` is the
-    constructor that copies and coerces any nested iterable.  Rows are not
-    written after a matrix is first used.  ``zeros`` and ``identity`` build
-    new row lists on every call.
+    constructor that copies and coerces any nested iterable.  Given ``ints``
+    instead, a list of (d, nums) pairs in lowest terms, it keeps that integer
+    form and makes the rows when they are read.  Rows are not written after a
+    matrix is first used.  ``zeros`` and ``identity`` build new row lists on
+    every call.
     """
 
-    __slots__ = ("m", "n", "rows")
+    __slots__ = ("m", "n", "_rows", "_ints", "_cols")
 
-    def __init__(self, m: int, n: int, rows: list[list]):
-        if len(rows) != m or any(len(r) != n for r in rows):
+    def __init__(self, m: int, n: int, rows: list[list] | None = None, *, ints: list | None = None):
+        if rows is not None and (len(rows) != m or any(map(n.__ne__, map(len, rows)))):
             raise ValueError(f"shape mismatch: declared {m}x{n}")
-        self.m = m
-        self.n = n
-        self.rows = rows
+        self.m, self.n, self._rows, self._ints, self._cols = m, n, rows, ints, None
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        if self._rows is None:
+            self._rows = [[_fraction(x, d) for x in r] for d, r in self._ints]
+        return self._rows
+
+    def _integers(self) -> list[tuple[int, list[int]]]:
+        if self._ints is None:
+            self._ints = [_integer_row(r) for r in self._rows]
+        return self._ints
+
+    def integer_columns(self) -> tuple[int, list[tuple[int, ...]]]:
+        """The lcm d of all denominators and the integer columns of d * self."""
+        if self._cols is None:
+            d = lcm(*[s for s, _ in self._integers()])
+            scaled = [r if s == d else [x * (d // s) for x in r] for s, r in self._ints]
+            self._cols = d, list(zip(*scaled)) if self.m else [()] * self.n
+        return self._cols
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rows(rows) -> "Mat":
         rows = [[_coerce(x) for x in r] for r in rows]
-        m = len(rows)
-        n = len(rows[0]) if rows else 0
-        return Mat(m, n, rows)
+        return Mat(len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
     def zeros(m: int, n: int) -> "Mat":
@@ -70,8 +81,7 @@ class Mat:
     def diag(entries) -> "Mat":
         entries = [_coerce(x) for x in entries]
         n = len(entries)
-        rows = [[entries[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        return Mat(n, n, rows)
+        return Mat(n, n, [[entries[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_columns(cols, m: int | None = None) -> "Mat":
@@ -88,62 +98,56 @@ class Mat:
     # -- basic algebra ------------------------------------------------
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
+        return self.rows[ij[0]][ij[1]]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.m == other.m
-            and self.n == other.n
-            and self.rows == other.rows
-        )
+        if not isinstance(other, Mat) or (self.m, self.n) != (other.m, other.n):
+            return False
+        if self._rows is None or other._rows is None:
+            return self._integers() == other._integers()
+        return self._rows == other._rows
 
     def __hash__(self):
         return hash((self.m, self.n, tuple(tuple(r) for r in self.rows)))
 
     def __add__(self, other):
-        _same_shape(self, other)
+        if (self.m, self.n) != (other.m, other.n):
+            raise ValueError(f"shape mismatch: {self.m}x{self.n} vs {other.m}x{other.n}")
         return Mat(self.m, self.n, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        _same_shape(self, other)
-        return Mat(self.m, self.n, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return self + -other
 
     def __neg__(self):
-        return Mat(self.m, self.n, [[-a for a in r] for r in self.rows])
+        if self._rows is None:
+            return Mat(self.m, self.n, ints=[(d, [-x for x in r]) for d, r in self._ints])
+        return Mat(self.m, self.n, [[-a for a in r] for r in self._rows])
 
     def scale(self, c) -> "Mat":
         return Mat(self.m, self.n, [[c * a for a in r] for r in self.rows])
 
     def __mul__(self, other: "Mat") -> "Mat":
-        """The product, on integers.
-
-        Each row of ``self`` and each column of ``other`` is scaled to
-        integers once, so entry (i, j) is an integer dot product over row
-        scale x column scale.
-        """
+        """The product, on integers: row i is the integer dot products of
+        row i of ``self`` with the integer columns of ``other``, over the
+        product of their denominators."""
         if self.n != other.m:
             raise ValueError(f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        cols = [_integer_row(c) for c in (zip(*other.rows) if other.m else [()] * other.n)]
-        return Mat(self.m, other.n, [[_fraction(sum(map(mul, r, c)), s * t) for t, c in cols]
-                                     for s, r in map(_integer_row, self.rows)])
+        t, cols = other.integer_columns()
+        return Mat(self.m, other.n, ints=[_lowest(s * t, [sum(map(mul, r, c)) for c in cols])
+                                          for s, r in self._integers()])
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.n, self.m, [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)])
+        if self._rows is None:
+            d, cols = self.integer_columns()
+            return Mat(self.n, self.m, ints=[_lowest(d, list(c)) for c in cols])
+        return Mat(self.n, self.m, [list(c) for c in zip(*self._rows)] if self.m else [[] for _ in range(self.n)])
 
     def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
-
-    def is_symmetric(self) -> bool:
-        return self.m == self.n and self == self.T
-
-    def map(self, f) -> "Mat":
-        return Mat(self.m, self.n, [[f(x) for x in r] for r in self.rows])
+        return not any(any(r) for _, r in self._integers())
 
     def col(self, j) -> list:
-        return [self.rows[i][j] for i in range(self.m)]
+        return [r[j] for r in self.rows]
 
     def columns(self) -> list:
         return [self.col(j) for j in range(self.n)]
@@ -151,22 +155,30 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.m != other.m:
             raise ValueError("hstack row mismatch")
-        return Mat(self.m, self.n + other.n, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
+        if self._rows is None or other._rows is None:
+            return Mat(self.m, self.n + other.n,
+                       ints=[_joined(*a, *b) for a, b in zip(self._integers(), other._integers())])
+        return Mat(self.m, self.n + other.n, [r1 + r2 for r1, r2 in zip(self._rows, other._rows)])
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.n != other.n:
             raise ValueError("vstack column mismatch")
+        if self._rows is None or other._rows is None:
+            return Mat(self.m + other.m, self.n, ints=self._integers() + other._integers())
         return Mat(self.m + other.m, self.n, self.rows + other.rows)
 
     def direct_sum(self, other: "Mat") -> "Mat":
         """The block-diagonal matrix with blocks self and other."""
-        zero = Fraction(0)
         return Mat(self.m + other.m, self.n + other.n,
-                   [r + [zero] * other.n for r in self.rows]
-                   + [[zero] * self.n + r for r in other.rows])
+                   [r + [_ZERO] * other.n for r in self.rows]
+                   + [[_ZERO] * self.n + r for r in other.rows])
 
     def submatrix(self, rows, cols) -> "Mat":
-        return Mat(len(rows), len(cols), [[self.rows[i][j] for j in cols] for i in rows])
+        if self._ints is not None:
+            picked = (self._ints[i] for i in rows)
+            return Mat(len(rows), len(cols), ints=[_lowest(d, [r[j] for j in cols]) for d, r in picked])
+        entries = self.rows
+        return Mat(len(rows), len(cols), [[entries[i][j] for j in cols] for i in rows])
 
     def __repr__(self):
         return f"Mat({self.m}x{self.n}, {self.rows})"
@@ -175,43 +187,44 @@ class Mat:
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        a, _ = _integer_rows(self.rows)
+        a = [r for _, r in self._integers()]
         pivots = _integer_gauss_jordan(a, self.n)
-        out = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
-        out += [[Fraction(0)] * self.n for _ in range(self.m - len(pivots))]
-        return Mat(self.m, self.n, out), pivots
+        out = [_lowest(row[c], row) if row[c] > 0 else _lowest(-row[c], [-x for x in row])
+               for row, c in zip(a, pivots)]
+        out += [(1, [0] * self.n)] * (self.m - len(pivots))
+        return Mat(self.m, self.n, ints=out), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def nullspace(self) -> "Mat":
         """Columns form a basis of the kernel (the standard rref basis)."""
-        R, pivots = self.rref()
-        free = [j for j in range(self.n) if j not in pivots]
-        cols = []
-        for f in free:
-            v = [Fraction(0)] * self.n
-            v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -R.rows[r][f]
-            cols.append(v)
-        return Mat.from_columns(cols, m=self.n)
+        return self.kernel_and_image()[0]
 
     def column_space_basis(self) -> "Mat":
-        _, pivots = self.rref()
-        return Mat.from_columns([self.col(j) for j in pivots], m=self.m)
+        return self.kernel_and_image()[1]
+
+    def kernel_and_image(self) -> tuple["Mat", "Mat"]:
+        """From one elimination, the standard rref basis of the kernel and
+        the pivot columns of ``self``, a basis of the image, as columns."""
+        r, pivots = self.rref()
+        free = [j for j in range(self.n) if j not in pivots]
+        kernel = [(1, [int(f == j) for f in free]) for j in range(self.n)]
+        for p, (d, row) in zip(pivots, r._ints):
+            kernel[p] = _lowest(d, [-row[f] for f in free])
+        return Mat(self.n, len(free), ints=kernel), self.submatrix(range(self.m), pivots)
 
     def solve(self, b: "Mat") -> "Mat | None":
         """One solution of self @ X = b, or None if inconsistent."""
         if b.m != self.m:
             raise ValueError("solve shape mismatch")
-        R, pivots = self.hstack(b).rref()
+        r, pivots = self.hstack(b).rref()
         if pivots and pivots[-1] >= self.n:
             return None  # pivot in the augmented block: inconsistent
-        out = [[Fraction(0)] * b.n for _ in range(self.n)]
-        for r, p in enumerate(pivots):
-            out[p] = R.rows[r][self.n:]
-        return Mat(self.n, b.n, out)
+        out = [(1, [0] * b.n)] * self.n
+        for p, (d, row) in zip(pivots, r._ints):
+            out[p] = _lowest(d, row[self.n:])
+        return Mat(self.n, b.n, ints=out)
 
     def inv(self) -> "Mat":
         if self.m != self.n:
@@ -224,11 +237,9 @@ class Mat:
     def det(self):
         if self.m != self.n:
             raise ValueError("determinant of a non-square matrix")
-        a, scales = _integer_rows(self.rows)
-        d = 1
-        for d in _bareiss(a):  # the last value is the determinant
-            pass
-        return Fraction(d, prod(scales))
+        ints = self._integers()
+        *_, d = 1, *_bareiss([list(r) for _, r in ints])  # the last value is the determinant
+        return Fraction(d, prod(s for s, _ in ints))
 
     def leading_minors(self):
         """The leading principal minors of a square matrix, in order, up to and
@@ -236,9 +247,9 @@ class Mat:
         exchanges."""
         if self.m != self.n:
             raise ValueError("leading minors of a non-square matrix")
-        a, scales = _integer_rows(self.rows)
+        ints = self._integers()
         scale = 1
-        for s, d in zip(scales, _bareiss(a)):
+        for (s, _), d in zip(ints, _bareiss([list(r) for _, r in ints])):
             scale *= s
             yield Fraction(d, scale)
             if not d:
@@ -254,8 +265,7 @@ class Mat:
         """
         if self.m != self.n:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        d, b = _integer_matrix(self)
-        cols = list(zip(*b))
+        d, cols = self.integer_columns()
         n = self.n
         coeffs_desc = [1]
         m = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -269,30 +279,25 @@ class Mat:
         return [Fraction(c, d**k) for k, c in enumerate(coeffs_desc)][::-1]
 
 
+def _joined(s: int, r: list[int], t: int, q: list[int]) -> tuple[int, list[int]]:
+    """The integer form of the row r / s followed by q / t: over lcm(s, t), it
+    stays in lowest terms."""
+    d = lcm(s, t)
+    return d, [x * (d // s) for x in r] + [x * (d // t) for x in q]
+
+
 def _coerce(x):
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _same_shape(a: Mat, b: Mat):
-    if a.m != b.m or a.n != b.n:
-        raise ValueError(f"shape mismatch: {a.m}x{a.n} vs {b.m}x{b.n}")
 
 
 def extend_to_complement(base: Mat, candidates: Mat) -> list[int]:
     """Indices of candidate columns greedily extending base to a spanning set.
 
     Deterministic: candidates are scanned left to right and kept whenever the
-    rank grows, that is, when they are pivots of [base | candidates].  Used
-    for quotient sections and cohomology representatives.
+    rank grows, that is, when they are pivots of [base | candidates].
     """
     _, pivots = base.hstack(candidates).rref()
     return [p - base.n for p in pivots if p >= base.n]
-
-
-def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Each Fraction row times the lcm of its denominators, and those lcms."""
-    scaled = [_integer_row(r) for r in rows]
-    return [r for _, r in scaled], [s for s, _ in scaled]
 
 
 def _integer_row(r) -> tuple[int, list[int]]:
@@ -312,10 +317,10 @@ def _integer_row(r) -> tuple[int, list[int]]:
     return s, [n * (s // d) for n, d in zip(nums, dens)]
 
 
-def _integer_matrix(a: Mat) -> tuple[int, list[list[int]]]:
-    """The lcm d of all denominators of a rational matrix, and the rows of d * a."""
-    d, flat = _integer_row([x for r in a.rows for x in r])
-    return d, [flat[i * a.n:(i + 1) * a.n] for i in range(a.m)]
+def _lowest(d: int, nums: list[int]) -> tuple[int, list[int]]:
+    """The row nums / d (d > 0) in lowest terms, as a (d, nums) pair."""
+    g = gcd(d, *nums)
+    return (d, nums) if g == 1 else (d // g, [x // g for x in nums])
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)

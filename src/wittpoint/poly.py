@@ -18,7 +18,7 @@ from math import gcd
 from operator import mul
 
 from .core import CertificateError
-from .linalg import Mat, _integer_matrix, _integer_row
+from .linalg import Mat, _integer_row
 
 
 # -- over Q -------------------------------------------------------------
@@ -140,8 +140,7 @@ def int_poly_at(q: list[int], a: Mat) -> tuple[int, list[list[int]]]:
     """
     if a.m != a.n:
         raise ValueError("a polynomial is evaluated at a square matrix")
-    d, b = _integer_matrix(a)
-    cols = list(zip(*b))
+    d, cols = a.integer_columns()
     acc = [[q[-1] if i == j else 0 for j in range(a.n)] for i in range(a.n)]
     scale = 1
     for c in reversed(q[:-1]):

@@ -80,7 +80,7 @@ class WittClassFp:
     def rank_parity(p: int, parity: int) -> "WittClassFp":
         if p != 2:
             raise ValueError("rank-parity payload is the p = 2 case")
-        return WittClassFp(2, parity % 2)
+        return WittClassFp._of(2, parity % 2)
 
     def is_zero(self) -> bool:
         return self.payload == _zero_payload(self.p)

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from random import Random
 
-from wittpoint import cobordism, core, forms, hodge, poly, witt
+from wittpoint import cobordism, core, forms, hodge, linalg, poly, witt
 from wittpoint.cli import main
 from wittpoint.cobordism import (
     acyclic_extension,
@@ -190,6 +190,42 @@ def test_truncation_witness_validates_once_with_one_cohomology(monkeypatch):
     assert (validations[0], cohomologies[0]) == (1, 1)
 
 
+def test_cohomology_eliminates_each_differential_once(monkeypatch):
+    # d(i) gives the kernel at degree i and the image at degree i + 1
+    cx = cobordism.ChainComplex({-2: 1, -1: 2, 0: 2, 1: 2, 2: 1}, {
+        -2: Mat.from_rows([[1], [0]]), -1: Mat.zeros(2, 2),
+        0: Mat.from_rows([[0, 1], [0, 0]]), 1: Mat.from_rows([[0, 1]])})
+    eliminated = Counter()
+    rref = Mat.rref
+
+    def spy(a):
+        eliminated[id(a)] += 1
+        return rref(a)
+
+    monkeypatch.setattr(Mat, "rref", spy)
+    coh = cobordism.Cohomology(cx)
+    degrees = cx.degrees()
+    assert [coh.dim(i) for i in degrees] == [0, 1, 1, 0, 0]
+    assert [eliminated[id(d)] for d in cx.differentials.values()] == [1, 1, 1, 1]
+    # and one complement scan per degree
+    assert sum(eliminated.values()) == 4 + len(degrees)
+    coh.reps(0), coh.coords(0, coh.reps(0))
+    assert sum(eliminated.values()) == 4 + len(degrees) + 1  # the one solve
+
+
+def test_a_product_of_products_builds_no_intermediate_fraction(monkeypatch):
+    built = []
+    fraction = linalg._fraction
+    monkeypatch.setattr(linalg, "_fraction", lambda x, d: built.append(x) or fraction(x, d))
+    a = Mat.from_rows([[1, "1/2", 0], [0, 3, "-2/3"]])
+    b = Mat.from_rows([["1/3", 1], [2, 0], [0, "5/7"]])
+    c = Mat.from_rows([[1, 0, 4], ["-1/2", 2, 0]])
+    abc = a * b * c
+    assert built == []
+    assert abc.rows == [[Fraction(5, 6), 2, Fraction(16, 3)], [Fraction(131, 21), Fraction(-20, 21), 24]]
+    assert len(built) == abc.m * abc.n  # the entries of the result only
+
+
 def test_cobordism_class_builds_one_cohomology(monkeypatch):
     ext = acyclic_extension(BilinearForm.from_diagonal([5]), Random(3), 1)
     cohomologies = count(monkeypatch, cobordism, "Cohomology")
@@ -278,3 +314,12 @@ def test_fp_class_arithmetic_tests_no_prime_again(monkeypatch):
     assert a + a == witt.WittClassFp.zero(7) and b + b == witt.WittClassFp.zero(5)
     assert tests[0] == 4  # zero(p) is handed a new p, so it tests it
 
+
+
+def test_rank_parity_classes_test_no_prime(monkeypatch):
+    # rank_parity is the p = 2 case and refuses any other p, so 2 is not tested
+    tests = count(monkeypatch, core, "is_prime")
+    assert witt.WittClassFp.rank_parity(2, 3) == witt.WittClassFp(2, 1)
+    assert tests[0] == 1  # the comparison's WittClassFp(2, 1)
+    assert witt.WittClassFp.rank_parity(2, 4).is_zero()
+    assert tests[0] == 1

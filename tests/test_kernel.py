@@ -690,10 +690,13 @@ def ref_poly_mul(a, b):
 # -- strategies -----------------------------------------------------------
 
 # zero often, so that rows, columns and diagonals vanish; small denominators
-rationals = st.one_of(
-    st.just(Fraction(0)),
-    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4, 6])),
-)
+DENOMINATORS = st.sampled_from([1, 1, 1, 2, 3, 4, 6])
+rationals = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-6, 6), DENOMINATORS))
+# nonzero, and positive, by construction: filtering ``rationals`` throws away
+# about half the draws, which can trip Hypothesis's filter_too_much health check
+positive_rationals = st.builds(Fraction, st.integers(1, 6), DENOMINATORS)
+nonzero_rationals = st.builds(Fraction, st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6]),
+                              DENOMINATORS)
 
 
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -724,7 +727,7 @@ def symmetric_forms(draw):
     blocks = draw(st.lists(st.sampled_from(["unit", "hyperbolic", "mixed", "zero"]), max_size=4))
     entries = []
     for kind in blocks:
-        a, b = draw(rationals), draw(rationals.filter(bool))
+        a, b = draw(rationals), draw(nonzero_rationals)
         entries.append({"unit": [[a]], "hyperbolic": [[0, b], [b, 0]],
                         "mixed": [[a, b], [b, 0]], "zero": [[0]]}[kind])
     n = sum(len(e) for e in entries)
@@ -768,7 +771,7 @@ def fp_forms(draw):
 def metabolic_blocks(draw):
     m = draw(st.integers(0, 3))
     k = draw(st.integers(1, 3))
-    core = Mat.diag([draw(rationals.filter(bool)) for _ in range(m)])
+    core = Mat.diag([draw(nonzero_rationals) for _ in range(m)])
     if m and draw(st.booleans()):
         p = Mat(m, m, [[Fraction(draw(st.integers(-2, 2))) for _ in range(m)] for _ in range(m)])
         if p.det():
@@ -820,7 +823,7 @@ def polynomials(draw):
     quadratics t^2 + bt + c, some of them with non-real roots."""
     if draw(st.booleans()):
         return draw(st.lists(rationals, max_size=8))
-    p = [draw(rationals.filter(bool))]
+    p = [draw(nonzero_rationals)]
     for root in draw(st.lists(st.sampled_from([0, 0, 1, 1, -1, 2, Fraction(1, 2),
                                                Fraction(-3, 2), 3]), max_size=5)):
         p = ref_poly_mul(p, [-Fraction(root), Fraction(1)])
@@ -1043,10 +1046,9 @@ def symmetric_by_first_nonpositive_minor(draw):
     minor (n when there is none), drawn first: zero, negative or absent."""
     n = draw(st.integers(1, 5))
     at = draw(st.integers(0, n))
-    positive = rationals.filter(lambda x: x > 0)
-    d = [draw(positive) for _ in range(at)]
+    d = [draw(positive_rationals) for _ in range(at)]
     if at < n:
-        d.append(draw(st.one_of(st.just(Fraction(0)), positive.map(lambda x: -x))))
+        d.append(draw(st.one_of(st.just(Fraction(0)), positive_rationals.map(lambda x: -x))))
         d += [draw(rationals) for _ in range(n - at - 1)]
     lower = Mat(n, n, [[Fraction(1) if i == j else draw(rationals) if j < i else Fraction(0)
                         for j in range(n)] for i in range(n)])
@@ -1070,6 +1072,118 @@ def test_extend_to_complement_matches_the_greedy_scan(data):
     base = data.draw(matrices())
     candidates = data.draw(matrices(base.m))
     assert extend_to_complement(base, candidates) == ref_extend_to_complement(base, candidates)
+
+
+# -- the two forms of a matrix ---------------------------------------------
+
+
+def ref_integer_form(a: Mat) -> list:
+    """Row by row, the lcm d of the denominators and the row times d."""
+    out = []
+    for r in a.rows:
+        d = lcm(*(x.denominator for x in r))
+        out.append((d, [int(x * d) for x in r]))
+    return out
+
+
+STATES = ("rows", "integers", "both")
+
+
+def in_state(a: Mat, state: str) -> Mat:
+    """A matrix equal to ``a`` holding rows only, its integer form only, or both."""
+    if state == "rows":
+        return Mat(a.m, a.n, [list(r) for r in a.rows])
+    x = Mat(a.m, a.n, ints=ref_integer_form(a))
+    if state == "both":
+        x.rows  # reading the rows keeps the integer form
+    return x
+
+
+@st.composite
+def matrices_in_states(draw, m=None, n=None):
+    """A plain-``Fraction`` reference and an equal matrix in a drawn state."""
+    a = draw(matrices(m, n))
+    return a, in_state(a, draw(st.sampled_from(STATES)))
+
+
+def test_matrix_states_hold_what_they_say():
+    a = Mat.from_rows([["1/2", 0, -3], [0, 0, 0]])
+    assert ref_integer_form(a) == [(2, [1, 0, -6]), (1, [0, 0, 0])]
+    x, y, z = (in_state(a, state) for state in STATES)
+    assert (x._ints, y._rows) == (None, None)
+    assert z._ints is not None and z._rows is not None
+    assert repr(y) == repr(a)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_products_of_either_form_match_the_field_loop(data):
+    a, x = data.draw(matrices_in_states())
+    b, y = data.draw(matrices_in_states(a.n))
+    c, z = data.draw(matrices_in_states(b.n))
+    assert same_entries(x * y, ref_product(a, b))
+    assert same_entries(x * y * z, ref_product(ref_product(a, b), c))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_eliminations_of_either_form_match_the_field_loop(data):
+    a, x = data.draw(matrices_in_states())
+    r, pivots = x.rref()
+    ref_r, ref_pivots = ref_rref(a)
+    assert pivots == ref_pivots and same_entries(r, ref_r)
+    assert same_entries(in_state(a, data.draw(st.sampled_from(STATES))).nullspace(), ref_nullspace(a))
+    b, y = data.draw(matrices_in_states(a.m, data.draw(st.integers(0, 2))))
+    solution, ref_solution = x.solve(y), ref_solve(a, b)
+    assert (solution is None) == (ref_solution is None)
+    if solution is not None:
+        assert same_entries(solution, ref_solution)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_determinants_and_minors_of_either_form_match_the_field_loop(data):
+    n = data.draw(st.integers(0, 5))
+    a, x = data.draw(matrices_in_states(n, n))
+    assert x.det() == ref_det(a)
+    minors = list(in_state(a, data.draw(st.sampled_from(STATES))).leading_minors())
+    blocks = [ref_det(a.submatrix(range(k), range(k))) for k in range(1, n + 1)]
+    first_zero = next((k for k, d in enumerate(blocks) if not d), n - 1)
+    assert minors == blocks[:first_zero + 1]
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_equality_and_row_builders_of_either_form_match_fraction_rows(data):
+    a, x = data.draw(matrices_in_states())
+    if a.m and a.n and data.draw(st.booleans()):  # equal but for one entry, or equal
+        i, j = data.draw(st.integers(0, a.m - 1)), data.draw(st.integers(0, a.n - 1))
+        b = Mat(a.m, a.n, [list(r) for r in a.rows])
+        b.rows[i][j] = data.draw(rationals)
+    else:
+        b = data.draw(st.sampled_from([a, Mat.zeros(a.m, a.n), data.draw(matrices(a.m, a.n))]))
+    y = in_state(b, data.draw(st.sampled_from(STATES)))
+    assert (x == y) == (a.rows == b.rows) == (y == x)
+    assert (x != y) == (a.rows != b.rows)
+    assert x.is_zero() == all(not e for r in a.rows for e in r)
+    assert same_entries(-x, Mat(a.m, a.n, [[-e for e in r] for r in a.rows]))
+    assert same_entries(x.T, Mat(a.n, a.m, [list(c) for c in zip(*a.rows)]) if a.m else Mat.zeros(a.n, 0))
+    assert same_entries(x.hstack(y), Mat(a.m, 2 * a.n, [r + q for r, q in zip(a.rows, b.rows)]))
+    assert same_entries(x.vstack(y), Mat(2 * a.m, a.n, a.rows + b.rows))
+    rows = [i for i in range(a.m) if data.draw(st.booleans())]
+    cols = [j for j in range(a.n) if data.draw(st.booleans())]
+    assert same_entries(x.submatrix(rows, cols), Mat(len(rows), len(cols), [[a.rows[i][j] for j in cols] for i in rows]))
+
+
+def test_a_zeros_matrix_filled_before_first_use_computes_on_its_entries():
+    # the pattern of the generators: write the rows of a fresh Mat.zeros, then use it
+    a = Mat.zeros(2, 2)
+    a.rows[0][0], a.rows[0][1], a.rows[1][0] = Fraction(1, 2), Fraction(3), Fraction(-1)
+    ref = Mat.from_rows([["1/2", 3], [-1, 0]])
+    assert same_entries(a * a, ref_product(ref, ref))
+    assert same_entries(a.rref()[0], ref_rref(ref)[0])
+    assert a.det() == ref_det(ref) == 3
+    assert a == ref and not a.is_zero()
 
 
 @EXAMPLES

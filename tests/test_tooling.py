@@ -4,7 +4,9 @@ The traced benchmark run wraps package functions by name; every name it
 wraps must still exist, or ``perfbench/run.py --trace 1`` breaks.  A
 certificate check must run under ``python -O``, so the package holds no
 ``assert`` statement.  A ``Mat`` keeps the row lists it is built from and
-may share them with other matrices, so the package never writes rows.
+may share them with other matrices, and its integer form is made from them
+once and shared the same way, so the package never writes rows or either
+form.
 The package loads its submodules lazily, but re-exports the same names.
 It keeps no process-wide state: no ``global`` statement and no memo cache.
 Degree-0 subquotient witnesses are built by one function, so their block
@@ -68,13 +70,16 @@ def test_package_has_no_assert_statements():
 
 
 ROW_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+# the Fraction rows (``rows`` reads ``_rows``), the integer rows and the integer columns
+MATRIX_SLOTS = {"rows", "_rows", "_ints", "_cols"}
 
 
 def reaches_rows(node) -> bool:
-    """Whether ``node`` is ``x.rows`` or a subscript of it, ``x.rows[i][j]``."""
+    """Whether ``node`` is a matrix slot, ``x.rows`` or ``x._ints``, or a
+    subscript of one, ``x.rows[i][j]``."""
     while isinstance(node, ast.Subscript):
         node = node.value
-    return isinstance(node, ast.Attribute) and node.attr == "rows"
+    return isinstance(node, ast.Attribute) and node.attr in MATRIX_SLOTS
 
 
 def row_writes(tree) -> list[int]:
@@ -114,6 +119,12 @@ a, m.rows[1][1] = 1, 2
 del m.rows[0]
 m.rows.append(r)
 m.rows[0].sort()
+m._rows[0][1] = x
+m._ints[0] = (1, r)
+m._ints[0][1][2] += 1
+m._ints[0][1].append(0)
+m._cols[1][0] = c
+del m._cols[1]
 """
     reads = """
 rows[0][1] = x
@@ -121,8 +132,11 @@ y = m.rows[0][1]
 out.append(m.rows[0])
 r = list(m.rows[0]); r.append(1)
 self.rows = rows
+self._ints = [(1, r)]
+a.m, a._rows, a._ints, a._cols = m, None, ints, None
+nums = [list(r) for _, r in m._ints]; nums[0][0] = 1
 """
-    assert row_writes(ast.parse(writes)) == list(range(2, 9))
+    assert sorted(row_writes(ast.parse(writes))) == list(range(2, 15))
     assert row_writes(ast.parse(reads)) == []
 
 
