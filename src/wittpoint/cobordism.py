@@ -111,10 +111,17 @@ class Cohomology:
         self._cache: dict[int, tuple[Mat, Mat]] = {}
         self._split = {i: d.kernel_and_image() for i, d in c.differentials.items()}
 
+    def cocycles(self, i: int) -> Mat:
+        """A basis of ker d(i), as columns."""
+        return self._split[i][0] if i in self._split else Mat.identity(self.c.dim(i))
+
+    def boundaries(self, i: int) -> Mat:
+        """A basis of im d(i - 1), as columns."""
+        return self._split[i - 1][1] if i - 1 in self._split else Mat.zeros(self.c.dim(i), 0)
+
     def _data(self, i: int) -> tuple[Mat, Mat]:
         if i not in self._cache:
-            boundaries = self._split[i - 1][1] if i - 1 in self._split else Mat.zeros(self.c.dim(i), 0)
-            kernel = self._split[i][0] if i in self._split else Mat.identity(self.c.dim(i))
+            boundaries, kernel = self.boundaries(i), self.cocycles(i)
             reps = kernel.submatrix(range(kernel.m), extend_to_complement(boundaries, kernel))
             self._cache[i] = (reps, reps.hstack(boundaries))
         return self._cache[i]
@@ -617,10 +624,9 @@ def truncation_witness(c: SelfDualComplex) -> CobordismWitness:
     report = ensure_valid(c)
     cx = c.complex
     coh = report.cohomology
-    kernel = cx.d(0).nullspace()  # ker d^0 as columns in F^0
+    kernel = coh.cocycles(0)  # ker d^0 as columns in F^0
     z = kernel.n
-    boundaries = cx.d(-1).column_space_basis()
-    projection, section = quotient_data(cx.dim(0), boundaries)
+    projection, section = quotient_data(cx.dim(0), coh.boundaries(0))
 
     g_spaces = {i: cx.dim(i) for i in cx.degrees() if i < 0}
     if z:

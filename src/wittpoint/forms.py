@@ -62,9 +62,9 @@ class BilinearForm:
             if g.T != mirror:
                 raise ValueError("Gram matrix does not match the declared symmetry")
         else:
-            if any(x.denominator != 1 for r in g.rows for x in r):
+            if g.integer_columns()[0] != 1:
                 raise ValueError("prime field Gram entries must be integers")
-            if any(x.numerator % self.field for r in (g.T - mirror).rows for x in r):
+            if any(x % self.field for c in (g.T - mirror).integer_columns()[1] for x in c):
                 raise ValueError("Gram matrix does not match the declared symmetry mod p")
 
     @property

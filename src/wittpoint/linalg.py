@@ -1,64 +1,62 @@
 """Exact dense linear algebra over Q.
 
-A ``Mat`` holds its entries as ``Fraction`` rows, as an integer form, or as
-both.  The integer form has one pair (d, nums) per row: the row is nums / d
-in lowest terms with d > 0, so equal matrices have equal forms.  A matrix
-built from rows makes its integer form at most once, on first use by a
-kernel.  Products, eliminations, negation, ``T``, ``hstack``, ``vstack``
-and ``submatrix`` pass integer forms on; ``Fraction`` rows are made from one
-only when read.  ``rref`` runs Gauss-Jordan by cross-multiplication,
+A ``Mat`` stores one form of its entries, the integer form: one pair
+(d, nums) per row, the row being nums / d in lowest terms with d > 0, so
+equal matrices have equal forms.  A matrix built from rows converts them at
+construction and raises ``TypeError`` there on an entry that is not
+rational.  Every operation reads integer forms and builds one.  ``rows`` is
+a view of the entries as ``Fraction`` rows: the row lists a matrix was built
+from, or rows made from the integer form when first read.  Writing to it
+changes no result.  ``rref`` runs Gauss-Jordan by cross-multiplication,
 dividing each changed row by its content; ``det`` and ``leading_minors`` run
 Bareiss's fraction-free elimination (Bareiss 1968; Cohen, *A Course in
 Computational Algebraic Number Theory*, 2.2).  The reduced row echelon form
-is unique, so each returns what elimination over Q returns.  The kernel
-raises ``TypeError`` on a row holding any number type but ``Fraction``.
-Shapes are explicit, as zero-row and zero-column matrices occur constantly.
-A ``Mat`` owns the row lists it is built from, and neither form is written
-after first use, so matrices may share rows.
+is unique, so each returns what elimination over Q returns.  Shapes are
+explicit, as zero-row and zero-column matrices occur constantly.  Integer
+forms are never written, so matrices may share their rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 
 class Mat:
-    """Dense matrix with explicit shape; entries are Fraction.
+    """Dense matrix with explicit shape over Q, stored as its integer form.
 
-    ``__init__`` keeps the list of row lists it is handed, without copying
-    it, so a caller builds its rows and wraps them once; ``from_rows`` is the
-    constructor that copies and coerces any nested iterable.  Given ``ints``
-    instead, a list of (d, nums) pairs in lowest terms, it keeps that integer
-    form and makes the rows when they are read.  Rows are not written after a
-    matrix is first used.  ``zeros`` and ``identity`` build new row lists on
-    every call.
+    ``__init__`` takes a list of row lists and converts it to the integer
+    form at once; an entry that is not rational raises ``TypeError`` there.
+    It keeps the row lists it is handed, without copying them, as the
+    ``rows`` view, so a caller builds its rows and wraps them once;
+    ``from_rows`` is the constructor that copies and coerces any nested
+    iterable.  Given ``ints`` instead, a list of (d, nums) pairs in lowest
+    terms, it keeps that form and makes the rows the first time they are
+    read.  Writing to ``rows`` changes no result.
     """
 
-    __slots__ = ("m", "n", "_rows", "_ints", "_cols")
+    __slots__ = ("m", "n", "_ints", "_rows", "_cols")
 
     def __init__(self, m: int, n: int, rows: list[list] | None = None, *, ints: list | None = None):
-        if rows is not None and (len(rows) != m or any(map(n.__ne__, map(len, rows)))):
-            raise ValueError(f"shape mismatch: declared {m}x{n}")
-        self.m, self.n, self._rows, self._ints, self._cols = m, n, rows, ints, None
+        if rows is not None:
+            if len(rows) != m or any(map(n.__ne__, map(len, rows))):
+                raise ValueError(f"shape mismatch: declared {m}x{n}")
+            ints = [_integer_row(r) for r in rows]
+        self.m, self.n, self._ints, self._rows, self._cols = m, n, ints, rows, None
 
     @property
     def rows(self) -> list[list[Fraction]]:
+        """The entries as rows, a view of the integer form made once."""
         if self._rows is None:
             self._rows = [[_fraction(x, d) for x in r] for d, r in self._ints]
         return self._rows
 
-    def _integers(self) -> list[tuple[int, list[int]]]:
-        if self._ints is None:
-            self._ints = [_integer_row(r) for r in self._rows]
-        return self._ints
-
     def integer_columns(self) -> tuple[int, list[tuple[int, ...]]]:
         """The lcm d of all denominators and the integer columns of d * self."""
         if self._cols is None:
-            d = lcm(*[s for s, _ in self._integers()])
-            scaled = [r if s == d else [x * (d // s) for x in r] for s, r in self._ints]
+            d = lcm(*[s for s, _ in self._ints])
+            scaled = [_over(d, s, r) for s, r in self._ints]
             self._cols = d, list(zip(*scaled)) if self.m else [()] * self.n
         return self._cols
 
@@ -71,17 +69,18 @@ class Mat:
 
     @staticmethod
     def zeros(m: int, n: int) -> "Mat":
-        return Mat(m, n, [[_ZERO] * n for _ in range(m)])
+        return Mat(m, n, ints=[(1, [0] * n)] * m)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return Mat(n, n, ints=[(1, [int(i == j) for j in range(n)]) for i in range(n)])
 
     @staticmethod
     def diag(entries) -> "Mat":
-        entries = [_coerce(x) for x in entries]
+        entries = [_coerce(x).as_integer_ratio() for x in entries]
         n = len(entries)
-        return Mat(n, n, [[entries[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return Mat(n, n, ints=[(d, [x if i == j else 0 for j in range(n)])
+                               for i, (x, d) in enumerate(entries)])
 
     @staticmethod
     def from_columns(cols, m: int | None = None) -> "Mat":
@@ -101,30 +100,27 @@ class Mat:
         return self.rows[ij[0]][ij[1]]
 
     def __eq__(self, other):
-        if not isinstance(other, Mat) or (self.m, self.n) != (other.m, other.n):
-            return False
-        if self._rows is None or other._rows is None:
-            return self._integers() == other._integers()
-        return self._rows == other._rows
+        return (isinstance(other, Mat) and (self.m, self.n) == (other.m, other.n)
+                and self._ints == other._ints)
 
     def __hash__(self):
-        return hash((self.m, self.n, tuple(tuple(r) for r in self.rows)))
+        return hash((self.m, self.n, tuple((d, tuple(r)) for d, r in self._ints)))
 
     def __add__(self, other):
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError(f"shape mismatch: {self.m}x{self.n} vs {other.m}x{other.n}")
-        return Mat(self.m, self.n, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return Mat(self.m, self.n, ints=[_lowest(d, list(map(add, r, q)))
+                                         for d, r, q in _aligned(self._ints, other._ints)])
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        if self._rows is None:
-            return Mat(self.m, self.n, ints=[(d, [-x for x in r]) for d, r in self._ints])
-        return Mat(self.m, self.n, [[-a for a in r] for r in self._rows])
+        return Mat(self.m, self.n, ints=[(d, [-x for x in r]) for d, r in self._ints])
 
     def scale(self, c) -> "Mat":
-        return Mat(self.m, self.n, [[c * a for a in r] for r in self.rows])
+        p, q = _coerce(c).as_integer_ratio()
+        return Mat(self.m, self.n, ints=[_lowest(q * d, [p * x for x in r]) for d, r in self._ints])
 
     def __mul__(self, other: "Mat") -> "Mat":
         """The product, on integers: row i is the integer dot products of
@@ -134,17 +130,15 @@ class Mat:
             raise ValueError(f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
         t, cols = other.integer_columns()
         return Mat(self.m, other.n, ints=[_lowest(s * t, [sum(map(mul, r, c)) for c in cols])
-                                          for s, r in self._integers()])
+                                          for s, r in self._ints])
 
     @property
     def T(self) -> "Mat":
-        if self._rows is None:
-            d, cols = self.integer_columns()
-            return Mat(self.n, self.m, ints=[_lowest(d, list(c)) for c in cols])
-        return Mat(self.n, self.m, [list(c) for c in zip(*self._rows)] if self.m else [[] for _ in range(self.n)])
+        d, cols = self.integer_columns()
+        return Mat(self.n, self.m, ints=[_lowest(d, list(c)) for c in cols])
 
     def is_zero(self) -> bool:
-        return not any(any(r) for _, r in self._integers())
+        return not any(any(r) for _, r in self._ints)
 
     def col(self, j) -> list:
         return [r[j] for r in self.rows]
@@ -155,30 +149,23 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.m != other.m:
             raise ValueError("hstack row mismatch")
-        if self._rows is None or other._rows is None:
-            return Mat(self.m, self.n + other.n,
-                       ints=[_joined(*a, *b) for a, b in zip(self._integers(), other._integers())])
-        return Mat(self.m, self.n + other.n, [r1 + r2 for r1, r2 in zip(self._rows, other._rows)])
+        # over the lcm of the two denominators, a joined row stays in lowest terms
+        return Mat(self.m, self.n + other.n, ints=[(d, r + q) for d, r, q in _aligned(self._ints, other._ints)])
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.n != other.n:
             raise ValueError("vstack column mismatch")
-        if self._rows is None or other._rows is None:
-            return Mat(self.m + other.m, self.n, ints=self._integers() + other._integers())
-        return Mat(self.m + other.m, self.n, self.rows + other.rows)
+        return Mat(self.m + other.m, self.n, ints=self._ints + other._ints)
 
     def direct_sum(self, other: "Mat") -> "Mat":
         """The block-diagonal matrix with blocks self and other."""
         return Mat(self.m + other.m, self.n + other.n,
-                   [r + [_ZERO] * other.n for r in self.rows]
-                   + [[_ZERO] * self.n + r for r in other.rows])
+                   ints=[(d, r + [0] * other.n) for d, r in self._ints]
+                   + [(d, [0] * self.n + r) for d, r in other._ints])
 
     def submatrix(self, rows, cols) -> "Mat":
-        if self._ints is not None:
-            picked = (self._ints[i] for i in rows)
-            return Mat(len(rows), len(cols), ints=[_lowest(d, [r[j] for j in cols]) for d, r in picked])
-        entries = self.rows
-        return Mat(len(rows), len(cols), [[entries[i][j] for j in cols] for i in rows])
+        picked = (self._ints[i] for i in rows)
+        return Mat(len(rows), len(cols), ints=[_lowest(d, [r[j] for j in cols]) for d, r in picked])
 
     def __repr__(self):
         return f"Mat({self.m}x{self.n}, {self.rows})"
@@ -187,7 +174,7 @@ class Mat:
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        a = [r for _, r in self._integers()]
+        a = [r for _, r in self._ints]
         pivots = _integer_gauss_jordan(a, self.n)
         out = [_lowest(row[c], row) if row[c] > 0 else _lowest(-row[c], [-x for x in row])
                for row, c in zip(a, pivots)]
@@ -237,9 +224,8 @@ class Mat:
     def det(self):
         if self.m != self.n:
             raise ValueError("determinant of a non-square matrix")
-        ints = self._integers()
-        *_, d = 1, *_bareiss([list(r) for _, r in ints])  # the last value is the determinant
-        return Fraction(d, prod(s for s, _ in ints))
+        *_, d = 1, *_bareiss([list(r) for _, r in self._ints])  # the last value is the determinant
+        return Fraction(d, prod(s for s, _ in self._ints))
 
     def leading_minors(self):
         """The leading principal minors of a square matrix, in order, up to and
@@ -247,9 +233,8 @@ class Mat:
         exchanges."""
         if self.m != self.n:
             raise ValueError("leading minors of a non-square matrix")
-        ints = self._integers()
         scale = 1
-        for (s, _), d in zip(ints, _bareiss([list(r) for _, r in ints])):
+        for (s, _), d in zip(self._ints, _bareiss([list(r) for _, r in self._ints])):
             scale *= s
             yield Fraction(d, scale)
             if not d:
@@ -279,11 +264,17 @@ class Mat:
         return [Fraction(c, d**k) for k, c in enumerate(coeffs_desc)][::-1]
 
 
-def _joined(s: int, r: list[int], t: int, q: list[int]) -> tuple[int, list[int]]:
-    """The integer form of the row r / s followed by q / t: over lcm(s, t), it
-    stays in lowest terms."""
-    d = lcm(s, t)
-    return d, [x * (d // s) for x in r] + [x * (d // t) for x in q]
+def _aligned(a: list, b: list):
+    """For each row r / s of the integer form ``a`` and q / t of ``b``, the
+    numerators of both over d = lcm(s, t), as (d, r', q')."""
+    for (s, r), (t, q) in zip(a, b):
+        d = lcm(s, t)
+        yield d, _over(d, s, r), _over(d, t, q)
+
+
+def _over(d: int, s: int, r: list[int]) -> list[int]:
+    """The numerators of the row r / s over d, a multiple of s."""
+    return r if s == d else [x * (d // s) for x in r]
 
 
 def _coerce(x):
@@ -323,7 +314,7 @@ def _lowest(d: int, nums: list[int]) -> tuple[int, list[int]]:
     return (d, nums) if g == 1 else (d // g, [x // g for x in nums])
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 def _fraction(x: int, d: int) -> Fraction:

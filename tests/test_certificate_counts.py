@@ -190,6 +190,15 @@ def test_truncation_witness_validates_once_with_one_cohomology(monkeypatch):
     assert (validations[0], cohomologies[0]) == (1, 1)
 
 
+def test_truncation_witness_reads_its_kernel_and_boundaries_off_the_cohomology(monkeypatch):
+    # ker d^0 and im d^-1 come from the eliminations validation made; taking
+    # them again, by d(0).nullspace() and d(-1).column_space_basis(), made 12
+    ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
+    eliminations = count(monkeypatch, Mat, "rref")
+    truncation_witness(ext)
+    assert eliminations[0] == 10
+
+
 def test_cohomology_eliminates_each_differential_once(monkeypatch):
     # d(i) gives the kernel at degree i and the image at degree i + 1
     cx = cobordism.ChainComplex({-2: 1, -1: 2, 0: 2, 1: 2, 2: 1}, {

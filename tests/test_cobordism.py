@@ -33,6 +33,7 @@ from wittpoint.forms import (
 )
 from wittpoint.linalg import Mat
 from wittpoint.witt import witt_class_of
+from test_forms import symmetric_from_lower
 
 
 def three_term_acyclic(eps=1, m=Fraction(1), y=Fraction(0)):
@@ -181,12 +182,7 @@ def test_metabolic_witness_verifies_and_matches_reduce():
     for _ in range(10):
         m, k = rng.randint(1, 3), rng.randint(1, 2)
         core = random_nondegenerate_form(rng, m)
-        a = Mat.zeros(k, k)
-        for i in range(k):
-            for j in range(i + 1):
-                v = Fraction(rng.randint(-2, 2))
-                a.rows[i][j] = v
-                a.rows[j][i] = v
+        a = symmetric_from_lower(k, (rng.randint(-2, 2) for _ in range(k * (k + 1) // 2)))
         b = Mat(m, k, [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(m)])
         block = BlockMetabolicForm(core, a, b)
         w = metabolic_witness(block, random_invertible(rng, m + 2 * k, bound=1))
@@ -269,12 +265,7 @@ def test_orthogonal_split_exhaustion_matches_metabolic_reduce():
         assert final.gram == core.gram
         # with nonzero A and B the count can only grow by whole planes and the
         # Witt class stays pinned to the core's
-        a = Mat.zeros(k, k)
-        for i in range(k):
-            for j in range(i + 1):
-                v = Fraction(rng.randint(-2, 2))
-                a.rows[i][j] = v
-                a.rows[j][i] = v
+        a = symmetric_from_lower(k, (rng.randint(-2, 2) for _ in range(k * (k + 1) // 2)))
         b = Mat(m, k, [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(m)])
         block = BlockMetabolicForm(core, a, b)
         final, count = _split_first_isotropic_basis_vectors(block.assemble())
@@ -391,12 +382,7 @@ def test_equal_classes_realized_by_two_subquotient_witnesses():
         blocks = []
         for _ in range(2):
             k = rng.randint(1, 2)
-            a = Mat.zeros(k, k)
-            for i in range(k):
-                for j in range(i + 1):
-                    v = Fraction(rng.randint(-2, 2))
-                    a.rows[i][j] = v
-                    a.rows[j][i] = v
+            a = symmetric_from_lower(k, (rng.randint(-2, 2) for _ in range(k * (k + 1) // 2)))
             b = Mat(m, k, [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(m)])
             blocks.append(BlockMetabolicForm(core, a, b))
         w1 = metabolic_witness(blocks[0], random_invertible(rng, m + 2 * blocks[0].isotropic_rank, bound=1))

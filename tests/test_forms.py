@@ -31,20 +31,24 @@ from wittpoint.linalg import Mat
 from wittpoint.cobordism import random_invertible, random_nondegenerate_form
 
 
+def symmetric_from_lower(n: int, entries) -> Mat:
+    """The symmetric n x n matrix whose lower triangle, read row by row, is
+    the first n(n + 1)/2 of ``entries``."""
+    it = iter(entries)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = Fraction(next(it))
+    return Mat(n, n, rows)
+
+
 def symmetric_matrices(n_max=4, bound=4):
     def build(draw):
         n = draw(st.integers(min_value=0, max_value=n_max))
         entries = draw(st.lists(
             st.integers(min_value=-bound, max_value=bound),
             min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
-        m = Mat.zeros(n, n)
-        it = iter(entries)
-        for i in range(n):
-            for j in range(i + 1):
-                v = Fraction(next(it))
-                m.rows[i][j] = v
-                m.rows[j][i] = v
-        return BilinearForm(RATIONAL, 1, m)
+        return BilinearForm(RATIONAL, 1, symmetric_from_lower(n, entries))
 
     return st.composite(build)()
 
@@ -256,12 +260,7 @@ def test_metabolic_reduce_replay_and_congruence():
         m = rng.randint(1, 3)
         k = rng.randint(1, 2)
         core = random_nondegenerate_form(rng, m)
-        a = Mat.zeros(k, k)
-        for i in range(k):
-            for j in range(i + 1):
-                v = Fraction(rng.randint(-3, 3))
-                a.rows[i][j] = v
-                a.rows[j][i] = v
+        a = symmetric_from_lower(k, (rng.randint(-3, 3) for _ in range(k * (k + 1) // 2)))
         b = Mat(m, k, [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(m)])
         block = BlockMetabolicForm(core, a, b)
         red = metabolic_reduce(block)
@@ -284,9 +283,7 @@ def test_metabolic_block_shape_errors():
 
 def test_transvection_matches_definition():
     e = transvection(3, Fraction(5), 0, 2)
-    expected = Mat.identity(3)
-    expected.rows[0][2] = Fraction(5)
-    assert e == expected
+    assert e == Mat.from_rows([[1, 0, 5], [0, 1, 0], [0, 0, 1]])
 
 
 def test_form_symmetry_validation():
@@ -361,7 +358,7 @@ block_gram = forms._block_gram
 def corrupted(s, a, b):  # the clearing target is the block with A = B = 0
     gram = block_gram(s, a, b)
     if a.is_zero() and b.is_zero():
-        gram.rows[0][0] = Fraction(1)
+        return Mat(gram.m, gram.n, [[Fraction(1)] + gram.rows[0][1:]] + gram.rows[1:])
     return gram
 forms._block_gram = corrupted
 block = BlockMetabolicForm(BilinearForm.from_diagonal([5]), Mat.from_rows([[1]]), Mat.from_rows([[2]]))

@@ -3,10 +3,11 @@
 The traced benchmark run wraps package functions by name; every name it
 wraps must still exist, or ``perfbench/run.py --trace 1`` breaks.  A
 certificate check must run under ``python -O``, so the package holds no
-``assert`` statement.  A ``Mat`` keeps the row lists it is built from and
-may share them with other matrices, and its integer form is made from them
-once and shared the same way, so the package never writes rows or either
-form.
+``assert`` statement.  A ``Mat`` stores one form, its integer form, made
+at construction and shared between matrices; the row lists it is built from
+are kept only as its ``rows`` view, which no kernel reads.  A write to
+``rows`` would change no result, so neither the package nor its tests write
+rows or the form, and inside ``Mat`` only the ``rows`` property reads them.
 The package loads its submodules lazily, but re-exports the same names.
 It keeps no process-wide state: no ``global`` statement and no memo cache.
 Degree-0 subquotient witnesses are built by one function, so their block
@@ -35,6 +36,7 @@ from test_kernel import GaussianRational
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = ROOT / "src" / "wittpoint"
+TESTS = ROOT / "tests"
 
 
 def load_tracer():
@@ -70,7 +72,7 @@ def test_package_has_no_assert_statements():
 
 
 ROW_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
-# the Fraction rows (``rows`` reads ``_rows``), the integer rows and the integer columns
+# the rows view (``rows`` reads ``_rows``), the integer rows and the integer columns
 MATRIX_SLOTS = {"rows", "_rows", "_ints", "_cols"}
 
 
@@ -104,9 +106,11 @@ def row_writes(tree) -> list[int]:
 
 
 def test_package_never_writes_matrix_rows():
-    found = [f"{path.name}:{line}"
-             for path in sorted(PACKAGE.glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in paths
              for line in row_writes(ast.parse(path.read_text(), filename=str(path)))]
+    assert len(paths) > len(list(PACKAGE.glob("*.py"))), TESTS
     assert not found, f"build row lists and wrap them once instead of writing a Mat's rows: {found}"
 
 
@@ -138,6 +142,58 @@ nums = [list(r) for _, r in m._ints]; nums[0][0] = 1
 """
     assert sorted(row_writes(ast.parse(writes))) == list(range(2, 15))
     assert row_writes(ast.parse(reads)) == []
+
+
+def second_form_uses(tree) -> list[str]:
+    """Where class ``Mat`` reads ``_rows`` outside its ``rows`` property, sets
+    it outside ``__init__`` and ``rows``, or names ``_integers``, one entry per
+    place."""
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "Mat"):
+            continue
+        for member in cls.body:
+            owner = getattr(member, "name", "<class>")
+            for node in ast.walk(member):
+                name = getattr(node, "attr", getattr(node, "name", None))
+                if name == "_integers":
+                    found.append(f"{owner} _integers:{node.lineno}")
+                elif (name == "_rows" and isinstance(node, ast.Attribute) and owner != "rows"
+                      and (isinstance(node.ctx, ast.Load) or owner != "__init__")):
+                    found.append(f"{owner} _rows:{node.lineno}")
+    return found
+
+
+def test_mat_holds_one_form():
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    assert any(isinstance(node, ast.ClassDef) and node.name == "Mat" for node in ast.walk(tree))
+    assert second_form_uses(tree) == [], "kernels read the integer form; only ``rows`` reads the rows view"
+
+
+def test_one_form_guard_sees_every_spelling():
+    source = """
+class Mat:
+    def __init__(self, rows):
+        self.m, self._rows = 1, rows
+        self.n = len(self._rows)
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = []
+        return self._rows
+    def _integers(self):
+        return self._ints
+    def __eq__(self, other):
+        return self._rows == other.rows and other._integers() == self._ints
+    def neg(self):
+        self._rows = None
+class Other:
+    def f(self):
+        return self._rows, self._integers()
+"""
+    assert second_form_uses(ast.parse(source)) == [
+        "__init__ _rows:5", "_integers _integers:11", "__eq__ _rows:14", "__eq__ _integers:14",
+        "neg _rows:16"]
 
 
 def subquotient_witness_builders(tree) -> list[str]:
@@ -332,9 +388,6 @@ def test_no_qi_entry_reaches_the_matrix_kernel(monkeypatch):
 
 def test_the_matrix_kernel_refuses_qi_matrices():
     z = GaussianRational.of
-    a = Mat(2, 2, [[z(1, 1), z(0, 2)], [z(1), z(1, 1)]])
-    one = Mat.identity(2)
-    for call in (a.rank, lambda: a.solve(one), a.inv, lambda: a * one, lambda: one * a,
-                 a.det, a.charpoly):
+    for m, n, rows in [(2, 2, [[z(1, 1), z(0, 2)], [z(1), z(1, 1)]]), (1, 2, [[Fraction(1), z(0)]])]:
         with pytest.raises(TypeError, match="over Q, not on GaussianRational entries"):
-            call()
+            Mat(m, n, rows)
