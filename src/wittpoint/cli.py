@@ -12,24 +12,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 # Every form-reading command needs these; the handlers import the rest
 # (cobordism, hodge, genus, selfcheck) themselves, so that a process runs
 # no more module bodies than its one command uses.
 from . import jsonio
-from .core import CertificateError
+from .core import CertificateError, Record
 from .forms import invariants, metabolic_reduce
 from .jsonio import SchemaError
 from .witt import equivalent, psi, witt_class_of
 
 
-@dataclass
-class Outcome:
-    verdict: bool | None  # None: informational command, always exit 0
-    payload: dict
-    text: list[str]
+class Outcome(Record):
+    """A command's verdict, JSON payload and text lines."""
+
+    def __init__(self, verdict: bool | None, payload: dict, text: list[str]):
+        self.verdict = verdict  # None: informational command, always exit 0
+        self.payload = payload
+        self.text = text
 
 
 def _load(path: str):

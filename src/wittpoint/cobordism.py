@@ -23,11 +23,11 @@ homotopy convention pi' rho' - rho pi = d h + h d, cone comparison map
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
-from .core import CertificateError
+from .core import CertificateError, Record
 from .forms import (
     RATIONAL,
     SKEW,
@@ -43,16 +43,12 @@ from .linalg import Mat, extend_to_complement
 from .witt import WittClassQ, witt_class_of
 
 
-@dataclass
-class ChainComplex:
+class ChainComplex(Record):
     """Bounded complex of Q-vector spaces; differentials raise degree."""
 
-    spaces: dict[int, int]
-    differentials: dict[int, Mat] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.spaces = {i: n for i, n in self.spaces.items() if n}
-        self.differentials = _nonempty(self.differentials)
+    def __init__(self, spaces: dict[int, int], differentials: dict[int, Mat] | None = None):
+        self.spaces = {i: n for i, n in spaces.items() if n}
+        self.differentials = _nonempty(differentials or {})
         for i, d in self.differentials.items():
             if d.m != self.dim(i + 1) or d.n != self.dim(i):
                 raise ValueError(f"differential at degree {i} has shape {d.m}x{d.n}, "
@@ -206,33 +202,36 @@ def solve_homotopy(src: ChainComplex, dst: ChainComplex, target: dict[int, Mat])
     rhs = []
     degrees = sorted(set(src.spaces) | set(dst.spaces))
     for i in degrees:
-        t = map_block(target, i, src, dst)
-        d_out = dst.d(i - 1)  # G'^{i-1} -> G'^{i}
-        d_in = src.d(i)  # G^{i} -> G^{i+1}
-        for r in range(t.m):
-            for c in range(t.n):
-                row = [Fraction(0)] * len(var_index)
-                for s in range(d_out.n):
-                    key = (i, s, c)
-                    if key in var_index and d_out[r, s]:
-                        row[var_index[key]] += d_out[r, s]
-                for s in range(d_in.m):
-                    key = (i + 1, r, s)
-                    if key in var_index and d_in[s, c]:
-                        row[var_index[key]] += d_in[s, c]
+        # entry (r, c) of d_out h^i + h^(i+1) d_in = t, times a * b * e, on the
+        # integer columns of a * d_out, b * d_in and e * t
+        a, d_out = dst.d(i - 1).integer_columns()  # G'^{i-1} -> G'^{i}
+        b, d_in = src.d(i).integer_columns()  # G^{i} -> G^{i+1}
+        e, t = map_block(target, i, src, dst).integer_columns()
+        for r in range(dst.dim(i)):
+            for c, (t_c, d_in_c) in enumerate(zip(t, d_in)):
+                row = [0] * len(var_index)
+                for s, d_out_s in enumerate(d_out):
+                    row[var_index[(i, s, c)]] = d_out_s[r] * b * e
+                for s, x in enumerate(d_in_c):
+                    row[var_index[(i + 1, r, s)]] = x * a * e
                 equations.append(row)
-                rhs.append([t[r, c]])
+                rhs.append([t_c[r] * a * b])
     if not var_index:
         return {} if all(x[0] == 0 for x in rhs) else None
-    system = Mat(len(equations), len(var_index), equations)
-    sol = system.solve(Mat(len(rhs), 1, rhs))
+    # the system's rows are scaled, not changed, so its reduced form and the
+    # solution read off it are those of the unscaled system
+    system = Mat(len(equations), len(var_index), ints=[(1, row) for row in equations])
+    sol = system.solve(Mat(len(rhs), 1, ints=[(1, x) for x in rhs]))
     if sol is None:
         return None
+    flat = sol.T
     h = {}
     for i in src.degrees():
         rows, cols = dst.dim(i - 1), src.dim(i)
         if rows and cols:
-            h[i] = Mat(rows, cols, [[sol[var_index[(i, r, c)], 0] for c in range(cols)] for r in range(rows)])
+            start = var_index[(i, 0, 0)]
+            h[i] = reduce(Mat.vstack, [flat.submatrix([0], range(start + r * cols, start + (r + 1) * cols))
+                                       for r in range(rows)])
     return h
 
 
@@ -275,15 +274,13 @@ def cone_comparison(
 # -- self-dual complexes ------------------------------------------------
 
 
-@dataclass
-class SelfDualComplex:
+class SelfDualComplex(Record):
     """Complex with an epsilon-symmetric degree pairing S_i: F^i x F^{-i} -> Q."""
 
-    epsilon: int
-    complex: ChainComplex
-    pairings: dict[int, Mat]
-
-    def __post_init__(self):
+    def __init__(self, epsilon: int, complex: ChainComplex, pairings: dict[int, Mat]):
+        self.epsilon = epsilon
+        self.complex = complex
+        self.pairings = pairings
         if self.epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
         for i, s in self.pairings.items():
@@ -334,13 +331,16 @@ class SelfDualComplex:
                                {i: -s for i, s in self.pairings.items()})
 
 
-@dataclass
-class ComplexReport:
-    ok: bool
-    problems: list
-    cohomology_dims: dict[int, int]
-    induced_pairings: dict[int, Mat]
-    cohomology: Cohomology  # the representatives the induced pairings use
+class ComplexReport(Record):
+    """What ``validate`` found: its problems, or the cohomology and induced pairings."""
+
+    def __init__(self, ok: bool, problems: list, cohomology_dims: dict[int, int],
+                 induced_pairings: dict[int, Mat], cohomology: Cohomology):
+        self.ok = ok
+        self.problems = problems
+        self.cohomology_dims = cohomology_dims
+        self.induced_pairings = induced_pairings
+        self.cohomology = cohomology  # the representatives the induced pairings use
 
 
 def validate(c: SelfDualComplex) -> ComplexReport:
@@ -439,28 +439,33 @@ def _class_of_h0(form: BilinearForm) -> tuple[WittClassQ, SymplecticReduction | 
 # -- witnesses ----------------------------------------------------------
 
 
-@dataclass
-class CobordismWitness:
+class CobordismWitness(Record):
     """Diagram (G, F, F', G') with maps, pairing S'', optional homotopy."""
 
-    kind: str  # "direct" or "direct_subquotient"
-    f: SelfDualComplex
-    f_prime: SelfDualComplex
-    g: ChainComplex
-    g_prime: ChainComplex
-    pi: dict[int, Mat]  # G -> F
-    rho: dict[int, Mat]  # F -> G'
-    rho_prime: dict[int, Mat]  # G -> F'
-    pi_prime: dict[int, Mat]  # F' -> G'
-    s2: dict[int, Mat]  # S'': G^i x G'^{-i} -> Q
-    homotopy: dict[int, Mat] | None = None
+    def __init__(self, kind: str, f: SelfDualComplex, f_prime: SelfDualComplex, g: ChainComplex,
+                 g_prime: ChainComplex, pi: dict[int, Mat], rho: dict[int, Mat],
+                 rho_prime: dict[int, Mat], pi_prime: dict[int, Mat], s2: dict[int, Mat],
+                 homotopy: dict[int, Mat] | None = None):
+        self.kind = kind  # "direct" or "direct_subquotient"
+        self.f = f
+        self.f_prime = f_prime
+        self.g = g
+        self.g_prime = g_prime
+        self.pi = pi  # G -> F
+        self.rho = rho  # F -> G'
+        self.rho_prime = rho_prime  # G -> F'
+        self.pi_prime = pi_prime  # F' -> G'
+        self.s2 = s2  # S'': G^i x G'^{-i} -> Q
+        self.homotopy = homotopy
 
 
-@dataclass
-class WitnessReport:
-    ok: bool
-    failures: list
-    homotopy: dict[int, Mat] | None = None
+class WitnessReport(Record):
+    """What ``verify_witness`` found: its failures, or the homotopy it used."""
+
+    def __init__(self, ok: bool, failures: list, homotopy: dict[int, Mat] | None = None):
+        self.ok = ok
+        self.failures = failures
+        self.homotopy = homotopy
 
 
 def verify_witness(w: CobordismWitness) -> WitnessReport:
@@ -722,14 +727,16 @@ def _metabolic_witness(block: BlockMetabolicForm, form: BilinearForm,
     )
 
 
-@dataclass
-class OrthogonalSplit:
-    kind: str  # "split" or "subquotient"
-    restriction: BilinearForm | None = None
-    complement: BilinearForm | None = None
-    complement_basis: Mat | None = None
-    quotient_form: BilinearForm | None = None
-    witness: CobordismWitness | None = None
+class OrthogonalSplit(Record):
+    def __init__(self, kind: str, restriction: BilinearForm | None = None,
+                 complement: BilinearForm | None = None, complement_basis: Mat | None = None,
+                 quotient_form: BilinearForm | None = None, witness: CobordismWitness | None = None):
+        self.kind = kind  # "split" or "subquotient"
+        self.restriction = restriction
+        self.complement = complement
+        self.complement_basis = complement_basis
+        self.quotient_form = quotient_form
+        self.witness = witness
 
 
 def orthogonal_split(f: BilinearForm, sub: Mat) -> OrthogonalSplit:
@@ -781,11 +788,12 @@ def orthogonal_split(f: BilinearForm, sub: Mat) -> OrthogonalSplit:
     return OrthogonalSplit(kind="subquotient", quotient_form=quotient_form, witness=witness)
 
 
-@dataclass
-class WitnessCoreResult:
-    core: BilinearForm
-    witness_to_f: CobordismWitness
-    witness_to_f_prime: CobordismWitness
+class WitnessCoreResult(Record):
+    def __init__(self, core: BilinearForm, witness_to_f: CobordismWitness,
+                 witness_to_f_prime: CobordismWitness):
+        self.core = core
+        self.witness_to_f = witness_to_f
+        self.witness_to_f_prime = witness_to_f_prime
 
 
 def witness_common_core(w: CobordismWitness) -> WitnessCoreResult:
@@ -939,18 +947,18 @@ def acyclic_extension(f: BilinearForm, rng: Random, a: int) -> SelfDualComplex:
     )
 
 
-@dataclass
-class ChainLink:
-    step: str  # "metabolic", "congruence", "acyclic"
-    obj: object  # BilinearForm or SelfDualComplex
-    witness: CobordismWitness
-    block: BlockMetabolicForm | None = None  # set for metabolic steps
+class ChainLink(Record):
+    def __init__(self, step: str, obj, witness: CobordismWitness, block: BlockMetabolicForm | None = None):
+        self.step = step  # "metabolic", "congruence", "acyclic"
+        self.obj = obj  # BilinearForm or SelfDualComplex
+        self.witness = witness
+        self.block = block  # set for metabolic steps
 
 
-@dataclass
-class WitnessChain:
-    core: BilinearForm
-    links: list[ChainLink]
+class WitnessChain(Record):
+    def __init__(self, core: BilinearForm, links: list[ChainLink]):
+        self.core = core
+        self.links = links
 
 
 def form_height_ok(f: BilinearForm, cap: int = 10**8) -> bool:

@@ -14,10 +14,10 @@ valuations and units at each place (residues at an entry's own primes).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from math import gcd, prod
+from operator import attrgetter
 
 REAL_PLACE = "real"
 
@@ -25,6 +25,58 @@ TRIAL_CUTOFF = 1_000  # trial division by 2, 3 and the 6k +- 1 below it
 _TRIAL_DIVISORS = (2, 3) + tuple(d + k for d in range(5, TRIAL_CUTOFF, 6) for k in (0, 2))
 RHO_STEPS = 1 << 18  # squarings Brent's rho may take on one composite cofactor
 RHO_BATCH = 128  # differences multiplied together per gcd
+
+
+class Record:
+    """A record class: ``repr`` and ``==`` read the attributes named in ``_fields``.
+
+    Each subclass writes its own ``__init__``, and ``_fields`` defaults to its
+    parameters.  ``repr`` is ``QualName(field=value!r, ...)``.  ``==`` compares
+    the tuples of fields of two records of the same class, and is
+    ``NotImplemented`` for any other operand.  A record is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__init__" not in cls.__dict__:
+            return
+        if "_fields" not in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
+        # == and hash close over one getter per class, so no call looks it up
+        key = get = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:
+            key = lambda record: (get(record),)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
+        if issubclass(cls, Frozen):
+            cls.__hash__ = lambda self: hash(key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Frozen(Record):
+    """A record that cannot change, hashed by its tuple of fields.
+
+    Assignment and deletion raise ``AttributeError``, so ``__init__`` writes
+    the fields into the instance ``__dict__``.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class CertificateError(AssertionError):
@@ -129,33 +181,28 @@ def factor(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Frozen):
     """A nonzero rational modulo squares, stored as a signed squarefree integer.
 
-    It carries the primes dividing its representative, so a product of
-    classes is the symmetric difference of their prime sets and factors
-    nothing.
+    It carries the primes dividing its representative in ``_primes``, which
+    is not a field, so a product of classes is the symmetric difference of
+    their prime sets and factors nothing.
     """
 
-    representative: int
-    _primes: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.representative == 0:
+    def __init__(self, representative: int):
+        if representative == 0:
             raise ValueError("zero has no square class")
-        primes = factor(self.representative)
+        primes = factor(representative)
         for p, e in primes.items():
             if e > 1:
-                raise ValueError(f"{self.representative} is not squarefree (p={p})")
-        object.__setattr__(self, "_primes", frozenset(primes))
+                raise ValueError(f"{representative} is not squarefree (p={p})")
+        self.__dict__.update(representative=representative, _primes=frozenset(primes))
 
     @classmethod
     def _of_primes(cls, sign: int, primes: frozenset) -> "SquareClass":
         """The class sign * prod(primes) of distinct primes, without factoring."""
         out = object.__new__(cls)
-        object.__setattr__(out, "representative", sign * prod(primes))
-        object.__setattr__(out, "_primes", primes)
+        out.__dict__.update(representative=sign * prod(primes), _primes=primes)
         return out
 
     def _sign(self) -> int:
@@ -279,17 +326,17 @@ def _places_of(classes) -> list:
 # -- Sturm sequences ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SturmCertificate:
+class SturmCertificate(Frozen):
     """Exact real-root counts of a rational polynomial (distinct roots)."""
 
-    positive_roots: int
-    real_roots: int
-    distinct_roots: int
-    all_real: bool
-    squarefree: bool
-    # the primitive squarefree part the counts were taken on
-    squarefree_part: list[int] = field(default_factory=list, repr=False, compare=False)
+    # not squarefree_part, the primitive squarefree part the counts were taken on
+    _fields = ("positive_roots", "real_roots", "distinct_roots", "all_real", "squarefree")
+
+    def __init__(self, positive_roots: int, real_roots: int, distinct_roots: int, all_real: bool,
+                 squarefree: bool, squarefree_part: list[int] | None = None):
+        self.__dict__.update(positive_roots=positive_roots, real_roots=real_roots,
+                             distinct_roots=distinct_roots, all_real=all_real, squarefree=squarefree,
+                             squarefree_part=[] if squarefree_part is None else squarefree_part)
 
     @property
     def all_real_positive(self) -> bool:

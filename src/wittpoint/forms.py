@@ -9,7 +9,6 @@ against a half-rank isotropic subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from operator import mul
@@ -17,6 +16,7 @@ from operator import mul
 from .core import (
     REAL_PLACE,
     CertificateError,
+    Frozen,
     SquareClass,
     _hilbert_at_prime,
     _int_split,
@@ -34,38 +34,33 @@ SYMMETRIC = 1
 SKEW = -1
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Frozen):
     """An epsilon-symmetric bilinear form given by its Gram matrix.
 
     ``field`` is ``"Q"`` or an odd prime p; F_2 forms are deliberately not
     materialized (their Witt classes live in the witt module as rank
     parities, and bilinear-form theory in characteristic 2 is not needed).
+    ``symmetry`` is +1 (symmetric) or -1 (skew).
     """
 
-    field: object  # RATIONAL or an odd prime int
-    symmetry: int  # +1 symmetric, -1 skew
-    gram: Mat
-
-    def __post_init__(self):
-        if self.symmetry not in (SYMMETRIC, SKEW):
+    def __init__(self, field, symmetry: int, gram: Mat):
+        if symmetry not in (SYMMETRIC, SKEW):
             raise ValueError("symmetry must be +1 or -1")
-        if self.field != RATIONAL:
-            p = self.field
-            if not isinstance(p, int) or not is_prime(p) or p == 2:
+        if field != RATIONAL:
+            if not isinstance(field, int) or not is_prime(field) or field == 2:
                 raise ValueError("prime field forms require an odd prime")
-        g = self.gram
-        if g.m != g.n:
+        if gram.m != gram.n:
             raise ValueError("Gram matrix must be square")
-        mirror = g if self.symmetry == SYMMETRIC else -g
-        if self.field == RATIONAL:
-            if g.T != mirror:
+        mirror = gram if symmetry == SYMMETRIC else -gram
+        if field == RATIONAL:
+            if gram.T != mirror:
                 raise ValueError("Gram matrix does not match the declared symmetry")
         else:
-            if g.integer_columns()[0] != 1:
+            if gram.integer_columns()[0] != 1:
                 raise ValueError("prime field Gram entries must be integers")
-            if any(x % self.field for c in (g.T - mirror).integer_columns()[1] for x in c):
+            if any(x % field for c in (gram.T - mirror).integer_columns()[1] for x in c):
                 raise ValueError("Gram matrix does not match the declared symmetry mod p")
+        self.__dict__.update(field=field, symmetry=symmetry, gram=gram)
 
     @property
     def is_symmetric(self) -> bool:
@@ -104,13 +99,11 @@ class BilinearForm:
 HYPERBOLIC_PLANE = BilinearForm.from_rows([[0, 1], [1, 0]])
 
 
-@dataclass(frozen=True)
-class Diagonalization:
+class Diagonalization(Frozen):
     """Congruence P with P^T G P = diag(entries, 0...0), radical trailing."""
 
-    entries: tuple
-    radical_dim: int
-    congruence: Mat
+    def __init__(self, entries: tuple, radical_dim: int, congruence: Mat):
+        self.__dict__.update(entries=entries, radical_dim=radical_dim, congruence=congruence)
 
     @property
     def rank(self) -> int:
@@ -214,14 +207,11 @@ def _certify_congruence(cols, gram, diag, p) -> None:
                                        + ("" if p is None else " mod p"))
 
 
-@dataclass(frozen=True)
-class FormInvariants:
+class FormInvariants(Frozen):
     """Complete rational-equivalence invariants of a nondegenerate form."""
 
-    rank: int
-    signature: tuple[int, int]
-    discriminant: SquareClass
-    hasse: dict
+    def __init__(self, rank: int, signature: tuple[int, int], discriminant: SquareClass, hasse: dict):
+        self.__dict__.update(rank=rank, signature=signature, discriminant=discriminant, hasse=hasse)
 
 
 def hasse_of_entries(entries, places=None) -> dict:
@@ -283,11 +273,12 @@ def invariants(f: BilinearForm) -> FormInvariants:
     )
 
 
-@dataclass(frozen=True)
-class RadicalSplit:
-    nondegenerate: BilinearForm
-    radical_dim: int
-    basis: Mat  # columns: complement basis then radical basis
+class RadicalSplit(Frozen):
+    """A form's restriction to a complement W of its radical, with the basis
+    of V it is taken in: columns spanning W, then the radical's."""
+
+    def __init__(self, nondegenerate: BilinearForm, radical_dim: int, basis: Mat):
+        self.__dict__.update(nondegenerate=nondegenerate, radical_dim=radical_dim, basis=basis)
 
 
 def radical_split(f: BilinearForm) -> RadicalSplit:
@@ -306,10 +297,12 @@ def radical_split(f: BilinearForm) -> RadicalSplit:
     return RadicalSplit(nondegenerate=nondeg, radical_dim=kernel.n, basis=basis)
 
 
-@dataclass(frozen=True)
-class SymplecticReduction:
-    hyperbolic_count: int
-    congruence: Mat  # P with P^T G P the standard symplectic Gram
+class SymplecticReduction(Frozen):
+    """A skew form's count of hyperbolic planes, with the congruence P for
+    which P^T G P is the standard symplectic Gram."""
+
+    def __init__(self, hyperbolic_count: int, congruence: Mat):
+        self.__dict__.update(hyperbolic_count=hyperbolic_count, congruence=congruence)
 
 
 def standard_symplectic_gram(k: int) -> Mat:
@@ -365,8 +358,7 @@ def symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
     return SymplecticReduction(hyperbolic_count=n // 2, congruence=congruence)
 
 
-@dataclass(frozen=True)
-class BlockMetabolicForm:
+class BlockMetabolicForm(Frozen):
     """Symmetric form written against a half-rank isotropic block:
 
         [[0, 0, I], [0, S, B], [I, B^T, A]]
@@ -374,21 +366,18 @@ class BlockMetabolicForm:
     with S symmetric nondegenerate, A symmetric, B of shape (m, k).
     """
 
-    s: BilinearForm
-    a: Mat
-    b: Mat
-
-    def __post_init__(self):
-        if not self.s.is_symmetric or self.s.field != RATIONAL:
+    def __init__(self, s: BilinearForm, a: Mat, b: Mat):
+        if not s.is_symmetric or s.field != RATIONAL:
             raise ValueError("core S must be a symmetric form over Q")
-        if not self.s.is_nondegenerate():
+        if not s.is_nondegenerate():
             raise ValueError("core S must be nondegenerate")
-        k = self.a.n
-        m = self.s.gram.n
-        if self.a.m != k or self.a != self.a.T:
+        k = a.n
+        m = s.gram.n
+        if a.m != k or a != a.T:
             raise ValueError("block A must be symmetric k x k")
-        if self.b.m != m or self.b.n != k:
+        if b.m != m or b.n != k:
             raise ValueError(f"block B must be {m} x {k}")
+        self.__dict__.update(s=s, a=a, b=b)
 
     @property
     def isotropic_rank(self) -> int:
@@ -424,12 +413,14 @@ def _identity_rows(n: int) -> list[list[Fraction]]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class MetabolicReduction:
-    core: BilinearForm
-    hyperbolic_count: int
-    transvections: tuple  # (alpha, p, q) congruences, replayable in order
-    congruence: Mat
+class MetabolicReduction(Frozen):
+    """A block-metabolic form split as its core plus hyperbolic planes, by the
+    transvections (alpha, p, q), replayable in order, whose product is
+    ``congruence``."""
+
+    def __init__(self, core: BilinearForm, hyperbolic_count: int, transvections: tuple, congruence: Mat):
+        self.__dict__.update(core=core, hyperbolic_count=hyperbolic_count, transvections=transvections,
+                             congruence=congruence)
 
     def replay(self, block: BlockMetabolicForm) -> Mat:
         g = block.assemble().gram

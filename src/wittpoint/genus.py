@@ -11,20 +11,18 @@ assertable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
-from .core import CertificateError
+from .core import CertificateError, Frozen, Record
 from .forms import BilinearForm
 from .witt import psi, witt_class_of
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(Frozen):
     """Table of Hodge numbers h[p][q] for a smooth compact n-fold."""
 
-    dim: int
-    h: tuple
+    def __init__(self, dim: int, h: tuple):
+        self.__dict__.update(dim=dim, h=h)
 
     @staticmethod
     def from_rows(dim: int, rows) -> "HodgeDiamond":
@@ -68,12 +66,11 @@ def chi_y(d: HodgeDiamond) -> list[int]:
     return [sum((-1) ** q * d.h[p][q] for q in range(d.dim + 1)) for p in range(d.dim + 1)]
 
 
-@dataclass(frozen=True)
-class ChiSpecializations:
-    euler: int
-    arithmetic_genus: int
-    signature: int
-    signature_is_middle: bool | None  # True only when the dimension is even
+class ChiSpecializations(Frozen):
+    def __init__(self, euler: int, arithmetic_genus: int, signature: int, signature_is_middle: bool | None):
+        # signature_is_middle is True only when the dimension is even
+        self.__dict__.update(euler=euler, arithmetic_genus=arithmetic_genus, signature=signature,
+                             signature_is_middle=signature_is_middle)
 
     def as_tuple(self):
         return (self.euler, self.arithmetic_genus, self.signature)
@@ -124,30 +121,28 @@ def epsilon_pair_identity(m: int) -> bool:
     return epsilon(m) == (-1) ** (i % 2)
 
 
-@dataclass(frozen=True)
-class PrimitivePiece:
+class PrimitivePiece(Frozen):
     """Primitive summand bookkeeping: cohomological offset j >= 0, the base
     weight, and the signature of its polarized pairing (the real Witt datum)."""
 
-    j: int
-    weight: int
-    signature: int
-
-    def __post_init__(self):
-        if self.j < 0:
+    def __init__(self, j: int, weight: int, signature: int):
+        if j < 0:
             raise ValueError("primitive offset j must be nonnegative")
+        self.__dict__.update(j=j, weight=weight, signature=signature)
 
 
-@dataclass
-class LefschetzReport:
-    weight: int
-    lhs_coeffs: dict[int, int]  # per piece j, in the polarized basis
-    rhs_coeffs: dict[int, int]
-    pushforward_coeffs: dict[int, int]  # even pieces in the pushforward pairing basis
-    lhs_signature: int
-    rhs_signature: int
-    equal: bool
-    odd_pieces_vanish: bool
+class LefschetzReport(Record):
+    def __init__(self, weight: int, lhs_coeffs: dict[int, int], rhs_coeffs: dict[int, int],
+                 pushforward_coeffs: dict[int, int], lhs_signature: int, rhs_signature: int,
+                 equal: bool, odd_pieces_vanish: bool):
+        self.weight = weight
+        self.lhs_coeffs = lhs_coeffs  # per piece j, in the polarized basis
+        self.rhs_coeffs = rhs_coeffs
+        self.pushforward_coeffs = pushforward_coeffs  # even pieces in the pushforward pairing basis
+        self.lhs_signature = lhs_signature
+        self.rhs_signature = rhs_signature
+        self.equal = equal
+        self.odd_pieces_vanish = odd_pieces_vanish
 
 
 def lefschetz_cancellation_check(pieces: list[PrimitivePiece], w: int) -> LefschetzReport:
@@ -212,21 +207,22 @@ def surface_fixtures() -> dict[int, dict[str, int]]:
     return {int(m): v for m, v in raw["surfaces"].items()}
 
 
-@dataclass
-class ConeSurfaceReport:
-    m: int
-    h20: int
-    h11: int
-    signature_h2: int
-    primitive_signature: int
-    residual_signature: int
-    nonzero: bool
+class ConeSurfaceReport(Record):
+    def __init__(self, m: int, h20: int, h11: int, signature_h2: int, primitive_signature: int,
+                 residual_signature: int, nonzero: bool):
+        self.m = m
+        self.h20 = h20
+        self.h11 = h11
+        self.signature_h2 = signature_h2
+        self.primitive_signature = primitive_signature
+        self.residual_signature = residual_signature
+        self.nonzero = nonzero
 
 
-@dataclass
-class DriverReport:
-    double_point: dict
-    cone_surfaces: list[ConeSurfaceReport]
+class DriverReport(Record):
+    def __init__(self, double_point: dict, cone_surfaces: list[ConeSurfaceReport]):
+        self.double_point = double_point
+        self.cone_surfaces = cone_surfaces
 
     @property
     def all_true(self) -> bool:

@@ -14,13 +14,12 @@ minimal-polynomial check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 from random import Random
 
-from .core import CertificateError, SturmCertificate, factor, sturm_positive_real_roots
+from .core import CertificateError, Frozen, Record, SturmCertificate, factor, sturm_positive_real_roots
 from .forms import (
     RATIONAL,
     SYMMETRIC,
@@ -34,22 +33,19 @@ from .poly import int_poly_at, poly_degree
 from .witt import WittClassQ, witt_class_of
 
 
-@dataclass
-class HodgePiece:
+class HodgePiece(Record):
     """The (p, q) summand, spanned by the columns of B = re + i im."""
 
-    p: int
-    q: int
-    re: Mat
-    im: Mat
-
-    def __post_init__(self):
-        if (self.re.m, self.re.n) != (self.im.m, self.im.n):
+    def __init__(self, p: int, q: int, re: Mat, im: Mat):
+        self.p = p
+        self.q = q
+        self.re = re
+        self.im = im
+        if (re.m, re.n) != (im.m, im.n):
             raise ValueError("real and imaginary parts of a piece basis differ in shape")
 
 
-@dataclass
-class HodgeStructure:
+class HodgeStructure(Record):
     """Pure Hodge structure of weight w on a rational vector space.
 
     Pieces are given by Q(i)-bases of the (p, q) summands of the
@@ -57,9 +53,10 @@ class HodgeStructure:
     symmetry ties (p, q) to (q, p).
     """
 
-    weight: int
-    dimension: int
-    pieces: list[HodgePiece]
+    def __init__(self, weight: int, dimension: int, pieces: list[HodgePiece]):
+        self.weight = weight
+        self.dimension = dimension
+        self.pieces = pieces
 
     def piece(self, p: int, q: int) -> HodgePiece | None:
         for piece in self.pieces:
@@ -74,24 +71,20 @@ class HodgeStructure:
         return not self.validate()
 
 
-@dataclass(frozen=True)
-class _Summand:
+class _Summand(Frozen):
     """W_{p,q}, p >= q, from column ``start`` of R: X, Y for p > q; for p = q the
     pivot columns of [Re B | Im B], in which it has coordinates ``coords``."""
 
-    p: int
-    q: int
-    start: int
-    k: int
-    coords: Mat | None = None
-    pivots: tuple[int, ...] = ()
+    def __init__(self, p: int, q: int, start: int, k: int, coords: Mat | None = None,
+                 pivots: tuple[int, ...] = ()):
+        self.__dict__.update(p=p, q=q, start=start, k=k, coords=coords, pivots=pivots)
 
 
-@dataclass(frozen=True)
-class _Frame:
-    basis: Mat  # R
-    inverse: Mat
-    summands: list[_Summand]
+class _Frame(Frozen):
+    """The rational frame R of a valid structure, its inverse and its summands."""
+
+    def __init__(self, basis: Mat, inverse: Mat, summands: list[_Summand]):
+        self.__dict__.update(basis=basis, inverse=inverse, summands=summands)
 
 
 def _frame_and_problems(h: HodgeStructure) -> tuple[_Frame | None, list[str]]:
@@ -163,20 +156,21 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
     except ValueError:
         return None
     for start, k, parts in partners:
-        rows = (inverse * parts).rows  # [U | V] of the partner
-        xs, ys = rows[start:start + k], rows[start + k:start + 2 * k]
-        if (any(map(any, rows[:start] + rows[start + 2 * k:]))
-                or any(y != x[k:] + [-t for t in x[:k]] for x, y in zip(xs, ys))
-                or not _invertible(Mat(k, 2 * k, xs))):
+        uv = inverse * parts  # [U | V] of the partner
+        xs, ys = (uv.submatrix(range(at, at + k), range(2 * k)) for at in (start, start + k))
+        rest = [i for i in range(n) if not start <= i < start + 2 * k]
+        if (not uv.submatrix(rest, range(2 * k)).is_zero()
+                or ys != xs.submatrix(range(k), range(k, 2 * k)).hstack(-xs.submatrix(range(k), range(k)))
+                or not _invertible(xs)):
             return None
     return _Frame(basis, inverse, summands)
 
 
 def _realification(uv: Mat) -> Mat:
     """[[U, -V], [V, U]], the rational matrix of U + iV, for uv = [U | V]."""
-    k = uv.n // 2
-    return Mat(2 * uv.m, uv.n, [r[:k] + [-t for t in r[k:]] for r in uv.rows]
-               + [r[k:] + r[:k] for r in uv.rows])
+    k, rows = uv.n // 2, range(uv.m)
+    u, v = uv.submatrix(rows, range(k)), uv.submatrix(rows, range(k, uv.n))
+    return u.hstack(-v).vstack(v.hstack(u))
 
 
 def _invertible(uv: Mat) -> bool:
@@ -242,25 +236,27 @@ def _respects_frame(frame: _Frame, a: Mat) -> bool:
     summands and J-linear on each W_{p,q}, p > q: a_XX = a_YY, a_XY = -a_YX.
     For R^T S R that is the first bilinear relation (J^T S J = S); for
     R^-1 phi R, that phi keeps every H^{p,q}, the eigenspaces of J."""
-    owner = [t for t, w in enumerate(frame.summands)
-             for _ in range(2 * w.k if w.p > w.q else w.k)]
-    if any(x and owner[i] != owner[j] for i, r in enumerate(a.rows) for j, x in enumerate(r)):
-        return False
+    blocks = []
     for w in frame.summands:
+        own = range(w.start, w.start + (2 * w.k if w.p > w.q else w.k))
+        block = a.submatrix(own, own)
         if w.p > w.q:
-            xs, ys = range(w.start, w.start + w.k), range(w.start + w.k, w.start + 2 * w.k)
-            if (a.submatrix(xs, xs) != a.submatrix(ys, ys)
-                    or a.submatrix(xs, ys) != -a.submatrix(ys, xs)):
+            xs, ys = range(w.k), range(w.k, 2 * w.k)
+            if (block.submatrix(xs, xs) != block.submatrix(ys, ys)
+                    or block.submatrix(xs, ys) != -block.submatrix(ys, xs)):
                 return False
-    return True
+        blocks.append(block)
+    return a == reduce(Mat.direct_sum, blocks, Mat.zeros(0, 0))
 
 
-@dataclass
-class PolarizationCheck:
-    ok: bool
-    problems: list[str]
-    weil: Mat | None = None
-    s_c: Mat | None = None
+class PolarizationCheck(Record):
+    """What ``is_polarization`` found: its problems, the Weil operator C and S(u, Cv)."""
+
+    def __init__(self, ok: bool, problems: list[str], weil: Mat | None = None, s_c: Mat | None = None):
+        self.ok = ok
+        self.problems = problems
+        self.weil = weil
+        self.s_c = s_c
 
 
 def is_polarization(h: HodgeStructure, s: BilinearForm) -> PolarizationCheck:
@@ -318,27 +314,30 @@ def _orthogonality_problems(h: HodgeStructure, s: BilinearForm) -> list[str]:
     return problems
 
 
-@dataclass
-class Eigenspace:
-    eigenvalue: Fraction
-    basis: Mat
+class Eigenspace(Record):
+    def __init__(self, eigenvalue: Fraction, basis: Mat):
+        self.eigenvalue = eigenvalue
+        self.basis = basis
 
 
-@dataclass
-class PolarizationPair:
+class PolarizationPair(Record):
     """Comparison data for two polarizations of one structure."""
 
-    s: BilinearForm
-    s_prime: BilinearForm
-    phi: Mat
-    char_poly: list[Fraction]
-    sturm: SturmCertificate
-    semisimple: bool
-    identity_chain_ok: bool
-    preserves_bigrading: bool
-    eigenspaces: list[Eigenspace] | None
-    signature_s: tuple[int, int]
-    signature_s_prime: tuple[int, int]
+    def __init__(self, s: BilinearForm, s_prime: BilinearForm, phi: Mat, char_poly: list[Fraction],
+                 sturm: SturmCertificate, semisimple: bool, identity_chain_ok: bool,
+                 preserves_bigrading: bool, eigenspaces: list[Eigenspace] | None,
+                 signature_s: tuple[int, int], signature_s_prime: tuple[int, int]):
+        self.s = s
+        self.s_prime = s_prime
+        self.phi = phi
+        self.char_poly = char_poly
+        self.sturm = sturm
+        self.semisimple = semisimple
+        self.identity_chain_ok = identity_chain_ok
+        self.preserves_bigrading = preserves_bigrading
+        self.eigenspaces = eigenspaces
+        self.signature_s = signature_s
+        self.signature_s_prime = signature_s_prime
 
     @property
     def signatures_equal(self) -> bool:

@@ -9,7 +9,6 @@ equality oracles (residues vs stabilized Hasse data).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
@@ -20,7 +19,7 @@ from .cobordism import (
     random_invertible,
     random_nondegenerate_form,
 )
-from .core import hilbert_symbol, relevant_places
+from .core import Record, hilbert_symbol, relevant_places
 from .forms import (
     HYPERBOLIC_PLANE,
     SKEW,
@@ -37,12 +36,14 @@ from .witt import (
 )
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    trials: int
-    passed: bool
-    failures: list = field(default_factory=list)
+class SuiteResult(Record):
+    """A suite's verdict over its trials, with one entry per failed trial."""
+
+    def __init__(self, name: str, trials: int, passed: bool, failures: list | None = None):
+        self.name = name
+        self.trials = trials
+        self.passed = passed
+        self.failures = [] if failures is None else failures
 
 
 def suite_congruence_invariance(rng: Random, trials: int) -> SuiteResult:

@@ -14,12 +14,12 @@ invariant at 2 through the stabilized-invariant oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
 from .core import (
     CertificateError,
+    Frozen,
     SquareClass,
     _int_split,
     _places_of,
@@ -39,8 +39,7 @@ from .forms import (
 )
 
 
-@dataclass(frozen=True)
-class WittClassFp:
+class WittClassFp(Frozen):
     """Element of W(F_p), payload depending on p mod 4.
 
     p = 2: payload = rank parity in {0, 1}.
@@ -48,19 +47,17 @@ class WittClassFp:
     p = 1 mod 4: payload = (rank parity, discriminant-is-residue bit).
     """
 
-    p: int
-    payload: object
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.p == 2 or self.p % 4 == 3:
-            if not isinstance(self.payload, int):
+    def __init__(self, p: int, payload):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p == 2 or p % 4 == 3:
+            if not isinstance(payload, int):
                 raise ValueError("integer payload expected")
         else:
-            r, d = self.payload
+            r, d = payload
             if r not in (0, 1) or not isinstance(d, bool):
                 raise ValueError("payload must be (rank parity, residue bit)")
+        self.__dict__.update(p=p, payload=payload)
 
     @classmethod
     def _of(cls, p: int, payload) -> "WittClassFp":
@@ -68,8 +65,7 @@ class WittClassFp:
         without testing p again: for results of checked classes and of
         ``fp_class_of``, which tests its p itself."""
         out = object.__new__(cls)
-        object.__setattr__(out, "p", p)
-        object.__setattr__(out, "payload", payload)
+        out.__dict__.update(p=p, payload=payload)
         return out
 
     @staticmethod
@@ -164,20 +160,17 @@ def psi(form_or_entries, p: int, k: int) -> WittClassFp:
     return _fp_class([u for v, u in (_split_at(e, p) for e in entries) if v == k], p)
 
 
-@dataclass(frozen=True)
-class WittClassQ:
+class WittClassQ(Frozen):
     """Canonical form of a Witt class over Q: signature plus the nonzero
-    second residues, sorted by prime."""
+    second residues, sorted by prime, as ((p, WittClassFp), ...)."""
 
-    signature: int
-    residues: tuple  # ((p, WittClassFp), ...) nonzero entries only
-
-    def __post_init__(self):
-        primes = [p for p, _ in self.residues]
+    def __init__(self, signature: int, residues: tuple):
+        primes = [p for p, _ in residues]
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("residues must be sorted by prime with no repeats")
-        if any(c.is_zero() for _, c in self.residues):
+        if any(c.is_zero() for _, c in residues):
             raise ValueError("canonical form stores only nonzero residues")
+        self.__dict__.update(signature=signature, residues=residues)
 
     @staticmethod
     def zero() -> "WittClassQ":

@@ -17,6 +17,7 @@ from wittpoint.cli import main
 from wittpoint.cobordism import (
     acyclic_extension,
     cobordism_class,
+    random_nondegenerate_form,
     random_witness_chain,
     truncation_witness,
 )
@@ -233,6 +234,56 @@ def test_a_product_of_products_builds_no_intermediate_fraction(monkeypatch):
     assert built == []
     assert abc.rows == [[Fraction(5, 6), 2, Fraction(16, 3)], [Fraction(131, 21), Fraction(-20, 21), 24]]
     assert len(built) == abc.m * abc.n  # the entries of the result only
+
+
+def spy_rows(monkeypatch) -> list:
+    """Patch a spy over ``Mat.rows``: the list of matrices whose rows are read."""
+    reads, rows = [], Mat.rows.fget
+    monkeypatch.setattr(Mat, "rows", property(lambda a: reads.append(a) or rows(a)))
+    return reads
+
+
+def homotopy_image(src, dst, h) -> dict:
+    """d h + h d for h of degree -1 from ``src`` to ``dst``, by degree."""
+    out = {}
+    for i in sorted(set(src.spaces) | set(dst.spaces)):
+        dh = dst.d(i - 1) * cobordism._block(h, i, dst.dim(i - 1), src.dim(i), "homotopy")
+        out[i] = dh + cobordism._block(h, i + 1, dst.dim(i), src.dim(i + 1), "homotopy") * src.d(i)
+    return out
+
+
+def test_solve_homotopy_reads_no_matrix_rows(monkeypatch):
+    # its system is built from integer columns: reading d_out[r, s], d_in[s, c]
+    # and t[r, c] made Fraction rows of every differential and target
+    rng = Random(7)
+    cases = []
+    for _ in range(6):
+        src = acyclic_extension(random_nondegenerate_form(rng, 2), rng, 2).complex
+        dst = acyclic_extension(random_nondegenerate_form(rng, 1), rng, 1).complex
+        h = {i: Mat(dst.dim(i - 1), src.dim(i),
+                    [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(src.dim(i))]
+                     for _ in range(dst.dim(i - 1))])
+             for i in src.degrees() if dst.dim(i - 1)}
+        cases.append((src, dst, homotopy_image(src, dst, h)))
+    reads = spy_rows(monkeypatch)
+    solved = [cobordism.solve_homotopy(*case) for case in cases]
+    assert reads == []
+    for (src, dst, target), h in zip(cases, solved):
+        assert any(not m.is_zero() for m in h.values())
+        image = homotopy_image(src, dst, h)
+        assert all(image[i] == cobordism.map_block(target, i, src, dst) for i in image)
+
+
+def test_hodge_certificates_read_no_matrix_rows(monkeypatch):
+    # the frame's partner test, the realifications and the block tests take
+    # submatrices of integer forms instead of slicing Fraction rows
+    pairs = [random_polarization_pair(Random(41), weight, dim)
+             for weight, dim in [(0, 3), (1, 4), (2, 4), (2, 6), (3, 4)]]
+    reads = spy_rows(monkeypatch)
+    for h, s, s_prime in pairs:
+        assert is_polarization(h, s_prime).ok
+        assert compare_polarizations(h, s, s_prime).certified
+    assert reads == []
 
 
 def test_cobordism_class_builds_one_cohomology(monkeypatch):

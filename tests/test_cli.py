@@ -298,21 +298,23 @@ def test_the_trial_division_flag_is_gone(tmp_path, capsys):
 
 
 # Runs each argv of sys.argv[1] through cli.main in one process and prints,
-# after each import and each command, the wittpoint submodules then loaded.
+# after each import and each command, the wittpoint submodules then loaded,
+# and which of dataclasses and inspect (which dataclasses imports) are.
 LOADED_MODULES = """
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted(k.split(".", 1)[1] for k in sys.modules if k.startswith("wittpoint."))
+    return (sorted(k.split(".", 1)[1] for k in sys.modules if k.startswith("wittpoint.")),
+            [m for m in ("dataclasses", "inspect") if m in sys.modules])
 
 stages = {}
 import wittpoint
-stages["import wittpoint"] = [0, loaded()]
+stages["import wittpoint"] = [0, *loaded()]
 import wittpoint.cli
-stages["import wittpoint.cli"] = [0, loaded()]
+stages["import wittpoint.cli"] = [0, *loaded()]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        stages[argv[0]] = [wittpoint.cli.main(argv), loaded()]
+        stages[argv[0]] = [wittpoint.cli.main(argv), *loaded()]
 print(json.dumps(stages))
 """
 
@@ -333,15 +335,17 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     stages = json.loads(out.stdout)
-    assert stages.pop("import wittpoint") == [0, []]
-    check_code, check_loaded = stages.pop("hodge-check")
+    # no record class is a dataclass, so no command pays for importing them
+    assert {stage: cold for stage, (_, _, cold) in stages.items() if cold} == {}
+    assert stages.pop("import wittpoint")[:2] == [0, []]
+    check_code, check_loaded, _ = stages.pop("hodge-check")
     assert check_code == 0 and "hodge" in check_loaded
     assert not {"cobordism", "genus", "selfcheck"} & set(check_loaded)
-    hodge_code, hodge_loaded = stages.pop("hodge-compare")
+    hodge_code, hodge_loaded, _ = stages.pop("hodge-compare")
     assert hodge_code == 0 and "hodge" in hodge_loaded
     assert not {"cobordism", "selfcheck"} & set(hodge_loaded)
     assert list(stages) == ["import wittpoint.cli", "witt-class", "invariants", "equivalent",
                             "metabolic-reduce"]
-    for stage, (code, loaded) in stages.items():
+    for stage, (code, loaded, _) in stages.items():
         assert code == 0, stage
         assert not {"cobordism", "hodge", "poly", "genus", "selfcheck"} & set(loaded), (stage, loaded)

@@ -14,7 +14,9 @@ Degree-0 subquotient witnesses are built by one function, so their block
 conventions live in one place.  The matrix kernel works over Q only: the
 Hodge layer hands it rational matrices, and a Q(i) matrix is refused.  The
 package has no Q(i) scalar at all; the one the tests build Q(i) matrices
-from lives in ``test_kernel``.
+from lives in ``test_kernel``.  No module imports ``dataclasses``: importing it
+and creating each dataclass were a large share of a CLI process's start-up,
+so the record classes build on ``core.Record`` instead.
 """
 
 import ast
@@ -325,6 +327,52 @@ def g(): return cached
 """
     assert sorted(process_state(ast.parse(source))) == [
         "@cache:12", "@cache:9", "@lru_cache:5", "@lru_cache:7", "global _bound:3"]
+
+
+def dataclass_imports(tree) -> list[str]:
+    """The imports of ``dataclasses`` in a module, by statement or by call,
+    one entry per place."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"import {alias.name}:{node.lineno}" for alias in node.names
+                      if alias.name.partition(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").partition(".")[0] == "dataclasses":
+                found.append(f"from {node.module}:{node.lineno}")
+        elif (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("__import__", "import_module")
+              and str(node.args[0].value).partition(".")[0] == "dataclasses"):
+            found.append(f"call:{node.lineno}")
+    return found
+
+
+def test_package_never_imports_dataclasses():
+    found = {path.name: dataclass_imports(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: places for name, places in found.items() if places}
+    assert found == {}, f"build record classes on core.Record, not on dataclasses: {found}"
+
+
+def test_dataclass_import_guard_sees_every_spelling():
+    source = """
+import dataclasses
+import dataclasses as dc
+import json, dataclasses
+from dataclasses import dataclass
+from dataclasses import dataclass as record, field
+def f():
+    import dataclasses
+m = importlib.import_module("dataclasses")
+m = __import__("dataclasses")
+from .dataclasses import dataclass
+import mydataclasses
+from records import dataclass
+text = "import dataclasses"
+"""
+    assert sorted(dataclass_imports(ast.parse(source))) == [
+        "call:10", "call:9", "from dataclasses:5", "from dataclasses:6", "import dataclasses:2",
+        "import dataclasses:3", "import dataclasses:4", "import dataclasses:8"]
 
 
 # The names ``wittpoint`` re-exports, by the submodule that defines them.
