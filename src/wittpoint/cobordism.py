@@ -23,7 +23,6 @@ homotopy convention pi' rho' - rho pi = d h + h d, cone comparison map
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from random import Random
 
@@ -35,7 +34,6 @@ from .forms import (
     BilinearForm,
     BlockMetabolicForm,
     SymplecticReduction,
-    _identity_rows,
     diagonalize,
     symplectic_reduce,
 )
@@ -881,18 +879,18 @@ def random_invertible(rng: Random, n: int, bound: int = 2, density: float = 0.35
     Sparse by default so Gram entries stay small enough to factor quickly along
     witness chains.
     """
-    lower = _identity_rows(n)
-    upper = _identity_rows(n)
+    lower = [[int(i == j) for j in range(n)] for i in range(n)]
+    upper = [list(r) for r in lower]
     for i in range(n):
         for j in range(i):
             if rng.random() < density:
-                lower[i][j] = Fraction(rng.randint(-bound, bound))
+                lower[i][j] = rng.randint(-bound, bound)
             if rng.random() < density:
-                upper[j][i] = Fraction(rng.randint(-bound, bound))
+                upper[j][i] = rng.randint(-bound, bound)
     perm = list(range(n))
     rng.shuffle(perm)
-    ident = _identity_rows(n)
-    return Mat(n, n, lower) * Mat(n, n, upper) * Mat(n, n, [ident[j] for j in perm])
+    permutation = Mat.identity(n).submatrix(perm, range(n))
+    return _integer_mat(n, n, lower) * _integer_mat(n, n, upper) * permutation
 
 
 def random_nondegenerate_form(rng: Random, n: int, symmetry: int = SYMMETRIC,
@@ -911,14 +909,22 @@ def random_gram(rng: Random, n: int, bound: int, symmetry: int = SYMMETRIC) -> M
     One entry is drawn for each (i, j <= i) in row order; a skew matrix
     draws its diagonal entries too and keeps them zero.
     """
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            v = Fraction(rng.randint(-bound, bound))
+            v = rng.randint(-bound, bound)
             if symmetry == SYMMETRIC or i != j:
-                rows[i][j] = v
-                rows[j][i] = v if symmetry == SYMMETRIC else -v
-    return Mat(n, n, rows)
+                rows[i][j], rows[j][i] = v, symmetry * v
+    return _integer_mat(n, n, rows)
+
+
+def random_integer_matrix(rng: Random, m: int, n: int, bound: int) -> Mat:
+    """An m x n matrix of integers in [-bound, bound], drawn row by row."""
+    return _integer_mat(m, n, [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
+
+
+def _integer_mat(m: int, n: int, rows: list[list[int]]) -> Mat:
+    return Mat(m, n, ints=[(1, r) for r in rows])
 
 
 def acyclic_extension(f: BilinearForm, rng: Random, a: int) -> SelfDualComplex:
@@ -930,7 +936,7 @@ def acyclic_extension(f: BilinearForm, rng: Random, a: int) -> SelfDualComplex:
     eps = f.symmetry
     n = f.gram.n
     mm = random_invertible(rng, a, bound=1)
-    r = Mat(n, a, [[Fraction(rng.randint(-1, 1)) for _ in range(a)] for _ in range(n)])
+    r = random_integer_matrix(rng, n, a, 1)
     y = random_gram(rng, a, 1, eps)
     d_minus1 = Mat.zeros(n, a).vstack(Mat.identity(a)).vstack(Mat.zeros(a, a))
     d_0 = Mat.zeros(a, n).hstack(Mat.zeros(a, a)).hstack(Mat.identity(a))
@@ -988,7 +994,7 @@ def random_witness_chain(rng: Random, core_rank: int, steps: int,
             m = current.gram.n
             for _attempt in range(20):
                 a = random_gram(rng, k, 2)
-                b = Mat(m, k, [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(m)])
+                b = random_integer_matrix(rng, m, k, 2)
                 block = BlockMetabolicForm(current, a, b)
                 p = random_invertible(rng, m + 2 * k, bound=1)
                 form = block.assemble()

@@ -10,7 +10,7 @@ against a half-rank isotropic subspace.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .core import (
@@ -306,11 +306,9 @@ class SymplecticReduction(Frozen):
 
 
 def standard_symplectic_gram(k: int) -> Mat:
-    rows = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
-    for t in range(k):
-        rows[2 * t][2 * t + 1] = Fraction(1)
-        rows[2 * t + 1][2 * t] = Fraction(-1)
-    return Mat(2 * k, 2 * k, rows)
+    """The direct sum of k blocks [[0, 1], [-1, 0]]."""
+    n = 2 * k
+    return Mat(n, n, ints=[(1, [(-1) ** i * (j == i ^ 1) for j in range(n)]) for i in range(n)])
 
 
 def symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
@@ -400,83 +398,45 @@ def _block_gram(s: Mat, a: Mat, b: Mat) -> Mat:
     return top.vstack(mid).vstack(bot)
 
 
-def transvection(n: int, alpha: Fraction, p: int, q: int) -> Mat:
-    """Elementary matrix E with E - I having single entry alpha at (p, q)."""
-    rows = _identity_rows(n)
-    rows[p][q] += Fraction(alpha)
-    return Mat(n, n, rows)
-
-
-def _identity_rows(n: int) -> list[list[Fraction]]:
-    """The rows of the n x n identity, as new lists for a builder to write."""
-    one, zero = Fraction(1), Fraction(0)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 class MetabolicReduction(Frozen):
     """A block-metabolic form split as its core plus hyperbolic planes, by the
-    transvections (alpha, p, q), replayable in order, whose product is
-    ``congruence``."""
+    elementary congruences E(alpha, p, q) = I + alpha e_p e_q^T listed in
+    ``transvections``, whose product is ``congruence``."""
 
     def __init__(self, core: BilinearForm, hyperbolic_count: int, transvections: tuple, congruence: Mat):
         self.__dict__.update(core=core, hyperbolic_count=hyperbolic_count, transvections=transvections,
                              congruence=congruence)
 
-    def replay(self, block: BlockMetabolicForm) -> Mat:
-        g = block.assemble().gram
-        for alpha, p, q in self.transvections:
-            e = transvection(g.n, alpha, p, q)
-            g = e.T * g * e
-        return g
-
 
 def metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
     """Clear B, then A, by elementary congruences E(alpha, p, q).
 
-    The result is S plus ``k`` split hyperbolic planes; the recorded
-    transvection sequence replays to the reduced Gram matrix exactly.
+    Each p is an isotropic basis vector, which pairs only with its partner
+    in the last block, so each move clears one entry of B or A and leaves
+    every other entry as it was.  The moves are therefore read off B and A:
+    (-B[j][l], l, k+j) in (j, l) order, then for each l (-A[l][l]/2, l, k+m+l)
+    and (-A[l][i], l, k+m+i) for i > l.  The result is S plus ``k`` split
+    hyperbolic planes, certified by C^T G C for the congruence C returned.
     """
     form = block.assemble()
-    g = [list(r) for r in form.gram.rows]
-    k = block.isotropic_rank
-    m = block.s.gram.n
-    n = len(g)
-    congruence = _identity_rows(n)
-    moves = []
-
-    def apply(alpha, p, q):
-        # E = I + alpha e_p e_q^T: g becomes E^T g E and the congruence C E.
-        # p is an isotropic basis vector: its row and column are sparse.
-        for rows in (g, congruence):
-            for row in rows:
-                if row[p]:
-                    row[q] += alpha * row[p]
-        gq = g[q]
-        for t, y in enumerate(g[p]):
-            if y:
-                gq[t] += alpha * y
-        moves.append((Fraction(alpha), p, q))
-
-    # clear B: basis vector k+j (middle) += alpha * basis vector l (isotropic)
-    for j in range(m):
-        for l in range(k):
-            val = g[k + j][k + m + l]
-            if val:
-                apply(-val, l, k + j)
-    # clear A: basis vector k+m+l += alpha * basis vector i (isotropic)
-    for l in range(k):
-        diag = g[k + m + l][k + m + l]
-        if diag:
-            apply(-diag / 2, l, k + m + l)
-        for i in range(l + 1, k):
-            val = g[k + m + l][k + m + i]
-            if val:
-                apply(-val, l, k + m + i)
-    if Mat(n, n, g) != _block_gram(block.s.gram, Mat.zeros(k, k), Mat.zeros(m, k)):
+    k, m = block.isotropic_rank, block.s.gram.n
+    d, b = block.b.integer_columns()  # b[l][j] = d * B[j][l]
+    e, a = block.a.integer_columns()  # a[i][l] = e * A[l][i]
+    moves = [(Fraction(-b[l][j], d), l, k + j) for j in range(m) for l in range(k) if b[l][j]]
+    moves += [(Fraction(-a[i][l], 2 * e if i == l else e), l, k + m + i)
+              for l in range(k) for i in range(l, k) if a[i][l]]
+    congruence = _congruence(form.gram.n, moves)
+    if congruence.T * form.gram * congruence != _block_gram(block.s.gram, Mat.zeros(k, k), Mat.zeros(m, k)):
         raise CertificateError("metabolic reduction certificate failed: A and B are not cleared")
-    return MetabolicReduction(
-        core=block.s,
-        hyperbolic_count=k,
-        transvections=tuple(moves),
-        congruence=Mat(n, n, congruence),
-    )
+    return MetabolicReduction(core=block.s, hyperbolic_count=k, transvections=tuple(moves),
+                              congruence=congruence)
+
+
+def _congruence(n: int, moves: list) -> Mat:
+    """I plus the sum of the alpha e_p e_q^T: the product of the moves
+    E(alpha, p, q), as no q is any move's p."""
+    scale = lcm(*[alpha.denominator for alpha, _, _ in moves])
+    rows = [[scale * (i == j) for j in range(n)] for i in range(n)]
+    for alpha, p, q in moves:
+        rows[p][q] += alpha.numerator * (scale // alpha.denominator)
+    return Mat(n, n, ints=[(1, r) for r in rows]).scale(Fraction(1, scale))

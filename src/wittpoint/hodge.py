@@ -534,15 +534,10 @@ def standard_structure(weight: int, dimension: int) -> tuple[HodgeStructure, Bil
             im = _unit_columns(dimension, range(at + 1, dimension, 4))
             pieces += [HodgePiece(p, q, re, im), HodgePiece(q, p, re, -im)]
         h = HodgeStructure(3, dimension, pieces)
-        gram = [[Fraction(0)] * dimension for _ in range(dimension)]
-        for t in range(m):
-            # (3,0) pair: C acts by -i, needs S = [[0,1],[-1,0]] on the block
-            gram[4 * t][4 * t + 1] = Fraction(1)
-            gram[4 * t + 1][4 * t] = Fraction(-1)
-            # (2,1) pair: C acts by +i, opposite block sign
-            gram[4 * t + 2][4 * t + 3] = Fraction(-1)
-            gram[4 * t + 3][4 * t + 2] = Fraction(1)
-        return h, BilinearForm(RATIONAL, -1, Mat(dimension, dimension, gram))
+        # per 4-block: on the (3,0) pair C acts by -i and needs S = [[0,1],[-1,0]];
+        # on the (2,1) pair C acts by +i, so the block sign is opposite
+        j = standard_symplectic_gram(1)
+        return h, BilinearForm(RATIONAL, -1, reduce(Mat.direct_sum, [j.direct_sum(-j)] * m, Mat.zeros(0, 0)))
     raise ValueError("standard fixtures cover weights 0..3")
 
 
@@ -571,7 +566,7 @@ def random_hodge_endomorphism(rng: Random, h: HodgeStructure, bound: int = 2) ->
             draws = [[(rng.randint(-bound, bound),
                        rng.randint(-bound, bound) if piece.p != piece.q else 0)
                       for _ in range(k)] for _ in range(k)]
-            blocks[key] = tuple(Mat(k, k, [[Fraction(d[part]) for d in r] for r in draws])
+            blocks[key] = tuple(Mat(k, k, ints=[(1, [d[part] for d in r]) for r in draws])
                                 for part in (0, 1))
         out = []
         for w in frame.summands:

@@ -181,6 +181,8 @@ def _degree_map_to_json(maps: dict[int, Mat]) -> dict:
 
 def chain_complex_from_json(doc, pointer: str = "$") -> ChainComplex:
     from .cobordism import ChainComplex
+    if not isinstance(doc, dict):
+        raise SchemaError(pointer, "expected an object")
     spaces_doc = doc.get("spaces", {})
     if not isinstance(spaces_doc, dict):
         raise SchemaError(f"{pointer}.spaces", "expected an object keyed by degree")
@@ -190,7 +192,7 @@ def chain_complex_from_json(doc, pointer: str = "$") -> ChainComplex:
             degree = int(key)
         except ValueError as exc:
             raise SchemaError(f"{pointer}.spaces.{key}", "degree keys must be integers") from exc
-        if not isinstance(dim, int) or dim < 0:
+        if _integer(dim, f"{pointer}.spaces.{key}") < 0:
             raise SchemaError(f"{pointer}.spaces.{key}", "dimensions are nonnegative integers")
         spaces[degree] = dim
     diffs = _degree_map_from_json(doc.get("differentials"), f"{pointer}.differentials")
@@ -316,6 +318,8 @@ def hodge_from_json(doc, pointer: str = "$") -> HodgeStructure:
         if not isinstance(pd, dict) or "p" not in pd or "q" not in pd:
             raise SchemaError(pp, "expected {p, q, basis}")
         basis_doc = pd.get("basis", [])
+        if not isinstance(basis_doc, list):
+            raise SchemaError(f"{pp}.basis", "expected a list of vectors")
         re, im = [], []
         for vk, vec in enumerate(basis_doc):
             if not isinstance(vec, list):
@@ -359,7 +363,7 @@ def diamond_from_json(doc, pointer: str = "$") -> HodgeDiamond:
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if _integer(dim, f"{pointer}.dim") < 0:
         raise SchemaError(f"{pointer}.dim", "expected a nonnegative integer")
     rows = doc.get("h")
     if not isinstance(rows, list):
@@ -375,14 +379,18 @@ def pieces_from_json(doc, pointer: str = "$") -> tuple[list[PrimitivePiece], int
     if not isinstance(doc, dict):
         raise SchemaError(pointer, "expected an object")
     weight = _integer(doc.get("weight"), f"{pointer}.weight")
+    pieces_doc = doc.get("pieces", [])
+    if not isinstance(pieces_doc, list):
+        raise SchemaError(f"{pointer}.pieces", "expected a list")
     out = []
-    for k, pd in enumerate(doc.get("pieces", [])):
+    for k, pd in enumerate(pieces_doc):
         pp = f"{pointer}.pieces[{k}]"
         if not isinstance(pd, dict) or "j" not in pd or "signature" not in pd:
             raise SchemaError(pp, "expected {j, signature}")
+        j, signature = _integer(pd["j"], f"{pp}.j"), _integer(pd["signature"], f"{pp}.signature")
+        piece_weight = _integer(pd.get("weight", weight), f"{pp}.weight")
         try:
-            out.append(PrimitivePiece(j=pd["j"], weight=pd.get("weight", weight),
-                                      signature=pd["signature"]))
-        except (TypeError, ValueError) as exc:
+            out.append(PrimitivePiece(j=j, weight=piece_weight, signature=signature))
+        except ValueError as exc:
             raise SchemaError(pp, str(exc)) from exc
     return out, weight

@@ -5,13 +5,13 @@ A ``Mat`` stores one form of its entries, the integer form: one pair
 equal matrices have equal forms.  A matrix built from rows converts them at
 construction and raises ``TypeError`` there on an entry that is not
 rational.  Every operation reads integer forms and builds one.  ``rows`` is
-a view of the entries as ``Fraction`` rows: the row lists a matrix was built
-from, or rows made from the integer form when first read.  Writing to it
-changes no result.  ``rref`` runs Gauss-Jordan by cross-multiplication,
-dividing each changed row by its content; ``det`` and ``leading_minors`` run
-Bareiss's fraction-free elimination (Bareiss 1968; Cohen, *A Course in
-Computational Algebraic Number Theory*, 2.2).  The reduced row echelon form
-is unique, so each returns what elimination over Q returns.  Shapes are
+a view of the entries as ``Fraction`` rows, made from the integer form when
+first read and then kept.  Writing to it changes no result.  ``rref`` runs
+Gauss-Jordan by cross-multiplication, dividing each changed row by its
+content; ``det`` and ``leading_minors`` run Bareiss's fraction-free
+elimination (Bareiss 1968; Cohen, *A Course in Computational Algebraic
+Number Theory*, 2.2).  The reduced row echelon form is unique, so each
+returns what elimination over Q returns.  Shapes are
 explicit, as zero-row and zero-column matrices occur constantly.  Integer
 forms are never written, so matrices may share their rows.
 """
@@ -28,12 +28,11 @@ class Mat:
 
     ``__init__`` takes a list of row lists and converts it to the integer
     form at once; an entry that is not rational raises ``TypeError`` there.
-    It keeps the row lists it is handed, without copying them, as the
-    ``rows`` view, so a caller builds its rows and wraps them once;
-    ``from_rows`` is the constructor that copies and coerces any nested
-    iterable.  Given ``ints`` instead, a list of (d, nums) pairs in lowest
-    terms, it keeps that form and makes the rows the first time they are
-    read.  Writing to ``rows`` changes no result.
+    It keeps none of the lists it is handed.  ``from_rows`` is the
+    constructor that coerces any nested iterable.  Given ``ints`` instead, a
+    list of (d, nums) pairs in lowest terms, it keeps that form.  Either way
+    the ``rows`` view is made from the integer form the first time it is
+    read; writing to it changes no result.
     """
 
     __slots__ = ("m", "n", "_ints", "_rows", "_cols")
@@ -43,7 +42,7 @@ class Mat:
             if len(rows) != m or any(map(n.__ne__, map(len, rows))):
                 raise ValueError(f"shape mismatch: declared {m}x{n}")
             ints = [_integer_row(r) for r in rows]
-        self.m, self.n, self._ints, self._rows, self._cols = m, n, ints, rows, None
+        self.m, self.n, self._ints, self._rows, self._cols = m, n, ints, None, None
 
     @property
     def rows(self) -> list[list[Fraction]]:

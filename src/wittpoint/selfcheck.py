@@ -16,6 +16,7 @@ from .cobordism import (
     acyclic_extension,
     cobordism_class,
     random_gram,
+    random_integer_matrix,
     random_invertible,
     random_nondegenerate_form,
 )
@@ -28,7 +29,6 @@ from .forms import (
     metabolic_reduce,
     symplectic_reduce,
 )
-from .linalg import Mat
 from .witt import (
     classes_equal_hasse_route,
     classes_equal_residue_route,
@@ -91,7 +91,7 @@ def suite_hyperbolic_stabilization(rng: Random, trials: int) -> SuiteResult:
         if n:
             k = rng.randint(1, 2)
             a = random_gram(rng, k, 2)
-            b = Mat(n, k, [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(n)])
+            b = random_integer_matrix(rng, n, k, 2)
             block = BlockMetabolicForm(f, a, b)
             reduction = metabolic_reduce(block)
             if witt_class_of(block.assemble()) != witt_class_of(reduction.core):
@@ -141,6 +141,8 @@ def suite_two_oracle_agreement(rng: Random, trials: int) -> SuiteResult:
 
 
 def run_all(seed: int, trials: int) -> list[SuiteResult]:
+    if trials < 0:
+        raise ValueError(f"the trial count must be nonnegative, not {trials}")
     suites = [
         suite_congruence_invariance,
         suite_hilbert_product_formula,

@@ -316,6 +316,21 @@ def test_chain_generator_assembles_each_metabolic_block_once(monkeypatch):
     assert digest == "2809d19accece7394e646218a052f5d65fb37f1947c7a53d581429a22f861174"
 
 
+def test_seeded_builders_and_metabolic_reduce_convert_no_fraction_rows(monkeypatch):
+    # the generators build integer forms with the same draws, and the
+    # reduction reads its moves off the blocks' integer forms: no Fraction
+    # row is built only to be converted
+    conversions = count(monkeypatch, linalg, "_integer_row")
+    rng = Random(1)
+    chains = [random_witness_chain(rng, rng.randint(1, 5), rng.randint(1, 3)) for _ in range(30)]
+    pairs = [random_polarization_pair(Random(41), weight, dim)
+             for weight, dim in [(0, 3), (1, 4), (2, 4), (2, 6), (3, 8)]]
+    reductions = [metabolic_reduce(link.block) for chain in chains for link in chain.links
+                  if link.step == "metabolic"]
+    assert len(pairs) == 5 and len(reductions) == 24
+    assert conversions[0] == 0
+
+
 def test_metabolic_reduce_takes_one_determinant(monkeypatch):
     block = BlockMetabolicForm(BilinearForm.from_diagonal([5, -2]), Mat.from_rows([[1]]),
                                Mat.from_rows([[2], [3]]))

@@ -196,6 +196,45 @@ def test_hodge_check_rejects_non_integer_degrees(tmp_path, capsys):
         assert captured.err.startswith(f"input error: {pointer}: expected an integer"), captured.err
 
 
+def well_formed(command) -> list:
+    """The input documents of one accepted run of ``command``."""
+    if command == "hodge-check":
+        h, s = standard_structure(0, 2)
+        return [hodge_to_json(h), form_to_json(s)]
+    if command == "verify-witness":
+        cpx = acyclic_extension(BilinearForm.from_diagonal([2]), Random(1), 1)
+        return [witness_to_json(truncation_witness(cpx))]
+    if command == "complex-class":
+        return [{"symmetry": "symmetric", "spaces": {"0": 1}, "pairing": {"0": [[1]]}}]
+    if command == "chi-y":
+        return [{"dim": 2, "h": [[1, 0, 1], [0, 20, 0], [1, 0, 1]]}]
+    return [{"weight": 2, "pieces": [{"j": 1, "signature": 1}]}]  # lefschetz-check
+
+
+@pytest.mark.parametrize("command, field, value, message", [
+    ("hodge-check", ("pieces", 0, "basis"), 5, "$.pieces[0].basis: expected a list of vectors"),
+    ("verify-witness", ("g",), [], "$.g: expected an object"),
+    ("lefschetz-check", ("pieces",), 3, "$.pieces: expected a list"),
+    ("lefschetz-check", ("pieces", 0, "j"), 1.5, "$.pieces[0].j: expected an integer"),
+    ("lefschetz-check", ("pieces", 0, "signature"), "a", "$.pieces[0].signature: expected an integer"),
+    ("lefschetz-check", ("pieces", 0, "j"), True, "$.pieces[0].j: expected an integer"),
+    ("complex-class", ("spaces", "0"), True, "$.spaces.0: expected an integer"),
+    ("chi-y", ("dim",), True, "$.dim: expected an integer"),
+], ids=["hodge-basis-int", "witness-g-list", "lefschetz-pieces-int", "lefschetz-j-float",
+        "lefschetz-signature-str", "lefschetz-j-bool", "complex-space-bool", "diamond-dim-bool"])
+def test_malformed_documents_are_input_errors(tmp_path, capsys, command, field, value, message):
+    # each raised a TypeError or AttributeError traceback, or was read as if well formed
+    docs = well_formed(command)
+    *path, last = field
+    target = docs[0]
+    for key in path:
+        target = target[key]
+    target[last] = value
+    assert main([command, *(write(tmp_path, f"{k}.json", d) for k, d in enumerate(docs))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+
 def test_chi_y_epsilon_lefschetz_commands(tmp_path, capsys):
     k3 = write(tmp_path, "k3.json", {"dim": 2, "h": [[1, 0, 1], [0, 20, 0], [1, 0, 1]]})
     assert main(["--json", "chi-y", k3]) == 0
@@ -254,6 +293,13 @@ def test_selfcheck_command(capsys):
     assert main(["selfcheck", "--seed", "3", "--trials", "5"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
+
+
+def test_selfcheck_refuses_a_negative_trial_count(capsys):
+    assert main(["selfcheck", "--trials", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the trial count must be nonnegative, not -1\n"
 
 
 def test_round_trip_structures():

@@ -25,7 +25,6 @@ from wittpoint.forms import (
     radical_split,
     standard_symplectic_gram,
     symplectic_reduce,
-    transvection,
 )
 from wittpoint.linalg import Mat
 from wittpoint.cobordism import random_invertible, random_nondegenerate_form
@@ -254,6 +253,23 @@ def test_metabolic_reduce_spec_examples():
     assert red.core.gram == core.gram and red.hyperbolic_count == 1
 
 
+def transvection(n: int, alpha, p: int, q: int) -> Mat:
+    """Elementary matrix E with E - I having single entry alpha at (p, q)."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows[p][q] += Fraction(alpha)
+    return Mat(n, n, rows)
+
+
+def replay(red, block: BlockMetabolicForm) -> Mat:
+    """The assembled Gram matrix moved by each of the reduction's
+    transvections in turn, as E^T G E."""
+    g = block.assemble().gram
+    for alpha, p, q in red.transvections:
+        e = transvection(g.n, alpha, p, q)
+        g = e.T * g * e
+    return g
+
+
 def test_metabolic_reduce_replay_and_congruence():
     rng = Random(21)
     for _ in range(10):
@@ -264,7 +280,7 @@ def test_metabolic_reduce_replay_and_congruence():
         b = Mat(m, k, [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(m)])
         block = BlockMetabolicForm(core, a, b)
         red = metabolic_reduce(block)
-        replayed = red.replay(block)
+        replayed = replay(red, block)
         cleared = BlockMetabolicForm(core, Mat.zeros(k, k), Mat.zeros(m, k)).assemble().gram
         assert replayed == cleared
         g = block.assemble().gram
@@ -284,6 +300,15 @@ def test_metabolic_block_shape_errors():
 def test_transvection_matches_definition():
     e = transvection(3, Fraction(5), 0, 2)
     assert e == Mat.from_rows([[1, 0, 5], [0, 1, 0], [0, 0, 1]])
+
+
+def test_metabolic_moves_are_fractions_of_the_blocks():
+    # blocks built from int rows: the half-diagonal move is the Fraction -3/2
+    block = BlockMetabolicForm(BilinearForm.from_diagonal([1]), Mat(1, 1, [[3]]), Mat(1, 1, [[2]]))
+    red = metabolic_reduce(block)
+    assert red.transvections == ((Fraction(-2), 0, 1), (Fraction(-3, 2), 0, 2))
+    assert all(type(alpha) is Fraction for alpha, _, _ in red.transvections)
+    assert red.congruence == Mat.from_rows([[1, -2, "-3/2"], [0, 1, 0], [0, 0, 1]])
 
 
 def test_form_symmetry_validation():
@@ -363,6 +388,12 @@ def corrupted(s, a, b):  # the clearing target is the block with A = B = 0
 forms._block_gram = corrupted
 block = BlockMetabolicForm(BilinearForm.from_diagonal([5]), Mat.from_rows([[1]]), Mat.from_rows([[2]]))
 print(fired(lambda: metabolic_reduce(block)))
+forms._block_gram = block_gram
+
+congruence = forms._congruence
+forms._congruence = lambda n, moves: congruence(n, moves[:-1])  # a congruence missing the last move
+print(fired(lambda: metabolic_reduce(block)))
+forms._congruence = congruence
 
 certified_frame = hodge._certified_frame
 def corrupted(h):  # a wrong R^-1, so a wrong C
@@ -400,6 +431,7 @@ def test_certificates_fire_under_python_O():
     assert out.stdout.splitlines() == [
         "diagonalization certificate failed: P^T G P is not the diagonal D",
         "diagonalization certificate failed: P^T G P is not the diagonal D mod p",
+        "metabolic reduction certificate failed: A and B are not cleared",
         "metabolic reduction certificate failed: A and B are not cleared",
         "Weil operator certificate failed: C^2 is not (-1)^w",
         "symplectic certificate failed: P^T G P is not the standard symplectic Gram",

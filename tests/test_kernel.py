@@ -63,7 +63,6 @@ from wittpoint.forms import (
     diagonalize,
     hasse_of_entries,
     metabolic_reduce,
-    transvection,
 )
 from wittpoint.hodge import _divisors, _rational_roots, _signed_divisors
 from wittpoint.linalg import Mat, extend_to_complement
@@ -77,7 +76,7 @@ from wittpoint.poly import (
     poly_normalize,
 )
 from wittpoint.witt import WittClassFp, WittClassQ, _class_of_entries, fp_class_of, psi
-from test_forms import symmetric_from_lower
+from test_forms import replay, symmetric_from_lower, transvection
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
@@ -800,8 +799,15 @@ def metabolic_blocks(draw):
         p = Mat(m, m, [[Fraction(draw(st.integers(-2, 2))) for _ in range(m)] for _ in range(m)])
         if p.det():
             core = p.T * core * p
-    a = symmetric_from_lower(k, (draw(rationals) for _ in range(k * (k + 1) // 2)))
-    b = Mat(m, k, [[draw(rationals) for _ in range(k)] for _ in range(m)])
+    # A and B built from Fraction rows, from int rows, or from their integer forms
+    way = draw(st.sampled_from(("fraction rows", "int rows", "ints")))
+    entries = st.integers(-6, 6) if way == "int rows" else rationals
+    a = symmetric_from_lower(k, (draw(entries) for _ in range(k * (k + 1) // 2)))
+    b = Mat(m, k, [[draw(entries) for _ in range(k)] for _ in range(m)])
+    if way == "int rows":
+        a, b = (Mat(x.m, x.n, [[int(e) for e in r] for r in x.rows]) for x in (a, b))
+    elif way == "ints":
+        a, b = (Mat(x.m, x.n, ints=ref_integer_form(x)) for x in (a, b))
     return BlockMetabolicForm(BilinearForm(RATIONAL, 1, core), a, b)
 
 
@@ -1001,7 +1007,8 @@ def test_metabolic_reduction_matches_the_full_products(block):
     ref = ref_metabolic_reduce(block)
     assert red == ref
     assert same_entries(red.congruence, ref.congruence)
-    assert red.replay(block) == red.congruence.T * block.assemble().gram * red.congruence
+    assert all(type(alpha) is Fraction for alpha, _, _ in red.transvections)
+    assert replay(red, block) == red.congruence.T * block.assemble().gram * red.congruence
 
 
 def test_kernel_edge_shapes():
@@ -1140,9 +1147,13 @@ def test_every_constructor_and_operation_holds_the_integer_form():
         assert x._ints == ref_integer_form(x), x
         assert all(type(e) is Fraction for r in x.rows for e in r), x
     assert a._ints == [(2, [1, 0, -6]), (1, [0, 0, 0])]
-    # the rows view: the caller's lists, or rows made from the integer form,
-    # and the same reprs as when a matrix held Fraction rows
-    assert a.rows is rows
+    # the rows view: made from the integer form, not the caller's lists, with
+    # the same reprs as when a matrix held Fraction rows
+    assert a.rows == rows and a.rows is not rows
+    rows[0][0] = Fraction(7)  # a later write to the caller's list shows nowhere
+    assert repr(a) == repr(-(-a)) and a[0, 0] == Fraction(1, 2)
+    ints = Mat(1, 2, [[3, 1]])
+    assert type(ints[0, 0] / 2) is Fraction and repr(ints) == repr(Mat.from_rows([[3, 1]]))
     assert repr(a) == repr(-(-a)) == "Mat(2x3, [[Fraction(1, 2), Fraction(0, 1), Fraction(-3, 1)], " \
         "[Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)]])"
     assert repr(a.submatrix([0], [2, 0])) == "Mat(1x2, [[Fraction(-3, 1), Fraction(1, 2)]])"
