@@ -116,7 +116,9 @@ class Cohomology:
     def _data(self, i: int) -> tuple[Mat, Mat]:
         if i not in self._cache:
             boundaries, kernel = self.boundaries(i), self.cocycles(i)
-            reps = kernel.submatrix(range(kernel.m), extend_to_complement(boundaries, kernel))
+            # with no boundaries every cocycle is a representative, and no scan is needed
+            reps = (kernel.submatrix(range(kernel.m), extend_to_complement(boundaries, kernel))
+                    if boundaries.n else kernel)
             self._cache[i] = (reps, reps.hstack(boundaries))
         return self._cache[i]
 
@@ -597,10 +599,10 @@ def _subquotient_shape_failures(w: CobordismWitness) -> list:
     rho = map_block(w.rho, 0, w.f.complex, w.g_prime)
     pi = map_block(w.pi, 0, w.g, w.f.complex)
     pi_p = map_block(w.pi_prime, 0, w.f_prime.complex, w.g_prime)
-    inj = lambda m: m.nullspace().n == 0
-    surj = lambda m: m.rank() == m.m
-    horizontals_inj = inj(rho_p) and inj(rho) and surj(pi) and surj(pi_p)
-    horizontals_surj = surj(rho_p) and surj(rho) and inj(pi) and inj(pi_p)
+    # by rank-nullity a map is injective iff its rank is n, surjective iff it is m
+    r_rho_p, r_rho, r_pi, r_pi_p = (f.rank() for f in (rho_p, rho, pi, pi_p))
+    horizontals_inj = r_rho_p == rho_p.n and r_rho == rho.n and r_pi == pi.m and r_pi_p == pi_p.m
+    horizontals_surj = r_rho_p == rho_p.m and r_rho == rho.m and r_pi == pi.n and r_pi_p == pi_p.n
     if not (horizontals_inj or horizontals_surj):
         failures.append({
             "check": "subquotient_pattern",
@@ -614,9 +616,10 @@ def _subquotient_shape_failures(w: CobordismWitness) -> list:
 
 def quotient_data(n: int, sub: Mat) -> tuple[Mat, Mat]:
     """(projection, section) for Q^n / span(sub); projection . section = I."""
-    if sub.rank() != sub.n:
+    idx = extend_to_complement(sub, Mat.identity(n))
+    if len(idx) != n - sub.n:
         raise ValueError("subspace basis is not independent")
-    section = Mat.identity(n).submatrix(range(n), extend_to_complement(sub, Mat.identity(n)))
+    section = Mat.identity(n).submatrix(range(n), idx)
     projection = section.hstack(sub).inv().submatrix(range(section.n), range(n))
     return projection, section
 
@@ -889,8 +892,9 @@ def random_invertible(rng: Random, n: int, bound: int = 2, density: float = 0.35
                 upper[j][i] = rng.randint(-bound, bound)
     perm = list(range(n))
     rng.shuffle(perm)
-    permutation = Mat.identity(n).submatrix(perm, range(n))
-    return _integer_mat(n, n, lower) * _integer_mat(n, n, upper) * permutation
+    # times the permutation matrix with rows e_perm[i]: column perm[i] is column i
+    return (_integer_mat(n, n, lower) * _integer_mat(n, n, upper)).submatrix(
+        range(n), sorted(range(n), key=perm.__getitem__))
 
 
 def random_nondegenerate_form(rng: Random, n: int, symmetry: int = SYMMETRIC,

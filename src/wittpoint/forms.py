@@ -122,11 +122,15 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
     nonzero diagonal entry; on an all-zero diagonal add basis vector j to
     basis vector i for the lexicographically first (i, j) with G[i][j] != 0.
     One integer pivot loop serves both fields.  Over Q it runs on the Gram
-    matrix times the lcm of its denominators, and each cleared basis column
-    is rescaled to a primitive integer vector, which keeps reported entries
-    integral for integral input.  Over F_p it runs on residues in [0, p), and
-    each cleared column is scaled by the inverse of its pivot.  The certificate
-    B^T (scale G) B = scale D runs on its integers, exactly over Q, mod p over F_p.
+    matrix times the lcm of its denominators.  Pivot d at step k, with
+    c_i = m[k][i], sends basis column i to u_i = s(d b_i - c_i b_k) / g_i,
+    s = sign d and g_i the content of that column, which keeps reported
+    entries integral for integral input; the trailing block is then filled
+    in one Schur-complement pass, m_ij -> (a_i a_j m_ij - d c_i c_j) / (g_i g_j)
+    for i <= j, with a_i = |d| (a_i = g_i = 1 where c_i = 0).  Over F_p it runs on
+    residues in [0, p): u_i = b_i - (c_i / d) b_k and m_ij -> m_ij - c_i c_j / d.
+    The certificate B^T (scale G) B = scale D runs on its integers, exactly
+    over Q, mod p over F_p; G is symmetric, so it checks entries i <= j.
     """
     if not f.is_symmetric:
         raise ValueError("diagonalization requires symmetric form")
@@ -137,55 +141,61 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
     m = [list(c) if p is None else [x % p for x in c] for c in gram]
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    # basis[k] is column k of the congruence, an integer vector; m is kept in
-    # sync with B^T G B (times scale over Q, mod p over F_p) by mirrored
-    # row/column operations.
-    def combine(i, a, j, b, primitive):
-        """Column i becomes a * column i + b * column j; over Q divided by its
-        content if ``primitive`` (every division is exact), over F_p times
-        a^-1 mod p."""
-        if p is None:
-            col = [a * x + b * y for x, y in zip(basis[i], basis[j])]
-            g = gcd(*col) if primitive else 1
-            basis[i] = [x // g for x in col] if g > 1 else col
-            m[i] = [(a * x + b * y) // g for x, y in zip(m[i], m[j])]
-            for row in m:
-                row[i] = (a * row[i] + b * row[j]) // g
-        else:
-            b = b * pow(a, -1, p) % p
-            basis[i] = [(x + b * y) % p for x, y in zip(basis[i], basis[j])]
-            m[i] = [(x + b * y) % p for x, y in zip(m[i], m[j])]
-            for row in m:
-                row[i] = (row[i] + b * row[j]) % p
+    def reduced(x):
+        return x if p is None else x % p
 
-    def swap(i, j):
-        basis[i], basis[j] = basis[j], basis[i]
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
+    # basis[i] is column i of the congruence B, an integer vector; at step k,
+    # m[i][j] for k <= i <= j is entry (i, j) of B^T G B (times scale over Q,
+    # mod p over F_p).  The Schur pass writes only those entries, so a swap or
+    # an off-diagonal pivot first mirrors them below the diagonal.  No entry
+    # outside the trailing block is read again.
     k = 0
     while k < n:
         pivot = next((i for i in range(k, n) if m[i][i] != 0), None)
+        if pivot != k:
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    m[j][i] = m[i][j]
         if pivot is None:
-            off = next(
-                ((i, j) for i in range(k, n) for j in range(k, n) if j != i and m[i][j] != 0),
-                None,
-            )
+            off = next(((i, j) for i in range(k, n) for j in range(k, n) if j != i and m[i][j]), None)
             if off is None:
                 break  # trailing block is zero: the radical
-            i, j = off
-            combine(i, 1, j, 1, primitive=False)
+            i, j = off  # column i += column j
+            basis[i] = [reduced(x + y) for x, y in zip(basis[i], basis[j])]
+            m[i] = [reduced(x + y) for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] = reduced(row[i] + row[j])
             pivot = i
         if pivot != k:
-            swap(k, pivot)
-        d = m[k][k]
-        sign = 1 if d > 0 else -1
-        for i in range(k + 1, n):
-            c = m[k][i]
-            if c != 0:
-                # |d| * (column i - (c / d) * column k): the same ray, rescaled
-                combine(i, abs(d), k, -sign * c, primitive=True)
+            basis[k], basis[pivot] = basis[pivot], basis[k]
+            m[k], m[pivot] = m[pivot], m[k]
+            for row in m:
+                row[k], row[pivot] = row[pivot], row[k]
+        d, c, bk, t = m[k][k], m[k], basis[k], k + 1
+        if p is not None:
+            dinv = pow(d, -1, p)
+            for i in range(t, n):
+                if c[i]:
+                    b = -c[i] * dinv % p
+                    basis[i] = [(x + b * y) % p for x, y in zip(basis[i], bk)]
+                    m[i][i:] = [(x + b * cj) % p for x, cj in zip(m[i][i:], c[i:])]
+        elif any(c[t:]):  # else b_k pairs to zero with every later column
+            ad, s = (d, 1) if d > 0 else (-d, -1)
+            tail = []  # (a_j, c_j, g_j) for the columns j > k
+            for i in range(t, n):
+                ci = c[i]
+                if ci:
+                    sc = s * ci
+                    col = [ad * x - sc * y for x, y in zip(basis[i], bk)]
+                    gi = gcd(*col)
+                    basis[i] = [x // gi for x in col] if gi > 1 else col
+                    tail.append((ad, ci, gi))
+                else:
+                    tail.append((1, 0, 1))
+            for i, (ai, ci, gi) in enumerate(tail, t):
+                dci = d * ci
+                m[i][i:] = [(ai * aj * x - dci * cj) // (gi * gj)
+                            for x, (aj, cj, gj) in zip(m[i][i:], tail[i - t:])]
         k += 1
     rank = k
     diag = [m[i][i] for i in range(rank)]
@@ -197,10 +207,12 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
 
 def _certify_congruence(cols, gram, diag, p) -> None:
     """Raise ``CertificateError`` unless B^T G B = diag(diag, 0...0), exactly
-    (p None) or mod p, for the integer columns ``cols`` of B and Gram ``gram``."""
+    (p None) or mod p, for the integer columns ``cols`` of B and Gram ``gram``.
+    G is symmetric (mod p over F_p), so B^T G B is, and its entries i <= j
+    are the whole check."""
     for j, cj in enumerate(cols):
         gcj = [sum(map(mul, row, cj)) for row in gram]
-        for i, ci in enumerate(cols):
+        for i, ci in enumerate(cols[:j + 1]):
             x = sum(map(mul, ci, gcj)) - (diag[i] if i == j and i < len(diag) else 0)
             if x if p is None else x % p:
                 raise CertificateError("diagonalization certificate failed: P^T G P is not the diagonal D"

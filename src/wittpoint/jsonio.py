@@ -76,7 +76,7 @@ def form_from_json(doc, pointer: str = "$") -> BilinearForm:
         field = RATIONAL
     elif isinstance(field_doc, dict) and set(field_doc) == {"Fp"}:
         field = field_doc["Fp"]
-        if not isinstance(field, int):
+        if isinstance(field, bool) or not isinstance(field, int):
             raise SchemaError(f"{pointer}.field.Fp", "expected a prime integer")
     else:
         raise SchemaError(f"{pointer}.field", 'expected "Q" or {"Fp": p}')
@@ -127,9 +127,11 @@ def fp_class_to_json(c: WittClassFp) -> dict:
 
 
 def fp_class_from_json(doc, pointer: str = "$") -> WittClassFp:
+    if not isinstance(doc, dict):
+        raise SchemaError(pointer, "expected an object")
     p = doc.get("p")
     payload = doc.get("class", {})
-    if not isinstance(p, int):
+    if isinstance(p, bool) or not isinstance(p, int):
         raise SchemaError(f"{pointer}.p", "expected a prime integer")
     try:
         if p == 2:
@@ -149,6 +151,8 @@ def witt_class_to_json(c: WittClassQ) -> dict:
 
 
 def witt_class_from_json(doc, pointer: str = "$") -> WittClassQ:
+    if not isinstance(doc, dict):
+        raise SchemaError(pointer, "expected an object")
     sig = _integer(doc.get("signature"), f"{pointer}.signature")
     residues = {}
     for k, entry in enumerate(doc.get("residues", [])):
@@ -366,12 +370,10 @@ def diamond_from_json(doc, pointer: str = "$") -> HodgeDiamond:
     if _integer(dim, f"{pointer}.dim") < 0:
         raise SchemaError(f"{pointer}.dim", "expected a nonnegative integer")
     rows = doc.get("h")
-    if not isinstance(rows, list):
+    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError(f"{pointer}.h", "expected a table of Hodge numbers")
-    try:
-        return HodgeDiamond.from_rows(dim, rows)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{pointer}.h", str(exc)) from exc
+    return HodgeDiamond(dim, tuple(tuple(_integer(x, f"{pointer}.h[{p}][{q}]") for q, x in enumerate(r))
+                                   for p, r in enumerate(rows)))
 
 
 def pieces_from_json(doc, pointer: str = "$") -> tuple[list[PrimitivePiece], int]:

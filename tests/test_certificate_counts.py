@@ -193,11 +193,37 @@ def test_truncation_witness_validates_once_with_one_cohomology(monkeypatch):
 
 def test_truncation_witness_reads_its_kernel_and_boundaries_off_the_cohomology(monkeypatch):
     # ker d^0 and im d^-1 come from the eliminations validation made; taking
-    # them again, by d(0).nullspace() and d(-1).column_space_basis(), made 12
+    # them again, by d(0).nullspace() and d(-1).column_space_basis(), made 12;
+    # quotient_data's rank test on im d^-1 apart from its complement scan, and
+    # a complement scan at degree -1, where there are no boundaries, made 10
     ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
     eliminations = count(monkeypatch, Mat, "rref")
     truncation_witness(ext)
-    assert eliminations[0] == 10
+    assert eliminations[0] == 8
+
+
+def test_subquotient_shape_check_takes_one_rank_per_map(monkeypatch):
+    # injective iff rank = n and surjective iff rank = m: a nullspace and a
+    # rank per map took up to 8 eliminations, 8 on this witness
+    w = cobordism.congruence_witness(BilinearForm.from_diagonal([2, 3]), Mat.from_rows([[1, 1], [0, 1]]))
+    eliminations = count(monkeypatch, Mat, "rref")
+    assert cobordism._subquotient_shape_failures(w) == []
+    assert eliminations[0] == 4
+
+
+def test_quotient_data_eliminates_the_subspace_once(monkeypatch):
+    # [sub | I] gives independence and the section at once; rank() first took two
+    sub = Mat.from_rows([[1, 0], [2, 0], [0, 1], [1, 1]])
+    eliminated = Counter()
+    rref = Mat.rref
+
+    def spy(a):
+        eliminated[a.m, a.n] += 1
+        return rref(a)
+
+    monkeypatch.setattr(Mat, "rref", spy)
+    cobordism.quotient_data(4, sub)
+    assert eliminated[4, 2] == 0 and eliminated[4, 6] == 1  # sub alone never; [sub | I] once
 
 
 def test_cohomology_eliminates_each_differential_once(monkeypatch):
@@ -217,10 +243,11 @@ def test_cohomology_eliminates_each_differential_once(monkeypatch):
     degrees = cx.degrees()
     assert [coh.dim(i) for i in degrees] == [0, 1, 1, 0, 0]
     assert [eliminated[id(d)] for d in cx.differentials.values()] == [1, 1, 1, 1]
-    # and one complement scan per degree
-    assert sum(eliminated.values()) == 4 + len(degrees)
+    # and one complement scan per degree with boundaries: im d(-2), im d(0) and
+    # im d(1); at -2 and at 0 (d(-1) is zero) every cocycle is a representative
+    assert sum(eliminated.values()) == 4 + 3
     coh.reps(0), coh.coords(0, coh.reps(0))
-    assert sum(eliminated.values()) == 4 + len(degrees) + 1  # the one solve
+    assert sum(eliminated.values()) == 4 + 3 + 1  # the one solve
 
 
 def test_a_product_of_products_builds_no_intermediate_fraction(monkeypatch):

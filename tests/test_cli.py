@@ -220,8 +220,12 @@ def well_formed(command) -> list:
     ("lefschetz-check", ("pieces", 0, "j"), True, "$.pieces[0].j: expected an integer"),
     ("complex-class", ("spaces", "0"), True, "$.spaces.0: expected an integer"),
     ("chi-y", ("dim",), True, "$.dim: expected an integer"),
+    ("chi-y", ("h", 1, 1), 1.9, "$.h[1][1]: expected an integer"),
+    ("chi-y", ("h", 1, 1), "20", "$.h[1][1]: expected an integer"),
+    ("chi-y", ("h", 0, 0), True, "$.h[0][0]: expected an integer"),
 ], ids=["hodge-basis-int", "witness-g-list", "lefschetz-pieces-int", "lefschetz-j-float",
-        "lefschetz-signature-str", "lefschetz-j-bool", "complex-space-bool", "diamond-dim-bool"])
+        "lefschetz-signature-str", "lefschetz-j-bool", "complex-space-bool", "diamond-dim-bool",
+        "diamond-h-float", "diamond-h-str", "diamond-h-bool"])
 def test_malformed_documents_are_input_errors(tmp_path, capsys, command, field, value, message):
     # each raised a TypeError or AttributeError traceback, or was read as if well formed
     docs = well_formed(command)

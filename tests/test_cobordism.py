@@ -1,5 +1,6 @@
 """Point-scale cobordism: validation, witnesses, reductions, class invariance."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -16,6 +17,7 @@ from wittpoint.cobordism import (
     metabolic_witness,
     null_witness,
     orthogonal_split,
+    quotient_data,
     witness_common_core,
     random_nondegenerate_form,
     random_invertible,
@@ -23,6 +25,7 @@ from wittpoint.cobordism import (
     truncation_witness,
     validate,
     verify_witness,
+    _subquotient_shape_failures,
 )
 from wittpoint.forms import (
     HYPERBOLIC_PLANE,
@@ -461,3 +464,39 @@ def test_supplied_homotopy_is_checked_not_trusted():
     assert [x["check"] for x in report.failures] == ["homotopy_identity"]
     with pytest.raises(ValueError, match=r"homotopy block at degree 0 has shape 4x1, expected 1x4"):
         verify_witness(identity_witness({0: Mat.zeros(4, 1)}))
+
+
+def test_subquotient_pattern_reads_injective_and_surjective_off_one_rank():
+    # a map is injective iff its rank is its column count, surjective iff its row count
+    w = congruence_witness(BilinearForm.from_diagonal([2, 3]), Mat.from_rows([[1, 1], [0, 1]]))
+    assert verify_witness(w).ok and _subquotient_shape_failures(w) == []
+    for name in ("rho_prime", "rho", "pi", "pi_prime"):
+        broken = CobordismWitness(**{**vars(w), name: {0: Mat.from_rows([[1, 0], [0, 0]])}})
+        assert [f["check"] for f in _subquotient_shape_failures(broken)] == ["subquotient_pattern"], name
+    block = BlockMetabolicForm(BilinearForm.from_diagonal([5, -2]), Mat.from_rows([[1]]), Mat.from_rows([[2], [3]]))
+    for v in (metabolic_witness(block), witness_common_core(metabolic_witness(block)).witness_to_f_prime):
+        assert _subquotient_shape_failures(v) == []  # injective horizontals, not square
+
+
+def test_quotient_data_reads_independence_and_section_off_one_elimination():
+    sub = Mat.from_rows([[1, 0], [0, 0], [2, 1]])
+    projection, section = quotient_data(3, sub)
+    assert section == Mat.from_rows([[0], [1], [0]])  # e_2: e_1 lies in the span of sub
+    assert projection * section == Mat.identity(1) and (projection * sub).is_zero()
+    for dependent in (Mat.from_rows([[1, 2], [2, 4], [0, 0]]), Mat.from_rows([[0], [0], [0]])):
+        with pytest.raises(ValueError, match="not independent"):
+            quotient_data(3, dependent)
+    projection, section = quotient_data(2, Mat.zeros(2, 0))
+    assert projection == section == Mat.identity(2)
+
+
+def test_random_invertible_draws_and_matrices_are_pinned():
+    # the same draws and matrices as the product (L U) P with the permutation matrix P
+    out = []
+    for s in range(50):
+        for n in range(14):
+            rng = Random(s)
+            out.append((random_invertible(rng, n), rng.random()))
+    assert all(p.det() in (1, -1) for p, _ in out)
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "5754b325b743a71b45aa6986adac4fa6436d0487bca12cf9eaf95dab653a8e15"

@@ -377,6 +377,9 @@ print(fired(lambda: diagonalize(BilinearForm.from_diagonal([2, -3]))))
 forms._certify_congruence = lambda cols, gram, diag, p: certify_congruence(  # a wrong P: 2P
     [[2 * x for x in c] for c in cols], gram, diag, p)
 print(fired(lambda: diagonalize(BilinearForm.from_diagonal([2, 3], field=5))))
+# a wrong P whose diagonal is right: only entry (0, 2), above the diagonal, is wrong
+forms._certify_congruence = lambda cols, gram, diag, p: certify_congruence(cols[:2] + [[2, 2, 3]], gram, diag, p)
+print(fired(lambda: diagonalize(BilinearForm.from_diagonal([1, 1, -1]))))
 forms._certify_congruence = certify_congruence
 
 block_gram = forms._block_gram
@@ -431,6 +434,7 @@ def test_certificates_fire_under_python_O():
     assert out.stdout.splitlines() == [
         "diagonalization certificate failed: P^T G P is not the diagonal D",
         "diagonalization certificate failed: P^T G P is not the diagonal D mod p",
+        "diagonalization certificate failed: P^T G P is not the diagonal D",
         "metabolic reduction certificate failed: A and B are not cleared",
         "metabolic reduction certificate failed: A and B are not cleared",
         "Weil operator certificate failed: C^2 is not (-1)^w",

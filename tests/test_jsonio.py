@@ -48,6 +48,33 @@ def test_form_schema_errors_carry_pointers():
                         "gram": [["1/2", "0"], ["0", "1"]]})
 
 
+def test_class_readers_refuse_a_non_object():
+    # each called doc.get and raised AttributeError on a list
+    for reader in (witt_class_from_json, fp_class_from_json):
+        with pytest.raises(SchemaError, match=r"^\$: expected an object$"):
+            reader([])
+    with pytest.raises(SchemaError, match=r"^\$\.residues\[0\]: expected an object$"):
+        witt_class_from_json({"signature": 0, "residues": [[]]})
+
+
+def test_prime_fields_refuse_a_boolean_at_their_own_pointer():
+    # JSON true is a Python int; it was refused by BilinearForm and reported at $.gram
+    with pytest.raises(SchemaError, match=r"^\$\.field\.Fp: expected a prime integer$"):
+        form_from_json({"symmetry": "symmetric", "field": {"Fp": True}, "gram": [["1"]]})
+    with pytest.raises(SchemaError, match=r"^\$\.p: expected a prime integer$"):
+        fp_class_from_json({"p": True, "class": {"rank_parity": 1, "disc_is_residue": True}})
+
+
+def test_diamond_entries_are_integers():
+    # each entry was read with int(x), so 1.9, "1" and true answered as 1
+    assert diamond_from_json({"dim": 1, "h": [[1, 2], [2, 1]]}).h == ((1, 2), (2, 1))
+    for value in (1.9, "1", True):
+        with pytest.raises(SchemaError, match=r"^\$\.h\[1\]\[0\]: expected an integer$"):
+            diamond_from_json({"dim": 1, "h": [[1, 2], [value, 1]]})
+    with pytest.raises(SchemaError, match=r"^\$\.h: expected a table of Hodge numbers$"):
+        diamond_from_json({"dim": 0, "h": ["1"]})
+
+
 def test_fp_class_round_trip():
     for cls in (fp_class_of([1], 3), fp_class_of([2, 3], 7), fp_class_of([1, 2], 5)):
         assert fp_class_from_json(fp_class_to_json(cls)) == cls

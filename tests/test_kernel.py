@@ -3,7 +3,8 @@
 The references below are the plain field loops the kernel replaced: the
 element-wise matrix product, Gauss-Jordan over Q or Q(i) (the same loop
 serves both), the determinant, the congruence diagonalization with its
-primitive rescale, the separate F_p diagonalization loop, the metabolic
+primitive rescale, the integer pivot loop that cleared one column at a time
+before the Schur-complement step, the separate F_p diagonalization loop, the metabolic
 reduction by full n x n products and the greedy rank-growth scan of
 ``extend_to_complement``.  Every property
 requires the kernel's output to equal the reference's, entry by entry and
@@ -438,6 +439,63 @@ def ref_diagonalize_fp(f: BilinearForm) -> Diagonalization:
     return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
 
 
+def ref_pivot_loop(f: BilinearForm) -> Diagonalization:
+    """The integer pivot loop the Schur-complement step replaced: each
+    cleared column i becomes |d| * column i - sign(d) * c * column k (over Q
+    divided by its content, over F_p times |d|^-1), one ``combine`` per
+    column, with its mirrored row and column operations on all n rows."""
+    p = None if f.field == RATIONAL else f.field
+    n = f.gram.n
+    scale, gram = f.gram.integer_columns()
+    m = [list(c) if p is None else [x % p for x in c] for c in gram]
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def combine(i, a, j, b, primitive):
+        if p is None:
+            col = [a * x + b * y for x, y in zip(basis[i], basis[j])]
+            g = gcd(*col) if primitive else 1
+            basis[i] = [x // g for x in col] if g > 1 else col
+            m[i] = [(a * x + b * y) // g for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] = (a * row[i] + b * row[j]) // g
+        else:
+            b = b * pow(a, -1, p) % p
+            basis[i] = [(x + b * y) % p for x, y in zip(basis[i], basis[j])]
+            m[i] = [(x + b * y) % p for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] = (row[i] + b * row[j]) % p
+
+    def swap(i, j):
+        basis[i], basis[j] = basis[j], basis[i]
+        m[i], m[j] = m[j], m[i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    k = 0
+    while k < n:
+        pivot = next((i for i in range(k, n) if m[i][i] != 0), None)
+        if pivot is None:
+            off = next(((i, j) for i in range(k, n) for j in range(k, n) if j != i and m[i][j] != 0),
+                       None)
+            if off is None:
+                break
+            combine(off[0], 1, off[1], 1, primitive=False)
+            pivot = off[0]
+        if pivot != k:
+            swap(k, pivot)
+        d = m[k][k]
+        sign = 1 if d > 0 else -1
+        for i in range(k + 1, n):
+            c = m[k][i]
+            if c != 0:
+                combine(i, abs(d), k, -sign * c, primitive=True)
+        k += 1
+    diag = [m[i][i] for i in range(k)]
+    entries = tuple(Fraction(d, scale) for d in diag) if p is None else tuple(diag)
+    congruence = Mat(n, n, ints=[(1, [c[i] for c in basis]) for i in range(n)])
+    return Diagonalization(entries=entries, radical_dim=n - k, congruence=congruence)
+
+
 def ref_metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
     g = block.assemble().gram
     k, m = block.isotropic_rank, block.s.gram.n
@@ -791,6 +849,27 @@ def fp_forms(draw):
 
 
 @st.composite
+def pivot_loop_forms(draw):
+    """Symmetric Grams of order up to 13 over Q (integral or rational) or F_p,
+    with a zero diagonal (the off-diagonal pivot path) or degenerate, as
+    Q^T G Q for a Q with fewer rows than columns."""
+    field = draw(st.sampled_from([RATIONAL, RATIONAL, 3, 5, 7, 101]))
+    n = draw(st.integers(0, 13))
+    entries = rationals if field == RATIONAL and draw(st.booleans()) else st.integers(-3, 3)
+    zero_diagonal = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = 0 if i == j and zero_diagonal else draw(entries)
+    gram = Mat(n, n, rows)
+    if n and draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        q = Mat(r, n, [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(r)])
+        gram = q.T * gram.submatrix(range(r), range(r)) * q
+    return BilinearForm(field, 1, gram)
+
+
+@st.composite
 def metabolic_blocks(draw):
     m = draw(st.integers(0, 3))
     k = draw(st.integers(1, 3))
@@ -998,6 +1077,13 @@ def test_fp_diagonalization_matches_the_separate_fp_loop(f):
     assert d == ref
     assert repr(d.entries) == repr(ref.entries)  # ints, as the old loop reported them
     assert repr(d.congruence) == repr(ref.congruence)
+
+
+@EXAMPLES
+@given(f=pivot_loop_forms())
+def test_schur_step_matches_the_pivot_loop(f):
+    # entries, radical_dim and congruence, with their types, over Q and F_p
+    assert repr(diagonalize(f)) == repr(ref_pivot_loop(f))
 
 
 @EXAMPLES
