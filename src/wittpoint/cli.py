@@ -313,8 +313,6 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if hasattr(obj, "rows"):
-        return [[str(x) for x in r] for r in obj.rows]
     if isinstance(obj, Fraction):
         return str(obj)
     return obj

@@ -66,12 +66,12 @@ class ChainComplex(Record):
         for i in self.degrees():
             comp = self.d(i + 1) * self.d(i)
             if not comp.is_zero():
-                j = next(c for c in range(comp.n) if any(comp[r, c] for r in range(comp.m)))
+                j, image = next((j, col) for j, col in enumerate(comp.T.rows) if any(col))
                 problems.append({
                     "check": "d_squared",
                     "degree": i,
                     "witness_basis_vector": j,
-                    "image": [str(x) for x in comp.col(j)],
+                    "image": [str(x) for x in image],
                 })
         return problems
 
@@ -395,7 +395,7 @@ def validate(c: SelfDualComplex) -> ComplexReport:
             problems.append({
                 "check": "perfect_on_cohomology",
                 "degree": i,
-                "witness_class_vector": [str(x) for x in kernel.col(0)],
+                "witness_class_vector": [str(x) for x in kernel.T.rows[0]],
             })
     return ComplexReport(ok=not problems, problems=problems,
                          cohomology_dims=dims, induced_pairings=induced, cohomology=coh)

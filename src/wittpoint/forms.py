@@ -326,7 +326,11 @@ def standard_symplectic_gram(k: int) -> Mat:
 def symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
     """Reduce a nondegenerate skew form over Q to the standard symplectic Gram.
 
-    Every such form is a sum of hyperbolic planes, so its Witt class is zero.
+    Every such form is a sum of hyperbolic planes, so its Witt class is zero
+    (Milnor and Husemoller, *Symmetric Bilinear Forms*, ch. I).  Each step
+    pairs u, the first row of ``rest``, with v, its first row with <u, v> != 0,
+    scaled by 1 / <u, v>, and moves every other row w to w - <u, w> v + <v, w> u.
+    A degenerate form leaves some u with no partner.
     """
     if f.symmetry != SKEW:
         raise ValueError("symplectic reduction requires a skew form")
@@ -336,32 +340,23 @@ def symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
     n = g.n
     if n % 2:
         raise ValueError("skew nondegenerate forms have even rank; odd rank given")
-    if n and not g.det():
-        raise ValueError("skew form is degenerate")
-
-    def pair(u, v):
-        return (Mat.from_columns([u], m=n).T * g * Mat.from_columns([v], m=n))[0, 0]
-
-    remaining = Mat.identity(n).columns()
-    basis = []
-    while remaining:
-        u = remaining.pop(0)
-        j = next((t for t in range(len(remaining)) if pair(u, remaining[t]) != 0), None)
+    cols = range(n)
+    rest = Mat.identity(n)
+    pairs = Mat.zeros(0, n)  # u_1, v_1, u_2, v_2, ... as rows
+    while rest.m:
+        u = rest.submatrix([0], cols)
+        uw = u * g * rest.T  # <u, w> for every row w of rest
+        j = next((t for t in range(1, rest.m) if uw[0, t]), None)
         if j is None:
             raise ValueError("skew form is degenerate")
-        v = remaining.pop(j)
-        c = pair(u, v)
-        v = [x / c for x in v]
-        reduced = []
-        for w in remaining:
-            a = pair(u, w)
-            b = pair(v, w)
-            # w - b*u ... sign chosen so w' pairs to zero with both u and v
-            w2 = [wi - a * vi + b * ui for wi, ui, vi in zip(w, u, v)]
-            reduced.append(w2)
-        remaining = reduced
-        basis.extend([u, v])
-    congruence = Mat.from_columns(basis, m=n) if n else Mat.zeros(0, 0)
+        v = rest.submatrix([j], cols).scale(1 / uw[0, j])
+        others = [t for t in range(1, rest.m) if t != j]
+        rest = rest.submatrix(others, cols)
+        a = uw.submatrix([0], others).T
+        b = (v * g * rest.T).T
+        rest = rest - a * v + b * u
+        pairs = pairs.vstack(u).vstack(v)
+    congruence = pairs.T
     if congruence.T * g * congruence != standard_symplectic_gram(n // 2):
         raise CertificateError("symplectic certificate failed: "
                                "P^T G P is not the standard symplectic Gram")
@@ -394,10 +389,8 @@ class BlockMetabolicForm(Frozen):
         return self.a.n
 
     def assemble(self) -> BilinearForm:
-        form = BilinearForm(RATIONAL, SYMMETRIC, _block_gram(self.s.gram, self.a, self.b))
-        if not form.is_nondegenerate():
-            raise ValueError("assembled block matrix is degenerate")
-        return form
+        # nondegenerate: its determinant is +-det S, and S is nondegenerate
+        return BilinearForm(RATIONAL, SYMMETRIC, _block_gram(self.s.gram, self.a, self.b))
 
 
 def _block_gram(s: Mat, a: Mat, b: Mat) -> Mat:

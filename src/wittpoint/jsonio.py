@@ -12,6 +12,7 @@ from fractions import Fraction
 # The readers of complexes, witnesses, Hodge structures, diamonds and pieces
 # import their types (cobordism, hodge, genus) when called, so reading a form
 # loads none of those modules; the annotations are strings.
+from .core import is_prime
 from .forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm, BlockMetabolicForm
 from .linalg import Mat
 from .witt import WittClassFp, WittClassQ
@@ -78,6 +79,8 @@ def form_from_json(doc, pointer: str = "$") -> BilinearForm:
         field = field_doc["Fp"]
         if isinstance(field, bool) or not isinstance(field, int):
             raise SchemaError(f"{pointer}.field.Fp", "expected a prime integer")
+        if field == 2 or not is_prime(field):
+            raise SchemaError(f"{pointer}.field.Fp", "expected an odd prime")
     else:
         raise SchemaError(f"{pointer}.field", 'expected "Q" or {"Fp": p}')
     gram = parse_matrix(doc.get("gram", []), f"{pointer}.gram")
@@ -131,7 +134,7 @@ def fp_class_from_json(doc, pointer: str = "$") -> WittClassFp:
         raise SchemaError(pointer, "expected an object")
     p = doc.get("p")
     payload = doc.get("class", {})
-    if isinstance(p, bool) or not isinstance(p, int):
+    if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
         raise SchemaError(f"{pointer}.p", "expected a prime integer")
     try:
         if p == 2:
@@ -352,7 +355,7 @@ def hodge_to_json(h: HodgeStructure) -> dict:
                 "p": piece.p,
                 "q": piece.q,
                 "basis": [[[format_rational(x), format_rational(y)] for x, y in zip(re, im)]
-                          for re, im in zip(piece.re.columns(), piece.im.columns())],
+                          for re, im in zip(piece.re.T.rows, piece.im.T.rows)],
             }
             for piece in sorted(h.pieces, key=lambda x: (-x.p, -x.q))
         ],

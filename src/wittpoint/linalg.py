@@ -139,12 +139,6 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(any(r) for _, r in self._ints)
 
-    def col(self, j) -> list:
-        return [r[j] for r in self.rows]
-
-    def columns(self) -> list:
-        return [self.col(j) for j in range(self.n)]
-
     def hstack(self, other: "Mat") -> "Mat":
         if self.m != other.m:
             raise ValueError("hstack row mismatch")

@@ -24,11 +24,13 @@ from wittpoint.cobordism import (
 from wittpoint.forms import (
     HYPERBOLIC_PLANE,
     RATIONAL,
+    SKEW,
     BilinearForm,
     BlockMetabolicForm,
     diagonalize,
     invariants,
     metabolic_reduce,
+    symplectic_reduce,
 )
 from wittpoint.hodge import (
     HodgePiece,
@@ -42,7 +44,7 @@ from wittpoint.hodge import (
 )
 from wittpoint.jsonio import complex_to_json
 from wittpoint.linalg import Mat
-from wittpoint.witt import equivalent, fp_class_of
+from wittpoint.witt import equivalent, fp_class_of, witt_class_of
 
 
 def count(monkeypatch, owner, attr) -> list[int]:
@@ -358,12 +360,37 @@ def test_seeded_builders_and_metabolic_reduce_convert_no_fraction_rows(monkeypat
     assert conversions[0] == 0
 
 
-def test_metabolic_reduce_takes_one_determinant(monkeypatch):
+def test_metabolic_reduce_takes_no_determinant(monkeypatch):
     block = BlockMetabolicForm(BilinearForm.from_diagonal([5, -2]), Mat.from_rows([[1]]),
                                Mat.from_rows([[2], [3]]))
     determinants = count(monkeypatch, Mat, "det")
     assert metabolic_reduce(block).hyperbolic_count == 1
-    assert determinants[0] == 1  # the input's nondegeneracy; the clearing target is not re-checked
+    # the assembled Gram's determinant is +-det S, which BlockMetabolicForm
+    # checked when it was built; the clearing target is not re-checked either
+    assert determinants[0] == 0
+
+
+def test_symplectic_reduce_takes_no_determinant_and_linearly_many_products(monkeypatch):
+    # per step, <u, rest> and <v, rest> (two products each) and the two
+    # outer products of the update; then the certificate P^T G P
+    forms_by_rank = [random_nondegenerate_form(Random(k), 2 * k, symmetry=SKEW) for k in range(7)]
+    determinants = count(monkeypatch, Mat, "det")
+    products = count(monkeypatch, Mat, "__mul__")
+    for k, f in enumerate(forms_by_rank):
+        products[0] = 0
+        assert symplectic_reduce(f).hyperbolic_count == k
+        assert products[0] == 6 * k + 2, k
+    assert determinants[0] == 0  # a degenerate form finds no partner for some u
+
+
+def test_witt_class_of_a_skew_form_takes_one_determinant(monkeypatch):
+    f = random_nondegenerate_form(Random(2), 6, symmetry=SKEW)
+    f = BilinearForm(RATIONAL, SKEW, f.gram.direct_sum(Mat.zeros(2, 2)))  # with a radical
+    determinants = count(monkeypatch, Mat, "det")
+    reductions = count(monkeypatch, forms, "symplectic_reduce")
+    assert witt_class_of(f).is_zero()
+    # radical_split's certificate that the complement is nondegenerate
+    assert (determinants[0], reductions[0]) == (1, 1)
 
 
 def test_compare_polarizations_forms_each_product_once(monkeypatch):

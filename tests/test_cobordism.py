@@ -244,7 +244,7 @@ def _split_first_isotropic_basis_vectors(form):
         isotropic = None
         for j in range(n):
             if form.gram[j, j] == 0:
-                isotropic = Mat.from_columns([Mat.identity(n).col(j)], m=n)
+                isotropic = Mat.from_columns([Mat.identity(n).T.rows[j]], m=n)
                 break
         if isotropic is None:
             return form, count

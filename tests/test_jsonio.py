@@ -65,6 +65,18 @@ def test_prime_fields_refuse_a_boolean_at_their_own_pointer():
         fp_class_from_json({"p": True, "class": {"rank_parity": 1, "disc_is_residue": True}})
 
 
+def test_prime_fields_refuse_a_non_prime_at_their_own_pointer():
+    # each was refused by BilinearForm or WittClassFp and reported at $.gram or $.class
+    for p in (9, 2, 1, 0, -3):
+        with pytest.raises(SchemaError, match=r"^\$\.field\.Fp: expected an odd prime$"):
+            form_from_json({"symmetry": "symmetric", "field": {"Fp": p}, "gram": [["1"]]})
+    for p in (9, 1, 0, -3):
+        with pytest.raises(SchemaError, match=r"^\$\.p: expected a prime integer$"):
+            fp_class_from_json({"p": p, "class": {"rank_parity": 1, "disc_is_residue": True}})
+    assert form_from_json({"symmetry": "symmetric", "field": {"Fp": 3}, "gram": [["1"]]}).field == 3
+    assert fp_class_from_json({"p": 2, "class": {"rank_parity": 1}}).p == 2
+
+
 def test_diamond_entries_are_integers():
     # each entry was read with int(x), so 1.9, "1" and true answered as 1
     assert diamond_from_json({"dim": 1, "h": [[1, 2], [2, 1]]}).h == ((1, 2), (2, 1))

@@ -5,7 +5,8 @@ element-wise matrix product, Gauss-Jordan over Q or Q(i) (the same loop
 serves both), the determinant, the congruence diagonalization with its
 primitive rescale, the integer pivot loop that cleared one column at a time
 before the Schur-complement step, the separate F_p diagonalization loop, the metabolic
-reduction by full n x n products and the greedy rank-growth scan of
+reduction by full n x n products, the symplectic reduction that read each
+pairing off its own product on ``Fraction`` columns, and the greedy rank-growth scan of
 ``extend_to_complement``.  Every property
 requires the kernel's output to equal the reference's, entry by entry and
 entry type by entry type.  The kernel works over Q only: building a ``Mat``
@@ -55,15 +56,20 @@ from wittpoint.core import (
     square_class,
     sturm_positive_real_roots,
 )
+from wittpoint.cobordism import random_gram, random_nondegenerate_form
 from wittpoint.forms import (
     RATIONAL,
+    SKEW,
     BilinearForm,
     BlockMetabolicForm,
     Diagonalization,
     MetabolicReduction,
+    SymplecticReduction,
     diagonalize,
     hasse_of_entries,
     metabolic_reduce,
+    standard_symplectic_gram,
+    symplectic_reduce,
 )
 from wittpoint.hodge import _divisors, _rational_roots, _signed_divisors
 from wittpoint.linalg import Mat, extend_to_complement
@@ -328,7 +334,7 @@ def ref_extend_to_complement(base: Mat, candidates: Mat) -> list[int]:
     current, picked = base, []
     r = len(ref_rref(current)[1])
     for j in range(candidates.n):
-        trial = current.hstack(Mat.from_columns([candidates.col(j)], m=candidates.m))
+        trial = current.hstack(Mat.from_columns([candidates.T.rows[j]], m=candidates.m))
         tr = len(ref_rref(trial)[1])
         if tr > r:
             picked.append(j)
@@ -522,6 +528,44 @@ def ref_metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
         congruence = ref_product(congruence, transvection(g.n, alpha, p, q))
     return MetabolicReduction(core=block.s, hyperbolic_count=k, transvections=tuple(moves),
                               congruence=congruence)
+
+
+def ref_symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
+    """The per-pair loop the whole-matrix steps replaced: a determinant up
+    front, then each pairing <u, w> as a product of two 1 x n matrices with
+    the Gram, on ``Fraction`` column lists."""
+    if f.symmetry != SKEW:
+        raise ValueError("symplectic reduction requires a skew form")
+    if f.field != RATIONAL:
+        raise ValueError("symplectic_reduce operates over Q")
+    g = f.gram
+    n = g.n
+    if n % 2:
+        raise ValueError("skew nondegenerate forms have even rank; odd rank given")
+    if n and not g.det():
+        raise ValueError("skew form is degenerate")
+
+    def pair(u, v):
+        return (Mat.from_columns([u], m=n).T * g * Mat.from_columns([v], m=n))[0, 0]
+
+    remaining = Mat.identity(n).T.rows
+    basis = []
+    while remaining:
+        u = remaining.pop(0)
+        j = next((t for t in range(len(remaining)) if pair(u, remaining[t]) != 0), None)
+        if j is None:
+            raise ValueError("skew form is degenerate")
+        v = remaining.pop(j)
+        c = pair(u, v)
+        v = [x / c for x in v]
+        remaining = [[wi - pair(u, w) * vi + pair(v, w) * ui for wi, ui, vi in zip(w, u, v)]
+                     for w in remaining]
+        basis.extend([u, v])
+    congruence = Mat.from_columns(basis, m=n) if n else Mat.zeros(0, 0)
+    if congruence.T * g * congruence != standard_symplectic_gram(n // 2):
+        raise CertificateError("symplectic certificate failed: "
+                               "P^T G P is not the standard symplectic Gram")
+    return SymplecticReduction(hyperbolic_count=n // 2, congruence=congruence)
 
 
 def ref_factor(n: int) -> dict[int, int]:
@@ -1097,6 +1141,34 @@ def test_metabolic_reduction_matches_the_full_products(block):
     assert replay(red, block) == red.congruence.T * block.assemble().gram * red.congruence
 
 
+def reduction_or_error(reduce, f: BilinearForm) -> str:
+    try:
+        return repr(reduce(f))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_symplectic_reduction_matches_the_per_pair_loop():
+    # seeded skew forms of rank 0 to 12: nondegenerate ones, some of them
+    # scaled to rational Grams, and random skew Grams of every rank, with
+    # entries in [-1, 1], so that many are degenerate
+    forms, degenerate = [], 0
+    for s in range(91):
+        rng = Random(s)
+        f = random_nondegenerate_form(rng, 2 * (s % 7), symmetry=SKEW, bound=1 + s % 3)
+        forms.append(f.scaled(Fraction(rng.randint(1, 9), rng.randint(1, 9))) if s % 2 else f)
+        g = random_gram(rng, s % 13, 1, SKEW)
+        forms.append(BilinearForm(RATIONAL, SKEW, g))
+        degenerate += g.n % 2 == 0 and not g.det()
+    refused = []
+    for f in forms:
+        got = reduction_or_error(symplectic_reduce, f)
+        assert got == reduction_or_error(ref_symplectic_reduce, f), f
+        refused.append(got.startswith("ValueError"))
+    # both outcomes are compared: reductions, and refusals of odd and degenerate forms
+    assert refused.count(False) >= 91 and sum(refused) >= degenerate >= 10
+
+
 def test_kernel_edge_shapes():
     for m, n in [(0, 0), (0, 3), (3, 0)]:
         a = Mat.zeros(m, n)
@@ -1225,7 +1297,7 @@ def test_every_constructor_and_operation_holds_the_integer_form():
     a = Mat(2, 3, rows)
     s = Mat.from_rows([[1, "1/2"], ["-1/3", 0]])
     built = [a, Mat.from_rows(rows), Mat(2, 3, ints=ref_integer_form(a)), Mat.zeros(2, 3),
-             Mat.zeros(0, 2), Mat.identity(2), Mat.diag(["1/2", 3, 0]), Mat.from_columns(a.columns()),
+             Mat.zeros(0, 2), Mat.identity(2), Mat.diag(["1/2", 3, 0]), Mat.from_columns(a.T.rows),
              a + a, a - a, -a, a.scale("-2/3"), a.scale(0), s * a, a.T, Mat.zeros(0, 2).T,
              a.hstack(a), a.vstack(a), a.direct_sum(s), a.submatrix([1, 0], [2, 0]), a.rref()[0],
              a.nullspace(), a.column_space_basis(), *a.kernel_and_image(), s.solve(a), s.inv()]

@@ -16,7 +16,9 @@ Hodge layer hands it rational matrices, and a Q(i) matrix is refused.  The
 package has no Q(i) scalar at all; the one the tests build Q(i) matrices
 from lives in ``test_kernel``.  No module imports ``dataclasses``: importing it
 and creating each dataclass were a large share of a CLI process's start-up,
-so the record classes build on ``core.Record`` instead.
+so the record classes build on ``core.Record`` instead.  Only ``jsonio``, the
+input edge, builds a matrix with ``Mat.from_columns``; computations build
+matrices from rows or from integer forms and read columns as ``.T.rows``.
 """
 
 import ast
@@ -373,6 +375,50 @@ text = "import dataclasses"
     assert sorted(dataclass_imports(ast.parse(source))) == [
         "call:10", "call:9", "from dataclasses:5", "from dataclasses:6", "import dataclasses:2",
         "import dataclasses:3", "import dataclasses:4", "import dataclasses:8"]
+
+
+def from_columns_uses(tree) -> list[int]:
+    """The lines of a module that name ``from_columns``, read as a name or an
+    attribute, imported, or looked up with ``getattr``; defining it is no use."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            name = node.args[1].value
+        else:
+            continue
+        if name == "from_columns":
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_input_edge_builds_matrices_from_columns():
+    found = {path.name: from_columns_uses(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "jsonio.py"}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert found == {}, f"build matrices from rows or integer forms; read columns as .T.rows: {found}"
+
+
+def test_from_columns_guard_sees_every_spelling():
+    source = """
+a = Mat.from_columns(cols, m=2)
+b = linalg.Mat.from_columns(cols)
+build = Mat.from_columns
+from .linalg import from_columns
+from wittpoint.linalg import Mat, from_columns as columns
+d = getattr(Mat, "from_columns")(cols)
+def from_columns(cols):
+    return from_columns_of(cols)
+e = Mat.from_rows(rows), Mat.identity(2).T.rows, Mat.integer_columns
+text = "Mat.from_columns"
+"""
+    assert sorted(from_columns_uses(ast.parse(source))) == [2, 3, 4, 5, 6, 7]
 
 
 # The names ``wittpoint`` re-exports, by the submodule that defines them.
