@@ -7,13 +7,14 @@ setting: trial division below TRIAL_CUTOFF, then Miller-Rabin and Brent's rho
 on what is left, each factorization checked by multiplying it back.  It runs on
 the integer num*den of each diagonal entry, never on a product of entries: a
 square class carries the odd-exponent primes of its entry, products of classes
-combine those prime sets, and the local symbols and Witt residues read integer
-valuations and units at each place (residues at an entry's own primes).
+combine those prime sets, and the callers that hold an entry's class read the
+local symbols and Witt residues off its squarefree kernel, the signed product of
+those primes, whose valuation at every place is 0 or 1 and whose unit at one of
+its primes p is kernel // p.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import count
 from math import gcd, prod
@@ -170,11 +171,14 @@ def _rho_split(n: int) -> tuple[int, int]:
 
 
 def factor(n: int) -> dict[int, int]:
-    """Prime factorization of |n|, n nonzero, checked by multiplying it back."""
+    """Prime factorization of |n|, n nonzero, as {prime: exponent} in ascending
+    order, counted into a plain dict and checked by multiplying it back."""
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
-    out = dict(Counter(_prime_factors(n)))
+    out = {}
+    for p in _prime_factors(n):
+        out[p] = out.get(p, 0) + 1
     if prod(p**e for p, e in out.items()) != n:
         raise CertificateError(
             f"factorization certificate failed: {tuple(out.items())} does not multiply back to {n}")
@@ -222,8 +226,10 @@ class SquareClass(Frozen):
 
 
 def square_class(a) -> SquareClass:
-    """Class of a nonzero rational modulo (Q*)^2, as a signed squarefree integer."""
-    a = Fraction(a)
+    """Class of a nonzero rational modulo (Q*)^2, as a signed squarefree integer,
+    the kernel of a.  A ``Fraction`` is read as it is; anything else is coerced."""
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
     if a == 0:
         raise ValueError("zero has no square class")
     n = a.numerator * a.denominator  # a and n*d differ by the square d^2

@@ -22,7 +22,6 @@ from .core import (
     _int_split,
     _places_of,
     is_prime,
-    relevant_places,
     residue_mod,
     square_class,
 )
@@ -227,40 +226,49 @@ class FormInvariants(Frozen):
 
 
 def hasse_of_entries(entries, places=None) -> dict:
-    """prod_{i<j} (a_i, a_j)_v over the relevant finite place set.
+    """prod_{i<j} (a_i, a_j)_v at each place v, by default the relevant places.
 
-    Each entry becomes the integer num*den of its square class once, and is
-    split at each place once; the real place is the parity of the pairs of
-    negative entries.
+    Without places, each entry is classed once, the places are 2, the primes of
+    the classes and the real place, and the symbols are read off the classes'
+    squarefree kernels.  With places, each is checked, and the symbols are read
+    off the integer num*den of each entry, which factors nothing.
     """
     entries = [Fraction(e) for e in entries]
     if places is None:
-        places = relevant_places(entries)
+        classes = [square_class(e) for e in entries]
+        return _hasse_symbols([c.representative for c in classes], _places_of(classes))
     if any(e == 0 for e in entries):
         raise ValueError("Hilbert symbol needs nonzero arguments")
     for v in places:
         if v != REAL_PLACE and (not isinstance(v, int) or not is_prime(v)):
             raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {v!r}")
-    return _hasse_symbols(entries, places)
+    return _hasse_symbols([e.numerator * e.denominator for e in entries], places)
 
 
-def _hasse_symbols(entries, places) -> dict:
-    """hasse_of_entries on nonzero rational entries at places it does not
-    check: the real place, 2 and primes read off certified factorizations."""
-    if len(entries) < 2:
+def _hasse_symbols(ints, places) -> dict:
+    """prod_{i<j} (a_i, a_j)_v for nonzero integers a_i, in the square classes of
+    the entries, at places it does not check: the real place, 2 and primes read
+    off certified factorizations.
+
+    By bilinearity the product is prod_j (a_1 ... a_(j-1), a_j)_v, so a finite
+    place takes n - 1 symbols, the prefix carried as (valuation parity, unit mod
+    p, or mod 8 at p = 2).  The real place is the parity of the pairs of
+    negative entries.
+    """
+    if len(ints) < 2:
         return {v: 1 for v in places}  # no pairs: no symbol is evaluated
-    ints = [e.numerator * e.denominator for e in entries]
     out = {}
     for v in places:
         if v == REAL_PLACE:
             negative = sum(1 for a in ints if a < 0)
             out[v] = -1 if negative * (negative - 1) // 2 % 2 else 1
             continue
-        splits = [_int_split(a, v) for a in ints]
+        modulus = 8 if v == 2 else v
+        (alpha, u), *rest = [_int_split(a, v) for a in ints]
         s = 1
-        for i, split_i in enumerate(splits):
-            for split_j in splits[i + 1:]:
-                s *= _hilbert_at_prime(split_i, split_j, v)
+        for beta, w in rest:
+            s *= _hilbert_at_prime((alpha, u), (beta, w), v)
+            alpha, u = (alpha + beta) % 2, u * w % modulus
         out[v] = s
     return out
 
@@ -281,7 +289,7 @@ def invariants(f: BilinearForm) -> FormInvariants:
         rank=len(entries),
         signature=diag.signature(),
         discriminant=prod(classes, start=square_class(1)),
-        hasse=_hasse_symbols(entries, _places_of(classes)),
+        hasse=_hasse_symbols([c.representative for c in classes], _places_of(classes)),
     )
 
 

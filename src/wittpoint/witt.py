@@ -1,7 +1,9 @@
 """Witt classes over Q and F_p in canonical form.
 
 A class over Q is stored as (signature, second residues), read in one pass
-that sends each diagonal entry's unit to W(F_p) at each prime p of its class.
+over the diagonal entries' square classes: at each prime p of a class, the
+unit k // p of its squarefree kernel k goes to W(F_p).  No entry is divided
+again at its primes; ``psi``, which takes any prime, splits the entries.
 Together these are a complete invariant (Milnor's residue exact sequence);
 the structured F_p payloads follow the classical group tables
 
@@ -9,7 +11,8 @@ the structured F_p payloads follow the classical group tables
 
 The residue at p = 2 (uniformizer 2, rank-parity payload) is kept for
 nonvanishing certificates; form equality additionally consults the Hasse
-invariant at 2 through the stabilized-invariant oracle.
+invariant at 2 through the stabilized-invariant oracle, which evaluates the
+Hasse symbols on the same kernels, n - 1 Hilbert symbols per finite place.
 """
 
 from __future__ import annotations
@@ -229,12 +232,15 @@ def _classed_entries(f: BilinearForm) -> tuple[list[Fraction], list[SquareClass]
 
 def _class_of_entries(entries, classes) -> WittClassQ:
     """Class over Q of the nondegenerate diagonal form <entries>, given their square
-    classes: the residue psi(entries, p, 1) reads the entries with p among their primes."""
+    classes: the residue psi(entries, p, 1) reads the entries with p among their
+    primes, each at the unit k // p of its squarefree kernel k, which differs from
+    the entry's unit at p by a square and so gives the same class in W(F_p)."""
     signature = sum(1 if e > 0 else -1 for e in entries)
     units = {}  # p -> unit residues of the entries of odd valuation at p
-    for e, c in zip(entries, classes):
+    for c in classes:
+        k = c.representative
         for p in c.prime_support():
-            units.setdefault(p, []).append(_split_at(e, p)[1])
+            units.setdefault(p, []).append(k // p % p)
     return WittClassQ.make(signature, {p: _fp_class(us, p) for p, us in units.items()})
 
 
@@ -274,7 +280,9 @@ def _hasse_route_entries(ef: list, classes_f: list, eg: list, classes_g: list) -
     if prod(classes_f, start=_ONE) != prod(classes_g, start=_ONE):
         return False
     places = _places_of(classes_f + classes_g)
-    return _hasse_symbols(ef, places) == _hasse_symbols(eg, places)
+    kernels_f = [c.representative for c in classes_f]
+    kernels_g = [c.representative for c in classes_g]
+    return _hasse_symbols(kernels_f, places) == _hasse_symbols(kernels_g, places)
 
 
 def classes_equal_hasse_route(f: BilinearForm, g: BilinearForm) -> bool:

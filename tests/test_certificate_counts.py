@@ -147,6 +147,21 @@ def test_hasse_symbols_test_no_place_for_primality(monkeypatch):
     assert tested == []
 
 
+def test_invariants_takes_n_minus_1_hilbert_symbols_per_finite_place(monkeypatch):
+    # prod_j (a_1 ... a_(j-1), a_j)_p: n - 1 symbols at each finite place,
+    # where the per-pair loop took n(n - 1)/2 (18 and 84 on the forms below)
+    symbols = count(monkeypatch, core, "_hilbert_at_prime")
+    for entries, finite, want in (
+        ([3 * 1009, -5 * 1013, Fraction(7, 2)], {2, 3, 5, 7, 1009, 1013}, 12),
+        ([2, Fraction(-3, 8), 5 * 49, 1, -1, 1013, Fraction(1, 12)], {2, 3, 5, 1013}, 24),
+        ([-6], {2, 3}, 0),
+    ):
+        symbols[0] = 0
+        hasse = invariants(BilinearForm.from_diagonal(entries)).hasse
+        assert set(hasse) == finite | {"real"}
+        assert symbols[0] == want == (len(entries) - 1) * len(finite)
+
+
 def test_diagonalize_takes_no_matrix_product(monkeypatch):
     # the certificate runs on the integer columns and Gram of the pivot loop
     products = count(monkeypatch, Mat, "__mul__")
@@ -168,8 +183,9 @@ def test_equivalent_classes_each_entry_once_and_reads_it_at_its_own_primes(monke
     classes = count(monkeypatch, core, "square_class")
 
     def count_in_witt(name):
-        # witt's binding only: the Hasse route splits every entry at every
-        # place, and tests its places, through the bindings in forms
+        # witt's binding only: the residues come off the squarefree kernels,
+        # dividing no entry, while the Hasse route splits every kernel at
+        # every place through the bindings in forms
         original, calls = getattr(witt, name), [0]
 
         def counted(*args):
@@ -181,7 +197,7 @@ def test_equivalent_classes_each_entry_once_and_reads_it_at_its_own_primes(monke
 
     splits, prime_tests = count_in_witt("_int_split"), count_in_witt("is_prime")
     assert not equivalent(f, g)
-    assert (classes[0], splits[0], prime_tests[0]) == (len(entries), own_primes, 0)
+    assert (classes[0], splits[0], prime_tests[0]) == (len(entries), 0, 0)
     assert (len(entries), own_primes) == (8, 14)
 
 

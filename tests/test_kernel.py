@@ -16,8 +16,9 @@ realifications, built here, and so is the Q(i) scalar they run on,
 ``GaussianRational``.
 
 The local symbols have references too: the ``Fraction`` splitting and the
-per-pair Hilbert symbols that the integer local formulas replaced, and the
-residue loop of ``psi`` over that splitting; the ``Fraction`` splitting is
+per-pair Hilbert symbols that the integer local formulas and the prefix
+products on squarefree kernels replaced, and the residue loop of ``psi`` over
+that splitting, which the residues read off the kernels replaced; the ``Fraction`` splitting is
 also the reference for the integer one, ``core._int_split``.  Square classes are checked
 against a fresh factorization of their representative, and ``factor`` against
 plain trial division.
@@ -50,6 +51,7 @@ from wittpoint.core import (
     hilbert_symbol,
     is_prime,
     _int_split,
+    _places_of,
     legendre,
     relevant_places,
     residue_mod,
@@ -65,9 +67,12 @@ from wittpoint.forms import (
     Diagonalization,
     MetabolicReduction,
     SymplecticReduction,
+    _hasse_symbols,
     diagonalize,
     hasse_of_entries,
+    invariants,
     metabolic_reduce,
+    radical_split,
     standard_symplectic_gram,
     symplectic_reduce,
 )
@@ -1413,14 +1418,47 @@ def test_psi_matches_the_fraction_splitting(entries, p, k):
     assert psi(entries, p, k) == ref_psi(entries, p, k)
 
 
+# local rationals times a prime past the trial divisors at exponent -3 to 3
+# and a square or a sign
+wide_rationals = st.builds(
+    lambda e, p, k, q: e * Fraction(p) ** k * q,
+    local_rationals, st.sampled_from((3, 1009, 10007, 99991)), st.integers(-3, 3),
+    st.sampled_from((1, 4, Fraction(1, 9), -1)),
+)
+
+
 @EXAMPLES
-@given(entries=entry_lists, shared=st.lists(local_rationals, max_size=3))
-def test_class_of_entries_matches_the_per_prime_psi_loop(entries, shared):
+@given(entries=st.lists(wide_rationals, max_size=6), shared=st.lists(local_rationals, max_size=3),
+       pad=st.integers(0, 2))
+def test_class_of_entries_matches_the_per_prime_psi_loop(entries, shared, pad):
     # entries times shared factors share their primes; p = 2, negative and
-    # non-integral entries and even exponents all come from local_rationals
-    entries = entries + [e * s for e in entries[:2] for s in shared]
+    # non-integral entries and even exponents all come from local_rationals;
+    # the residues are read off the squarefree kernels, +-1 padding included
+    entries = entries + [e * s for e in entries[:2] for s in shared] + [Fraction(1), Fraction(-1)] * pad
     got = _class_of_entries(entries, [square_class(e) for e in entries])
     assert repr(got) == repr(ref_class_of_entries(entries))
+
+
+@EXAMPLES
+@given(data=st.data(), entries=entry_lists, pad=st.integers(0, 2), places=st.one_of(st.none(), place_lists))
+def test_prefix_hasse_symbols_match_the_per_pair_symbols(data, entries, pad, places):
+    # on the squarefree kernels and on num*den, with +-1 hyperbolic padding
+    # mixed in; local_rationals give p = 2, valuations up to 4 and fractions
+    entries = data.draw(st.permutations(entries + [Fraction(1), Fraction(-1)] * pad))
+    classes = [square_class(e) for e in entries]
+    if places is None:
+        places = _places_of(classes)
+    ref = list(ref_hasse_of_entries(entries, places).items())
+    assert list(_hasse_symbols([c.representative for c in classes], places).items()) == ref
+    assert list(_hasse_symbols([e.numerator * e.denominator for e in entries], places).items()) == ref
+
+
+@EXAMPLES
+@given(f=symmetric_forms())
+def test_invariants_hasse_matches_the_per_pair_symbols(f):
+    f = radical_split(f).nondegenerate
+    entries = diagonalize(f).entries
+    assert list(invariants(f).hasse.items()) == list(ref_hasse_of_entries(entries).items())
 
 
 @EXAMPLES
