@@ -80,8 +80,8 @@ class ChainComplex(Record):
         return ChainComplex({}, {})
 
     @staticmethod
-    def single(dim: int, degree: int = 0) -> "ChainComplex":
-        return ChainComplex({degree: dim}, {})
+    def single(dim: int) -> "ChainComplex":
+        return ChainComplex({0: dim}, {})
 
     def direct_sum(self, other: "ChainComplex") -> "ChainComplex":
         degrees = set(self.spaces) | set(other.spaces)
@@ -560,8 +560,9 @@ def verify_witness(w: CobordismWitness) -> WitnessReport:
                           w.pi, w.pi_prime, h)
     bad = chain_map_failure(phi, cone_src, cone_dst)
     if bad:
-        failures.append({"check": "cone_comparison_chain_map", "degree": bad["degree"]})
-        return WitnessReport(False, failures, h)
+        # the checks above make (pi, pi' + h) a chain map; this certifies the cone signs
+        raise CertificateError("cone_comparison_chain_map certificate failed "
+                               f"at degree {bad['degree']}")
     src_coh, dst_coh = Cohomology(cone_src), Cohomology(cone_dst)
     for i in sorted(set(cone_src.spaces) | set(cone_dst.spaces)):
         hs, hd2 = src_coh.dim(i), dst_coh.dim(i)
@@ -876,19 +877,20 @@ def _degree0_witness(f: BilinearForm, f_prime: BilinearForm, *, pi: Mat, rho: Ma
 # -- seeded fixture generators ------------------------------------------
 
 
-def random_invertible(rng: Random, n: int, bound: int = 2, density: float = 0.35) -> Mat:
+def random_invertible(rng: Random, n: int, bound: int = 2) -> Mat:
     """Product of unit triangular matrices and a permutation: always invertible.
 
-    Sparse by default so Gram entries stay small enough to factor quickly along
-    witness chains.
+    Sparse (each entry below or above the diagonal is drawn with probability
+    0.35) so Gram entries stay small enough to factor quickly along witness
+    chains.
     """
     lower = [[int(i == j) for j in range(n)] for i in range(n)]
     upper = [list(r) for r in lower]
     for i in range(n):
         for j in range(i):
-            if rng.random() < density:
+            if rng.random() < 0.35:
                 lower[i][j] = rng.randint(-bound, bound)
-            if rng.random() < density:
+            if rng.random() < 0.35:
                 upper[j][i] = rng.randint(-bound, bound)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -971,17 +973,17 @@ class WitnessChain(Record):
         self.links = links
 
 
-def form_height_ok(f: BilinearForm, cap: int = 10**8) -> bool:
-    """Keep diagonal entries small enough to factor quickly."""
-    return all(abs(e.numerator * e.denominator) <= cap for e in diagonalize(f).entries)
+def form_height_ok(f: BilinearForm) -> bool:
+    """Keep diagonal entries small enough to factor quickly: |num * den| <= 10^8."""
+    return all(abs(e.numerator * e.denominator) <= 10**8 for e in diagonalize(f).entries)
 
 
-def random_witness_chain(rng: Random, core_rank: int, steps: int,
-                         max_metabolic: int = 2) -> WitnessChain:
+def random_witness_chain(rng: Random, core_rank: int, steps: int) -> WitnessChain:
     """Random chain of witnessed cobordisms with class fixed at the core's.
 
-    Steps whose Gram entries grow past factoring range are regenerated, so
-    every object in the chain has a computable Witt class.
+    At most two steps are metabolic.  Steps whose Gram entries grow past
+    factoring range are regenerated, so every object in the chain has a
+    computable Witt class.
     """
     core = random_nondegenerate_form(rng, core_rank)
     current = core
@@ -989,7 +991,7 @@ def random_witness_chain(rng: Random, core_rank: int, steps: int,
     metabolic_used = 0
     for _ in range(steps):
         choices = ["congruence", "acyclic"]
-        if metabolic_used < max_metabolic:
+        if metabolic_used < 2:
             choices.append("metabolic")
         step = rng.choice(choices)
         if step == "metabolic" and current.gram.n > 0:

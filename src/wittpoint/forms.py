@@ -273,6 +273,9 @@ def _hasse_symbols(ints, places) -> dict:
     return out
 
 
+_ONE = SquareClass._of_primes(1, frozenset())  # the unit class, built without factoring
+
+
 def invariants(f: BilinearForm) -> FormInvariants:
     """Rank, signature, discriminant, and Hasse symbols of a nondegenerate
     symmetric form over Q."""
@@ -288,7 +291,7 @@ def invariants(f: BilinearForm) -> FormInvariants:
     return FormInvariants(
         rank=len(entries),
         signature=diag.signature(),
-        discriminant=prod(classes, start=square_class(1)),
+        discriminant=prod(classes, start=_ONE),
         hasse=_hasse_symbols([c.representative for c in classes], _places_of(classes)),
     )
 

@@ -46,18 +46,6 @@ class HodgeDiamond(Frozen):
         return problems
 
 
-def point_diamond() -> HodgeDiamond:
-    return HodgeDiamond.from_rows(0, [[1]])
-
-
-def projective_plane_diamond() -> HodgeDiamond:
-    return HodgeDiamond.from_rows(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-
-def k3_diamond() -> HodgeDiamond:
-    return HodgeDiamond.from_rows(2, [[1, 0, 1], [0, 20, 0], [1, 0, 1]])
-
-
 def chi_y(d: HodgeDiamond) -> list[int]:
     """Coefficients (ascending in y) of sum_(p,q) (-1)^q h^(p,q) y^p."""
     problems = d.validate()
@@ -71,9 +59,6 @@ class ChiSpecializations(Frozen):
         # signature_is_middle is True only when the dimension is even
         self.__dict__.update(euler=euler, arithmetic_genus=arithmetic_genus, signature=signature,
                              signature_is_middle=signature_is_middle)
-
-    def as_tuple(self):
-        return (self.euler, self.arithmetic_genus, self.signature)
 
 
 def specialize(chi: list[int], dim: int | None = None) -> ChiSpecializations:
@@ -113,12 +98,6 @@ def format_poly(chi: list[int], var: str = "y") -> str:
 def epsilon(m: int) -> int:
     """The sign (-1)^(m(m+1)/2), defined for all integers."""
     return -1 if (m * (m + 1) // 2) % 2 else 1
-
-
-def epsilon_pair_identity(m: int) -> bool:
-    """epsilon_m = (-1)^i when m = 2i or m = 2i - 1."""
-    i = m // 2 if m % 2 == 0 else (m + 1) // 2
-    return epsilon(m) == (-1) ** (i % 2)
 
 
 class PrimitivePiece(Frozen):

@@ -11,11 +11,11 @@ from fractions import Fraction
 
 # The readers of complexes, witnesses, Hodge structures, diamonds and pieces
 # import their types (cobordism, hodge, genus) when called, so reading a form
-# loads none of those modules; the annotations are strings.
+# loads none of those modules; the annotations are strings.  Witt classes are
+# only written, so witt is not imported either.
 from .core import is_prime
 from .forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm, BlockMetabolicForm
 from .linalg import Mat
-from .witt import WittClassFp, WittClassQ
 
 
 class SchemaError(ValueError):
@@ -129,39 +129,11 @@ def fp_class_to_json(c: WittClassFp) -> dict:
     return {"p": c.p, "class": payload}
 
 
-def fp_class_from_json(doc, pointer: str = "$") -> WittClassFp:
-    if not isinstance(doc, dict):
-        raise SchemaError(pointer, "expected an object")
-    p = doc.get("p")
-    payload = doc.get("class", {})
-    if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
-        raise SchemaError(f"{pointer}.p", "expected a prime integer")
-    try:
-        if p == 2:
-            return WittClassFp(2, payload["rank_parity"] % 2)
-        if p % 4 == 3:
-            return WittClassFp(p, payload["mod4"] % 4)
-        return WittClassFp(p, (payload["rank_parity"] % 2, bool(payload["disc_is_residue"])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{pointer}.class", str(exc)) from exc
-
-
 def witt_class_to_json(c: WittClassQ) -> dict:
     return {
         "signature": c.signature,
         "residues": [fp_class_to_json(r) for _, r in c.residues],
     }
-
-
-def witt_class_from_json(doc, pointer: str = "$") -> WittClassQ:
-    if not isinstance(doc, dict):
-        raise SchemaError(pointer, "expected an object")
-    sig = _integer(doc.get("signature"), f"{pointer}.signature")
-    residues = {}
-    for k, entry in enumerate(doc.get("residues", [])):
-        c = fp_class_from_json(entry, f"{pointer}.residues[{k}]")
-        residues[c.p] = c
-    return WittClassQ.make(sig, residues)
 
 
 # -- complexes and witnesses ----------------------------------------------

@@ -35,6 +35,7 @@ from .forms import (
     RATIONAL,
     SKEW,
     BilinearForm,
+    _ONE,
     _hasse_symbols,
     diagonalize,
     radical_split,
@@ -258,9 +259,6 @@ def group_law(a: WittClassQ, b: WittClassQ, op: str):
 
 
 # -- equality oracles ---------------------------------------------------
-
-
-_ONE = SquareClass._of_primes(1, frozenset())
 
 
 def _hasse_route_entries(ef: list, classes_f: list, eg: list, classes_g: list) -> bool:

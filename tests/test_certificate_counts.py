@@ -428,9 +428,10 @@ def test_compare_polarizations_forms_each_product_once(monkeypatch):
     monkeypatch.setattr(Mat, "__mul__", spy)
     determinants = count(monkeypatch, Mat, "det")
     assert compare_polarizations(h, s, s_prime).identity_chain_ok
-    assert (products[(phi.T, s_c)], products[(s_c, phi)]) == (1, 1)
+    # phi^T S C = S' C follows from the certificate phi^T S = S', so only S C phi is formed
+    assert (products[(phi.T, s_c)], products[(s_c, phi)]) == (0, 1)
     # diagonalize certifies on integers and takes no Mat product
-    assert max(products.values()) == 1 and sum(products.values()) == 18
+    assert max(products.values()) == 1 and sum(products.values()) == 17
     # the frame's (1, 1) block, the coordinates of the (0, 2) partner and each
     # pairing's nondegeneracy; the positivity minors come from one
     # elimination, not one det per minor

@@ -20,7 +20,7 @@ from wittpoint.jsonio import (
     hodge_to_json,
     witness_from_json,
     witness_to_json,
-    witt_class_from_json,
+    witt_class_to_json,
 )
 from wittpoint.cobordism import (
     CobordismWitness,
@@ -57,7 +57,7 @@ def test_witt_class_round_trip(tmp_path, capsys):
     assert main(["--json", "witt-class", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     form = form_from_json(form_doc([[6, 1], [1, -15]]))
-    assert witt_class_from_json(doc) == witt_class_of(form)
+    assert doc == witt_class_to_json(witt_class_of(form))
 
 
 def test_equivalent_exit_codes(tmp_path):

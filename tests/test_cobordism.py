@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from wittpoint import cobordism
 from wittpoint.cobordism import (
     ChainComplex,
     CobordismWitness,
@@ -27,6 +28,7 @@ from wittpoint.cobordism import (
     verify_witness,
     _subquotient_shape_failures,
 )
+from wittpoint.core import CertificateError
 from wittpoint.forms import (
     HYPERBOLIC_PLANE,
     SKEW,
@@ -500,3 +502,88 @@ def test_random_invertible_draws_and_matrices_are_pinned():
     assert all(p.det() in (1, -1) for p, _ in out)
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == "5754b325b743a71b45aa6986adac4fa6436d0487bca12cf9eaf95dab653a8e15"
+
+
+# -- failing witnesses: each report pinned whole --------------------------
+
+
+def degree0_witness(pi=0, rho=0, rho_prime=0, pi_prime=0, s2=0, **objects):
+    """F = F' = <1> and G = G' = Q, all in degree 0, with 1 x 1 maps and S''
+    (a zero entry leaves the block out); ``objects`` replaces F, F', G or G'."""
+    one = BilinearForm.from_diagonal([1])
+    entries = {"pi": pi, "rho": rho, "rho_prime": rho_prime, "pi_prime": pi_prime, "s2": s2}
+    blocks = {name: {0: Mat.from_rows([[x]])} if x else {} for name, x in entries.items()}
+    parts = {"f": SelfDualComplex.from_form(one), "f_prime": SelfDualComplex.from_form(one),
+             "g": ChainComplex.single(1), "g_prime": ChainComplex.single(1), **objects}
+    return CobordismWitness(kind="direct", **parts, **blocks)
+
+
+def test_verify_witness_reports_every_invalid_object_and_the_symmetry_mismatch():
+    dd_nonzero = ChainComplex({-1: 1, 0: 1, 1: 1}, {-1: Mat.from_rows([[1]]), 0: Mat.from_rows([[1]])})
+    report = verify_witness(degree0_witness(
+        f=SelfDualComplex(1, ChainComplex.single(1), {0: Mat.from_rows([[0]])}),
+        f_prime=SelfDualComplex(-1, ChainComplex.single(1), {0: Mat.from_rows([[0]])}),
+        g=dd_nonzero, g_prime=dd_nonzero,
+    ))
+    imperfect = [{"check": "perfect_on_cohomology", "degree": 0, "witness_class_vector": ["1"]}]
+    dd = [{"check": "d_squared", "degree": -1, "witness_basis_vector": 0, "image": ["1"]}]
+    assert not report.ok
+    assert report.failures == [
+        {"check": "object_valid", "object": "F", "problems": imperfect},
+        {"check": "object_valid", "object": "F'", "problems": imperfect},
+        {"check": "symmetry_match"},
+        {"check": "object_valid", "object": "G", "problems": dd},
+        {"check": "object_valid", "object": "G'", "problems": dd},
+    ]
+    skew = SelfDualComplex.from_form(BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=SKEW))
+    assert verify_witness(degree0_witness(f_prime=skew)).failures == [{"check": "symmetry_match"}]
+
+
+def test_verify_witness_reports_each_map_that_is_not_a_chain_map():
+    twice = {0: Mat.identity(4).scale(2)}  # the degree-0 block alone does not commute with d^-1
+    w = identity_witness()
+    report = verify_witness(CobordismWitness(**{**vars(w), "pi": twice, "rho": twice,
+                                                "rho_prime": twice, "pi_prime": twice}))
+    assert report.failures == [{"check": "chain_map", "map": name, "degree": -1}
+                               for name in ("pi", "rho", "rho'", "pi'")]
+
+
+def test_verify_witness_reports_a_square_without_homotopy():
+    # pi' rho' - rho pi = 1, and G has no degree -1 for a homotopy to land in
+    report = verify_witness(degree0_witness(pi=1, rho=1, rho_prime=1, pi_prime=2, s2=1))
+    assert report.failures == [{"check": "commutativity",
+                                "detail": "square does not commute up to homotopy"}]
+
+
+def test_verify_witness_reports_an_imperfect_s2():
+    assert verify_witness(degree0_witness()).failures == [{"check": "s2_perfect", "degree": 0}]
+    assert verify_witness(degree0_witness(g_prime=ChainComplex.zero())).failures == [
+        {"check": "s2_perfect", "degree": 0, "detail": "H^0(G) = 1 vs H^0(G') = 0"}]
+
+
+def test_verify_witness_reports_a_singular_cone_comparison():
+    # zero maps and S'' = [1]: both cones have cohomology Q in degrees -1 and 0, mapped to 0
+    assert verify_witness(degree0_witness(s2=1)).failures == [
+        {"check": "cone_isomorphism", "degree": i,
+         "detail": "induced map on cone cohomology is singular"} for i in (-1, 0)]
+
+
+def test_verify_witness_reports_subquotient_objects_outside_degree_zero():
+    w = identity_witness()
+    report = verify_witness(CobordismWitness(**{**vars(w), "kind": "direct_subquotient"}))
+    assert report.failures == [{"check": "subquotient_degree_zero", "object": name}
+                               for name in ("F", "F'", "G", "G'")]
+
+
+def test_a_cone_comparison_that_is_no_chain_map_is_a_certificate_error(monkeypatch):
+    # no witness reaches this check: those before it make (pi, pi' + h) a chain map
+    build = cobordism.cone_comparison
+
+    def corrupted(*args):
+        out = build(*args)
+        out[-2] = out[-2].scale(2)
+        return out
+
+    monkeypatch.setattr(cobordism, "cone_comparison", corrupted)
+    with pytest.raises(CertificateError, match=r"^cone_comparison_chain_map certificate failed at degree -2$"):
+        verify_witness(identity_witness())

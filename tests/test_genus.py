@@ -9,13 +9,9 @@ from wittpoint.genus import (
     PrimitivePiece,
     chi_y,
     epsilon,
-    epsilon_pair_identity,
     example_drivers,
     format_poly,
-    k3_diamond,
     lefschetz_cancellation_check,
-    point_diamond,
-    projective_plane_diamond,
     sign_dictionary_check,
     specialize,
     surface_fixtures,
@@ -36,16 +32,21 @@ def random_diamond(rng: Random, n: int) -> HodgeDiamond:
     return HodgeDiamond.from_rows(n, h)
 
 
+POINT = HodgeDiamond.from_rows(0, [[1]])
+PROJECTIVE_PLANE = HodgeDiamond.from_rows(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+K3 = HodgeDiamond.from_rows(2, [[1, 0, 1], [0, 20, 0], [1, 0, 1]])
+
+
 def test_chi_y_golden_values():
-    assert chi_y(point_diamond()) == [1]
-    assert chi_y(projective_plane_diamond()) == [1, -1, 1]
-    assert chi_y(k3_diamond()) == [2, -20, 2]
+    assert chi_y(POINT) == [1]
+    assert chi_y(PROJECTIVE_PLANE) == [1, -1, 1]
+    assert chi_y(K3) == [2, -20, 2]
 
 
 def test_specializations_golden_values():
-    assert specialize(chi_y(projective_plane_diamond()), 2).as_tuple() == (3, 1, 1)
-    assert specialize(chi_y(k3_diamond()), 2).as_tuple() == (24, 2, -16)
-    assert specialize(chi_y(point_diamond()), 0).as_tuple() == (1, 1, 1)
+    for d, expected in ((PROJECTIVE_PLANE, (3, 1, 1)), (K3, (24, 2, -16)), (POINT, (1, 1, 1))):
+        s = specialize(chi_y(d), d.dim)
+        assert (s.euler, s.arithmetic_genus, s.signature) == expected
     assert specialize([1, -1], 1).signature_is_middle is False
 
 
@@ -75,7 +76,8 @@ def test_format_poly():
 
 def test_epsilon_golden_and_identities():
     assert [epsilon(m) for m in (0, 1, 2, 3, 4)] == [1, -1, -1, 1, 1]
-    assert all(epsilon_pair_identity(m) for m in range(-1000, 1001))
+    # epsilon_m = (-1)^i when m = 2i or m = 2i - 1, that is i = ceil(m / 2)
+    assert all(epsilon(m) == (-1) ** ((m + 1) // 2 % 2) for m in range(-1000, 1001))
     for m in range(-100, 100):
         assert epsilon(m) == epsilon(m - 1) * (-1) ** (m % 2)
     rng = Random(5)
