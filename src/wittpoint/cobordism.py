@@ -116,9 +116,16 @@ class Cohomology:
     def _data(self, i: int) -> tuple[Mat, Mat]:
         if i not in self._cache:
             boundaries, kernel = self.boundaries(i), self.cocycles(i)
-            # with no boundaries every cocycle is a representative, and no scan is needed
-            reps = (kernel.submatrix(range(kernel.m), extend_to_complement(boundaries, kernel))
-                    if boundaries.n else kernel)
+            d = self.c.differentials.get(i)
+            if not boundaries.n:  # every cocycle is a representative, and no scan is needed
+                reps = kernel
+            elif boundaries.n == kernel.n and (d is None or (d * boundaries).is_zero()):
+                # the boundaries are independent cocycles, dim ker d(i) of them,
+                # so they span it and H^i = 0; where d d != 0 the scan still
+                # runs, so an invalid complex keeps its representatives
+                reps = Mat.zeros(kernel.m, 0)
+            else:
+                reps = kernel.submatrix(range(kernel.m), extend_to_complement(boundaries, kernel))
             self._cache[i] = (reps, reps.hstack(boundaries))
         return self._cache[i]
 
@@ -361,7 +368,10 @@ def validate(c: SelfDualComplex) -> ComplexReport:
                 "got": str(s_mi[u, v]),
                 "expected": str(mirror[u, v]),
             })
+    stored = cx.differentials
     for i in range(min(degrees, default=0) - 1, max(degrees, default=0) + 1):
+        if i not in stored and -i - 1 not in stored:
+            continue  # d(i) = 0 and d(-i-1) = 0: both sides are zero
         # S(du, v) + (-1)^deg(u) S(u, dv) = 0 on F^i x F^{-i-1}
         a = cx.d(i).T * c.s(i + 1)
         b = c.s(i) * cx.d(-i - 1)

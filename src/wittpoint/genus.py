@@ -24,10 +24,6 @@ class HodgeDiamond(Frozen):
     def __init__(self, dim: int, h: tuple):
         self.__dict__.update(dim=dim, h=h)
 
-    @staticmethod
-    def from_rows(dim: int, rows) -> "HodgeDiamond":
-        return HodgeDiamond(dim, tuple(tuple(int(x) for x in r) for r in rows))
-
     def validate(self) -> list[str]:
         n = self.dim
         problems = []

@@ -6,10 +6,13 @@ one rational frame R of V = ⊕ W_{p,q}, one summand per pair {p, q} (Deligne,
 *Théorie de Hodge II*, 1971, §2).  For p > q, W_{p,q} has the basis
 X = Re B_{p,q}, Y = Im B_{p,q} and the complex structure J X = -Y, J Y = X
 (i on H^{p,q}, -i on H^{q,p}); W_{p,p} is spanned by Re B_{p,p}, Im B_{p,p}.
-The Weil operator is R Λ R^-1, Λ = i^(p-q) on each summand, positivity is
-Sylvester minors, and the spectrum of the comparison endomorphism is
-certified real, positive and semisimple by Sturm counts plus a squarefree
-minimal-polynomial check.
+The Weil operator is R Λ R^-1, Λ = i^(p-q) on each summand, and positivity
+is Sylvester minors of S(u, Cv); positive minors make det(S C) > 0, so they
+certify nondegeneracy too, and det S is taken only when positivity fails.
+The comparison endomorphism phi = S^-1 S' is one solve, certified by
+phi^T S = S'; its spectrum is certified real, positive and semisimple by
+Sturm counts plus a squarefree minimal-polynomial check.  Each signature is
+checked a second way, against the Hodge index theorem.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from operator import add
 from random import Random
 
 from .core import CertificateError, Frozen, Record, SturmCertificate, factor, sturm_positive_real_roots
@@ -163,17 +167,10 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
     return _Frame(basis, inverse, summands)
 
 
-def _realification(uv: Mat) -> Mat:
-    """[[U, -V], [V, U]], the rational matrix of U + iV, for uv = [U | V]."""
-    k, rows = uv.n // 2, range(uv.m)
-    u, v = uv.submatrix(rows, range(k)), uv.submatrix(rows, range(k, uv.n))
-    return u.hstack(-v).vstack(v.hstack(u))
-
-
 def _invertible(uv: Mat) -> bool:
     """Whether U + iV is invertible, by the determinant of its realification,
     |det(U + iV)|^2."""
-    return bool(_realification(uv).det())
+    return bool(uv.realification().det())
 
 
 def _bigrading_problems(h: HodgeStructure) -> list[str]:
@@ -181,7 +178,7 @@ def _bigrading_problems(h: HodgeStructure) -> list[str]:
     dependent over Q(i), or a piece's conjugate does not span its partner."""
     re = reduce(Mat.hstack, [piece.re for piece in h.pieces])
     im = reduce(Mat.hstack, [piece.im for piece in h.pieces])
-    if _realification(re.hstack(im)).rank() != 2 * h.dimension:
+    if re.hstack(im).realification().rank() != 2 * h.dimension:
         return ["piece bases are not jointly independent"]
     problems = []
     for piece in h.pieces:
@@ -193,7 +190,7 @@ def _bigrading_problems(h: HodgeStructure) -> list[str]:
         # the conjugate lies in its span exactly when that rank does not grow
         conj = partner.re.hstack(piece.re).hstack(partner.im.hstack(-piece.im))  # [partner | conj B]
         if (partner.re.n != piece.re.n
-                or _realification(conj).rank() != 2 * partner.re.n):
+                or conj.realification().rank() != 2 * partner.re.n):
             problems.append(
                 f"conjugate of piece ({piece.p},{piece.q}) does not span ({piece.q},{piece.p})"
             )
@@ -212,7 +209,7 @@ def _weil(frame: _Frame, weight: int) -> Mat:
         block = Mat.identity(w.k)
         if w.p > w.q:
             re, im = _I_POWERS[(w.p - w.q) % 4]
-            block = _realification(block.scale(re).hstack(block.scale(-im)))
+            block = block.scale(re).hstack(block.scale(-im)).realification()
         blocks.append(block)
     c = frame.basis * reduce(Mat.direct_sum, blocks, Mat.zeros(0, 0)) * frame.inverse
     if c * c != Mat.identity(c.n).scale(Fraction((-1) ** weight)):
@@ -232,18 +229,19 @@ def _respects_frame(frame: _Frame, a: Mat) -> bool:
     """Whether a matrix in frame coordinates is block-diagonal over the
     summands and J-linear on each W_{p,q}, p > q: a_XX = a_YY, a_XY = -a_YX.
     For R^T S R that is the first bilinear relation (J^T S J = S); for
-    R^-1 phi R, that phi keeps every H^{p,q}, the eigenspaces of J."""
-    blocks = []
+    R^-1 phi R, that phi keeps every H^{p,q}, the eigenspaces of J.
+    The summands tile the columns, and each is tested in place on the
+    integer columns of a."""
+    _, cols = a.integer_columns()
     for w in frame.summands:
-        own = range(w.start, w.start + (2 * w.k if w.p > w.q else w.k))
-        block = a.submatrix(own, own)
-        if w.p > w.q:
-            xs, ys = range(w.k), range(w.k, 2 * w.k)
-            if (block.submatrix(xs, xs) != block.submatrix(ys, ys)
-                    or block.submatrix(xs, ys) != -block.submatrix(ys, xs)):
-                return False
-        blocks.append(block)
-    return a == reduce(Mat.direct_sum, blocks, Mat.zeros(0, 0))
+        x, y, end = w.start, w.start + w.k, w.start + (2 * w.k if w.p > w.q else w.k)
+        if any(any(c[:x]) or any(c[end:]) for c in cols[x:end]):
+            return False
+        # column j of a_XX against a_YY, and of a_YX against -a_XY
+        if w.p > w.q and any(cx[x:y] != cy[y:end] or any(map(add, cx[y:end], cy[x:y]))
+                             for cx, cy in zip(cols[x:y], cols[y:end])):
+            return False
+    return True
 
 
 class PolarizationCheck(Record):
@@ -260,8 +258,11 @@ def is_polarization(h: HodgeStructure, s: BilinearForm) -> PolarizationCheck:
     """Check the polarization conditions exactly.
 
     Symmetry (-1)^w, orthogonality of (p, q) against everything except
-    (q, p) (the first bilinear relation), nondegeneracy, and positive
-    definiteness of S_C(u, v) = S(u, Cv) via leading principal minors.
+    (q, p) (the first bilinear relation), and positive definiteness of
+    S_C(u, v) = S(u, Cv) via leading principal minors.  Nondegeneracy is
+    read off that certificate: positive minors give det S det C > 0.  Only
+    when it fails is det S taken, and a degenerate pairing is reported
+    before the S(u, Cv) problem.
     """
     frame = _frame(h)
     return _check_polarization(h, frame, _weil(frame, h.weight), s)
@@ -284,17 +285,18 @@ def _check_polarization(h: HodgeStructure, frame: _Frame, weil: Mat,
         if not found:
             raise CertificateError("first bilinear relation certificate failed on R^T S R")
         problems += found
-    if h.dimension and not s.gram.det():
-        problems.append("pairing is degenerate")
     s_c = s.gram * weil
     if s_c != s_c.T:
-        problems.append("S(u, Cv) is not symmetric")
+        positivity = "S(u, Cv) is not symmetric"
     else:
-        for k, minor in enumerate(s_c.leading_minors(), 1):
-            if minor <= 0:
-                problems.append(f"S(u, Cv) is not positive definite "
-                                f"(leading {k}x{k} minor is {minor})")
-                break
+        positivity = next((f"S(u, Cv) is not positive definite (leading {k}x{k} minor is {minor})"
+                           for k, minor in enumerate(s_c.leading_minors(), 1) if minor <= 0), None)
+    # positive leading minors give det(S C) > 0, so det S != 0: the
+    # determinant is taken only where positivity fails
+    if positivity:
+        if not s.gram.det():
+            problems.append("pairing is degenerate")
+        problems.append(positivity)
     return PolarizationCheck(ok=not problems, problems=problems, weil=weil, s_c=s_c)
 
 
@@ -304,9 +306,9 @@ def _orthogonality_problems(h: HodgeStructure, s: BilinearForm) -> list[str]:
     ss = s.gram.direct_sum(s.gram)
     problems = []
     for a in h.pieces:
-        left = _realification(a.re.T.hstack(a.im.T)) * ss
+        left = a.re.T.hstack(a.im.T).realification() * ss
         for b in h.pieces:
-            if b.p != h.weight - a.p and not (left * _realification(b.re.hstack(b.im))).is_zero():
+            if b.p != h.weight - a.p and not (left * b.re.hstack(b.im).realification()).is_zero():
                 problems.append(f"pieces ({a.p},{a.q}) and ({b.p},{b.q}) are not S-orthogonal")
     return problems
 
@@ -356,10 +358,12 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
                           s_prime: BilinearForm) -> PolarizationPair:
     """Solve S'(u, v) = S(phi u, v) and certify the comparison endomorphism.
 
-    phi = S^{-1} S' is an endomorphism of the structure, self-adjoint for
-    the positive form S(u, Cv); its spectrum is certified real positive by
-    Sturm and semisimple by a squarefree minimal polynomial.  Eigenspaces
-    are computed only when the characteristic polynomial splits over Q.
+    phi = S^{-1} S', one solve of S X = S', is an endomorphism of the
+    structure, self-adjoint for the positive form S(u, Cv); its spectrum is
+    certified real positive by Sturm and semisimple by a squarefree minimal
+    polynomial.  Eigenspaces are computed only when the characteristic
+    polynomial splits over Q.  Both signatures are checked against the
+    Hodge index theorem.
     """
     frame = _frame(h)
     weil = _weil(frame, h.weight)
@@ -369,8 +373,9 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     chk2 = _check_polarization(h, frame, weil, s_prime)
     if not chk2.ok:
         raise ValueError(f"second pairing is not a polarization: {chk2.problems}")
-    phi = s.gram.inv() * s_prime.gram
-    if phi.T * s.gram != s_prime.gram:  # defining identity for phi
+    # S passed its check, so it is nondegenerate and phi is the one solution
+    phi = s.gram.solve(s_prime.gram)
+    if phi is None or phi.T * s.gram != s_prime.gram:  # defining identity for phi
         raise CertificateError("comparison certificate failed: phi^T S is not S'")
 
     # identity chain: S(phi u, Cv) = S'(u, Cv) = S'(v, Cu) = S(phi v, Cu) = S(u, C phi v).
@@ -410,6 +415,9 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
         sig_s, sig_sp = diagonalize(s).signature(), diagonalize(s_prime).signature()
     else:
         sig_s = sig_sp = (0, 0)
+    sign = _normalizing_sign(h.weight)
+    for name, (pos, neg) in (("S", sig_s), ("S'", sig_sp)):
+        _certify_hodge_index(h, sign * (pos - neg), f"normalized signature of {name}")
     return PolarizationPair(
         s=s, s_prime=s_prime, phi=phi, char_poly=char, sturm=cert,
         semisimple=semisimple, identity_chain_ok=chain_ok,
@@ -472,10 +480,29 @@ def pol_class(h: HodgeStructure, s: BilinearForm) -> WittClassQ:
         raise ValueError(f"not a polarization: {chk.problems}")
     if h.weight % 2:
         symplectic_reduce(s)
-        return WittClassQ.zero()
-    from .genus import epsilon  # here, so that loading hodge does not load genus
+        cls = WittClassQ.zero()
+    else:
+        cls = witt_class_of(s.scaled(_normalizing_sign(h.weight)))
+    _certify_hodge_index(h, cls.signature, "class signature")
+    return cls
 
-    return witt_class_of(s.scaled(epsilon(h.weight)))
+
+def _normalizing_sign(w: int) -> int:
+    """(-1)^(w(w+1)/2), the sign that makes a polarization of weight w the
+    form of the Hodge index theorem (``genus.epsilon``; here, so that loading
+    hodge does not load genus)."""
+    return -1 if w * (w + 1) // 2 % 2 else 1
+
+
+def _certify_hodge_index(h: HodgeStructure, signature: int, what: str) -> None:
+    """A second route to each signature: by the Hodge index theorem (the
+    Hodge-Riemann relations at a point; Voisin, *Hodge Theory and Complex
+    Algebraic Geometry I*, 6.3), the normalized polarization has signature
+    sum over pieces of (-1)^p h^{p,q}.  At odd weight both sides are 0."""
+    expected = sum((-1) ** piece.p * piece.re.n for piece in h.pieces)
+    if signature != expected:
+        raise CertificateError(f"Hodge index certificate failed: the {what} is {signature}, "
+                               f"not sum (-1)^p h^(p,q) = {expected}")
 
 
 # -- seeded fixtures ------------------------------------------------------
@@ -561,7 +588,7 @@ def random_hodge_endomorphism(rng: Random, h: HodgeStructure) -> Mat:
         for w in frame.summands:
             re, im = blocks[(w.p, w.q)]
             if w.p > w.q:
-                out.append(_realification(re.hstack(-im)))
+                out.append(re.hstack(-im).realification())
                 continue
             image = w.coords * re.direct_sum(re)  # [UM | VM]
             out.append(image.submatrix(range(w.k), w.pivots))

@@ -156,6 +156,14 @@ class Mat:
                    ints=[(d, r + [0] * other.n) for d, r in self._ints]
                    + [(d, [0] * self.n + r) for d, r in other._ints])
 
+    def realification(self) -> "Mat":
+        """[[U, -V], [V, U]], the rational matrix of U + iV, for self = [U | V].
+        A row of U and V over d stays in lowest terms with V negated or the
+        halves swapped."""
+        k = self.n // 2
+        return Mat(2 * self.m, 2 * k, ints=[(d, r[:k] + [-x for x in r[k:]]) for d, r in self._ints]
+                   + [(d, r[k:] + r[:k]) for d, r in self._ints])
+
     def submatrix(self, rows, cols) -> "Mat":
         picked = (self._ints[i] for i in rows)
         return Mat(len(rows), len(cols), ints=[_lowest(d, [r[j] for j in cols]) for d, r in picked])

@@ -155,7 +155,7 @@ def test_criterion_6_chi_y_golden_values():
         (2, [[1, 0, 1], [0, 20, 0], [1, 0, 1]], [2, -20, 2], (24, 2, -16)),  # K3
         (0, [[1]], [1], (1, 1, 1)),  # a point
     ):
-        got = chi_y(HodgeDiamond.from_rows(dim, rows))
+        got = chi_y(HodgeDiamond(dim, tuple(map(tuple, rows))))
         s = specialize(got, dim)
         ok = ok and got == chi and (s.euler, s.arithmetic_genus, s.signature) == values
     _report(6, "chi_y golden values and specializations", ok, time.time() - t0, 1.0)

@@ -377,7 +377,7 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
     spath = write(tmp_path, "s.json", form_to_json(s))
     s2path = write(tmp_path, "s2.json", form_doc([[2, 1], [1, 3]]))
     argvs = [["witt-class", form], ["invariants", form], ["equivalent", form, form],
-             ["metabolic-reduce", block], ["hodge-check", hodge, spath],
+             ["metabolic-reduce", block], ["hodge-check", hodge, spath], ["pol-class", hodge, spath],
              ["hodge-compare", hodge, spath, s2path]]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -391,6 +391,8 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
     check_code, check_loaded, _ = stages.pop("hodge-check")
     assert check_code == 0 and "hodge" in check_loaded
     assert not {"cobordism", "genus", "selfcheck"} & set(check_loaded)
+    class_code, class_loaded, _ = stages.pop("pol-class")  # the sign is taken in hodge
+    assert class_code == 0 and not {"cobordism", "genus", "selfcheck"} & set(class_loaded)
     hodge_code, hodge_loaded, _ = stages.pop("hodge-compare")
     assert hodge_code == 0 and "hodge" in hodge_loaded
     assert not {"cobordism", "selfcheck"} & set(hodge_loaded)

@@ -404,6 +404,23 @@ def corrupted(h):  # a wrong R^-1, so a wrong C
     return hodge._Frame(f.basis, f.inverse.scale(2), f.summands)
 hodge._certified_frame = corrupted
 print(fired(lambda: hodge.weil_operator(hodge.standard_structure(2, 3)[0])))
+hodge._certified_frame = certified_frame
+
+h, s = hodge.standard_structure(2, 3)
+solve = Mat.solve
+Mat.solve = lambda a, b: solve(a, b).scale(2) if b == s.gram.scale(2) else solve(a, b)  # phi doubled
+print(fired(lambda: hodge.compare_polarizations(h, s, s.scaled(2))))
+Mat.solve = solve
+
+diagonalize_q = hodge.diagonalize
+hodge.diagonalize = lambda f: forms.Diagonalization(  # every sign flipped
+    tuple(-e for e in diagonalize_q(f).entries), 0, None)
+print(fired(lambda: hodge.compare_polarizations(h, s, s.scaled(2))))
+hodge.diagonalize = diagonalize_q
+witt_class_of = hodge.witt_class_of
+hodge.witt_class_of = lambda f: -witt_class_of(f)
+print(fired(lambda: hodge.pol_class(h, s)))
+hodge.witt_class_of = witt_class_of
 
 symplectic_gram = forms.standard_symplectic_gram
 forms.standard_symplectic_gram = lambda k: symplectic_gram(k).scale(2)
@@ -438,6 +455,9 @@ def test_certificates_fire_under_python_O():
         "metabolic reduction certificate failed: A and B are not cleared",
         "metabolic reduction certificate failed: A and B are not cleared",
         "Weil operator certificate failed: C^2 is not (-1)^w",
+        "comparison certificate failed: phi^T S is not S'",
+        "Hodge index certificate failed: the normalized signature of S is -1, not sum (-1)^p h^(p,q) = 1",
+        "Hodge index certificate failed: the class signature is -1, not sum (-1)^p h^(p,q) = 1",
         "symplectic certificate failed: P^T G P is not the standard symplectic Gram",
         "core certificate failed: the square does not commute on H^0",
         "factorization certificate failed: ((2, 1), (3, 1)) does not multiply back to 6054",

@@ -29,12 +29,12 @@ def random_diamond(rng: Random, n: int) -> HodgeDiamond:
                 h[a][b] = v
     h[0][0] = max(h[0][0], 1)
     h[n][n] = h[0][0]
-    return HodgeDiamond.from_rows(n, h)
+    return HodgeDiamond(n, tuple(map(tuple, h)))
 
 
-POINT = HodgeDiamond.from_rows(0, [[1]])
-PROJECTIVE_PLANE = HodgeDiamond.from_rows(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-K3 = HodgeDiamond.from_rows(2, [[1, 0, 1], [0, 20, 0], [1, 0, 1]])
+POINT = HodgeDiamond(0, ((1,),))
+PROJECTIVE_PLANE = HodgeDiamond(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+K3 = HodgeDiamond(2, ((1, 0, 1), (0, 20, 0), (1, 0, 1)))
 
 
 def test_chi_y_golden_values():
@@ -51,7 +51,7 @@ def test_specializations_golden_values():
 
 
 def test_chi_y_rejects_invalid_diamond():
-    bad = HodgeDiamond.from_rows(1, [[1, 2], [3, 1]])
+    bad = HodgeDiamond(1, ((1, 2), (3, 1)))
     with pytest.raises(ValueError, match="invalid Hodge diamond"):
         chi_y(bad)
 

@@ -2,18 +2,22 @@
 
 import hashlib
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittpoint import hodge
-from wittpoint.forms import BilinearForm
+from wittpoint.core import CertificateError
+from wittpoint.forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm
 from wittpoint.hodge import (
     HodgePiece,
     HodgeStructure,
     compare_polarizations,
     is_polarization,
     pol_class,
+    random_hodge_endomorphism,
     random_polarization_pair,
     standard_structure,
     weil_operator,
@@ -341,3 +345,188 @@ def test_hodge_check_refuses_a_form_of_the_wrong_size(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "not a polarization\n  pairing size does not match the structure\n"
     assert err == ""
+
+
+# -- the polarization check against the version that took det S first ------
+
+
+def reference_respects_frame(frame, a):
+    """_respects_frame as it was: the summand blocks, then the whole matrix
+    against their direct sum."""
+    blocks = []
+    for w in frame.summands:
+        own = range(w.start, w.start + (2 * w.k if w.p > w.q else w.k))
+        block = a.submatrix(own, own)
+        if w.p > w.q:
+            xs, ys = range(w.k), range(w.k, 2 * w.k)
+            if (block.submatrix(xs, xs) != block.submatrix(ys, ys)
+                    or block.submatrix(xs, ys) != -block.submatrix(ys, xs)):
+                return False
+        blocks.append(block)
+    return a == reduce(Mat.direct_sum, blocks, Mat.zeros(0, 0))
+
+
+def reference_polarization_problems(h, s):
+    """is_polarization's problems as they were: det S on every pairing,
+    before the S(u, Cv) check."""
+    frame = hodge._frame(h)
+    problems = []
+    expected_sym = 1 if h.weight % 2 == 0 else -1
+    if s.symmetry != expected_sym:
+        problems.append(f"pairing must be {'symmetric' if expected_sym == 1 else 'skew'} "
+                        f"for weight {h.weight}")
+    if not reference_respects_frame(frame, frame.basis.T * s.gram * frame.basis):
+        problems += hodge._orthogonality_problems(h, s)
+    if h.dimension and not s.gram.det():
+        problems.append("pairing is degenerate")
+    s_c = s.gram * hodge._weil(frame, h.weight)
+    if s_c != s_c.T:
+        problems.append("S(u, Cv) is not symmetric")
+    else:
+        for k, minor in enumerate(s_c.leading_minors(), 1):
+            if minor <= 0:
+                problems.append(f"S(u, Cv) is not positive definite "
+                                f"(leading {k}x{k} minor is {minor})")
+                break
+    return problems
+
+
+def random_pairing_rows(rng, n, symmetry):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = rng.randint(-2, 2) if i != j or symmetry == SYMMETRIC else 0
+            rows[i][j], rows[j][i] = x, symmetry * x
+    return rows
+
+
+def moved(h, f, g):
+    """h and f in the basis g: B -> g B and S -> g^-T S g^-1."""
+    gi = g.inv()
+    return (HodgeStructure(h.weight, h.dimension, [HodgePiece(p.p, p.q, g * p.re, g * p.im) for p in h.pieces]),
+            BilinearForm(RATIONAL, f.symmetry, gi.T * f.gram * gi))
+
+
+def pairing_case(rng, weight, dim):
+    """A structure and a pairing of one of five kinds: random symmetric or
+    skew, degenerate (the last row and column repeat the first), pulled
+    back along a Hodge endomorphism that kills one summand (degenerate, with
+    S(u, Cv) symmetric), or a polarization with one entry moved.  Half are
+    moved to another basis, so that the frame is not the identity."""
+    h, _, s_prime = random_polarization_pair(rng, weight, dim)
+    kind = rng.choice(["symmetric", "skew", "degenerate", "pullback", "perturbed"])
+    if kind in ("symmetric", "skew", "degenerate"):
+        symmetry = {"symmetric": SYMMETRIC, "skew": SKEW}.get(kind) or rng.choice((SYMMETRIC, SKEW))
+        rows = random_pairing_rows(rng, dim, symmetry)
+        if kind == "degenerate":
+            for r in rows:
+                r[-1] = r[0]
+            rows[-1] = list(rows[0])
+            if dim == 1:
+                rows = [[0]]
+        f = BilinearForm(RATIONAL, symmetry, Mat.from_rows(rows))
+    elif kind == "pullback":
+        frame = hodge._frame(h)
+        w = rng.choice(frame.summands)
+        size = 2 * w.k if w.p > w.q else w.k
+        kill = Mat.diag([0 if w.start <= i < w.start + size else 1 for i in range(dim)])
+        p = frame.basis * kill * frame.inverse * random_hodge_endomorphism(rng, h)
+        f = BilinearForm(RATIONAL, s_prime.symmetry, p.T * s_prime.gram * p)
+    else:
+        rows = [list(r) for r in s_prime.gram.rows]
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        if i != j or s_prime.symmetry == SYMMETRIC:
+            x = rng.randint(-3, 3)
+            rows[i][j] += x
+            if i != j:
+                rows[j][i] += s_prime.symmetry * x
+        f = BilinearForm(RATIONAL, s_prime.symmetry, Mat.from_rows(rows))
+    if rng.random() < 0.5:
+        g = Mat.from_rows([[int(i == j) or (rng.randint(-1, 1) if j > i else 0) for j in range(dim)]
+                           for i in range(dim)])
+        h, f = moved(h, f, g.submatrix(rng.sample(range(dim), dim), range(dim)))
+    return h, f
+
+
+SHAPE_CASES = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(SHAPES))
+
+
+@given(case=SHAPE_CASES)
+@settings(max_examples=60, deadline=None)
+def test_polarization_problems_match_the_determinant_first_check(case):
+    seed, (weight, dim) = case
+    h, f = pairing_case(Random(seed), weight, dim)
+    assert is_polarization(h, f).problems == reference_polarization_problems(h, f)
+
+
+def test_the_problem_corpus_reaches_every_degenerate_combination():
+    kinds = set()
+    for seed in range(300):
+        weight, dim = SHAPES[seed % len(SHAPES)]
+        h, f = pairing_case(Random(seed), weight, dim)
+        problems = is_polarization(h, f).problems
+        assert problems == reference_polarization_problems(h, f), seed
+        degenerate = "pairing is degenerate" in problems
+        for found in problems:
+            if found.startswith("S(u, Cv)"):
+                kinds.add((degenerate, found.split(" (")[0]))
+        if not problems:
+            kinds.add("polarization")
+    assert kinds == {"polarization",
+                     (True, "S(u, Cv) is not symmetric"), (True, "S(u, Cv) is not positive definite"),
+                     (False, "S(u, Cv) is not symmetric"), (False, "S(u, Cv) is not positive definite")}
+
+
+@given(case=SHAPE_CASES)
+@settings(max_examples=40, deadline=None)
+def test_frame_test_in_place_matches_the_block_sum(case):
+    # on R^T S R for random pairings and on R^-1 phi R for Hodge
+    # endomorphisms, some with one entry moved off their blocks
+    seed, (weight, dim) = case
+    rng = Random(seed)
+    h, f = pairing_case(rng, weight, dim)
+    frame = hodge._frame(h)
+    phi = random_hodge_endomorphism(rng, h)
+    if rng.random() < 0.5:
+        rows = [list(r) for r in phi.rows]
+        rows[rng.randrange(dim)][rng.randrange(dim)] += 1
+        phi = Mat.from_rows(rows)
+    for a in (frame.basis.T * f.gram * frame.basis, frame.inverse * phi * frame.basis):
+        assert hodge._respects_frame(frame, a) == reference_respects_frame(frame, a)
+
+
+# -- the Hodge index theorem, the second route to each signature ------------
+
+
+@given(case=SHAPE_CASES)
+@settings(max_examples=40, deadline=None)
+def test_signatures_satisfy_the_hodge_index_theorem(case):
+    seed, (weight, dim) = case
+    h, s, s2 = random_polarization_pair(Random(seed), weight, dim)
+    expected = sum((-1) ** piece.p * piece.re.n for piece in h.pieces)
+    sign = (-1) ** (weight * (weight + 1) // 2)
+    pair = compare_polarizations(h, s, s2)
+    assert [sign * (pos - neg) for pos, neg in (pair.signature_s, pair.signature_s_prime)] == [expected] * 2
+    assert pol_class(h, s).signature == pol_class(h, s2).signature == expected
+
+
+def test_a_wrong_signature_fails_the_hodge_index_certificate(monkeypatch):
+    h, s, s2 = random_polarization_pair(Random(3), 2, 4)
+    diagonalize = hodge.diagonalize
+
+    def flipped(f):  # the first entry of S' changes sign
+        d = diagonalize(f)
+        return d if f is s else type(d)((-d.entries[0], *d.entries[1:]), d.radical_dim, d.congruence)
+
+    monkeypatch.setattr(hodge, "diagonalize", flipped)
+    with pytest.raises(CertificateError, match=r"^Hodge index certificate failed: the normalized "
+                                               r"signature of S' is -2, not sum \(-1\)\^p h\^\(p,q\) = 0$"):
+        compare_polarizations(h, s, s2)
+
+
+def test_comparison_certificate_fires_when_s_does_not_solve(monkeypatch):
+    h, s, s2 = random_polarization_pair(Random(3), 0, 3)
+    solve = Mat.solve
+    monkeypatch.setattr(Mat, "solve", lambda a, b: None if b == s2.gram else solve(a, b))
+    with pytest.raises(CertificateError, match="^comparison certificate failed: phi\\^T S is not S'$"):
+        compare_polarizations(h, s, s2)

@@ -83,6 +83,20 @@ def test_integer_fast_path_matches_generic():
     assert (a * half).scale(2) == prod
 
 
+def test_realification_matches_the_block_construction():
+    # [[U, -V], [V, U]] in one pass over the rows, against the blocks taken apart
+    rng = Random(11)
+    for _ in range(60):
+        m, k = rng.randint(0, 3), rng.randint(0, 3)
+        uv = Mat.from_rows([[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(2 * k)]
+                            for _ in range(m)]) if m else Mat.zeros(0, 2 * k)
+        u, v = uv.submatrix(range(m), range(k)), uv.submatrix(range(m), range(k, 2 * k))
+        real = uv.realification()
+        assert (real.m, real.n) == (2 * m, 2 * k)
+        assert real == u.hstack(-v).vstack(v.hstack(u))
+        assert real.rows == u.hstack(-v).vstack(v.hstack(u)).rows
+
+
 def test_poly_helpers():
     # (t - 1)^2 (t + 2)
     p = int_poly([Fraction(2), Fraction(-3), Fraction(0), Fraction(1)])

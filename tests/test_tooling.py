@@ -8,6 +8,8 @@ at construction and shared between matrices; the row lists it is built from
 are kept only as its ``rows`` view, which no kernel reads.  A write to
 ``rows`` would change no result, so neither the package nor its tests write
 rows or the form, and inside ``Mat`` only the ``rows`` property reads them.
+No package module but ``linalg`` names a ``Mat``'s private slots; the others
+read matrices through its methods, such as ``integer_columns``.
 The package loads its submodules lazily, but re-exports the same names.
 It keeps no process-wide state: no ``global`` statement and no memo cache.
 Degree-0 subquotient witnesses are built by one function, so their block
@@ -198,6 +200,54 @@ class Other:
     assert second_form_uses(ast.parse(source)) == [
         "__init__ _rows:5", "_integers _integers:11", "__eq__ _rows:14", "__eq__ _integers:14",
         "neg _rows:16"]
+
+
+PRIVATE_MATRIX_SLOTS = {"_ints", "_rows", "_cols"}
+
+
+def private_slot_uses(tree) -> list[str]:
+    """The places a module names a private ``Mat`` slot: as an attribute, a
+    name or an imported name, or looked up by ``getattr``, ``setattr`` or
+    ``hasattr``; one entry per place."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "setattr", "hasattr")
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            name = node.args[1].value
+        else:
+            continue
+        if name in PRIVATE_MATRIX_SLOTS:
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_only_linalg_names_the_private_matrix_slots():
+    found = {path.name: private_slot_uses(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("linalg.py")  # the guard sees the slots where they are used
+    found = {name: places for name, places in found.items() if places}
+    assert found == {}, f"read matrices through Mat methods, such as integer_columns: {found}"
+
+
+def test_private_slot_guard_sees_every_spelling():
+    source = """
+d, r = m._ints[0]
+m._rows = None
+cols = a.b._cols[1]
+x = getattr(m, "_ints")
+from .linalg import _cols
+_rows = 1
+setattr(m, "_rows", None)
+y = m.rows, m.integer_columns(), m.ints, m._ints_of, "_ints"
+"""
+    assert sorted(private_slot_uses(ast.parse(source))) == [
+        "_cols:4", "_cols:6", "_ints:2", "_ints:5", "_rows:3", "_rows:7", "_rows:8"]
 
 
 def subquotient_witness_builders(tree) -> list[str]:
