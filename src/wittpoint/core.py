@@ -3,8 +3,10 @@ and Sturm root counting.
 
 This is the numeric substrate for every Witt invariant in the package.  All
 arithmetic is exact; nothing here ever touches a float.  Factoring has no
-setting: trial division below TRIAL_CUTOFF, then Miller-Rabin and Brent's rho
-on what is left, each factorization checked by multiplying it back.  It runs on
+setting: the primes below TRIAL_CUTOFF that divide n are read off one gcd of n
+with their product (Bernstein, "How to find smooth parts of integers", 2004)
+and divided out, then Miller-Rabin and Brent's rho run on what is left, each
+factorization checked by multiplying it back.  It runs on
 the integer num*den of each diagonal entry, never on a product of entries: a
 square class carries the odd-exponent primes of its entry, products of classes
 combine those prime sets, and the callers that hold an entry's class read the
@@ -16,14 +18,25 @@ its primes p is kernel // p.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
-from math import gcd, prod
+from itertools import compress, count
+from math import gcd, isqrt, prod
 from operator import attrgetter
 
 REAL_PLACE = "real"
 
-TRIAL_CUTOFF = 1_000  # trial division by 2, 3 and the 6k +- 1 below it
-_TRIAL_DIVISORS = (2, 3) + tuple(d + k for d in range(5, TRIAL_CUTOFF, 6) for k in (0, 2))
+
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """The primes below limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return tuple(compress(range(limit), sieve))
+
+
+TRIAL_CUTOFF = 1_000  # the primes below it are divided out, found by one gcd with their product
+_SMALL_PRIMES = _primes_below(TRIAL_CUTOFF)
+_PRIMORIAL = prod(_SMALL_PRIMES)
 RHO_STEPS = 1 << 18  # squarings Brent's rho may take on one composite cofactor
 RHO_BATCH = 128  # differences multiplied together per gcd
 
@@ -119,14 +132,25 @@ def is_prime(n: int) -> bool:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The prime factors of n >= 1, with multiplicity, ascending."""
+    """The prime factors of n >= 1, with multiplicity, ascending.
+
+    The primes below TRIAL_CUTOFF that divide n are those of
+    g = gcd(n, _PRIMORIAL), and n is divided by those alone.  g is
+    squarefree, so once p * p > g, what is left of g is 1 or a prime."""
     out = []
-    for p in _TRIAL_DIVISORS:
-        if p * p > n:
+    g = gcd(n, _PRIMORIAL)
+    for p in _SMALL_PRIMES:
+        if p * p > g:
             break
-        while n % p == 0:
-            n //= p
-            out.append(p)
+        if g % p == 0:
+            g //= p
+            while n % p == 0:
+                n //= p
+                out.append(p)
+    if g > 1:
+        while n % g == 0:
+            n //= g
+            out.append(g)
     # no prime below TRIAL_CUTOFF divides what is left, so a cofactor below its square is prime
     cofactors = [n] if n > 1 else []
     while cofactors:

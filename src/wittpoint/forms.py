@@ -130,6 +130,11 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
     residues in [0, p): u_i = b_i - (c_i / d) b_k and m_ij -> m_ij - c_i c_j / d.
     The certificate B^T (scale G) B = scale D runs on its integers, exactly
     over Q, mod p over F_p; G is symmetric, so it checks entries i <= j.
+
+    A Gram matrix that is already diagonal (mod p over F_p) with every
+    diagonal entry nonzero takes no pivot loop: every step would pivot in
+    place and clear nothing, so B = I and D is that diagonal.  For B = I the
+    certificate is the test that picks this path, so it runs exactly there.
     """
     if not f.is_symmetric:
         raise ValueError("diagonalization requires symmetric form")
@@ -138,6 +143,10 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
     # scale * G, by its columns, which are its rows; the certificate reads it
     scale, gram = f.gram.integer_columns()
     m = [list(c) if p is None else [x % p for x in c] for c in gram]
+    diag = [c[i] for i, c in enumerate(m)]
+    if all(diag) and all(c.count(0) == n - 1 for c in m):  # nonzero diagonal, zero elsewhere
+        entries = tuple(Fraction(d, scale) for d in diag) if p is None else tuple(diag)
+        return Diagonalization(entries=entries, radical_dim=0, congruence=Mat.identity(n))
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def reduced(x):

@@ -174,6 +174,27 @@ def test_diagonalize_takes_no_matrix_product(monkeypatch):
     assert products[0] == 0
 
 
+def test_diagonalize_certifies_separately_only_what_it_eliminates(monkeypatch):
+    # a diagonal Gram with no zero on its diagonal (mod p) is its own
+    # certificate for P = I; a zero on it sends the form through the pivot
+    # loop, its certificate and a trailing radical
+    certificates = count(monkeypatch, forms, "_certify_congruence")
+    for f in (BilinearForm.from_diagonal([2, Fraction(-3, 4), 5]),
+              BilinearForm.from_rows([[9, 7, 0], [7, -1, 14], [0, 14, 3]], field=7),
+              BilinearForm.from_diagonal([])):
+        d = diagonalize(f)
+        assert (d.radical_dim, d.congruence) == (0, Mat.identity(f.gram.n))
+    assert certificates[0] == 0
+    # the last column of P spans the radical
+    for f, entries, radical in ((BilinearForm.from_diagonal([2, 0, 3]), (2, 3), [0, 1, 0]),
+                                (BilinearForm.from_diagonal([7, 2, 3], field=7), (2, 3), [1, 0, 0]),
+                                (BilinearForm.from_diagonal([0]), (), [1])):
+        certificates[0] = 0
+        d = diagonalize(f)
+        assert (d.entries, d.radical_dim, certificates[0]) == (entries, 1, 1)
+        assert [row[-1] for row in d.congruence.rows] == radical
+
+
 def test_equivalent_classes_each_entry_once_and_reads_it_at_its_own_primes(monkeypatch):
     # shared primes, the prime 2, even exponents, non-integral entries, and
     # ranks 3 and 5, so that the Hasse route pads f with a hyperbolic plane

@@ -7,10 +7,12 @@ looks at the valuation formulas it is checking.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittpoint import core
 from wittpoint.core import (
     REAL_PLACE,
     FactorBoundExceeded,
@@ -181,6 +183,49 @@ def test_factor_refuses_a_cofactor_beyond_the_rho_budget():
     assert is_prime(p) and is_prime(q)
     with pytest.raises(FactorBoundExceeded, match=f"cofactor {p * q} is composite"):
         factor(2 * p * q)
+
+
+def head_prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 by trial division by 2, 3 and every 6k +- 1
+    below TRIAL_CUTOFF, then the same cofactor steps as the package."""
+    out = []
+    for p in (2, 3) + tuple(d + k for d in range(5, core.TRIAL_CUTOFF, 6) for k in (0, 2)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            out.append(p)
+    cofactors = [n] if n > 1 else []
+    while cofactors:
+        m = cofactors.pop()
+        if m < core.TRIAL_CUTOFF**2 or is_prime(m):
+            out.append(m)
+        else:
+            cofactors += core._rho_split(m)
+    return sorted(out)
+
+
+small_prime_powers = st.lists(
+    st.tuples(st.sampled_from([2, 3, 5, 7, 31, 991, 997]), st.integers(min_value=1, max_value=40)),
+    max_size=4)
+large_parts = st.lists(
+    st.one_of(st.sampled_from([997, 1009, 997**2, 10**6 + 3, 1009 * (10**6 + 3)]),
+              st.integers(min_value=10**6 + 1, max_value=10**6 + 2000)),
+    max_size=3)
+
+
+@given(powers=small_prime_powers, parts=large_parts)
+@settings(max_examples=200)
+def test_prime_factors_match_trial_division(powers, parts):
+    # n = 1 when both lists are empty
+    n = prod(p**e for p, e in powers) * prod(parts)
+    assert core._prime_factors(n) == head_prime_factors(n)
+
+
+def test_primorial_is_the_product_of_the_primes_below_the_cutoff():
+    primes = [p for p in range(core.TRIAL_CUTOFF) if is_prime(p)]
+    assert core._SMALL_PRIMES == tuple(primes)
+    assert core._PRIMORIAL == prod(primes)
 
 
 def test_is_prime_small():

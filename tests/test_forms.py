@@ -41,6 +41,9 @@ def symmetric_from_lower(n: int, entries) -> Mat:
     return Mat(n, n, rows)
 
 
+nonzero_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+
+
 def symmetric_matrices(n_max=4, bound=4):
     def build(draw):
         n = draw(st.integers(min_value=0, max_value=n_max))
@@ -91,6 +94,28 @@ def test_diagonalize_fp():
     prod = p.T * f.gram * p
     assert all(int(prod[i, j]) % 5 == 0 for i in range(2) for j in range(2) if i != j)
     assert [int(prod[i, i]) % 5 for i in range(2)] == [int(e) % 5 for e in d.entries]
+
+
+@given(data=st.data(), n=st.integers(min_value=0, max_value=5),
+       field=st.sampled_from([RATIONAL, 3, 5, 7, 101]))
+@settings(max_examples=120)
+def test_diagonalize_returns_a_diagonal_form_as_it_is(data, n, field):
+    # a nonzero diagonal (mod p): its entries, no radical and P = I, as the
+    # pivot loop would give; over F_p the entries may be >= p or negative and
+    # the off-diagonal entries any multiples of p
+    if field == RATIONAL:
+        entries = data.draw(st.lists(nonzero_fractions, min_size=n, max_size=n))
+        want, multiples = tuple(entries), st.just(0)
+    else:
+        entries = data.draw(st.lists(st.integers(-3 * field, 3 * field).filter(lambda x: x % field),
+                                     min_size=n, max_size=n))
+        want, multiples = tuple(e % field for e in entries), st.integers(-3, 3).map(field.__mul__)
+    rows = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(multiples)
+    d = diagonalize(BilinearForm.from_rows(rows, field=field))
+    assert (d.entries, d.radical_dim, d.congruence) == (want, 0, Mat.identity(n))
 
 
 def test_integer_certificate_rejects_a_wrong_congruence():
@@ -369,17 +394,20 @@ def fired(run):
         return str(e) if type(e) is CertificateError else f"not a CertificateError: {e!r}"
     return "nothing fired"
 
+# a diagonal Gram takes no pivot loop and no separate certificate, so these
+# forms are not diagonal: the pivot loop gives P = [e0, e1 - e0, e2], D = (1, 1, -1)
+gram = [[1, 1, 0], [1, 2, 0], [0, 0, -1]]
 certify_congruence = forms._certify_congruence
 def corrupted(cols, gram, diag, p):  # a wrong P: its first column gains e_1
     certify_congruence([[cols[0][0] + 1] + cols[0][1:]] + cols[1:], gram, diag, p)
 forms._certify_congruence = corrupted
-print(fired(lambda: diagonalize(BilinearForm.from_diagonal([2, -3]))))
+print(fired(lambda: diagonalize(BilinearForm.from_rows(gram))))
 forms._certify_congruence = lambda cols, gram, diag, p: certify_congruence(  # a wrong P: 2P
     [[2 * x for x in c] for c in cols], gram, diag, p)
-print(fired(lambda: diagonalize(BilinearForm.from_diagonal([2, 3], field=5))))
-# a wrong P whose diagonal is right: only entry (0, 2), above the diagonal, is wrong
-forms._certify_congruence = lambda cols, gram, diag, p: certify_congruence(cols[:2] + [[2, 2, 3]], gram, diag, p)
-print(fired(lambda: diagonalize(BilinearForm.from_diagonal([1, 1, -1]))))
+print(fired(lambda: diagonalize(BilinearForm.from_rows(gram, field=5))))
+# a wrong P whose diagonal is right: entry (0, 2), above the diagonal, is wrong
+forms._certify_congruence = lambda cols, gram, diag, p: certify_congruence(cols[:2] + [[0, 2, 3]], gram, diag, p)
+print(fired(lambda: diagonalize(BilinearForm.from_rows(gram))))
 forms._certify_congruence = certify_congruence
 
 block_gram = forms._block_gram
