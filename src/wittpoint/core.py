@@ -106,11 +106,18 @@ class FactorBoundExceeded(ValueError):
     """Raised when Brent's rho uses up its step budget on a composite cofactor."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# bases 2, 3, 5 and 7 are exact below this, the least strong pseudoprime to
+# all four, 151 * 751 * 28351 (Jaeschke, Math. Comp. 61, 1993)
+_FOUR_BASES_BOUND = 3_215_031_751
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < 3.3e24: the first four
+    bases below _FOUR_BASES_BOUND, all twelve above it."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -118,7 +125,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES[:4] if n < _FOUR_BASES_BOUND else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

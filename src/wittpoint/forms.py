@@ -109,9 +109,11 @@ class Diagonalization(Frozen):
         return len(self.entries)
 
     def signature(self) -> tuple[int, int]:
-        pos = sum(1 for e in self.entries if e > 0)
-        neg = sum(1 for e in self.entries if e < 0)
-        return pos, neg
+        """(positive, negative) entries, counted on the entries' numerators
+        (a denominator is positive)."""
+        nums = [e.numerator for e in self.entries]
+        pos = sum(1 for x in nums if x > 0)
+        return pos, sum(1 for x in nums if x < 0)
 
 
 def diagonalize(f: BilinearForm) -> Diagonalization:

@@ -4,16 +4,19 @@ A ``Mat`` stores one form of its entries, the integer form: one pair
 (d, nums) per row, the row being nums / d in lowest terms with d > 0, so
 equal matrices have equal forms.  A matrix built from rows converts them at
 construction and raises ``TypeError`` there on an entry that is not
-rational.  Every operation reads integer forms and builds one.  ``rows`` is
-a view of the entries as ``Fraction`` rows, made from the integer form when
-first read and then kept.  Writing to it changes no result.  ``rref`` runs
-Gauss-Jordan by cross-multiplication, dividing each changed row by its
-content; ``det`` and ``leading_minors`` run Bareiss's fraction-free
-elimination (Bareiss 1968; Cohen, *A Course in Computational Algebraic
-Number Theory*, 2.2).  The reduced row echelon form is unique, so each
-returns what elimination over Q returns.  Shapes are
-explicit, as zero-row and zero-column matrices occur constantly.  Integer
-forms are never written, so matrices may share their rows.
+rational.  Every operation reads integer forms and builds one.  A product
+combines the rows of its right factor over the nonzero entries of each row
+of its left one, so a product with I or a sparse factor costs little.
+``rows`` is a view of the entries as ``Fraction`` rows, made from the
+integer form when first read and then kept.  Writing to it changes no
+result.  ``rref`` runs Gauss-Jordan by cross-multiplication, dividing each
+changed row by its content; ``det`` and ``leading_minors`` run Bareiss's
+fraction-free elimination (Bareiss 1968; Cohen, *A Course in Computational
+Algebraic Number Theory*, 2.2).  The reduced row echelon form is unique,
+so each returns what elimination over Q returns.  Shapes are explicit, as
+zero-row and zero-column matrices occur constantly.  Integer forms are
+never written, so matrices may share their rows: a product's row may be a
+row of its right factor.
 """
 
 from __future__ import annotations
@@ -122,14 +125,33 @@ class Mat:
         return Mat(self.m, self.n, ints=[_lowest(q * d, [p * x for x in r]) for d, r in self._ints])
 
     def __mul__(self, other: "Mat") -> "Mat":
-        """The product, on integers: row i is the integer dot products of
-        row i of ``self`` with the integer columns of ``other``, over the
-        product of their denominators."""
+        """The product, as row combinations on integers.
+
+        The rows of ``other`` are put over their common denominator t once.
+        Row i of the product is the sum of a_ik times row k of t * other,
+        over the nonzero a_ik of row i of ``self`` (over s) alone, and then
+        divided by s * t.  A row of ``self`` whose only nonzero entry is 1
+        gives a row of ``other`` itself, and a zero row gives zeros, so a
+        product with I or with a sparse factor does almost no arithmetic.
+        """
         if self.n != other.m:
             raise ValueError(f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        t, cols = other.integer_columns()
-        return Mat(self.m, other.n, ints=[_lowest(s * t, [sum(map(mul, r, c)) for c in cols])
-                                          for s, r in self._ints])
+        n = other.n
+        t = lcm(*[s for s, _ in other._ints])
+        b = [q for _, q in other._ints] if t == 1 else [_over(t, s, q) for s, q in other._ints]
+        out = []
+        for s, r in self._ints:
+            acc = None
+            for x, q in zip(r, b):
+                if x:
+                    if acc is None:
+                        acc = q if x == 1 else [x * y for y in q]
+                    elif x == 1:
+                        acc = list(map(add, acc, q))
+                    else:
+                        acc = [u + x * y for u, y in zip(acc, q)]
+            out.append((1, [0] * n) if acc is None else _lowest(s * t, acc))
+        return Mat(self.m, n, ints=out)
 
     @property
     def T(self) -> "Mat":
@@ -247,21 +269,24 @@ class Mat:
         It runs on the integer matrix B = D*A, D the lcm of A's denominators.
         B's characteristic polynomial has integer coefficients b_k, so each
         division by k is exact, and the coefficient of t^k for A is
-        b_k / D^(n-k).
+        b_k / D^(n-k).  As M_1 = I, the first step reads B M_1 = B off B's
+        columns with no product; each later step takes the dot products of
+        the rows of M_k with B's columns, into fresh rows, so adding c I
+        writes no cached column.
         """
         if self.m != self.n:
             raise ValueError("characteristic polynomial of a non-square matrix")
         d, cols = self.integer_columns()
         n = self.n
         coeffs_desc = [1]
-        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        bm = [list(r) for r in zip(*cols)]  # B M_1 = B, as M_1 = I: fresh rows of B
         for k in range(1, n + 1):
-            bm = [[sum(map(mul, row, col)) for col in cols] for row in m]  # M commutes with B
             c = -sum(bm[i][i] for i in range(n)) // k
             coeffs_desc.append(c)
-            for i, row in enumerate(bm):
-                row[i] += c
-            m = bm
+            if k < n:
+                for i, row in enumerate(bm):  # M_(k+1) = B M_k + c I
+                    row[i] += c
+                bm = [[sum(map(mul, row, col)) for col in cols] for row in bm]  # M commutes with B
         return [Fraction(c, d**k) for k, c in enumerate(coeffs_desc)][::-1]
 
 

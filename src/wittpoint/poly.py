@@ -136,16 +136,22 @@ def int_poly_at(q: list[int], a: Mat) -> tuple[int, list[list[int]]]:
     square rational matrix a, with d the lcm of a's denominators.
 
     Horner runs on the integer matrix d * a with coefficients q_k * d^(m-k),
-    so the value is an integer matrix and no Fraction is formed.
+    so the value is an integer matrix and no Fraction is formed.  It starts
+    at q_m * (d * a), read off the columns of d * a with no product by I;
+    every row it adds a constant to is a fresh list, so no cached column is
+    written.
     """
     if a.m != a.n:
         raise ValueError("a polynomial is evaluated at a square matrix")
+    if len(q) == 1:
+        return 1, [[q[0] if i == j else 0 for j in range(a.n)] for i in range(a.n)]
     d, cols = a.integer_columns()
-    acc = [[q[-1] if i == j else 0 for j in range(a.n)] for i in range(a.n)]
-    scale = 1
-    for c in reversed(q[:-1]):
-        scale *= d
-        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+    acc = [[q[-1] * x for x in row] for row in zip(*cols)]
+    scale = d
+    for k, c in enumerate(reversed(q[:-1])):
+        if k:
+            scale *= d
+            acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
         if c:
             for i, row in enumerate(acc):
                 row[i] += c * scale

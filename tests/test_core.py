@@ -237,6 +237,62 @@ def test_is_prime_small():
     assert primes == sieve
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the strong Fermat test to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def ref_is_prime(n: int) -> bool:
+    """Trial division by the twelve bases, then all twelve at every size."""
+    if n < 2:
+        return False
+    for p in TWELVE_BASES:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in TWELVE_BASES)
+
+
+FOUR_BASES_BOUND = 3_215_031_751
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.one_of(st.integers(-3, 10**5), st.integers(10**5, 10**10),
+                   st.integers(FOUR_BASES_BOUND - 10**4, FOUR_BASES_BOUND + 10**4),
+                   st.integers(10**10, 10**24)))
+def test_is_prime_matches_the_twelve_base_loop(n):
+    assert is_prime(n) == ref_is_prime(n)
+
+
+def test_is_prime_near_10_7_and_10_9_and_at_the_four_base_pseudoprime():
+    for base in (10**7, 10**9):
+        found = [n for n in range(base - 200, base + 200) if is_prime(n)]
+        assert found == [n for n in range(base - 200, base + 200) if ref_is_prime(n)]
+        assert len(found) > 10
+    assert all(map(is_prime, (10**7 + 19, 10**9 + 7, 10**9 + 9)))
+    # the least strong pseudoprime to bases 2, 3, 5 and 7: four bases would
+    # call it prime, and at the bound is_prime takes all twelve
+    psp = 151 * 751 * 28351
+    assert psp == FOUR_BASES_BOUND == core._FOUR_BASES_BOUND
+    assert all(strong_probable_prime(psp, a) for a in (2, 3, 5, 7))
+    assert not is_prime(psp) and not ref_is_prime(psp)
+    # the least strong pseudoprime to bases 2, 3 and 5 needs base 7
+    assert all(strong_probable_prime(25_326_001, a) for a in (2, 3, 5))
+    assert not is_prime(25_326_001)
+
+
 # -- sturm ------------------------------------------------------------------
 
 

@@ -980,6 +980,35 @@ def mixed_factors(draw):
     return field_matrix(a.m, a.n, a_rows), field_matrix(b.m, b.n, b_rows)
 
 
+# mostly 0 and +-1, as in the products of the Hodge comparison, with some
+# rationals over mixed denominators
+sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                           st.sampled_from([Fraction(1), Fraction(-1)]), rationals)
+
+
+@st.composite
+def sparse_matrices(draw, m: int, n: int):
+    """An m x n matrix of ``sparse_entries``, or, when drawn, the identity,
+    a signed permutation (when square) or zero."""
+    kind = draw(st.sampled_from(["entries", "entries", "identity", "permutation", "zero"]))
+    if kind == "zero":
+        return Mat.zeros(m, n)
+    if m == n and kind == "identity":
+        return Mat.identity(n)
+    if m == n and kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        signs = [draw(st.sampled_from([1, -1])) for _ in range(n)]
+        return Mat(n, n, [[Fraction(signs[i] * (j == perm[i])) for j in range(n)] for i in range(n)])
+    return Mat(m, n, [[draw(sparse_entries) for _ in range(n)] for _ in range(m)])
+
+
+@st.composite
+def sparse_factors(draw):
+    """A product's two sparse factors, each dimension 0 to 5."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(sparse_matrices(m, k)), draw(sparse_matrices(k, n))
+
+
 @st.composite
 def polynomials(draw):
     """Rational polynomials of degree up to 7, zero and constants included:
@@ -1069,6 +1098,36 @@ def test_product_edge_shapes():
     assert same_entries(realify(a) * realify(b), realify(ref_product(a, b)))
     with pytest.raises(ValueError, match="cannot multiply"):
         b * Mat.zeros(2, 1)
+
+
+@EXAMPLES
+@given(ab=sparse_factors())
+def test_product_of_sparse_matrices_matches_the_field_loop(ab):
+    # the row combinations skip zero entries and take a row of b itself for a
+    # row of a whose only nonzero entry is 1; neither factor's integer form is
+    # written, though the product may share b's rows
+    a, b = ab
+    before = [(d, list(r)) for d, r in a._ints], [(d, list(r)) for d, r in b._ints]
+    product = a * b
+    assert same_entries(product, ref_product(a, b))
+    assert (a._ints, b._ints) == before
+    assert same_entries(product * Mat.identity(b.n), product)
+    assert same_entries(Mat.identity(a.m) * product, product)
+    assert (a._ints, b._ints) == before
+
+
+def test_rows_of_a_sparse_product_start_from_the_right_factor_unwritten():
+    # rows of a whose first nonzero entry is 1 start from a row of b itself,
+    # and later terms must not be added into it
+    a = Mat.from_rows([[1, 1, 0], [0, 1, -1], [0, 0, 0], [0, 0, 1], [1, 1, 1], ["1/2", 0, 1]])
+    for b in (Mat.from_rows([[1, 2, 0], [0, -1, 3], [4, 0, 0]]),
+              Mat.from_rows([["1/2", 1, 0], [0, "-1/2", 3], [4, 0, "1/2"]])):
+        before = [(d, list(r)) for d, r in b._ints]
+        product = a * b
+        assert same_entries(product, ref_product(a, b)) and b._ints == before
+        assert product._ints[2] == (1, [0, 0, 0])
+        # a row of I in a takes the row of b as it is when b's rows share one denominator
+        assert product._ints[3][1] is b._ints[2][1]
 
 
 @EXAMPLES
@@ -1595,3 +1654,43 @@ def test_spectral_certificate_edge_cases(monkeypatch):
     with pytest.raises(TypeError, match="over Q"):
         Mat(1, 1, [[QI_ONE]]).charpoly()
 
+
+
+def test_horner_of_degree_0_and_1_matches_the_reference():
+    # degree 0 returns q_0 * I with no product; degree 1 starts Horner at
+    # q_1 * (d * a) and takes no product at all
+    for a in (Mat.zeros(0, 0), Mat.from_rows([[0]]), Mat.from_rows([[5]]), Mat.from_rows([["-7/3"]])):
+        d = a.integer_columns()[0]
+        for q in ([3], [-2], [0, 1], [4, -6], [-1, 3], [0, 0, 2]):
+            scale, value = int_poly_at(q, a)
+            assert scale == d ** (len(q) - 1)
+            got = Mat(a.m, a.n, [[Fraction(x, scale) for x in row] for row in value])
+            assert same_entries(got, ref_poly_eval_matrix(q, a))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_charpoly_and_horner_write_no_cached_column_or_row(data):
+    # both add constants to the diagonal of rows they built themselves, never
+    # to a cached column or to a row of the integer form
+    n = data.draw(st.integers(0, 4))
+    a = data.draw(st.one_of(matrices(n, n, size=4), sparse_matrices(n, n)))
+    q = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=5).filter(lambda q: q[-1]))
+    d, cols = a.integer_columns()
+    before = [tuple(c) for c in cols], [(s, list(r)) for s, r in a._ints]
+    char, value = a.charpoly(), int_poly_at(q, a)
+    assert a.integer_columns() == (d, before[0]) and a.integer_columns()[1] is cols
+    assert a._ints == before[1]
+    assert (a.charpoly(), int_poly_at(q, a)) == (char, value)
+    assert same_list(char, ref_charpoly(a))
+
+
+@EXAMPLES
+@given(entries=st.lists(nonzero_rationals, max_size=6), f=symmetric_forms())
+def test_signature_counts_the_signs_the_fraction_comparisons_count(entries, f):
+    def ref_signature(es):
+        return sum(1 for e in es if e > 0), sum(1 for e in es if e < 0)
+
+    assert Diagonalization(tuple(entries), 0, Mat.identity(len(entries))).signature() == ref_signature(entries)
+    diag = diagonalize(f)
+    assert diag.signature() == ref_signature(diag.entries)
