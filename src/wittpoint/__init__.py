@@ -20,7 +20,7 @@ _EXPORTS = {
     ),
     "witt": (
         "WittClassFp", "WittClassQ", "equivalent", "fp_class_of", "fp_group_table",
-        "group_law", "psi", "witt_class_of",
+        "psi", "witt_class_of",
     ),
     "cobordism": (
         "ChainComplex", "CobordismWitness", "SelfDualComplex", "cobordism_class",

@@ -19,7 +19,7 @@ from fractions import Fraction
 # no more module bodies than its one command uses.
 from . import jsonio
 from .core import CertificateError, Record
-from .forms import invariants, metabolic_reduce
+from .forms import SKEW, invariants, metabolic_reduce
 from .jsonio import SchemaError
 from .witt import equivalent, psi, witt_class_of
 
@@ -105,12 +105,13 @@ def _cmd_metabolic_reduce(args) -> Outcome:
 
 
 def _cmd_complex_class(args) -> Outcome:
-    from .cobordism import _class_of_h0, _h0_form_of, validate
+    from .cobordism import _h0_form_of, validate
     cpx = jsonio.complex_from_json(_load(args.complex))
     report = validate(cpx)
     if not report.ok:
         raise ValueError(f"invalid complex: {report.problems}")
-    cls, cert = _class_of_h0(_h0_form_of(cpx, report))
+    h0 = _h0_form_of(cpx, report)
+    cls = witt_class_of(h0)  # for a skew H^0 form, certified zero by a symplectic basis
     payload = {
         "symmetry": "symmetric" if cpx.epsilon == 1 else "skew",
         "witt_class": jsonio.witt_class_to_json(cls),
@@ -118,9 +119,10 @@ def _cmd_complex_class(args) -> Outcome:
     }
     text = [f"cobordism class: signature {cls.signature}, "
             f"{len(cls.residues)} nonzero residues"]
-    if cert is not None:
-        payload["symplectic_certificate"] = {"hyperbolic_count": cert.hyperbolic_count}
-        text.append(f"skew sector: certified zero ({cert.hyperbolic_count} hyperbolic planes on H^0)")
+    if cpx.epsilon == SKEW:
+        planes = h0.gram.n // 2
+        payload["symplectic_certificate"] = {"hyperbolic_count": planes}
+        text.append(f"skew sector: certified zero ({planes} hyperbolic planes on H^0)")
     return Outcome(None, payload, text)
 
 

@@ -33,9 +33,7 @@ from .forms import (
     SYMMETRIC,
     BilinearForm,
     BlockMetabolicForm,
-    SymplecticReduction,
     diagonalize,
-    symplectic_reduce,
 )
 from .linalg import Mat, extend_to_complement
 from .witt import WittClassQ, witt_class_of
@@ -74,10 +72,6 @@ class ChainComplex(Record):
                     "image": [str(x) for x in image],
                 })
         return problems
-
-    @staticmethod
-    def zero() -> "ChainComplex":
-        return ChainComplex({}, {})
 
     @staticmethod
     def single(dim: int) -> "ChainComplex":
@@ -172,24 +166,14 @@ def map_block(fmap: dict[int, Mat], i: int, src: ChainComplex, dst: ChainComplex
     return _block(fmap, i, dst.dim(i), src.dim(i), "chain map")
 
 
-def chain_map_failure(fmap: dict[int, Mat], src: ChainComplex, dst: ChainComplex):
+def chain_map_failure(fmap: dict[int, Mat], src: ChainComplex, dst: ChainComplex) -> int | None:
+    """The first degree at which fmap d_src != d_dst fmap, or None for a chain map."""
     for i in sorted(set(src.spaces) | set(dst.spaces)):
         lhs = map_block(fmap, i + 1, src, dst) * src.d(i)
         rhs = dst.d(i) * map_block(fmap, i, src, dst)
         if lhs != rhs:
-            return {"check": "chain_map", "degree": i}
+            return i
     return None
-
-
-def compose(f: dict[int, Mat], g: dict[int, Mat], a: ChainComplex, b: ChainComplex, c: ChainComplex) -> dict[int, Mat]:
-    """Degreewise f after g for g: A -> B, f: B -> C."""
-    return _nonempty({i: map_block(f, i, b, c) * map_block(g, i, a, b)
-                      for i in sorted(set(a.spaces) | set(b.spaces) | set(c.spaces))})
-
-
-def map_difference(f: dict[int, Mat], g: dict[int, Mat], src: ChainComplex, dst: ChainComplex) -> dict[int, Mat]:
-    return _nonempty({i: map_block(f, i, src, dst) - map_block(g, i, src, dst)
-                      for i in sorted(set(src.spaces) | set(dst.spaces))})
 
 
 def solve_homotopy(src: ChainComplex, dst: ChainComplex, target: dict[int, Mat]) -> dict[int, Mat] | None:
@@ -432,18 +416,10 @@ def _h0_form_of(c: SelfDualComplex, report: ComplexReport) -> BilinearForm:
 def cobordism_class(c: SelfDualComplex) -> WittClassQ:
     """Class in the point cobordism group: the Witt class of the H^0 form.
 
-    The skew sector vanishes; for epsilon = -1 the zero class is certified
-    by a symplectic basis of the H^0 form.
+    The skew sector vanishes; for epsilon = -1 ``witt_class_of`` certifies
+    the zero class by a symplectic basis of the H^0 form.
     """
-    return _class_of_h0(h0_form(c))[0]
-
-
-def _class_of_h0(form: BilinearForm) -> tuple[WittClassQ, SymplecticReduction | None]:
-    """cobordism_class from the H^0 form, with the symplectic certificate
-    of a skew form."""
-    if form.symmetry == SKEW:
-        return WittClassQ.zero(), symplectic_reduce(form)
-    return witt_class_of(form), None
+    return witt_class_of(h0_form(c))
 
 
 # -- witnesses ----------------------------------------------------------
@@ -479,7 +455,23 @@ class WitnessReport(Record):
 
 
 def verify_witness(w: CobordismWitness) -> WitnessReport:
-    """Check all witness conditions; reports the first failure of each kind."""
+    """Check the witness conditions in order, one function each; the first
+    condition that fails ends the check, and the report lists its failures."""
+    failures = _object_failures(w) or _chain_map_failures(w)
+    if failures:
+        return WitnessReport(False, failures)
+    h, failures = _commutativity(w)
+    failures = failures or _adjointness_failures(w) or _s2_perfect_failures(w)
+    if failures:
+        return WitnessReport(False, failures)
+    failures = _cone_failures(w, h)
+    if not failures and w.kind == "direct_subquotient":
+        failures = _subquotient_shape_failures(w)
+    return WitnessReport(not failures, failures, h)
+
+
+def _object_failures(w: CobordismWitness) -> list:
+    """F and F' are valid self-dual complexes of one symmetry; G and G' are complexes."""
     failures = []
     for name, cpx in (("F", w.f), ("F'", w.f_prime)):
         rep = validate(cpx)
@@ -491,63 +483,61 @@ def verify_witness(w: CobordismWitness) -> WitnessReport:
         bad = cpx.dd_failures()
         if bad:
             failures.append({"check": "object_valid", "object": name, "problems": bad})
-    if failures:
-        return WitnessReport(False, failures)
+    return failures
 
+
+def _chain_map_failures(w: CobordismWitness) -> list:
+    """pi, rho, rho' and pi' are chain maps."""
     fc, fpc = w.f.complex, w.f_prime.complex
-    for name, fmap, src, dst in (
-        ("pi", w.pi, w.g, fc),
-        ("rho", w.rho, fc, w.g_prime),
-        ("rho'", w.rho_prime, w.g, fpc),
-        ("pi'", w.pi_prime, fpc, w.g_prime),
-    ):
-        bad = chain_map_failure(fmap, src, dst)
-        if bad:
-            failures.append({"check": "chain_map", "map": name, "degree": bad["degree"]})
-    if failures:
-        return WitnessReport(False, failures)
+    maps = (("pi", w.pi, w.g, fc), ("rho", w.rho, fc, w.g_prime),
+            ("rho'", w.rho_prime, w.g, fpc), ("pi'", w.pi_prime, fpc, w.g_prime))
+    first = [(name, chain_map_failure(fmap, src, dst)) for name, fmap, src, dst in maps]
+    return [{"check": "chain_map", "map": name, "degree": i} for name, i in first if i is not None]
 
-    # commutativity up to homotopy, in the fixed convention D = d h + h d
-    diff = map_difference(
-        compose(w.pi_prime, w.rho_prime, w.g, fpc, w.g_prime),
-        compose(w.rho, w.pi, w.g, fc, w.g_prime),
-        w.g, w.g_prime,
-    )
+
+def _commutativity(w: CobordismWitness) -> tuple[dict[int, Mat] | None, list]:
+    """The square commutes up to homotopy, pi' rho' - rho pi = d h + h d: the
+    given h is checked, or one is solved for.  Returns h and the failures."""
+    g, gp, fc, fpc = w.g, w.g_prime, w.f.complex, w.f_prime.complex
+    degrees = sorted(set(g.spaces) | set(gp.spaces))
+    # every pi' rho' block first: a misshapen block of pi' or rho' is refused before one of rho or pi
+    top = [map_block(w.pi_prime, i, fpc, gp) * map_block(w.rho_prime, i, g, fpc) for i in degrees]
+    diff = _nonempty({i: t - map_block(w.rho, i, fc, gp) * map_block(w.pi, i, g, fc)
+                      for i, t in zip(degrees, top)})
     h = w.homotopy
-    if h is not None:
-        for i in sorted(set(w.g.spaces) | set(w.g_prime.spaces)):
-            # h^i: G^i -> G'^{i-1}
-            dh = w.g_prime.d(i - 1) * _block(h, i, w.g_prime.dim(i - 1), w.g.dim(i), "homotopy")
-            hd = _block(h, i + 1, w.g_prime.dim(i), w.g.dim(i + 1), "homotopy") * w.g.d(i)
-            if dh + hd != map_block(diff, i, w.g, w.g_prime):
-                failures.append({"check": "homotopy_identity", "degree": i})
-                break
-    else:
-        h = solve_homotopy(w.g, w.g_prime, diff)
+    if h is None:
+        h = solve_homotopy(g, gp, diff)
         if h is None:
-            failures.append({"check": "commutativity",
-                             "detail": "square does not commute up to homotopy"})
-    if failures:
-        return WitnessReport(False, failures)
+            return None, [{"check": "commutativity", "detail": "square does not commute up to homotopy"}]
+        return h, []
+    for i in degrees:
+        # h^i: G^i -> G'^{i-1}
+        dh = gp.d(i - 1) * _block(h, i, gp.dim(i - 1), g.dim(i), "homotopy")
+        hd = _block(h, i + 1, gp.dim(i), g.dim(i + 1), "homotopy") * g.d(i)
+        if dh + hd != map_block(diff, i, g, gp):
+            return h, [{"check": "homotopy_identity", "degree": i}]
+    return h, []
 
-    # the two adjointness identities, as exact matrix equations
-    for i in sorted(set(w.g.spaces)):
-        if w.g.dim(i) and fc.dim(-i):
-            lhs = map_block(w.pi, i, w.g, fc).T * w.f.s(i)
-            rhs = _s2_block(w, i) * map_block(w.rho, -i, fc, w.g_prime)
-            if lhs != rhs:
-                failures.append({"check": "adjointness_pi_rho", "degree": i,
-                                 "lhs": lhs.rows, "rhs": rhs.rows})
-        if w.g.dim(i) and fpc.dim(-i):
-            lhs = map_block(w.rho_prime, i, w.g, fpc).T * w.f_prime.s(i)
-            rhs = _s2_block(w, i) * map_block(w.pi_prime, -i, fpc, w.g_prime)
-            if lhs != rhs:
-                failures.append({"check": "adjointness_rho_prime_pi_prime", "degree": i,
-                                 "lhs": lhs.rows, "rhs": rhs.rows})
-    if failures:
-        return WitnessReport(False, failures)
 
-    # S'' must itself be perfect on cohomology
+def _adjointness_failures(w: CobordismWitness) -> list:
+    """S(pi g, f) = S''(g, rho f) and S'(rho' g, f') = S''(g, pi' f'), as
+    exact matrix equations, degree by degree."""
+    identities = (("adjointness_pi_rho", w.pi, w.f, w.rho),
+                  ("adjointness_rho_prime_pi_prime", w.rho_prime, w.f_prime, w.pi_prime))
+    failures = []
+    for i in sorted(w.g.spaces):
+        for check, into, obj, out_of in identities:
+            if obj.dim(-i):
+                lhs = map_block(into, i, w.g, obj.complex).T * obj.s(i)
+                rhs = _s2_block(w, i) * map_block(out_of, -i, obj.complex, w.g_prime)
+                if lhs != rhs:
+                    failures.append({"check": check, "degree": i, "lhs": lhs.rows, "rhs": rhs.rows})
+    return failures
+
+
+def _s2_perfect_failures(w: CobordismWitness) -> list:
+    """S'' is perfect on cohomology: H^i(G) x H^-i(G') -> Q in every degree."""
+    failures = []
     cg, cgp = Cohomology(w.g), Cohomology(w.g_prime)
     for i in sorted(set(w.g.degrees()) | {-j for j in w.g_prime.degrees()} | {0}):
         hi, hmi = cg.dim(i), cgp.dim(-i)
@@ -560,25 +550,27 @@ def verify_witness(w: CobordismWitness) -> WitnessReport:
         gram = cg.reps(i).T * _s2_block(w, i) * cgp.reps(-i)
         if not gram.det():
             failures.append({"check": "s2_perfect", "degree": i})
-    if failures:
-        return WitnessReport(False, failures)
+    return failures
 
-    # mapping-cone condition: C(rho') -> C(rho) is a quasi-isomorphism
+
+def _cone_failures(w: CobordismWitness, h: dict[int, Mat]) -> list:
+    """The mapping-cone condition: C(rho') -> C(rho) is a quasi-isomorphism."""
+    fc, fpc = w.f.complex, w.f_prime.complex
     cone_src = mapping_cone(w.rho_prime, w.g, fpc)
     cone_dst = mapping_cone(w.rho, fc, w.g_prime)
     phi = cone_comparison(w.rho_prime, w.g, fpc, w.rho, fc, w.g_prime,
                           w.pi, w.pi_prime, h)
     bad = chain_map_failure(phi, cone_src, cone_dst)
-    if bad:
-        # the checks above make (pi, pi' + h) a chain map; this certifies the cone signs
-        raise CertificateError("cone_comparison_chain_map certificate failed "
-                               f"at degree {bad['degree']}")
+    if bad is not None:
+        # the checks before make (pi, pi' + h) a chain map; this certifies the cone signs
+        raise CertificateError(f"cone_comparison_chain_map certificate failed at degree {bad}")
+    failures = []
     src_coh, dst_coh = Cohomology(cone_src), Cohomology(cone_dst)
     for i in sorted(set(cone_src.spaces) | set(cone_dst.spaces)):
-        hs, hd2 = src_coh.dim(i), dst_coh.dim(i)
-        if hs != hd2:
+        hs, hd = src_coh.dim(i), dst_coh.dim(i)
+        if hs != hd:
             failures.append({"check": "cone_isomorphism", "degree": i,
-                             "detail": f"cone cohomology {hs} vs {hd2}"})
+                             "detail": f"cone cohomology {hs} vs {hd}"})
             continue
         if hs == 0:
             continue
@@ -586,12 +578,7 @@ def verify_witness(w: CobordismWitness) -> WitnessReport:
         if not induced.det():
             failures.append({"check": "cone_isomorphism", "degree": i,
                              "detail": "induced map on cone cohomology is singular"})
-    if failures:
-        return WitnessReport(False, failures, h)
-
-    if w.kind == "direct_subquotient":
-        failures.extend(_subquotient_shape_failures(w))
-    return WitnessReport(not failures, failures, h)
+    return failures
 
 
 def _s2_block(w: CobordismWitness, i: int) -> Mat:

@@ -30,7 +30,6 @@ from .forms import (
     BilinearForm,
     diagonalize,
     standard_symplectic_gram,
-    symplectic_reduce,
 )
 from .linalg import Mat
 from .poly import int_poly_at, poly_degree
@@ -472,17 +471,13 @@ def _signed_divisors(n: int) -> list[int]:
 def pol_class(h: HodgeStructure, s: BilinearForm) -> WittClassQ:
     """Witt class of the normalized polarization (-1)^(w(w+1)/2) S.
 
-    Odd weights land in the skew sector, which vanishes; the zero class is
-    certified by a symplectic basis.
+    Odd weights land in the skew sector, which vanishes; ``witt_class_of``
+    certifies the zero class by a symplectic basis.
     """
     chk = is_polarization(h, s)
     if not chk.ok:
         raise ValueError(f"not a polarization: {chk.problems}")
-    if h.weight % 2:
-        symplectic_reduce(s)
-        cls = WittClassQ.zero()
-    else:
-        cls = witt_class_of(s.scaled(_normalizing_sign(h.weight)))
+    cls = witt_class_of(s.scaled(_normalizing_sign(h.weight)))
     _certify_hodge_index(h, cls.signature, "class signature")
     return cls
 

@@ -139,19 +139,28 @@ def witt_class_to_json(c: WittClassQ) -> dict:
 # -- complexes and witnesses ----------------------------------------------
 
 
-def _degree_map_from_json(doc, pointer: str) -> dict[int, Mat]:
-    out = {}
-    if doc is None:
-        return out
-    if not isinstance(doc, dict):
-        raise SchemaError(pointer, "expected an object keyed by degree")
-    for key, rows in doc.items():
+def _by_degree(doc: dict, pointer: str):
+    """(degree, value, pointer) for each entry of an object keyed by degree.
+    A second spelling of one degree ("0" and "+0" or "00") is refused."""
+    seen = set()
+    for key, value in doc.items():
+        at = f"{pointer}.{key}"
         try:
             degree = int(key)
         except ValueError as exc:
-            raise SchemaError(f"{pointer}.{key}", "degree keys must be integers") from exc
-        out[degree] = parse_matrix(rows, f"{pointer}.{key}")
-    return out
+            raise SchemaError(at, "degree keys must be integers") from exc
+        if degree in seen:
+            raise SchemaError(at, f"degree {degree} is given twice")
+        seen.add(degree)
+        yield degree, value, at
+
+
+def _degree_map_from_json(doc, pointer: str) -> dict[int, Mat]:
+    if doc is None:
+        return {}
+    if not isinstance(doc, dict):
+        raise SchemaError(pointer, "expected an object keyed by degree")
+    return {degree: parse_matrix(rows, at) for degree, rows, at in _by_degree(doc, pointer)}
 
 
 def _degree_map_to_json(maps: dict[int, Mat]) -> dict:
@@ -166,13 +175,9 @@ def chain_complex_from_json(doc, pointer: str = "$") -> ChainComplex:
     if not isinstance(spaces_doc, dict):
         raise SchemaError(f"{pointer}.spaces", "expected an object keyed by degree")
     spaces = {}
-    for key, dim in spaces_doc.items():
-        try:
-            degree = int(key)
-        except ValueError as exc:
-            raise SchemaError(f"{pointer}.spaces.{key}", "degree keys must be integers") from exc
-        if _integer(dim, f"{pointer}.spaces.{key}") < 0:
-            raise SchemaError(f"{pointer}.spaces.{key}", "dimensions are nonnegative integers")
+    for degree, dim, at in _by_degree(spaces_doc, f"{pointer}.spaces"):
+        if _integer(dim, at) < 0:
+            raise SchemaError(at, "dimensions are nonnegative integers")
         spaces[degree] = dim
     diffs = _degree_map_from_json(doc.get("differentials"), f"{pointer}.differentials")
     try:

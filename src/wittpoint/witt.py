@@ -245,19 +245,6 @@ def _class_of_entries(entries, classes) -> WittClassQ:
     return WittClassQ.make(signature, {p: _fp_class(us, p) for p, us in units.items()})
 
 
-def group_law(a: WittClassQ, b: WittClassQ, op: str):
-    """CLI-facing dispatch over the abelian group structure."""
-    if op == "add":
-        return a + b
-    if op == "neg":
-        return -a
-    if op == "eq":
-        return a == b
-    if op == "is_zero":
-        return a.is_zero()
-    raise ValueError(f"unknown group operation {op!r}")
-
-
 # -- equality oracles ---------------------------------------------------
 
 

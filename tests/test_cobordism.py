@@ -408,7 +408,7 @@ def test_zero_g_fake_witness_fails_only_at_the_cone():
     f_prime = SelfDualComplex.from_form(BilinearForm.from_diagonal([1, -1, 1]))
     fake = CobordismWitness(
         kind="direct", f=f, f_prime=f_prime,
-        g=ChainComplex.zero(), g_prime=ChainComplex.zero(),
+        g=ChainComplex({}), g_prime=ChainComplex({}),
         pi={}, rho={}, rho_prime={}, pi_prime={}, s2={},
     )
     report = verify_witness(fake)
@@ -556,9 +556,24 @@ def test_verify_witness_reports_a_square_without_homotopy():
                                 "detail": "square does not commute up to homotopy"}]
 
 
+def test_verify_witness_reports_both_adjointness_failures_in_order():
+    # pi = rho = rho' = pi' = 1 and S'' = [2]: S(pi g, f) = 1 but S''(g, rho f) = 2,
+    # and S'(rho' g, f') = 1 but S''(g, pi' f') = 2
+    one, two = [[Fraction(1)]], [[Fraction(2)]]
+    assert verify_witness(degree0_witness(pi=1, rho=1, rho_prime=1, pi_prime=1, s2=2)).failures == [
+        {"check": "adjointness_pi_rho", "degree": 0, "lhs": one, "rhs": two},
+        {"check": "adjointness_rho_prime_pi_prime", "degree": 0, "lhs": one, "rhs": two},
+    ]
+    # over several degrees the failures come degree by degree, each in that order
+    w = identity_witness()
+    doubled = CobordismWitness(**{**vars(w), "s2": {i: s.scale(2) for i, s in w.s2.items()}})
+    assert [(f["check"], f["degree"]) for f in verify_witness(doubled).failures] == [
+        (check, i) for i in (-1, 0, 1) for check in ("adjointness_pi_rho", "adjointness_rho_prime_pi_prime")]
+
+
 def test_verify_witness_reports_an_imperfect_s2():
     assert verify_witness(degree0_witness()).failures == [{"check": "s2_perfect", "degree": 0}]
-    assert verify_witness(degree0_witness(g_prime=ChainComplex.zero())).failures == [
+    assert verify_witness(degree0_witness(g_prime=ChainComplex({}))).failures == [
         {"check": "s2_perfect", "degree": 0, "detail": "H^0(G) = 1 vs H^0(G') = 0"}]
 
 
@@ -675,3 +690,68 @@ def test_corpus_reaches_the_skip_the_scan_and_pairing_failures(monkeypatch):
     # boundaries as cocycles, where d(i) does not kill every boundary
     assert len(scans) < with_boundaries and any(scans) and not all(scans)
     assert failing
+
+
+# -- every report of a failing corpus, pinned by one digest ----------------
+
+
+def bumped(block, r, c):
+    """The block with 1 added to its entry (r, c)."""
+    return Mat.from_rows([[x + ((i, j) == (r, c)) for j, x in enumerate(row)]
+                          for i, row in enumerate(block.rows)])
+
+
+def mixed_pattern_witness():
+    """The degree-0 sum of the subquotient witness from 0 to H (the isotropic
+    line e_1 divided out) and its mirror from H to 0: each summand has one of
+    the two patterns, so the sum has neither and fails only that check."""
+    plane = SelfDualComplex.from_form(HYPERBOLIC_PLANE)
+    blocks = {"pi": [[0, 1], [0, 0]], "rho": [[0, 0], [0, 1]], "rho_prime": [[1, 0], [0, 0]],
+              "pi_prime": [[0, 1], [0, 0]], "s2": [[1, 0], [0, 1]]}
+    return CobordismWitness(kind="direct_subquotient", f=plane, f_prime=plane,
+                            g=ChainComplex.single(2), g_prime=ChainComplex.single(2),
+                            **{name: {0: Mat.from_rows(rows)} for name, rows in blocks.items()})
+
+
+def report_corpus():
+    """Seeded chain witnesses, each followed by its single-entry perturbations
+    (one entry of each block of each map and of S''), then the hand-built
+    failing witnesses of the tests above."""
+    rng = Random(20260810)
+    corpus = []
+    for _ in range(30):
+        for link in random_witness_chain(rng, rng.randint(1, 3), rng.randint(1, 2)).links:
+            w = link.witness
+            corpus.append(w)
+            for name in ("pi", "rho", "rho_prime", "pi_prime", "s2"):
+                for i, block in sorted(getattr(w, name).items()):
+                    entry = rng.randrange(block.m), rng.randrange(block.n)
+                    corpus.append(CobordismWitness(**{**vars(w), name: {**getattr(w, name), i: bumped(block, *entry)}}))
+    identity = identity_witness()
+    twice = {0: Mat.identity(4).scale(2)}
+    return corpus + [
+        degree0_witness(f=SelfDualComplex(1, ChainComplex.single(1), {0: Mat.from_rows([[0]])}),
+                        f_prime=SelfDualComplex.from_form(BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=SKEW))),
+        CobordismWitness(**{**vars(identity), "pi": twice, "rho": twice, "rho_prime": twice, "pi_prime": twice}),
+        degree0_witness(pi=1, rho=1, rho_prime=1, pi_prime=2, s2=1),
+        identity_witness({0: Mat.from_rows([[1, 0, 0, 0]]), 1: Mat.zeros(4, 1)}),
+        identity_witness({i: -h for i, h in verify_witness(identity).homotopy.items()}),
+        CobordismWitness(**{**vars(identity), "s2": {i: s.scale(2) for i, s in identity.s2.items()}}),
+        degree0_witness(),
+        degree0_witness(g_prime=ChainComplex({})),
+        degree0_witness(s2=1),
+        CobordismWitness(**{**vars(identity), "kind": "direct_subquotient"}),
+        mixed_pattern_witness(),
+    ]
+
+
+def test_witness_reports_of_the_corpus_are_pinned_whole():
+    reports = [verify_witness(w) for w in report_corpus()]
+    assert {f["check"] for r in reports for f in r.failures} == {
+        "object_valid", "symmetry_match", "chain_map", "commutativity", "homotopy_identity",
+        "adjointness_pi_rho", "adjointness_rho_prime_pi_prime", "s2_perfect", "cone_isomorphism",
+        "subquotient_degree_zero", "subquotient_pattern"}
+    assert (len(reports), sum(r.ok for r in reports)) == (350, 50)
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    # the digest of these reports from the verify_witness that was one function
+    assert digest == "c1d2d747e2fbaae672e9fa24fb2978159a8261a1f8aa4cd9edc15d9ed7652509"

@@ -112,6 +112,21 @@ def test_complex_schema_rejects_bad_differential_shape():
         complex_from_json(doc)
 
 
+def test_two_spellings_of_one_degree_are_refused_at_the_second():
+    line = {"symmetry": "symmetric", "spaces": {"0": 1}, "pairing": {"0": [["1"]]}}
+    with pytest.raises(SchemaError, match=r"^\$\.spaces\.00: degree 0 is given twice$"):
+        complex_from_json({**line, "spaces": {"0": 1, "00": 2}})
+    with pytest.raises(SchemaError, match=r"^\$\.pairing\.\+0: degree 0 is given twice$"):
+        complex_from_json({**line, "pairing": {"0": [["1"]], "+0": [["2"]]}})
+    maps = {"pi": {}, "rho": {}, "rho_prime": {"0": [["1"]], " 0": [["2"]]}, "pi_prime": {}}
+    witness = {"f": line, "f_prime": line, "g": {"spaces": {"0": 1}}, "g_prime": {"spaces": {"0": 1}},
+               "maps": maps, "s2": {}}
+    with pytest.raises(SchemaError, match=r"^\$\.maps\.rho_prime\. 0: degree 0 is given twice$"):
+        witness_from_json(witness)
+    # one spelling of each degree reads as before
+    assert witness_from_json({**witness, "maps": {**maps, "rho_prime": {"0": [["1"]]}}}).rho_prime[0].rows == [[1]]
+
+
 def test_witness_schema_requires_all_parts():
     with pytest.raises(SchemaError, match=r"\$\.f"):
         witness_from_json({"kind": "direct"})
