@@ -35,12 +35,27 @@ class Outcome(Record):
 
 def _load(path: str):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise SchemaError("$", f"no such file: {path}")
+    except OSError as exc:
+        raise SchemaError("$", f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"malformed JSON in {path}: {exc}")
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict.  A repeated key is refused, where plain
+    ``json.load`` would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in keys if keys.count(k) > 1)
+        raise SchemaError("$", f"repeated key {key!r} in a JSON object")
+    return obj
 
 
 def _cmd_invariants(args) -> Outcome:

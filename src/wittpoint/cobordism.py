@@ -700,18 +700,10 @@ def congruence_witness(f: BilinearForm, p: Mat) -> CobordismWitness:
                             rho_prime=p.inv(), pi_prime=p, s2=f.gram)
 
 
-def metabolic_witness(block: BlockMetabolicForm, p: Mat | None = None) -> CobordismWitness:
-    """Subquotient witness between the core S and (a congruent image of) the
-    assembled block form: the isotropic block is divided out."""
-    form = block.assemble()
-    if p is None:
-        p = Mat.identity(form.gram.n)
-    return _metabolic_witness(block, form, form.congruent_by(p), p)
-
-
 def _metabolic_witness(block: BlockMetabolicForm, form: BilinearForm,
                        f_big: BilinearForm, p: Mat) -> CobordismWitness:
-    """metabolic_witness given the assembled block form and its image P^T G P."""
+    """Subquotient witness between the core S and f_big = P^T G P, the image
+    of the assembled block form G: the isotropic block is divided out."""
     n, k, m = form.gram.n, block.isotropic_rank, block.s.gram.n
     # G: the first k + m basis vectors; G': the last m + k, modulo the first k
     incl = Mat.identity(n).submatrix(range(n), range(k + m))

@@ -12,7 +12,9 @@ square class carries the odd-exponent primes of its entry, products of classes
 combine those prime sets, and the callers that hold an entry's class read the
 local symbols and Witt residues off its squarefree kernel, the signed product of
 those primes, whose valuation at every place is 0 or 1 and whose unit at one of
-its primes p is kernel // p.
+its primes p is kernel // p.  Sturm root counting takes one remainder
+sequence, the Sturm chain of the input: it ends in gcd(p, p'), and its terms
+divided by that gcd count the distinct roots and give the squarefree part.
 """
 
 from __future__ import annotations
@@ -410,22 +412,23 @@ def sturm_positive_real_roots(coeffs) -> SturmCertificate:
 
     The counts are taken on the squarefree part, so multiplicities are
     ignored; ``all_real`` means every complex root of the input is real.
-    The chain runs on the primitive integer polynomial of the input, with
-    positive leading coefficient, and takes gcd(p, p') once.
+    One Sturm chain runs on the primitive integer polynomial p of the input,
+    with positive leading coefficient.  It ends in g = gcd(p, p'), and its
+    terms divided by g are a Sturm sequence of the squarefree part p / g
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
     """
     # imported here, so that loading core does not load poly
-    from .poly import int_poly, int_poly_squarefree, int_sturm_chain
+    from .poly import int_poly, int_poly_quotient, int_sturm_chain
 
     p = int_poly(coeffs)
     if not p:
         raise ValueError("the zero polynomial has no Sturm certificate")
-    g, q = int_poly_squarefree(p)
-    distinct = len(q) - 1
-    if distinct == 0:
-        return SturmCertificate(0, 0, 0, True, len(g) <= 1, q)
-    chain = int_sturm_chain(q)
-    # V(a) - V(b) counts the roots of a squarefree q in (a, b], a root at a
-    # included, so a root at 0 is left out of the positive count
+    chain = int_sturm_chain(p)
+    g = int_poly(chain[-1])
+    chain = [int_poly_quotient(t, g) for t in chain]
+    distinct = len(chain[0]) - 1
+    # V(a) - V(b) counts the distinct roots in (a, b], so a root at 0 is left
+    # out of the positive count
     positive = _variations_at_zero(chain) - _variations_at_inf(chain, +1)
     real = _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
     return SturmCertificate(
@@ -434,5 +437,5 @@ def sturm_positive_real_roots(coeffs) -> SturmCertificate:
         distinct_roots=distinct,
         all_real=(real == distinct),
         squarefree=len(g) <= 1,
-        squarefree_part=q,
+        squarefree_part=chain[0],
     )

@@ -236,26 +236,6 @@ class FormInvariants(Frozen):
         self.__dict__.update(rank=rank, signature=signature, discriminant=discriminant, hasse=hasse)
 
 
-def hasse_of_entries(entries, places=None) -> dict:
-    """prod_{i<j} (a_i, a_j)_v at each place v, by default the relevant places.
-
-    Without places, each entry is classed once, the places are 2, the primes of
-    the classes and the real place, and the symbols are read off the classes'
-    squarefree kernels.  With places, each is checked, and the symbols are read
-    off the integer num*den of each entry, which factors nothing.
-    """
-    entries = [Fraction(e) for e in entries]
-    if places is None:
-        classes = [square_class(e) for e in entries]
-        return _hasse_symbols([c.representative for c in classes], _places_of(classes))
-    if any(e == 0 for e in entries):
-        raise ValueError("Hilbert symbol needs nonzero arguments")
-    for v in places:
-        if v != REAL_PLACE and (not isinstance(v, int) or not is_prime(v)):
-            raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {v!r}")
-    return _hasse_symbols([e.numerator * e.denominator for e in entries], places)
-
-
 def _hasse_symbols(ints, places) -> dict:
     """prod_{i<j} (a_i, a_j)_v for nonzero integers a_i, in the square classes of
     the entries, at places it does not check: the real place, 2 and primes read

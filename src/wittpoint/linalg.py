@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul
 
+from .core import CertificateError
+
 
 class Mat:
     """Dense matrix with explicit shape over Q, stored as its integer form.
@@ -240,8 +242,10 @@ class Mat:
         if self.m != self.n:
             raise ValueError("inverse of a non-square matrix")
         x = self.solve(Mat.identity(self.n))
-        if x is None or (self * x) != Mat.identity(self.n):
+        if x is None:
             raise ValueError("matrix is singular")
+        if self * x != Mat.identity(self.n):
+            raise CertificateError("inverse certificate failed: A X is not I")
         return x
 
     def det(self):

@@ -1,11 +1,12 @@
 """Exact polynomials over Z, as ascending coefficient lists.
 
-The gcd, the squarefree part and the value at a matrix run on integers.  A
-rational polynomial enters as its primitive integer multiple with positive
-leading coefficient, and the gcd is the last term of the primitive
-pseudo-remainder sequence (Collins 1967; Cohen, *A Course in Computational
-Algebraic Number Theory*, 3.3).  Every remainder is scaled only by |lc| and
-divided only by its positive content, so each term of a sequence is a
+The Sturm chain, the exact quotient and the value at a matrix run on
+integers.  A rational polynomial enters as its primitive integer multiple
+with positive leading coefficient.  The Sturm chain of p is the primitive
+pseudo-remainder sequence of p and p' with every other remainder negated
+(Collins 1967; Cohen, *A Course in Computational Algebraic Number Theory*,
+3.3), so it ends in gcd(p, p').  Every remainder is scaled only by |lc| and
+divided only by its positive content, so each term of the chain is a
 positive multiple of the term over Q: it has the same degree, the same
 signs at 0 and at infinity and the same monic form.  That is what the Sturm
 counts of ``core.sturm_positive_real_roots`` read.
@@ -80,40 +81,28 @@ def int_poly_remainder(a: list[int], b: list[int]) -> list[int]:
 
 
 def int_sturm_chain(p: list[int]) -> list[list[int]]:
-    """p, p' and the negated remainders: each term a positive multiple of
-    the Sturm chain over Q, so it has the same signs at 0 and at infinity."""
-    chain = [p, int_poly_derivative(p)]
-    while chain[-1]:
-        r = int_poly_remainder(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
+    """p, p' and the negated remainders, for a nonzero p: each term a positive
+    multiple of the Sturm chain over Q, so it has the same signs at 0 and at
+    infinity.  The last term is a nonzero multiple of gcd(p, p'); a constant
+    p has the chain [p]."""
+    chain, r = [p], int_poly_derivative(p)
+    while r:
+        chain.append(r)
+        r = [-c for c in int_poly_remainder(chain[-2], r)]
     return chain
 
 
-def int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """A primitive gcd of two integer polynomials ([] when both are zero):
-    the last nonzero term of their primitive remainder sequence."""
-    while b:
-        a, b = b, int_poly_remainder(a, b)
-    return _content_free(a)
+def int_poly_quotient(a: list[int], g: list[int]) -> list[int]:
+    """a / g, for g = gcd(p, p') primitive with positive leading coefficient
+    and a a term of the Sturm chain of p.
 
-
-def int_poly_squarefree(p: list[int]) -> tuple[list[int], list[int]]:
-    """(g, r) with g = gcd(p, p') and r = p / g, the squarefree part, for a
-    primitive nonzero p with positive leading coefficient.
-
-    Both are primitive with positive leading coefficients.  The gcd is taken
-    once, and the division is exact over Z (Gauss's lemma), so a coefficient
-    the leading one of g does not divide, or a nonzero remainder, fails the
-    squarefree certificate.
+    g divides a over Q, so the division is exact over Z (Gauss's lemma), and
+    a coefficient the leading one of g does not divide, or a nonzero
+    remainder, fails the squarefree certificate.
     """
-    g = int_poly_gcd(p, int_poly_derivative(p))
-    if g[-1] < 0:
-        g = [-c for c in g]
     n = len(g) - 1
-    r = list(p)
-    q = [0] * (len(p) - n)
+    r = list(a)
+    q = [0] * (len(a) - n)
     for k in range(len(q) - 1, -1, -1):
         c, rest = divmod(r[k + n], g[-1])
         if rest:
@@ -124,7 +113,7 @@ def int_poly_squarefree(p: list[int]) -> tuple[list[int], list[int]]:
                 r[k + j] -= c * g[j]
     if any(r[:n]):
         raise _not_a_divisor()
-    return g, q
+    return q
 
 
 def _not_a_divisor() -> CertificateError:

@@ -25,6 +25,7 @@ from wittpoint.jsonio import (
 from wittpoint.cobordism import (
     CobordismWitness,
     acyclic_extension,
+    congruence_witness,
     random_witness_chain,
     truncation_witness,
     verify_witness,
@@ -78,6 +79,26 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     schema_bad = write(tmp_path, "sb.json", {"symmetry": "symmetric", "gram": [["1", "x"]]})
     assert main(["witt-class", schema_bad]) == 1
     assert "$.gram" in capsys.readouterr().err
+
+
+def test_unreadable_and_ambiguous_documents_are_input_errors(tmp_path, capsys):
+    # a repeated key, in a form or deep in a witness map, would let its last value win
+    form = tmp_path / "dup.json"
+    form.write_text('{"symmetry": "symmetric", "gram": [[1]], "gram": [[2]]}')
+    text = json.dumps(witness_to_json(congruence_witness(BilinearForm.from_diagonal([2]), Mat.from_rows([[3]]))))
+    pi = '"pi": {"0": [["1"]]}'
+    assert pi in text
+    witness = tmp_path / "wdup.json"
+    witness.write_text(text.replace(pi, '"pi": {"0": [["1"]], "0": [["5"]]}'))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"symmetry": "sym\xe9tric"}'.encode("latin-1"))
+    for argv, message in ((["witt-class", str(form)], "repeated key 'gram' in a JSON object"),
+                          (["verify-witness", str(witness)], "repeated key '0' in a JSON object"),
+                          (["witt-class", str(tmp_path)], f"cannot read {tmp_path}: "),
+                          (["witt-class", str(latin1)], f"{latin1} is not UTF-8 text: ")):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: $: ") and message in err, err
 
 
 def test_precondition_failure_exits_1(tmp_path, capsys):

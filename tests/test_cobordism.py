@@ -16,7 +16,6 @@ from wittpoint.cobordism import (
     cobordism_class,
     congruence_witness,
     h0_form,
-    metabolic_witness,
     null_witness,
     orthogonal_split,
     quotient_data,
@@ -27,6 +26,7 @@ from wittpoint.cobordism import (
     truncation_witness,
     validate,
     verify_witness,
+    _metabolic_witness,
     _subquotient_shape_failures,
 )
 from wittpoint.core import CertificateError
@@ -40,6 +40,15 @@ from wittpoint.forms import (
 from wittpoint.linalg import Mat, extend_to_complement
 from wittpoint.witt import witt_class_of
 from test_forms import symmetric_from_lower
+
+
+def metabolic_witness(block: BlockMetabolicForm, p: Mat | None = None) -> CobordismWitness:
+    """Subquotient witness between the core S and (a congruent image of) the
+    assembled block form, built as the chain generator builds it."""
+    form = block.assemble()
+    if p is None:
+        p = Mat.identity(form.gram.n)
+    return _metabolic_witness(block, form, form.congruent_by(p), p)
 
 
 def three_term_acyclic(eps=1, m=Fraction(1), y=Fraction(0)):

@@ -12,14 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittpoint import forms
-from wittpoint.core import REAL_PLACE, CertificateError, hilbert_symbol, relevant_places
+from wittpoint.core import (
+    REAL_PLACE, CertificateError, _places_of, hilbert_symbol, is_prime, relevant_places, square_class,
+)
 from wittpoint.forms import (
     HYPERBOLIC_PLANE,
     RATIONAL,
     BilinearForm,
     BlockMetabolicForm,
+    _hasse_symbols,
     diagonalize,
-    hasse_of_entries,
     invariants,
     metabolic_reduce,
     radical_split,
@@ -157,6 +159,27 @@ def test_invariants_spec_examples():
 
 # primes above the trial-division cutoff: each entry is factored, never their product
 BIG_P1, BIG_P2 = 1_000_003, 99_999_989
+
+
+def hasse_of_entries(entries, places=None) -> dict:
+    """prod_{i<j} (a_i, a_j)_v at each place v, by default the relevant places,
+    by ``forms._hasse_symbols``, the product ``invariants`` takes.
+
+    Without places, each entry is classed once, the places are 2, the primes of
+    the classes and the real place, and the symbols are read off the classes'
+    squarefree kernels.  With places, each is checked, and the symbols are read
+    off the integer num*den of each entry, which factors nothing.
+    """
+    entries = [Fraction(e) for e in entries]
+    if places is None:
+        classes = [square_class(e) for e in entries]
+        return _hasse_symbols([c.representative for c in classes], _places_of(classes))
+    if any(e == 0 for e in entries):
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    for v in places:
+        if v != REAL_PLACE and (not isinstance(v, int) or not is_prime(v)):
+            raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {v!r}")
+    return _hasse_symbols([e.numerator * e.denominator for e in entries], places)
 
 
 def test_invariants_factor_entries_never_their_product():
@@ -467,6 +490,18 @@ prime_factors = core._prime_factors
 core._prime_factors = lambda n: prime_factors(n)[:-1]  # a wrong split: the largest prime dropped
 print(fired(lambda: core.factor(2 * 3 * 1009)))
 core._prime_factors = prime_factors
+
+solve = Mat.solve
+Mat.solve = lambda a, b: solve(a, b).scale(2)  # a wrong inverse, 2 A^-1, not a singular A
+print(fired(lambda: Mat.from_rows([[1, 1], [0, 1]]).inv()))
+print(fired(lambda: hodge.weil_operator(hodge.standard_structure(2, 3)[0])))  # the frame's R^-1
+Mat.solve = solve
+
+from wittpoint import poly
+sturm_chain = poly.int_sturm_chain
+poly.int_sturm_chain = lambda p: sturm_chain(p)[:-1] + [[1, 1]]  # a last term, t + 1, that does not divide p
+print(fired(lambda: hodge.compare_polarizations(h, s, s.scaled(2))))
+poly.int_sturm_chain = sturm_chain
 """
 
 
@@ -489,4 +524,7 @@ def test_certificates_fire_under_python_O():
         "symplectic certificate failed: P^T G P is not the standard symplectic Gram",
         "core certificate failed: the square does not commute on H^0",
         "factorization certificate failed: ((2, 1), (3, 1)) does not multiply back to 6054",
+        "inverse certificate failed: A X is not I",
+        "inverse certificate failed: A X is not I",
+        "squarefree certificate failed: gcd(p, p') does not divide p",
     ]

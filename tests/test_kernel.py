@@ -52,6 +52,8 @@ from wittpoint.core import (
     is_prime,
     _int_split,
     _places_of,
+    _variations_at_inf,
+    _variations_at_zero,
     legendre,
     relevant_places,
     residue_mod,
@@ -69,7 +71,6 @@ from wittpoint.forms import (
     SymplecticReduction,
     _hasse_symbols,
     diagonalize,
-    hasse_of_entries,
     invariants,
     metabolic_reduce,
     radical_split,
@@ -79,16 +80,18 @@ from wittpoint.forms import (
 from wittpoint.hodge import _divisors, _rational_roots, _signed_divisors
 from wittpoint.linalg import Mat, extend_to_complement
 from wittpoint.poly import (
+    _content_free,
     int_poly,
     int_poly_at,
-    int_poly_gcd,
-    int_poly_squarefree,
+    int_poly_derivative,
+    int_poly_quotient,
+    int_poly_remainder,
     int_sturm_chain,
     poly_degree,
     poly_normalize,
 )
 from wittpoint.witt import WittClassFp, WittClassQ, _class_of_entries, fp_class_of, psi
-from test_forms import replay, symmetric_from_lower, transvection
+from test_forms import hasse_of_entries, replay, symmetric_from_lower, transvection
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
@@ -200,18 +203,9 @@ def poly_divmod(a: list[Fraction], b: list[Fraction]):
     return poly_normalize(q), poly_normalize(a)
 
 
-def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """The monic gcd ([] when both are zero), by the remainder sequence over Z."""
-    g = int_poly_gcd(int_poly(a), int_poly(b))
-    return [Fraction(c, g[-1]) for c in g]
-
-
 def poly_squarefree_part(p: list[Fraction]) -> list[Fraction]:
-    """The monic squarefree part p / gcd(p, p'), by the remainder sequence over Z."""
-    p = int_poly(p)
-    if not p:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = int_poly_squarefree(p)[1]
+    """The monic squarefree part p / gcd(p, p'), as the Sturm certificate carries it."""
+    r = sturm_positive_real_roots(p).squarefree_part
     return [Fraction(c, r[-1]) for c in r]
 
 
@@ -779,6 +773,27 @@ def ref_sturm(coeffs) -> SturmCertificate:
     chain = ref_sturm_chain(q)
     real = ref_variations_at_inf(chain, -1) - ref_variations_at_inf(chain, +1)
     return SturmCertificate(positive, real, distinct, real == distinct, squarefree)
+
+
+def two_sequence_sturm(coeffs) -> SturmCertificate:
+    """The Sturm certificate by the route one chain replaced: gcd(p, p') as
+    the last term of one remainder sequence, then a second sequence, the
+    Sturm chain of the squarefree part p / gcd(p, p')."""
+    p = int_poly(coeffs)
+    if not p:
+        raise ValueError("the zero polynomial has no Sturm certificate")
+    a, b = p, int_poly_derivative(p)
+    while b:
+        a, b = b, int_poly_remainder(a, b)
+    g = _content_free(a if a[-1] > 0 else [-c for c in a])
+    q = int_poly_quotient(p, g)
+    distinct = len(q) - 1
+    if distinct == 0:
+        return SturmCertificate(0, 0, 0, True, len(g) <= 1, q)
+    chain = int_sturm_chain(q)
+    positive = _variations_at_zero(chain) - _variations_at_inf(chain, +1)
+    real = _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
+    return SturmCertificate(positive, real, distinct, real == distinct, len(g) <= 1, q)
 
 
 def ref_poly_eval_matrix(p, a: Mat) -> Mat:
@@ -1588,29 +1603,57 @@ def test_sturm_certificate_matches_the_chain_over_q(p):
                 certify(p)
         return
     assert sturm_positive_real_roots(p) == ref_sturm(p)
-    # each term of the integer chain is a positive multiple of the term over Q
-    q = ref_squarefree_part(poly_normalize(p))
-    if poly_degree(q) > 0:
-        chain, ref = int_sturm_chain(int_poly(q)), ref_sturm_chain(q)
-        assert len(chain) == len(ref)
+    # each term of the integer chain is a positive multiple of the term over
+    # Q, for p, which the certificate runs it on, and for its squarefree part
+    p = poly_normalize(p)
+    for monic in ([c / p[-1] for c in p], ref_squarefree_part(p)):
+        chain, ref = int_sturm_chain(int_poly(monic)), ref_sturm_chain(monic)
+        assert len(chain) == len(ref) - (poly_degree(monic) == 0)  # no zero derivative
         for z, f in zip(chain, ref):
             ratio = Fraction(z[-1]) / f[-1]
             assert ratio > 0 and [Fraction(c) for c in z] == [ratio * c for c in f]
 
 
+def certificate_or_error(certify, coeffs) -> tuple:
+    """Every field of the certificate, squarefree_part too, with its type, or
+    the type and message of the exception."""
+    try:
+        cert = certify(coeffs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(cert), [(name, type(value), value) for name, value in sorted(vars(cert).items())]
+
+
 @EXAMPLES
-@given(p=polynomials(), shared=polynomials(), other=polynomials())
-def test_gcd_and_squarefree_part_match_euclid_over_q(p, shared, other):
-    if poly_normalize(p):
-        assert same_list(poly_squarefree_part(p), ref_squarefree_part(poly_normalize(p)))
-    else:
-        for part in (poly_squarefree_part, ref_squarefree_part):
-            with pytest.raises(ZeroDivisionError):
-                part(p)
-    a = ref_poly_mul(shared, p) if shared and p else p
-    b = ref_poly_mul(shared, other) if shared and other else other
-    for x, y in ((a, b), (b, a), (a, []), ([], b), ([], [])):
-        assert same_list(poly_gcd(x, y), ref_poly_gcd(x, y))
+@given(p=st.one_of(polynomials(), st.lists(st.sampled_from([0, 1, -2, "1/2", "x", None]), max_size=3)))
+def test_one_chain_certificate_matches_the_two_sequence_route(p):
+    # repeated roots, multiple roots at 0, constants, negative leading
+    # coefficients and Fraction coefficients come from polynomials(); the
+    # zero polynomial and entries Fraction refuses raise as before
+    assert certificate_or_error(sturm_positive_real_roots, p) == certificate_or_error(two_sequence_sturm, p)
+
+
+@EXAMPLES
+@given(p=polynomials().filter(poly_normalize), shared=polynomials().filter(poly_normalize))
+def test_gcd_and_squarefree_part_match_euclid_over_q(p, shared):
+    # the Sturm chain of p ends in gcd(p, p'), and dividing by it gives the
+    # squarefree part and a quotient of every term of the chain
+    p = poly_normalize(p)
+    z = int_poly(p)
+    chain = int_sturm_chain(z)
+    last = chain[-1]
+    assert [Fraction(c, last[-1]) for c in last] == ref_poly_gcd(p, ref_poly_derivative(p))
+    g = int_poly(last)
+    q = int_poly_quotient(z, g)
+    assert [Fraction(c, q[-1]) for c in q] == ref_squarefree_part(p)
+    for t in chain:
+        assert ref_poly_mul(int_poly_quotient(t, g), g) == t
+    # an exact quotient of any product, and a non-divisor fails the certificate
+    d = int_poly(shared)
+    assert int_poly_quotient(int_poly(ref_poly_mul(shared, p)), d) == z
+    if poly_divmod(p, poly_normalize(shared))[1]:
+        with pytest.raises(CertificateError, match="does not divide p"):
+            int_poly_quotient(z, d)
 
 
 @EXAMPLES
@@ -1647,10 +1690,15 @@ def test_spectral_certificate_edge_cases(monkeypatch):
     assert sturm_positive_real_roots(p) == ref_sturm(p) == SturmCertificate(1, 2, 2, True, False)
     assert int_poly(p) == [0, 0, 4, -4, 1]
     assert _rational_roots(int_poly(ref_squarefree_part(poly_normalize(p)))) == [0, 2]
-    # a gcd that does not divide p fails the certificate, not the input
-    monkeypatch.setattr(poly, "int_poly_gcd", lambda a, b: [1, 1])
-    with pytest.raises(CertificateError, match="does not divide p"):
-        poly_squarefree_part([1, 0, 1])
+    # a last chain term that does not divide p, or a chain term the last one
+    # does not divide, fails the certificate, not the input
+    chain = int_sturm_chain
+    for corrupted in (lambda p: [p, [1, 1]], lambda p: chain(p)[:1] + [[1, 0, 1]] + chain(p)[1:]):
+        monkeypatch.setattr(poly, "int_sturm_chain", corrupted)
+        for route in (sturm_positive_real_roots, poly_squarefree_part):
+            with pytest.raises(CertificateError, match="^squarefree certificate failed: gcd\\(p, p'\\) does not divide p$"):
+                route([2, -3, 0, 1])
+    monkeypatch.undo()
     with pytest.raises(TypeError, match="over Q"):
         Mat(1, 1, [[QI_ONE]]).charpoly()
 

@@ -5,8 +5,9 @@ from random import Random
 
 import pytest
 
+from wittpoint.core import CertificateError
 from wittpoint.linalg import Mat
-from wittpoint.poly import int_poly, int_poly_at, int_poly_gcd, int_poly_squarefree
+from wittpoint.poly import int_poly, int_poly_at, int_poly_quotient, int_sturm_chain
 
 
 def test_zero_dimensional_matrices():
@@ -102,7 +103,10 @@ def test_poly_helpers():
     p = int_poly([Fraction(2), Fraction(-3), Fraction(0), Fraction(1)])
     assert p == [2, -3, 0, 1]
     assert int_poly([Fraction(1, 2), Fraction(-1, 2)]) == [-1, 1]  # primitive, leading coefficient > 0
-    assert int_poly_gcd(p, [-1, 1]) == [-1, 1]
-    g, r = int_poly_squarefree(p)
-    assert g == [-1, 1]  # gcd(p, p') = t - 1
-    assert r == [-2, 1, 1]  # the squarefree part (t - 1)(t + 2)
+    chain = int_sturm_chain(p)
+    assert chain == [p, [-3, 0, 3], [-1, 1]]  # it ends in gcd(p, p') = t - 1
+    assert int_poly_quotient(p, [-1, 1]) == [-2, 1, 1]  # the squarefree part (t - 1)(t + 2)
+    assert [int_poly_quotient(t, [-1, 1]) for t in chain] == [[-2, 1, 1], [3, 3], [1]]
+    with pytest.raises(CertificateError, match="does not divide p"):
+        int_poly_quotient(p, [1, 1])
+    assert int_sturm_chain([1]) == [[1]]  # a constant has no derivative term

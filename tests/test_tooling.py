@@ -22,7 +22,9 @@ so the record classes build on ``core.Record`` instead.  Only ``jsonio``, the
 input edge, builds a matrix with ``Mat.from_columns``; computations build
 matrices from rows or from integer forms and read columns as ``.T.rows``.
 No function in ``cobordism`` is longer than 60 lines, so each witness
-condition stays a function of its own.
+condition stays a function of its own.  Every module-level function and
+class of the package is named elsewhere in it or in the benchmark, so no
+code stays that nothing calls.
 """
 
 import ast
@@ -536,6 +538,90 @@ def test_package_exports_the_same_names_lazily():
     assert sorted(set(star) - {"__builtins__"}) == names
     with pytest.raises(AttributeError, match="^module 'wittpoint' has no attribute 'no_such_name'$"):
         getattr(wittpoint, "no_such_name")
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+BENCHMARK = ROOT / "perfbench"
+
+
+def names_read(tree) -> set:
+    """(owner, name) for every name a module reads: identifiers, attributes,
+    imported names and string constants such as the ``_EXPORTS`` entries.
+    The owner is the module-level function or class the name is read in,
+    or None."""
+    found = set()
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.add((owner, node.attr))
+            elif isinstance(node, ast.alias):
+                found.add((owner, node.name))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add((owner, node.value))
+    return found
+
+
+def unnamed_definitions(package: dict, others: list) -> list[str]:
+    """The module-level functions and classes of ``package`` (module name ->
+    source) that no other code names, there or in the ``others`` sources,
+    as module.name.  A name read inside its own definition does not count,
+    and dunder functions are called by the interpreter."""
+    reads = {mod: names_read(ast.parse(src)) for mod, src in package.items()}
+    elsewhere = {name for src in others for _, name in names_read(ast.parse(src))}
+    found = []
+    for mod, src in package.items():
+        for node in ast.parse(src).body:
+            if not isinstance(node, DEFINITIONS) or node.name.startswith("__"):
+                continue
+            if node.name in elsewhere or any(name == node.name and (m, owner) != (mod, node.name)
+                                             for m, names in reads.items() for owner, name in names):
+                continue
+            found.append(f"{mod}.{node.name}")
+    return found
+
+
+def test_every_package_function_and_class_is_named_elsewhere():
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    others = [path.read_text() for path in sorted(BENCHMARK.rglob("*.py"))]
+    assert "core" in package and others, (PACKAGE, BENCHMARK)
+    found = unnamed_definitions(package, others)
+    assert not found, f"nothing in the package or the benchmark calls these; remove them: {found}"
+
+
+def test_unnamed_definition_guard_sees_every_spelling():
+    package = {
+        "a": """
+def called(): pass
+def read_as_attribute(): pass
+def imported(): pass
+def exported(): pass
+def benchmarked(): pass
+def recursive(n):
+    return recursive(n - 1)
+class Unused:
+    def make(self):
+        return Unused()
+async def unused_async(): pass
+def _unused_private(): pass
+def __getattr__(name): pass
+""",
+        "b": """
+import a
+from .a import imported
+_EXPORTS = {"a": ("exported",)}
+def main():
+    called()
+    return a.read_as_attribute
+if __name__ == "__main__":
+    main()
+""",
+    }
+    others = ["from wittpoint.a import benchmarked"]
+    assert sorted(unnamed_definitions(package, others)) == [
+        "a.Unused", "a._unused_private", "a.recursive", "a.unused_async"]
 
 
 # the (weight, dimension) shapes of acceptance criterion 4
