@@ -6,9 +6,11 @@ one rational frame R of V = ⊕ W_{p,q}, one summand per pair {p, q} (Deligne,
 *Théorie de Hodge II*, 1971, §2).  For p > q, W_{p,q} has the basis
 X = Re B_{p,q}, Y = Im B_{p,q} and the complex structure J X = -Y, J Y = X
 (i on H^{p,q}, -i on H^{q,p}); W_{p,p} is spanned by Re B_{p,p}, Im B_{p,p}.
-The Weil operator is R Λ R^-1, Λ = i^(p-q) on each summand, and positivity
-is Sylvester minors of S(u, Cv); positive minors make det(S C) > 0, so they
-certify nondegeneracy too, and det S is taken only when positivity fails.
+The Weil operator is R Λ R^-1, Λ = i^(p-q) on each summand; an identity R
+(a structure given in its frame basis) is its own inverse and is never
+multiplied by.  Positivity is Sylvester minors of S(u, Cv); positive minors
+make det(S C) > 0, so they certify nondegeneracy too, and det S is taken
+only when positivity fails.
 The comparison endomorphism phi = S^-1 S' is one solve, certified by
 phi^T S = S'; its spectrum is certified real, positive and semisimple by
 Sturm counts plus a squarefree minimal-polynomial check.  Each signature is
@@ -81,10 +83,25 @@ class _Summand(Frozen):
 
 
 class _Frame(Frozen):
-    """The rational frame R of a valid structure, its inverse and its summands."""
+    """The rational frame R of a valid structure, its inverse (R itself if
+    R = I) and its summands."""
 
     def __init__(self, basis: Mat, inverse: Mat, summands: list[_Summand]):
         self.__dict__.update(basis=basis, inverse=inverse, summands=summands)
+
+
+def _conjugate(frame: _Frame, a: Mat, into: bool = False) -> Mat:
+    """R a R^-1, or R^-1 a R ``into`` frame coordinates; a when R = I."""
+    r, ri = frame.basis, frame.inverse
+    if ri is r:
+        return a
+    return ri * a * r if into else r * a * ri
+
+
+def _pullback(frame: _Frame, gram: Mat) -> Mat:
+    """R^T G R; G when R = I."""
+    r = frame.basis
+    return gram if frame.inverse is r else r.T * gram * r
 
 
 def _frame_and_problems(h: HodgeStructure) -> tuple[_Frame | None, list[str]]:
@@ -124,7 +141,7 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
     size; R is invertible; each (p, p) block U + iV is invertible; and the
     partner of each (p, q), p > q, has coordinates (T, -iT) in (X, Y), T
     invertible, so it spans X - iY.  Then R^-1 B is block-diagonal with
-    invertible blocks."""
+    invertible blocks.  R = I is its own inverse, with no solve."""
     n = h.dimension
     keys = [(piece.p, piece.q) for piece in h.pieces if piece.re.n]
     if len(set(keys)) < len(keys):
@@ -152,11 +169,11 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
     if basis.n != n:
         return None
     try:
-        inverse = basis.inv()
+        inverse = basis if basis == Mat.identity(n) else basis.inv()
     except ValueError:
         return None
     for start, k, parts in partners:
-        uv = inverse * parts  # [U | V] of the partner
+        uv = parts if inverse is basis else inverse * parts  # [U | V] of the partner
         xs, ys = (uv.submatrix(range(at, at + k), range(2 * k)) for at in (start, start + k))
         rest = [i for i in range(n) if not start <= i < start + 2 * k]
         if (not uv.submatrix(rest, range(2 * k)).is_zero()
@@ -202,7 +219,8 @@ _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 def _weil(frame: _Frame, weight: int) -> Mat:
     """C = R Λ R^-1, Λ acting by i^(p-q) on each summand; C^2 = (-1)^w id.
-    B -> B M on B = X + iY is, on [X | Y], the realification of conj(M)."""
+    B -> B M on B = X + iY is, on [X | Y], the realification of conj(M).
+    When R = I, C is Λ, with no product."""
     blocks = []
     for w in frame.summands:
         block = Mat.identity(w.k)
@@ -210,7 +228,7 @@ def _weil(frame: _Frame, weight: int) -> Mat:
             re, im = _I_POWERS[(w.p - w.q) % 4]
             block = block.scale(re).hstack(block.scale(-im)).realification()
         blocks.append(block)
-    c = frame.basis * reduce(Mat.direct_sum, blocks, Mat.zeros(0, 0)) * frame.inverse
+    c = _conjugate(frame, reduce(Mat.direct_sum, blocks, Mat.zeros(0, 0)))
     if c * c != Mat.identity(c.n).scale(Fraction((-1) ** weight)):
         raise CertificateError("Weil operator certificate failed: C^2 is not (-1)^w")
     return c
@@ -279,7 +297,7 @@ def _check_polarization(h: HodgeStructure, frame: _Frame, weil: Mat,
     if s.symmetry != expected_sym:
         problems.append(f"pairing must be {'symmetric' if expected_sym == 1 else 'skew'} "
                         f"for weight {h.weight}")
-    if not _respects_frame(frame, frame.basis.T * s.gram * frame.basis):
+    if not _respects_frame(frame, _pullback(frame, s.gram)):
         found = _orthogonality_problems(h, s)
         if not found:
             raise CertificateError("first bilinear relation certificate failed on R^T S R")
@@ -382,7 +400,7 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     # passed its check, so what is left is self-adjointness: S C phi = S' C
     chain_ok = chk.s_c * phi == chk2.s_c
 
-    preserves = _respects_frame(frame, frame.inverse * phi * frame.basis)
+    preserves = _respects_frame(frame, _conjugate(frame, phi, into=True))
 
     char = phi.charpoly()
     cert = sturm_positive_real_roots(char)
@@ -589,7 +607,7 @@ def random_hodge_endomorphism(rng: Random, h: HodgeStructure) -> Mat:
             out.append(image.submatrix(range(w.k), w.pivots))
             if out[-1] * w.coords != image:
                 raise CertificateError("conjugation-equivariant blocks must give a real matrix")
-        psi = frame.basis * reduce(Mat.direct_sum, out, Mat.zeros(0, 0)) * frame.inverse
+        psi = _conjugate(frame, reduce(Mat.direct_sum, out, Mat.zeros(0, 0)))
         if psi.det():
             return psi
 

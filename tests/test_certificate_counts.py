@@ -79,14 +79,15 @@ def test_compare_polarizations_validates_once_and_builds_one_weil_operator(monke
 
 
 def test_compare_polarizations_inverts_the_frame_and_s_only(monkeypatch):
-    # R^-1 by one solve, and phi = S^-1 S' by one solve against S' with no
-    # S^-1 and no S X = I check of its own; no solve per piece
-    for weight, dim in [(0, 6), (1, 6), (2, 6), (3, 4)]:
+    # R^-1 by one solve, unless R = I, which is its own inverse; and phi =
+    # S^-1 S' by one solve against S' with no S^-1 and no S X = I check of its
+    # own; no solve per piece.  Of these shapes only (1, 6) has R != I.
+    for weight, dim, frame_inversions in [(0, 6, 0), (1, 6, 1), (2, 6, 0), (3, 4, 0)]:
         h, s, s_prime = random_polarization_pair(Random(41), weight, dim)
         inversions = count(monkeypatch, Mat, "inv")
         solves = count(monkeypatch, Mat, "solve")
         assert compare_polarizations(h, s, s_prime).certified
-        assert (inversions[0], solves[0]) == (1, 2), (weight, dim)
+        assert (inversions[0], solves[0]) == (frame_inversions, 1 + frame_inversions), (weight, dim)
         monkeypatch.undo()
 
 
@@ -471,6 +472,13 @@ def test_random_hodge_endomorphism_inverts_the_full_basis_once(monkeypatch):
     # the frame tests its two 1 x 1 coordinate blocks, two candidates are
     # drawn, then the check above
     assert attempts[0] == 5
+    assert inversions[0] == 0  # R = I is its own inverse
+    h, _ = standard_structure(1, 4)  # R is a permutation, not I
+    attempts[0] = 0
+    assert random_hodge_endomorphism(Random(5), h).det()
+    # the frame tests its partner's 2 x 2 coordinate block, two candidates
+    # are drawn (the first singular), then the check above
+    assert attempts[0] == 4
     assert inversions[0] == 1  # the rational frame, once for every candidate
 
 
@@ -494,3 +502,29 @@ def test_rank_parity_classes_test_no_prime(monkeypatch):
     assert tests[0] == 1  # the comparison's WittClassFp(2, 1)
     assert witt.WittClassFp.rank_parity(2, 4).is_zero()
     assert tests[0] == 1
+
+
+def test_an_identity_frame_is_never_multiplied_by(monkeypatch):
+    # every shape whose standard frame is R = I: no product has R or R^-1 as
+    # an operand, by object or, past weight 0 (where S and C are I), by value;
+    # the one product with an operand equal to I there is S C phi, as the
+    # reference pairing makes S(u, Cv) the identity
+    frames = []
+    certified_frame = hodge._certified_frame
+    monkeypatch.setattr(hodge, "_certified_frame", lambda h: frames.append(certified_frame(h)) or frames[-1])
+    products = []
+    multiply = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append((a, b)) or multiply(a, b))
+    inversions = count(monkeypatch, Mat, "inv")
+    for weight, dim in [(0, 1), (0, 3), (0, 6), (1, 2), (2, 3), (2, 4), (2, 6), (3, 4)]:
+        h, s, s_prime = random_polarization_pair(Random(41), weight, dim)
+        frames.clear(), products.clear()
+        phi = compare_polarizations(h, s, s_prime).phi
+        assert is_polarization(h, s_prime).ok
+        assert random_hodge_endomorphism(Random(7), h).det()
+        assert len(frames) == 3 and all(f.basis == Mat.identity(dim) and f.inverse is f.basis for f in frames)
+        assert not any(a is f.basis or b is f.basis for a, b in products for f in frames), (weight, dim)
+        if weight:
+            identity = Mat.identity(dim)
+            assert {(a, b) for a, b in products if identity in (a, b)} <= {(identity, phi)}, (weight, dim)
+    assert inversions[0] == 0

@@ -494,7 +494,7 @@ core._prime_factors = prime_factors
 solve = Mat.solve
 Mat.solve = lambda a, b: solve(a, b).scale(2)  # a wrong inverse, 2 A^-1, not a singular A
 print(fired(lambda: Mat.from_rows([[1, 1], [0, 1]]).inv()))
-print(fired(lambda: hodge.weil_operator(hodge.standard_structure(2, 3)[0])))  # the frame's R^-1
+print(fired(lambda: hodge.weil_operator(hodge.standard_structure(1, 4)[0])))  # the frame's R^-1, R != I
 Mat.solve = solve
 
 from wittpoint import poly

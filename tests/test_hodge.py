@@ -530,3 +530,103 @@ def test_comparison_certificate_fires_when_s_does_not_solve(monkeypatch):
     monkeypatch.setattr(Mat, "solve", lambda a, b: None if b == s2.gram else solve(a, b))
     with pytest.raises(CertificateError, match="^comparison certificate failed: phi\\^T S is not S'$"):
         compare_polarizations(h, s, s2)
+
+
+# -- an identity frame against the path that multiplies by every R ---------
+
+
+def reference_certified_frame(h):
+    """_certified_frame as it was: R^-1 by inversion for every R, also for
+    R = I, and each partner's coordinates as R^-1 times its columns.  Its
+    inverse is never the basis object, so every conjugation multiplies."""
+    n = h.dimension
+    keys = [(piece.p, piece.q) for piece in h.pieces if piece.re.n]
+    if len(set(keys)) < len(keys):
+        return None
+    spans, summands, partners = [], [], []
+    for piece in h.pieces:
+        partner = h.piece(piece.q, piece.p)
+        if partner is None or partner.re.n != piece.re.n:
+            return None
+        if piece.p < piece.q:
+            continue
+        k, start, span = piece.re.n, sum(s.n for s in spans), piece.re.hstack(piece.im)
+        if piece.p > piece.q:
+            summands.append(hodge._Summand(piece.p, piece.q, start, k))
+            partners.append((start, k, partner.re.hstack(partner.im)))
+        else:
+            reduced, pivots = span.rref()
+            coords = reduced.submatrix(range(k), range(2 * k))
+            if len(pivots) != k or not hodge._invertible(coords):
+                return None
+            span = span.submatrix(range(n), pivots)
+            summands.append(hodge._Summand(piece.p, piece.q, start, k, coords, tuple(pivots)))
+        spans.append(span)
+    basis = reduce(Mat.hstack, spans, Mat.zeros(n, 0))
+    if basis.n != n:
+        return None
+    try:
+        inverse = basis.inv()
+    except ValueError:
+        return None
+    for start, k, parts in partners:
+        uv = inverse * parts
+        xs, ys = (uv.submatrix(range(at, at + k), range(2 * k)) for at in (start, start + k))
+        rest = [i for i in range(n) if not start <= i < start + 2 * k]
+        if (not uv.submatrix(rest, range(2 * k)).is_zero()
+                or ys != xs.submatrix(range(k), range(k, 2 * k)).hstack(-xs.submatrix(range(k), range(k)))
+                or not hodge._invertible(xs)):
+            return None
+    return hodge._Frame(basis, inverse, summands)
+
+
+README_WEIGHT_1 = {"weight": 1, "pieces": [
+    {"p": 1, "q": 0, "basis": [[["1", "0"], ["0", "1"]]]},
+    {"p": 0, "q": 1, "basis": [[["1", "0"], ["0", "-1"]]]}]}
+
+
+def frame_cases():
+    """A seeded pair of each shape as it stands (R = I, or a permutation at
+    weight 1 in dimensions 4 and 6), the same pair in a fixed random basis
+    g, and the README's weight-1 example, whose R is I."""
+    for i, (weight, dim) in enumerate(SHAPES):
+        rng = Random(i)
+        h, s, s2 = random_polarization_pair(rng, weight, dim)
+        yield h, s, s2, hodge._frame(h).basis == Mat.identity(dim)
+        while True:
+            g = Mat.from_rows([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
+            if g.det():
+                break
+        (moved_h, moved_s), (_, moved_s2) = moved(h, s, g), moved(h, s2, g)
+        yield moved_h, moved_s, moved_s2, False
+    h = hodge_from_json(README_WEIGHT_1)
+    s = BilinearForm(RATIONAL, SKEW, Mat.from_rows([[0, -1], [1, 0]]))
+    psi = random_hodge_endomorphism(Random(1), h)
+    yield h, s, BilinearForm(RATIONAL, SKEW, s.gram + psi.T * s.gram * psi), True
+
+
+def frame_outputs(h, s, s2, rng):
+    """Everything the frame reaches: the comparison, the problem lists of a
+    polarization and of pairings that fail, and a Hodge endomorphism."""
+    perturbed = [list(r) for r in s2.gram.rows]  # S' with entries (0, n-1) and (n-1, 0) moved
+    perturbed[0][-1] += 1
+    perturbed[-1][0] += s2.symmetry if h.dimension > 1 else 0
+    bad = [s.scaled(-1), s.scaled(0), BilinearForm(RATIONAL, s2.symmetry, Mat.from_rows(perturbed))]
+    pair = compare_polarizations(h, s, s2)
+    return (pair, repr(pair), [is_polarization(h, f).problems for f in (s, s2, *bad)],
+            random_hodge_endomorphism(rng, h), weil_operator(h))
+
+
+def test_an_identity_frame_gives_what_multiplying_by_it_gives(monkeypatch):
+    cases = list(frame_cases())
+    assert sum(identity for *_, identity in cases) == 13  # 12 shapes and the README example
+    own = [frame_outputs(h, s, s2, Random(3)) for h, s, s2, _ in cases]
+    for h, _, _, identity in cases:
+        frame, reference = hodge._frame(h), reference_certified_frame(h)
+        assert (frame.basis, frame.inverse, frame.summands) == (reference.basis, reference.inverse,
+                                                                reference.summands)
+        assert (frame.inverse is frame.basis) == identity
+    monkeypatch.setattr(hodge, "_certified_frame", reference_certified_frame)
+    multiplied = [frame_outputs(h, s, s2, Random(3)) for h, s, s2, _ in cases]
+    assert [o[1:] for o in own] == [o[1:] for o in multiplied]
+    assert all(a[0] == b[0] for a, b in zip(own, multiplied))
