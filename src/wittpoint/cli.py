@@ -2,9 +2,11 @@
 
 Exit codes: 0 for success and true verdicts, 2 for a false mathematical
 verdict (something computed, and it is false), 1 for input or precondition
-errors, 3 for an internal error (a certificate failed its own check, which
-is a bug).  Output is plain text by default; --json emits deterministic JSON
-(sorted keys, sorted primes and degrees) for golden files.
+errors, usage errors included, 3 for an internal error (a certificate
+failed its own check, which is a bug).  Output is plain text by default;
+--json emits deterministic JSON (sorted keys, sorted primes and degrees) for
+golden files, with each ``Fraction`` written as its string.  Each command is
+one row of ``_COMMANDS``: its name, help line, handler and arguments.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _cmd_invariants(args) -> Outcome:
         "rank": inv.rank,
         "signature": {"positive": inv.signature[0], "negative": inv.signature[1]},
         "discriminant": inv.discriminant.representative,
-        "hasse": {str(k): v for k, v in sorted(inv.hasse.items(), key=lambda kv: (kv[0] == "real", kv[0] if kv[0] != "real" else 0))},
+        "hasse": {str(k): v for k, v in inv.hasse.items()},  # sorted primes, then real
     }
     text = [
         f"rank {inv.rank}",
@@ -145,10 +147,10 @@ def _cmd_verify_witness(args) -> Outcome:
     from .cobordism import verify_witness
     w = jsonio.witness_from_json(_load(args.witness))
     report = verify_witness(w)
-    payload = {"ok": report.ok, "failures": _plain(report.failures)}
+    payload = {"ok": report.ok, "failures": report.failures}
     text = ["witness verifies" if report.ok else "witness FAILS"]
     for f in report.failures:
-        text.append("  " + json.dumps(_plain(f), sort_keys=True))
+        text.append("  " + json.dumps(f, sort_keys=True, default=_rational))
     return Outcome(report.ok, payload, text)
 
 
@@ -325,91 +327,61 @@ def _cmd_selfcheck(args) -> Outcome:
     return Outcome(all(r.passed for r in results), payload, text)
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
+def _rational(x) -> str:
+    """``json``'s ``default``: a ``Fraction`` is written as its string ("3/4")."""
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1, as exit 2 is a false verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+# One row per command: its name, help line, handler and arguments.  An
+# argument is a positional name or an (option, argparse settings) pair.
+_COMMANDS = (
+    ("invariants", "rank, signature, discriminant, Hasse symbols", _cmd_invariants, ("form",)),
+    ("witt-class", "canonical Witt class of a form over Q", _cmd_witt_class, ("form",)),
+    ("equivalent", "decide Witt equality of two forms", _cmd_equivalent, ("a", "b")),
+    ("residue", "residue map psi^k into W(F_p)", _cmd_residue,
+     (("--prime", {"type": int, "required": True}),
+      ("--k", {"type": int, "choices": (0, 1), "required": True}), "form")),
+    ("metabolic-reduce", "clear the A and B blocks of a block-metabolic form", _cmd_metabolic_reduce,
+     ("block",)),
+    ("complex-class", "cobordism class of a self-dual complex", _cmd_complex_class, ("complex",)),
+    ("verify-witness", "check a cobordism witness diagram", _cmd_verify_witness, ("witness",)),
+    ("hodge-check", "is the pairing a polarization?", _cmd_hodge_check, ("hodge", "form")),
+    ("hodge-compare", "compare two polarizations of one structure", _cmd_hodge_compare,
+     ("hodge", "s", "s2")),
+    ("pol-class", "Witt class of the sign-normalized polarization", _cmd_pol_class, ("hodge", "form")),
+    ("chi-y", "chi_y polynomial of a Hodge diamond", _cmd_chi_y, ("diamond",)),
+    ("epsilon", "the sign (-1)^(m(m+1)/2)", _cmd_epsilon, (("m", {"type": int}),)),
+    ("lefschetz-check", "double-sum collapse identity on primitive pieces", _cmd_lefschetz_check,
+     ("pieces",)),
+    ("worked-examples", "run the worked example drivers with certificates", _cmd_worked_examples, ()),
+    ("selfcheck", "randomized invariance suites", _cmd_selfcheck,
+     (("--seed", {"type": int, "default": 0}), ("--trials", {"type": int, "default": 50}))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wittpoint",
         description="Exact Witt-group, point-cobordism, polarization, and chi_y computations.",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="rank, signature, discriminant, Hasse symbols")
-    p.add_argument("form")
-    p.set_defaults(handler=_cmd_invariants)
-
-    p = sub.add_parser("witt-class", help="canonical Witt class of a form over Q")
-    p.add_argument("form")
-    p.set_defaults(handler=_cmd_witt_class)
-
-    p = sub.add_parser("equivalent", help="decide Witt equality of two forms")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_equivalent)
-
-    p = sub.add_parser("residue", help="residue map psi^k into W(F_p)")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--k", type=int, choices=(0, 1), required=True)
-    p.add_argument("form")
-    p.set_defaults(handler=_cmd_residue)
-
-    p = sub.add_parser("metabolic-reduce", help="clear the A and B blocks of a block-metabolic form")
-    p.add_argument("block")
-    p.set_defaults(handler=_cmd_metabolic_reduce)
-
-    p = sub.add_parser("complex-class", help="cobordism class of a self-dual complex")
-    p.add_argument("complex")
-    p.set_defaults(handler=_cmd_complex_class)
-
-    p = sub.add_parser("verify-witness", help="check a cobordism witness diagram")
-    p.add_argument("witness")
-    p.set_defaults(handler=_cmd_verify_witness)
-
-    p = sub.add_parser("hodge-check", help="is the pairing a polarization?")
-    p.add_argument("hodge")
-    p.add_argument("form")
-    p.set_defaults(handler=_cmd_hodge_check)
-
-    p = sub.add_parser("hodge-compare", help="compare two polarizations of one structure")
-    p.add_argument("hodge")
-    p.add_argument("s")
-    p.add_argument("s2")
-    p.set_defaults(handler=_cmd_hodge_compare)
-
-    p = sub.add_parser("pol-class", help="Witt class of the sign-normalized polarization")
-    p.add_argument("hodge")
-    p.add_argument("form")
-    p.set_defaults(handler=_cmd_pol_class)
-
-    p = sub.add_parser("chi-y", help="chi_y polynomial of a Hodge diamond")
-    p.add_argument("diamond")
-    p.set_defaults(handler=_cmd_chi_y)
-
-    p = sub.add_parser("epsilon", help="the sign (-1)^(m(m+1)/2)")
-    p.add_argument("m", type=int)
-    p.set_defaults(handler=_cmd_epsilon)
-
-    p = sub.add_parser("lefschetz-check", help="double-sum collapse identity on primitive pieces")
-    p.add_argument("pieces")
-    p.set_defaults(handler=_cmd_lefschetz_check)
-
-    p = sub.add_parser("worked-examples", help="run the worked example drivers with certificates")
-    p.set_defaults(handler=_cmd_worked_examples)
-
-    p = sub.add_parser("selfcheck", help="randomized invariance suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
-    p.set_defaults(handler=_cmd_selfcheck)
-
+    for name, help_line, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        for arg in arguments:
+            option, settings = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(option, **settings)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -428,7 +400,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc} (this is a bug)", file=sys.stderr)
         return 3
     if args.json:
-        print(json.dumps(_plain(outcome.payload), sort_keys=True, indent=2))
+        print(json.dumps(outcome.payload, sort_keys=True, indent=2, default=_rational))
     else:
         for line in outcome.text:
             print(line)

@@ -25,7 +25,15 @@ from math import gcd
 from operator import add
 from random import Random
 
-from .core import CertificateError, Frozen, Record, SturmCertificate, factor, sturm_positive_real_roots
+from .core import (
+    CertificateError,
+    FactorBoundExceeded,
+    Frozen,
+    Record,
+    SturmCertificate,
+    factor,
+    sturm_positive_real_roots,
+)
 from .forms import (
     RATIONAL,
     SYMMETRIC,
@@ -378,9 +386,9 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     phi = S^{-1} S', one solve of S X = S', is an endomorphism of the
     structure, self-adjoint for the positive form S(u, Cv); its spectrum is
     certified real positive by Sturm and semisimple by a squarefree minimal
-    polynomial.  Eigenspaces are computed only when the characteristic
-    polynomial splits over Q.  Both signatures are checked against the
-    Hodge index theorem.
+    polynomial.  Eigenspaces are computed only when the radical is shown to
+    split over Q.  Both signatures are checked against the Hodge index
+    theorem.
     """
     frame = _frame(h)
     weil = _weil(frame, h.weight)
@@ -409,7 +417,10 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     semisimple = not any(map(any, int_poly_at(radical, phi)[1]))
 
     eigenspaces = None
-    rational_roots = _rational_roots(radical)
+    try:
+        rational_roots = _rational_roots(radical)
+    except FactorBoundExceeded:  # an end coefficient too hard to factor: not shown to split
+        rational_roots = []
     if len(rational_roots) == poly_degree(radical):
         eigenspaces = []
         total = 0

@@ -108,7 +108,11 @@ def block_from_json(doc, pointer: str = "$") -> BlockMetabolicForm:
     if isinstance(s_doc, dict) and "gram" in s_doc:
         s = form_from_json(s_doc, f"{pointer}.s")
     else:
-        s = BilinearForm(RATIONAL, SYMMETRIC, parse_matrix(s_doc, f"{pointer}.s"))
+        gram = parse_matrix(s_doc, f"{pointer}.s")
+        try:
+            s = BilinearForm(RATIONAL, SYMMETRIC, gram)
+        except ValueError as exc:
+            raise SchemaError(f"{pointer}.s", str(exc)) from exc
     try:
         return BlockMetabolicForm(s, parse_matrix(doc["a"], f"{pointer}.a"),
                                   parse_matrix(doc["b"], f"{pointer}.b"))
@@ -207,8 +211,7 @@ def complex_from_json(doc, pointer: str = "$") -> SelfDualComplex:
 def complex_to_json(c: SelfDualComplex) -> dict:
     return {
         "symmetry": "symmetric" if c.epsilon == SYMMETRIC else "skew",
-        "spaces": {str(i): n for i, n in sorted(c.complex.spaces.items())},
-        "differentials": _degree_map_to_json(c.complex.differentials),
+        **chain_complex_to_json(c.complex),
         "pairing": _degree_map_to_json({i: s for i, s in c.pairings.items() if i >= 0}),
     }
 

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from wittpoint import witt
+from wittpoint import cli, witt
 from wittpoint.cli import main
 from wittpoint.jsonio import (
     complex_from_json,
@@ -156,6 +157,26 @@ def test_complex_commands(tmp_path, capsys):
     assert main(["verify-witness", wbad]) == 2
 
 
+def test_verify_witness_failures_write_rationals_as_strings(tmp_path, capsys):
+    # the adjointness failure carries the two Gram blocks, whose entries are Fractions
+    w = truncation_witness(acyclic_extension(BilinearForm.from_diagonal([-2]), Random(2), 1))
+    bad = witness_to_json(w)
+    bad["s2"]["-1"][0][0] = "17/3"
+    wbad = write(tmp_path, "wb.json", bad)
+    failure = ('{"check": "adjointness_rho_prime_pi_prime", "degree": -1, '
+               '"lhs": [["-1"]], "rhs": [["17/3"]]}')
+    assert main(["verify-witness", wbad]) == 2
+    assert capsys.readouterr().out == f"witness FAILS\n  {failure}\n"
+    assert main(["--json", "verify-witness", wbad]) == 2
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "failures": [json.loads(failure)]}
+
+
+def test_json_output_refuses_what_is_not_a_rational():
+    assert json.dumps({"x": Fraction(-3, 4)}, default=cli._rational) == '{"x": "-3/4"}'
+    with pytest.raises(TypeError, match="Mat is not JSON serializable"):
+        json.dumps({"x": Mat.identity(1)}, default=cli._rational)
+
+
 def test_verify_witness_command_accepts_a_homotopy_with_blocks(tmp_path, capsys):
     # the identity witness on a three-degree complex: its solved homotopy
     # has blocks in degrees 0 and 1, which the cone comparison must read
@@ -199,6 +220,31 @@ def test_hodge_commands(tmp_path, capsys):
 
     bad = write(tmp_path, "bad.json", form_doc([[1, 0], [0, -1]]))
     assert main(["hodge-check", hpath, bad]) == 2
+
+
+def test_hodge_compare_certifies_a_pair_whose_radical_it_cannot_factor(tmp_path, capsys):
+    # the constant term of the radical, p * q, is beyond Brent's rho
+    p, q = 1000000000000037, 3000000000000037
+    h, s = standard_structure(0, 2)
+    paths = [write(tmp_path, "h.json", hodge_to_json(h)), write(tmp_path, "s.json", form_to_json(s)),
+             write(tmp_path, "s2.json", form_doc([[p, 0], [0, q]]))]
+    assert main(["--json", "hodge-compare", *paths]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certified"] is True and doc["semisimple"] is True
+    assert "eigenvalues" not in doc
+    assert main(["hodge-compare", *paths]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "eigenvalues" not in captured.out
+    assert captured.out.endswith("certified: True\n")
+
+
+def test_metabolic_reduce_points_at_a_bad_bare_gram(tmp_path, capsys):
+    for s_doc, message in (([["1", "2"], ["3", "1"]], "Gram matrix does not match the declared symmetry"),
+                           ([["1", "2"]], "Gram matrix must be square")):
+        path = write(tmp_path, "block.json", {"s": s_doc, "a": [["1"]], "b": [["1"], ["0"]]})
+        assert main(["metabolic-reduce", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"input error: $.s: {message}\n"
 
 
 def test_hodge_check_rejects_non_integer_degrees(tmp_path, capsys):
@@ -364,8 +410,37 @@ def test_the_trial_division_flag_is_gone(tmp_path, capsys):
     path = write(tmp_path, "f.json", form_doc([[6]]))
     with pytest.raises(SystemExit) as exc:
         main(["--trial-division-bound", "100", "witt-class", path])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert capsys.readouterr().err.startswith("usage: wittpoint")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["witt-class"], "wittpoint witt-class: error: the following arguments are required: form"),
+    (["residue", "--prime", "x", "--k", "0", "FORM"],
+     "wittpoint residue: error: argument --prime: invalid int value: 'x'"),
+    (["residue", "--prime", "3", "--k", "5", "FORM"],
+     "wittpoint residue: error: argument --k: invalid choice: 5 (choose from 0, 1)"),
+    (["nosuch"], "wittpoint: error: argument command: invalid choice: 'nosuch' (choose from "),
+    (["--bogus", "witt-class", "FORM"], "wittpoint: error: unrecognized arguments: --bogus"),
+], ids=["missing-form", "prime-not-int", "k-not-a-choice", "unknown-command", "unknown-flag"])
+def test_usage_errors_are_input_errors(tmp_path, capsys, argv, message):
+    # argparse exits 2, the exit code of a computed false verdict
+    path = write(tmp_path, "f.json", form_doc([[6]]))
+    with pytest.raises(SystemExit) as exc:
+        main([path if a == "FORM" else a for a in argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: wittpoint")
+    assert captured.err.splitlines()[-1].startswith(message)
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["residue", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wittpoint")
 
 
 # Runs each argv of sys.argv[1] through cli.main in one process and prints,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittpoint import hodge
-from wittpoint.core import CertificateError
+from wittpoint.core import CertificateError, FactorBoundExceeded
 from wittpoint.forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm
 from wittpoint.hodge import (
     HodgePiece,
@@ -185,6 +185,18 @@ def test_compare_polarizations_split_spectrum_orthogonal_eigenspaces():
     assert [e.eigenvalue for e in pair.eigenspaces] == [Fraction(2), Fraction(5)]
     for e in pair.eigenspaces:
         assert (pair.phi * e.basis) == e.basis.scale(e.eigenvalue)
+
+
+def test_a_radical_too_hard_to_factor_is_not_shown_to_split():
+    # phi = diag(p, q) for two primes near 10^15: the radical's constant term
+    # p * q is beyond Brent's rho, but no certificate needs it factored
+    p, q = 1000000000000037, 3000000000000037
+    h, s = standard_structure(0, 2)
+    with pytest.raises(FactorBoundExceeded):
+        hodge._rational_roots([p * q, -(p + q), 1])
+    pair = compare_polarizations(h, s, BilinearForm.from_diagonal([p, q]))
+    assert pair.certified and pair.semisimple and pair.sturm.positive_roots == 2
+    assert pair.eigenspaces is None
 
 
 def test_random_pairs_certified_across_weights():

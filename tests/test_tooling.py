@@ -24,9 +24,12 @@ matrices from rows or from integer forms and read columns as ``.T.rows``.
 No function in ``cobordism`` is longer than 60 lines, so each witness
 condition stays a function of its own.  Every module-level function and
 class of the package is named elsewhere in it or in the benchmark, so no
-code stays that nothing calls.
+code stays that nothing calls.  The README's CLI block lists the commands
+the parser registers, in its order, so the command table and the docs
+cannot drift apart.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -39,6 +42,7 @@ import pytest
 
 import wittpoint
 from wittpoint import linalg, poly
+from wittpoint.cli import build_parser
 from wittpoint.hodge import compare_polarizations, is_polarization, random_polarization_pair
 from wittpoint.linalg import Mat
 from test_kernel import GaussianRational
@@ -70,6 +74,26 @@ def test_tracer_targets_resolve_in_the_package():
                    for attr, value in vars(module).items()), name
     for mod in tracer.MODULES:
         importlib.import_module(f"wittpoint.{mod}")
+
+
+def readme_commands(text: str) -> list[str]:
+    """The commands of the first code block under ``## CLI``, one a line."""
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = block.splitlines()
+    assert all(line.startswith("wittpoint ") for line in lines), lines
+    return [line.split()[1] for line in lines]
+
+
+def test_readme_lists_the_commands_the_parser_registers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert readme_commands((ROOT / "README.md").read_text()) == list(sub.choices)
+
+
+def test_readme_command_reader_reads_the_cli_block_only():
+    text = ("# x\n```\nwittpoint early a.json\n```\n## CLI\n\nprose `wittpoint other`\n\n"
+            "```\nwittpoint b-c x.json   # note\nwittpoint d --k 0 y.json\n```\n\n"
+            "```\nwittpoint later\n```\n")
+    assert readme_commands(text) == ["b-c", "d"]
 
 
 def test_package_has_no_assert_statements():
