@@ -243,12 +243,12 @@ def mapping_cone(fmap: dict[int, Mat], a: ChainComplex, b: ChainComplex) -> Chai
 
 
 def cone_comparison(
-    f1: dict[int, Mat], a1: ChainComplex, b1: ChainComplex,
-    f2: dict[int, Mat], a2: ChainComplex, b2: ChainComplex,
+    a1: ChainComplex, b1: ChainComplex, a2: ChainComplex, b2: ChainComplex,
     alpha: dict[int, Mat], beta: dict[int, Mat], h: dict[int, Mat],
 ) -> dict[int, Mat]:
-    """The map C(f1) -> C(f2), (x, y) |-> (alpha x, beta y + h x), where
-    h^{i+1}: A1^{i+1} -> B2^i is read with shape B2^i x A1^{i+1}."""
+    """The map C(f1) -> C(f2) of the cones of f1: A1 -> B1 and f2: A2 -> B2,
+    (x, y) |-> (alpha x, beta y + h x), where h^{i+1}: A1^{i+1} -> B2^i is
+    read with shape B2^i x A1^{i+1}.  Its blocks do not depend on f1 or f2."""
     out = {}
     for i in sorted(set(a1.spaces) | set(b1.spaces) | set(a2.spaces) | set(b2.spaces) | {j - 1 for j in a1.spaces} | {j - 1 for j in a2.spaces}):
         rows = a2.dim(i + 1) + b2.dim(i)
@@ -558,8 +558,7 @@ def _cone_failures(w: CobordismWitness, h: dict[int, Mat]) -> list:
     fc, fpc = w.f.complex, w.f_prime.complex
     cone_src = mapping_cone(w.rho_prime, w.g, fpc)
     cone_dst = mapping_cone(w.rho, fc, w.g_prime)
-    phi = cone_comparison(w.rho_prime, w.g, fpc, w.rho, fc, w.g_prime,
-                          w.pi, w.pi_prime, h)
+    phi = cone_comparison(w.g, fpc, fc, w.g_prime, w.pi, w.pi_prime, h)
     bad = chain_map_failure(phi, cone_src, cone_dst)
     if bad is not None:
         # the checks before make (pi, pi' + h) a chain map; this certifies the cone signs

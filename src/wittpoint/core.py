@@ -258,11 +258,23 @@ class SquareClass(Frozen):
         return str(self.representative)
 
 
+def _rational(x) -> Fraction:
+    """x as a ``Fraction``: a ``Fraction`` as it is, an int or a string such as
+    "1/10" exactly.  A float raises ``TypeError``: its value is a binary
+    fraction, not the decimal it was written as (0.1 is 3602879701896397 / 2^55)."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"exact arithmetic takes no float, such as {x!r}: give a Fraction, an int or a string")
+    return Fraction(x)
+
+
 def square_class(a) -> SquareClass:
     """Class of a nonzero rational modulo (Q*)^2, as a signed squarefree integer,
-    the kernel of a.  A ``Fraction`` is read as it is; anything else is coerced."""
+    the kernel of a.  A ``Fraction`` is read as it is, with no other check;
+    anything else is coerced, and a float refused."""
     if not isinstance(a, Fraction):
-        a = Fraction(a)
+        a = _rational(a)
     if a == 0:
         raise ValueError("zero has no square class")
     n = a.numerator * a.denominator  # a and n*d differ by the square d^2
@@ -281,7 +293,7 @@ def _int_split(n: int, p: int) -> tuple[int, int]:
 
 def residue_mod(a, p: int) -> int:
     """The image in F_p of an integer or a rational whose denominator is prime to p."""
-    a = Fraction(a)
+    a = _rational(a)
     if a.denominator % p == 0:
         raise ValueError(f"{a} has no image mod {p}: {p} divides its denominator")
     return a.numerator * pow(a.denominator, -1, p) % p
@@ -315,7 +327,7 @@ def hilbert_symbol(a, b, place) -> int:
     +1 iff z^2 = a*x^2 + b*y^2 has a nontrivial solution over the completion.
     The p = 2 case uses the classical epsilon/omega residue formulas.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational(a), _rational(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     if place == REAL_PLACE:

@@ -67,7 +67,7 @@ class BilinearForm(Frozen):
 
     @staticmethod
     def from_diagonal(entries, field=RATIONAL) -> "BilinearForm":
-        return BilinearForm(field, SYMMETRIC, Mat.diag([Fraction(e) if field == RATIONAL else e for e in entries]))
+        return BilinearForm(field, SYMMETRIC, Mat.diag(entries))
 
     @staticmethod
     def from_rows(rows, symmetry=SYMMETRIC, field=RATIONAL) -> "BilinearForm":
@@ -86,7 +86,7 @@ class BilinearForm(Frozen):
         return BilinearForm(self.field, self.symmetry, g)
 
     def scaled(self, c) -> "BilinearForm":
-        return BilinearForm(self.field, self.symmetry, self.gram.scale(Fraction(c)))
+        return BilinearForm(self.field, self.symmetry, self.gram.scale(c))
 
     def restrict(self, basis: Mat) -> "BilinearForm":
         return BilinearForm(self.field, self.symmetry, basis.T * self.gram * basis)
@@ -312,8 +312,8 @@ def radical_split(f: BilinearForm) -> RadicalSplit:
 
 
 class SymplecticReduction(Frozen):
-    """A skew form's count of hyperbolic planes, with the congruence P for
-    which P^T G P is the standard symplectic Gram."""
+    """A skew form's count k of hyperbolic planes, with the congruence P, whose
+    columns u_1, v_1, ..., u_k, v_k, then a radical basis, give P^T G P = J_k + 0."""
 
     def __init__(self, hyperbolic_count: int, congruence: Mat):
         self.__dict__.update(hyperbolic_count=hyperbolic_count, congruence=congruence)
@@ -326,13 +326,15 @@ def standard_symplectic_gram(k: int) -> Mat:
 
 
 def symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
-    """Reduce a nondegenerate skew form over Q to the standard symplectic Gram.
+    """Reduce a skew form over Q to the standard symplectic Gram J_k plus zeros.
 
-    Every such form is a sum of hyperbolic planes, so its Witt class is zero
-    (Milnor and Husemoller, *Symmetric Bilinear Forms*, ch. I).  Each step
-    pairs u, the first row of ``rest``, with v, its first row with <u, v> != 0,
-    scaled by 1 / <u, v>, and moves every other row w to w - <u, w> v + <v, w> u.
-    A degenerate form leaves some u with no partner.
+    A nondegenerate skew form is a sum of hyperbolic planes, so its Witt class
+    is zero (Milnor and Husemoller, *Symmetric Bilinear Forms*, ch. I).  Each
+    step pairs u, the first row of ``rest``, with v, its first row with
+    <u, v> != 0, scaled by 1 / <u, v>, and moves every other row w to
+    w - <u, w> v + <v, w> u.  A u with no partner pairs to zero with ``rest``,
+    which pairs to zero with the pairs split before, so u is in the radical
+    and is set aside after the pairs.
     """
     if f.symmetry != SKEW:
         raise ValueError("symplectic reduction requires a skew form")
@@ -340,29 +342,30 @@ def symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
         raise ValueError("symplectic_reduce operates over Q")
     g = f.gram
     n = g.n
-    if n % 2:
-        raise ValueError("skew nondegenerate forms have even rank; odd rank given")
     cols = range(n)
     rest = Mat.identity(n)
-    pairs = Mat.zeros(0, n)  # u_1, v_1, u_2, v_2, ... as rows
+    pairs = radical = Mat.zeros(0, n)  # pairs: u_1, v_1, u_2, v_2, ... as rows
     while rest.m:
         u = rest.submatrix([0], cols)
         uw = u * g * rest.T  # <u, w> for every row w of rest
-        j = next((t for t in range(1, rest.m) if uw[0, t]), None)
+        d, pairings = uw.integer_columns()  # <u, w> = pairings[t][0] / d
+        j = next((t for t in range(1, rest.m) if pairings[t][0]), None)
         if j is None:
-            raise ValueError("skew form is degenerate")
-        v = rest.submatrix([j], cols).scale(1 / uw[0, j])
+            radical, rest = radical.vstack(u), rest.submatrix(range(1, rest.m), cols)
+            continue
+        v = rest.submatrix([j], cols).scale(Fraction(d, pairings[j][0]))
         others = [t for t in range(1, rest.m) if t != j]
         rest = rest.submatrix(others, cols)
         a = uw.submatrix([0], others).T
         b = (v * g * rest.T).T
         rest = rest - a * v + b * u
         pairs = pairs.vstack(u).vstack(v)
-    congruence = pairs.T
-    if congruence.T * g * congruence != standard_symplectic_gram(n // 2):
+    k, r = pairs.m // 2, radical.m
+    congruence = pairs.vstack(radical).T
+    if congruence.T * g * congruence != standard_symplectic_gram(k).direct_sum(Mat.zeros(r, r)):
         raise CertificateError("symplectic certificate failed: "
                                "P^T G P is not the standard symplectic Gram")
-    return SymplecticReduction(hyperbolic_count=n // 2, congruence=congruence)
+    return SymplecticReduction(hyperbolic_count=k, congruence=congruence)
 
 
 class BlockMetabolicForm(Frozen):

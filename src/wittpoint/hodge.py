@@ -151,8 +151,7 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
     invertible, so it spans X - iY.  Then R^-1 B is block-diagonal with
     invertible blocks.  R = I is its own inverse, with no solve."""
     n = h.dimension
-    keys = [(piece.p, piece.q) for piece in h.pieces if piece.re.n]
-    if len(set(keys)) < len(keys):
+    if _repeated_pieces(h):
         return None
     spans, summands, partners = [], [], []
     for piece in h.pieces:
@@ -197,14 +196,25 @@ def _invertible(uv: Mat) -> bool:
     return bool(uv.realification().det())
 
 
+def _repeated_pieces(h: HodgeStructure) -> list[tuple[int, int]]:
+    """The (p, q) of each nonempty piece given more than once, in order."""
+    keys = [(piece.p, piece.q) for piece in h.pieces if piece.re.n]
+    return list(dict.fromkeys(k for k in keys if keys.count(k) > 1))
+
+
 def _bigrading_problems(h: HodgeStructure) -> list[str]:
-    """Why a structure of the right shape has no frame: its pieces are
-    dependent over Q(i), or a piece's conjugate does not span its partner."""
+    """Why a structure of the right shape has no frame: a nonempty (p, q)
+    piece is given twice, its pieces are dependent over Q(i), or a piece's
+    conjugate does not span its partner.  A repeated piece is reported first;
+    the partner checks are then skipped, as ``piece`` finds only the first
+    piece of a (p, q)."""
+    problems = [f"piece ({p},{q}) is given twice" for p, q in _repeated_pieces(h)]
     re = reduce(Mat.hstack, [piece.re for piece in h.pieces])
     im = reduce(Mat.hstack, [piece.im for piece in h.pieces])
     if re.hstack(im).realification().rank() != 2 * h.dimension:
-        return ["piece bases are not jointly independent"]
-    problems = []
+        return problems + ["piece bases are not jointly independent"]
+    if problems:
+        return problems
     for piece in h.pieces:
         partner = h.piece(piece.q, piece.p)
         if partner is None:

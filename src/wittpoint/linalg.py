@@ -4,9 +4,10 @@ A ``Mat`` stores one form of its entries, the integer form: one pair
 (d, nums) per row, the row being nums / d in lowest terms with d > 0, so
 equal matrices have equal forms.  A matrix built from rows converts them at
 construction and raises ``TypeError`` there on an entry that is not
-rational.  Every operation reads integer forms and builds one.  A product
-combines the rows of its right factor over the nonzero entries of each row
-of its left one, so a product with I or a sparse factor costs little.
+rational or is a float, whose value is binary, not the decimal written.
+Every operation reads integer forms and builds one.  A product combines
+the rows of its right factor over the nonzero entries of each row of its
+left one, so a product with I or a sparse factor costs little.
 ``rows`` is a view of the entries as ``Fraction`` rows, made from the
 integer form when first read and then kept.  Writing to it changes no
 result.  ``rref`` runs Gauss-Jordan by cross-multiplication, dividing each
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul
 
-from .core import CertificateError
+from .core import CertificateError, _rational
 
 
 class Mat:
@@ -68,7 +69,7 @@ class Mat:
 
     @staticmethod
     def from_rows(rows) -> "Mat":
-        rows = [[_coerce(x) for x in r] for r in rows]
+        rows = [[_rational(x) for x in r] for r in rows]
         return Mat(len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
@@ -81,7 +82,7 @@ class Mat:
 
     @staticmethod
     def diag(entries) -> "Mat":
-        entries = [_coerce(x).as_integer_ratio() for x in entries]
+        entries = [_rational(x).as_integer_ratio() for x in entries]
         n = len(entries)
         return Mat(n, n, ints=[(d, [x if i == j else 0 for j in range(n)])
                                for i, (x, d) in enumerate(entries)])
@@ -96,7 +97,7 @@ class Mat:
             m = len(cols[0])
         if any(len(c) != m for c in cols):
             raise ValueError(f"every column must have length {m}")
-        return Mat(m, len(cols), [[_coerce(c[i]) for c in cols] for i in range(m)])
+        return Mat(m, len(cols), [[_rational(c[i]) for c in cols] for i in range(m)])
 
     # -- basic algebra ------------------------------------------------
 
@@ -123,7 +124,7 @@ class Mat:
         return Mat(self.m, self.n, ints=[(d, [-x for x in r]) for d, r in self._ints])
 
     def scale(self, c) -> "Mat":
-        p, q = _coerce(c).as_integer_ratio()
+        p, q = _rational(c).as_integer_ratio()
         return Mat(self.m, self.n, ints=[_lowest(q * d, [p * x for x in r]) for d, r in self._ints])
 
     def __mul__(self, other: "Mat") -> "Mat":
@@ -307,10 +308,6 @@ def _over(d: int, s: int, r: list[int]) -> list[int]:
     return r if s == d else [x * (d // s) for x in r]
 
 
-def _coerce(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def extend_to_complement(base: Mat, candidates: Mat) -> list[int]:
     """Indices of candidate columns greedily extending base to a spanning set.
 
@@ -332,6 +329,8 @@ def _integer_row(r) -> tuple[int, list[int]]:
     except AttributeError:
         bad = next(type(x).__name__ for x in r if not hasattr(x, "as_integer_ratio"))
         raise TypeError(f"the matrix kernel works over Q, not on {bad} entries") from None
+    if float in map(type, r):  # a float has a ratio too, of its binary value
+        _rational(next(x for x in r if type(x) is float))  # raises, naming it
     s = lcm(*dens)
     if s == 1:
         return 1, list(nums)

@@ -27,7 +27,6 @@ from .forms import (
     BlockMetabolicForm,
     invariants,
     metabolic_reduce,
-    symplectic_reduce,
 )
 from .witt import (
     classes_equal_hasse_route,
@@ -104,11 +103,6 @@ def suite_skew_vanishing(rng: Random, trials: int) -> SuiteResult:
     for t in range(trials):
         n = 2 * rng.randint(1, 3)
         f = random_nondegenerate_form(rng, n, symmetry=SKEW)
-        try:
-            symplectic_reduce(f)
-        except ValueError as exc:
-            failures.append({"trial": t, "reason": str(exc)})
-            continue
         if not witt_class_of(f).is_zero():
             failures.append({"trial": t, "reason": "skew form has nonzero class"})
             continue

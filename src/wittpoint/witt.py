@@ -26,6 +26,7 @@ from .core import (
     SquareClass,
     _int_split,
     _places_of,
+    _rational,
     is_prime,
     is_residue,
     residue_mod,
@@ -38,7 +39,6 @@ from .forms import (
     _ONE,
     _hasse_symbols,
     diagonalize,
-    radical_split,
     symplectic_reduce,
 )
 
@@ -158,7 +158,7 @@ def psi(form_or_entries, p: int, k: int) -> WittClassFp:
             raise ValueError("residues are read from forms over Q")
         entries = diagonalize(form_or_entries).entries
     else:
-        entries = [Fraction(e) for e in form_or_entries]
+        entries = [_rational(e) for e in form_or_entries]
         if any(e == 0 for e in entries):
             raise ValueError("diagonal entries must be nonzero")
     return _fp_class([u for v, u in (_split_at(e, p) for e in entries) if v == k], p)
@@ -210,12 +210,12 @@ def witt_class_of(f: BilinearForm) -> WittClassQ:
     """Witt class of a bilinear form over Q.
 
     Degenerate forms are accepted (the radical does not change the class);
-    skew forms land in the zero class, certified by symplectic reduction.
+    skew forms land in the zero class, certified by one symplectic reduction,
+    which sets the radical aside itself.
     """
     _require_rational(f)
     if f.symmetry == SKEW:
-        split = radical_split(f)
-        symplectic_reduce(split.nondegenerate)  # certificate that the class is zero
+        symplectic_reduce(f)  # certificate that the class is zero
         return WittClassQ.zero()
     return _class_of_entries(*_classed_entries(f))
 

@@ -424,14 +424,27 @@ def test_symplectic_reduce_takes_no_determinant_and_linearly_many_products(monke
     assert determinants[0] == 0  # a degenerate form finds no partner for some u
 
 
-def test_witt_class_of_a_skew_form_takes_one_determinant(monkeypatch):
+def test_symplectic_reduce_builds_no_fraction_rows(monkeypatch):
+    # each step reads <u, w> and the scale 1 / <u, v> off the integer form
+    # of one product; a radical vector is set aside the same way
+    cases = [random_nondegenerate_form(Random(k), 2 * k, symmetry=SKEW) for k in range(1, 5)]
+    cases += [BilinearForm(RATIONAL, SKEW, f.gram.direct_sum(Mat.zeros(k, k))) for k, f in enumerate(cases)]
+    reads = spy_rows(monkeypatch)
+    for f in cases:
+        symplectic_reduce(f)
+    assert reads == []
+
+
+def test_witt_class_of_a_skew_form_takes_one_elimination(monkeypatch):
     f = random_nondegenerate_form(Random(2), 6, symmetry=SKEW)
     f = BilinearForm(RATIONAL, SKEW, f.gram.direct_sum(Mat.zeros(2, 2)))  # with a radical
     determinants = count(monkeypatch, Mat, "det")
+    nullspaces = count(monkeypatch, Mat, "nullspace")
+    splits = count(monkeypatch, forms, "radical_split")
     reductions = count(monkeypatch, forms, "symplectic_reduce")
     assert witt_class_of(f).is_zero()
-    # radical_split's certificate that the complement is nondegenerate
-    assert (determinants[0], reductions[0]) == (1, 1)
+    # the symplectic reduction sets the radical aside: no split comes first
+    assert (determinants[0], nullspaces[0], splits[0], reductions[0]) == (0, 0, 0, 1)
 
 
 def test_compare_polarizations_forms_each_product_once(monkeypatch):

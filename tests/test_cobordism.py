@@ -23,6 +23,7 @@ from wittpoint.cobordism import (
     random_nondegenerate_form,
     random_invertible,
     random_witness_chain,
+    solve_homotopy,
     truncation_witness,
     validate,
     verify_witness,
@@ -565,6 +566,18 @@ def test_verify_witness_reports_a_square_without_homotopy():
                                 "detail": "square does not commute up to homotopy"}]
 
 
+def test_verify_witness_reports_a_square_whose_homotopy_system_is_inconsistent():
+    # pi' = 2 and the other maps the identity: pi' rho' - rho pi = 1, which is
+    # not zero on H^0, so the system for h, with unknowns in degrees 0 and 1, has no solution
+    w = identity_witness()
+    twice = {i: m.scale(2) for i, m in w.pi_prime.items()}
+    diff = {i: m - Mat.identity(m.n) for i, m in twice.items()}
+    assert solve_homotopy(w.g, w.g_prime, diff) is None
+    report = verify_witness(CobordismWitness(**{**vars(w), "pi_prime": twice}))
+    assert report.failures == [{"check": "commutativity",
+                                "detail": "square does not commute up to homotopy"}]
+
+
 def test_verify_witness_reports_both_adjointness_failures_in_order():
     # pi = rho = rho' = pi' = 1 and S'' = [2]: S(pi g, f) = 1 but S''(g, rho f) = 2,
     # and S'(rho' g, f') = 1 but S''(g, pi' f') = 2
@@ -680,6 +693,14 @@ def test_cohomology_skips_the_scan_only_where_the_boundaries_span_the_cocycles()
     for i in ext.complex.degrees():
         assert coh._data(i) == reference_cohomology_data(coh, i), i
         assert coh.dim(i) == (2 if i == 0 else 0), i
+
+
+def test_cohomology_coords_refuses_a_column_that_is_not_a_cocycle():
+    # ker d(0) = <e_1>, and d(0) e_0 = 1
+    coh = cobordism.Cohomology(ChainComplex({0: 2, 1: 1}, {0: Mat.from_rows([[1, 0]])}))
+    assert coh.coords(0, Mat.from_rows([[0], [3]])) == Mat.from_rows([[3]])
+    with pytest.raises(ValueError, match=r"^columns are not cocycles modulo boundaries in degree 0$"):
+        coh.coords(0, Mat.from_rows([[1], [0]]))
 
 
 def test_corpus_reaches_the_skip_the_scan_and_pairing_failures(monkeypatch):

@@ -24,6 +24,9 @@ from wittpoint.core import (
     square_class,
     sturm_positive_real_roots,
 )
+from wittpoint.forms import BilinearForm
+from wittpoint.linalg import Mat
+from wittpoint.witt import psi
 
 nonzero_rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=30
@@ -107,6 +110,37 @@ def test_hilbert_odd_formula_against_oracle_grid():
 
 
 # -- square classes -------------------------------------------------------
+
+
+FLOAT_CALLS = {  # every entry point that reads a rational, given 0.1
+    "Mat": lambda: Mat(1, 1, [[0.1]]),
+    "Mat.from_rows": lambda: Mat.from_rows([[1, 0.1]]),
+    "Mat.from_columns": lambda: Mat.from_columns([[0.1]]),
+    "Mat.diag": lambda: Mat.diag([1, 0.1]),
+    "Mat.scale": lambda: Mat.identity(2).scale(0.1),
+    "from_diagonal": lambda: BilinearForm.from_diagonal([0.1, 1]),
+    "from_diagonal_Fp": lambda: BilinearForm.from_diagonal([0.1], field=3),
+    "scaled": lambda: BilinearForm.from_diagonal([1]).scaled(0.1),
+    "square_class": lambda: square_class(0.1),
+    "residue_mod": lambda: core.residue_mod(0.1, 7),
+    "hilbert_symbol": lambda: hilbert_symbol(0.1, 3, 5),
+    "hilbert_symbol_second": lambda: hilbert_symbol(3, 0.1, REAL_PLACE),
+    "psi": lambda: psi([1, 0.1], 5, 1),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_CALLS.values(), ids=FLOAT_CALLS.keys())
+def test_a_float_is_refused_at_every_exact_entry_point(call):
+    # 0.1 is 3602879701896397 / 2^55 as a float: read as that, its square
+    # class was 7205759403792794 and its residue mod 7 was 3, not 5
+    with pytest.raises(TypeError, match=r"^exact arithmetic takes no float, such as 0\.1: "):
+        call()
+
+
+def test_the_exact_spellings_of_a_tenth_are_read_exactly():
+    for x in (Fraction(1, 10), "1/10", "0.1"):
+        assert (square_class(x).representative, core.residue_mod(x, 7)) == (10, 5)
+    assert psi(["1/10"], 5, 1) == psi([Fraction(1, 10)], 5, 1)
 
 
 def test_square_class_spec_values():

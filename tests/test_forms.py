@@ -269,12 +269,17 @@ def test_symplectic_reduce_spec_examples():
 
 
 def test_symplectic_reduce_errors():
+    # odd and degenerate forms are reduced: a vector with no partner is in
+    # the radical and is set aside after the pairs, P^T G P = J_k + 0
     odd = BilinearForm(RATIONAL, -1, Mat.zeros(3, 3))
-    with pytest.raises(ValueError, match="even rank"):
-        symplectic_reduce(odd)
-    degenerate = BilinearForm(RATIONAL, -1, Mat.zeros(2, 2))
-    with pytest.raises(ValueError, match="degenerate"):
-        symplectic_reduce(degenerate)
+    red = symplectic_reduce(odd)
+    assert (red.hyperbolic_count, red.congruence) == (0, Mat.identity(3))
+    degenerate = BilinearForm.from_rows([[0, 0, 2], [0, 0, 0], [-2, 0, 0]], symmetry=-1)
+    red = symplectic_reduce(degenerate)
+    assert red.hyperbolic_count == 1
+    assert red.congruence.submatrix(range(3), [2]) == Mat.from_rows([[0], [1], [0]])  # the radical
+    target = standard_symplectic_gram(1).direct_sum(Mat.zeros(1, 1))
+    assert red.congruence.T * degenerate.gram * red.congruence == target
     with pytest.raises(ValueError, match="skew"):
         symplectic_reduce(BilinearForm.from_diagonal([1, 1]))
 

@@ -329,6 +329,54 @@ def test_validate_reports_the_same_problems_in_order(h, problems):
     assert str(err.value) == f"invalid Hodge structure: {problems}"
 
 
+def split_pieces(h: HodgeStructure, keys) -> HodgeStructure:
+    """h with each piece whose (p, q) is in ``keys`` given as two pieces, its
+    first column and the rest."""
+    pieces = []
+    for piece in h.pieces:
+        if (piece.p, piece.q) not in keys:
+            pieces.append(piece)
+            continue
+        for cols in ([0], range(1, piece.re.n)):
+            re, im = (m.submatrix(range(m.m), cols) for m in (piece.re, piece.im))
+            pieces.append(HodgePiece(piece.p, piece.q, re, im))
+    return HodgeStructure(h.weight, h.dimension, pieces)
+
+
+def test_a_piece_given_twice_is_named_first_and_is_no_certificate_error(tmp_path, capsys):
+    from wittpoint.cli import main
+
+    # weight 0 as two (0,0) pieces e_0 and e_1: each spans its own conjugate
+    cases = [(_structure(0, 2, (0, 0, [[1, 0]]), (0, 0, [[0, 1]])), ["piece (0,0) is given twice"]),
+             (_structure(0, 2, (0, 0, [[1, 0]]), (0, 0, [[1, 0]])),
+              ["piece (0,0) is given twice", "piece bases are not jointly independent"]),
+             (split_pieces(standard_structure(1, 4)[0], {(1, 0), (0, 1)}),
+              ["piece (1,0) is given twice", "piece (0,1) is given twice"])]
+    # every valid structure with one (p, q), or a conjugate pair, split in two
+    for weight, dim in [(0, 2), (0, 3), (1, 4), (1, 6), (2, 4), (2, 5), (3, 8)]:
+        h = standard_structure(weight, dim)[0]
+        for piece in h.pieces:
+            if piece.re.n > 1:
+                key, mirror = (piece.p, piece.q), (piece.q, piece.p)
+                cases += [(split_pieces(h, keys), None) for keys in {frozenset([key]), frozenset([key, mirror])}]
+    assert len(cases) > 10
+    for h, problems in cases:
+        # a CertificateError (an AssertionError) would escape both calls: a
+        # structure without a frame and without a problem
+        found = h.validate()
+        assert found[0].endswith("is given twice"), found
+        assert problems is None or found == problems
+        with pytest.raises(ValueError) as err:
+            weil_operator(h)
+        assert str(err.value) == f"invalid Hodge structure: {found}"
+    hpath, spath = tmp_path / "h.json", tmp_path / "s.json"
+    hpath.write_text('{"weight": 0, "pieces": [{"p": 0, "q": 0, "basis": [["1", "0"]]}, '
+                     '{"p": 0, "q": 0, "basis": [["0", "1"]]}]}')
+    spath.write_text('{"symmetry": "symmetric", "field": "Q", "gram": [["1", "0"], ["0", "1"]]}')
+    assert main(["hodge-check", str(hpath), str(spath)]) == 1
+    assert capsys.readouterr() == ("", "error: invalid Hodge structure: ['piece (0,0) is given twice']\n")
+
+
 def test_hodge_check_reports_a_degenerate_bigrading(tmp_path, capsys):
     from wittpoint.cli import main
 

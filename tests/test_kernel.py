@@ -530,41 +530,39 @@ def ref_metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
 
 
 def ref_symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
-    """The per-pair loop the whole-matrix steps replaced: a determinant up
-    front, then each pairing <u, w> as a product of two 1 x n matrices with
-    the Gram, on ``Fraction`` column lists."""
+    """The per-pair loop the whole-matrix steps replaced: each pairing
+    <u, w> as a product of two 1 x n matrices with the Gram, on ``Fraction``
+    column lists; a u with no partner is set aside, after the pairs."""
     if f.symmetry != SKEW:
         raise ValueError("symplectic reduction requires a skew form")
     if f.field != RATIONAL:
         raise ValueError("symplectic_reduce operates over Q")
     g = f.gram
     n = g.n
-    if n % 2:
-        raise ValueError("skew nondegenerate forms have even rank; odd rank given")
-    if n and not g.det():
-        raise ValueError("skew form is degenerate")
 
     def pair(u, v):
         return (Mat.from_columns([u], m=n).T * g * Mat.from_columns([v], m=n))[0, 0]
 
     remaining = Mat.identity(n).T.rows
-    basis = []
+    basis, radical = [], []
     while remaining:
         u = remaining.pop(0)
         j = next((t for t in range(len(remaining)) if pair(u, remaining[t]) != 0), None)
         if j is None:
-            raise ValueError("skew form is degenerate")
+            radical.append(u)
+            continue
         v = remaining.pop(j)
         c = pair(u, v)
         v = [x / c for x in v]
         remaining = [[wi - pair(u, w) * vi + pair(v, w) * ui for wi, ui, vi in zip(w, u, v)]
                      for w in remaining]
         basis.extend([u, v])
-    congruence = Mat.from_columns(basis, m=n) if n else Mat.zeros(0, 0)
-    if congruence.T * g * congruence != standard_symplectic_gram(n // 2):
+    k, r = len(basis) // 2, len(radical)
+    congruence = Mat.from_columns(basis + radical, m=n) if n else Mat.zeros(0, 0)
+    if congruence.T * g * congruence != standard_symplectic_gram(k).direct_sum(Mat.zeros(r, r)):
         raise CertificateError("symplectic certificate failed: "
                                "P^T G P is not the standard symplectic Gram")
-    return SymplecticReduction(hyperbolic_count=n // 2, congruence=congruence)
+    return SymplecticReduction(hyperbolic_count=k, congruence=congruence)
 
 
 def ref_factor(n: int) -> dict[int, int]:
@@ -1220,32 +1218,23 @@ def test_metabolic_reduction_matches_the_full_products(block):
     assert replay(red, block) == red.congruence.T * block.assemble().gram * red.congruence
 
 
-def reduction_or_error(reduce, f: BilinearForm) -> str:
-    try:
-        return repr(reduce(f))
-    except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 def test_symplectic_reduction_matches_the_per_pair_loop():
     # seeded skew forms of rank 0 to 12: nondegenerate ones, some of them
     # scaled to rational Grams, and random skew Grams of every rank, with
     # entries in [-1, 1], so that many are degenerate
-    forms, degenerate = [], 0
+    forms = []
     for s in range(91):
         rng = Random(s)
         f = random_nondegenerate_form(rng, 2 * (s % 7), symmetry=SKEW, bound=1 + s % 3)
         forms.append(f.scaled(Fraction(rng.randint(1, 9), rng.randint(1, 9))) if s % 2 else f)
-        g = random_gram(rng, s % 13, 1, SKEW)
-        forms.append(BilinearForm(RATIONAL, SKEW, g))
-        degenerate += g.n % 2 == 0 and not g.det()
-    refused = []
+        forms.append(BilinearForm(RATIONAL, SKEW, random_gram(rng, s % 13, 1, SKEW)))
+    degenerate = 0
     for f in forms:
-        got = reduction_or_error(symplectic_reduce, f)
-        assert got == reduction_or_error(ref_symplectic_reduce, f), f
-        refused.append(got.startswith("ValueError"))
-    # both outcomes are compared: reductions, and refusals of odd and degenerate forms
-    assert refused.count(False) >= 91 and sum(refused) >= degenerate >= 10
+        red = symplectic_reduce(f)
+        assert repr(red) == repr(ref_symplectic_reduce(f)), f
+        degenerate += 2 * red.hyperbolic_count < f.gram.n
+    # every form is compared as a reduction, the degenerate ones with their radicals
+    assert 10 <= degenerate <= 91
 
 
 def test_kernel_edge_shapes():

@@ -26,7 +26,8 @@ condition stays a function of its own.  Every module-level function and
 class of the package is named elsewhere in it or in the benchmark, so no
 code stays that nothing calls.  The README's CLI block lists the commands
 the parser registers, in its order, so the command table and the docs
-cannot drift apart.
+cannot drift apart; its package layout block lists every module of the
+package (but ``__init__``) and its ``data/`` folder.
 """
 
 import argparse
@@ -94,6 +95,23 @@ def test_readme_command_reader_reads_the_cli_block_only():
             "```\nwittpoint b-c x.json   # note\nwittpoint d --k 0 y.json\n```\n\n"
             "```\nwittpoint later\n```\n")
     assert readme_commands(text) == ["b-c", "d"]
+
+
+def readme_modules(text: str) -> list[str]:
+    """The entries of the code block under ``## Package layout``: the first
+    word of each line indented by two spaces under ``src/wittpoint/``."""
+    block = text.split("\n## Package layout\n", 1)[1].split("```\n", 2)[1]
+    lines = block.splitlines()
+    assert lines[0] == "src/wittpoint/", lines[0]
+    return [line.split()[0] for line in lines[1:] if line.startswith("  ") and not line.startswith("   ")]
+
+
+def test_readme_lists_the_modules_of_the_package():
+    listed = readme_modules((ROOT / "README.md").read_text())
+    modules = [p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    folders = [f"{p.name}/" for p in PACKAGE.iterdir() if p.is_dir() and p.name != "__pycache__"]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(modules + folders)
 
 
 def test_package_has_no_assert_statements():
