@@ -19,8 +19,8 @@ _EXPORTS = {
         "radical_split", "symplectic_reduce",
     ),
     "witt": (
-        "WittClassFp", "WittClassQ", "equivalent", "fp_class_of", "fp_group_table",
-        "psi", "witt_class_of",
+        "WittClassFp", "WittClassQ", "equivalent", "fp_class_of", "psi",
+        "witt_class_of",
     ),
     "cobordism": (
         "ChainComplex", "CobordismWitness", "SelfDualComplex", "cobordism_class",

@@ -33,6 +33,11 @@ SYMMETRIC = 1
 SKEW = -1
 
 
+def _fields_of(record) -> dict:
+    """A record's fields, without what its ``__dict__`` keeps beside them."""
+    return {name: record.__dict__[name] for name in record._fields}
+
+
 class BilinearForm(Frozen):
     """An epsilon-symmetric bilinear form given by its Gram matrix.
 
@@ -60,6 +65,10 @@ class BilinearForm(Frozen):
             if any(x % field for c in (gram.T - mirror).integer_columns()[1] for x in c):
                 raise ValueError("Gram matrix does not match the declared symmetry mod p")
         self.__dict__.update(field=field, symmetry=symmetry, gram=gram)
+
+    def __getstate__(self):
+        # the fields alone: the diagonalization kept in __dict__ is never pickled
+        return _fields_of(self)
 
     @property
     def is_symmetric(self) -> bool:
@@ -104,9 +113,21 @@ class Diagonalization(Frozen):
     def __init__(self, entries: tuple, radical_dim: int, congruence: Mat):
         self.__dict__.update(entries=entries, radical_dim=radical_dim, congruence=congruence)
 
+    def __getstate__(self):
+        return _fields_of(self)
+
     @property
     def rank(self) -> int:
         return len(self.entries)
+
+    @property
+    def classes(self) -> tuple[SquareClass, ...]:
+        """The square classes of the entries over Q, computed on first read
+        and kept in ``__dict__``; a ``square_class`` that raises keeps nothing."""
+        classes = self.__dict__.get("_classes")
+        if classes is None:
+            classes = self.__dict__["_classes"] = tuple(map(square_class, self.entries))
+        return classes
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) entries, counted on the entries' numerators
@@ -137,7 +158,20 @@ def diagonalize(f: BilinearForm) -> Diagonalization:
     diagonal entry nonzero takes no pivot loop: every step would pivot in
     place and clear nothing, so B = I and D is that diagonal.  For B = I the
     certificate is the test that picks this path, so it runs exactly there.
+
+    Each form is diagonalized once: the certified result is kept in the
+    form's ``__dict__``, beside its fields, and every later call on that
+    object returns it.  It is no field, so ``==``, ``hash``, ``repr`` and
+    pickles are as before, and a call that raises keeps nothing.
     """
+    diag = f.__dict__.get("_diagonalization")
+    if diag is None:
+        diag = f.__dict__["_diagonalization"] = _diagonalized(f)
+    return diag
+
+
+def _diagonalized(f: BilinearForm) -> Diagonalization:
+    """The pivot loop and certificate of ``diagonalize``, run on f."""
     if not f.is_symmetric:
         raise ValueError("diagonalization requires symmetric form")
     p = None if f.field == RATIONAL else f.field
@@ -277,10 +311,9 @@ def invariants(f: BilinearForm) -> FormInvariants:
     diag = diagonalize(f)
     if diag.radical_dim:
         raise ValueError("split off radical first")
-    entries = diag.entries
-    classes = [square_class(e) for e in entries]
+    classes = diag.classes
     return FormInvariants(
-        rank=len(entries),
+        rank=diag.rank,
         signature=diag.signature(),
         discriminant=prod(classes, start=_ONE),
         hasse=_hasse_symbols([c.representative for c in classes], _places_of(classes)),

@@ -72,10 +72,15 @@ class HodgeStructure(Record):
         self.pieces = pieces
 
     def piece(self, p: int, q: int) -> HodgePiece | None:
+        """The first nonempty (p, q) piece, else the first (p, q) piece, or None."""
+        found = None
         for piece in self.pieces:
             if piece.p == p and piece.q == q:
-                return piece
-        return None
+                if piece.re.n:
+                    return piece
+                if found is None:
+                    found = piece
+        return found
 
     def validate(self) -> list[str]:
         return _frame_and_problems(self)[1]
@@ -154,7 +159,7 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
     if _repeated_pieces(h):
         return None
     spans, summands, partners = [], [], []
-    for piece in h.pieces:
+    for piece in _nonempty(h):
         partner = h.piece(piece.q, piece.p)
         if partner is None or partner.re.n != piece.re.n:
             return None
@@ -196,9 +201,15 @@ def _invertible(uv: Mat) -> bool:
     return bool(uv.realification().det())
 
 
+def _nonempty(h: HodgeStructure) -> list[HodgePiece]:
+    """The pieces with a basis vector: an empty piece contributes nothing,
+    so it is paired with no piece."""
+    return [piece for piece in h.pieces if piece.re.n]
+
+
 def _repeated_pieces(h: HodgeStructure) -> list[tuple[int, int]]:
     """The (p, q) of each nonempty piece given more than once, in order."""
-    keys = [(piece.p, piece.q) for piece in h.pieces if piece.re.n]
+    keys = [(piece.p, piece.q) for piece in _nonempty(h)]
     return list(dict.fromkeys(k for k in keys if keys.count(k) > 1))
 
 
@@ -206,8 +217,8 @@ def _bigrading_problems(h: HodgeStructure) -> list[str]:
     """Why a structure of the right shape has no frame: a nonempty (p, q)
     piece is given twice, its pieces are dependent over Q(i), or a piece's
     conjugate does not span its partner.  A repeated piece is reported first;
-    the partner checks are then skipped, as ``piece`` finds only the first
-    piece of a (p, q)."""
+    the partner checks are then skipped, as ``piece`` finds only one piece
+    of a (p, q).  An empty piece is paired with none."""
     problems = [f"piece ({p},{q}) is given twice" for p, q in _repeated_pieces(h)]
     re = reduce(Mat.hstack, [piece.re for piece in h.pieces])
     im = reduce(Mat.hstack, [piece.im for piece in h.pieces])
@@ -215,7 +226,7 @@ def _bigrading_problems(h: HodgeStructure) -> list[str]:
         return problems + ["piece bases are not jointly independent"]
     if problems:
         return problems
-    for piece in h.pieces:
+    for piece in _nonempty(h):
         partner = h.piece(piece.q, piece.p)
         if partner is None:
             problems.append(f"piece ({piece.p},{piece.q}) has no conjugate partner")
@@ -608,7 +619,7 @@ def random_hodge_endomorphism(rng: Random, h: HodgeStructure) -> Mat:
     frame = _frame(h)
     while True:
         blocks: dict[tuple[int, int], tuple[Mat, Mat]] = {}  # (p, q) -> (Re M, Im M)
-        for piece in h.pieces:
+        for piece in _nonempty(h):
             key, mirror = (piece.p, piece.q), (piece.q, piece.p)
             if mirror in blocks:  # the conjugate block
                 blocks[key] = (blocks[mirror][0], -blocks[mirror][1])

@@ -18,7 +18,7 @@ Hasse symbols on the same kernels, n - 1 Hilbert symbols per finite place.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .core import (
     CertificateError,
@@ -30,7 +30,6 @@ from .core import (
     is_prime,
     is_residue,
     residue_mod,
-    square_class,
 )
 from .forms import (
     RATIONAL,
@@ -225,10 +224,16 @@ def _require_rational(f: BilinearForm):
         raise ValueError("witt_class_of computes classes over Q")
 
 
-def _classed_entries(f: BilinearForm) -> tuple[list[Fraction], list[SquareClass]]:
-    """The diagonal entries of f, radical left out, and their square classes."""
-    entries = list(diagonalize(f).entries)
-    return entries, [square_class(e) for e in entries]
+def _classed_entries(f: BilinearForm) -> tuple[tuple[Fraction, ...], tuple[SquareClass, ...]]:
+    """The diagonal entries of f, radical left out, and their square classes,
+    both kept with f's diagonalization."""
+    diag = diagonalize(f)
+    return diag.entries, diag.classes
+
+
+def _signature(entries) -> int:
+    """Positive less negative entries, read off the numerators."""
+    return sum(1 if e.numerator > 0 else -1 for e in entries)
 
 
 def _class_of_entries(entries, classes) -> WittClassQ:
@@ -236,7 +241,7 @@ def _class_of_entries(entries, classes) -> WittClassQ:
     classes: the residue psi(entries, p, 1) reads the entries with p among their
     primes, each at the unit k // p of its squarefree kernel k, which differs from
     the entry's unit at p by a square and so gives the same class in W(F_p)."""
-    signature = sum(1 if e > 0 else -1 for e in entries)
+    signature = _signature(entries)
     units = {}  # p -> unit residues of the entries of odd valuation at p
     for c in classes:
         k = c.representative
@@ -248,19 +253,17 @@ def _class_of_entries(entries, classes) -> WittClassQ:
 # -- equality oracles ---------------------------------------------------
 
 
-def _hasse_route_entries(ef: list, classes_f: list, eg: list, classes_g: list) -> bool:
+def _hasse_route_entries(ef: tuple, classes_f: tuple, eg: tuple, classes_g: tuple) -> bool:
     """classes_equal_hasse_route on the forms' diagonal entries and square classes."""
     if (len(ef) - len(eg)) % 2:
         return False
     half = abs(len(ef) - len(eg)) // 2
-    pad, pad_classes = [Fraction(1), Fraction(-1)] * half, [_ONE, -_ONE] * half
+    pad, pad_classes = (Fraction(1), Fraction(-1)) * half, (_ONE, -_ONE) * half
     if len(ef) < len(eg):
         ef, classes_f = ef + pad, classes_f + pad_classes
     else:
         eg, classes_g = eg + pad, classes_g + pad_classes
-    sig_f = sum(1 if e > 0 else -1 for e in ef)
-    sig_g = sum(1 if e > 0 else -1 for e in eg)
-    if sig_f != sig_g:
+    if _signature(ef) != _signature(eg):
         return False
     if prod(classes_f, start=_ONE) != prod(classes_g, start=_ONE):
         return False
@@ -287,8 +290,9 @@ def equivalent(f: BilinearForm, g: BilinearForm) -> bool:
     Runs both the residue-based canonical comparison and the Hasse-based
     stabilized comparison; disagreement would be an internal error.  The
     two oracles share one diagonalization per form and one square class per
-    diagonal entry, so each entry is factored and classed once; each oracle
-    computes its own symbols.
+    diagonal entry, which the form keeps, so each entry is factored and
+    classed once per form object, over all calls; each oracle computes its
+    own symbols.
     """
     _require_rational(f)
     _require_rational(g)
@@ -304,30 +308,3 @@ def equivalent(f: BilinearForm, g: BilinearForm) -> bool:
         )
     return by_hasse
 
-
-def fp_group_table(p: int) -> dict:
-    """Structure of W(F_p) computed by closing {classes of <u>} under addition."""
-    if p == 2:
-        elements = {WittClassFp.rank_parity(2, 0), WittClassFp.rank_parity(2, 1)}
-        generator = WittClassFp.rank_parity(2, 1)
-    else:
-        generators = {fp_class_of([u], p) for u in range(1, p)}
-        elements = {WittClassFp.zero(p)} | generators
-        frontier = list(elements)
-        while frontier:
-            x = frontier.pop()
-            for gcls in generators:
-                y = x + gcls
-                if y not in elements:
-                    elements.add(y)
-                    frontier.append(y)
-        generator = fp_class_of([1], p)
-    exponent = 1
-    for x in elements:
-        exponent = lcm(exponent, x.order())
-    return {
-        "p": p,
-        "cardinality": len(elements),
-        "exponent": exponent,
-        "order_of_one": generator.order(),
-    }

@@ -28,7 +28,8 @@ from wittpoint.genus import (
 )
 from wittpoint.hodge import compare_polarizations, random_polarization_pair, standard_structure
 from wittpoint.selfcheck import run_all
-from wittpoint.witt import fp_group_table, psi, witt_class_of
+from wittpoint.witt import psi, witt_class_of
+from test_witt import fp_group_table
 
 
 def _report(number: int, label: str, ok: bool, elapsed: float, budget: float):

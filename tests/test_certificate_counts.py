@@ -12,8 +12,11 @@ from collections import Counter
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from wittpoint import cobordism, core, forms, hodge, linalg, poly, witt
 from wittpoint.cli import main
+from wittpoint.core import CertificateError, FactorBoundExceeded
 from wittpoint.cobordism import (
     acyclic_extension,
     cobordism_class,
@@ -222,6 +225,53 @@ def test_equivalent_classes_each_entry_once_and_reads_it_at_its_own_primes(monke
     assert not equivalent(f, g)
     assert (classes[0], splits[0], prime_tests[0]) == (len(entries), 0, 0)
     assert (len(entries), own_primes) == (8, 14)
+
+
+def test_a_form_is_diagonalized_and_classed_once_across_calls(monkeypatch):
+    # invariants and witt_class_of, after equivalent, read the diagonalization
+    # and square classes that f keeps; an equal form is another object
+    f = BilinearForm.from_rows([[2, 1, 0], [1, 3, 5], [0, 5, Fraction(7, 2)]])
+    g = f.direct_sum(HYPERBOLIC_PLANE)
+    certificates = count(monkeypatch, forms, "_certify_congruence")
+    classes = count(monkeypatch, core, "square_class")
+    assert equivalent(f, g)
+    ranks = len(diagonalize(f).entries) + len(diagonalize(g).entries)
+    assert (certificates[0], classes[0]) == (2, ranks) == (2, 8)
+    inv, cls = invariants(f), witt_class_of(f)
+    assert (certificates[0], classes[0]) == (2, ranks)
+    twin = BilinearForm(f.field, f.symmetry, f.gram)
+    assert twin == f and (invariants(twin), witt_class_of(twin)) == (inv, cls)
+    assert (certificates[0], classes[0]) == (3, ranks + 3)
+
+
+def test_a_diagonalization_or_square_class_that_raises_keeps_nothing(monkeypatch):
+    f = BilinearForm.from_rows([[0, 1], [1, 0]])
+    failures = [0]
+
+    def fail(*args):
+        failures[0] += 1
+        raise CertificateError("forced failure")
+
+    monkeypatch.setattr(forms, "_certify_congruence", fail)
+    for calls in (1, 2):
+        with pytest.raises(CertificateError, match="forced failure"):
+            diagonalize(f)
+        assert failures[0] == calls and "_diagonalization" not in vars(f)
+    monkeypatch.undo()
+    diag = diagonalize(f)
+    assert diag.entries == (2, -2) and diagonalize(f) is diag
+
+    def refuse(e):
+        failures[0] += 1
+        raise FactorBoundExceeded("forced refusal")
+
+    monkeypatch.setattr(forms, "square_class", refuse)
+    for calls in (3, 4):
+        with pytest.raises(FactorBoundExceeded, match="forced refusal"):
+            witt_class_of(f)
+        assert failures[0] == calls and "_classes" not in vars(diag)
+    monkeypatch.undo()
+    assert witt_class_of(f).is_zero() and "_classes" in vars(diag)
 
 
 def test_truncation_witness_validates_once_with_one_cohomology(monkeypatch):

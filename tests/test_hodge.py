@@ -377,6 +377,44 @@ def test_a_piece_given_twice_is_named_first_and_is_no_certificate_error(tmp_path
     assert capsys.readouterr() == ("", "error: invalid Hodge structure: ['piece (0,0) is given twice']\n")
 
 
+def with_empty_piece(h: HodgeStructure, p: int, q: int, at: int) -> HodgeStructure:
+    """h with an empty (p, q) piece listed at position ``at``."""
+    empty = HodgePiece(p, q, Mat.zeros(h.dimension, 0), Mat.zeros(h.dimension, 0))
+    return HodgeStructure(h.weight, h.dimension, h.pieces[:at] + [empty] + h.pieces[at:])
+
+
+def test_an_empty_piece_contributes_nothing():
+    # weight 0 on Q^2, (0,0) = I_2, with an empty (0,0) piece before or after it
+    plain = _structure(0, 2, (0, 0, [[1, 0], [0, 1]]))
+    s, s_prime = BilinearForm.from_diagonal([1, 1]), BilinearForm.from_diagonal([2, 3])
+    cases = [(plain, with_empty_piece(plain, 0, 0, at), s, s_prime) for at in (0, 1)]
+    for _, padded, _, _ in cases:
+        assert padded.piece(0, 0) is plain.pieces[0]
+    # an empty piece beside a nonempty piece of its (p, q), and one with no
+    # (q, p) partner at all
+    for weight, dim, key in ((1, 4, (1, 0)), (1, 4, (0, 1)), (2, 4, (1, 1)), (2, 4, (3, -1))):
+        h, s = standard_structure(weight, dim)
+        s_prime = random_polarization_pair(Random(dim), weight, dim)[2]
+        cases += [(h, with_empty_piece(h, *key, at), s, s_prime) for at in (0, len(h.pieces))]
+    for plain, padded, s, s_prime in cases:
+        assert padded.validate() == [] == plain.validate()
+        assert weil_operator(padded) == weil_operator(plain)
+        assert is_polarization(padded, s) == is_polarization(plain, s)
+        assert compare_polarizations(padded, s, s_prime) == compare_polarizations(plain, s, s_prime)
+        assert random_hodge_endomorphism(Random(5), padded) == random_hodge_endomorphism(Random(5), plain)
+
+
+def test_hodge_check_accepts_an_empty_piece(tmp_path, capsys):
+    from wittpoint.cli import main
+
+    hpath, spath = tmp_path / "h.json", tmp_path / "s.json"
+    hpath.write_text('{"weight": 0, "pieces": [{"p": 0, "q": 0, "basis": []}, '
+                     '{"p": 0, "q": 0, "basis": [["1", "0"], ["0", "1"]]}]}')
+    spath.write_text('{"symmetry": "symmetric", "field": "Q", "gram": [["1", "0"], ["0", "1"]]}')
+    assert main(["hodge-check", str(hpath), str(spath)]) == 0
+    assert capsys.readouterr() == ("polarization\n", "")
+
+
 def test_hodge_check_reports_a_degenerate_bigrading(tmp_path, capsys):
     from wittpoint.cli import main
 

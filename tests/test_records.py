@@ -256,3 +256,19 @@ def test_records_survive_a_pickle_round_trip(samples):
             assert (copy == record) is (rebuild(copy, ref) == rebuild(record, ref)), name_of(cls)
             if name_of(cls) in FROZEN:
                 assert hash_of(copy) == hash_of(record), name_of(cls)
+
+
+def test_a_kept_diagonalization_is_never_pickled():
+    # diagonalize keeps its result in the form's __dict__, and the result its
+    # square classes, beside their fields; a pickle holds the fields alone
+    def fresh():
+        return forms.BilinearForm.from_rows([[0, 1, 2], [1, 0, 0], [2, 0, Fraction(1, 3)]])
+
+    f = fresh()
+    diag = forms.diagonalize(f)
+    assert diag.classes and {"_diagonalization"} < set(vars(f)) and {"_classes"} < set(vars(diag))
+    assert pickle.dumps(f) == pickle.dumps(fresh())
+    assert pickle.dumps(diag) == pickle.dumps(forms.diagonalize(fresh()))
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and "_diagonalization" not in vars(copy)
+    assert forms.diagonalize(copy) == diag

@@ -1,7 +1,9 @@
 """Guards on the package source.
 
 The traced benchmark run wraps package functions by name; every name it
-wraps must still exist, or ``perfbench/run.py --trace 1`` breaks.  A
+wraps must still exist, or ``perfbench/run.py --trace 1`` breaks.  No
+benchmark item pickles with a diagonalization that ``diagonalize`` keeps
+in a form, so set-up does no work that the timed passes then skip.  A
 certificate check must run under ``python -O``, so the package holds no
 ``assert`` statement.  A ``Mat`` stores one form, its integer form, made
 at construction and shared between matrices; the row lists it is built from
@@ -32,10 +34,15 @@ package (but ``__init__``) and its ``data/`` folder.
 
 import argparse
 import ast
+import copyreg
 import importlib
 import importlib.util
+import io
+import pickle
 import re
+import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from random import Random
 
@@ -44,12 +51,14 @@ import pytest
 import wittpoint
 from wittpoint import linalg, poly
 from wittpoint.cli import build_parser
+from wittpoint.forms import BilinearForm, Diagonalization
 from wittpoint.hodge import compare_polarizations, is_polarization, random_polarization_pair
 from wittpoint.linalg import Mat
 from test_kernel import GaussianRational
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS_FILE = ROOT / "perfbench" / "workloads.py"
 PACKAGE = ROOT / "src" / "wittpoint"
 TESTS = ROOT / "tests"
 
@@ -75,6 +84,51 @@ def test_tracer_targets_resolve_in_the_package():
                    for attr, value in vars(module).items()), name
     for mod in tracer.MODULES:
         importlib.import_module(f"wittpoint.{mod}")
+
+
+def load_workloads(monkeypatch):
+    """The benchmark's workloads module, run from its file as it is; it is
+    listed in ``sys.modules`` for the test, as dataclasses and pickle look
+    its ``Item`` class up there."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+MEMOS = (b"_diagonalization", b"_classes")  # the keys diagonalize keeps beside the fields
+
+
+class WholeDictPickler(pickle.Pickler):
+    """Pickles each form and diagonalization with its whole ``__dict__``."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (BilinearForm, Diagonalization)):
+            return copyreg.__newobj__, (type(obj),), dict(vars(obj))
+        return NotImplemented
+
+
+def memos_pickled(item, pickler=pickle.Pickler) -> list[bytes]:
+    out = io.BytesIO()
+    pickler(out, pickle.HIGHEST_PROTOCOL).dump(item)
+    return [key for key in MEMOS if key in out.getvalue()]
+
+
+def test_no_pickled_benchmark_item_holds_a_memo(monkeypatch, tmp_path):
+    # a timed run loads pickled items, so a memo made in set-up would be work
+    # the timed passes skip; cli_oneshot items are command lines.  Running an
+    # item keeps memos in it, and its pickle still holds none.
+    workloads = load_workloads(monkeypatch)
+    held = set()
+    for name in ("witness_chains", "polarization_pairs", "oracle_heights"):
+        workload = workloads.WORKLOADS[name]
+        for item in islice(workload.stream(1, tmp_path), 4):
+            assert memos_pickled(item) == [], name
+            assert workload.run(item) is None, name
+            held.update(memos_pickled(item, WholeDictPickler))
+            assert memos_pickled(item) == [], name
+    assert held == set(MEMOS)
 
 
 def readme_commands(text: str) -> list[str]:
@@ -553,8 +607,7 @@ EXPORTS = {
     "forms": ["BilinearForm", "BlockMetabolicForm", "Diagonalization", "FormInvariants",
               "HYPERBOLIC_PLANE", "diagonalize", "invariants", "metabolic_reduce", "radical_split",
               "symplectic_reduce"],
-    "witt": ["WittClassFp", "WittClassQ", "equivalent", "fp_class_of", "fp_group_table",
-             "psi", "witt_class_of"],
+    "witt": ["WittClassFp", "WittClassQ", "equivalent", "fp_class_of", "psi", "witt_class_of"],
     "cobordism": ["ChainComplex", "CobordismWitness", "SelfDualComplex", "cobordism_class",
                   "h0_form", "null_witness", "orthogonal_split", "witness_common_core",
                   "truncation_witness", "validate", "verify_witness"],
@@ -567,7 +620,7 @@ EXPORTS = {
 
 def test_package_exports_the_same_names_lazily():
     names = sorted(name for group in EXPORTS.values() for name in group)
-    assert len(names) == 50
+    assert len(names) == 49
     assert sorted(wittpoint.__all__) == names
     assert set(names) <= set(dir(wittpoint))
     for mod, group in EXPORTS.items():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from random import Random
 
 import pytest
@@ -16,10 +17,37 @@ from wittpoint.witt import (
     classes_equal_residue_route,
     equivalent,
     fp_class_of,
-    fp_group_table,
     psi,
     witt_class_of,
 )
+
+
+def fp_group_table(p: int) -> dict:
+    """Structure of W(F_p) computed by closing {classes of <u>} under addition."""
+    if p == 2:
+        elements = {WittClassFp.rank_parity(2, 0), WittClassFp.rank_parity(2, 1)}
+        generator = WittClassFp.rank_parity(2, 1)
+    else:
+        generators = {fp_class_of([u], p) for u in range(1, p)}
+        elements = {WittClassFp.zero(p)} | generators
+        frontier = list(elements)
+        while frontier:
+            x = frontier.pop()
+            for gcls in generators:
+                y = x + gcls
+                if y not in elements:
+                    elements.add(y)
+                    frontier.append(y)
+        generator = fp_class_of([1], p)
+    exponent = 1
+    for x in elements:
+        exponent = lcm(exponent, x.order())
+    return {
+        "p": p,
+        "cardinality": len(elements),
+        "exponent": exponent,
+        "order_of_one": generator.order(),
+    }
 
 
 def fp_isometric_by_search(entries_a, entries_b, p):
