@@ -24,8 +24,8 @@ _EXPORTS = {
     ),
     "cobordism": (
         "ChainComplex", "CobordismWitness", "SelfDualComplex", "cobordism_class",
-        "h0_form", "null_witness", "orthogonal_split", "witness_common_core",
-        "truncation_witness", "validate", "verify_witness",
+        "congruence_witness", "h0_form", "null_witness", "orthogonal_split",
+        "witness_common_core", "truncation_witness", "validate", "verify_witness",
     ),
     "hodge": (
         "HodgePiece", "HodgeStructure", "PolarizationPair", "compare_polarizations",

@@ -694,9 +694,13 @@ def null_witness(w: CobordismWitness) -> CobordismWitness:
 
 def congruence_witness(f: BilinearForm, p: Mat) -> CobordismWitness:
     """Witness between a form and its congruent image P^T G P (an isometry)."""
+    return _congruence_witness(f, f.congruent_by(p), p)
+
+
+def _congruence_witness(f: BilinearForm, image: BilinearForm, p: Mat) -> CobordismWitness:
+    """``congruence_witness`` for the image P^T G P of f, built by the caller."""
     ident = Mat.identity(f.gram.n)
-    return _degree0_witness(f, f.congruent_by(p), pi=ident, rho=ident,
-                            rho_prime=p.inv(), pi_prime=p, s2=f.gram)
+    return _degree0_witness(f, image, pi=ident, rho=ident, rho_prime=p.inv(), pi_prime=p, s2=f.gram)
 
 
 def _metabolic_witness(block: BlockMetabolicForm, form: BilinearForm,
@@ -999,17 +1003,19 @@ def random_witness_chain(rng: Random, core_rank: int, steps: int) -> WitnessChai
                 p = Mat.identity(m + 2 * k)
                 candidate = form
             w = _metabolic_witness(block, form, candidate, p)
-            current = BilinearForm(RATIONAL, SYMMETRIC, w.f_prime.s(0))
+            current = candidate
             links.append(ChainLink("metabolic", current, w, block=block))
         elif step == "congruence" and current.gram.n > 0:
             for _attempt in range(20):
                 p = random_invertible(rng, current.gram.n, bound=1)
-                if form_height_ok(current.congruent_by(p)):
+                candidate = current.congruent_by(p)
+                if form_height_ok(candidate):
                     break
             else:
                 p = Mat.identity(current.gram.n)
-            w = congruence_witness(current, p)
-            current = BilinearForm(RATIONAL, SYMMETRIC, w.f_prime.s(0))
+                candidate = current.congruent_by(p)
+            w = _congruence_witness(current, candidate, p)
+            current = candidate
             links.append(ChainLink("congruence", current, w))
         else:
             cpx = acyclic_extension(current, rng, rng.randint(1, 2))

@@ -336,15 +336,8 @@ def hilbert_symbol(a, b, place) -> int:
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}")
     # replace by integers in the same square classes
-    ai = a.numerator * a.denominator
-    bi = b.numerator * b.denominator
-    return _hilbert_at_prime(_int_split(ai, p), _int_split(bi, p), p)
-
-
-def _hilbert_at_prime(split_a: tuple[int, int], split_b: tuple[int, int], p: int) -> int:
-    """(a, b)_p from the integer splits a = u * p^alpha and b = v * p^beta."""
-    alpha, u = split_a
-    beta, v = split_b
+    alpha, u = _int_split(a.numerator * a.denominator, p)
+    beta, v = _int_split(b.numerator * b.denominator, p)
     if p == 2:
         # units mod 8 determine epsilon and omega
         u8, v8 = u % 8, v % 8

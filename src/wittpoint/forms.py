@@ -18,10 +18,9 @@ from .core import (
     CertificateError,
     Frozen,
     SquareClass,
-    _hilbert_at_prime,
-    _int_split,
     _places_of,
     is_prime,
+    legendre,
     residue_mod,
     square_class,
 )
@@ -270,31 +269,33 @@ class FormInvariants(Frozen):
         self.__dict__.update(rank=rank, signature=signature, discriminant=discriminant, hasse=hasse)
 
 
-def _hasse_symbols(ints, places) -> dict:
-    """prod_{i<j} (a_i, a_j)_v for nonzero integers a_i, in the square classes of
-    the entries, at places it does not check: the real place, 2 and primes read
-    off certified factorizations.
-
-    By bilinearity the product is prod_j (a_1 ... a_(j-1), a_j)_v, so a finite
-    place takes n - 1 symbols, the prefix carried as (valuation parity, unit mod
-    p, or mod 8 at p = 2).  The real place is the parity of the pairs of
-    negative entries.
-    """
-    if len(ints) < 2:
-        return {v: 1 for v in places}  # no pairs: no symbol is evaluated
+def _hasse_symbols(classes, places) -> dict:
+    """prod_{i<j} (a_i, a_j)_v for the squarefree kernels a_i of the classes, at
+    places it does not check, each in closed form (Serre, *A Course in Arithmetic*,
+    ch. III, thm. 1).  At v, k entries have odd valuation, with units of product
+    U_1, and U_0 is the others' product.  An odd v gives (-1)^(eps(v) C(k, 2))
+    (U_0/v)^k (U_1/v)^(k-1), one Legendre symbol (none for k = 0), as U_0 U_1^2 =
+    Delta U_1 / v^k, Delta the product of the kernels; 2 gives C(E, 2) + k Omega -
+    sum alpha_i omega_i over the units, E of them = 3 mod 4 and Omega = sum omega_i."""
+    kernels = [c.representative for c in classes]
+    delta = prod(kernels)
+    odd = {}  # v -> (number of kernels of odd valuation at v, product of their units)
+    for c, a in zip(classes, kernels):
+        for p in c._primes:
+            k, u = odd.get(p, (0, 1))
+            odd[p] = k + 1, u * (a // p)
     out = {}
     for v in places:
-        if v == REAL_PLACE:
-            negative = sum(1 for a in ints if a < 0)
-            out[v] = -1 if negative * (negative - 1) // 2 % 2 else 1
-            continue
-        modulus = 8 if v == 2 else v
-        (alpha, u), *rest = [_int_split(a, v) for a in ints]
-        s = 1
-        for beta, w in rest:
-            s *= _hilbert_at_prime((alpha, u), (beta, w), v)
-            alpha, u = (alpha + beta) % 2, u * w % modulus
-        out[v] = s
+        k, u1 = odd.get(v, (0, 1))
+        e = 0
+        if v == REAL_PLACE:  # C(N, 2) for N negative entries, odd iff N // 2 is
+            e = sum(1 for a in kernels if a < 0) // 2
+        elif v == 2:
+            units = [(a % 2, (a if a % 2 else a // 2) % 8) for a in kernels]  # (1 - alpha_i, unit)
+            e = sum(1 for _, u in units if u % 4 == 3) // 2 + sum(k + r - 1 for r, u in units if u in (3, 5))
+        elif k:
+            e = (legendre(u1 if k % 2 == 0 else delta // v**k * u1, v) < 0) + (v % 4 == 3 and k % 4 > 1)
+        out[v] = -1 if e % 2 else 1
     return out
 
 
@@ -316,7 +317,7 @@ def invariants(f: BilinearForm) -> FormInvariants:
         rank=diag.rank,
         signature=diag.signature(),
         discriminant=prod(classes, start=_ONE),
-        hasse=_hasse_symbols([c.representative for c in classes], _places_of(classes)),
+        hasse=_hasse_symbols(classes, _places_of(classes)),
     )
 
 

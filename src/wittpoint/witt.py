@@ -9,10 +9,10 @@ the structured F_p payloads follow the classical group tables
 
     W(F_2) = Z/2,   W(F_p) = Z/4 (p = 3 mod 4),   Z/2 x Z/2 (p = 1 mod 4).
 
-The residue at p = 2 (uniformizer 2, rank-parity payload) is kept for
-nonvanishing certificates; form equality additionally consults the Hasse
-invariant at 2 through the stabilized-invariant oracle, which evaluates the
-Hasse symbols on the same kernels, n - 1 Hilbert symbols per finite place.
+A class in W(F_p), p odd, reads its nonresidues' parity off one Legendre
+symbol.  The residue at 2 (uniformizer 2, rank-parity payload) is kept for
+nonvanishing certificates; equality also consults the Hasse invariant at 2:
+the stabilized-invariant oracle reads each place's symbol in closed form.
 """
 
 from __future__ import annotations
@@ -126,14 +126,15 @@ def fp_class_of(entries, p: int) -> WittClassFp:
 
 
 def _fp_class(units, p: int) -> WittClassFp:
-    """Class of <units> in W(F_p), unchecked: p is a prime (2 gives the
-    rank parity) and every unit is nonzero mod p."""
+    """Class of <units> in W(F_p), unchecked: p is a prime (2 gives the rank
+    parity) and no unit is 0 mod p.  It reads their number and the parity of
+    their nonresidues (Serre, ch. IV, 1.7), even iff their product is a residue."""
     if p == 2:
         return WittClassFp._of(2, len(units) % 2)
-    nonresidues = sum(1 for u in units if not is_residue(u, p))
+    even = is_residue(prod(units), p)
     if p % 4 == 3:
-        return WittClassFp._of(p, (len(units) - 2 * nonresidues) % 4)
-    return WittClassFp._of(p, (len(units) % 2, nonresidues % 2 == 0))
+        return WittClassFp._of(p, (len(units) - (0 if even else 2)) % 4)
+    return WittClassFp._of(p, (len(units) % 2, even))
 
 
 def _split_at(e: Fraction, p: int) -> tuple[int, int]:
@@ -268,9 +269,7 @@ def _hasse_route_entries(ef: tuple, classes_f: tuple, eg: tuple, classes_g: tupl
     if prod(classes_f, start=_ONE) != prod(classes_g, start=_ONE):
         return False
     places = _places_of(classes_f + classes_g)
-    kernels_f = [c.representative for c in classes_f]
-    kernels_g = [c.representative for c in classes_g]
-    return _hasse_symbols(kernels_f, places) == _hasse_symbols(kernels_g, places)
+    return _hasse_symbols(classes_f, places) == _hasse_symbols(classes_g, places)
 
 
 def classes_equal_hasse_route(f: BilinearForm, g: BilinearForm) -> bool:

@@ -152,19 +152,30 @@ def test_hasse_symbols_test_no_place_for_primality(monkeypatch):
     assert tested == []
 
 
-def test_invariants_takes_n_minus_1_hilbert_symbols_per_finite_place(monkeypatch):
-    # prod_j (a_1 ... a_(j-1), a_j)_p: n - 1 symbols at each finite place,
-    # where the per-pair loop took n(n - 1)/2 (18 and 84 on the forms below)
-    symbols = count(monkeypatch, core, "_hilbert_at_prime")
-    for entries, finite, want in (
-        ([3 * 1009, -5 * 1013, Fraction(7, 2)], {2, 3, 5, 7, 1009, 1013}, 12),
-        ([2, Fraction(-3, 8), 5 * 49, 1, -1, 1013, Fraction(1, 12)], {2, 3, 5, 1013}, 24),
-        ([-6], {2, 3}, 0),
+def test_invariants_takes_one_legendre_symbol_per_odd_place(monkeypatch):
+    # each place in closed form: every odd place of invariants holds an entry
+    # of odd valuation and takes one Legendre symbol, 2 and the real place
+    # none, and no Hilbert symbol is evaluated
+    symbols = count(monkeypatch, core, "legendre")
+    hilbert = count(monkeypatch, core, "hilbert_symbol")
+    for entries, finite in (
+        ([3 * 1009, -5 * 1013, Fraction(7, 2)], {2, 3, 5, 7, 1009, 1013}),
+        ([2, Fraction(-3, 8), 5 * 49, 1, -1, 1013, Fraction(1, 12)], {2, 3, 5, 1013}),
+        ([-6], {2, 3}),
     ):
         symbols[0] = 0
         hasse = invariants(BilinearForm.from_diagonal(entries)).hasse
         assert set(hasse) == finite | {"real"}
-        assert symbols[0] == want == (len(entries) - 1) * len(finite)
+        assert symbols[0] == len(finite) - 1
+    assert hilbert[0] == 0
+
+
+def test_no_legendre_symbol_at_a_place_outside_every_class(monkeypatch):
+    # the Hasse route reads both forms at the union of their places
+    symbols = count(monkeypatch, core, "legendre")
+    classes = [core.square_class(a) for a in (3, -7, 10)]
+    hasse = forms._hasse_symbols(classes, [2, 3, 5, 11, 13, "real"])
+    assert (hasse[11], hasse[13], symbols[0]) == (1, 1, 2)
 
 
 def test_diagonalize_takes_no_matrix_product(monkeypatch):
@@ -210,8 +221,7 @@ def test_equivalent_classes_each_entry_once_and_reads_it_at_its_own_primes(monke
 
     def count_in_witt(name):
         # witt's binding only: the residues come off the squarefree kernels,
-        # dividing no entry, while the Hasse route splits every kernel at
-        # every place through the bindings in forms
+        # dividing no entry, and the Hasse route, in forms, splits none
         original, calls = getattr(witt, name), [0]
 
         def counted(*args):

@@ -165,21 +165,21 @@ def hasse_of_entries(entries, places=None) -> dict:
     """prod_{i<j} (a_i, a_j)_v at each place v, by default the relevant places,
     by ``forms._hasse_symbols``, the product ``invariants`` takes.
 
-    Without places, each entry is classed once, the places are 2, the primes of
-    the classes and the real place, and the symbols are read off the classes'
-    squarefree kernels.  With places, each is checked, and the symbols are read
-    off the integer num*den of each entry, which factors nothing.
+    Each entry is classed once, and the symbols are read off the classes'
+    squarefree kernels.  Without places, the places are 2, the primes of the
+    classes and the real place.  With places, each is checked first, and a
+    zero entry is refused before it is classed.
     """
     entries = [Fraction(e) for e in entries]
     if places is None:
         classes = [square_class(e) for e in entries]
-        return _hasse_symbols([c.representative for c in classes], _places_of(classes))
+        return _hasse_symbols(classes, _places_of(classes))
     if any(e == 0 for e in entries):
         raise ValueError("Hilbert symbol needs nonzero arguments")
     for v in places:
         if v != REAL_PLACE and (not isinstance(v, int) or not is_prime(v)):
             raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {v!r}")
-    return _hasse_symbols([e.numerator * e.denominator for e in entries], places)
+    return _hasse_symbols([square_class(e) for e in entries], places)
 
 
 def test_invariants_factor_entries_never_their_product():
@@ -191,7 +191,7 @@ def test_invariants_factor_entries_never_their_product():
 
 
 def test_hasse_of_entries_checks_its_inputs_without_pairs():
-    # fewer than two entries evaluate no symbol, but places and entries are still checked
+    # fewer than two entries have no pairs, but places and entries are still checked
     with pytest.raises(ValueError, match="place must be a prime or 'real', got 4"):
         hasse_of_entries([3], [4])
     for entries, places in (([0], [3]), ([0], [REAL_PLACE]), ([0, 1], [])):

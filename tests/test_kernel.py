@@ -16,12 +16,14 @@ realifications, built here, and so is the Q(i) scalar they run on,
 ``GaussianRational``.
 
 The local symbols have references too: the ``Fraction`` splitting and the
-per-pair Hilbert symbols that the integer local formulas and the prefix
-products on squarefree kernels replaced, and the residue loop of ``psi`` over
-that splitting, which the residues read off the kernels replaced; the ``Fraction`` splitting is
-also the reference for the integer one, ``core._int_split``.  Square classes are checked
-against a fresh factorization of their representative, and ``factor`` against
-plain trial division.
+per-pair Hilbert symbols that the integer local formulas and the closed forms
+per place on squarefree kernels replaced, the residue loop of ``psi`` over
+that splitting, which the residues read off the kernels replaced, and the
+residue test per unit that the one Legendre symbol of ``_fp_class`` replaced;
+the ``Fraction`` splitting is also the reference for the integer one,
+``core._int_split``.  Square classes are checked against a fresh
+factorization of their representative, and ``factor`` against plain trial
+division.
 
 The spectral certificate of ``compare_polarizations`` runs on integers; its
 references are the ``Fraction`` loops it replaced: Faddeev-LeVerrier over
@@ -90,7 +92,7 @@ from wittpoint.poly import (
     poly_degree,
     poly_normalize,
 )
-from wittpoint.witt import WittClassFp, WittClassQ, _class_of_entries, fp_class_of, psi
+from wittpoint.witt import WittClassFp, WittClassQ, _class_of_entries, _fp_class, fp_class_of, psi
 from test_forms import hasse_of_entries, replay, symmetric_from_lower, transvection
 
 EXAMPLES = settings(max_examples=150, deadline=None)
@@ -1504,16 +1506,31 @@ def test_class_of_entries_matches_the_per_prime_psi_loop(entries, shared, pad):
 
 @EXAMPLES
 @given(data=st.data(), entries=entry_lists, pad=st.integers(0, 2), places=st.one_of(st.none(), place_lists))
-def test_prefix_hasse_symbols_match_the_per_pair_symbols(data, entries, pad, places):
-    # on the squarefree kernels and on num*den, with +-1 hyperbolic padding
-    # mixed in; local_rationals give p = 2, valuations up to 4 and fractions
+def test_closed_form_hasse_symbols_match_the_per_pair_symbols(data, entries, pad, places):
+    # on the squarefree kernels, with +-1 hyperbolic padding mixed in;
+    # local_rationals give p = 2, valuations up to 4 and fractions, and a drawn
+    # list of places can hold primes, 10007 always, that divide no class
     entries = data.draw(st.permutations(entries + [Fraction(1), Fraction(-1)] * pad))
     classes = [square_class(e) for e in entries]
     if places is None:
         places = _places_of(classes)
     ref = list(ref_hasse_of_entries(entries, places).items())
-    assert list(_hasse_symbols([c.representative for c in classes], places).items()) == ref
-    assert list(_hasse_symbols([e.numerator * e.denominator for e in entries], places).items()) == ref
+    assert list(_hasse_symbols(classes, places).items()) == ref
+
+
+def ref_fp_class(units, p: int) -> WittClassFp:
+    """The class of <units> in W(F_p), p odd, from one residue test per unit."""
+    nonresidues = sum(1 for u in units if legendre(u, p) == -1)
+    if p % 4 == 3:
+        return WittClassFp(p, (len(units) - 2 * nonresidues) % 4)
+    return WittClassFp(p, (len(units) % 2, nonresidues % 2 == 0))
+
+
+@EXAMPLES
+@given(data=st.data(), p=st.sampled_from((3, 5, 7, 13, 10007, 99991)))
+def test_fp_class_matches_one_residue_test_per_unit(data, p):
+    units = data.draw(st.lists(st.integers(1, p - 1), max_size=8))
+    assert repr(_fp_class(units, p)) == repr(ref_fp_class(units, p))
 
 
 @EXAMPLES

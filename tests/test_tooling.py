@@ -3,13 +3,15 @@
 The traced benchmark run wraps package functions by name; every name it
 wraps must still exist, or ``perfbench/run.py --trace 1`` breaks.  No
 benchmark item pickles with a diagonalization that ``diagonalize`` keeps
-in a form, so set-up does no work that the timed passes then skip.  A
-certificate check must run under ``python -O``, so the package holds no
-``assert`` statement.  A ``Mat`` stores one form, its integer form, made
-at construction and shared between matrices; the row lists it is built from
-are kept only as its ``rows`` view, which no kernel reads.  A write to
-``rows`` would change no result, so neither the package nor its tests write
-rows or the form, and inside ``Mat`` only the ``rows`` property reads them.
+in a form, so set-up does no work that the timed passes then skip.  The
+first witness chains of two seeds hash to pinned digests, so the chain
+generators' stream stays the same.  A certificate check must run under
+``python -O``, so the package holds no ``assert`` statement.  A ``Mat``
+stores one form, its integer form, made at construction and shared between
+matrices; the row lists it is built from are kept only as its ``rows`` view,
+which no kernel reads.  A write to ``rows`` would change no result, so
+neither the package nor its tests write rows or the form, and inside ``Mat``
+only the ``rows`` property reads them.
 No package module but ``linalg`` names a ``Mat``'s private slots; the others
 read matrices through its methods, such as ``integer_columns``.
 The package loads its submodules lazily, but re-exports the same names.
@@ -35,6 +37,7 @@ package (but ``__init__``) and its ``data/`` folder.
 import argparse
 import ast
 import copyreg
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -129,6 +132,22 @@ def test_no_pickled_benchmark_item_holds_a_memo(monkeypatch, tmp_path):
             held.update(memos_pickled(item, WholeDictPickler))
             assert memos_pickled(item) == [], name
     assert held == set(MEMOS)
+
+
+# SHA-256 of the reprs of the first 60 witness_chains items of part 0, one a line
+CHAIN_STREAM_DIGESTS = {
+    20260810: "8b248152279dc83a0e7efbcf905134cd9a5102c9ad54bdd51a30b0ca68e69df5",
+    1: "492165fd5777b641c650fb80e475b3b7187d203c52262b7165696cbb89199fcf",
+}
+
+
+def test_chain_stream_repeats_its_digest(monkeypatch, tmp_path):
+    # the generators' stream, hashed by value: repr reads the fields alone, so
+    # what a form or a matrix keeps beside them does not enter
+    workloads = load_workloads(monkeypatch)
+    for seed, digest in CHAIN_STREAM_DIGESTS.items():
+        items = islice(workloads.WORKLOADS["witness_chains"].stream(seed, tmp_path), 60)
+        assert hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest() == digest, seed
 
 
 def readme_commands(text: str) -> list[str]:
@@ -609,8 +628,8 @@ EXPORTS = {
               "symplectic_reduce"],
     "witt": ["WittClassFp", "WittClassQ", "equivalent", "fp_class_of", "psi", "witt_class_of"],
     "cobordism": ["ChainComplex", "CobordismWitness", "SelfDualComplex", "cobordism_class",
-                  "h0_form", "null_witness", "orthogonal_split", "witness_common_core",
-                  "truncation_witness", "validate", "verify_witness"],
+                  "congruence_witness", "h0_form", "null_witness", "orthogonal_split",
+                  "witness_common_core", "truncation_witness", "validate", "verify_witness"],
     "hodge": ["HodgePiece", "HodgeStructure", "PolarizationPair", "compare_polarizations",
               "is_polarization", "pol_class", "weil_operator"],
     "genus": ["HodgeDiamond", "PrimitivePiece", "chi_y", "epsilon", "example_drivers",
@@ -620,7 +639,7 @@ EXPORTS = {
 
 def test_package_exports_the_same_names_lazily():
     names = sorted(name for group in EXPORTS.values() for name in group)
-    assert len(names) == 49
+    assert len(names) == 50
     assert sorted(wittpoint.__all__) == names
     assert set(names) <= set(dir(wittpoint))
     for mod, group in EXPORTS.items():
