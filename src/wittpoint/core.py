@@ -421,16 +421,20 @@ def sturm_positive_real_roots(coeffs) -> SturmCertificate:
     with positive leading coefficient.  It ends in g = gcd(p, p'), and its
     terms divided by g are a Sturm sequence of the squarefree part p / g
     (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
+    The last term is an integer polynomial, made primitive with positive
+    leading coefficient as it is; when that is g = 1, p is squarefree, its
+    own radical, and no term is divided.
     """
     # imported here, so that loading core does not load poly
-    from .poly import int_poly, int_poly_quotient, int_sturm_chain
+    from .poly import int_poly, int_poly_quotient, int_primitive, int_sturm_chain
 
     p = int_poly(coeffs)
     if not p:
         raise ValueError("the zero polynomial has no Sturm certificate")
     chain = int_sturm_chain(p)
-    g = int_poly(chain[-1])
-    chain = [int_poly_quotient(t, g) for t in chain]
+    g = int_primitive(chain[-1])
+    if g != [1]:
+        chain = [int_poly_quotient(t, g) for t in chain]
     distinct = len(chain[0]) - 1
     # V(a) - V(b) counts the distinct roots in (a, b], so a root at 0 is left
     # out of the positive count

@@ -8,13 +8,16 @@ X = Re B_{p,q}, Y = Im B_{p,q} and the complex structure J X = -Y, J Y = X
 (i on H^{p,q}, -i on H^{q,p}); W_{p,p} is spanned by Re B_{p,p}, Im B_{p,p}.
 The Weil operator is R Λ R^-1, Λ = i^(p-q) on each summand; an identity R
 (a structure given in its frame basis) is its own inverse and is never
-multiplied by.  Positivity is Sylvester minors of S(u, Cv); positive minors
-make det(S C) > 0, so they certify nondegeneracy too, and det S is taken
-only when positivity fails.
-The comparison endomorphism phi = S^-1 S' is one solve, certified by
-phi^T S = S'; its spectrum is certified real, positive and semisimple by
-Sturm counts plus a squarefree minimal-polynomial check.  Each signature is
-checked a second way, against the Hodge index theorem.
+multiplied by.  Positivity is Sylvester minors of S(u, Cv), each read by
+the sign of its integer Bareiss value; positive minors make det(S C) > 0,
+so they certify nondegeneracy too, and det S is taken only when positivity
+fails.  The comparison endomorphism phi = S^-1 S' is one solve, certified
+by phi^T S = S'; its spectrum is certified real and positive by Sturm
+counts, and semisimple by its radical vanishing at phi.  When the
+characteristic polynomial p is squarefree, the radical is p, and p(phi) = 0
+is Cayley-Hamilton, certified on the last Faddeev-LeVerrier step; only a p
+with repeated roots has its radical evaluated at phi, by Horner.  Each
+signature is checked a second way, against the Hodge index theorem.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
         else:
             reduced, pivots = span.rref()
             coords = reduced.submatrix(range(k), range(2 * k))
-            if len(pivots) != k or not _invertible(coords):
+            if len(pivots) != k or not _invertible(*_halves(coords)):
                 return None
             span = span.submatrix(range(n), pivots)
             summands.append(_Summand(piece.p, piece.q, start, k, coords, tuple(pivots)))
@@ -188,17 +191,25 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
         uv = parts if inverse is basis else inverse * parts  # [U | V] of the partner
         xs, ys = (uv.submatrix(range(at, at + k), range(2 * k)) for at in (start, start + k))
         rest = [i for i in range(n) if not start <= i < start + 2 * k]
-        if (not uv.submatrix(rest, range(2 * k)).is_zero()
-                or ys != xs.submatrix(range(k), range(k, 2 * k)).hstack(-xs.submatrix(range(k), range(k)))
-                or not _invertible(xs)):
+        u, v = _halves(xs)
+        if not uv.submatrix(rest, range(2 * k)).is_zero() or ys != v.hstack(-u) or not _invertible(u, v):
             return None
     return _Frame(basis, inverse, summands)
 
 
-def _invertible(uv: Mat) -> bool:
-    """Whether U + iV is invertible, by the determinant of its realification,
-    |det(U + iV)|^2."""
-    return bool(uv.realification().det())
+def _halves(uv: Mat) -> tuple[Mat, Mat]:
+    """U and V of a k x 2k matrix [U | V]."""
+    k = uv.m
+    return uv.submatrix(range(k), range(k)), uv.submatrix(range(k), range(k, 2 * k))
+
+
+def _invertible(u: Mat, v: Mat) -> bool:
+    """Whether U + iV is invertible, by the determinant of its realification
+    [[U, -V], [V, U]], |det(U + iV)|^2, which is det(U)^2 when V = 0: then
+    det U alone is taken."""
+    if v.is_zero():
+        return bool(u.det())
+    return bool(u.hstack(v).realification().det())
 
 
 def _nonempty(h: HodgeStructure) -> list[HodgePiece]:
@@ -332,11 +343,12 @@ def _check_polarization(h: HodgeStructure, frame: _Frame, weil: Mat,
             raise CertificateError("first bilinear relation certificate failed on R^T S R")
         problems += found
     s_c = s.gram * weil
+    positivity = None
     if s_c != s_c.T:
         positivity = "S(u, Cv) is not symmetric"
-    else:
-        positivity = next((f"S(u, Cv) is not positive definite (leading {k}x{k} minor is {minor})"
-                           for k, minor in enumerate(s_c.leading_minors(), 1) if minor <= 0), None)
+    elif failed := s_c.first_nonpositive_minor():
+        k, minor = failed
+        positivity = f"S(u, Cv) is not positive definite (leading {k}x{k} minor is {minor})"
     # positive leading minors give det(S C) > 0, so det S != 0: the
     # determinant is taken only where positivity fails
     if positivity:
@@ -433,9 +445,8 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
 
     char = phi.charpoly()
     cert = sturm_positive_real_roots(char)
-    # radical(phi) = 0 is checked as an integer identity: d^m * radical(phi) = 0
     radical = cert.squarefree_part
-    semisimple = not any(map(any, int_poly_at(radical, phi)[1]))
+    semisimple = _semisimple(phi, cert)
 
     eigenspaces = None
     try:
@@ -473,6 +484,14 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
         preserves_bigrading=preserves, eigenspaces=eigenspaces,
         signature_s=sig_s, signature_s_prime=sig_sp,
     )
+
+
+def _semisimple(phi: Mat, cert: SturmCertificate) -> bool:
+    """Whether the radical of phi's characteristic polynomial p vanishes at
+    phi.  A squarefree p is its own radical, and p(phi) = 0 is
+    Cayley-Hamilton, which ``charpoly`` certified on its last step; any other
+    radical is checked as an integer identity, d^m * radical(phi) = 0."""
+    return cert.squarefree or not any(map(any, int_poly_at(cert.squarefree_part, phi)[1]))
 
 
 def _rational_roots(p: list[int]) -> list[Fraction]:

@@ -11,9 +11,10 @@ left one, so a product with I or a sparse factor costs little.
 ``rows`` is a view of the entries as ``Fraction`` rows, made from the
 integer form when first read and then kept.  Writing to it changes no
 result.  ``rref`` runs Gauss-Jordan by cross-multiplication, dividing each
-changed row by its content; ``det`` and ``leading_minors`` run Bareiss's
-fraction-free elimination (Bareiss 1968; Cohen, *A Course in Computational
-Algebraic Number Theory*, 2.2).  The reduced row echelon form is unique,
+changed row by its content; ``det`` and ``first_nonpositive_minor`` run
+Bareiss's fraction-free elimination (Bareiss 1968; Cohen, *A Course in
+Computational Algebraic Number Theory*, 2.2), the latter reading each
+minor's sign off its integer value.  The reduced row echelon form is unique,
 so each returns what elimination over Q returns.  Shapes are explicit, as
 zero-row and zero-column matrices occur constantly.  Integer forms are
 never written, so matrices may share their rows: a product's row may be a
@@ -78,7 +79,12 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, ints=[(1, [int(i == j) for j in range(n)]) for i in range(n)])
+        ints = []
+        for i in range(n):
+            row = [0] * n
+            row[i] = 1
+            ints.append((1, row))
+        return Mat(n, n, ints=ints)
 
     @staticmethod
     def diag(entries) -> "Mat":
@@ -167,8 +173,15 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.m != other.m:
             raise ValueError("hstack row mismatch")
-        # over the lcm of the two denominators, a joined row stays in lowest terms
-        return Mat(self.m, self.n + other.n, ints=[(d, r + q) for d, r, q in _aligned(self._ints, other._ints)])
+        # over a shared denominator, or else over the lcm of the two, a joined
+        # row stays in lowest terms
+        ints = []
+        for (s, r), (t, q) in zip(self._ints, other._ints):
+            if s != t:
+                d = lcm(s, t)
+                s, r, q = d, _over(d, s, r), _over(d, t, q)
+            ints.append((s, r + q))
+        return Mat(self.m, self.n + other.n, ints=ints)
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.n != other.n:
@@ -255,18 +268,21 @@ class Mat:
         *_, d = 1, *_bareiss([list(r) for _, r in self._ints])  # the last value is the determinant
         return Fraction(d, prod(s for s, _ in self._ints))
 
-    def leading_minors(self):
-        """The leading principal minors of a square matrix, in order, up to and
-        including the first zero one, from one elimination without row
-        exchanges."""
+    def first_nonpositive_minor(self) -> tuple[int, Fraction] | None:
+        """(k, the leading k x k minor) for the first leading principal minor
+        of a square matrix that is not positive, or None if all are.
+
+        One elimination without row exchanges gives them in order.  The
+        leading k-minor is its Bareiss value over d_1 ... d_k, the positive
+        denominators of the first k rows, so it has that integer's sign, and
+        a ``Fraction`` is built for the failing minor alone.
+        """
         if self.m != self.n:
             raise ValueError("leading minors of a non-square matrix")
-        scale = 1
-        for (s, _), d in zip(self._ints, _bareiss([list(r) for _, r in self._ints])):
-            scale *= s
-            yield Fraction(d, scale)
-            if not d:
-                return
+        for k, d in enumerate(_bareiss([list(r) for _, r in self._ints]), 1):
+            if d <= 0:
+                return k, Fraction(d, prod(s for s, _ in self._ints[:k]))
+        return None
 
     def charpoly(self) -> list[Fraction]:
         """Coefficients of det(t*I - A), ascending in t (Faddeev-LeVerrier).
@@ -277,7 +293,10 @@ class Mat:
         b_k / D^(n-k).  As M_1 = I, the first step reads B M_1 = B off B's
         columns with no product; each later step takes the dot products of
         the rows of M_k with B's columns, into fresh rows, so adding c I
-        writes no cached column.
+        writes no cached column.  The last step is Cayley-Hamilton: it holds
+        B M_n, and B M_n + b_0 I = p(B) must be the zero matrix (Gantmacher,
+        *The Theory of Matrices*, vol. 1, ch. IV), else ``CertificateError``.
+        That takes n additions and no product, and certifies p(A) = 0.
         """
         if self.m != self.n:
             raise ValueError("characteristic polynomial of a non-square matrix")
@@ -288,10 +307,12 @@ class Mat:
         for k in range(1, n + 1):
             c = -sum(bm[i][i] for i in range(n)) // k
             coeffs_desc.append(c)
+            for i, row in enumerate(bm):  # M_(k+1) = B M_k + c I
+                row[i] += c
             if k < n:
-                for i, row in enumerate(bm):  # M_(k+1) = B M_k + c I
-                    row[i] += c
                 bm = [[sum(map(mul, row, col)) for col in cols] for row in bm]  # M commutes with B
+        if any(map(any, bm)):  # M_(n+1) = p(B)
+            raise CertificateError("Cayley-Hamilton certificate failed: p(B) = B M_n + b_0 I is not 0")
         return [Fraction(c, d**k) for k, c in enumerate(coeffs_desc)][::-1]
 
 

@@ -42,7 +42,12 @@ def poly_degree(p: list) -> int:
 def int_poly(coeffs) -> list[int]:
     """The primitive integer polynomial with positive leading coefficient
     that is a rational multiple of ``coeffs`` ([] for the zero polynomial)."""
-    _, p = _integer_row(poly_normalize(coeffs))
+    return int_primitive(_integer_row(poly_normalize(coeffs))[1])
+
+
+def int_primitive(p: list[int]) -> list[int]:
+    """The integer polynomial p over its content, with positive leading
+    coefficient ([] for the zero polynomial)."""
     if p and p[-1] < 0:
         p = [-c for c in p]
     return _content_free(p)

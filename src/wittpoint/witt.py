@@ -180,10 +180,19 @@ class WittClassQ(Frozen):
     def zero() -> "WittClassQ":
         return WittClassQ(0, ())
 
+    @classmethod
+    def _of(cls, signature: int, residues: tuple) -> "WittClassQ":
+        """The class of a canonical residue tuple, built without checking it
+        again: for ``make``, which filters and sorts its residues itself."""
+        out = object.__new__(cls)
+        out.__dict__.update(signature=signature, residues=residues)
+        return out
+
     @staticmethod
     def make(signature: int, residues: dict) -> "WittClassQ":
+        """The class with these residues, by prime; zero residues are dropped."""
         items = tuple(sorted((p, c) for p, c in residues.items() if not c.is_zero()))
-        return WittClassQ(signature, items)
+        return WittClassQ._of(signature, items)
 
     def residue_at(self, p: int) -> WittClassFp:
         for q, c in self.residues:

@@ -601,3 +601,38 @@ def test_an_identity_frame_is_never_multiplied_by(monkeypatch):
             identity = Mat.identity(dim)
             assert {(a, b) for a, b in products if identity in (a, b)} <= {(identity, phi)}, (weight, dim)
     assert inversions[0] == 0
+
+
+def test_a_squarefree_comparison_evaluates_no_polynomial_at_phi(monkeypatch):
+    # a squarefree characteristic polynomial is its own radical, and p(phi) = 0
+    # is certified on charpoly's last step: Horner does not run
+    h, s = standard_structure(0, 2)
+    evaluations = count(monkeypatch, poly, "int_poly_at")
+    pair = compare_polarizations(h, s, BilinearForm.from_rows([[2, 1], [1, 3]]))
+    assert pair.sturm.squarefree and pair.semisimple and pair.certified
+    assert evaluations[0] == 0
+
+
+@pytest.mark.parametrize("weight, dim", [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 4),
+                                         (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4)])
+def test_a_criterion_4_frame_takes_no_realification(monkeypatch, weight, dim):
+    # every (p, p) block and partner coordinate block has V = 0, so its
+    # determinant is det U, one k x k det per block test
+    h, _, _ = random_polarization_pair(Random(41), weight, dim)
+    realifications = count(monkeypatch, Mat, "realification")
+    determinants = count(monkeypatch, Mat, "det")
+    assert hodge._certified_frame(h) is not None
+    blocks = sum(1 for piece in h.pieces if piece.re.n and piece.p >= piece.q)
+    assert (realifications[0], determinants[0]) == (0, blocks)
+
+
+def test_witt_class_make_tests_each_residue_once(monkeypatch):
+    # make filters and sorts the residues itself, so the canonical-form check
+    # of the public constructor does not run again on them
+    residues = {7: fp_class_of([1, 2], 7), 3: fp_class_of([1], 3), 5: witt.WittClassFp.zero(5)}
+    tests = count(monkeypatch, witt.WittClassFp, "is_zero")
+    made = witt.WittClassQ.make(1, residues)
+    assert tests[0] == 3
+    assert made == witt.WittClassQ(1, ((3, residues[3]), (7, residues[7])))
+    assert tests[0] == 5  # the public constructor checks its two residues
+    assert (-made).residues == ((3, -residues[3]), (7, -residues[7])) and (made - made).is_zero()

@@ -121,6 +121,31 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert captured.err.rstrip().endswith("(this is a bug)")
 
 
+CORRUPTED_LAST_STEP = """
+import sys
+from wittpoint import linalg
+from wittpoint.cli import main
+# for a 2 x 2 phi the one product of Faddeev-LeVerrier is the last step's
+# B M_2; each of its entries now comes out 2 too large
+linalg.mul = lambda x, y: x * y + 1
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cayley_hamilton_certificate_exits_3_under_python_O(tmp_path):
+    h, s = standard_structure(0, 2)
+    paths = [write(tmp_path, "h.json", hodge_to_json(h)), write(tmp_path, "s.json", form_to_json(s)),
+             write(tmp_path, "s2.json", form_doc([[2, 1], [1, 3]]))]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_LAST_STEP, "hodge-compare", *paths],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == ("internal error: Cayley-Hamilton certificate failed: "
+                          "p(B) = B M_n + b_0 I is not 0 (this is a bug)\n")
+
+
 def test_residue_command(tmp_path, capsys):
     path = write(tmp_path, "f.json", form_doc([[-2, 0], [0, 1]]))
     assert main(["--json", "residue", "--prime", "3", "--k", "0", path]) == 0

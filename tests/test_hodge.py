@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittpoint import hodge
-from wittpoint.core import CertificateError, FactorBoundExceeded
+from wittpoint.core import CertificateError, FactorBoundExceeded, sturm_positive_real_roots
 from wittpoint.forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm
 from wittpoint.hodge import (
     HodgePiece,
@@ -26,6 +26,12 @@ from wittpoint.jsonio import hodge_from_json, hodge_to_json
 from wittpoint.linalg import Mat
 from wittpoint.poly import int_poly_at
 from wittpoint.witt import witt_class_of
+from test_kernel import (
+    matrices,
+    ref_first_nonpositive_minor,
+    ref_poly_eval_matrix,
+    symmetric_by_first_nonpositive_minor,
+)
 
 
 def _structure(weight, dimension, *pieces):
@@ -480,12 +486,9 @@ def reference_polarization_problems(h, s):
     s_c = s.gram * hodge._weil(frame, h.weight)
     if s_c != s_c.T:
         problems.append("S(u, Cv) is not symmetric")
-    else:
-        for k, minor in enumerate(s_c.leading_minors(), 1):
-            if minor <= 0:
-                problems.append(f"S(u, Cv) is not positive definite "
-                                f"(leading {k}x{k} minor is {minor})")
-                break
+    elif failed := ref_first_nonpositive_minor(s_c):
+        k, minor = failed
+        problems.append(f"S(u, Cv) is not positive definite (leading {k}x{k} minor is {minor})")
     return problems
 
 
@@ -555,6 +558,21 @@ def test_polarization_problems_match_the_determinant_first_check(case):
     seed, (weight, dim) = case
     h, f = pairing_case(Random(seed), weight, dim)
     assert is_polarization(h, f).problems == reference_polarization_problems(h, f)
+
+
+@given(case=symmetric_by_first_nonpositive_minor(), scale=st.sampled_from([1, -1, Fraction(1, 3)]))
+@settings(max_examples=80, deadline=None)
+def test_positivity_verdict_and_message_match_the_fraction_minors(case, scale):
+    # rational entries, and a first nonpositive minor that is zero, negative
+    # or absent; at weight 0, C = I and S(u, Cv) is S
+    a, at = case
+    h, _ = standard_structure(0, a.n)
+    f = BilinearForm(RATIONAL, SYMMETRIC, a.scale(scale))
+    check = is_polarization(h, f)
+    assert check.problems == reference_polarization_problems(h, f)
+    assert check.ok == (ref_first_nonpositive_minor(f.gram) is None)
+    if scale > 0 and at < a.n:  # a positive scale keeps every minor's sign
+        assert check.problems[-1].startswith(f"S(u, Cv) is not positive definite (leading {at + 1}x{at + 1} ")
 
 
 def test_the_problem_corpus_reaches_every_degenerate_combination():
@@ -633,6 +651,42 @@ def test_comparison_certificate_fires_when_s_does_not_solve(monkeypatch):
 # -- an identity frame against the path that multiplies by every R ---------
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_invertible_matches_the_realified_determinant(data):
+    # V = 0, the case of every criterion-4 frame, is read off det U; any
+    # other V off the realification, as before; U is singular in some draws
+    k = data.draw(st.integers(1, 4))
+    u = data.draw(matrices(k, k))
+    v = data.draw(st.one_of(st.just(Mat.zeros(k, k)), matrices(k, k)))
+    assert hodge._invertible(u, v) == reference_invertible(u.hstack(v))
+    assert hodge._halves(u.hstack(v)) == (u, v)
+
+
+JORDAN = Mat.from_rows([[1, 1], [0, 1]])
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_semisimplicity_matches_horner_on_the_radical(data):
+    # 2I and the Jordan block have a repeated root, and only the second is
+    # not semisimple; a squarefree characteristic polynomial is certified by
+    # charpoly's last step, and Horner on it would give 0
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(st.one_of(st.sampled_from([Mat.identity(3).scale(2), JORDAN, Mat.diag([1, 2, 3])]),
+                            matrices(n, n, size=4)))
+    cert = sturm_positive_real_roots(a.charpoly())
+    assert hodge._semisimple(a, cert) == ref_poly_eval_matrix(cert.squarefree_part, a).is_zero()
+    if a == JORDAN:
+        assert not cert.squarefree and not hodge._semisimple(a, cert)
+
+
+def reference_invertible(uv):
+    """_invertible as it was: U + iV, for uv = [U | V], by the determinant of
+    its realification, also when V = 0."""
+    return bool(uv.realification().det())
+
+
 def reference_certified_frame(h):
     """_certified_frame as it was: R^-1 by inversion for every R, also for
     R = I, and each partner's coordinates as R^-1 times its columns.  Its
@@ -655,7 +709,7 @@ def reference_certified_frame(h):
         else:
             reduced, pivots = span.rref()
             coords = reduced.submatrix(range(k), range(2 * k))
-            if len(pivots) != k or not hodge._invertible(coords):
+            if len(pivots) != k or not reference_invertible(coords):
                 return None
             span = span.submatrix(range(n), pivots)
             summands.append(hodge._Summand(piece.p, piece.q, start, k, coords, tuple(pivots)))
@@ -673,7 +727,7 @@ def reference_certified_frame(h):
         rest = [i for i in range(n) if not start <= i < start + 2 * k]
         if (not uv.submatrix(rest, range(2 * k)).is_zero()
                 or ys != xs.submatrix(range(k), range(k, 2 * k)).hstack(-xs.submatrix(range(k), range(k)))
-                or not hodge._invertible(xs)):
+                or not reference_invertible(xs)):
             return None
     return hodge._Frame(basis, inverse, summands)
 

@@ -32,7 +32,11 @@ remainders over Q and its sign counts, Horner's rule on ``Fraction``
 matrices, and the rational-root scan that evaluates every candidate as a
 ``Fraction``.  The ``Fraction`` polynomial helpers those references use, and
 the rational front ends of the integer gcd, squarefree part and value at a
-matrix, live here too.
+matrix, live here too.  The certificate's g = gcd(p, p') is also checked
+against the route that read it back through ``int_poly`` and divided every
+term by it, and the first nonpositive leading minor against the field-loop
+determinants of the leading blocks.  ``identity`` and ``hstack`` build the
+integer forms they built entry by entry and over the lcm of every row pair.
 """
 
 from dataclasses import dataclass
@@ -278,6 +282,22 @@ def ref_det(a: Mat):
                 f = rows[i][c] / rows[c][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return d
+
+
+def ref_leading_minors(a: Mat) -> list[Fraction]:
+    """The leading principal minors, each the field-loop determinant of its
+    block, up to and including the first zero one."""
+    minors = []
+    for k in range(1, a.n + 1):
+        minors.append(ref_det(a.submatrix(range(k), range(k))))
+        if not minors[-1]:
+            break
+    return minors
+
+
+def ref_first_nonpositive_minor(a: Mat):
+    """(k, minor) for the first leading k-minor that is not positive, or None."""
+    return next(((k, d) for k, d in enumerate(ref_leading_minors(a), 1) if d <= 0), None)
 
 
 def ref_nullspace(a: Mat) -> Mat:
@@ -796,6 +816,37 @@ def two_sequence_sturm(coeffs) -> SturmCertificate:
     return SturmCertificate(positive, real, distinct, real == distinct, len(g) <= 1, q)
 
 
+def fraction_round_trip_sturm(coeffs) -> SturmCertificate:
+    """The one-chain certificate as it was: the chain's last term made
+    primitive through ``int_poly``'s Fraction route, and every term divided
+    by it, also by g = 1."""
+    p = int_poly(coeffs)
+    if not p:
+        raise ValueError("the zero polynomial has no Sturm certificate")
+    chain = int_sturm_chain(p)
+    g = int_poly(chain[-1])
+    chain = [int_poly_quotient(t, g) for t in chain]
+    positive = _variations_at_zero(chain) - _variations_at_inf(chain, +1)
+    real = _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
+    distinct = len(chain[0]) - 1
+    return SturmCertificate(positive, real, distinct, real == distinct, len(g) <= 1, chain[0])
+
+
+def ref_identity_ints(n: int) -> list:
+    """Mat.identity's integer form as it was built, entry by entry."""
+    return [(1, [int(i == j) for j in range(n)]) for i in range(n)]
+
+
+def ref_hstack_ints(a: Mat, b: Mat) -> list:
+    """Mat.hstack's integer form as it was built: every joined row over the
+    lcm of its two denominators."""
+    out = []
+    for (s, r), (t, q) in zip(a._ints, b._ints):
+        d = lcm(s, t)
+        out.append((d, [x * (d // s) for x in r] + [x * (d // t) for x in q]))
+    return out
+
+
 def ref_poly_eval_matrix(p, a: Mat) -> Mat:
     """Horner's rule on Fraction matrices."""
     acc = Mat.zeros(a.m, a.n)
@@ -1039,6 +1090,27 @@ def polynomials(draw):
     for _ in range(draw(st.integers(0, 1 if len(p) > 4 else 2))):
         b, c = draw(st.integers(-3, 3)), draw(st.integers(-2, 4))
         p = ref_poly_mul(p, [Fraction(c), Fraction(b), Fraction(1)])
+    return p
+
+
+@st.composite
+def integer_polynomials(draw):
+    """Nonzero integer polynomials of degree up to 9: an integer multiple, of
+    either sign, of integer roots, distinct or repeated, times up to two
+    t^2 + bt + c, some with non-real roots and some repeated."""
+    p = [draw(st.sampled_from([1, -1, 2, -3, 6]))]
+    roots = draw(st.lists(st.integers(-3, 4), max_size=5))
+    if draw(st.booleans()):
+        roots = list(dict.fromkeys(roots))
+    factors = [[-r, 1] for r in roots]
+    quadratic = [draw(st.integers(-2, 4)), draw(st.integers(-3, 3)), 1]
+    factors += [quadratic] * draw(st.integers(0, 2))
+    for f in factors:
+        out = [0] * (len(p) + len(f) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(f):
+                out[i + j] += x * y
+        p = out
     return p
 
 
@@ -1313,12 +1385,15 @@ def symmetric_by_first_nonpositive_minor(draw):
 @EXAMPLES
 @given(case=symmetric_by_first_nonpositive_minor())
 def test_leading_minors_match_the_leading_block_determinants(case):
+    # the first nonpositive minor, read off the signs of the integer Bareiss
+    # values, is the first leading block determinant that is not positive
     a, at = case
-    minors = list(a.leading_minors())
+    found = a.first_nonpositive_minor()
     blocks = [a.submatrix(range(k), range(k)).det() for k in range(1, a.n + 1)]
-    first_zero = next((k for k, x in enumerate(blocks) if not x), a.n - 1)
-    assert same_entries(Mat(1, len(minors), [minors]), Mat(1, first_zero + 1, [blocks[:first_zero + 1]]))
-    assert next((k for k, x in enumerate(minors) if x <= 0), a.n) == at
+    assert found == next(((k, x) for k, x in enumerate(blocks, 1) if x <= 0), None)
+    assert found == ref_first_nonpositive_minor(a)
+    assert (found[0] - 1 if found else a.n) == at
+    assert found is None or type(found[1]) is Fraction
 
 
 @EXAMPLES
@@ -1360,6 +1435,20 @@ def matrices_in_states(draw, m=None, n=None):
     """A plain-``Fraction`` reference and an equal matrix built in a drawn way."""
     a = draw(matrices(m, n))
     return a, in_state(a, draw(st.sampled_from(STATES)))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_identity_and_hstack_build_the_integer_forms_they_built(data):
+    # identity sets one 1 per row of zeros; hstack joins rows over a shared
+    # denominator as they are and takes the lcm only where the two differ
+    n = data.draw(st.integers(0, 6))
+    assert Mat.identity(n)._ints == ref_identity_ints(n)
+    a, x = data.draw(matrices_in_states())
+    b = data.draw(st.sampled_from([a, -a, a.scale(Fraction(1, 2)), data.draw(matrices(a.m))]))
+    y = in_state(b, data.draw(st.sampled_from(STATES)))
+    assert x.hstack(y)._ints == ref_hstack_ints(x, y) == ref_integer_form(x.hstack(y))
+    assert x.hstack(Mat.identity(a.m))._ints == ref_hstack_ints(x, Mat.identity(a.m))
 
 
 def test_every_constructor_and_operation_holds_the_integer_form():
@@ -1419,10 +1508,8 @@ def test_determinants_and_minors_of_either_form_match_the_field_loop(data):
     n = data.draw(st.integers(0, 5))
     a, x = data.draw(matrices_in_states(n, n))
     assert x.det() == ref_det(a)
-    minors = list(in_state(a, data.draw(st.sampled_from(STATES))).leading_minors())
-    blocks = [ref_det(a.submatrix(range(k), range(k))) for k in range(1, n + 1)]
-    first_zero = next((k for k, d in enumerate(blocks) if not d), n - 1)
-    assert minors == blocks[:first_zero + 1]
+    found = in_state(a, data.draw(st.sampled_from(STATES))).first_nonpositive_minor()
+    assert found == ref_first_nonpositive_minor(a)
 
 
 @EXAMPLES
@@ -1628,6 +1715,17 @@ def certificate_or_error(certify, coeffs) -> tuple:
     except Exception as exc:
         return type(exc), str(exc)
     return type(cert), [(name, type(value), value) for name, value in sorted(vars(cert).items())]
+
+
+@EXAMPLES
+@given(p=st.one_of(integer_polynomials(), polynomials()))
+def test_sturm_certificate_matches_the_fraction_round_trip_route(p):
+    # g is made primitive on integers, and with g = 1 no term is divided:
+    # every field and its type, the radical too, are what they were
+    assert certificate_or_error(sturm_positive_real_roots, p) == certificate_or_error(fraction_round_trip_sturm, p)
+    if poly_normalize(p):
+        cert = sturm_positive_real_roots(p)
+        assert cert.squarefree == (cert.squarefree_part == int_poly(p))
 
 
 @EXAMPLES

@@ -5,7 +5,9 @@ wraps must still exist, or ``perfbench/run.py --trace 1`` breaks.  No
 benchmark item pickles with a diagonalization that ``diagonalize`` keeps
 in a form, so set-up does no work that the timed passes then skip.  The
 first witness chains of two seeds hash to pinned digests, so the chain
-generators' stream stays the same.  A certificate check must run under
+generators' stream stays the same, and so do the comparisons of the first
+polarization pairs of one seed, whose outputs hash to a pinned digest.  A
+certificate check must run under
 ``python -O``, so the package holds no ``assert`` statement.  A ``Mat``
 stores one form, its integer form, made at construction and shared between
 matrices; the row lists it is built from are kept only as its ``rows`` view,
@@ -148,6 +150,25 @@ def test_chain_stream_repeats_its_digest(monkeypatch, tmp_path):
     for seed, digest in CHAIN_STREAM_DIGESTS.items():
         items = islice(workloads.WORKLOADS["witness_chains"].stream(seed, tmp_path), 60)
         assert hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest() == digest, seed
+
+
+# SHA-256 of the comparisons of the first 56 seed-41 polarization_pairs items, one a line
+COMPARISON_DIGEST = "9f422c9b81b3101d8eeb7f79a32a5e94320bbce4a628123621b8ec7c59296f0b"
+
+
+def comparison_line(pair) -> str:
+    """What a comparison certifies, by value: everything but phi and the pairings."""
+    sturm = pair.sturm
+    return repr((pair.char_poly, [getattr(sturm, f) for f in sturm._fields], sturm.squarefree_part,
+                 pair.semisimple, pair.identity_chain_ok, pair.preserves_bigrading,
+                 pair.signature_s, pair.signature_s_prime, pair.eigenspaces))
+
+
+def test_comparison_outputs_repeat_their_digest(monkeypatch, tmp_path):
+    workloads = load_workloads(monkeypatch)
+    items = islice(workloads.WORKLOADS["polarization_pairs"].stream(41, tmp_path), 56)
+    lines = [comparison_line(compare_polarizations(*item.data)) for item in items]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COMPARISON_DIGEST
 
 
 def readme_commands(text: str) -> list[str]:
