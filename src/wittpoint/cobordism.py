@@ -296,8 +296,6 @@ class SelfDualComplex(Record):
 
     @staticmethod
     def from_form(f: BilinearForm) -> "SelfDualComplex":
-        if f.field != RATIONAL:
-            raise ValueError("complexes are built over Q")
         return SelfDualComplex.make(f.symmetry, {0: f.gram.n}, {}, {0: f.gram})
 
     def s(self, i: int) -> Mat:
@@ -742,8 +740,6 @@ def orthogonal_split(f: BilinearForm, sub: Mat) -> OrthogonalSplit:
     returned with the subquotient witness.  Mixed restrictions must have
     their radical extracted by the caller first.
     """
-    if f.field != RATIONAL:
-        raise ValueError("orthogonal_split operates over Q")
     if not f.is_nondegenerate():
         raise ValueError("ambient form must be nondegenerate")
     n = f.gram.n

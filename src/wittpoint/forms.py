@@ -1,10 +1,11 @@
-"""Epsilon-symmetric bilinear forms over Q and over F_p (p odd).
+"""Epsilon-symmetric bilinear forms over Q.
 
-Diagonalization (one certified integer pivot loop serves Q and F_p), the
-classical invariant system (rank, signature, discriminant, Hasse symbols),
-radical splitting, symplectic reduction of skew forms, and the
-block-metabolic reduction that splits hyperbolic planes off a form written
-against a half-rank isotropic subspace.
+Diagonalization (one certified integer pivot loop), the classical invariant
+system (rank, signature, discriminant, Hasse symbols), radical splitting,
+symplectic reduction of skew forms, and the block-metabolic reduction that
+splits hyperbolic planes off a form written against a half-rank isotropic
+subspace.  W(F_p) enters only as the target of the residue maps, which the
+witt module reads off the diagonal entries over Q.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from .core import (
     Frozen,
     SquareClass,
     _places_of,
-    is_prime,
     legendre,
-    residue_mod,
     square_class,
 )
 from .linalg import Mat, extend_to_complement
@@ -38,31 +37,22 @@ def _fields_of(record) -> dict:
 
 
 class BilinearForm(Frozen):
-    """An epsilon-symmetric bilinear form given by its Gram matrix.
+    """An epsilon-symmetric bilinear form over Q given by its Gram matrix.
 
-    ``field`` is ``"Q"`` or an odd prime p; F_2 forms are deliberately not
-    materialized (their Witt classes live in the witt module as rank
-    parities, and bilinear-form theory in characteristic 2 is not needed).
-    ``symmetry`` is +1 (symmetric) or -1 (skew).
+    ``field`` is always ``"Q"`` (``RATIONAL``): Witt classes over F_p are
+    read off rational diagonal entries by the residue maps of the witt
+    module, not built as forms.  ``symmetry`` is +1 (symmetric) or -1 (skew).
     """
 
     def __init__(self, field, symmetry: int, gram: Mat):
+        if field != RATIONAL:
+            raise ValueError('forms are defined over Q: field must be "Q"')
         if symmetry not in (SYMMETRIC, SKEW):
             raise ValueError("symmetry must be +1 or -1")
-        if field != RATIONAL:
-            if not isinstance(field, int) or not is_prime(field) or field == 2:
-                raise ValueError("prime field forms require an odd prime")
         if gram.m != gram.n:
             raise ValueError("Gram matrix must be square")
-        mirror = gram if symmetry == SYMMETRIC else -gram
-        if field == RATIONAL:
-            if gram.T != mirror:
-                raise ValueError("Gram matrix does not match the declared symmetry")
-        else:
-            if gram.integer_columns()[0] != 1:
-                raise ValueError("prime field Gram entries must be integers")
-            if any(x % field for c in (gram.T - mirror).integer_columns()[1] for x in c):
-                raise ValueError("Gram matrix does not match the declared symmetry mod p")
+        if gram.T != (gram if symmetry == SYMMETRIC else -gram):
+            raise ValueError("Gram matrix does not match the declared symmetry")
         self.__dict__.update(field=field, symmetry=symmetry, gram=gram)
 
     def __getstate__(self):
@@ -74,24 +64,21 @@ class BilinearForm(Frozen):
         return self.symmetry == SYMMETRIC
 
     @staticmethod
-    def from_diagonal(entries, field=RATIONAL) -> "BilinearForm":
-        return BilinearForm(field, SYMMETRIC, Mat.diag(entries))
+    def from_diagonal(entries) -> "BilinearForm":
+        return BilinearForm(RATIONAL, SYMMETRIC, Mat.diag(entries))
 
     @staticmethod
-    def from_rows(rows, symmetry=SYMMETRIC, field=RATIONAL) -> "BilinearForm":
-        return BilinearForm(field, symmetry, Mat.from_rows(rows))
+    def from_rows(rows, symmetry=SYMMETRIC) -> "BilinearForm":
+        return BilinearForm(RATIONAL, symmetry, Mat.from_rows(rows))
 
     def direct_sum(self, other: "BilinearForm") -> "BilinearForm":
-        if self.field != other.field or self.symmetry != other.symmetry:
-            raise ValueError("direct sum needs matching field and symmetry")
+        if self.symmetry != other.symmetry:
+            raise ValueError("direct sum needs matching symmetry")
         return BilinearForm(self.field, self.symmetry, self.gram.direct_sum(other.gram))
 
     def congruent_by(self, p: Mat) -> "BilinearForm":
         """The form with Gram matrix P^T G P (same class, new basis)."""
-        g = p.T * self.gram * p
-        if self.field != RATIONAL:
-            g = Mat(g.m, g.n, [[Fraction(residue_mod(x, self.field)) for x in r] for r in g.rows])
-        return BilinearForm(self.field, self.symmetry, g)
+        return BilinearForm(self.field, self.symmetry, p.T * self.gram * p)
 
     def scaled(self, c) -> "BilinearForm":
         return BilinearForm(self.field, self.symmetry, self.gram.scale(c))
@@ -100,7 +87,7 @@ class BilinearForm(Frozen):
         return BilinearForm(self.field, self.symmetry, basis.T * self.gram * basis)
 
     def is_nondegenerate(self) -> bool:
-        return bool(self.gram.det()) if self.field == RATIONAL else self.gram.det() % self.field != 0
+        return bool(self.gram.det())
 
 
 HYPERBOLIC_PLANE = BilinearForm.from_rows([[0, 1], [1, 0]])
@@ -137,26 +124,24 @@ class Diagonalization(Frozen):
 
 
 def diagonalize(f: BilinearForm) -> Diagonalization:
-    """Symmetric Gaussian congruence diagonalization, over Q or F_p.
+    """Symmetric Gaussian congruence diagonalization over Q.
 
     Pivot policy (fixed for golden-test determinism): prefer the first
     nonzero diagonal entry; on an all-zero diagonal add basis vector j to
     basis vector i for the lexicographically first (i, j) with G[i][j] != 0.
-    One integer pivot loop serves both fields.  Over Q it runs on the Gram
-    matrix times the lcm of its denominators.  Pivot d at step k, with
-    c_i = m[k][i], sends basis column i to u_i = s(d b_i - c_i b_k) / g_i,
-    s = sign d and g_i the content of that column, which keeps reported
-    entries integral for integral input; the trailing block is then filled
-    in one Schur-complement pass, m_ij -> (a_i a_j m_ij - d c_i c_j) / (g_i g_j)
-    for i <= j, with a_i = |d| (a_i = g_i = 1 where c_i = 0).  Over F_p it runs on
-    residues in [0, p): u_i = b_i - (c_i / d) b_k and m_ij -> m_ij - c_i c_j / d.
-    The certificate B^T (scale G) B = scale D runs on its integers, exactly
-    over Q, mod p over F_p; G is symmetric, so it checks entries i <= j.
+    The integer pivot loop runs on the Gram matrix times the lcm of its
+    denominators.  Pivot d at step k, with c_i = m[k][i], sends basis column
+    i to u_i = s(d b_i - c_i b_k) / g_i, s = sign d and g_i the content of
+    that column, which keeps reported entries integral for integral input;
+    the trailing block is then filled in one Schur-complement pass,
+    m_ij -> (a_i a_j m_ij - d c_i c_j) / (g_i g_j) for i <= j, with a_i = |d|
+    (a_i = g_i = 1 where c_i = 0).  The certificate B^T (scale G) B = scale D
+    runs exactly on its integers; G is symmetric, so it checks entries i <= j.
 
-    A Gram matrix that is already diagonal (mod p over F_p) with every
-    diagonal entry nonzero takes no pivot loop: every step would pivot in
-    place and clear nothing, so B = I and D is that diagonal.  For B = I the
-    certificate is the test that picks this path, so it runs exactly there.
+    A Gram matrix that is already diagonal with every diagonal entry nonzero
+    takes no pivot loop: every step would pivot in place and clear nothing,
+    so B = I and D is that diagonal.  For B = I the certificate is the test
+    that picks this path, so it runs exactly there.
 
     Each form is diagonalized once: the certified result is kept in the
     form's ``__dict__``, beside its fields, and every later call on that
@@ -173,25 +158,21 @@ def _diagonalized(f: BilinearForm) -> Diagonalization:
     """The pivot loop and certificate of ``diagonalize``, run on f."""
     if not f.is_symmetric:
         raise ValueError("diagonalization requires symmetric form")
-    p = None if f.field == RATIONAL else f.field
     n = f.gram.n
     # scale * G, by its columns, which are its rows; the certificate reads it
     scale, gram = f.gram.integer_columns()
-    m = [list(c) if p is None else [x % p for x in c] for c in gram]
+    m = [list(c) for c in gram]
     diag = [c[i] for i, c in enumerate(m)]
     if all(diag) and all(c.count(0) == n - 1 for c in m):  # nonzero diagonal, zero elsewhere
-        entries = tuple(Fraction(d, scale) for d in diag) if p is None else tuple(diag)
+        entries = tuple(Fraction(d, scale) for d in diag)
         return Diagonalization(entries=entries, radical_dim=0, congruence=Mat.identity(n))
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def reduced(x):
-        return x if p is None else x % p
-
     # basis[i] is column i of the congruence B, an integer vector; at step k,
-    # m[i][j] for k <= i <= j is entry (i, j) of B^T G B (times scale over Q,
-    # mod p over F_p).  The Schur pass writes only those entries, so a swap or
-    # an off-diagonal pivot first mirrors them below the diagonal.  No entry
-    # outside the trailing block is read again.
+    # m[i][j] for k <= i <= j is entry (i, j) of B^T (scale G) B.  The Schur
+    # pass writes only those entries, so a swap or an off-diagonal pivot first
+    # mirrors them below the diagonal.  No entry outside the trailing block is
+    # read again.
     k = 0
     while k < n:
         pivot = next((i for i in range(k, n) if m[i][i] != 0), None)
@@ -204,10 +185,10 @@ def _diagonalized(f: BilinearForm) -> Diagonalization:
             if off is None:
                 break  # trailing block is zero: the radical
             i, j = off  # column i += column j
-            basis[i] = [reduced(x + y) for x, y in zip(basis[i], basis[j])]
-            m[i] = [reduced(x + y) for x, y in zip(m[i], m[j])]
+            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
             for row in m:
-                row[i] = reduced(row[i] + row[j])
+                row[i] += row[j]
             pivot = i
         if pivot != k:
             basis[k], basis[pivot] = basis[pivot], basis[k]
@@ -215,14 +196,7 @@ def _diagonalized(f: BilinearForm) -> Diagonalization:
             for row in m:
                 row[k], row[pivot] = row[pivot], row[k]
         d, c, bk, t = m[k][k], m[k], basis[k], k + 1
-        if p is not None:
-            dinv = pow(d, -1, p)
-            for i in range(t, n):
-                if c[i]:
-                    b = -c[i] * dinv % p
-                    basis[i] = [(x + b * y) % p for x, y in zip(basis[i], bk)]
-                    m[i][i:] = [(x + b * cj) % p for x, cj in zip(m[i][i:], c[i:])]
-        elif any(c[t:]):  # else b_k pairs to zero with every later column
+        if any(c[t:]):  # else b_k pairs to zero with every later column
             ad, s = (d, 1) if d > 0 else (-d, -1)
             tail = []  # (a_j, c_j, g_j) for the columns j > k
             for i in range(t, n):
@@ -242,24 +216,21 @@ def _diagonalized(f: BilinearForm) -> Diagonalization:
         k += 1
     rank = k
     diag = [m[i][i] for i in range(rank)]
-    _certify_congruence(basis, gram, diag, p)
-    entries = tuple(Fraction(d, scale) for d in diag) if p is None else tuple(diag)
+    _certify_congruence(basis, gram, diag)
+    entries = tuple(Fraction(d, scale) for d in diag)
     congruence = Mat(n, n, ints=[(1, [c[i] for c in basis]) for i in range(n)])
     return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
 
 
-def _certify_congruence(cols, gram, diag, p) -> None:
-    """Raise ``CertificateError`` unless B^T G B = diag(diag, 0...0), exactly
-    (p None) or mod p, for the integer columns ``cols`` of B and Gram ``gram``.
-    G is symmetric (mod p over F_p), so B^T G B is, and its entries i <= j
-    are the whole check."""
+def _certify_congruence(cols, gram, diag) -> None:
+    """Raise ``CertificateError`` unless B^T G B = diag(diag, 0...0) exactly,
+    for the integer columns ``cols`` of B and Gram ``gram``.  G is symmetric,
+    so B^T G B is, and its entries i <= j are the whole check."""
     for j, cj in enumerate(cols):
         gcj = [sum(map(mul, row, cj)) for row in gram]
         for i, ci in enumerate(cols[:j + 1]):
-            x = sum(map(mul, ci, gcj)) - (diag[i] if i == j and i < len(diag) else 0)
-            if x if p is None else x % p:
-                raise CertificateError("diagonalization certificate failed: P^T G P is not the diagonal D"
-                                       + ("" if p is None else " mod p"))
+            if sum(map(mul, ci, gcj)) != (diag[i] if i == j and i < len(diag) else 0):
+                raise CertificateError("diagonalization certificate failed: P^T G P is not the diagonal D")
 
 
 class FormInvariants(Frozen):
@@ -305,8 +276,6 @@ _ONE = SquareClass._of_primes(1, frozenset())  # the unit class, built without f
 def invariants(f: BilinearForm) -> FormInvariants:
     """Rank, signature, discriminant, and Hasse symbols of a nondegenerate
     symmetric form over Q."""
-    if f.field != RATIONAL:
-        raise ValueError("invariants are computed over Q")
     if not f.is_symmetric:
         raise ValueError("invariants require a symmetric form")
     diag = diagonalize(f)
@@ -331,8 +300,6 @@ class RadicalSplit(Frozen):
 
 def radical_split(f: BilinearForm) -> RadicalSplit:
     """Split V = W + rad(f) and return f restricted to W (nondegenerate)."""
-    if f.field != RATIONAL:
-        raise ValueError("radical_split operates over Q")
     g = f.gram
     n = g.n
     kernel = g.nullspace()
@@ -372,8 +339,6 @@ def symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
     """
     if f.symmetry != SKEW:
         raise ValueError("symplectic reduction requires a skew form")
-    if f.field != RATIONAL:
-        raise ValueError("symplectic_reduce operates over Q")
     g = f.gram
     n = g.n
     cols = range(n)
@@ -411,7 +376,7 @@ class BlockMetabolicForm(Frozen):
     """
 
     def __init__(self, s: BilinearForm, a: Mat, b: Mat):
-        if not s.is_symmetric or s.field != RATIONAL:
+        if not s.is_symmetric:
             raise ValueError("core S must be a symmetric form over Q")
         if not s.is_nondegenerate():
             raise ValueError("core S must be nondegenerate")

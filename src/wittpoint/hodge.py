@@ -330,8 +330,6 @@ def _check_polarization(h: HodgeStructure, frame: _Frame, weil: Mat,
     """is_polarization for a valid structure, with its frame and Weil operator."""
     problems = []
     expected_sym = 1 if h.weight % 2 == 0 else -1
-    if s.field != RATIONAL:
-        return PolarizationCheck(False, ["pairing must be defined over Q"])
     if s.gram.n != h.dimension:
         return PolarizationCheck(False, ["pairing size does not match the structure"])
     if s.symmetry != expected_sym:

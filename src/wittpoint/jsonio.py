@@ -13,7 +13,6 @@ from fractions import Fraction
 # import their types (cobordism, hodge, genus) when called, so reading a form
 # loads none of those modules; the annotations are strings.  Witt classes are
 # only written, so witt is not imported either.
-from .core import is_prime
 from .forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm, BlockMetabolicForm
 from .linalg import Mat
 
@@ -72,20 +71,13 @@ def form_from_json(doc, pointer: str = "$") -> BilinearForm:
     sym = doc.get("symmetry")
     if sym not in ("symmetric", "skew"):
         raise SchemaError(f"{pointer}.symmetry", 'expected "symmetric" or "skew"')
-    field_doc = doc.get("field", "Q")
-    if field_doc == "Q":
-        field = RATIONAL
-    elif isinstance(field_doc, dict) and set(field_doc) == {"Fp"}:
-        field = field_doc["Fp"]
-        if isinstance(field, bool) or not isinstance(field, int):
-            raise SchemaError(f"{pointer}.field.Fp", "expected a prime integer")
-        if field == 2 or not is_prime(field):
-            raise SchemaError(f"{pointer}.field.Fp", "expected an odd prime")
-    else:
-        raise SchemaError(f"{pointer}.field", 'expected "Q" or {"Fp": p}')
-    gram = parse_matrix(doc.get("gram", []), f"{pointer}.gram")
+    if doc.get("field", "Q") != "Q":
+        raise SchemaError(f"{pointer}.field", 'expected "Q"')
+    if "gram" not in doc:
+        raise SchemaError(f"{pointer}.gram", "missing")
+    gram = parse_matrix(doc["gram"], f"{pointer}.gram")
     try:
-        return BilinearForm(field, SYMMETRIC if sym == "symmetric" else SKEW, gram)
+        return BilinearForm(RATIONAL, SYMMETRIC if sym == "symmetric" else SKEW, gram)
     except ValueError as exc:
         raise SchemaError(f"{pointer}.gram", str(exc)) from exc
 
@@ -93,7 +85,7 @@ def form_from_json(doc, pointer: str = "$") -> BilinearForm:
 def form_to_json(f: BilinearForm) -> dict:
     return {
         "symmetry": "symmetric" if f.symmetry == SYMMETRIC else "skew",
-        "field": "Q" if f.field == RATIONAL else {"Fp": f.field},
+        "field": f.field,
         "gram": format_matrix(f.gram),
     }
 
@@ -105,7 +97,7 @@ def block_from_json(doc, pointer: str = "$") -> BlockMetabolicForm:
         if key not in doc:
             raise SchemaError(f"{pointer}.{key}", "missing block")
     s_doc = doc["s"]
-    if isinstance(s_doc, dict) and "gram" in s_doc:
+    if isinstance(s_doc, dict):
         s = form_from_json(s_doc, f"{pointer}.s")
     else:
         gram = parse_matrix(s_doc, f"{pointer}.s")

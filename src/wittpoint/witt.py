@@ -32,7 +32,6 @@ from .core import (
     residue_mod,
 )
 from .forms import (
-    RATIONAL,
     SKEW,
     BilinearForm,
     _ONE,
@@ -45,21 +44,24 @@ from .forms import (
 class WittClassFp(Frozen):
     """Element of W(F_p), payload depending on p mod 4.
 
-    p = 2: payload = rank parity in {0, 1}.
-    p = 3 mod 4: payload = coefficient of the generator [<1>] in Z/4.
-    p = 1 mod 4: payload = (rank parity, discriminant-is-residue bit).
+    p = 2: payload = rank parity, an int in range(2).
+    p = 3 mod 4: payload = coefficient of the generator [<1>], an int in range(4).
+    p = 1 mod 4: payload = (rank parity in range(2), discriminant-is-residue bool).
+
+    The constructor takes these canonical payloads only (a bool is no int
+    here), so each class has one payload and ``==`` compares classes.
     """
 
     def __init__(self, p: int, payload):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p == 2 or p % 4 == 3:
-            if not isinstance(payload, int):
-                raise ValueError("integer payload expected")
-        else:
-            r, d = payload
-            if r not in (0, 1) or not isinstance(d, bool):
-                raise ValueError("payload must be (rank parity, residue bit)")
+            order = 2 if p == 2 else 4
+            if type(payload) is not int or payload not in range(order):
+                raise ValueError(f"payload must be an integer in range({order})")
+        elif (type(payload) is not tuple or list(map(type, payload)) != [int, bool]
+              or payload[0] not in (0, 1)):
+            raise ValueError("payload must be (rank parity, residue bit)")
         self.__dict__.update(p=p, payload=payload)
 
     @classmethod
@@ -154,8 +156,6 @@ def psi(form_or_entries, p: int, k: int) -> WittClassFp:
     if isinstance(form_or_entries, BilinearForm):
         if not form_or_entries.is_symmetric:
             raise ValueError("residues of skew forms are not defined; class is zero")
-        if form_or_entries.field != RATIONAL:
-            raise ValueError("residues are read from forms over Q")
         entries = diagonalize(form_or_entries).entries
     else:
         entries = [_rational(e) for e in form_or_entries]
@@ -172,6 +172,8 @@ class WittClassQ(Frozen):
         primes = [p for p, _ in residues]
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("residues must be sorted by prime with no repeats")
+        if any(c.p != p for p, c in residues):
+            raise ValueError("each residue must be a class over its own prime")
         if any(c.is_zero() for _, c in residues):
             raise ValueError("canonical form stores only nonzero residues")
         self.__dict__.update(signature=signature, residues=residues)
@@ -222,16 +224,10 @@ def witt_class_of(f: BilinearForm) -> WittClassQ:
     skew forms land in the zero class, certified by one symplectic reduction,
     which sets the radical aside itself.
     """
-    _require_rational(f)
     if f.symmetry == SKEW:
         symplectic_reduce(f)  # certificate that the class is zero
         return WittClassQ.zero()
     return _class_of_entries(*_classed_entries(f))
-
-
-def _require_rational(f: BilinearForm):
-    if f.field != RATIONAL:
-        raise ValueError("witt_class_of computes classes over Q")
 
 
 def _classed_entries(f: BilinearForm) -> tuple[tuple[Fraction, ...], tuple[SquareClass, ...]]:
@@ -302,8 +298,6 @@ def equivalent(f: BilinearForm, g: BilinearForm) -> bool:
     classed once per form object, over all calls; each oracle computes its
     own symbols.
     """
-    _require_rational(f)
-    _require_rational(g)
     ef, cf = _classed_entries(f)
     eg, cg = _classed_entries(g)
     class_f, class_g = _class_of_entries(ef, cf), _class_of_entries(eg, cg)

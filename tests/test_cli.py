@@ -331,6 +331,41 @@ def test_malformed_documents_are_input_errors(tmp_path, capsys, command, field, 
     assert captured.out == "" and captured.err == f"input error: {message}\n"
 
 
+FORM_COMMANDS = [  # every command that reads a form, with the form's pointer
+    (["witt-class", "FP"], "$"),
+    (["invariants", "FP"], "$"),
+    (["equivalent", "Q", "FP"], "$"),
+    (["residue", "--prime", "3", "--k", "0", "FP"], "$"),
+    (["metabolic-reduce", "BLOCK"], "$.s"),
+    (["hodge-check", "HODGE", "FP"], "$"),
+    (["hodge-compare", "HODGE", "Q", "FP"], "$"),
+    (["pol-class", "HODGE", "FP"], "$"),
+]
+
+
+@pytest.mark.parametrize("argv, pointer", FORM_COMMANDS, ids=[argv[0] for argv, _ in FORM_COMMANDS])
+def test_every_form_command_refuses_a_prime_field(tmp_path, capsys, argv, pointer):
+    # forms are over Q: each command gave its own refusal, and hodge-check
+    # a false verdict (exit 2), for a form document over F_5
+    h, s = standard_structure(0, 2)
+    fp = {**form_to_json(s), "field": {"Fp": 5}}
+    docs = {"FP": fp, "Q": form_to_json(s), "HODGE": hodge_to_json(h),
+            "BLOCK": {"s": fp, "a": [["0"]], "b": [["0"], ["0"]]}}
+    args = [write(tmp_path, f"{a}.json", docs[a]) if a in docs else a for a in argv]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f'input error: {pointer}.field: expected "Q"\n'
+
+
+def test_a_form_document_without_a_gram_is_an_input_error(tmp_path, capsys):
+    # it was read as the rank-0 form: "class is zero", exit 0
+    assert main(["witt-class", write(tmp_path, "f.json", {"symmetry": "symmetric"})]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: $.gram: missing\n"
+    assert main(["witt-class", write(tmp_path, "f.json", {"symmetry": "symmetric", "gram": []})]) == 0
+    assert capsys.readouterr().out == "signature 0\nclass is zero\n"
+
+
 def test_chi_y_epsilon_lefschetz_commands(tmp_path, capsys):
     k3 = write(tmp_path, "k3.json", {"dim": 2, "h": [[1, 0, 1], [0, 20, 0], [1, 0, 1]]})
     assert main(["--json", "chi-y", k3]) == 0

@@ -119,7 +119,6 @@ FLOAT_CALLS = {  # every entry point that reads a rational, given 0.1
     "Mat.diag": lambda: Mat.diag([1, 0.1]),
     "Mat.scale": lambda: Mat.identity(2).scale(0.1),
     "from_diagonal": lambda: BilinearForm.from_diagonal([0.1, 1]),
-    "from_diagonal_Fp": lambda: BilinearForm.from_diagonal([0.1], field=3),
     "scaled": lambda: BilinearForm.from_diagonal([1]).scaled(0.1),
     "square_class": lambda: square_class(0.1),
     "residue_mod": lambda: core.residue_mod(0.1, 7),

@@ -88,59 +88,33 @@ def test_diagonalize_congruence_exact(f):
     assert all(e != 0 for e in d.entries)
 
 
-def test_diagonalize_fp():
-    f = BilinearForm.from_rows([[0, 1], [1, 0]], field=5)
-    d = diagonalize(f)
-    assert len(d.entries) == 2
-    p = d.congruence
-    prod = p.T * f.gram * p
-    assert all(int(prod[i, j]) % 5 == 0 for i in range(2) for j in range(2) if i != j)
-    assert [int(prod[i, i]) % 5 for i in range(2)] == [int(e) % 5 for e in d.entries]
-
-
-@given(data=st.data(), n=st.integers(min_value=0, max_value=5),
-       field=st.sampled_from([RATIONAL, 3, 5, 7, 101]))
+@given(data=st.data(), n=st.integers(min_value=0, max_value=5))
 @settings(max_examples=120)
-def test_diagonalize_returns_a_diagonal_form_as_it_is(data, n, field):
-    # a nonzero diagonal (mod p): its entries, no radical and P = I, as the
-    # pivot loop would give; over F_p the entries may be >= p or negative and
-    # the off-diagonal entries any multiples of p
-    if field == RATIONAL:
-        entries = data.draw(st.lists(nonzero_fractions, min_size=n, max_size=n))
-        want, multiples = tuple(entries), st.just(0)
-    else:
-        entries = data.draw(st.lists(st.integers(-3 * field, 3 * field).filter(lambda x: x % field),
-                                     min_size=n, max_size=n))
-        want, multiples = tuple(e % field for e in entries), st.integers(-3, 3).map(field.__mul__)
-    rows = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = data.draw(multiples)
-    d = diagonalize(BilinearForm.from_rows(rows, field=field))
-    assert (d.entries, d.radical_dim, d.congruence) == (want, 0, Mat.identity(n))
+def test_diagonalize_returns_a_diagonal_form_as_it_is(data, n):
+    # a nonzero diagonal: its entries, no radical and P = I, as the pivot
+    # loop would give
+    entries = data.draw(st.lists(nonzero_fractions, min_size=n, max_size=n))
+    d = diagonalize(BilinearForm.from_diagonal(entries))
+    assert (d.entries, d.radical_dim, d.congruence) == (tuple(entries), 0, Mat.identity(n))
 
 
 def test_integer_certificate_rejects_a_wrong_congruence():
     # B^T G B = diag(2, 10) for G = [[2, 1], [1, 3]] and the columns of B
     gram, cols, diag = [[2, 1], [1, 3]], [[1, 0], [-1, 2]], [2, 10]
-    for p, message in [(None, "the diagonal D$"), (5, "the diagonal D mod p$")]:
-        forms._certify_congruence(cols, gram, diag, p)
-        for wrong in ([[2, 0], [-1, 2]], [[1, 2], [-1, 2]], [[-1, 2], [1, 0]]):
-            with pytest.raises(CertificateError, match=message):
-                forms._certify_congruence(wrong, gram, diag, p)
-    # 6 = 1 mod 5: a P right mod p only passes over F_5, not over Q
-    sixfold = [[6 * x for x in c] for c in cols]
-    forms._certify_congruence(sixfold, gram, diag, 5)
+    forms._certify_congruence(cols, gram, diag)
+    for wrong in ([[2, 0], [-1, 2]], [[1, 2], [-1, 2]], [[-1, 2], [1, 0]]):
+        with pytest.raises(CertificateError, match="the diagonal D$"):
+            forms._certify_congruence(wrong, gram, diag)
+    # a multiple of a right P is wrong: 6P gives 36 D
     with pytest.raises(CertificateError, match="the diagonal D$"):
-        forms._certify_congruence(sixfold, gram, diag, None)
+        forms._certify_congruence([[6 * x for x in c] for c in cols], gram, diag)
     # right on the diagonal, wrong off it: the identity does not clear G[0][1]
-    for p in (None, 5):
-        with pytest.raises(CertificateError):
-            forms._certify_congruence([[1, 0], [0, 1]], gram, [2, 3], p)
-    # the radical's diagonal is zero: diag lists the rank's entries only
-    forms._certify_congruence([[1, 0], [0, 1]], [[3, 0], [0, 0]], [3], None)
     with pytest.raises(CertificateError):
-        forms._certify_congruence([[1, 0], [0, 1]], [[3, 0], [0, 1]], [3], None)
+        forms._certify_congruence([[1, 0], [0, 1]], gram, [2, 3])
+    # the radical's diagonal is zero: diag lists the rank's entries only
+    forms._certify_congruence([[1, 0], [0, 1]], [[3, 0], [0, 0]], [3])
+    with pytest.raises(CertificateError):
+        forms._certify_congruence([[1, 0], [0, 1]], [[3, 0], [0, 1]], [3])
 
 
 def test_invariants_spec_examples():
@@ -367,41 +341,14 @@ def test_metabolic_moves_are_fractions_of_the_blocks():
 def test_form_symmetry_validation():
     with pytest.raises(ValueError, match="symmetry"):
         BilinearForm.from_rows([[0, 1], [2, 0]])
-    with pytest.raises(ValueError, match="odd prime"):
-        BilinearForm.from_rows([[1]], field=2)
-    with pytest.raises(ValueError, match="odd prime"):
-        BilinearForm.from_rows([[1]], field=6)
 
 
-def test_fp_symmetry_is_checked_mod_p():
-    with pytest.raises(ValueError, match="does not match the declared symmetry mod p"):
-        BilinearForm.from_rows([[0, 1], [1, 0]], symmetry=-1, field=5)
-    skew = BilinearForm.from_rows([[0, 1], [2, 0]], symmetry=-1, field=3)  # 2 = -1 mod 3
-    assert skew.gram == Mat.from_rows([[0, 1], [2, 0]])
-
-
-def test_fp_gram_entries_must_be_integers():
-    with pytest.raises(ValueError, match="Gram entries must be integers"):
-        BilinearForm.from_rows([["1/2", 0], [0, 1]], field=3)
-
-
-def test_fp_nondegeneracy_is_the_determinant_mod_p():
-    assert BilinearForm.from_rows([[2, 0], [0, 1]], field=3).is_nondegenerate()
-    assert BilinearForm.from_rows([[1, 1], [1, 3]], field=3).is_nondegenerate()  # det 2
-    assert not BilinearForm.from_rows([[1, 1], [1, 4]], field=3).is_nondegenerate()  # det 3
-    assert not BilinearForm.from_rows([[2, 1], [1, 4]], field=7).is_nondegenerate()  # det 7
-    assert BilinearForm.from_rows([[1, 2], [2, 1]], field=5).is_nondegenerate()  # det -3
-    assert not BilinearForm.from_rows([[1, 2], [2, 1]], field=3).is_nondegenerate()
-
-
-
-def test_fp_congruence_reads_rationals_mod_p():
-    f = BilinearForm.from_diagonal([1, 1], field=3)
-    g = f.congruent_by(Mat.diag([Fraction(1, 2), 1]))  # 1/4 = 1 mod 3
-    assert g.gram == Mat.diag([1, 1])
-    assert g.is_nondegenerate()
-    with pytest.raises(ValueError, match="3 divides its denominator"):
-        f.congruent_by(Mat.diag([Fraction(1, 3), 1]))
+def test_forms_are_over_q_only():
+    # W(F_p) is reached through the residue maps, not through forms over F_p
+    for field in (5, 2, "F5", None):
+        with pytest.raises(ValueError, match='^forms are defined over Q: field must be "Q"$'):
+            BilinearForm(field, 1, Mat.identity(1))
+    assert BilinearForm(RATIONAL, 1, Mat.identity(1)) == BilinearForm.from_diagonal([1])
 
 
 CORRUPTED_CERTIFICATES = """
@@ -426,15 +373,12 @@ def fired(run):
 # forms are not diagonal: the pivot loop gives P = [e0, e1 - e0, e2], D = (1, 1, -1)
 gram = [[1, 1, 0], [1, 2, 0], [0, 0, -1]]
 certify_congruence = forms._certify_congruence
-def corrupted(cols, gram, diag, p):  # a wrong P: its first column gains e_1
-    certify_congruence([[cols[0][0] + 1] + cols[0][1:]] + cols[1:], gram, diag, p)
+def corrupted(cols, gram, diag):  # a wrong P: its first column gains e_1
+    certify_congruence([[cols[0][0] + 1] + cols[0][1:]] + cols[1:], gram, diag)
 forms._certify_congruence = corrupted
 print(fired(lambda: diagonalize(BilinearForm.from_rows(gram))))
-forms._certify_congruence = lambda cols, gram, diag, p: certify_congruence(  # a wrong P: 2P
-    [[2 * x for x in c] for c in cols], gram, diag, p)
-print(fired(lambda: diagonalize(BilinearForm.from_rows(gram, field=5))))
 # a wrong P whose diagonal is right: entry (0, 2), above the diagonal, is wrong
-forms._certify_congruence = lambda cols, gram, diag, p: certify_congruence(cols[:2] + [[0, 2, 3]], gram, diag, p)
+forms._certify_congruence = lambda cols, gram, diag: certify_congruence(cols[:2] + [[0, 2, 3]], gram, diag)
 print(fired(lambda: diagonalize(BilinearForm.from_rows(gram))))
 forms._certify_congruence = certify_congruence
 
@@ -518,7 +462,6 @@ def test_certificates_fire_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "diagonalization certificate failed: P^T G P is not the diagonal D",
-        "diagonalization certificate failed: P^T G P is not the diagonal D mod p",
         "diagonalization certificate failed: P^T G P is not the diagonal D",
         "metabolic reduction certificate failed: A and B are not cleared",
         "metabolic reduction certificate failed: A and B are not cleared",

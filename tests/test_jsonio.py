@@ -41,23 +41,31 @@ def test_form_schema_errors_carry_pointers():
         form_from_json({"symmetry": "skew", "gram": [["1"]]})  # not skew
     with pytest.raises(SchemaError, match=r"\$\.gram"):
         form_from_json({"symmetry": "symmetric", "gram": [["1", "2"]]})  # ragged
-    with pytest.raises(SchemaError, match=r"\$\.gram: prime field Gram entries must be integers"):
-        form_from_json({"symmetry": "symmetric", "field": {"Fp": 3},
-                        "gram": [["1/2", "0"], ["0", "1"]]})
 
 
-def test_prime_fields_refuse_a_boolean_at_their_own_pointer():
-    # JSON true is a Python int; it was refused by BilinearForm and reported at $.gram
-    with pytest.raises(SchemaError, match=r"^\$\.field\.Fp: expected a prime integer$"):
-        form_from_json({"symmetry": "symmetric", "field": {"Fp": True}, "gram": [["1"]]})
+def test_a_form_document_is_over_q():
+    # a form is over Q; "field" may be left out, and any other value, a
+    # prime field's {"Fp": p} among them, is refused at $.field
+    for field in ({"Fp": 5}, {"Fp": True}, "R", "q", 5, None, ["Q"]):
+        form = {"symmetry": "symmetric", "field": field, "gram": [["1"]]}
+        for read, doc, pointer in ((form_from_json, form, "$"),
+                                   (block_from_json, {"s": form, "a": [], "b": []}, "$.s")):
+            with pytest.raises(SchemaError) as exc:
+                read(doc)
+            assert str(exc.value) == f'{pointer}.field: expected "Q"'
+    for doc in ({"symmetry": "symmetric", "field": "Q", "gram": [["1"]]},
+                {"symmetry": "symmetric", "gram": [["1"]]}):
+        assert form_from_json(doc) == BilinearForm.from_diagonal([1])
+        assert form_to_json(form_from_json(doc))["field"] == "Q"
 
 
-def test_prime_fields_refuse_a_non_prime_at_their_own_pointer():
-    # each was refused by BilinearForm and reported at $.gram
-    for p in (9, 2, 1, 0, -3):
-        with pytest.raises(SchemaError, match=r"^\$\.field\.Fp: expected an odd prime$"):
-            form_from_json({"symmetry": "symmetric", "field": {"Fp": p}, "gram": [["1"]]})
-    assert form_from_json({"symmetry": "symmetric", "field": {"Fp": 3}, "gram": [["1"]]}).field == 3
+def test_a_form_document_names_its_gram():
+    # a document without "gram" is refused, not read as the rank-0 form
+    with pytest.raises(SchemaError, match=r"^\$\.gram: missing$"):
+        form_from_json({"symmetry": "symmetric"})
+    with pytest.raises(SchemaError, match=r"^\$\.s\.gram: missing$"):
+        block_from_json({"s": {"symmetry": "symmetric", "field": "Q"}, "a": [], "b": []})
+    assert form_from_json({"symmetry": "symmetric", "gram": []}).gram.n == 0
 
 
 def test_diamond_entries_are_integers():

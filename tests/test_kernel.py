@@ -4,7 +4,7 @@ The references below are the plain field loops the kernel replaced: the
 element-wise matrix product, Gauss-Jordan over Q or Q(i) (the same loop
 serves both), the determinant, the congruence diagonalization with its
 primitive rescale, the integer pivot loop that cleared one column at a time
-before the Schur-complement step, the separate F_p diagonalization loop, the metabolic
+before the Schur-complement step, the metabolic
 reduction by full n x n products, the symplectic reduction that read each
 pairing off its own product on ``Fraction`` columns, and the greedy rank-growth scan of
 ``extend_to_complement``.  Every property
@@ -421,76 +421,23 @@ def ref_diagonalize(f: BilinearForm) -> Diagonalization:
                            congruence=congruence)
 
 
-def ref_diagonalize_fp(f: BilinearForm) -> Diagonalization:
-    p = f.field
-    n = f.gram.n
-    m = [[int(x) % p for x in r] for r in f.gram.rows]
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def add_multiple(i, j, c):
-        basis[i] = [(a + c * b) % p for a, b in zip(basis[i], basis[j])]
-        for t in range(n):
-            m[i][t] = (m[i][t] + c * m[j][t]) % p
-        for t in range(n):
-            m[t][i] = (m[t][i] + c * m[t][j]) % p
-
-    def swap(i, j):
-        basis[i], basis[j] = basis[j], basis[i]
-        m[i], m[j] = m[j], m[i]
-        for t in range(n):
-            m[t][i], m[t][j] = m[t][j], m[t][i]
-
-    k = 0
-    while k < n:
-        pivot = next((i for i in range(k, n) if m[i][i] % p), None)
-        if pivot is None:
-            off = next(((i, j) for i in range(k, n) for j in range(k, n) if j != i and m[i][j] % p), None)
-            if off is None:
-                break
-            i, j = off
-            add_multiple(i, j, 1)
-            pivot = i
-        if pivot != k:
-            swap(k, pivot)
-        d = m[k][k]
-        dinv = pow(d, -1, p)
-        for i in range(k + 1, n):
-            if m[k][i] % p:
-                add_multiple(i, k, -(m[k][i] * dinv) % p)
-        k += 1
-    rank = k
-    entries = tuple(m[i][i] % p for i in range(rank))
-    congruence = (
-        Mat.from_columns([[Fraction(x) for x in col] for col in basis], m=n) if n else Mat.zeros(0, 0)
-    )
-    return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
-
-
 def ref_pivot_loop(f: BilinearForm) -> Diagonalization:
     """The integer pivot loop the Schur-complement step replaced: each
-    cleared column i becomes |d| * column i - sign(d) * c * column k (over Q
-    divided by its content, over F_p times |d|^-1), one ``combine`` per
-    column, with its mirrored row and column operations on all n rows."""
-    p = None if f.field == RATIONAL else f.field
+    cleared column i becomes |d| * column i - sign(d) * c * column k divided
+    by its content, one ``combine`` per column, with its mirrored row and
+    column operations on all n rows."""
     n = f.gram.n
     scale, gram = f.gram.integer_columns()
-    m = [list(c) if p is None else [x % p for x in c] for c in gram]
+    m = [list(c) for c in gram]
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def combine(i, a, j, b, primitive):
-        if p is None:
-            col = [a * x + b * y for x, y in zip(basis[i], basis[j])]
-            g = gcd(*col) if primitive else 1
-            basis[i] = [x // g for x in col] if g > 1 else col
-            m[i] = [(a * x + b * y) // g for x, y in zip(m[i], m[j])]
-            for row in m:
-                row[i] = (a * row[i] + b * row[j]) // g
-        else:
-            b = b * pow(a, -1, p) % p
-            basis[i] = [(x + b * y) % p for x, y in zip(basis[i], basis[j])]
-            m[i] = [(x + b * y) % p for x, y in zip(m[i], m[j])]
-            for row in m:
-                row[i] = (row[i] + b * row[j]) % p
+        col = [a * x + b * y for x, y in zip(basis[i], basis[j])]
+        g = gcd(*col) if primitive else 1
+        basis[i] = [x // g for x in col] if g > 1 else col
+        m[i] = [(a * x + b * y) // g for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[i] = (a * row[i] + b * row[j]) // g
 
     def swap(i, j):
         basis[i], basis[j] = basis[j], basis[i]
@@ -517,8 +464,7 @@ def ref_pivot_loop(f: BilinearForm) -> Diagonalization:
             if c != 0:
                 combine(i, abs(d), k, -sign * c, primitive=True)
         k += 1
-    diag = [m[i][i] for i in range(k)]
-    entries = tuple(Fraction(d, scale) for d in diag) if p is None else tuple(diag)
+    entries = tuple(Fraction(m[i][i], scale) for i in range(k))
     congruence = Mat(n, n, ints=[(1, [c[i] for c in basis]) for i in range(n)])
     return Diagonalization(entries=entries, radical_dim=n - k, congruence=congruence)
 
@@ -557,8 +503,6 @@ def ref_symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
     column lists; a u with no partner is set aside, after the pairs."""
     if f.symmetry != SKEW:
         raise ValueError("symplectic reduction requires a skew form")
-    if f.field != RATIONAL:
-        raise ValueError("symplectic_reduce operates over Q")
     g = f.gram
     n = g.n
 
@@ -942,35 +886,12 @@ def symmetric_forms(draw):
 
 
 @st.composite
-def fp_forms(draw):
-    """Symmetric integer Grams over F_p with negative entries and entries
-    beyond p; the diagonal is often zero, forcing the off-diagonal pivot
-    path, and some basis vectors pair to multiples of p with everything, so
-    the form is degenerate mod p though not over Q."""
-    p = draw(st.sampled_from([3, 5, 7, 11, 101]))
-    n = draw(st.integers(0, 6))
-    entries = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
-    zero_diagonal = draw(st.booleans())
-    dead = draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else set()
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            if i in dead or j in dead:
-                x = p * draw(st.integers(-2, 2))
-            else:
-                x = 0 if i == j and zero_diagonal else draw(entries)
-            rows[i][j] = rows[j][i] = x
-    return BilinearForm.from_rows(rows, field=p)
-
-
-@st.composite
 def pivot_loop_forms(draw):
-    """Symmetric Grams of order up to 13 over Q (integral or rational) or F_p,
-    with a zero diagonal (the off-diagonal pivot path) or degenerate, as
-    Q^T G Q for a Q with fewer rows than columns."""
-    field = draw(st.sampled_from([RATIONAL, RATIONAL, 3, 5, 7, 101]))
+    """Symmetric Grams of order up to 13 over Q, integral or rational, with a
+    zero diagonal (the off-diagonal pivot path) or degenerate, as Q^T G Q
+    for a Q with fewer rows than columns."""
     n = draw(st.integers(0, 13))
-    entries = rationals if field == RATIONAL and draw(st.booleans()) else st.integers(-3, 3)
+    entries = rationals if draw(st.booleans()) else st.integers(-3, 3)
     zero_diagonal = draw(st.booleans())
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -981,7 +902,7 @@ def pivot_loop_forms(draw):
         r = draw(st.integers(0, n - 1))
         q = Mat(r, n, [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(r)])
         gram = q.T * gram.submatrix(range(r), range(r)) * q
-    return BilinearForm(field, 1, gram)
+    return BilinearForm(RATIONAL, 1, gram)
 
 
 @st.composite
@@ -1265,19 +1186,9 @@ def test_diagonalization_matches_the_field_loop(f):
 
 
 @EXAMPLES
-@given(f=fp_forms())
-def test_fp_diagonalization_matches_the_separate_fp_loop(f):
-    d = diagonalize(f)
-    ref = ref_diagonalize_fp(f)
-    assert d == ref
-    assert repr(d.entries) == repr(ref.entries)  # ints, as the old loop reported them
-    assert repr(d.congruence) == repr(ref.congruence)
-
-
-@EXAMPLES
 @given(f=pivot_loop_forms())
 def test_schur_step_matches_the_pivot_loop(f):
-    # entries, radical_dim and congruence, with their types, over Q and F_p
+    # entries, radical_dim and congruence, with their types
     assert repr(diagonalize(f)) == repr(ref_pivot_loop(f))
 
 

@@ -133,9 +133,6 @@ def test_psi_of_a_form_reads_its_nondegenerate_part():
     for p in (2, 3, 5, 7):
         for k in (0, 1):
             assert psi(f, p, k) == psi(nondegenerate, p, k)
-    with pytest.raises(ValueError) as exc:
-        psi(BilinearForm.from_diagonal([1, 2], field=3), 3, 1)
-    assert type(exc.value) is ValueError and str(exc.value) == "residues are read from forms over Q"
 
 
 def test_witt_class_spec_examples():
@@ -225,15 +222,11 @@ def test_equivalent_factors_entries_never_their_product():
 
 
 def test_equivalent_error_messages():
-    fp = BilinearForm.from_rows([[1]], field=3)
     skew = BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=-1)
-    cases = [(fp, "witt_class_of computes classes over Q"),
-             (skew, "diagonalization requires symmetric form")]
-    for bad, message in cases:
-        for f, g in ((bad, HYPERBOLIC_PLANE), (HYPERBOLIC_PLANE, bad)):
-            with pytest.raises(ValueError) as exc:
-                equivalent(f, g)
-            assert type(exc.value) is ValueError and str(exc.value) == message
+    for f, g in ((skew, HYPERBOLIC_PLANE), (HYPERBOLIC_PLANE, skew)):
+        with pytest.raises(ValueError) as exc:
+            equivalent(f, g)
+        assert type(exc.value) is ValueError and str(exc.value) == "diagonalization requires symmetric form"
 
 
 def test_canonical_form_stores_sorted_nonzero_residues():
@@ -254,6 +247,21 @@ def test_fp_payload_validation():
             not_prime()
     with pytest.raises(ValueError):
         WittClassFp(5, (2, True))  # bad parity
+    # only canonical payloads: each class has one, so == compares classes;
+    # a nonzero payload equal to no canonical one was built and was not zero
+    for p, bad in ((3, 4), (3, -1), (7, 5), (2, 3), (2, 2), (2, -1), (3, True), (2, False),
+                   (3, 1.0), (3, "1"), (3, (1, True)), (5, 3), (5, (1, 1)), (5, (True, True)),
+                   (5, [0, True]), (5, (0, True, 0)), (5, (1,)), (13, None), (5, (-1, False))):
+        with pytest.raises(ValueError) as exc:
+            WittClassFp(p, bad)
+        assert type(exc.value) is ValueError, (p, bad)
+    for p, good in ((2, 0), (2, 1), (3, 0), (3, 3), (7, 2), (5, (0, True)), (5, (1, False))):
+        assert WittClassFp(p, good) == WittClassFp._of(p, good)
+    assert WittClassFp(3, 0) == WittClassFp.zero(3) and WittClassFp(5, (0, True)).is_zero()
+    # a residue at p is a class over p
+    with pytest.raises(ValueError, match="its own prime"):
+        WittClassQ(0, ((3, WittClassFp(7, 1)),))
+    assert WittClassQ(0, ((7, WittClassFp(7, 1)),)).residue_at(7) == WittClassFp(7, 1)
 
 
 def test_fp_class_reads_rationals_mod_p():
