@@ -122,12 +122,12 @@ def _cmd_metabolic_reduce(args) -> Outcome:
 
 
 def _cmd_complex_class(args) -> Outcome:
-    from .cobordism import _h0_form_of, validate
+    from .cobordism import validate
     cpx = jsonio.complex_from_json(_load(args.complex))
-    report = validate(cpx)
+    report = validate(cpx, diagonalize_h0=True)  # a symmetric H^0 form comes diagonalized
     if not report.ok:
         raise ValueError(f"invalid complex: {report.problems}")
-    h0 = _h0_form_of(cpx, report)
+    h0 = report.h0_form
     cls = witt_class_of(h0)  # for a skew H^0 form, certified zero by a symplectic basis
     payload = {
         "symmetry": "symmetric" if cpx.epsilon == 1 else "skew",

@@ -35,7 +35,7 @@ from .forms import (
     BlockMetabolicForm,
     diagonalize,
 )
-from .linalg import Mat, extend_to_complement
+from .linalg import Mat, complement_in_kernel, extend_to_complement
 from .witt import WittClassQ, witt_class_of
 
 
@@ -62,6 +62,8 @@ class ChainComplex(Record):
     def dd_failures(self) -> list[dict]:
         problems = []
         for i in self.degrees():
+            if i not in self.differentials or i + 1 not in self.differentials:
+                continue  # a zero differential: d d = 0 here
             comp = self.d(i + 1) * self.d(i)
             if not comp.is_zero():
                 j, image = next((j, col) for j, col in enumerate(comp.T.rows) if any(col))
@@ -92,11 +94,19 @@ class Cohomology:
     extending the boundary basis, scanned left to right.  Each stored
     differential d(i) is eliminated once, for its kernel at degree i and its
     image at degree i + 1; an absent one is zero.
+
+    Where the boundaries B are cocycles (no d(i), or d(i) B = 0), the scan
+    reads B's coordinates in the kernel basis K off B's rows at the free
+    columns of d(i), as K is the standard rref basis, and takes a bottom-up
+    rank scan of them (``complement_in_kernel``).  [B | K] = K [C | I] for
+    those coordinates C, and K is injective, so this keeps exactly the
+    columns the scan of [B | K] keeps, and [B | K] is never eliminated.  Any
+    other B, on an invalid complex, is scanned as [B | K].
     """
 
     def __init__(self, c: ChainComplex):
         self.c = c
-        self._cache: dict[int, tuple[Mat, Mat]] = {}
+        self._reps: dict[int, Mat] = {}
         self._split = {i: d.kernel_and_image() for i, d in c.differentials.items()}
 
     def cocycles(self, i: int) -> Mat:
@@ -107,32 +117,32 @@ class Cohomology:
         """A basis of im d(i - 1), as columns."""
         return self._split[i - 1][1] if i - 1 in self._split else Mat.zeros(self.c.dim(i), 0)
 
-    def _data(self, i: int) -> tuple[Mat, Mat]:
-        if i not in self._cache:
+    def reps(self, i: int) -> Mat:
+        """Representatives of a basis of H^i, as columns."""
+        if i not in self._reps:
             boundaries, kernel = self.boundaries(i), self.cocycles(i)
             d = self.c.differentials.get(i)
             if not boundaries.n:  # every cocycle is a representative, and no scan is needed
                 reps = kernel
-            elif boundaries.n == kernel.n and (d is None or (d * boundaries).is_zero()):
-                # the boundaries are independent cocycles, dim ker d(i) of them,
-                # so they span it and H^i = 0; where d d != 0 the scan still
-                # runs, so an invalid complex keeps its representatives
+            elif d is not None and not (d * boundaries).is_zero():
+                # d d != 0: an invalid complex keeps the representatives of the full scan
+                reps = kernel.submatrix(range(kernel.m), extend_to_complement(boundaries, kernel))
+            elif boundaries.n == kernel.n:
+                # the boundaries are independent cocycles, dim ker d(i) of
+                # them, so they span it and H^i = 0
                 reps = Mat.zeros(kernel.m, 0)
             else:
-                reps = kernel.submatrix(range(kernel.m), extend_to_complement(boundaries, kernel))
-            self._cache[i] = (reps, reps.hstack(boundaries))
-        return self._cache[i]
-
-    def reps(self, i: int) -> Mat:
-        return self._data(i)[0]
+                reps = kernel.submatrix(range(kernel.m), complement_in_kernel(boundaries, kernel))
+            self._reps[i] = reps
+        return self._reps[i]
 
     def dim(self, i: int) -> int:
-        return self._data(i)[0].n
+        return self.reps(i).n
 
     def coords(self, i: int, vectors: Mat) -> Mat:
         """Class coordinates of cocycle columns; raises if not cocycles."""
-        reps, aug = self._data(i)
-        sol = aug.solve(vectors)
+        reps = self.reps(i)
+        sol = reps.hstack(self.boundaries(i)).solve(vectors)
         if sol is None:
             raise ValueError(f"columns are not cocycles modulo boundaries in degree {i}")
         return sol.submatrix(range(reps.n), range(sol.n))
@@ -321,22 +331,61 @@ class SelfDualComplex(Record):
 
 
 class ComplexReport(Record):
-    """What ``validate`` found: its problems, or the cohomology and induced pairings."""
+    """What ``validate`` found: its problems, or the cohomology, the induced
+    pairings and the H^0 form (None for an invalid complex)."""
 
     def __init__(self, ok: bool, problems: list, cohomology_dims: dict[int, int],
-                 induced_pairings: dict[int, Mat], cohomology: Cohomology):
+                 induced_pairings: dict[int, Mat], cohomology: Cohomology,
+                 h0_form: BilinearForm | None):
         self.ok = ok
         self.problems = problems
         self.cohomology_dims = cohomology_dims
         self.induced_pairings = induced_pairings
         self.cohomology = cohomology  # the representatives the induced pairings use
+        self.h0_form = h0_form
 
 
-def validate(c: SelfDualComplex) -> ComplexReport:
-    """Check the four self-dual complex invariants, with witnesses."""
+def validate(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexReport:
+    """Check the four self-dual complex invariants, with witnesses: d d = 0,
+    the involution S_{-i} = (-1)^i eps S_i^T, the pairing chain map, and
+    perfectness on cohomology, in that order, one function each.
+
+    The identities come in mirror pairs.  The involution identity at -i is
+    the transpose of the one at i.  Given it, the chain-map defect
+    T_i = d(i)^T S_{i+1} + (-1)^i S_i d(-i-1) on F^i x F^{-i-1} satisfies
+    T_{-i-1} = eps T_i^T, so T_i = 0 and T_{-i-1} = 0 together; T_i = 0
+    reads S_i d(-i-1) = eps (S_{-i-1} d(i))^T.  Each pair is checked once,
+    and a failing pair sends the check through every degree, so a report
+    lists its problems as the degree-by-degree check does.
+
+    With ``diagonalize_h0``, for a caller that takes the class of the H^0
+    form next, perfectness at degree 0 of a symmetric complex that passed
+    the first three checks is read off the certified diagonalization of its
+    H^0 form, which the form keeps, and not off a determinant.
+    """
     cx = c.complex
-    problems = list(cx.dd_failures())
-    degrees = cx.degrees()
+    problems = cx.dd_failures()
+    involution = _involution_problems(c)
+    problems += involution + _pairing_chain_map_problems(c, mirrored=not involution)
+    coh = Cohomology(cx)
+    dims = {i: coh.dim(i) for i in cx.degrees() if coh.dim(i)}
+    h0 = None
+    if not problems:  # the involution holds, so the H^0 pairing is eps-symmetric
+        h0 = BilinearForm(RATIONAL, c.epsilon, _induced_gram(c.s(0), coh.reps(0), coh.reps(0)))
+    diagonalized = diagonalize_h0 and h0 is not None and c.epsilon == SYMMETRIC
+    induced, imperfect = _perfectness(c, coh, dims, h0, diagonalized)
+    problems += imperfect
+    return ComplexReport(ok=not problems, problems=problems, cohomology_dims=dims,
+                         induced_pairings=induced, cohomology=coh, h0_form=None if problems else h0)
+
+
+def _involution_problems(c: SelfDualComplex) -> list:
+    """S_{-i} = (-1)^i eps S_i^T, once for each pair {i, -i}; on a failure,
+    at every degree, with a witness entry for each failing one."""
+    degrees = c.complex.degrees()
+    if all(c.s(-i).is_signed_transpose(c.s(i), (-1) ** i * c.epsilon) for i in degrees if i >= 0):
+        return []
+    problems = []
     for i in degrees:
         s_i, s_mi = c.s(i), c.s(-i)
         mirror = s_i.T if (-1) ** i * c.epsilon == 1 else -s_i.T
@@ -350,11 +399,24 @@ def validate(c: SelfDualComplex) -> ComplexReport:
                 "got": str(s_mi[u, v]),
                 "expected": str(mirror[u, v]),
             })
+    return problems
+
+
+def _pairing_chain_map_problems(c: SelfDualComplex, mirrored: bool) -> list:
+    """S(du, v) + (-1)^deg(u) S(u, dv) = 0 on F^i x F^{-i-1}.  Where the
+    involution identity holds (``mirrored``), once for each pair {i, -i-1}
+    with a differential; else, or on a failure, at every degree."""
+    cx = c.complex
     stored = cx.differentials
+    pairs = {k if k >= 0 else -k - 1 for k in stored}
+    if mirrored and all((c.s(i) * cx.d(-i - 1)).is_signed_transpose(c.s(-i - 1) * cx.d(i), c.epsilon)
+                        for i in pairs):
+        return []
+    problems = []
+    degrees = cx.degrees()
     for i in range(min(degrees, default=0) - 1, max(degrees, default=0) + 1):
         if i not in stored and -i - 1 not in stored:
             continue  # d(i) = 0 and d(-i-1) = 0: both sides are zero
-        # S(du, v) + (-1)^deg(u) S(u, dv) = 0 on F^i x F^{-i-1}
         a = cx.d(i).T * c.s(i + 1)
         b = c.s(i) * cx.d(-i - 1)
         if a != (-b if i % 2 == 0 else b):  # a + (-1)^i b is not zero
@@ -366,9 +428,16 @@ def validate(c: SelfDualComplex) -> ComplexReport:
                 "witness_pair": [u, v],
                 "value": str(total[u, v]),
             })
-    coh = Cohomology(cx)
-    dims = {i: coh.dim(i) for i in degrees if coh.dim(i)}
-    induced = {}
+    return problems
+
+
+def _perfectness(c: SelfDualComplex, coh: Cohomology, dims: dict[int, int],
+                 h0: BilinearForm | None, diagonalized: bool) -> tuple[dict[int, Mat], list]:
+    """The pairings induced on H^i x H^{-i}, i >= 0, and the problems of
+    those that are not perfect.  The pairing on H^0 is the Gram matrix of
+    ``h0`` when that is given; with ``diagonalized``, it is perfect iff the
+    diagonalization of ``h0`` has no radical."""
+    induced, problems = {}, []
     for i in sorted({abs(j) for j in dims} | ({0} if dims else set())):
         hi, hmi = coh.dim(i), coh.dim(-i)
         if hi == 0 and hmi == 0:
@@ -380,35 +449,43 @@ def validate(c: SelfDualComplex) -> ComplexReport:
                 "detail": f"H^{i} has dimension {hi} but H^{-i} has dimension {hmi}",
             })
             continue
-        gram = coh.reps(i).T * c.s(i) * coh.reps(-i)
+        gram = h0.gram if i == 0 and h0 is not None else _induced_gram(c.s(i), coh.reps(i), coh.reps(-i))
+        if i == 0 and diagonalized:
+            singular = diagonalize(h0).radical_dim > 0
+        else:
+            singular = gram.n and not gram.det()
         induced[i] = gram
-        if gram.n and not gram.det():
+        if singular:
             kernel = gram.nullspace()
             problems.append({
                 "check": "perfect_on_cohomology",
                 "degree": i,
                 "witness_class_vector": [str(x) for x in kernel.T.rows[0]],
             })
-    return ComplexReport(ok=not problems, problems=problems,
-                         cohomology_dims=dims, induced_pairings=induced, cohomology=coh)
+    return induced, problems
 
 
-def ensure_valid(c: SelfDualComplex) -> ComplexReport:
-    report = validate(c)
+def _induced_gram(s: Mat, left: Mat, right: Mat) -> Mat:
+    """left^T s right.  Where both sets of columns are distinct unit vectors,
+    that is the submatrix of s at their rows, taken with no product."""
+    rows, cols = left.unit_positions(), right.unit_positions()
+    if rows is not None and cols is not None:
+        return s.submatrix(rows, cols)
+    return left.T * s * right
+
+
+def ensure_valid(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexReport:
+    report = validate(c, diagonalize_h0=diagonalize_h0)
     if not report.ok:
         raise ValueError(f"invalid self-dual complex: {report.problems}")
     return report
 
 
 def h0_form(c: SelfDualComplex) -> BilinearForm:
-    """The induced form on H^0; perfectness makes it nondegenerate."""
-    return _h0_form_of(c, ensure_valid(c))
-
-
-def _h0_form_of(c: SelfDualComplex, report: ComplexReport) -> BilinearForm:
-    """h0_form from the report of a valid complex (H^0 = 0 gives the empty form)."""
-    gram = report.induced_pairings.get(0, Mat.zeros(0, 0))
-    return BilinearForm(RATIONAL, c.epsilon, gram)
+    """The induced form on H^0 (H^0 = 0 gives the empty form); perfectness
+    makes it nondegenerate.  A symmetric one comes diagonalized, as its
+    class reads that next."""
+    return ensure_valid(c, diagonalize_h0=True).h0_form
 
 
 def cobordism_class(c: SelfDualComplex) -> WittClassQ:
@@ -545,7 +622,7 @@ def _s2_perfect_failures(w: CobordismWitness) -> list:
             continue
         if hi == 0:
             continue
-        gram = cg.reps(i).T * _s2_block(w, i) * cgp.reps(-i)
+        gram = _induced_gram(_s2_block(w, i), cg.reps(i), cgp.reps(-i))
         if not gram.det():
             failures.append({"check": "s2_perfect", "degree": i})
     return failures
@@ -649,7 +726,7 @@ def truncation_witness(c: SelfDualComplex) -> CobordismWitness:
         gp_diffs[0] = cx.d(0) * section
     gp = ChainComplex(gp_spaces, gp_diffs)
 
-    f_obj = SelfDualComplex.from_form(_h0_form_of(c, report))
+    f_obj = SelfDualComplex.from_form(report.h0_form)
 
     rho_prime = {i: Mat.identity(cx.dim(i)) for i in cx.degrees() if i < 0}
     if z:
@@ -803,8 +880,8 @@ def witness_common_core(w: CobordismWitness) -> WitnessCoreResult:
     if delta != pi_p0 * rho_p0:
         raise CertificateError("core certificate failed: the square does not commute on H^0")
 
-    mf = ch_f.reps(0).T * w.f.s(0) * ch_f.reps(0)
-    mfp = ch_fp.reps(0).T * w.f_prime.s(0) * ch_fp.reps(0)
+    mf = _induced_gram(w.f.s(0), ch_f.reps(0), ch_f.reps(0))
+    mfp = _induced_gram(w.f_prime.s(0), ch_fp.reps(0), ch_fp.reps(0))
 
     im_delta = delta.column_space_basis()
     dd = im_delta.n

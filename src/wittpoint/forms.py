@@ -51,7 +51,7 @@ class BilinearForm(Frozen):
             raise ValueError("symmetry must be +1 or -1")
         if gram.m != gram.n:
             raise ValueError("Gram matrix must be square")
-        if gram.T != (gram if symmetry == SYMMETRIC else -gram):
+        if not gram.is_signed_transpose(gram, symmetry):
             raise ValueError("Gram matrix does not match the declared symmetry")
         self.__dict__.update(field=field, symmetry=symmetry, gram=gram)
 

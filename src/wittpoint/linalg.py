@@ -167,6 +167,34 @@ class Mat:
         d, cols = self.integer_columns()
         return Mat(self.n, self.m, ints=[_lowest(d, list(c)) for c in cols])
 
+    def is_signed_transpose(self, other: "Mat", sign: int) -> bool:
+        """Whether self == sign * other^T, read off other's integer columns
+        d * other: row r of self, nums / s, must be sign * column r / d, that
+        is d * nums == sign * s * column r.  No transposed matrix is built."""
+        if (self.m, self.n) != (other.n, other.m):
+            return False
+        d, cols = other.integer_columns()
+        for (s, r), c in zip(self._ints, cols):
+            t = sign * s
+            if (r if d == 1 else [d * x for x in r]) != (list(c) if t == 1 else [t * y for y in c]):
+                return False
+        return True
+
+    def unit_positions(self) -> list[int] | None:
+        """The row r of each column when the columns are distinct unit
+        vectors e_r, else None.  Such columns have one entry 1 each, in
+        rows of one entry each."""
+        rows = [None] * self.n
+        for i, (d, r) in enumerate(self._ints):
+            nonzero = [j for j, x in enumerate(r) if x]
+            if not nonzero:
+                continue
+            j = nonzero[0]
+            if len(nonzero) > 1 or r[j] != d or rows[j] is not None:
+                return None
+            rows[j] = i
+        return None if None in rows else rows
+
     def is_zero(self) -> bool:
         return not any(any(r) for _, r in self._ints)
 
@@ -337,6 +365,47 @@ def extend_to_complement(base: Mat, candidates: Mat) -> list[int]:
     """
     _, pivots = base.hstack(candidates).rref()
     return [p - base.n for p in pivots if p >= base.n]
+
+
+def complement_in_kernel(base: Mat, kernel: Mat) -> list[int]:
+    """``extend_to_complement(base, kernel)`` for ``kernel`` the standard
+    rref basis of a kernel and ``base`` columns inside its span, with no
+    elimination of [base | kernel].
+
+    Column j of the standard basis is 1 at its free column f_j, 0 at every
+    other free column, and 0 at each pivot row below f_j, so f_j is its last
+    nonzero row, and base's rows at f_0 < f_1 < ... are its coordinates C in
+    that basis.  [base | kernel] = kernel [C | I] has the pivots of [C | I]:
+    e_j is kept iff it is not in the span of C and e_0 .. e_(j-1), that is,
+    iff row j of C lies in the span of the rows below it.  The rows are
+    scanned bottom up; once they span base's columns, every row above is kept.
+    """
+    k, b = kernel.n, base.n
+    free, left = [None] * k, k
+    for i in range(kernel.m - 1, -1, -1):
+        if not left:
+            break
+        for j, x in enumerate(kernel._ints[i][1]):
+            if x and free[j] is None:
+                free[j], left = i, left - 1
+    kept, basis = [], []  # basis: (pivot column, integer row), each 0 at the pivots before it
+    for j in range(k - 1, -1, -1):
+        if len(basis) == b:
+            kept.extend(range(j, -1, -1))
+            break
+        row = base._ints[free[j]][1]
+        for c, prow in basis:
+            f = row[c]
+            if f:
+                p = prow[c]
+                row = [p * x - f * y for x, y in zip(row, prow)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
+            kept.append(j)
+        else:
+            g = gcd(*row)
+            basis.append((c, [x // g for x in row] if g > 1 else row))
+    return kept[::-1]
 
 
 def _integer_row(r) -> tuple[int, list[int]]:

@@ -48,11 +48,14 @@ class WittClassFp(Frozen):
     p = 3 mod 4: payload = coefficient of the generator [<1>], an int in range(4).
     p = 1 mod 4: payload = (rank parity in range(2), discriminant-is-residue bool).
 
-    The constructor takes these canonical payloads only (a bool is no int
-    here), so each class has one payload and ``==`` compares classes.
+    The constructor takes an ``int`` prime and these canonical payloads
+    only (a bool is no int here), so each class has one payload and ``==``
+    compares classes.
     """
 
     def __init__(self, p: int, payload):
+        if type(p) is not int:
+            raise ValueError(f"the prime must be an int, not {type(p).__name__}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p == 2 or p % 4 == 3:
@@ -166,9 +169,15 @@ def psi(form_or_entries, p: int, k: int) -> WittClassFp:
 
 class WittClassQ(Frozen):
     """Canonical form of a Witt class over Q: signature plus the nonzero
-    second residues, sorted by prime, as ((p, WittClassFp), ...)."""
+    second residues, sorted by prime, as ((p, WittClassFp), ...).  The
+    signature is an ``int`` (a bool is none) and each residue a class over
+    its own prime; anything else raises ``ValueError``."""
 
     def __init__(self, signature: int, residues: tuple):
+        if type(signature) is not int:
+            raise ValueError(f"the signature must be an int, not {type(signature).__name__}")
+        if any(not isinstance(c, WittClassFp) for _, c in residues):
+            raise ValueError("each residue must be a WittClassFp")
         primes = [p for p, _ in residues]
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("residues must be sorted by prime with no repeats")

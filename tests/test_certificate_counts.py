@@ -18,6 +18,7 @@ from wittpoint import cobordism, core, forms, hodge, linalg, poly, witt
 from wittpoint.cli import main
 from wittpoint.core import CertificateError, FactorBoundExceeded
 from wittpoint.cobordism import (
+    SelfDualComplex,
     acyclic_extension,
     cobordism_class,
     random_nondegenerate_form,
@@ -291,11 +292,12 @@ def test_truncation_witness_reads_its_kernel_and_boundaries_off_the_cohomology(m
     # them again, by d(0).nullspace() and d(-1).column_space_basis(), made 12;
     # quotient_data's rank test on im d^-1 apart from its complement scan, and
     # a complement scan at degree -1, where there are no boundaries, made 10;
-    # scans where the boundaries are cocycles spanning ker d(i), made 8
+    # scans where the boundaries are cocycles spanning ker d(i), made 8; the
+    # scan of [B | K] at degree 0, where H^0 comes off kernel coordinates, made 7
     ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
     eliminations = count(monkeypatch, Mat, "rref")
     truncation_witness(ext)
-    assert eliminations[0] == 7
+    assert eliminations[0] == 6
 
 
 def test_subquotient_shape_check_takes_one_rank_per_map(monkeypatch):
@@ -339,12 +341,14 @@ def test_cohomology_eliminates_each_differential_once(monkeypatch):
     degrees = cx.degrees()
     assert [coh.dim(i) for i in degrees] == [0, 1, 1, 0, 0]
     assert [eliminated[id(d)] for d in cx.differentials.values()] == [1, 1, 1, 1]
-    # and one complement scan, at -1: at -2 and at 0 (d(-1) is zero) there are
-    # no boundaries, and at 1 and 2 the boundaries im d(0) and im d(1) are
-    # cocycles as many as dim ker d(i), so H^1 = H^2 = 0 with no scan
-    assert sum(eliminated.values()) == 4 + 1
+    # and nothing else: at -2 and at 0 (d(-1) is zero) there are no
+    # boundaries; at 1 and 2 the boundaries im d(0) and im d(1) are cocycles
+    # as many as dim ker d(i), so H^1 = H^2 = 0; at -1 the boundaries are
+    # cocycles, and H^-1 comes off their kernel coordinates (the scan of
+    # [B | K] there made 4 + 1)
+    assert sum(eliminated.values()) == 4
     coh.reps(0), coh.coords(0, coh.reps(0))
-    assert sum(eliminated.values()) == 4 + 1 + 1  # the one solve
+    assert sum(eliminated.values()) == 4 + 1  # the one solve
 
 
 def test_a_product_of_products_builds_no_intermediate_fraction(monkeypatch):
@@ -415,6 +419,91 @@ def test_cobordism_class_builds_one_cohomology(monkeypatch):
     cohomologies = count(monkeypatch, cobordism, "Cohomology")
     assert cobordism_class(ext).signature == 1
     assert cohomologies[0] == 1
+
+
+def valid_complexes():
+    """An acyclic extension of each symmetry and the complexes of the
+    truncation witness of one: G, G', F, F' and the two mapping cones."""
+    skew = BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=SKEW)
+    exts = [acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2),
+            acyclic_extension(skew, Random(5), 2)]
+    w = truncation_witness(exts[0])
+    fc, fpc = w.f.complex, w.f_prime.complex
+    return [e.complex for e in exts] + [w.g, w.g_prime, fc, fpc, cobordism.mapping_cone(w.rho_prime, w.g, fpc),
+                                        cobordism.mapping_cone(w.rho, fc, w.g_prime)]
+
+
+def test_cohomology_of_a_valid_complex_takes_one_elimination_per_differential(monkeypatch):
+    # its boundaries are cocycles, so each H^i comes off their kernel
+    # coordinates: [B | K] is never eliminated, and no complement scan runs
+    complexes = valid_complexes()
+    eliminated = Counter()
+    rref = Mat.rref
+
+    def spy(a):
+        eliminated[id(a)] += 1
+        return rref(a)
+
+    monkeypatch.setattr(Mat, "rref", spy)
+    scans = count(monkeypatch, linalg, "extend_to_complement")
+    dims = []
+    for cx in complexes:
+        eliminated.clear()
+        coh = cobordism.Cohomology(cx)
+        dims.append({i: coh.reps(i).n for i in cx.degrees() if coh.dim(i)})
+        assert [eliminated[id(d)] for d in cx.differentials.values()] == [1] * len(cx.differentials)
+        assert sum(eliminated.values()) == len(cx.differentials)
+    assert scans[0] == 0
+    assert dims[:2] == [{0: 2}, {0: 2}] and sum(len(cx.differentials) for cx in complexes) > 6
+
+
+def test_validate_of_a_valid_complex_takes_no_transpose(monkeypatch):
+    # the involution and chain-map identities read sign A^T == B off A's
+    # integer columns, and the induced pairings on unit-vector
+    # representatives are submatrices of S_i
+    skew = BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=SKEW)
+    objects = [acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2),
+               acyclic_extension(skew, Random(5), 2),
+               SelfDualComplex.make(1, {-1: 2, 0: 1, 1: 2}, {}, {0: Mat.from_rows([[3]]),
+                                                                 1: Mat.from_rows([[1, 2], [0, 4]])}),
+               SelfDualComplex.from_form(BilinearForm.from_diagonal([5, -7]))]
+    transposes, get = [], Mat.T.fget
+    monkeypatch.setattr(Mat, "T", property(lambda a: transposes.append(a) or get(a)))
+    products = count(monkeypatch, Mat, "__mul__")
+    reports = [cobordism.validate(c) for c in objects]
+    assert all(r.ok for r in reports) and transposes == []
+    assert [sorted(r.cohomology_dims) for r in reports] == [[0], [0], [-1, 0, 1], [0]]
+    # each extension takes d(0) d(-1), two products for its one mirror pair
+    # {0, -1}, and d(0) B at degree 0; a complex with no differential takes
+    # none.  d(i+1) d(i) at every degree, both degrees of each pair with
+    # transposes, and reps^T S reps took 9 + 9 + 7 + 3
+    assert products[0] == 2 * (1 + 2 + 1)
+
+
+def test_cobordism_class_diagonalizes_its_h0_form_once_and_takes_no_determinant(monkeypatch):
+    # perfectness at degree 0 is read off the H^0 form's certified
+    # diagonalization, which witt_class_of reads again from the form
+    ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
+    expected = witt_class_of(BilinearForm.from_diagonal([-2, 3]))
+    diagonalizations = count(monkeypatch, forms, "_diagonalized")
+    determinants = count(monkeypatch, Mat, "det")
+    assert cobordism_class(ext) == expected
+    assert (diagonalizations[0], determinants[0]) == (1, 0)  # det of the H^0 pairing made (1, 1)
+    # a skew H^0 form is not diagonalized: its perfectness keeps its determinant
+    skew = acyclic_extension(BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=SKEW), Random(5), 1)
+    assert cobordism_class(skew).is_zero()
+    assert (diagonalizations[0], determinants[0]) == (1, 1)
+
+
+def test_verify_witness_keeps_its_determinants(monkeypatch):
+    # validate called alone, as verify_witness calls it, tests perfectness by det
+    ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
+    witnesses = [truncation_witness(ext),
+                 cobordism.congruence_witness(BilinearForm.from_diagonal([2, 3]), Mat.from_rows([[1, 1], [0, 1]]))]
+    determinants = count(monkeypatch, Mat, "det")
+    diagonalizations = count(monkeypatch, forms, "_diagonalized")
+    assert all(cobordism.verify_witness(w).ok for w in witnesses)
+    assert (determinants[0], diagonalizations[0]) == (6, 0)  # as when validate had no other path
 
 
 def test_cli_skew_complex_class_validates_and_reduces_once(tmp_path, monkeypatch, capsys):

@@ -84,7 +84,7 @@ from wittpoint.forms import (
     symplectic_reduce,
 )
 from wittpoint.hodge import _divisors, _rational_roots, _signed_divisors
-from wittpoint.linalg import Mat, extend_to_complement
+from wittpoint.linalg import Mat, complement_in_kernel, extend_to_complement
 from wittpoint.poly import (
     _content_free,
     int_poly,
@@ -1313,6 +1313,66 @@ def test_extend_to_complement_matches_the_greedy_scan(data):
     base = data.draw(matrices())
     candidates = data.draw(matrices(base.m))
     assert extend_to_complement(base, candidates) == ref_extend_to_complement(base, candidates)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_complement_in_kernel_matches_the_greedy_scan(data):
+    # base in the span of the standard rref kernel basis K, or of I (no
+    # differential): the bottom-up scan of base's kernel coordinates keeps
+    # what the scan of [base | K] keeps, dependent base columns too
+    a = data.draw(matrices())
+    kernel = a.nullspace() if data.draw(st.booleans()) else Mat.identity(a.n)
+    base = ref_product(kernel, data.draw(matrices(kernel.n)))
+    assert complement_in_kernel(base, kernel) == ref_extend_to_complement(base, kernel)
+    assert complement_in_kernel(base, kernel) == extend_to_complement(base, kernel)
+
+
+def ref_unit_positions(a: Mat):
+    """The row of each column's one entry 1 when the columns are distinct
+    unit vectors, else None."""
+    rows = []
+    for col in ref_transpose(a).rows:
+        nonzero = [(i, x) for i, x in enumerate(col) if x]
+        if len(nonzero) != 1 or nonzero[0][1] != 1:
+            return None
+        rows.append(nonzero[0][0])
+    return rows if len(set(rows)) == len(rows) else None
+
+
+def ref_transpose(a: Mat) -> Mat:
+    return field_matrix(a.n, a.m, [[a.rows[i][j] for i in range(a.m)] for j in range(a.n)])
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_unit_positions_match_the_columns(data):
+    m = data.draw(st.integers(0, 5))
+    picked = data.draw(st.permutations(range(m)))[:data.draw(st.integers(0, m))]
+    units = Mat.identity(m).submatrix(range(m), picked)
+    assert units.unit_positions() == picked == ref_unit_positions(units)
+    a = data.draw(matrices(m))
+    assert a.unit_positions() == ref_unit_positions(a)
+    if m and picked:
+        twice = units.hstack(units.submatrix(range(m), [0]))  # a column repeated
+        assert twice.unit_positions() is None is ref_unit_positions(twice)
+        assert units.scale(2).unit_positions() is None
+
+
+@EXAMPLES
+@given(a=matrices(), sign=st.sampled_from((1, -1)), data=st.data())
+def test_signed_transpose_test_matches_the_transpose(a, sign, data):
+    expected = ref_transpose(a) if sign == 1 else -ref_transpose(a)
+    assert expected.is_signed_transpose(a, sign)
+    b = data.draw(matrices(a.n, a.m))
+    assert b.is_signed_transpose(a, sign) == (b == expected)
+    if a.m and a.n:
+        r, c = data.draw(st.integers(0, a.n - 1)), data.draw(st.integers(0, a.m - 1))
+        moved = [list(row) for row in expected.rows]
+        moved[r][c] += data.draw(rationals.filter(bool))
+        assert not field_matrix(a.n, a.m, moved).is_signed_transpose(a, sign)
+        assert not expected.is_signed_transpose(a, -sign) or a.is_zero()
+    assert not Mat.zeros(a.n + 1, a.m).is_signed_transpose(a, sign)
 
 
 # -- the integer form and the rows view ------------------------------------

@@ -37,7 +37,7 @@ FIELDS = {
     "cli.Outcome": "verdict payload text",
     "cobordism.ChainComplex": "spaces differentials",
     "cobordism.SelfDualComplex": "epsilon complex pairings",
-    "cobordism.ComplexReport": "ok problems cohomology_dims induced_pairings cohomology",
+    "cobordism.ComplexReport": "ok problems cohomology_dims induced_pairings cohomology h0_form",
     "cobordism.CobordismWitness": "kind f f_prime g g_prime pi rho rho_prime pi_prime s2 homotopy",
     "cobordism.WitnessReport": "ok failures homotopy",
     "cobordism.OrthogonalSplit": "kind restriction complement complement_basis quotient_form witness",

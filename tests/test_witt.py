@@ -264,6 +264,32 @@ def test_fp_payload_validation():
     assert WittClassQ(0, ((7, WittClassFp(7, 1)),)).residue_at(7) == WittClassFp(7, 1)
 
 
+def test_a_prime_must_be_an_int():
+    # 3.0 passed is_prime and was kept, with repr p=3.0; a bool is no int
+    for p, payload in ((3.0, 0), (Fraction(3), 0), (True, 0), ("3", 0), (5.0, (0, True))):
+        with pytest.raises(ValueError, match=r"^the prime must be an int, not ") as exc:
+            WittClassFp(p, payload)
+        assert type(exc.value) is ValueError, p
+    with pytest.raises(ValueError, match=r"^the prime must be an int, not float$"):
+        WittClassFp.zero(7.0)
+
+
+def test_a_signature_must_be_an_int():
+    for signature in (0.5, 1.0, "x", True, Fraction(1), None):
+        with pytest.raises(ValueError, match=r"^the signature must be an int, not "):
+            WittClassQ(signature, ())
+    assert WittClassQ(-3, ()).signature == -3
+
+
+def test_a_residue_must_be_a_class_over_fp():
+    # a string residue raised AttributeError on c.p
+    for residue in ("a", 1, None, (1, True), WittClassQ.zero()):
+        with pytest.raises(ValueError, match=r"^each residue must be a WittClassFp$"):
+            WittClassQ(1, ((3, residue),))
+    with pytest.raises(ValueError, match=r"^each residue must be a WittClassFp$"):
+        WittClassQ(1, ((3, WittClassFp(3, 1)), (5, "a")))
+
+
 def test_fp_class_reads_rationals_mod_p():
     assert fp_class_of([Fraction(1, 2)], 3) == fp_class_of([2], 3)
     assert fp_class_of([Fraction(-3, 4), 5], 7) == fp_class_of([1, 5], 7)  # -3/4 = 1 mod 7
