@@ -38,7 +38,7 @@ class Outcome(Record):
 def _load(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return jsonio.loads(fh.read(), object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise SchemaError("$", f"no such file: {path}")
     except OSError as exc:

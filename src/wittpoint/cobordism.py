@@ -101,11 +101,15 @@ class Cohomology:
     rank scan of them (``complement_in_kernel``).  [B | K] = K [C | I] for
     those coordinates C, and K is injective, so this keeps exactly the
     columns the scan of [B | K] keeps, and [B | K] is never eliminated.  Any
-    other B, on an invalid complex, is scanned as [B | K].
+    other B, on an invalid complex, is scanned as [B | K].  Built with
+    ``squares_to_zero``, by a caller that found d d = 0 at every degree
+    (``dd_failures`` empty), it knows the boundaries are cocycles and forms
+    no product d(i) B, a column subset of the zero d(i) d(i - 1).
     """
 
-    def __init__(self, c: ChainComplex):
+    def __init__(self, c: ChainComplex, *, squares_to_zero: bool = False):
         self.c = c
+        self._squares_to_zero = squares_to_zero
         self._reps: dict[int, Mat] = {}
         self._split = {i: d.kernel_and_image() for i, d in c.differentials.items()}
 
@@ -124,7 +128,7 @@ class Cohomology:
             d = self.c.differentials.get(i)
             if not boundaries.n:  # every cocycle is a representative, and no scan is needed
                 reps = kernel
-            elif d is not None and not (d * boundaries).is_zero():
+            elif d is not None and not self._squares_to_zero and not (d * boundaries).is_zero():
                 # d d != 0: an invalid complex keeps the representatives of the full scan
                 reps = kernel.submatrix(range(kernel.m), extend_to_complement(boundaries, kernel))
             elif boundaries.n == kernel.n:
@@ -365,9 +369,9 @@ def validate(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexRepo
     """
     cx = c.complex
     problems = cx.dd_failures()
+    coh = Cohomology(cx, squares_to_zero=not problems)
     involution = _involution_problems(c)
     problems += involution + _pairing_chain_map_problems(c, mirrored=not involution)
-    coh = Cohomology(cx)
     dims = {i: coh.dim(i) for i in cx.degrees() if coh.dim(i)}
     h0 = None
     if not problems:  # the involution holds, so the H^0 pairing is eps-symmetric
@@ -611,9 +615,10 @@ def _adjointness_failures(w: CobordismWitness) -> list:
 
 
 def _s2_perfect_failures(w: CobordismWitness) -> list:
-    """S'' is perfect on cohomology: H^i(G) x H^-i(G') -> Q in every degree."""
+    """S'' is perfect on cohomology: H^i(G) x H^-i(G') -> Q in every degree.
+    It runs after ``_object_failures`` found d d = 0 on G and G'."""
     failures = []
-    cg, cgp = Cohomology(w.g), Cohomology(w.g_prime)
+    cg, cgp = Cohomology(w.g, squares_to_zero=True), Cohomology(w.g_prime, squares_to_zero=True)
     for i in sorted(set(w.g.degrees()) | {-j for j in w.g_prime.degrees()} | {0}):
         hi, hmi = cg.dim(i), cgp.dim(-i)
         if hi != hmi:

@@ -10,11 +10,11 @@ assertable.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 from .core import CertificateError, Frozen, Record
 from .forms import BilinearForm
+from .jsonio import loads
 from .witt import psi, witt_class_of
 
 
@@ -178,7 +178,7 @@ def sign_dictionary_check(d: int, d_prime: int) -> bool:
 def surface_fixtures() -> dict[int, dict[str, int]]:
     """Hodge numbers of smooth degree-m surfaces in P^3 (shipped data)."""
     text = resources.files("wittpoint.data").joinpath("degree_surface_hodge.json").read_text()
-    raw = json.loads(text)
+    raw = loads(text)
     return {int(m): v for m, v in raw["surfaces"].items()}
 
 

@@ -16,8 +16,11 @@ by phi^T S = S'; its spectrum is certified real and positive by Sturm
 counts, and semisimple by its radical vanishing at phi.  When the
 characteristic polynomial p is squarefree, the radical is p, and p(phi) = 0
 is Cayley-Hamilton, certified on the last Faddeev-LeVerrier step; only a p
-with repeated roots has its radical evaluated at phi, by Horner.  Each
-signature is checked a second way, against the Hodge index theorem.
+with repeated roots has its radical evaluated at phi, by Horner.  A
+signature is the count of sign changes in the leading minors (Jacobi's
+rule), each again read off its Bareiss integer, with a certified
+diagonalization only where a minor is zero; each is checked a second way,
+against the Hodge index theorem.
 """
 
 from __future__ import annotations
@@ -418,8 +421,10 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     structure, self-adjoint for the positive form S(u, Cv); its spectrum is
     certified real positive by Sturm and semisimple by a squarefree minimal
     polynomial.  Eigenspaces are computed only when the radical is shown to
-    split over Q.  Both signatures are checked against the Hodge index
-    theorem.
+    split over Q.  The signatures of symmetric S and S', their classes in
+    W(R) = Z, are read by Jacobi's rule off the signs of their leading
+    minors (``_signature``), and both are checked against the Hodge index
+    theorem, which reads the Hodge numbers and not the minors.
     """
     frame = _frame(h)
     weil = _weil(frame, h.weight)
@@ -470,7 +475,7 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     # both pairings passed their checks, so they share the symmetry of the
     # weight; skew forms all have signature (0, 0)
     if s.symmetry == SYMMETRIC:
-        sig_s, sig_sp = diagonalize(s).signature(), diagonalize(s_prime).signature()
+        sig_s, sig_sp = _signature(s), _signature(s_prime)
     else:
         sig_s = sig_sp = (0, 0)
     sign = _normalizing_sign(h.weight)
@@ -482,6 +487,15 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
         preserves_bigrading=preserves, eigenspaces=eigenspaces,
         signature_s=sig_s, signature_s_prime=sig_sp,
     )
+
+
+def _signature(f: BilinearForm) -> tuple[int, int]:
+    """(positive, negative) of a symmetric form by Jacobi's rule: with every
+    leading minor D_k of its Gram matrix nonzero, the negative count is the
+    number of sign changes in 1, D_1, ..., D_n, read off one Bareiss pass
+    (``Mat.jacobi_signature``).  A form with a zero leading minor falls back
+    to its certified diagonalization."""
+    return f.gram.jacobi_signature() or diagonalize(f).signature()
 
 
 def _semisimple(phi: Mat, cert: SturmCertificate) -> bool:

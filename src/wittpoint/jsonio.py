@@ -1,12 +1,20 @@
 """JSON encoding of every external interface.
 
 Rationals travel as strings ("3/4"; bare integers accepted as shorthand)
-so no precision is ever lost.  Output ordering is deterministic (sorted
-primes, sorted degrees) for golden-file stability.
+so no precision is ever lost.  A rational string is read by one grammar,
+an optional sign, ASCII digits and an optional "/" and digits; any other
+spelling is refused at its pointer, before any integer is built from it.
+Documents are read by ``loads``, whose integer hook turns a literal past
+CPython's int-string digit limit into an input error at its pointer.
+Output ordering is deterministic (sorted primes, sorted degrees) for
+golden-file stability.
 """
 
 from __future__ import annotations
 
+import json
+import re
+import sys
 from fractions import Fraction
 
 # The readers of complexes, witnesses, Hodge structures, diamonds and pieces
@@ -31,17 +39,91 @@ def _integer(value, pointer: str) -> int:
     return value
 
 
+# [0-9], not \d, which takes every Unicode digit
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(value, pointer: str = "$") -> Fraction:
+    """An int, or a string [+-]digits[/digits] with a nonzero denominator.
+    A decimal, an exponent, a space, an underscore or a non-ASCII digit,
+    which ``Fraction`` would read, is refused, as is an integer past
+    CPython's int-string digit limit, each at ``pointer``."""
     if isinstance(value, bool):
         raise SchemaError(pointer, "expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(pointer, f"bad rational string {value!r}") from exc
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise SchemaError(pointer, f"bad rational string {value!r}")
+        num, den = match.groups()
+        den = _digits_to_int(den, pointer) if den else 1
+        if not den:
+            raise SchemaError(pointer, f"bad rational string {value!r}")
+        return Fraction(_digits_to_int(num, pointer), den)
     raise SchemaError(pointer, f"expected a rational string or integer, got {type(value).__name__}")
+
+
+def _digits_to_int(digits: str, pointer: str) -> int:
+    """int(digits) for a string of ASCII digits with an optional sign; past
+    the int-string digit limit, a ``SchemaError`` at ``pointer``."""
+    try:
+        return int(digits)
+    except ValueError:  # the digits are well formed, so only the limit is left
+        raise _overlong_error(pointer, digits) from None
+
+
+def _overlong_error(pointer: str, digits: str) -> SchemaError:
+    return SchemaError(pointer, f"an integer of {len(digits.lstrip('+-'))} digits is over the "
+                                f"limit of {sys.get_int_max_str_digits()} digits")
+
+
+class _Overlong:
+    """A JSON integer literal past the int-string digit limit, left unread."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: str):
+        self.digits = digits
+
+
+def loads(text: str, **hooks):
+    """``json.loads(text, **hooks)`` with each integer literal read by a
+    ``parse_int`` hook.  A literal past CPython's int-string digit limit
+    becomes a marker, and the first marker left in the document, in document
+    order, is a ``SchemaError`` at its pointer; without the hook it would be
+    a bare ``ValueError`` that names no place."""
+    overlong = []
+
+    def integer(digits: str):
+        try:
+            return int(digits)
+        except ValueError:  # the scanner hands over integer literals only
+            overlong.append(_Overlong(digits))
+            return overlong[-1]
+
+    doc = json.loads(text, parse_int=integer, **hooks)
+    found = overlong and _first_overlong(doc, "$")
+    if found:  # else a repeated key dropped every marker
+        raise _overlong_error(*found)
+    return doc
+
+
+def _first_overlong(node, pointer: str) -> tuple[str, str] | None:
+    """(pointer, digits) of the first ``_Overlong`` in a decoded document, or None."""
+    if isinstance(node, _Overlong):
+        return pointer, node.digits
+    if isinstance(node, dict):
+        children = ((f"{pointer}.{key}", value) for key, value in node.items())
+    elif isinstance(node, list):
+        children = ((f"{pointer}[{i}]", value) for i, value in enumerate(node))
+    else:
+        return None
+    for at, child in children:
+        found = _first_overlong(child, at)
+        if found is not None:
+            return found
+    return None
 
 
 def format_rational(x: Fraction) -> str:

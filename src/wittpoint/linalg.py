@@ -11,14 +11,14 @@ left one, so a product with I or a sparse factor costs little.
 ``rows`` is a view of the entries as ``Fraction`` rows, made from the
 integer form when first read and then kept.  Writing to it changes no
 result.  ``rref`` runs Gauss-Jordan by cross-multiplication, dividing each
-changed row by its content; ``det`` and ``first_nonpositive_minor`` run
-Bareiss's fraction-free elimination (Bareiss 1968; Cohen, *A Course in
-Computational Algebraic Number Theory*, 2.2), the latter reading each
-minor's sign off its integer value.  The reduced row echelon form is unique,
-so each returns what elimination over Q returns.  Shapes are explicit, as
-zero-row and zero-column matrices occur constantly.  Integer forms are
-never written, so matrices may share their rows: a product's row may be a
-row of its right factor.
+changed row by its content; ``det``, ``first_nonpositive_minor`` and
+``jacobi_signature`` run Bareiss's fraction-free elimination (Bareiss 1968;
+Cohen, *A Course in Computational Algebraic Number Theory*, 2.2), the
+latter two reading each leading minor's sign off its integer value.  The
+reduced row echelon form is unique, so each returns what elimination over Q
+returns.  Shapes are explicit, as zero-row and zero-column matrices occur
+constantly.  Integer forms are never written, so matrices may share their
+rows: a product's row may be a row of its right factor.
 """
 
 from __future__ import annotations
@@ -305,12 +305,36 @@ class Mat:
         denominators of the first k rows, so it has that integer's sign, and
         a ``Fraction`` is built for the failing minor alone.
         """
-        if self.m != self.n:
-            raise ValueError("leading minors of a non-square matrix")
-        for k, d in enumerate(_bareiss([list(r) for _, r in self._ints]), 1):
+        for k, d in enumerate(self._leading_minor_values(), 1):
             if d <= 0:
                 return k, Fraction(d, prod(s for s, _ in self._ints[:k]))
         return None
+
+    def jacobi_signature(self) -> tuple[int, int] | None:
+        """(positive, negative) eigenvalue counts of a symmetric matrix by
+        Jacobi's rule, or None if a leading principal minor is zero.
+
+        With every leading minor D_k nonzero, the number of negative
+        eigenvalues is the number of sign changes in 1, D_1, ..., D_n
+        (Gantmacher, *The Theory of Matrices*, vol. 1, ch. X, 3).  Each D_k
+        has the sign of its integer Bareiss value, as for
+        ``first_nonpositive_minor``; the elimination stops at the first zero.
+        """
+        neg, prev = 0, 1
+        for d in self._leading_minor_values():
+            if not d:
+                return None
+            neg += (d < 0) != (prev < 0)
+            prev = d
+        return self.n - neg, neg
+
+    def _leading_minor_values(self):
+        """The Bareiss values of the integer rows, one per step: while no row
+        has been exchanged, that is before the first zero, value k is the
+        leading k-minor times the positive denominators of the first k rows."""
+        if self.m != self.n:
+            raise ValueError("leading minors of a non-square matrix")
+        return _bareiss([list(r) for _, r in self._ints])
 
     def charpoly(self) -> list[Fraction]:
         """Coefficients of det(t*I - A), ascending in t (Faddeev-LeVerrier).

@@ -473,11 +473,12 @@ def test_validate_of_a_valid_complex_takes_no_transpose(monkeypatch):
     reports = [cobordism.validate(c) for c in objects]
     assert all(r.ok for r in reports) and transposes == []
     assert [sorted(r.cohomology_dims) for r in reports] == [[0], [0], [-1, 0, 1], [0]]
-    # each extension takes d(0) d(-1), two products for its one mirror pair
-    # {0, -1}, and d(0) B at degree 0; a complex with no differential takes
-    # none.  d(i+1) d(i) at every degree, both degrees of each pair with
-    # transposes, and reps^T S reps took 9 + 9 + 7 + 3
-    assert products[0] == 2 * (1 + 2 + 1)
+    # each extension takes d(0) d(-1) and two products for its one mirror
+    # pair {0, -1}; d(0) B at degree 0 is a column subset of d(0) d(-1), found
+    # zero, so it is not formed.  A complex with no differential takes none.
+    # d(i+1) d(i) at every degree, both degrees of each pair with transposes,
+    # and reps^T S reps took 9 + 9 + 7 + 3
+    assert products[0] == 2 * (1 + 2)
 
 
 def test_cobordism_class_diagonalizes_its_h0_form_once_and_takes_no_determinant(monkeypatch):
@@ -611,8 +612,9 @@ def test_compare_polarizations_forms_each_product_once(monkeypatch):
     assert compare_polarizations(h, s, s_prime).identity_chain_ok
     # phi^T S C = S' C follows from the certificate phi^T S = S', so only S C phi is formed
     assert (products[(phi.T, s_c)], products[(s_c, phi)]) == (0, 1)
-    # diagonalize certifies on integers and takes no Mat product, and phi is
-    # one solve: no S S^-1 = I check and no product S^-1 S'
+    # the signatures come off the Bareiss values of the leading minors, with
+    # no Mat product, and phi is one solve: no S S^-1 = I check and no
+    # product S^-1 S'
     assert max(products.values()) == 1 and sum(products.values()) == 15
     # the frame's (1, 1) block and the coordinates of the (0, 2) partner; the
     # positivity minors come from one elimination, not one det per minor, and

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -100,6 +101,22 @@ def test_unreadable_and_ambiguous_documents_are_input_errors(tmp_path, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("input error: $: ") and message in err, err
+
+
+def test_an_exponent_or_an_overlong_integer_is_refused_at_once(tmp_path, capsys):
+    # "1e100000" would make Fraction build a 332,000-bit integer, and a JSON
+    # integer past CPython's int-string limit would raise a bare ValueError
+    exponent = write(tmp_path, "e.json", form_doc([["1e100000"]]))
+    overlong = tmp_path / "long.json"
+    overlong.write_text('{"symmetry": "symmetric", "gram": [[1, 0], [0, %s]]}' % ("7" * 5000))
+    for path, message in ((exponent, "$.gram[0][0]: bad rational string '1e100000'"),
+                          (str(overlong), "$.gram[1][1]: an integer of 5000 digits is over the limit of "
+                                          "4300 digits")):
+        start = time.perf_counter()
+        assert main(["invariants", path]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"input error: {message}\n"
 
 
 def test_precondition_failure_exits_1(tmp_path, capsys):

@@ -412,11 +412,10 @@ Mat.solve = lambda a, b: solve(a, b).scale(2) if b == s.gram.scale(2) else solve
 print(fired(lambda: hodge.compare_polarizations(h, s, s.scaled(2))))
 Mat.solve = solve
 
-diagonalize_q = hodge.diagonalize
-hodge.diagonalize = lambda f: forms.Diagonalization(  # every sign flipped
-    tuple(-e for e in diagonalize_q(f).entries), 0, None)
+signature = hodge._signature
+hodge._signature = lambda f: signature(f)[::-1]  # every sign flipped
 print(fired(lambda: hodge.compare_polarizations(h, s, s.scaled(2))))
-hodge.diagonalize = diagonalize_q
+hodge._signature = signature
 witt_class_of = hodge.witt_class_of
 hodge.witt_class_of = lambda f: -witt_class_of(f)
 print(fired(lambda: hodge.pol_class(h, s)))

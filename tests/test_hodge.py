@@ -8,9 +8,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittpoint import hodge
+from wittpoint import forms, hodge
 from wittpoint.core import CertificateError, FactorBoundExceeded, sturm_positive_real_roots
-from wittpoint.forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm
+from wittpoint.forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm, diagonalize
 from wittpoint.hodge import (
     HodgePiece,
     HodgeStructure,
@@ -28,6 +28,7 @@ from wittpoint.poly import int_poly_at
 from wittpoint.witt import witt_class_of
 from test_kernel import (
     matrices,
+    rationals,
     ref_first_nonpositive_minor,
     ref_poly_eval_matrix,
     symmetric_by_first_nonpositive_minor,
@@ -628,16 +629,70 @@ def test_signatures_satisfy_the_hodge_index_theorem(case):
 
 def test_a_wrong_signature_fails_the_hodge_index_certificate(monkeypatch):
     h, s, s2 = random_polarization_pair(Random(3), 2, 4)
-    diagonalize = hodge.diagonalize
+    signature = hodge._signature
 
-    def flipped(f):  # the first entry of S' changes sign
-        d = diagonalize(f)
-        return d if f is s else type(d)((-d.entries[0], *d.entries[1:]), d.radical_dim, d.congruence)
+    def flipped(f):  # one negative direction of S' is read as positive
+        pos, neg = signature(f)
+        return (pos, neg) if f is s else (pos + 1, neg - 1)
 
-    monkeypatch.setattr(hodge, "diagonalize", flipped)
+    monkeypatch.setattr(hodge, "_signature", flipped)
     with pytest.raises(CertificateError, match=r"^Hodge index certificate failed: the normalized "
                                                r"signature of S' is -2, not sum \(-1\)\^p h\^\(p,q\) = 0$"):
         compare_polarizations(h, s, s2)
+
+
+@st.composite
+def symmetric_with_a_singular_leading_block(draw):
+    """A symmetric rational matrix and k: in about half the draws its leading
+    k x k block is L diag(d_1, ..., d_(k-1), 0) L^T, L unit lower triangular,
+    so its leading k-minor is zero; else k = 0 and any minor may be zero."""
+    n = draw(st.integers(0, 5))
+    upper = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    rows = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    k = draw(st.integers(1, n)) if n and draw(st.booleans()) else 0
+    if k:
+        lower = Mat(k, k, [[Fraction(1) if i == j else draw(rationals) if j < i else Fraction(0)
+                            for j in range(k)] for i in range(k)])
+        block = lower * Mat.diag([draw(rationals) for _ in range(k - 1)] + [0]) * lower.T
+        for i in range(k):
+            rows[i][:k] = block.rows[i]
+    return Mat(n, n, rows), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=symmetric_with_a_singular_leading_block())
+def test_the_signature_reader_matches_the_certified_diagonalization(case):
+    # Jacobi's rule where every leading minor is nonzero, the certified
+    # diagonalization where one is zero; a fresh form is diagonalized each time
+    a, k = case
+    expected = diagonalize(BilinearForm(RATIONAL, SYMMETRIC, a)).signature()
+    assert hodge._signature(BilinearForm(RATIONAL, SYMMETRIC, a)) == expected
+    minors = [a.submatrix(range(j), range(j)).det() for j in range(1, a.n + 1)]
+    jacobi = a.jacobi_signature()
+    assert (jacobi is None) == (0 in minors) and (jacobi is None or jacobi == expected)
+    assert not k or jacobi is None
+
+
+def test_a_pairing_with_a_zero_leading_minor_is_compared_through_the_fallback(monkeypatch):
+    # weight 2, h^(2,0) = h^(1,1) = h^(0,2) = 1, S = diag(-1, -1, 1) in the
+    # frame, moved to the basis e_1 + e_3, e_2, e_3: there S(e_1 + e_3, e_1 + e_3)
+    # = 0 is the leading 1-minor, so S's signature comes off its diagonalization
+    h, s, s_prime = random_polarization_pair(Random(41), 2, 3)
+    p = Mat.from_rows([[1, 0, 0], [0, 1, 0], [1, 0, 1]])  # columns: the new basis
+    p_inv = p.inv()
+    moved = HodgeStructure(2, 3, [HodgePiece(q.p, q.q, p_inv * q.re, p_inv * q.im) for q in h.pieces])
+    s_moved, s_prime_moved = (f.congruent_by(p) for f in (s, s_prime))
+    assert s_moved.gram[0, 0] == 0 and s_moved.gram.jacobi_signature() is None
+    runs = []
+    diagonalized = forms._diagonalized
+    monkeypatch.setattr(forms, "_diagonalized", lambda f: runs.append(f) or diagonalized(f))
+    pair = compare_polarizations(moved, s_moved, s_prime_moved)
+    assert s_moved in runs
+    before = compare_polarizations(h, s, s_prime)
+    assert pair.certified and before.certified
+    assert pair.signature_s == before.signature_s == (1, 2)
+    assert pair.signature_s_prime == before.signature_s_prime == (1, 2)
+    assert pair.phi == p_inv * before.phi * p
 
 
 def test_comparison_certificate_fires_when_s_does_not_solve(monkeypatch):

@@ -12,6 +12,7 @@ from wittpoint.jsonio import (
     fp_class_to_json,
     form_from_json,
     form_to_json,
+    loads,
     parse_rational,
     pieces_from_json,
     witness_from_json,
@@ -30,6 +31,41 @@ def test_parse_rational_accepts_ints_and_strings():
         parse_rational("1/0")
     with pytest.raises(SchemaError, match="boolean"):
         parse_rational(True)
+
+
+# spellings Fraction reads that the documented grammar, [+-]digits[/digits], refuses
+REFUSED_SPELLINGS = ["0.5", ".5", "5.", "1e3", "1E-2", "1e100000", " 3", "3 ", "3/4\n", "1_000",
+                     "\u0663", "3 / 4", "0x10", "1/-2", "3/4/5", "", "+", "-/2", "inf", "1/0"]
+
+
+def test_parse_rational_reads_the_documented_grammar_only():
+    from fractions import Fraction
+
+    for text, value in (("+3", 3), ("-0", 0), ("007/010", Fraction(7, 10)), ("-3/04", Fraction(-3, 4)),
+                        ("9" * 4300, int("9" * 4300))):
+        assert parse_rational(text) == value
+    for text in REFUSED_SPELLINGS:
+        with pytest.raises(SchemaError) as exc:
+            parse_rational(text, "$.gram[0][1]")
+        assert str(exc.value) == f"$.gram[0][1]: bad rational string {text!r}"
+    for text, digits in (("7" * 5000, 5000), ("-1/" + "3" * 4301, 4301)):
+        with pytest.raises(SchemaError) as exc:
+            parse_rational(text, "$.s[1][0]")
+        assert str(exc.value) == f"$.s[1][0]: an integer of {digits} digits is over the limit of 4300 digits"
+
+
+def test_loads_refuses_an_overlong_integer_at_its_pointer():
+    assert loads('{"a": [1, -2, {"b": 30}]}') == {"a": [1, -2, {"b": 30}]}
+    assert loads("[%s]" % ("9" * 4300)) == [int("9" * 4300)]
+    long = "-" + "7" * 5000
+    for text, pointer in (('{"gram": [[1, 0], [0, %s]]}' % long, "$.gram[1][1]"),
+                          ('{"a": {"p": %s}, "b": %s}' % (long, long[1:]), "$.a.p"),
+                          (long, "$")):
+        with pytest.raises(SchemaError) as exc:
+            loads(text)
+        assert str(exc.value) == f"{pointer}: an integer of 5000 digits is over the limit of 4300 digits"
+    # a repeated key keeps its last value, so an overlong value it replaced is gone
+    assert loads('{"a": %s, "a": 1}' % long) == {"a": 1}
 
 
 def test_form_schema_errors_carry_pointers():

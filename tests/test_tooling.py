@@ -6,12 +6,12 @@ benchmark item pickles with a diagonalization that ``diagonalize`` keeps
 in a form, so set-up does no work that the timed passes then skip.  The
 first witness chains of two seeds hash to pinned digests, so the chain
 generators' stream stays the same, and so do the comparisons of the first
-polarization pairs of one seed, whose outputs hash to a pinned digest.  A
-certificate check must run under
-``python -O``, so the package holds no ``assert`` statement.  A ``Mat``
-stores one form, its integer form, made at construction and shared between
-matrices; the row lists it is built from are kept only as its ``rows`` view,
-which no kernel reads.  A write to ``rows`` would change no result, so
+polarization pairs of one seed, whose outputs hash to a pinned digest and
+whose signatures are read with no diagonalization.  A certificate check
+must run under ``python -O``, so the package holds no ``assert`` statement.
+A ``Mat`` stores one form, its integer form, made at construction and
+shared between matrices; the row lists it is built from are kept only as its
+``rows`` view, which no kernel reads.  A write to ``rows`` would change no result, so
 neither the package nor its tests write rows or the form, and inside ``Mat``
 only the ``rows`` property reads them.
 No package module but ``linalg`` names a ``Mat``'s private slots; the others
@@ -54,7 +54,7 @@ from random import Random
 import pytest
 
 import wittpoint
-from wittpoint import linalg, poly
+from wittpoint import forms, linalg, poly
 from wittpoint.cli import build_parser
 from wittpoint.forms import BilinearForm, Diagonalization
 from wittpoint.hodge import compare_polarizations, is_polarization, random_polarization_pair
@@ -166,9 +166,15 @@ def comparison_line(pair) -> str:
 
 def test_comparison_outputs_repeat_their_digest(monkeypatch, tmp_path):
     workloads = load_workloads(monkeypatch)
-    items = islice(workloads.WORKLOADS["polarization_pairs"].stream(41, tmp_path), 56)
+    items = list(islice(workloads.WORKLOADS["polarization_pairs"].stream(41, tmp_path), 56))
+    # no pairing here has a zero leading minor, so Jacobi's rule reads every
+    # signature and the diagonalization fallback never runs
+    runs = []
+    diagonalized = forms._diagonalized
+    monkeypatch.setattr(forms, "_diagonalized", lambda f: runs.append(f) or diagonalized(f))
     lines = [comparison_line(compare_polarizations(*item.data)) for item in items]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COMPARISON_DIGEST
+    assert runs == []
 
 
 def readme_commands(text: str) -> list[str]:
