@@ -367,25 +367,34 @@ def symplectic_reduce(f: BilinearForm) -> SymplecticReduction:
     return SymplecticReduction(hyperbolic_count=k, congruence=congruence)
 
 
+class BlockError(ValueError):
+    """A block that ``BlockMetabolicForm`` refuses; ``key`` names it: "s", "a" or "b"."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 class BlockMetabolicForm(Frozen):
     """Symmetric form written against a half-rank isotropic block:
 
         [[0, 0, I], [0, S, B], [I, B^T, A]]
 
-    with S symmetric nondegenerate, A symmetric, B of shape (m, k).
+    with S symmetric nondegenerate, A symmetric, B of shape (m, k).  A bad
+    block raises ``BlockError``, a ``ValueError`` that names it.
     """
 
     def __init__(self, s: BilinearForm, a: Mat, b: Mat):
         if not s.is_symmetric:
-            raise ValueError("core S must be a symmetric form over Q")
+            raise BlockError("s", "core S must be a symmetric form over Q")
         if not s.is_nondegenerate():
-            raise ValueError("core S must be nondegenerate")
+            raise BlockError("s", "core S must be nondegenerate")
         k = a.n
         m = s.gram.n
-        if a.m != k or a != a.T:
-            raise ValueError("block A must be symmetric k x k")
+        if not a.is_signed_transpose(a, SYMMETRIC):  # and so square
+            raise BlockError("a", "block A must be symmetric k x k")
         if b.m != m or b.n != k:
-            raise ValueError(f"block B must be {m} x {k}")
+            raise BlockError("b", f"block B must be {m} x {k}")
         self.__dict__.update(s=s, a=a, b=b)
 
     @property
@@ -410,7 +419,11 @@ def _block_gram(s: Mat, a: Mat, b: Mat) -> Mat:
 class MetabolicReduction(Frozen):
     """A block-metabolic form split as its core plus hyperbolic planes, by the
     elementary congruences E(alpha, p, q) = I + alpha e_p e_q^T listed in
-    ``transvections``, whose product is ``congruence``."""
+    ``transvections``, whose product is ``congruence``.
+
+    Every p lies in the isotropic block and every q after it, so the
+    congruence is C = [[I, X, Y], [0, I, 0], [0, 0, I]], and for the block
+    Gram G, C^T G C = [[0, 0, I], [0, S, B + X^T], [I, B^T + X, A + Y + Y^T]]."""
 
     def __init__(self, core: BilinearForm, hyperbolic_count: int, transvections: tuple, congruence: Mat):
         self.__dict__.update(core=core, hyperbolic_count=hyperbolic_count, transvections=transvections,
@@ -425,17 +438,26 @@ def metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
     every other entry as it was.  The moves are therefore read off B and A:
     (-B[j][l], l, k+j) in (j, l) order, then for each l (-A[l][l]/2, l, k+m+l)
     and (-A[l][i], l, k+m+i) for i > l.  The result is S plus ``k`` split
-    hyperbolic planes, certified by C^T G C for the congruence C returned.
+    hyperbolic planes.  By the block identity of ``MetabolicReduction``,
+    C^T G C is the cleared Gram exactly when C has its identity and zero
+    blocks, X = -B^T and Y + Y^T = -A; the certificate checks those on C's
+    integer columns, with no product and no Gram matrix built.
     """
-    form = block.assemble()
     k, m = block.isotropic_rank, block.s.gram.n
+    n = 2 * k + m
     d, b = block.b.integer_columns()  # b[l][j] = d * B[j][l]
     e, a = block.a.integer_columns()  # a[i][l] = e * A[l][i]
     moves = [(Fraction(-b[l][j], d), l, k + j) for j in range(m) for l in range(k) if b[l][j]]
     moves += [(Fraction(-a[i][l], 2 * e if i == l else e), l, k + m + i)
               for l in range(k) for i in range(l, k) if a[i][l]]
-    congruence = _congruence(form.gram.n, moves)
-    if congruence.T * form.gram * congruence != _block_gram(block.s.gram, Mat.zeros(k, k), Mat.zeros(m, k)):
+    congruence = _congruence(n, moves)
+    f, c = congruence.integer_columns()  # c[j][i] = f * C[i][j]
+    if not ((congruence.m, congruence.n) == (n, n)
+            and all(col[j] == f and not any(col[k if j >= k else 0:j]) and not any(col[j + 1:])
+                    for j, col in enumerate(c))
+            and all(d * c[k + j][l] == -f * b[l][j] for j in range(m) for l in range(k))
+            and all(e * (c[k + m + i][l] + c[k + m + l][i]) == -f * a[i][l]
+                    for l in range(k) for i in range(l, k))):
         raise CertificateError("metabolic reduction certificate failed: A and B are not cleared")
     return MetabolicReduction(core=block.s, hyperbolic_count=k, transvections=tuple(moves),
                               congruence=congruence)

@@ -21,7 +21,7 @@ from fractions import Fraction
 # import their types (cobordism, hodge, genus) when called, so reading a form
 # loads none of those modules; the annotations are strings.  Witt classes are
 # only written, so witt is not imported either.
-from .forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm, BlockMetabolicForm
+from .forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm, BlockError, BlockMetabolicForm
 from .linalg import Mat
 
 
@@ -187,11 +187,13 @@ def block_from_json(doc, pointer: str = "$") -> BlockMetabolicForm:
             s = BilinearForm(RATIONAL, SYMMETRIC, gram)
         except ValueError as exc:
             raise SchemaError(f"{pointer}.s", str(exc)) from exc
+    a, b = parse_matrix(doc["a"], f"{pointer}.a"), parse_matrix(doc["b"], f"{pointer}.b")
+    if b.m == 0 and s.gram.n == 0:  # [] is the only spelling of the 0 x k block
+        b = Mat.zeros(0, a.n)
     try:
-        return BlockMetabolicForm(s, parse_matrix(doc["a"], f"{pointer}.a"),
-                                  parse_matrix(doc["b"], f"{pointer}.b"))
-    except ValueError as exc:
-        raise SchemaError(pointer, str(exc)) from exc
+        return BlockMetabolicForm(s, a, b)
+    except BlockError as exc:
+        raise SchemaError(f"{pointer}.{exc.key}", str(exc)) from exc
 
 
 # -- witt classes --------------------------------------------------------

@@ -555,6 +555,23 @@ def test_metabolic_reduce_takes_no_determinant(monkeypatch):
     assert determinants[0] == 0
 
 
+def test_metabolic_reduce_forms_no_product_transpose_or_gram(monkeypatch):
+    # the certificate reads C's identity and zero blocks, X = -B^T and
+    # Y + Y^T = -A off C's integer columns: no product, transpose or block Gram
+    blocks = [BlockMetabolicForm(BilinearForm.from_diagonal([5, -2]), Mat.from_rows([[1]]),
+                                 Mat.from_rows([[2], [3]])),
+              BlockMetabolicForm(BilinearForm.from_diagonal([3]), Mat.from_rows([["1/2", 2], [2, "-3/5"]]),
+                                 Mat.from_rows([["1/3", -4]])),
+              BlockMetabolicForm(BilinearForm.from_diagonal([7]), Mat.zeros(0, 0), Mat.zeros(1, 0)),
+              BlockMetabolicForm(BilinearForm.from_diagonal([]), Mat.from_rows([[6]]), Mat.zeros(0, 1))]
+    transposes, get = [], Mat.T.fget
+    monkeypatch.setattr(Mat, "T", property(lambda a: transposes.append(a) or get(a)))
+    products = count(monkeypatch, Mat, "__mul__")
+    grams = count(monkeypatch, forms, "_block_gram")
+    assert [metabolic_reduce(b).hyperbolic_count for b in blocks] == [1, 2, 0, 1]
+    assert (products[0], transposes, grams[0]) == (0, [], 0)
+
+
 def test_symplectic_reduce_takes_no_determinant_and_linearly_many_products(monkeypatch):
     # per step, <u, rest> and <v, rest> (two products each) and the two
     # outer products of the update; then the certificate P^T G P

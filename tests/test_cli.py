@@ -289,6 +289,28 @@ def test_metabolic_reduce_points_at_a_bad_bare_gram(tmp_path, capsys):
         assert captured.out == "" and captured.err == f"input error: $.s: {message}\n"
 
 
+def test_metabolic_reduce_points_at_the_bad_block(tmp_path, capsys):
+    # each refusal of the block form points at its block
+    for doc, message in (({"s": [[1]], "a": [[1, 2], [3, 4]], "b": [[1, 1]]}, "$.a: block A must be symmetric k x k"),
+                         ({"s": [[1]], "a": [[1, 2]], "b": [[1, 1]]}, "$.a: block A must be symmetric k x k"),
+                         ({"s": [[1]], "a": [[1]], "b": [[1], [2]]}, "$.b: block B must be 1 x 1"),
+                         ({"s": [[1]], "a": [[1]], "b": []}, "$.b: block B must be 1 x 1"),
+                         ({"s": [[0]], "a": [[1]], "b": [[1]]}, "$.s: core S must be nondegenerate"),
+                         ({"s": form_doc([[0, 1], [-1, 0]], "skew"), "a": [[1]], "b": [[1], [1]]},
+                          "$.s: core S must be a symmetric form over Q")):
+        assert main(["metabolic-reduce", write(tmp_path, "block.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+
+def test_metabolic_reduce_reads_an_empty_core(tmp_path, capsys):
+    # with S of rank 0, "b": [] is the 0 x k block
+    assert main(["--json", "metabolic-reduce", write(tmp_path, "block.json", {"s": [], "a": [[1]], "b": []})]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"core": {"symmetry": "symmetric", "field": "Q", "gram": []}, "hyperbolic_count": 1,
+                   "transvections": [["-1/2", 0, 1]]}
+
+
 def test_hodge_check_rejects_non_integer_degrees(tmp_path, capsys):
     h, s = standard_structure(0, 2)
     spath = write(tmp_path, "s.json", form_to_json(s))

@@ -352,7 +352,6 @@ def test_forms_are_over_q_only():
 
 
 CORRUPTED_CERTIFICATES = """
-from fractions import Fraction
 from wittpoint import cobordism, forms, hodge
 from wittpoint.core import CertificateError
 from wittpoint.forms import (
@@ -382,18 +381,19 @@ forms._certify_congruence = lambda cols, gram, diag: certify_congruence(cols[:2]
 print(fired(lambda: diagonalize(BilinearForm.from_rows(gram))))
 forms._certify_congruence = certify_congruence
 
-block_gram = forms._block_gram
-def corrupted(s, a, b):  # the clearing target is the block with A = B = 0
-    gram = block_gram(s, a, b)
-    if a.is_zero() and b.is_zero():
-        return Mat(gram.m, gram.n, [[Fraction(1)] + gram.rows[0][1:]] + gram.rows[1:])
-    return gram
-forms._block_gram = corrupted
+# k = m = 1: the congruence is C = [[1, X, Y], [0, 1, 0], [0, 0, 1]] with X = -2, Y = -1/2
 block = BlockMetabolicForm(BilinearForm.from_diagonal([5]), Mat.from_rows([[1]]), Mat.from_rows([[2]]))
-print(fired(lambda: metabolic_reduce(block)))
-forms._block_gram = block_gram
-
 congruence = forms._congruence
+def corrupting(i, j):  # C with entry (i, j) raised by one
+    def corrupted(n, moves):
+        rows = [list(r) for r in congruence(n, moves).rows]
+        rows[i][j] += 1
+        return Mat(n, n, rows)
+    return corrupted
+for i, j in [(0, 1), (0, 2), (2, 0)]:  # X off by one; Y + Y^T != -A; a stray entry below row k
+    forms._congruence = corrupting(i, j)
+    print(fired(lambda: metabolic_reduce(block)))
+
 forms._congruence = lambda n, moves: congruence(n, moves[:-1])  # a congruence missing the last move
 print(fired(lambda: metabolic_reduce(block)))
 forms._congruence = congruence
@@ -462,6 +462,8 @@ def test_certificates_fire_under_python_O():
     assert out.stdout.splitlines() == [
         "diagonalization certificate failed: P^T G P is not the diagonal D",
         "diagonalization certificate failed: P^T G P is not the diagonal D",
+        "metabolic reduction certificate failed: A and B are not cleared",
+        "metabolic reduction certificate failed: A and B are not cleared",
         "metabolic reduction certificate failed: A and B are not cleared",
         "metabolic reduction certificate failed: A and B are not cleared",
         "Weil operator certificate failed: C^2 is not (-1)^w",

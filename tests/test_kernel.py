@@ -908,7 +908,7 @@ def pivot_loop_forms(draw):
 @st.composite
 def metabolic_blocks(draw):
     m = draw(st.integers(0, 3))
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
     core = Mat.diag([draw(nonzero_rationals) for _ in range(m)])
     if m and draw(st.booleans()):
         p = Mat(m, m, [[Fraction(draw(st.integers(-2, 2))) for _ in range(m)] for _ in range(m)])
