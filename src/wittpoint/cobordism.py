@@ -34,6 +34,7 @@ from .forms import (
     BilinearForm,
     BlockMetabolicForm,
     diagonalize,
+    pivots,
 )
 from .linalg import Mat, complement_in_kernel, extend_to_complement
 from .witt import WittClassQ, witt_class_of
@@ -364,8 +365,10 @@ def validate(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexRepo
 
     With ``diagonalize_h0``, for a caller that takes the class of the H^0
     form next, perfectness at degree 0 of a symmetric complex that passed
-    the first three checks is read off the certified diagonalization of its
-    H^0 form, which the form keeps, and not off a determinant.
+    the first three checks is read off the pivots of its H^0 form
+    (``forms.pivots``), which the form keeps for its class, and not off a
+    determinant: LDL^T pivots exist only for a nondegenerate form, and the
+    diagonalization they fall back to counts the radical.
     """
     cx = c.complex
     problems = cx.dd_failures()
@@ -376,8 +379,8 @@ def validate(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexRepo
     h0 = None
     if not problems:  # the involution holds, so the H^0 pairing is eps-symmetric
         h0 = BilinearForm(RATIONAL, c.epsilon, _induced_gram(c.s(0), coh.reps(0), coh.reps(0)))
-    diagonalized = diagonalize_h0 and h0 is not None and c.epsilon == SYMMETRIC
-    induced, imperfect = _perfectness(c, coh, dims, h0, diagonalized)
+    by_pivots = diagonalize_h0 and h0 is not None and c.epsilon == SYMMETRIC
+    induced, imperfect = _perfectness(c, coh, dims, h0, by_pivots)
     problems += imperfect
     return ComplexReport(ok=not problems, problems=problems, cohomology_dims=dims,
                          induced_pairings=induced, cohomology=coh, h0_form=None if problems else h0)
@@ -436,11 +439,11 @@ def _pairing_chain_map_problems(c: SelfDualComplex, mirrored: bool) -> list:
 
 
 def _perfectness(c: SelfDualComplex, coh: Cohomology, dims: dict[int, int],
-                 h0: BilinearForm | None, diagonalized: bool) -> tuple[dict[int, Mat], list]:
+                 h0: BilinearForm | None, by_pivots: bool) -> tuple[dict[int, Mat], list]:
     """The pairings induced on H^i x H^{-i}, i >= 0, and the problems of
     those that are not perfect.  The pairing on H^0 is the Gram matrix of
-    ``h0`` when that is given; with ``diagonalized``, it is perfect iff the
-    diagonalization of ``h0`` has no radical."""
+    ``h0`` when that is given; with ``by_pivots``, it is perfect iff the
+    pivots of ``h0`` leave no radical."""
     induced, problems = {}, []
     for i in sorted({abs(j) for j in dims} | ({0} if dims else set())):
         hi, hmi = coh.dim(i), coh.dim(-i)
@@ -454,8 +457,8 @@ def _perfectness(c: SelfDualComplex, coh: Cohomology, dims: dict[int, int],
             })
             continue
         gram = h0.gram if i == 0 and h0 is not None else _induced_gram(c.s(i), coh.reps(i), coh.reps(-i))
-        if i == 0 and diagonalized:
-            singular = diagonalize(h0).radical_dim > 0
+        if i == 0 and by_pivots:
+            singular = pivots(h0).radical_dim > 0
         else:
             singular = gram.n and not gram.det()
         induced[i] = gram
@@ -487,8 +490,8 @@ def ensure_valid(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> Complex
 
 def h0_form(c: SelfDualComplex) -> BilinearForm:
     """The induced form on H^0 (H^0 = 0 gives the empty form); perfectness
-    makes it nondegenerate.  A symmetric one comes diagonalized, as its
-    class reads that next."""
+    makes it nondegenerate.  A symmetric one comes with its pivots kept, as
+    its class reads them next."""
     return ensure_valid(c, diagonalize_h0=True).h0_form
 
 

@@ -5,8 +5,9 @@ This is the numeric substrate for every Witt invariant in the package.  All
 arithmetic is exact; nothing here ever touches a float.  Factoring has no
 setting: the primes below TRIAL_CUTOFF that divide n are read off one gcd of n
 with their product (Bernstein, "How to find smooth parts of integers", 2004)
-and divided out, then Miller-Rabin and Brent's rho run on what is left, each
-factorization checked by multiplying it back.  It runs on
+and divided out, each one's power by repeated squaring (``_int_split``),
+then Miller-Rabin and Brent's rho run on what is left, each factorization
+checked by multiplying it back.  It runs on
 the integer num*den of each diagonal entry, never on a product of entries: a
 square class carries the odd-exponent primes of its entry, products of classes
 combine those prime sets, and the callers that hold an entry's class read the
@@ -153,13 +154,17 @@ def _prime_factors(n: int) -> list[int]:
             break
         if g % p == 0:
             g //= p
-            while n % p == 0:
-                n //= p
-                out.append(p)
+            n //= p
+            out.append(p)
+            if not n % p:  # a higher power of p comes off by repeated squaring
+                e, n = _int_split(n, p)
+                out += [p] * e
     if g > 1:
-        while n % g == 0:
-            n //= g
-            out.append(g)
+        n //= g
+        out.append(g)
+        if not n % g:
+            e, n = _int_split(n, g)
+            out += [g] * e
     # no prime below TRIAL_CUTOFF divides what is left, so a cofactor below its square is prime
     cofactors = [n] if n > 1 else []
     while cofactors:
@@ -283,12 +288,17 @@ def square_class(a) -> SquareClass:
 
 
 def _int_split(n: int, p: int) -> tuple[int, int]:
-    """(valuation, unit) of the nonzero integer n = unit * p^valuation."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
+    """(valuation, unit) of the nonzero integer n = unit * p^valuation, p > 1.
+
+    By repeated squaring: where p divides n, the split at p^2 gives
+    n = p^(2w) m with p^2 not dividing m, and the valuation is 2w, or 2w + 1
+    where p divides m.  The tests go up through p, p^2, p^4, ... to the
+    first power that does not divide n, and each step back down divides at
+    most once, so p^e costs O(log e) divisions, not e."""
+    if n % p:
+        return 0, n
+    w, m = _int_split(n, p * p)
+    return (2 * w, m) if m % p else (2 * w + 1, m // p)
 
 
 def residue_mod(a, p: int) -> int:

@@ -1,6 +1,8 @@
 """Epsilon-symmetric bilinear forms over Q.
 
-Diagonalization (one certified integer pivot loop), the classical invariant
+Diagonalization (one certified integer pivot loop), the pivots a Witt class
+reads (the certified LDL^T pivots of one Bareiss pass where every leading
+minor is nonzero, else a diagonalization's entries), the classical invariant
 system (rank, signature, discriminant, Hasse symbols), radical splitting,
 symplectic reduction of skew forms, and the block-metabolic reduction that
 splits hyperbolic planes off a form written against a half-rank isotropic
@@ -23,7 +25,7 @@ from .core import (
     legendre,
     square_class,
 )
-from .linalg import Mat, extend_to_complement
+from .linalg import Mat, _fraction, extend_to_complement
 
 RATIONAL = "Q"
 
@@ -93,11 +95,13 @@ class BilinearForm(Frozen):
 HYPERBOLIC_PLANE = BilinearForm.from_rows([[0, 1], [1, 0]])
 
 
-class Diagonalization(Frozen):
-    """Congruence P with P^T G P = diag(entries, 0...0), radical trailing."""
+class Pivots(Frozen):
+    """Nonzero entries d and a radical dimension r such that a symmetric form
+    is congruent to diag(d, 0...0), with r zeros: the LDL^T pivots of its Gram
+    matrix (r = 0), or the entries of a diagonalization."""
 
-    def __init__(self, entries: tuple, radical_dim: int, congruence: Mat):
-        self.__dict__.update(entries=entries, radical_dim=radical_dim, congruence=congruence)
+    def __init__(self, entries: tuple, radical_dim: int):
+        self.__dict__.update(entries=entries, radical_dim=radical_dim)
 
     def __getstate__(self):
         return _fields_of(self)
@@ -121,6 +125,13 @@ class Diagonalization(Frozen):
         nums = [e.numerator for e in self.entries]
         pos = sum(1 for x in nums if x > 0)
         return pos, sum(1 for x in nums if x < 0)
+
+
+class Diagonalization(Pivots):
+    """Congruence P with P^T G P = diag(entries, 0...0), radical trailing."""
+
+    def __init__(self, entries: tuple, radical_dim: int, congruence: Mat):
+        self.__dict__.update(entries=entries, radical_dim=radical_dim, congruence=congruence)
 
 
 def diagonalize(f: BilinearForm) -> Diagonalization:
@@ -161,11 +172,10 @@ def _diagonalized(f: BilinearForm) -> Diagonalization:
     n = f.gram.n
     # scale * G, by its columns, which are its rows; the certificate reads it
     scale, gram = f.gram.integer_columns()
-    m = [list(c) for c in gram]
-    diag = [c[i] for i, c in enumerate(m)]
-    if all(diag) and all(c.count(0) == n - 1 for c in m):  # nonzero diagonal, zero elsewhere
-        entries = tuple(Fraction(d, scale) for d in diag)
+    if _is_diagonal(gram):
+        entries = tuple(_fraction(c[i], scale) for i, c in enumerate(gram))
         return Diagonalization(entries=entries, radical_dim=0, congruence=Mat.identity(n))
+    m = [list(c) for c in gram]
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
     # basis[i] is column i of the congruence B, an integer vector; at step k,
@@ -217,9 +227,46 @@ def _diagonalized(f: BilinearForm) -> Diagonalization:
     rank = k
     diag = [m[i][i] for i in range(rank)]
     _certify_congruence(basis, gram, diag)
-    entries = tuple(Fraction(d, scale) for d in diag)
+    entries = tuple(_fraction(d, scale) for d in diag)
     congruence = Mat(n, n, ints=[(1, [c[i] for c in basis]) for i in range(n)])
     return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
+
+
+def _is_diagonal(cols) -> bool:
+    """Whether the square matrix of integer columns ``cols`` has no zero on
+    its diagonal and zeros elsewhere."""
+    zeros = len(cols) - 1
+    return all(c[i] and c.count(0) == zeros for i, c in enumerate(cols))
+
+
+def pivots(f: BilinearForm) -> Pivots:
+    """Diagonal entries of a symmetric form, up to squares, for its Witt class
+    and invariants: what they read is the entries' signs and square classes.
+
+    Where every leading minor D_k of the Gram matrix is nonzero, the entries
+    are its LDL^T pivots D_k / D_(k-1), from one certified Bareiss pass
+    (``Mat.ldl_pivots``).  The congruence U^-1 that takes G to them is upper
+    triangular, so ``diagonalize``, which pivots in place on such a Gram
+    matrix, reaches each pivot times a nonzero square at the same position:
+    both give the same square classes and signature.  A Gram matrix with a
+    zero leading minor, and so every degenerate one, falls back to
+    ``diagonalize``, as does a diagonal one, which takes its no-loop path;
+    so does a form that already keeps its diagonalization.
+
+    The result is kept in the form's ``__dict__`` beside its fields, as
+    ``diagonalize`` keeps its own, and its square classes are kept on first
+    read; a call that raises keeps nothing.
+    """
+    memo = f.__dict__.get("_pivots")
+    if memo is None:
+        memo = f.__dict__.get("_diagonalization")
+        if memo is None:
+            entries = None  # so a skew form goes to diagonalize, which refuses it
+            if f.is_symmetric and not _is_diagonal(f.gram.integer_columns()[1]):
+                entries = f.gram.ldl_pivots()
+            memo = diagonalize(f) if entries is None else Pivots(entries=entries, radical_dim=0)
+        f.__dict__["_pivots"] = memo
+    return memo
 
 
 def _certify_congruence(cols, gram, diag) -> None:
@@ -278,13 +325,13 @@ def invariants(f: BilinearForm) -> FormInvariants:
     symmetric form over Q."""
     if not f.is_symmetric:
         raise ValueError("invariants require a symmetric form")
-    diag = diagonalize(f)
-    if diag.radical_dim:
+    piv = pivots(f)
+    if piv.radical_dim:
         raise ValueError("split off radical first")
-    classes = diag.classes
+    classes = piv.classes
     return FormInvariants(
-        rank=diag.rank,
-        signature=diag.signature(),
+        rank=piv.rank,
+        signature=piv.signature(),
         discriminant=prod(classes, start=_ONE),
         hasse=_hasse_symbols(classes, _places_of(classes)),
     )
@@ -465,9 +512,19 @@ def metabolic_reduce(block: BlockMetabolicForm) -> MetabolicReduction:
 
 def _congruence(n: int, moves: list) -> Mat:
     """I plus the sum of the alpha e_p e_q^T: the product of the moves
-    E(alpha, p, q), as no q is any move's p."""
-    scale = lcm(*[alpha.denominator for alpha, _, _ in moves])
-    rows = [[scale * (i == j) for j in range(n)] for i in range(n)]
+    E(alpha, p, q), as no q is any move's p.  The row of each move's p is
+    e_p plus its moves' alphas, over the lcm d of their denominators, which is
+    its lowest terms: a prime of d divides some alpha's denominator to the
+    power it has in d, and so not that alpha's numerator times d over its
+    denominator.  Every other row is e_p over 1."""
+    dens = [1] * n
+    for alpha, p, _ in moves:
+        dens[p] = lcm(dens[p], alpha.denominator)
+    ints = []
+    for i, d in enumerate(dens):
+        row = [0] * n
+        row[i] = d
+        ints.append((d, row))
     for alpha, p, q in moves:
-        rows[p][q] += alpha.numerator * (scale // alpha.denominator)
-    return Mat(n, n, ints=[(1, r) for r in rows]).scale(Fraction(1, scale))
+        ints[p][1][q] += alpha.numerator * (dens[p] // alpha.denominator)
+    return Mat(n, n, ints=ints)

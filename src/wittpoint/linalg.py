@@ -11,10 +11,11 @@ left one, so a product with I or a sparse factor costs little.
 ``rows`` is a view of the entries as ``Fraction`` rows, made from the
 integer form when first read and then kept.  Writing to it changes no
 result.  ``rref`` runs Gauss-Jordan by cross-multiplication, dividing each
-changed row by its content; ``det``, ``first_nonpositive_minor`` and
-``jacobi_signature`` run Bareiss's fraction-free elimination (Bareiss 1968;
-Cohen, *A Course in Computational Algebraic Number Theory*, 2.2), the
-latter two reading each leading minor's sign off its integer value.  The
+changed row by its content; ``det``, ``first_nonpositive_minor``,
+``jacobi_signature`` and ``ldl_pivots`` run Bareiss's fraction-free
+elimination (Bareiss 1968; Cohen, *A Course in Computational Algebraic
+Number Theory*, 2.2), the middle two reading each leading minor's sign off
+its integer value, and the last the certified LDL^T pivots off its rows.  The
 reduced row echelon form is unique, so each returns what elimination over Q
 returns.  Shapes are explicit, as zero-row and zero-column matrices occur
 constantly.  Integer forms are never written, so matrices may share their
@@ -328,6 +329,33 @@ class Mat:
             prev = d
         return self.n - neg, neg
 
+    def ldl_pivots(self) -> tuple[Fraction, ...] | None:
+        """The pivots D_k / D_(k-1) of the LDL^T factorization of a symmetric
+        matrix G whose leading principal minors D_k are all nonzero (D_0 = 1),
+        or None at the first zero minor.
+
+        They come off one Bareiss pass on sG, the integer Gram of
+        ``integer_columns``, whose leading minors are s^k D_k: its rows after
+        the pass, cut to their upper triangles, are the rows of U, and
+        sG = U^T diag(1 / (b_(k-1) b_k)) U for b_k = U[k-1][k-1], the k-th
+        leading minor of sG (Bareiss 1968; Zhou and Jeffrey, "Fraction-free
+        matrix factors", *Front. Comput. Sci. China* 2, 2008).  That identity
+        is certified exactly (``_certify_ldl``), so G is congruent, by a unit
+        upper triangular matrix, to diag(b_k / (s b_(k-1))), the pivots.
+        """
+        if self.m != self.n:
+            raise ValueError("LDL^T pivots of a non-square matrix")
+        s, cols = self.integer_columns()
+        if list(zip(*cols)) != cols:
+            raise ValueError("LDL^T pivots of a non-symmetric matrix")
+        u = [list(c) for c in cols]  # the rows of sG, as it is symmetric
+        for d in _bareiss(u):
+            if not d:
+                return None  # no row exchanged yet: the leading minor is zero
+        _certify_ldl(u, cols)
+        minors = [1] + [u[k][k] for k in range(self.n)]
+        return tuple(Fraction(b, s * a) for a, b in zip(minors, minors[1:]))
+
     def _leading_minor_values(self):
         """The Bareiss values of the integer rows, one per step: while no row
         has been exchanged, that is before the first zero, value k is the
@@ -498,6 +526,27 @@ def _integer_gauss_jordan(a: list[list[int]], n: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _certify_ldl(u: list[list[int]], cols: list) -> None:
+    """Raise ``CertificateError`` unless sG = U^T diag(1 / (b_k b_(k+1))) U
+    exactly, for U the upper triangle of the Bareiss rows ``u``,
+    b_(k+1) = u[k][k] and b_0 = 1, and sG the symmetric integer matrix of
+    columns ``cols``.  Entry (i, j) of the right side, i <= j, is the sum over
+    k <= i of U_ki U_kj / (b_k b_(k+1)); times P_i = b_1 ... b_(i+1) each term
+    is an integer, the product of U_ki U_kj and the b_l, l <= i + 1, other
+    than b_k and b_(k+1).  As sG is symmetric, the entries i <= j are the
+    whole check."""
+    prefix = [1, 1]  # prefix[l + 1] = b_0 b_1 ... b_l
+    for k, row in enumerate(u):
+        prefix.append(prefix[-1] * row[k])
+    upper = [[row[j] for row in u[:j + 1]] for j in range(len(u))]  # column j of U, rows 0 .. j
+    for i, col in enumerate(cols):
+        p = prefix[i + 2]
+        weights = [x * prefix[k] * (p // prefix[k + 2]) for k, x in enumerate(upper[i])]
+        for j in range(i, len(u)):
+            if sum(map(mul, weights, upper[j])) != p * col[j]:  # the rows k <= i of column j
+                raise CertificateError("LDL^T certificate failed: sG is not U^T diag(1 / (b_(k-1) b_k)) U")
 
 
 def _bareiss(a: list[list[int]]):

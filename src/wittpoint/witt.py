@@ -1,8 +1,10 @@
 """Witt classes over Q and F_p in canonical form.
 
 A class over Q is stored as (signature, second residues), read in one pass
-over the diagonal entries' square classes: at each prime p of a class, the
-unit k // p of its squarefree kernel k goes to W(F_p).  No entry is divided
+over the square classes of a form's pivots (``forms.pivots``: its LDL^T
+pivots, or a diagonalization's entries where a leading minor is zero): at
+each prime p of a class, the unit k // p of its squarefree kernel k goes to
+W(F_p).  No entry is divided
 again at its primes; ``psi``, which takes any prime, splits the entries.
 Together these are a complete invariant (Milnor's residue exact sequence);
 the structured F_p payloads follow the classical group tables
@@ -37,6 +39,7 @@ from .forms import (
     _ONE,
     _hasse_symbols,
     diagonalize,
+    pivots,
     symplectic_reduce,
 )
 
@@ -240,10 +243,10 @@ def witt_class_of(f: BilinearForm) -> WittClassQ:
 
 
 def _classed_entries(f: BilinearForm) -> tuple[tuple[Fraction, ...], tuple[SquareClass, ...]]:
-    """The diagonal entries of f, radical left out, and their square classes,
-    both kept with f's diagonalization."""
-    diag = diagonalize(f)
-    return diag.entries, diag.classes
+    """The pivots of f, radical left out, and their square classes, both
+    kept with f (``forms.pivots``)."""
+    piv = pivots(f)
+    return piv.entries, piv.classes
 
 
 def _signature(entries) -> int:
@@ -302,10 +305,10 @@ def equivalent(f: BilinearForm, g: BilinearForm) -> bool:
 
     Runs both the residue-based canonical comparison and the Hasse-based
     stabilized comparison; disagreement would be an internal error.  The
-    two oracles share one diagonalization per form and one square class per
-    diagonal entry, which the form keeps, so each entry is factored and
-    classed once per form object, over all calls; each oracle computes its
-    own symbols.
+    two oracles share one set of pivots per form (``forms.pivots``) and one
+    square class per pivot, which the form keeps, so each pivot is factored
+    and classed once per form object, over all calls; each oracle computes
+    its own symbols.
     """
     ef, cf = _classed_entries(f)
     eg, cg = _classed_entries(g)

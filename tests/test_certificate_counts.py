@@ -123,6 +123,9 @@ def test_equivalent_diagonalizes_each_form_once(monkeypatch):
 
 
 def test_equivalent_factors_only_the_entries(monkeypatch):
+    # the entries are the forms' pivots: the diagonal of a diagonal Gram,
+    # and the LDL^T pivots D_k / D_(k-1) of h, whose leading minors are 3, 8
+    # and 20; h's diagonalization entries, (3, 24, 40), were factored before
     factored = []
     factor = core.factor
 
@@ -133,8 +136,10 @@ def test_equivalent_factors_only_the_entries(monkeypatch):
     monkeypatch.setattr(core, "factor", recorded)
     f = BilinearForm.from_diagonal([3 * 1009, -5 * 1013, Fraction(7, 2)])
     g = BilinearForm.from_diagonal([Fraction(5 * 1013 * 4, 9), -7 * 8, 3 * 1009 * 25, 11, -11])
-    assert not equivalent(f, g)
-    entries = [e for form in (f, g) for e in diagonalize(form).entries]
+    h = BilinearForm.from_rows([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+    assert not equivalent(f, g) and not equivalent(f, h)
+    entries = [e for form in (f, g, h) for e in forms.pivots(form).entries]
+    assert forms.pivots(h).entries == (3, Fraction(8, 3), Fraction(5, 2)) and 40 not in factored
     singles = {abs(e.numerator * e.denominator) for e in entries}
     products = {a * b for a in singles for b in singles} - singles
     assert factored and set(factored) <= singles | {1}
@@ -233,20 +238,43 @@ def test_equivalent_classes_each_entry_once_and_reads_it_at_its_own_primes(monke
 
 
 def test_a_form_is_diagonalized_and_classed_once_across_calls(monkeypatch):
-    # invariants and witt_class_of, after equivalent, read the diagonalization
-    # and square classes that f keeps; an equal form is another object
+    # invariants and witt_class_of, after equivalent, read the pivots and
+    # square classes that f keeps; an equal form is another object.  f's
+    # leading minors are nonzero, so its pivots come off one certified
+    # Bareiss pass; g = f + H has a zero one and is diagonalized.  When both
+    # were diagonalized the certificates counted 2, 2 and 3 diagonalizations.
     f = BilinearForm.from_rows([[2, 1, 0], [1, 3, 5], [0, 5, Fraction(7, 2)]])
     g = f.direct_sum(HYPERBOLIC_PLANE)
+    ldl = count(monkeypatch, linalg, "_certify_ldl")
     certificates = count(monkeypatch, forms, "_certify_congruence")
     classes = count(monkeypatch, core, "square_class")
     assert equivalent(f, g)
-    ranks = len(diagonalize(f).entries) + len(diagonalize(g).entries)
-    assert (certificates[0], classes[0]) == (2, ranks) == (2, 8)
+    ranks = len(forms.pivots(f).entries) + len(forms.pivots(g).entries)
+    assert (ldl[0], certificates[0], classes[0]) == (1, 1, ranks) == (1, 1, 8)
     inv, cls = invariants(f), witt_class_of(f)
-    assert (certificates[0], classes[0]) == (2, ranks)
+    assert (ldl[0], certificates[0], classes[0]) == (1, 1, ranks)
     twin = BilinearForm(f.field, f.symmetry, f.gram)
     assert twin == f and (invariants(twin), witt_class_of(twin)) == (inv, cls)
-    assert (certificates[0], classes[0]) == (3, ranks + 3)
+    assert (ldl[0], certificates[0], classes[0]) == (2, 1, ranks + 3)
+
+
+def test_pivots_take_no_diagonalization_where_every_leading_minor_is_nonzero(monkeypatch):
+    # a zero leading minor, a degenerate form and a diagonal Gram go to
+    # diagonalize, which keeps its result, and pivots then reads that
+    runs = count(monkeypatch, forms, "_diagonalized")
+    ldl = count(monkeypatch, Mat, "ldl_pivots")
+    cases = [([[2, 1], [1, 3]], 0, 1, forms.Pivots), ([[0, 1], [1, 0]], 1, 1, forms.Diagonalization),
+             ([[1, 2], [2, 4]], 1, 1, forms.Diagonalization), ([[2, 0], [0, -3]], 1, 0, forms.Diagonalization)]
+    for rows, diagonalized, eliminated, kind in cases:
+        runs[0] = ldl[0] = 0
+        f = BilinearForm.from_rows(rows)
+        piv = forms.pivots(f)
+        assert (runs[0], ldl[0], type(piv)) == (diagonalized, eliminated, kind), rows
+        assert forms.pivots(f) is piv and (runs[0], ldl[0]) == (diagonalized, eliminated)
+    kept = BilinearForm.from_rows([[2, 1], [1, 3]])
+    diag = diagonalize(kept)
+    runs[0] = ldl[0] = 0
+    assert forms.pivots(kept) is diag and (runs[0], ldl[0]) == (0, 0)
 
 
 def test_a_diagonalization_or_square_class_that_raises_keeps_nothing(monkeypatch):
@@ -482,18 +510,25 @@ def test_validate_of_a_valid_complex_takes_no_transpose(monkeypatch):
 
 
 def test_cobordism_class_diagonalizes_its_h0_form_once_and_takes_no_determinant(monkeypatch):
-    # perfectness at degree 0 is read off the H^0 form's certified
-    # diagonalization, which witt_class_of reads again from the form
+    # perfectness at degree 0 is read off the H^0 form's pivots, which
+    # witt_class_of reads again from the form: a diagonal H^0 Gram is
+    # diagonalized once, with no pivot loop, and one whose leading minors are
+    # all nonzero takes its LDL^T pivots and no diagonalization (it took one)
     ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
     expected = witt_class_of(BilinearForm.from_diagonal([-2, 3]))
     diagonalizations = count(monkeypatch, forms, "_diagonalized")
+    ldl = count(monkeypatch, Mat, "ldl_pivots")
     determinants = count(monkeypatch, Mat, "det")
     assert cobordism_class(ext) == expected
-    assert (diagonalizations[0], determinants[0]) == (1, 0)  # det of the H^0 pairing made (1, 1)
+    assert (diagonalizations[0], ldl[0], determinants[0]) == (1, 0, 0)  # det of the H^0 pairing made (1, 1)
+    core_form = BilinearForm.from_rows([[2, 1], [1, 3]])
+    mixed = acyclic_extension(core_form, Random(2), 2)
+    assert cobordism_class(mixed) == witt_class_of(core_form)
+    assert (diagonalizations[0], ldl[0], determinants[0]) == (1, 2, 0)  # one for H^0, one for core_form
     # a skew H^0 form is not diagonalized: its perfectness keeps its determinant
     skew = acyclic_extension(BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=SKEW), Random(5), 1)
     assert cobordism_class(skew).is_zero()
-    assert (diagonalizations[0], determinants[0]) == (1, 1)
+    assert (diagonalizations[0], ldl[0], determinants[0]) == (1, 2, 1)
 
 
 def test_verify_witness_keeps_its_determinants(monkeypatch):

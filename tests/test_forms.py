@@ -352,7 +352,7 @@ def test_forms_are_over_q_only():
 
 
 CORRUPTED_CERTIFICATES = """
-from wittpoint import cobordism, forms, hodge
+from wittpoint import cobordism, forms, hodge, linalg
 from wittpoint.core import CertificateError
 from wittpoint.forms import (
     BilinearForm, BlockMetabolicForm, diagonalize, metabolic_reduce, symplectic_reduce,
@@ -380,6 +380,16 @@ print(fired(lambda: diagonalize(BilinearForm.from_rows(gram))))
 forms._certify_congruence = lambda cols, gram, diag: certify_congruence(cols[:2] + [[0, 2, 3]], gram, diag)
 print(fired(lambda: diagonalize(BilinearForm.from_rows(gram))))
 forms._certify_congruence = certify_congruence
+
+# the LDL^T pivots of that Gram, whose leading minors are 1, 1 and -1
+certify_ldl = linalg._certify_ldl
+def corrupted(u, cols):  # a wrong U: entry (0, 2), above the diagonal, gains 1
+    u = [list(r) for r in u]
+    u[0][2] += 1
+    certify_ldl(u, cols)
+linalg._certify_ldl = corrupted
+print(fired(lambda: Mat.from_rows(gram).ldl_pivots()))
+linalg._certify_ldl = certify_ldl
 
 # k = m = 1: the congruence is C = [[1, X, Y], [0, 1, 0], [0, 0, 1]] with X = -2, Y = -1/2
 block = BlockMetabolicForm(BilinearForm.from_diagonal([5]), Mat.from_rows([[1]]), Mat.from_rows([[2]]))
@@ -462,6 +472,7 @@ def test_certificates_fire_under_python_O():
     assert out.stdout.splitlines() == [
         "diagonalization certificate failed: P^T G P is not the diagonal D",
         "diagonalization certificate failed: P^T G P is not the diagonal D",
+        "LDL^T certificate failed: sG is not U^T diag(1 / (b_(k-1) b_k)) U",
         "metabolic reduction certificate failed: A and B are not cleared",
         "metabolic reduction certificate failed: A and B are not cleared",
         "metabolic reduction certificate failed: A and B are not cleared",

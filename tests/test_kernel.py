@@ -21,9 +21,10 @@ per place on squarefree kernels replaced, the residue loop of ``psi`` over
 that splitting, which the residues read off the kernels replaced, and the
 residue test per unit that the one Legendre symbol of ``_fp_class`` replaced;
 the ``Fraction`` splitting is also the reference for the integer one,
-``core._int_split``.  Square classes are checked against a fresh
-factorization of their representative, and ``factor`` against plain trial
-division.
+``core._int_split``, and so is the loop that divided one power at a time,
+which its repeated squaring replaced.  Square classes are checked against a
+fresh factorization of their representative, and ``factor`` against plain
+trial division.
 
 The spectral certificate of ``compare_polarizations`` runs on integers; its
 references are the ``Fraction`` loops it replaced: Faddeev-LeVerrier over
@@ -35,17 +36,21 @@ the rational front ends of the integer gcd, squarefree part and value at a
 matrix, live here too.  The certificate's g = gcd(p, p') is also checked
 against the route that read it back through ``int_poly`` and divided every
 term by it, and the first nonpositive leading minor against the field-loop
-determinants of the leading blocks.  ``identity`` and ``hstack`` build the
-integer forms they built entry by entry and over the lcm of every row pair.
+determinants of the leading blocks, and the LDL^T pivots against their
+ratios and the pivot loop's square classes.  ``identity`` and ``hstack``
+build the integer forms they built entry by entry and over the lcm of every
+row pair.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from random import Random
 
+import time
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wittpoint import poly
 from wittpoint.core import (
@@ -74,11 +79,13 @@ from wittpoint.forms import (
     BlockMetabolicForm,
     Diagonalization,
     MetabolicReduction,
+    Pivots,
     SymplecticReduction,
     _hasse_symbols,
     diagonalize,
     invariants,
     metabolic_reduce,
+    pivots,
     radical_split,
     standard_symplectic_gram,
     symplectic_reduce,
@@ -1192,6 +1199,53 @@ def test_schur_step_matches_the_pivot_loop(f):
     assert repr(diagonalize(f)) == repr(ref_pivot_loop(f))
 
 
+@st.composite
+def ldl_cases(draw):
+    """A symmetric rational matrix of order 0 to 6 and its LDL^T pivots, or
+    None where a leading minor is zero.  Half the draws are L diag(d) L^T for
+    L unit lower triangular, whose pivots are d: a zero in d makes the leading
+    minor at its place the first zero one.  The others have rational entries,
+    and some are degenerate, Q^T G Q for a Q with fewer rows than columns;
+    their pivots are ratios of the field-loop leading minors."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        d = [draw(rationals) for _ in range(n)]
+        lower = Mat(n, n, [[Fraction(1) if i == j else draw(rationals) if j < i else Fraction(0)
+                            for j in range(n)] for i in range(n)])
+        return lower * Mat.diag(d) * lower.T, None if 0 in d else tuple(d)
+    upper = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    gram = Mat(n, n, [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    if n and draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        q = Mat(r, n, [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(r)])
+        gram = q.T * gram.submatrix(range(r), range(r)) * q
+    minors = ref_leading_minors(gram)
+    if 0 in minors:
+        return gram, None
+    return gram, tuple(b / a for a, b in zip([Fraction(1)] + minors, minors))
+
+
+@EXAMPLES
+@given(case=ldl_cases())
+@example(case=(Mat.zeros(0, 0), ()))
+@example(case=(Mat.from_rows([[Fraction(-3, 2)]]), (Fraction(-3, 2),)))
+@example(case=(Mat.zeros(1, 1), None))
+@example(case=(Mat.from_rows([[0, 1], [1, 0]]), None))
+def test_ldl_pivots_give_the_diagonalization_classes(case):
+    # position by position, each pivot has the square class of the entry the
+    # pivot loop makes there, so the signature and the rank agree too
+    gram, expected = case
+    got = gram.ldl_pivots()
+    assert got == expected and (got is None or all(type(e) is Fraction for e in got))
+    diag = diagonalize(BilinearForm(RATIONAL, 1, gram))
+    if got is not None:
+        assert (diag.radical_dim, diag.rank) == (0, len(got))
+        assert tuple(map(square_class, got)) == diag.classes
+        assert Pivots(got, 0).signature() == diag.signature()
+    kept = pivots(BilinearForm(RATIONAL, 1, gram))  # a fresh form, with no diagonalization kept
+    assert (kept.classes, kept.signature(), kept.radical_dim) == (diag.classes, diag.signature(), diag.radical_dim)
+
+
 @EXAMPLES
 @given(block=metabolic_blocks())
 def test_metabolic_reduction_matches_the_full_products(block):
@@ -1641,6 +1695,39 @@ def test_factor_matches_trial_division_up_to_10_12():
         assert got == ref_factor(n), n
         assert list(got) == sorted(got)
         assert factor(-n) == got
+
+
+def one_power_at_a_time(n: int, p: int) -> tuple[int, int]:
+    """(valuation, unit) of n at p by dividing by p while it divides, the
+    loop ``_int_split`` replaced."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+@EXAMPLES
+@given(unit=st.integers(1, 10**4), sign=st.sampled_from((1, -1)),
+       powers=st.dictionaries(st.sampled_from((2, 3, 5, 7, 991, 997)), st.integers(1, 300), max_size=3))
+def test_valuations_by_repeated_squaring_match_one_power_at_a_time(unit, sign, powers):
+    n = sign * unit * prod(p**e for p, e in powers.items())
+    expected = ref_factor(unit)
+    for p, e in powers.items():
+        expected[p] = expected.get(p, 0) + e
+    for p in expected:
+        assert _int_split(n, p) == one_power_at_a_time(n, p), p
+    assert factor(n) == dict(sorted(expected.items()))
+
+
+def test_a_prime_power_takes_logarithmically_many_divisions():
+    # 2^14000 has 4,215 digits, under the int-string limit; one division per
+    # power took 0.049 s on it, and 3.5 s on the split of 3^100000 at 3
+    assert factor(2**14000) == {2: 14000}
+    assert factor(-3 * 2**14000 * 997**50) == {2: 14000, 3: 1, 997: 50}
+    start = time.process_time()
+    assert _int_split(2 * 3**100000, 3) == (100000, 2)
+    assert time.process_time() - start < 1
 
 
 # -- the spectral certificate --------------------------------------------

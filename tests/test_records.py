@@ -26,6 +26,7 @@ FIELDS = {
     "core.SquareClass": "representative _primes",
     "core.SturmCertificate": "positive_roots real_roots distinct_roots all_real squarefree squarefree_part",
     "forms.BilinearForm": "field symmetry gram",
+    "forms.Pivots": "entries radical_dim",
     "forms.Diagonalization": "entries radical_dim congruence",
     "forms.FormInvariants": "rank signature discriminant hasse",
     "forms.RadicalSplit": "nondegenerate radical_dim basis",
@@ -61,8 +62,8 @@ FIELDS = {
     "genus.DriverReport": "double_point cone_surfaces",
     "selfcheck.SuiteResult": "name trials passed failures",
 }
-FROZEN = {"core.SquareClass", "core.SturmCertificate", "forms.BilinearForm", "forms.Diagonalization",
-          "forms.FormInvariants", "forms.RadicalSplit", "forms.SymplecticReduction",
+FROZEN = {"core.SquareClass", "core.SturmCertificate", "forms.BilinearForm", "forms.Pivots",
+          "forms.Diagonalization", "forms.FormInvariants", "forms.RadicalSplit", "forms.SymplecticReduction",
           "forms.BlockMetabolicForm", "forms.MetabolicReduction", "witt.WittClassFp", "witt.WittClassQ",
           "hodge._Summand", "hodge._Frame", "genus.HodgeDiamond", "genus.ChiSpecializations",
           "genus.PrimitivePiece"}
@@ -156,6 +157,8 @@ def sample_records() -> dict:
                 made.append(cobordism.validate(link.obj))
         made += [forms.diagonalize(chain.core), forms.invariants(chain.core), witt.witt_class_of(chain.core)]
     made.append(witt.witt_class_of(forms.BilinearForm.from_diagonal([-5, 3, 13, 2])))
+    # LDL^T pivots, of Gram matrices whose leading minors are all nonzero
+    made += [forms.pivots(forms.BilinearForm.from_rows(rows)) for rows in ([[2, 1], [1, 3]], [[-1, 2], [2, 0]])]
     made.append(forms.radical_split(forms.BilinearForm.from_rows([[1, 0], [0, 0]])))
     made.append(forms.symplectic_reduce(forms.BilinearForm.from_rows([[0, 1], [-1, 0]], forms.SKEW)))
     made.append(cobordism.orthogonal_split(forms.BilinearForm.from_diagonal([1, 1]),
@@ -191,7 +194,7 @@ def samples():
 def test_every_record_class_is_pinned(samples):
     classes = record_classes()
     assert sorted(map(name_of, classes)) == sorted(FIELDS)
-    assert len(classes) == 35
+    assert len(classes) == 36
     for cls in classes:
         assert (name_of(cls) in FROZEN) == issubclass(cls, Frozen), name_of(cls)
         assert list(inspect.signature(cls).parameters) == init_fields(cls), name_of(cls)
@@ -272,3 +275,20 @@ def test_a_kept_diagonalization_is_never_pickled():
     copy = pickle.loads(pickle.dumps(f))
     assert copy == f and "_diagonalization" not in vars(copy)
     assert forms.diagonalize(copy) == diag
+
+
+def test_kept_pivots_are_never_pickled():
+    # pivots keeps its result in the form's __dict__ too, and the result its
+    # square classes; the form's leading minors are nonzero, so they are LDL^T pivots
+    def fresh():
+        return forms.BilinearForm.from_rows([[2, 1, 0], [1, 3, 5], [0, 5, Fraction(7, 2)]])
+
+    f = fresh()
+    piv = forms.pivots(f)
+    assert type(piv) is forms.Pivots and piv.classes
+    assert {"_pivots"} < set(vars(f)) and {"_classes"} < set(vars(piv)) and "_diagonalization" not in vars(f)
+    assert pickle.dumps(f) == pickle.dumps(fresh())
+    assert pickle.dumps(piv) == pickle.dumps(forms.pivots(fresh()))
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and "_pivots" not in vars(copy)
+    assert forms.pivots(copy) == piv

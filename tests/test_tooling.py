@@ -56,7 +56,7 @@ import pytest
 import wittpoint
 from wittpoint import forms, linalg, poly
 from wittpoint.cli import build_parser
-from wittpoint.forms import BilinearForm, Diagonalization
+from wittpoint.forms import BilinearForm, Pivots
 from wittpoint.hodge import compare_polarizations, is_polarization, random_polarization_pair
 from wittpoint.linalg import Mat
 from test_kernel import GaussianRational
@@ -102,14 +102,15 @@ def load_workloads(monkeypatch):
     return module
 
 
-MEMOS = (b"_diagonalization", b"_classes")  # the keys diagonalize keeps beside the fields
+MEMOS = (b"_diagonalization", b"_pivots", b"_classes")  # the keys diagonalize and pivots keep beside the fields
 
 
 class WholeDictPickler(pickle.Pickler):
-    """Pickles each form and diagonalization with its whole ``__dict__``."""
+    """Pickles each form and each pivots record, a diagonalization too, with
+    its whole ``__dict__``."""
 
     def reducer_override(self, obj):
-        if isinstance(obj, (BilinearForm, Diagonalization)):
+        if isinstance(obj, (BilinearForm, Pivots)):
             return copyreg.__newobj__, (type(obj),), dict(vars(obj))
         return NotImplemented
 
@@ -143,13 +144,30 @@ CHAIN_STREAM_DIGESTS = {
 }
 
 
+# runs of the diagonalization pivot loop in making those items, and in running
+# pickled copies of them, as the timed passes do; the runs read 180 and 180
+# when every Witt class took a diagonalization
+CHAIN_STREAM_DIAGONALIZATIONS = {20260810: (237, 65), 1: (255, 70)}
+
+
 def test_chain_stream_repeats_its_digest(monkeypatch, tmp_path):
     # the generators' stream, hashed by value: repr reads the fields alone, so
-    # what a form or a matrix keeps beside them does not enter
+    # what a form or a matrix keeps beside them does not enter.  Set-up's
+    # height check diagonalizes; a Witt class takes LDL^T pivots where every
+    # leading minor is nonzero, so only the others are diagonalized
     workloads = load_workloads(monkeypatch)
+    runs = []
+    diagonalized = forms._diagonalized
+    monkeypatch.setattr(forms, "_diagonalized", lambda f: runs.append(f) or diagonalized(f))
     for seed, digest in CHAIN_STREAM_DIGESTS.items():
-        items = islice(workloads.WORKLOADS["witness_chains"].stream(seed, tmp_path), 60)
+        runs.clear()
+        items = list(islice(workloads.WORKLOADS["witness_chains"].stream(seed, tmp_path), 60))
         assert hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest() == digest, seed
+        made = len(runs)
+        runs.clear()
+        for item in items:
+            assert workloads.WORKLOADS["witness_chains"].run(pickle.loads(pickle.dumps(item))) is None
+        assert (made, len(runs)) == CHAIN_STREAM_DIAGONALIZATIONS[seed], seed
 
 
 # SHA-256 of the comparisons of the first 56 seed-41 polarization_pairs items, one a line
