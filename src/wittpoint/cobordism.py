@@ -60,22 +60,6 @@ class ChainComplex(Record):
     def degrees(self) -> list[int]:
         return sorted(self.spaces)
 
-    def dd_failures(self) -> list[dict]:
-        problems = []
-        for i in self.degrees():
-            if i not in self.differentials or i + 1 not in self.differentials:
-                continue  # a zero differential: d d = 0 here
-            comp = self.d(i + 1) * self.d(i)
-            if not comp.is_zero():
-                j, image = next((j, col) for j, col in enumerate(comp.T.rows) if any(col))
-                problems.append({
-                    "check": "d_squared",
-                    "degree": i,
-                    "witness_basis_vector": j,
-                    "image": [str(x) for x in image],
-                })
-        return problems
-
     @staticmethod
     def single(dim: int) -> "ChainComplex":
         return ChainComplex({0: dim}, {})
@@ -89,30 +73,44 @@ class ChainComplex(Record):
 
 
 class Cohomology:
-    """Cocycle representatives and coordinates for one complex.
+    """Cocycle representatives, coordinates and the d d = 0 test of a complex.
 
     Representatives are deterministic: kernel basis columns greedily
     extending the boundary basis, scanned left to right.  Each stored
     differential d(i) is eliminated once, for its kernel at degree i and its
-    image at degree i + 1; an absent one is zero.
+    image at degree i + 1; an absent one is zero.  Where d(i) and d(i - 1)
+    are stored, d(i) B is formed once, for the boundary basis B, the pivot
+    columns of d(i - 1), whose other columns are combinations of earlier
+    pivot columns: d(i) d(i - 1) = 0 iff d(i) B = 0 (``dd_failures``).
 
-    Where the boundaries B are cocycles (no d(i), or d(i) B = 0), the scan
-    reads B's coordinates in the kernel basis K off B's rows at the free
-    columns of d(i), as K is the standard rref basis, and takes a bottom-up
-    rank scan of them (``complement_in_kernel``).  [B | K] = K [C | I] for
-    those coordinates C, and K is injective, so this keeps exactly the
-    columns the scan of [B | K] keeps, and [B | K] is never eliminated.  Any
-    other B, on an invalid complex, is scanned as [B | K].  Built with
-    ``squares_to_zero``, by a caller that found d d = 0 at every degree
-    (``dd_failures`` empty), it knows the boundaries are cocycles and forms
-    no product d(i) B, a column subset of the zero d(i) d(i - 1).
+    Unless d(i) B != 0, the scan reads B's coordinates in the kernel basis
+    K off B's rows at the free columns of d(i), as K is the standard rref
+    basis, and takes a bottom-up rank scan of them (``complement_in_kernel``).
+    [B | K] = K [C | I] for those coordinates C, and K is injective, so this
+    keeps exactly the columns the scan of [B | K] keeps, and [B | K] is never
+    eliminated.  Where d(i) B != 0, on an invalid complex, it scans [B | K].
     """
 
-    def __init__(self, c: ChainComplex, *, squares_to_zero: bool = False):
+    def __init__(self, c: ChainComplex):
         self.c = c
-        self._squares_to_zero = squares_to_zero
         self._reps: dict[int, Mat] = {}
         self._split = {i: d.kernel_and_image() for i, d in c.differentials.items()}
+        products = ((i, d * self._split[i - 1][1]) for i, d in c.differentials.items() if i - 1 in self._split)
+        self._defects = {i: p for i, p in products if not p.is_zero()}  # d(i) B != 0
+
+    def dd_failures(self) -> list[dict]:
+        """Each degree i - 1 where d(i) B != 0, with the first nonzero column
+        of d(i) d(i - 1), a pivot column, and its image."""
+        problems = []
+        for i in sorted(self._defects):
+            k, image = next((k, col) for k, col in enumerate(self._defects[i].T.rows) if any(col))
+            problems.append({
+                "check": "d_squared",
+                "degree": i - 1,
+                "witness_basis_vector": self.c.d(i - 1).rref()[1][k],  # the k-th pivot column
+                "image": [str(x) for x in image],
+            })
+        return problems
 
     def cocycles(self, i: int) -> Mat:
         """A basis of ker d(i), as columns."""
@@ -126,10 +124,9 @@ class Cohomology:
         """Representatives of a basis of H^i, as columns."""
         if i not in self._reps:
             boundaries, kernel = self.boundaries(i), self.cocycles(i)
-            d = self.c.differentials.get(i)
             if not boundaries.n:  # every cocycle is a representative, and no scan is needed
                 reps = kernel
-            elif d is not None and not self._squares_to_zero and not (d * boundaries).is_zero():
+            elif i in self._defects:
                 # d d != 0: an invalid complex keeps the representatives of the full scan
                 reps = kernel.submatrix(range(kernel.m), extend_to_complement(boundaries, kernel))
             elif boundaries.n == kernel.n:
@@ -351,9 +348,10 @@ class ComplexReport(Record):
 
 
 def validate(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexReport:
-    """Check the four self-dual complex invariants, with witnesses: d d = 0,
-    the involution S_{-i} = (-1)^i eps S_i^T, the pairing chain map, and
-    perfectness on cohomology, in that order, one function each.
+    """Check the four self-dual complex invariants, with witnesses, in this
+    order: d d = 0, as the complex's ``Cohomology`` decides it; then the
+    involution S_{-i} = (-1)^i eps S_i^T, the pairing chain map, and
+    perfectness on cohomology, one function each.
 
     The identities come in mirror pairs.  The involution identity at -i is
     the transpose of the one at i.  Given it, the chain-map defect
@@ -371,8 +369,8 @@ def validate(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexRepo
     diagonalization they fall back to counts the radical.
     """
     cx = c.complex
-    problems = cx.dd_failures()
-    coh = Cohomology(cx, squares_to_zero=not problems)
+    coh = Cohomology(cx)
+    problems = coh.dd_failures()
     involution = _involution_problems(c)
     problems += involution + _pairing_chain_map_problems(c, mirrored=not involution)
     dims = {i: coh.dim(i) for i in cx.degrees() if coh.dim(i)}
@@ -539,11 +537,12 @@ class WitnessReport(Record):
 def verify_witness(w: CobordismWitness) -> WitnessReport:
     """Check the witness conditions in order, one function each; the first
     condition that fails ends the check, and the report lists its failures."""
-    failures = _object_failures(w) or _chain_map_failures(w)
+    cg, cgp = Cohomology(w.g), Cohomology(w.g_prime)
+    failures = _object_failures(w, cg, cgp) or _chain_map_failures(w)
     if failures:
         return WitnessReport(False, failures)
     h, failures = _commutativity(w)
-    failures = failures or _adjointness_failures(w) or _s2_perfect_failures(w)
+    failures = failures or _adjointness_failures(w) or _s2_perfect_failures(w, cg, cgp)
     if failures:
         return WitnessReport(False, failures)
     failures = _cone_failures(w, h)
@@ -552,8 +551,8 @@ def verify_witness(w: CobordismWitness) -> WitnessReport:
     return WitnessReport(not failures, failures, h)
 
 
-def _object_failures(w: CobordismWitness) -> list:
-    """F and F' are valid self-dual complexes of one symmetry; G and G' are complexes."""
+def _object_failures(w: CobordismWitness, cg: Cohomology, cgp: Cohomology) -> list:
+    """F and F' are valid self-dual complexes of one symmetry; d d = 0 on G and G'."""
     failures = []
     for name, cpx in (("F", w.f), ("F'", w.f_prime)):
         rep = validate(cpx)
@@ -561,8 +560,8 @@ def _object_failures(w: CobordismWitness) -> list:
             failures.append({"check": "object_valid", "object": name, "problems": rep.problems})
     if w.f.epsilon != w.f_prime.epsilon:
         failures.append({"check": "symmetry_match"})
-    for name, cpx in (("G", w.g), ("G'", w.g_prime)):
-        bad = cpx.dd_failures()
+    for name, coh in (("G", cg), ("G'", cgp)):
+        bad = coh.dd_failures()
         if bad:
             failures.append({"check": "object_valid", "object": name, "problems": bad})
     return failures
@@ -617,11 +616,10 @@ def _adjointness_failures(w: CobordismWitness) -> list:
     return failures
 
 
-def _s2_perfect_failures(w: CobordismWitness) -> list:
-    """S'' is perfect on cohomology: H^i(G) x H^-i(G') -> Q in every degree.
-    It runs after ``_object_failures`` found d d = 0 on G and G'."""
+def _s2_perfect_failures(w: CobordismWitness, cg: Cohomology, cgp: Cohomology) -> list:
+    """S'' is perfect on cohomology: H^i(G) x H^-i(G') -> Q in every degree,
+    on the cohomologies whose d d = 0 test ``_object_failures`` read."""
     failures = []
-    cg, cgp = Cohomology(w.g, squares_to_zero=True), Cohomology(w.g_prime, squares_to_zero=True)
     for i in sorted(set(w.g.degrees()) | {-j for j in w.g_prime.degrees()} | {0}):
         hi, hmi = cg.dim(i), cgp.dim(-i)
         if hi != hmi:

@@ -172,9 +172,8 @@ def _diagonalized(f: BilinearForm) -> Diagonalization:
     n = f.gram.n
     # scale * G, by its columns, which are its rows; the certificate reads it
     scale, gram = f.gram.integer_columns()
-    if _is_diagonal(gram):
-        entries = tuple(_fraction(c[i], scale) for i, c in enumerate(gram))
-        return Diagonalization(entries=entries, radical_dim=0, congruence=Mat.identity(n))
+    if (diag := _diagonal(scale, gram)) is not None:
+        return diag
     m = [list(c) for c in gram]
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -232,11 +231,14 @@ def _diagonalized(f: BilinearForm) -> Diagonalization:
     return Diagonalization(entries=entries, radical_dim=n - rank, congruence=congruence)
 
 
-def _is_diagonal(cols) -> bool:
-    """Whether the square matrix of integer columns ``cols`` has no zero on
-    its diagonal and zeros elsewhere."""
+def _diagonal(scale: int, cols) -> Diagonalization | None:
+    """The no-loop diagonalization of the Gram matrix ``cols`` / ``scale``,
+    or None unless it is diagonal with no zero on its diagonal."""
     zeros = len(cols) - 1
-    return all(c[i] and c.count(0) == zeros for i, c in enumerate(cols))
+    if not all(c[i] and c.count(0) == zeros for i, c in enumerate(cols)):
+        return None
+    entries = tuple(_fraction(c[i], scale) for i, c in enumerate(cols))
+    return Diagonalization(entries=entries, radical_dim=0, congruence=Mat.identity(len(cols)))
 
 
 def pivots(f: BilinearForm) -> Pivots:
@@ -250,22 +252,22 @@ def pivots(f: BilinearForm) -> Pivots:
     matrix, reaches each pivot times a nonzero square at the same position:
     both give the same square classes and signature.  A Gram matrix with a
     zero leading minor, and so every degenerate one, falls back to
-    ``diagonalize``, as does a diagonal one, which takes its no-loop path;
-    so does a form that already keeps its diagonalization.
+    ``diagonalize``.  A diagonal one is given the no-loop diagonalization
+    to keep first, so ``diagonalize`` returns it and runs no test again, and
+    a form that already keeps its diagonalization gives that.
 
     The result is kept in the form's ``__dict__`` beside its fields, as
     ``diagonalize`` keeps its own, and its square classes are kept on first
     read; a call that raises keeps nothing.
     """
-    memo = f.__dict__.get("_pivots")
-    if memo is None:
-        memo = f.__dict__.get("_diagonalization")
-        if memo is None:
-            entries = None  # so a skew form goes to diagonalize, which refuses it
-            if f.is_symmetric and not _is_diagonal(f.gram.integer_columns()[1]):
-                entries = f.gram.ldl_pivots()
-            memo = diagonalize(f) if entries is None else Pivots(entries=entries, radical_dim=0)
-        f.__dict__["_pivots"] = memo
+    memo = f.__dict__.get("_pivots") or f.__dict__.get("_diagonalization")
+    if memo is None and f.is_symmetric:  # a skew form goes to diagonalize, which refuses it
+        diag = _diagonal(*f.gram.integer_columns())
+        if diag is not None:
+            f.__dict__["_diagonalization"] = diag  # which diagonalize returns below
+        elif (entries := f.gram.ldl_pivots()) is not None:
+            memo = Pivots(entries=entries, radical_dim=0)
+    f.__dict__["_pivots"] = memo = memo or diagonalize(f)
     return memo
 
 

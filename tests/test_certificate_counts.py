@@ -259,18 +259,22 @@ def test_a_form_is_diagonalized_and_classed_once_across_calls(monkeypatch):
 
 
 def test_pivots_take_no_diagonalization_where_every_leading_minor_is_nonzero(monkeypatch):
-    # a zero leading minor, a degenerate form and a diagonal Gram go to
-    # diagonalize, which keeps its result, and pivots then reads that
+    # a zero leading minor and a degenerate form go to diagonalize, which
+    # keeps its result, and pivots then reads that; a diagonal Gram's no-loop
+    # diagonalization is kept first, so diagonalize returns it and
+    # _diagonalized, which tested its diagonality a second time, does not run
     runs = count(monkeypatch, forms, "_diagonalized")
     ldl = count(monkeypatch, Mat, "ldl_pivots")
     cases = [([[2, 1], [1, 3]], 0, 1, forms.Pivots), ([[0, 1], [1, 0]], 1, 1, forms.Diagonalization),
-             ([[1, 2], [2, 4]], 1, 1, forms.Diagonalization), ([[2, 0], [0, -3]], 1, 0, forms.Diagonalization)]
+             ([[1, 2], [2, 4]], 1, 1, forms.Diagonalization), ([[2, 0], [0, -3]], 0, 0, forms.Diagonalization)]
     for rows, diagonalized, eliminated, kind in cases:
         runs[0] = ldl[0] = 0
         f = BilinearForm.from_rows(rows)
         piv = forms.pivots(f)
         assert (runs[0], ldl[0], type(piv)) == (diagonalized, eliminated, kind), rows
         assert forms.pivots(f) is piv and (runs[0], ldl[0]) == (diagonalized, eliminated)
+        if kind is forms.Diagonalization:
+            assert diagonalize(f) is piv and runs[0] == diagonalized
     kept = BilinearForm.from_rows([[2, 1], [1, 3]])
     diag = diagonalize(kept)
     runs[0] = ldl[0] = 0
@@ -501,9 +505,9 @@ def test_validate_of_a_valid_complex_takes_no_transpose(monkeypatch):
     reports = [cobordism.validate(c) for c in objects]
     assert all(r.ok for r in reports) and transposes == []
     assert [sorted(r.cohomology_dims) for r in reports] == [[0], [0], [-1, 0, 1], [0]]
-    # each extension takes d(0) d(-1) and two products for its one mirror
-    # pair {0, -1}; d(0) B at degree 0 is a column subset of d(0) d(-1), found
-    # zero, so it is not formed.  A complex with no differential takes none.
+    # each extension takes d(0) B, B the image basis of d(-1), for its d d
+    # test, and two products for its one mirror pair {0, -1}.  A complex
+    # with no differential takes none.
     # d(i+1) d(i) at every degree, both degrees of each pair with transposes,
     # and reps^T S reps took 9 + 9 + 7 + 3
     assert products[0] == 2 * (1 + 2)
@@ -513,22 +517,46 @@ def test_cobordism_class_diagonalizes_its_h0_form_once_and_takes_no_determinant(
     # perfectness at degree 0 is read off the H^0 form's pivots, which
     # witt_class_of reads again from the form: a diagonal H^0 Gram is
     # diagonalized once, with no pivot loop, and one whose leading minors are
-    # all nonzero takes its LDL^T pivots and no diagonalization (it took one)
+    # all nonzero takes its LDL^T pivots and no diagonalization (it took one).
+    # The diagonal one is built in pivots, with no _diagonalized run (which
+    # tested its diagonality again and counted 1 before every count below)
     ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
     expected = witt_class_of(BilinearForm.from_diagonal([-2, 3]))
     diagonalizations = count(monkeypatch, forms, "_diagonalized")
     ldl = count(monkeypatch, Mat, "ldl_pivots")
     determinants = count(monkeypatch, Mat, "det")
     assert cobordism_class(ext) == expected
-    assert (diagonalizations[0], ldl[0], determinants[0]) == (1, 0, 0)  # det of the H^0 pairing made (1, 1)
+    assert (diagonalizations[0], ldl[0], determinants[0]) == (0, 0, 0)  # det of the H^0 pairing made (1, 1)
     core_form = BilinearForm.from_rows([[2, 1], [1, 3]])
     mixed = acyclic_extension(core_form, Random(2), 2)
     assert cobordism_class(mixed) == witt_class_of(core_form)
-    assert (diagonalizations[0], ldl[0], determinants[0]) == (1, 2, 0)  # one for H^0, one for core_form
+    assert (diagonalizations[0], ldl[0], determinants[0]) == (0, 2, 0)  # one for H^0, one for core_form
     # a skew H^0 form is not diagonalized: its perfectness keeps its determinant
     skew = acyclic_extension(BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=SKEW), Random(5), 1)
     assert cobordism_class(skew).is_zero()
-    assert (diagonalizations[0], ldl[0], determinants[0]) == (1, 2, 1)
+    assert (diagonalizations[0], ldl[0], determinants[0]) == (0, 2, 1)
+
+
+def test_verify_witness_eliminates_each_differential_of_g_and_g_prime_once(monkeypatch):
+    # one Cohomology of each serves the d d = 0 check and S'' perfectness
+    ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
+    witnesses = [truncation_witness(ext), cobordism.null_witness(truncation_witness(ext))]
+    eliminated = Counter()
+    rref = Mat.rref
+
+    def spy(a):
+        eliminated[id(a)] += 1
+        return rref(a)
+
+    monkeypatch.setattr(Mat, "rref", spy)
+    cohomologies = count(monkeypatch, cobordism, "Cohomology")
+    for w in witnesses:
+        eliminated.clear()
+        cohomologies[0] = 0
+        assert cobordism.verify_witness(w).ok
+        differentials = list(w.g.differentials.values()) + list(w.g_prime.differentials.values())
+        assert differentials and [eliminated[id(d)] for d in differentials] == [1] * len(differentials)
+        assert cohomologies[0] == 6  # G and G', F and F' in validate, and the two mapping cones
 
 
 def test_verify_witness_keeps_its_determinants(monkeypatch):

@@ -669,6 +669,25 @@ def reference_pairing_chain_map_problems(c):
     return problems
 
 
+def reference_dd_failures(cx):
+    """The d d = 0 problems as ChainComplex found them: the full product
+    d(i + 1) d(i) at every degree, with its first nonzero column."""
+    problems = []
+    for i in cx.degrees():
+        if i not in cx.differentials or i + 1 not in cx.differentials:
+            continue  # a zero differential: d d = 0 here
+        comp = cx.d(i + 1) * cx.d(i)
+        if not comp.is_zero():
+            j, image = next((j, col) for j, col in enumerate(comp.T.rows) if any(col))
+            problems.append({
+                "check": "d_squared",
+                "degree": i,
+                "witness_basis_vector": j,
+                "image": [str(x) for x in image],
+            })
+    return problems
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_cohomology_and_validation_match_the_scan_at_every_degree(seed):
@@ -676,8 +695,62 @@ def test_cohomology_and_validation_match_the_scan_at_every_degree(seed):
     coh = cobordism.Cohomology(c.complex)
     for i in c.complex.degrees():
         assert coh.reps(i) == reference_reps(coh, i), i
+    assert coh.dd_failures() == reference_dd_failures(c.complex)
     problems = validate(c).problems
     assert [p for p in problems if p["check"] == "pairing_chain_map"] == reference_pairing_chain_map_problems(c)
+
+
+def planted_complex(rng, planted):
+    """A complex on degrees -2 .. 2, and the degrees i in ``planted`` at which
+    d(i + 1) d(i) != 0, the only ones.  It is built top down: each column of
+    d(i) is zero, a combination of earlier columns, or a fresh vector of
+    ker d(i + 1), so d(i) is often rank deficient with leading columns that
+    are not pivots; at a planted degree, the first fresh column also takes a
+    unit vector that d(i + 1) does not send to zero."""
+    spaces = {i: rng.randint(1, 4) for i in range(-2, 3)}
+    diffs, failing = {}, set()
+    for i in range(1, -3, -1):
+        m, n, above = spaces[i + 1], spaces[i], diffs.get(i + 1)
+        kernel = above.nullspace() if above is not None else Mat.identity(m)
+        outside = [e for e, col in enumerate(above.T.rows) if any(col)] if above is not None else []
+        cols = []
+        for _ in range(n):
+            kind = rng.choice(("zero", "earlier", "fresh", "fresh"))
+            if kind == "zero" or (kind == "earlier" and not cols):
+                col = [0] * m
+            elif kind == "earlier":
+                coeffs = [rng.randint(-2, 2) for _ in cols]
+                col = [sum(c * v[r] for c, v in zip(coeffs, cols)) for r in range(m)]
+            else:
+                coeffs = [rng.randint(-2, 2) for _ in range(kernel.n)]
+                col = [sum(c * x for c, x in zip(coeffs, row)) for row in kernel.rows]
+                if i in planted and outside and i not in failing:
+                    col[rng.choice(outside)] += 1
+                    failing.add(i)
+            cols.append(col)
+        diffs[i] = Mat(m, n, [list(row) for row in zip(*cols)])
+    return ChainComplex(spaces, diffs), failing
+
+
+@given(seed=st.integers(0, 2**32 - 1), planted=st.sets(st.sampled_from((-2, -1, 0))))
+@settings(max_examples=120, deadline=None)
+def test_dd_failures_read_off_the_pivot_columns_match_the_full_products(seed, planted):
+    # the first nonzero column of d(i + 1) d(i) is a pivot column of d(i),
+    # so d(i + 1) B, B the pivot columns, finds it and its image
+    cx, failing = planted_complex(Random(seed), planted)
+    problems = cobordism.Cohomology(cx).dd_failures()
+    assert problems == reference_dd_failures(cx)
+    assert [p["degree"] for p in problems] == sorted(failing)
+
+
+def test_dd_failures_name_a_pivot_column_after_columns_that_are_not_pivots():
+    # column 0 of d(0) is zero and column 2 is twice column 1: B is column 1
+    # alone, and its image under d(1) is the first nonzero column of d(1) d(0)
+    cx = ChainComplex({0: 3, 1: 2, 2: 1}, {0: Mat.from_rows([[0, 1, 2], [0, 0, 0]]),
+                                           1: Mat.from_rows([[3, 5]])})
+    expected = [{"check": "d_squared", "degree": 0, "witness_basis_vector": 1, "image": ["3"]}]
+    assert cobordism.Cohomology(cx).dd_failures() == expected == reference_dd_failures(cx)
+    assert validate(SelfDualComplex(1, cx, {})).problems[:1] == expected
 
 
 def test_cohomology_skips_the_scan_only_where_the_boundaries_span_the_cocycles():

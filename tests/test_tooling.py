@@ -30,7 +30,9 @@ matrices from rows or from integer forms and read columns as ``.T.rows``.
 No function in ``cobordism`` is longer than 60 lines, so each witness
 condition stays a function of its own.  Every module-level function and
 class of the package is named elsewhere in it or in the benchmark, so no
-code stays that nothing calls.  The README's CLI block lists the commands
+code stays that nothing calls.  Every parameter with a boolean default is
+listed in ``OPTIONS`` with the callers that need each value, so a new knob
+comes with its reason.  The README's CLI block lists the commands
 the parser registers, in its order, so the command table and the docs
 cannot drift apart; its package layout block lists every module of the
 package (but ``__init__``) and its ``data/`` folder.
@@ -144,17 +146,19 @@ CHAIN_STREAM_DIGESTS = {
 }
 
 
-# runs of the diagonalization pivot loop in making those items, and in running
-# pickled copies of them, as the timed passes do; the runs read 180 and 180
-# when every Witt class took a diagonalization
-CHAIN_STREAM_DIAGONALIZATIONS = {20260810: (237, 65), 1: (255, 70)}
+# runs of _diagonalized in making those items, and in running pickled copies
+# of them, as the timed passes do; the runs read 180 and 180 when every Witt
+# class took a diagonalization, and 65 and 70 when the pivots of a diagonal
+# Gram matrix took one
+CHAIN_STREAM_DIAGONALIZATIONS = {20260810: (237, 36), 1: (255, 43)}
 
 
 def test_chain_stream_repeats_its_digest(monkeypatch, tmp_path):
     # the generators' stream, hashed by value: repr reads the fields alone, so
     # what a form or a matrix keeps beside them does not enter.  Set-up's
     # height check diagonalizes; a Witt class takes LDL^T pivots where every
-    # leading minor is nonzero, so only the others are diagonalized
+    # leading minor is nonzero, or the no-loop diagonalization of a diagonal
+    # Gram matrix, so only the others are diagonalized
     workloads = load_workloads(monkeypatch)
     runs = []
     diagonalized = forms._diagonalized
@@ -807,6 +811,85 @@ if __name__ == "__main__":
     # an _EXPORTS entry lists a name and does not use it
     assert sorted(unnamed_definitions(package, others)) == [
         "a.Unused", "a._unused_private", "a.exported", "a.recursive", "a.unused_async"]
+
+
+# Package parameters with a boolean default, as module.function.parameter
+# (module.Class.method.parameter for a method), with the package functions
+# that call with each value.  A flag that says what the code could work out
+# from its inputs is no option: it is computed where it is needed.
+OPTIONS = {
+    "cobordism.validate.diagonalize_h0": {
+        # the CLI reads the class of the H^0 form next, off its kept pivots
+        True: ("cli._cmd_complex_class", "cobordism.ensure_valid"),
+        # verify_witness reads no class, so perfectness keeps its determinant
+        False: ("cobordism._object_failures", "cobordism.ensure_valid"),
+    },
+    "cobordism.ensure_valid.diagonalize_h0": {
+        True: ("cobordism.h0_form",),  # cobordism_class reads the class of its form
+        False: ("cobordism.truncation_witness",),  # reads the cohomology, and no class
+    },
+    "hodge._conjugate.into": {
+        True: ("hodge.compare_polarizations",),  # tests phi in frame coordinates
+        False: ("hodge._weil", "hodge.random_hodge_endomorphism"),  # frame coordinates back to the basis
+    },
+}
+
+
+def boolean_options(tree) -> list[str]:
+    """The parameters with a True or False default of every function,
+    method and lambda in a module, as owner.parameter, with the owner's
+    enclosing classes and functions before it."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                owner = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                positional = a.posonlyargs + a.args
+                pairs = [*zip(positional[len(positional) - len(a.defaults):], a.defaults),
+                         *zip(a.kwonlyargs, a.kw_defaults)]
+                found.extend(f"{owner}.{arg.arg}" for arg, default in pairs
+                             if isinstance(default, ast.Constant) and isinstance(default.value, bool))
+                visit(child, owner + ".")
+            else:
+                visit(child, prefix + child.name + "." if isinstance(child, ast.ClassDef) else prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_every_boolean_option_is_listed_with_its_callers():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    found = {f"{mod}.{name}" for mod, tree in trees.items() for name in boolean_options(tree)}
+    assert found == set(OPTIONS), (f"list these options with the callers that need each value: "
+                                   f"{sorted(found - set(OPTIONS))}; take these off: {sorted(set(OPTIONS) - found)}")
+    defined = {f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
+               if isinstance(node, DEFINITIONS)}
+    for option, callers in OPTIONS.items():
+        assert set(callers) == {True, False} and all(callers.values()), option
+        assert {c for names in callers.values() for c in names} <= defined, option
+
+
+def test_boolean_option_guard_sees_every_spelling():
+    source = """
+def positional(a, flag=False, n=0, name="x", none=None): pass
+def keyword_only(a, *, flag: bool = True, count=1): pass
+def positional_only(flag=False, /): pass
+async def awaited(flag=True): pass
+class Owner:
+    def method(self, flag=False): pass
+    class Inner:
+        def method(self, *, strict=True): pass
+def outer():
+    def inner(flag=False): pass
+    return lambda x, flag=True: x
+pick = sorted([], key=lambda x, reverse=False: x)
+"""
+    assert boolean_options(ast.parse(source)) == [
+        "positional.flag", "keyword_only.flag", "positional_only.flag", "awaited.flag",
+        "Owner.method.flag", "Owner.Inner.method.strict", "outer.inner.flag", "outer.<lambda>.flag",
+        "<lambda>.reverse"]
 
 
 # the (weight, dimension) shapes of acceptance criterion 4
