@@ -537,25 +537,35 @@ class WitnessReport(Record):
 def verify_witness(w: CobordismWitness) -> WitnessReport:
     """Check the witness conditions in order, one function each; the first
     condition that fails ends the check, and the report lists its failures."""
+    return _verified(w)[0]
+
+
+def _verified(w: CobordismWitness) -> tuple[WitnessReport, ComplexReport, ComplexReport,
+                                            Cohomology, Cohomology]:
+    """``verify_witness``'s report, with what it certified on the way: the
+    reports of F and F' and the cohomologies of G and G'."""
+    reports = validate(w.f), validate(w.f_prime)
     cg, cgp = Cohomology(w.g), Cohomology(w.g_prime)
-    failures = _object_failures(w, cg, cgp) or _chain_map_failures(w)
+    read = (*reports, cg, cgp)
+    failures = _object_failures(w, reports, cg, cgp) or _chain_map_failures(w)
     if failures:
-        return WitnessReport(False, failures)
+        return (WitnessReport(False, failures), *read)
     h, failures = _commutativity(w)
     failures = failures or _adjointness_failures(w) or _s2_perfect_failures(w, cg, cgp)
     if failures:
-        return WitnessReport(False, failures)
+        return (WitnessReport(False, failures), *read)
     failures = _cone_failures(w, h)
     if not failures and w.kind == "direct_subquotient":
         failures = _subquotient_shape_failures(w)
-    return WitnessReport(not failures, failures, h)
+    return (WitnessReport(not failures, failures, h), *read)
 
 
-def _object_failures(w: CobordismWitness, cg: Cohomology, cgp: Cohomology) -> list:
-    """F and F' are valid self-dual complexes of one symmetry; d d = 0 on G and G'."""
+def _object_failures(w: CobordismWitness, reports: tuple[ComplexReport, ComplexReport],
+                     cg: Cohomology, cgp: Cohomology) -> list:
+    """F and F' are valid self-dual complexes of one symmetry, as their
+    ``validate`` reports say; d d = 0 on G and G'."""
     failures = []
-    for name, cpx in (("F", w.f), ("F'", w.f_prime)):
-        rep = validate(cpx)
+    for name, rep in zip(("F", "F'"), reports):
         if not rep.ok:
             failures.append({"check": "object_valid", "object": name, "problems": rep.problems})
     if w.f.epsilon != w.f_prime.epsilon:
@@ -872,12 +882,10 @@ class WitnessCoreResult(Record):
 def witness_common_core(w: CobordismWitness) -> WitnessCoreResult:
     """From a verified direct witness, the degree-0 core (Im delta, S'') with
     subquotient witnesses to the H^0 forms of both ends."""
-    report = verify_witness(w)
+    report, rep_f, rep_fp, ch_g, ch_gp = _verified(w)
     if not report.ok:
         raise ValueError(f"witness does not verify: {report.failures}")
-    fc, fpc = w.f.complex, w.f_prime.complex
-    ch_f, ch_fp = Cohomology(fc), Cohomology(fpc)
-    ch_g, ch_gp = Cohomology(w.g), Cohomology(w.g_prime)
+    ch_f, ch_fp = rep_f.cohomology, rep_fp.cohomology  # the representatives of the H^0 forms
     pi0 = ch_g.induced(w.pi, 0, ch_f)
     rho0 = ch_f.induced(w.rho, 0, ch_gp)
     rho_p0 = ch_g.induced(w.rho_prime, 0, ch_fp)
@@ -886,11 +894,9 @@ def witness_common_core(w: CobordismWitness) -> WitnessCoreResult:
     if delta != pi_p0 * rho_p0:
         raise CertificateError("core certificate failed: the square does not commute on H^0")
 
-    mf = _induced_gram(w.f.s(0), ch_f.reps(0), ch_f.reps(0))
-    mfp = _induced_gram(w.f_prime.s(0), ch_fp.reps(0), ch_fp.reps(0))
+    mf, mfp = rep_f.h0_form.gram, rep_fp.h0_form.gram
 
     im_delta = delta.column_space_basis()
-    dd = im_delta.n
     x = delta.solve(im_delta)
     if x is None:
         raise CertificateError("core certificate failed: Im delta has no preimage under delta")
@@ -916,7 +922,7 @@ def _core_side_witness(mf: Mat, epsilon: int, pi0: Mat, rho0: Mat, im_delta: Mat
     lk = rho0.nullspace()  # L'' = Ker rho0
     if bl.solve(lk) is None:
         raise CertificateError("Ker rho0 is not inside Im pi0")
-    projection, section = quotient_data(hf, lk) if lk.n else (Mat.identity(hf), Mat.identity(hf))
+    projection, section = quotient_data(hf, lk)
     pi_w = im_delta.solve(rho0 * bl) if bl.n else Mat.zeros(im_delta.n, 0)
     if pi_w is None:
         raise CertificateError("core certificate failed: rho0 of Im pi0 is not inside Im delta")

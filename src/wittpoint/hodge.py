@@ -9,18 +9,19 @@ X = Re B_{p,q}, Y = Im B_{p,q} and the complex structure J X = -Y, J Y = X
 The Weil operator is R Λ R^-1, Λ = i^(p-q) on each summand; an identity R
 (a structure given in its frame basis) is its own inverse and is never
 multiplied by.  Positivity is Sylvester minors of S(u, Cv), each read by
-the sign of its integer Bareiss value; positive minors make det(S C) > 0,
-so they certify nondegeneracy too, and det S is taken only when positivity
-fails.  The comparison endomorphism phi = S^-1 S' is one solve, certified
-by phi^T S = S'; its spectrum is certified real and positive by Sturm
-counts, and semisimple by its radical vanishing at phi.  When the
-characteristic polynomial p is squarefree, the radical is p, and p(phi) = 0
-is Cayley-Hamilton, certified on the last Faddeev-LeVerrier step; only a p
+the sign of its integer from ``Mat.leading_minors``; positive minors make
+det(S C) > 0, so they certify nondegeneracy too, and det S, like the value
+of a failing minor for its message, is taken only when positivity fails.
+The comparison endomorphism phi = S^-1 S' is one solve, certified by
+phi^T S = S'; its spectrum is certified real and positive by Sturm counts,
+and semisimple by its radical vanishing at phi.  When the characteristic
+polynomial p is squarefree, the radical is p, and p(phi) = 0 is
+Cayley-Hamilton, certified on the last Faddeev-LeVerrier step; only a p
 with repeated roots has its radical evaluated at phi, by Horner.  A
 signature is the count of sign changes in the leading minors (Jacobi's
-rule), each again read off its Bareiss integer, with a certified
-diagonalization only where a minor is zero; each is checked a second way,
-against the Hodge index theorem.
+rule), read off the same integers, with the form's pivots
+(``forms.pivots``) only where a minor is zero; each is checked a second
+way, against the Hodge index theorem.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .forms import (
     RATIONAL,
     SYMMETRIC,
     BilinearForm,
-    diagonalize,
+    pivots,
     standard_symplectic_gram,
 )
 from .linalg import Mat
@@ -109,12 +110,11 @@ class _Frame(Frozen):
         self.__dict__.update(basis=basis, inverse=inverse, summands=summands)
 
 
-def _conjugate(frame: _Frame, a: Mat, into: bool = False) -> Mat:
-    """R a R^-1, or R^-1 a R ``into`` frame coordinates; a when R = I."""
-    r, ri = frame.basis, frame.inverse
-    if ri is r:
-        return a
-    return ri * a * r if into else r * a * ri
+def _conjugate(left: Mat, a: Mat, right: Mat) -> Mat:
+    """left a right, for the frame matrices R and R^-1 in either order: R a
+    R^-1 takes a out of frame coordinates, R^-1 a R into them.  An identity
+    frame is its own inverse, and a is returned as it is."""
+    return a if left is right else left * a * right
 
 
 def _pullback(frame: _Frame, gram: Mat) -> Mat:
@@ -271,7 +271,7 @@ def _weil(frame: _Frame, weight: int) -> Mat:
             re, im = _I_POWERS[(w.p - w.q) % 4]
             block = block.scale(re).hstack(block.scale(-im)).realification()
         blocks.append(block)
-    c = _conjugate(frame, reduce(Mat.direct_sum, blocks, Mat.zeros(0, 0)))
+    c = _conjugate(frame.basis, reduce(Mat.direct_sum, blocks, Mat.zeros(0, 0)), frame.inverse)
     if c * c != Mat.identity(c.n).scale(Fraction((-1) ** weight)):
         raise CertificateError("Weil operator certificate failed: C^2 is not (-1)^w")
     return c
@@ -347,8 +347,8 @@ def _check_polarization(h: HodgeStructure, frame: _Frame, weil: Mat,
     positivity = None
     if s_c != s_c.T:
         positivity = "S(u, Cv) is not symmetric"
-    elif failed := s_c.first_nonpositive_minor():
-        k, minor = failed
+    elif k := next((j for j, d in enumerate(s_c.leading_minors(), 1) if d <= 0), 0):
+        minor = s_c.submatrix(range(k), range(k)).det()
         positivity = f"S(u, Cv) is not positive definite (leading {k}x{k} minor is {minor})"
     # positive leading minors give det(S C) > 0, so det S != 0: the
     # determinant is taken only where positivity fails
@@ -444,7 +444,7 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
     # passed its check, so what is left is self-adjointness: S C phi = S' C
     chain_ok = chk.s_c * phi == chk2.s_c
 
-    preserves = _respects_frame(frame, _conjugate(frame, phi, into=True))
+    preserves = _respects_frame(frame, _conjugate(frame.inverse, phi, frame.basis))
 
     char = phi.charpoly()
     cert = sturm_positive_real_roots(char)
@@ -493,9 +493,15 @@ def _signature(f: BilinearForm) -> tuple[int, int]:
     """(positive, negative) of a symmetric form by Jacobi's rule: with every
     leading minor D_k of its Gram matrix nonzero, the negative count is the
     number of sign changes in 1, D_1, ..., D_n, read off one Bareiss pass
-    (``Mat.jacobi_signature``).  A form with a zero leading minor falls back
-    to its certified diagonalization."""
-    return f.gram.jacobi_signature() or diagonalize(f).signature()
+    (``Mat.leading_minors``).  A form with a zero leading minor falls back
+    to its pivots (``forms.pivots``)."""
+    neg, prev = 0, 1
+    for d in f.gram.leading_minors():
+        if not d:
+            return pivots(f).signature()
+        neg += (d < 0) != (prev < 0)
+        prev = d
+    return f.gram.n - neg, neg
 
 
 def _semisimple(phi: Mat, cert: SturmCertificate) -> bool:
@@ -670,7 +676,7 @@ def random_hodge_endomorphism(rng: Random, h: HodgeStructure) -> Mat:
             out.append(image.submatrix(range(w.k), w.pivots))
             if out[-1] * w.coords != image:
                 raise CertificateError("conjugation-equivariant blocks must give a real matrix")
-        psi = _conjugate(frame, reduce(Mat.direct_sum, out, Mat.zeros(0, 0)))
+        psi = _conjugate(frame.basis, reduce(Mat.direct_sum, out, Mat.zeros(0, 0)), frame.inverse)
         if psi.det():
             return psi
 

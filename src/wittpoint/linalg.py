@@ -11,11 +11,12 @@ left one, so a product with I or a sparse factor costs little.
 ``rows`` is a view of the entries as ``Fraction`` rows, made from the
 integer form when first read and then kept.  Writing to it changes no
 result.  ``rref`` runs Gauss-Jordan by cross-multiplication, dividing each
-changed row by its content; ``det``, ``first_nonpositive_minor``,
-``jacobi_signature`` and ``ldl_pivots`` run Bareiss's fraction-free
-elimination (Bareiss 1968; Cohen, *A Course in Computational Algebraic
-Number Theory*, 2.2), the middle two reading each leading minor's sign off
-its integer value, and the last the certified LDL^T pivots off its rows.  The
+changed row by its content; ``det``, ``leading_minors`` and
+``ldl_pivots`` run Bareiss's fraction-free elimination (Bareiss 1968;
+Cohen, *A Course in Computational Algebraic Number Theory*, 2.2), the
+second yielding each leading minor as an integer of its sign, for
+Sylvester's test and Jacobi's rule (Gantmacher, *The Theory of Matrices*,
+vol. 1, ch. X, 3), and the last the certified LDL^T pivots off its rows.  The
 reduced row echelon form is unique, so each returns what elimination over Q
 returns.  Shapes are explicit, as zero-row and zero-column matrices occur
 constantly.  Integer forms are never written, so matrices may share their
@@ -297,37 +298,22 @@ class Mat:
         *_, d = 1, *_bareiss([list(r) for _, r in self._ints])  # the last value is the determinant
         return Fraction(d, prod(s for s, _ in self._ints))
 
-    def first_nonpositive_minor(self) -> tuple[int, Fraction] | None:
-        """(k, the leading k x k minor) for the first leading principal minor
-        of a square matrix that is not positive, or None if all are.
+    def leading_minors(self):
+        """The leading principal minors D_1, D_2, ... of a square matrix, one
+        integer each with the sign of D_k, up to and including the first zero.
 
-        One elimination without row exchanges gives them in order.  The
-        leading k-minor is its Bareiss value over d_1 ... d_k, the positive
-        denominators of the first k rows, so it has that integer's sign, and
-        a ``Fraction`` is built for the failing minor alone.
+        One Bareiss pass on the integer rows gives them in order: before the
+        first zero no row has been exchanged, and its k-th value is D_k times
+        the positive denominators of the first k rows.  So Sylvester's test
+        and Jacobi's rule read them as they are, with no ``Fraction`` built;
+        a caller that needs D_k itself takes the ``det`` of the leading block.
         """
-        for k, d in enumerate(self._leading_minor_values(), 1):
-            if d <= 0:
-                return k, Fraction(d, prod(s for s, _ in self._ints[:k]))
-        return None
-
-    def jacobi_signature(self) -> tuple[int, int] | None:
-        """(positive, negative) eigenvalue counts of a symmetric matrix by
-        Jacobi's rule, or None if a leading principal minor is zero.
-
-        With every leading minor D_k nonzero, the number of negative
-        eigenvalues is the number of sign changes in 1, D_1, ..., D_n
-        (Gantmacher, *The Theory of Matrices*, vol. 1, ch. X, 3).  Each D_k
-        has the sign of its integer Bareiss value, as for
-        ``first_nonpositive_minor``; the elimination stops at the first zero.
-        """
-        neg, prev = 0, 1
-        for d in self._leading_minor_values():
+        if self.m != self.n:
+            raise ValueError("leading minors of a non-square matrix")
+        for d in _bareiss([list(r) for _, r in self._ints]):
+            yield d
             if not d:
-                return None
-            neg += (d < 0) != (prev < 0)
-            prev = d
-        return self.n - neg, neg
+                return
 
     def ldl_pivots(self) -> tuple[Fraction, ...] | None:
         """The pivots D_k / D_(k-1) of the LDL^T factorization of a symmetric
@@ -355,14 +341,6 @@ class Mat:
         _certify_ldl(u, cols)
         minors = [1] + [u[k][k] for k in range(self.n)]
         return tuple(Fraction(b, s * a) for a, b in zip(minors, minors[1:]))
-
-    def _leading_minor_values(self):
-        """The Bareiss values of the integer rows, one per step: while no row
-        has been exchanged, that is before the first zero, value k is the
-        leading k-minor times the positive denominators of the first k rows."""
-        if self.m != self.n:
-            raise ValueError("leading minors of a non-square matrix")
-        return _bareiss([list(r) for _, r in self._ints])
 
     def charpoly(self) -> list[Fraction]:
         """Coefficients of det(t*I - A), ascending in t (Faddeev-LeVerrier).

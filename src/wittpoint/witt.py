@@ -4,8 +4,10 @@ A class over Q is stored as (signature, second residues), read in one pass
 over the square classes of a form's pivots (``forms.pivots``: its LDL^T
 pivots, or a diagonalization's entries where a leading minor is zero): at
 each prime p of a class, the unit k // p of its squarefree kernel k goes to
-W(F_p).  No entry is divided
-again at its primes; ``psi``, which takes any prime, splits the entries.
+W(F_p).  No entry is divided again at its primes.  ``psi``, which takes
+any prime, splits the entries of the same pivots: they differ from a
+diagonalization's entries by nonzero squares, entry by entry, so each
+keeps its valuation parity and its unit's square class.
 Together these are a complete invariant (Milnor's residue exact sequence);
 the structured F_p payloads follow the classical group tables
 
@@ -38,7 +40,6 @@ from .forms import (
     BilinearForm,
     _ONE,
     _hasse_symbols,
-    diagonalize,
     pivots,
     symplectic_reduce,
 )
@@ -154,7 +155,8 @@ def _split_at(e: Fraction, p: int) -> tuple[int, int]:
 
 def psi(form_or_entries, p: int, k: int) -> WittClassFp:
     """Residue map into W(F_p): keep diagonal entries with valuation = k mod 2
-    and read their unit residues (rank parity for p = 2)."""
+    and read their unit residues (rank parity for p = 2).  A form's
+    diagonal entries are its pivots (``forms.pivots``)."""
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
     if not is_prime(p):
@@ -162,7 +164,7 @@ def psi(form_or_entries, p: int, k: int) -> WittClassFp:
     if isinstance(form_or_entries, BilinearForm):
         if not form_or_entries.is_symmetric:
             raise ValueError("residues of skew forms are not defined; class is zero")
-        entries = diagonalize(form_or_entries).entries
+        entries = pivots(form_or_entries).entries
     else:
         entries = [_rational(e) for e in form_or_entries]
         if any(e == 0 for e in entries):

@@ -115,7 +115,7 @@ def test_is_polarization_validates_once(monkeypatch):
 
 
 def test_equivalent_diagonalizes_each_form_once(monkeypatch):
-    diagonalizations = count(monkeypatch, witt, "diagonalize")
+    diagonalizations = count(monkeypatch, forms, "diagonalize")
     assert equivalent(HYPERBOLIC_PLANE, BilinearForm.from_diagonal([3, -3]))
     assert diagonalizations[0] == 2
     assert not equivalent(BilinearForm.from_diagonal([1, 2, 5]), BilinearForm.from_diagonal([-7]))
@@ -330,6 +330,24 @@ def test_truncation_witness_reads_its_kernel_and_boundaries_off_the_cohomology(m
     eliminations = count(monkeypatch, Mat, "rref")
     truncation_witness(ext)
     assert eliminations[0] == 6
+
+
+def test_common_core_eliminates_each_differential_once_outside_its_witnesses(monkeypatch):
+    # the core reads the cohomologies of F and F' off the validation reports
+    # of verify_witness, and those of G and G' off its d d = 0 test; building
+    # all four again eliminated each differential twice.  The two constructed
+    # degree-0 witnesses have no differentials, so their own checks add none
+    ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3, 5]), Random(3), 2)
+    w = truncation_witness(ext)
+    differentials = {id(d): (name, i) for name, cx in (("G", w.g), ("G'", w.g_prime), ("F'", ext.complex))
+                     for i, d in cx.differentials.items()}
+    assert sorted(differentials.values()) == [("F'", -1), ("F'", 0), ("G", -1), ("G'", 0)]
+    eliminated = Counter()
+    rref = Mat.rref
+    monkeypatch.setattr(Mat, "rref", lambda a: eliminated.update([differentials.get(id(a))]) or rref(a))
+    cobordism.witness_common_core(w)
+    del eliminated[None]
+    assert eliminated == dict.fromkeys(differentials.values(), 1)
 
 
 def test_subquotient_shape_check_takes_one_rank_per_map(monkeypatch):

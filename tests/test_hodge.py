@@ -1,6 +1,7 @@
 """Hodge structures at a point: Weil operator, polarizations, comparison."""
 
 import hashlib
+import json
 from fractions import Fraction
 from functools import reduce
 from random import Random
@@ -436,6 +437,36 @@ def test_hodge_check_reports_a_degenerate_bigrading(tmp_path, capsys):
     assert err == "error: invalid Hodge structure: ['piece bases are not jointly independent']\n"
 
 
+# non-positive pairings of the weight-0 structure on Q^3 (C = I), with the
+# lines hodge-check printed when the failing minor was built as a Fraction off
+# its Bareiss value: the minor is now its block's determinant, with one value
+NONPOSITIVE_PAIRINGS = [
+    ([["1/2", "1/3", "0"], ["1/3", "1/5", "1"], ["0", "1", "-2/7"]], ["leading 2x2 minor is -1/90"]),
+    ([["3/4", "1/2", "1/6"], ["1/2", "2/3", "1/5"], ["1/6", "1/5", "-1/9"]], ["leading 3x3 minor is -29/675"]),
+    ([["0", "1", "0"], ["1", "2", "0"], ["0", "0", "1"]], ["leading 1x1 minor is 0"]),
+    ([["-5/3", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], ["leading 1x1 minor is -5/3"]),
+    ([["1/2", "1/2", "0"], ["1/2", "1/2", "0"], ["0", "0", "1"]],
+     ["pairing is degenerate", "leading 2x2 minor is 0"]),
+]
+
+
+@pytest.mark.parametrize("gram, found", NONPOSITIVE_PAIRINGS)
+def test_hodge_check_prints_the_value_of_the_first_nonpositive_minor(tmp_path, capsys, gram, found):
+    from wittpoint.cli import main
+
+    hpath, spath = tmp_path / "h.json", tmp_path / "s.json"
+    hpath.write_text('{"weight": 0, "pieces": [{"p": 0, "q": 0, '
+                     '"basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}]}')
+    spath.write_text(json.dumps({"symmetry": "symmetric", "field": "Q", "gram": gram}))
+    *degenerate, minor = found
+    problems = degenerate + [f"S(u, Cv) is not positive definite ({minor})"]
+    assert main(["hodge-check", str(hpath), str(spath)]) == 2
+    assert capsys.readouterr() == ("".join(f"{line}\n" for line in ["not a polarization"]
+                                           + [f"  {p}" for p in problems]), "")
+    assert main(["--json", "hodge-check", str(hpath), str(spath)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"is_polarization": False, "problems": problems}
+
+
 def test_hodge_check_refuses_a_form_of_the_wrong_size(tmp_path, capsys):
     from wittpoint.cli import main
 
@@ -662,27 +693,30 @@ def symmetric_with_a_singular_leading_block(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=symmetric_with_a_singular_leading_block())
 def test_the_signature_reader_matches_the_certified_diagonalization(case):
-    # Jacobi's rule where every leading minor is nonzero, the certified
-    # diagonalization where one is zero; a fresh form is diagonalized each time
+    # Jacobi's rule on the leading minors where every one is nonzero, the
+    # form's pivots where one is zero; a fresh form is diagonalized each time
     a, k = case
     expected = diagonalize(BilinearForm(RATIONAL, SYMMETRIC, a)).signature()
     assert hodge._signature(BilinearForm(RATIONAL, SYMMETRIC, a)) == expected
     minors = [a.submatrix(range(j), range(j)).det() for j in range(1, a.n + 1)]
-    jacobi = a.jacobi_signature()
-    assert (jacobi is None) == (0 in minors) and (jacobi is None or jacobi == expected)
-    assert not k or jacobi is None
+    read = list(a.leading_minors())
+    assert (0 in read) == (0 in minors) and (not k or 0 in read)
+    if 0 not in read:  # the sign changes in 1, D_1, ..., D_n count the negatives
+        neg = sum((x < 0) != (y < 0) for x, y in zip([1] + read, read))
+        assert (a.n - neg, neg) == expected
 
 
 def test_a_pairing_with_a_zero_leading_minor_is_compared_through_the_fallback(monkeypatch):
     # weight 2, h^(2,0) = h^(1,1) = h^(0,2) = 1, S = diag(-1, -1, 1) in the
     # frame, moved to the basis e_1 + e_3, e_2, e_3: there S(e_1 + e_3, e_1 + e_3)
-    # = 0 is the leading 1-minor, so S's signature comes off its diagonalization
+    # = 0 is the leading 1-minor, so S's signature comes off its pivots, which
+    # fall back to its diagonalization
     h, s, s_prime = random_polarization_pair(Random(41), 2, 3)
     p = Mat.from_rows([[1, 0, 0], [0, 1, 0], [1, 0, 1]])  # columns: the new basis
     p_inv = p.inv()
     moved = HodgeStructure(2, 3, [HodgePiece(q.p, q.q, p_inv * q.re, p_inv * q.im) for q in h.pieces])
     s_moved, s_prime_moved = (f.congruent_by(p) for f in (s, s_prime))
-    assert s_moved.gram[0, 0] == 0 and s_moved.gram.jacobi_signature() is None
+    assert list(s_moved.gram.leading_minors()) == [0]
     runs = []
     diagonalized = forms._diagonalized
     monkeypatch.setattr(forms, "_diagonalized", lambda f: runs.append(f) or diagonalized(f))

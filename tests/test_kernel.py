@@ -307,6 +307,18 @@ def ref_first_nonpositive_minor(a: Mat):
     return next(((k, d) for k, d in enumerate(ref_leading_minors(a), 1) if d <= 0), None)
 
 
+def first_nonpositive_minor(a: Mat):
+    """(k, minor) as ``ref_first_nonpositive_minor`` gives it, read as the
+    polarization check reads it: k off the signs of ``Mat.leading_minors``,
+    and the minor as the determinant of the leading k x k block."""
+    k = next((j for j, d in enumerate(a.leading_minors(), 1) if d <= 0), None)
+    return k and (k, a.submatrix(range(k), range(k)).det())
+
+
+def signs(values) -> list[int]:
+    return [(x > 0) - (x < 0) for x in values]
+
+
 def ref_nullspace(a: Mat) -> Mat:
     r, pivots = ref_rref(a)
     cols = []
@@ -1350,11 +1362,16 @@ def symmetric_by_first_nonpositive_minor(draw):
 @EXAMPLES
 @given(case=symmetric_by_first_nonpositive_minor())
 def test_leading_minors_match_the_leading_block_determinants(case):
-    # the first nonpositive minor, read off the signs of the integer Bareiss
-    # values, is the first leading block determinant that is not positive
+    # one integer per leading minor, of its sign, up to and including the
+    # first zero; the first nonpositive one is the first leading block
+    # determinant that is not positive
     a, at = case
-    found = a.first_nonpositive_minor()
+    minors = list(a.leading_minors())
     blocks = [a.submatrix(range(k), range(k)).det() for k in range(1, a.n + 1)]
+    assert all(type(d) is int for d in minors)
+    assert signs(minors) == signs(ref_leading_minors(a)) == signs(blocks[:len(minors)])
+    assert len(minors) == (blocks.index(0) + 1 if 0 in blocks else a.n)
+    found = first_nonpositive_minor(a)
     assert found == next(((k, x) for k, x in enumerate(blocks, 1) if x <= 0), None)
     assert found == ref_first_nonpositive_minor(a)
     assert (found[0] - 1 if found else a.n) == at
@@ -1533,8 +1550,9 @@ def test_determinants_and_minors_of_either_form_match_the_field_loop(data):
     n = data.draw(st.integers(0, 5))
     a, x = data.draw(matrices_in_states(n, n))
     assert x.det() == ref_det(a)
-    found = in_state(a, data.draw(st.sampled_from(STATES))).first_nonpositive_minor()
-    assert found == ref_first_nonpositive_minor(a)
+    y = in_state(a, data.draw(st.sampled_from(STATES)))
+    assert signs(y.leading_minors()) == signs(ref_leading_minors(a))
+    assert first_nonpositive_minor(y) == ref_first_nonpositive_minor(a)
 
 
 @EXAMPLES

@@ -32,7 +32,9 @@ condition stays a function of its own.  Every module-level function and
 class of the package is named elsewhere in it or in the benchmark, so no
 code stays that nothing calls.  Every parameter with a boolean default is
 listed in ``OPTIONS`` with the callers that need each value, so a new knob
-comes with its reason.  The README's CLI block lists the commands
+comes with its reason.  Outside ``forms``, only ``cobordism``'s height
+check binds ``diagonalize``: every other module reads a form's diagonal
+entries through ``forms.pivots``.  The README's CLI block lists the commands
 the parser registers, in its order, so the command table and the docs
 cannot drift apart; its package layout block lists every module of the
 package (but ``__init__``) and its ``data/`` folder.
@@ -813,6 +815,54 @@ if __name__ == "__main__":
         "a.Unused", "a._unused_private", "a.exported", "a.recursive", "a.unused_async"]
 
 
+def diagonalize_bindings(tree) -> list[str]:
+    """The places a module binds or reads ``forms.diagonalize`` by name: an
+    import of it (or of everything) from a ``forms`` module, the attribute
+    ``diagonalize``, or a ``getattr`` of it, as kind:line.  Defining it is
+    no binding, nor is a string in the lazy ``_EXPORTS`` table."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "forms":
+            found += [f"import:{node.lineno}" for alias in node.names if alias.name in ("diagonalize", "*")]
+        elif isinstance(node, ast.Attribute) and node.attr == "diagonalize":
+            found.append(f"attribute:{node.lineno}")
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and any(isinstance(a, ast.Constant) and a.value == "diagonalize" for a in node.args)):
+            found.append(f"getattr:{node.lineno}")
+    return found
+
+
+def test_only_forms_and_cobordism_bind_diagonalize():
+    # outside forms, a form's diagonal entries come from forms.pivots alone;
+    # cobordism's height check reads diagonalize's entries, which the chain
+    # stream digests pin
+    found = {path.stem: diagonalize_bindings(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: places for name, places in found.items() if places}
+    assert set(found) == {"cobordism"}, f"read a form's diagonal entries through forms.pivots: {found}"
+    readers = {owner for owner, name in names_read(ast.parse((PACKAGE / "cobordism.py").read_text()))
+               if name == "diagonalize"}
+    assert readers == {None, "form_height_ok"}  # the import, and the one function that calls it
+
+
+def test_diagonalize_binding_guard_sees_every_spelling():
+    source = """
+from .forms import diagonalize
+from wittpoint.forms import BilinearForm, diagonalize as diag
+from .forms import *
+from . import forms
+entries = forms.diagonalize(f).entries
+pick = getattr(forms, "diagonalize")
+from .forms import pivots
+from .core import diagonalize
+def diagonalize(f): return f
+_EXPORTS = {"forms": ("diagonalize",)}
+text = "diagonalize"
+"""
+    assert sorted(diagonalize_bindings(ast.parse(source))) == [
+        "attribute:6", "getattr:7", "import:2", "import:3", "import:4"]
+
+
 # Package parameters with a boolean default, as module.function.parameter
 # (module.Class.method.parameter for a method), with the package functions
 # that call with each value.  A flag that says what the code could work out
@@ -827,10 +877,6 @@ OPTIONS = {
     "cobordism.ensure_valid.diagonalize_h0": {
         True: ("cobordism.h0_form",),  # cobordism_class reads the class of its form
         False: ("cobordism.truncation_witness",),  # reads the cohomology, and no class
-    },
-    "hodge._conjugate.into": {
-        True: ("hodge.compare_polarizations",),  # tests phi in frame coordinates
-        False: ("hodge._weil", "hodge.random_hodge_endomorphism"),  # frame coordinates back to the basis
     },
 }
 

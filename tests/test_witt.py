@@ -6,10 +6,11 @@ from math import lcm
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wittpoint.cobordism import random_invertible, random_nondegenerate_form
-from wittpoint.forms import HYPERBOLIC_PLANE, BilinearForm, diagonalize, radical_split
+from wittpoint.forms import HYPERBOLIC_PLANE, RATIONAL, SYMMETRIC, BilinearForm, diagonalize, radical_split
+from wittpoint.linalg import Mat
 from wittpoint.witt import (
     WittClassFp,
     WittClassQ,
@@ -20,6 +21,7 @@ from wittpoint.witt import (
     psi,
     witt_class_of,
 )
+from test_kernel import rationals
 
 
 def fp_group_table(p: int) -> dict:
@@ -133,6 +135,41 @@ def test_psi_of_a_form_reads_its_nondegenerate_part():
     for p in (2, 3, 5, 7):
         for k in (0, 1):
             assert psi(f, p, k) == psi(nondegenerate, p, k)
+
+
+@st.composite
+def psi_grams(draw):
+    """A symmetric rational Gram matrix, n <= 5, of a drawn kind: diagonal
+    (zeros allowed); L diag(d) L^T, L unit lower triangular, with a zero d_k,
+    so degenerate with a zero leading k-minor; one whose leading k x k block
+    is such a product, any rest; or any, where a zero entry is common."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["diagonal", "degenerate", "zero leading minor", "any"]))
+    if kind == "diagonal":
+        return Mat.diag([draw(rationals) for _ in range(n)])
+    upper = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    rows = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    k = n if kind == "degenerate" else draw(st.integers(1, n)) if kind == "zero leading minor" else 0
+    if k:
+        lower = Mat(k, k, [[Fraction(1) if i == j else draw(rationals) if j < i else Fraction(0)
+                            for j in range(k)] for i in range(k)])
+        d = [draw(rationals) for _ in range(k)]
+        d[draw(st.integers(0, k - 1)) if kind == "degenerate" else k - 1] = Fraction(0)
+        block = lower * Mat.diag(d) * lower.T
+        for i in range(k):
+            rows[i][:k] = block.rows[i]
+    return Mat(n, n, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram=psi_grams(), p=st.sampled_from([2, 3, 5, 7, 11, 13]), k=st.sampled_from([0, 1]))
+def test_psi_reads_the_same_class_off_pivots_as_off_a_diagonalization(gram, p, k):
+    # psi reads a form's pivots: LDL^T pivots where every leading minor is
+    # nonzero, which differ from the diagonalization's entries by squares, and
+    # the diagonalization itself elsewhere.  Each form is fresh, so neither
+    # call reads what the other kept
+    assert psi(BilinearForm(RATIONAL, SYMMETRIC, gram), p, k) == psi(
+        diagonalize(BilinearForm(RATIONAL, SYMMETRIC, gram)).entries, p, k)
 
 
 def test_witt_class_spec_examples():
