@@ -365,8 +365,7 @@ def validate(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexRepo
     form next, perfectness at degree 0 of a symmetric complex that passed
     the first three checks is read off the pivots of its H^0 form
     (``forms.pivots``), which the form keeps for its class, and not off a
-    determinant: LDL^T pivots exist only for a nondegenerate form, and the
-    diagonalization they fall back to counts the radical.
+    determinant: the pivoted LDL^T pass behind them counts the radical.
     """
     cx = c.complex
     coh = Cohomology(cx)
@@ -703,7 +702,10 @@ def _subquotient_shape_failures(w: CobordismWitness) -> list:
 
 
 def quotient_data(n: int, sub: Mat) -> tuple[Mat, Mat]:
-    """(projection, section) for Q^n / span(sub); projection . section = I."""
+    """(projection, section) for Q^n / span(sub); projection . section = I.
+    An empty ``sub`` gives (I, I), with no elimination."""
+    if not sub.n:
+        return Mat.identity(n), Mat.identity(n)
     idx = extend_to_complement(sub, Mat.identity(n))
     if len(idx) != n - sub.n:
         raise ValueError("subspace basis is not independent")

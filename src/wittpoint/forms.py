@@ -1,8 +1,8 @@
 """Epsilon-symmetric bilinear forms over Q.
 
 Diagonalization (one certified integer pivot loop), the pivots a Witt class
-reads (the certified LDL^T pivots of one Bareiss pass where every leading
-minor is nonzero, else a diagonalization's entries), the classical invariant
+reads (the certified LDL^T pivots of one symmetrically pivoted Bareiss
+pass, or a diagonal Gram's own entries), the classical invariant
 system (rank, signature, discriminant, Hasse symbols), radical splitting,
 symplectic reduction of skew forms, and the block-metabolic reduction that
 splits hyperbolic planes off a form written against a half-rank isotropic
@@ -97,8 +97,8 @@ HYPERBOLIC_PLANE = BilinearForm.from_rows([[0, 1], [1, 0]])
 
 class Pivots(Frozen):
     """Nonzero entries d and a radical dimension r such that a symmetric form
-    is congruent to diag(d, 0...0), with r zeros: the LDL^T pivots of its Gram
-    matrix (r = 0), or the entries of a diagonalization."""
+    is congruent to diag(d, 0...0), with r zeros: the pivots of a pivoted
+    LDL^T pass on its Gram matrix, or the entries of a diagonalization."""
 
     def __init__(self, entries: tuple, radical_dim: int):
         self.__dict__.update(entries=entries, radical_dim=radical_dim)
@@ -245,16 +245,18 @@ def pivots(f: BilinearForm) -> Pivots:
     """Diagonal entries of a symmetric form, up to squares, for its Witt class
     and invariants: what they read is the entries' signs and square classes.
 
-    Where every leading minor D_k of the Gram matrix is nonzero, the entries
-    are its LDL^T pivots D_k / D_(k-1), from one certified Bareiss pass
-    (``Mat.ldl_pivots``).  The congruence U^-1 that takes G to them is upper
-    triangular, so ``diagonalize``, which pivots in place on such a Gram
-    matrix, reaches each pivot times a nonzero square at the same position:
-    both give the same square classes and signature.  A Gram matrix with a
-    zero leading minor, and so every degenerate one, falls back to
-    ``diagonalize``.  A diagonal one is given the no-loop diagonalization
-    to keep first, so ``diagonalize`` returns it and runs no test again, and
-    a form that already keeps its diagonalization gives that.
+    The entries are the pivots of one certified Bareiss pass that pivots as
+    ``diagonalize`` does (``Mat.ldl_pivots``), with the radical dimension
+    n - r after r steps, degenerate Gram matrices included.  Where every
+    leading minor D_k is nonzero they are the LDL^T pivots D_k / D_(k-1),
+    and ``diagonalize``, which pivots in place there, reaches each times a
+    nonzero square at the same position.  Elsewhere the pass swaps and adds
+    basis vectors as the pivot loop does, and an added one may change the
+    square classes place by place, but not the Witt class, the signature or
+    the rank; no caller reads an entry by its place.  A diagonal Gram matrix
+    is given the no-loop diagonalization to keep first, so ``diagonalize``
+    returns it and runs no test again, and a form that already keeps its
+    diagonalization gives that.
 
     The result is kept in the form's ``__dict__`` beside its fields, as
     ``diagonalize`` keeps its own, and its square classes are kept on first
@@ -265,8 +267,9 @@ def pivots(f: BilinearForm) -> Pivots:
         diag = _diagonal(*f.gram.integer_columns())
         if diag is not None:
             f.__dict__["_diagonalization"] = diag  # which diagonalize returns below
-        elif (entries := f.gram.ldl_pivots()) is not None:
-            memo = Pivots(entries=entries, radical_dim=0)
+        else:
+            entries = f.gram.ldl_pivots()
+            memo = Pivots(entries=entries, radical_dim=f.gram.n - len(entries))
     f.__dict__["_pivots"] = memo = memo or diagonalize(f)
     return memo
 

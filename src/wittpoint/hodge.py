@@ -19,9 +19,10 @@ polynomial p is squarefree, the radical is p, and p(phi) = 0 is
 Cayley-Hamilton, certified on the last Faddeev-LeVerrier step; only a p
 with repeated roots has its radical evaluated at phi, by Horner.  A
 signature is the count of sign changes in the leading minors (Jacobi's
-rule), read off the same integers, with the form's pivots
-(``forms.pivots``) only where a minor is zero; each is checked a second
-way, against the Hodge index theorem.
+rule), read off the same integers; where a minor is zero, it is the
+signature of the form's pivots (``forms.pivots``, one pivoted LDL^T pass,
+with no diagonalization).  Each is checked a second way, against the
+Hodge index theorem.
 """
 
 from __future__ import annotations
@@ -493,8 +494,9 @@ def _signature(f: BilinearForm) -> tuple[int, int]:
     """(positive, negative) of a symmetric form by Jacobi's rule: with every
     leading minor D_k of its Gram matrix nonzero, the negative count is the
     number of sign changes in 1, D_1, ..., D_n, read off one Bareiss pass
-    (``Mat.leading_minors``).  A form with a zero leading minor falls back
-    to its pivots (``forms.pivots``)."""
+    (``Mat.leading_minors``), which stops at the first zero minor.  There
+    the signature is that of the form's pivots (``forms.pivots``), from one
+    pivoted LDL^T pass."""
     neg, prev = 0, 1
     for d in f.gram.leading_minors():
         if not d:

@@ -16,7 +16,8 @@ changed row by its content; ``det``, ``leading_minors`` and
 Cohen, *A Course in Computational Algebraic Number Theory*, 2.2), the
 second yielding each leading minor as an integer of its sign, for
 Sylvester's test and Jacobi's rule (Gantmacher, *The Theory of Matrices*,
-vol. 1, ch. X, 3), and the last the certified LDL^T pivots off its rows.  The
+vol. 1, ch. X, 3), and the last, a symmetrically pivoted pass, the certified
+LDL^T pivots off its rows, degenerate matrices included.  The
 reduced row echelon form is unique, so each returns what elimination over Q
 returns.  Shapes are explicit, as zero-row and zero-column matrices occur
 constantly.  Integer forms are never written, so matrices may share their
@@ -315,31 +316,63 @@ class Mat:
             if not d:
                 return
 
-    def ldl_pivots(self) -> tuple[Fraction, ...] | None:
-        """The pivots D_k / D_(k-1) of the LDL^T factorization of a symmetric
-        matrix G whose leading principal minors D_k are all nonzero (D_0 = 1),
-        or None at the first zero minor.
+    def ldl_pivots(self) -> tuple[Fraction, ...]:
+        """The nonzero entries d of a diag(d, 0...0) congruent to a symmetric
+        matrix G, one per step of a Bareiss pass on sG, the integer Gram of
+        ``integer_columns``, that pivots as ``forms.diagonalize`` does.
 
-        They come off one Bareiss pass on sG, the integer Gram of
-        ``integer_columns``, whose leading minors are s^k D_k: its rows after
-        the pass, cut to their upper triangles, are the rows of U, and
-        sG = U^T diag(1 / (b_(k-1) b_k)) U for b_k = U[k-1][k-1], the k-th
-        leading minor of sG (Bareiss 1968; Zhou and Jeffrey, "Fraction-free
-        matrix factors", *Front. Comput. Sci. China* 2, 2008).  That identity
-        is certified exactly (``_certify_ldl``), so G is congruent, by a unit
-        upper triangular matrix, to diag(b_k / (s b_(k-1))), the pivots.
+        Step k swaps in the first nonzero trailing diagonal entry, rows and
+        columns together; on a zero trailing diagonal it first adds column
+        and row j to i at the first nonzero (i, j), for the entry 2 a_ij; a
+        zero trailing block ends the pass after r steps.  Trailing entries
+        are bordered minors, linear in their row and column, so the moves act
+        on them, and on the rows of U above, as on T = P^T sG P, and every
+        division stays exact (Bareiss 1968; the symmetric pivoting of Bunch
+        and Kaufman, *Math. Comp.* 31, 1977).  Only the upper triangle of the
+        trailing block is updated; it is mirrored before a move.  The r rows,
+        cut to their upper triangles, are U, T = U^T diag(1 / (b_(k-1) b_k)) U
+        for b_k = U[k-1][k-1], certified exactly (``_certify_ldl``; Zhou and
+        Jeffrey, *Front. Comput. Sci. China* 2, 2008), and d_k = b_k / (s b_(k-1)).
+        With no move, T = sG and d_k = D_k / D_(k-1), the LDL^T pivots of G.
         """
         if self.m != self.n:
             raise ValueError("LDL^T pivots of a non-square matrix")
         s, cols = self.integer_columns()
         if list(zip(*cols)) != cols:
             raise ValueError("LDL^T pivots of a non-symmetric matrix")
+        n = r = self.n
         u = [list(c) for c in cols]  # the rows of sG, as it is symmetric
-        for d in _bareiss(u):
-            if not d:
-                return None  # no row exchanged yet: the leading minor is zero
-        _certify_ldl(u, cols)
-        minors = [1] + [u[k][k] for k in range(self.n)]
+        t, prev = cols, 1  # T = P^T sG P, copied at the first move
+        for k in range(n):
+            if not u[k][k]:
+                pivot = next((i for i in range(k + 1, n) if u[i][i]), None)
+                for i in range(k, n):
+                    for j in range(i + 1, n):
+                        u[j][i] = u[i][j]
+                t = [list(c) for c in cols] if t is cols else t
+                if pivot is None:
+                    off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if u[i][j]), None)
+                    if off is None:
+                        r = k  # the trailing block is zero: the radical
+                        break
+                    pivot, j = off
+                    for a in (u, t):  # column and row j into i
+                        a[pivot] = list(map(add, a[pivot], a[j]))
+                        for row in a:
+                            row[pivot] += row[j]
+                for a in (u, t):
+                    a[k], a[pivot] = a[pivot], a[k]
+                    for row in a:
+                        row[k], row[pivot] = row[pivot], row[k]
+            rk = u[k]
+            akk = rk[k]
+            for i in range(k + 1, n):  # the upper triangle; the multiplier a[i][k] is a[k][i]
+                row, f = u[i], rk[i]
+                for j in range(i, n):
+                    row[j] = (row[j] * akk - f * rk[j]) // prev
+            prev = akk
+        _certify_ldl(u[:r], t)
+        minors = [1] + [u[k][k] for k in range(r)]
         return tuple(Fraction(b, s * a) for a, b in zip(minors, minors[1:]))
 
     def charpoly(self) -> list[Fraction]:
@@ -507,24 +540,26 @@ def _integer_gauss_jordan(a: list[list[int]], n: int) -> list[int]:
 
 
 def _certify_ldl(u: list[list[int]], cols: list) -> None:
-    """Raise ``CertificateError`` unless sG = U^T diag(1 / (b_k b_(k+1))) U
-    exactly, for U the upper triangle of the Bareiss rows ``u``,
-    b_(k+1) = u[k][k] and b_0 = 1, and sG the symmetric integer matrix of
-    columns ``cols``.  Entry (i, j) of the right side, i <= j, is the sum over
-    k <= i of U_ki U_kj / (b_k b_(k+1)); times P_i = b_1 ... b_(i+1) each term
-    is an integer, the product of U_ki U_kj and the b_l, l <= i + 1, other
-    than b_k and b_(k+1).  As sG is symmetric, the entries i <= j are the
-    whole check."""
+    """Raise ``CertificateError`` unless T = U^T diag(1 / (b_k b_(k+1))) U
+    exactly, for U the upper triangle of the r Bareiss rows ``u``,
+    b_(k+1) = u[k][k] and b_0 = 1, and T the symmetric n x n integer matrix
+    of columns ``cols``.  Entry (i, j) of the right side, i <= j, is the sum
+    over k <= min(i, r - 1) of U_ki U_kj / (b_k b_(k+1)); times
+    P_i = b_1 ... b_(min(i, r - 1) + 1) each term is an integer, the product
+    of U_ki U_kj and the b_l, l <= min(i, r - 1) + 1, other than b_k and
+    b_(k+1).  As T is symmetric, the entries i <= j are the whole check."""
+    r = len(u)
     prefix = [1, 1]  # prefix[l + 1] = b_0 b_1 ... b_l
     for k, row in enumerate(u):
         prefix.append(prefix[-1] * row[k])
-    upper = [[row[j] for row in u[:j + 1]] for j in range(len(u))]  # column j of U, rows 0 .. j
+    upper = [[row[j] for row in u[:j + 1]] for j in range(len(cols))]  # column j of U, rows 0 .. j
     for i, col in enumerate(cols):
-        p = prefix[i + 2]
+        p = prefix[min(i, r - 1) + 2]
         weights = [x * prefix[k] * (p // prefix[k + 2]) for k, x in enumerate(upper[i])]
-        for j in range(i, len(u)):
+        for j in range(i, len(cols)):
             if sum(map(mul, weights, upper[j])) != p * col[j]:  # the rows k <= i of column j
-                raise CertificateError("LDL^T certificate failed: sG is not U^T diag(1 / (b_(k-1) b_k)) U")
+                raise CertificateError(f"LDL^T certificate failed: entry ({i}, {j}) of P^T sG P "
+                                       "is not that of U^T diag(1 / (b_(k-1) b_k)) U")
 
 
 def _bareiss(a: list[list[int]]):

@@ -1,13 +1,13 @@
 """Witt classes over Q and F_p in canonical form.
 
 A class over Q is stored as (signature, second residues), read in one pass
-over the square classes of a form's pivots (``forms.pivots``: its LDL^T
-pivots, or a diagonalization's entries where a leading minor is zero): at
-each prime p of a class, the unit k // p of its squarefree kernel k goes to
-W(F_p).  No entry is divided again at its primes.  ``psi``, which takes
-any prime, splits the entries of the same pivots: they differ from a
-diagonalization's entries by nonzero squares, entry by entry, so each
-keeps its valuation parity and its unit's square class.
+over the square classes of a form's pivots (``forms.pivots``: the pivots
+of one pivoted LDL^T pass, the entries of a diagonal form congruent to it):
+at each prime p of a class, the unit k // p of its squarefree kernel k goes
+to W(F_p).  No entry is divided again at its primes.  ``psi``, which takes
+any prime, splits the entries of the same pivots: its residue at p is an
+invariant of the form over Q_p (Springer's theorem), so any diagonal form
+congruent to it, a diagonalization's entries among them, gives the same.
 Together these are a complete invariant (Milnor's residue exact sequence);
 the structured F_p payloads follow the classical group tables
 

@@ -115,11 +115,16 @@ def test_is_polarization_validates_once(monkeypatch):
 
 
 def test_equivalent_diagonalizes_each_form_once(monkeypatch):
+    # a diagonal Gram is diagonalized, with no pivot loop; the hyperbolic
+    # plane, whose diagonal is zero, takes one pivoted LDL^T pass (it was
+    # diagonalized, and the counts read 2 and 4).  It is a fresh form, as
+    # HYPERBOLIC_PLANE keeps the pivots an earlier test took
     diagonalizations = count(monkeypatch, forms, "diagonalize")
-    assert equivalent(HYPERBOLIC_PLANE, BilinearForm.from_diagonal([3, -3]))
-    assert diagonalizations[0] == 2
+    ldl = count(monkeypatch, Mat, "ldl_pivots")
+    assert equivalent(BilinearForm.from_rows(HYPERBOLIC_PLANE.gram.rows), BilinearForm.from_diagonal([3, -3]))
+    assert (diagonalizations[0], ldl[0]) == (1, 1)
     assert not equivalent(BilinearForm.from_diagonal([1, 2, 5]), BilinearForm.from_diagonal([-7]))
-    assert diagonalizations[0] == 4
+    assert (diagonalizations[0], ldl[0]) == (3, 1)
 
 
 def test_equivalent_factors_only_the_entries(monkeypatch):
@@ -239,10 +244,11 @@ def test_equivalent_classes_each_entry_once_and_reads_it_at_its_own_primes(monke
 
 def test_a_form_is_diagonalized_and_classed_once_across_calls(monkeypatch):
     # invariants and witt_class_of, after equivalent, read the pivots and
-    # square classes that f keeps; an equal form is another object.  f's
-    # leading minors are nonzero, so its pivots come off one certified
-    # Bareiss pass; g = f + H has a zero one and is diagonalized.  When both
-    # were diagonalized the certificates counted 2, 2 and 3 diagonalizations.
+    # square classes that f keeps; an equal form is another object.  Each
+    # form's pivots come off one certified Bareiss pass: f's leading minors
+    # are nonzero, and g = f + H has a zero one, so its pass pivots.  When
+    # both were diagonalized the certificates counted 2, 2 and 3
+    # diagonalizations, and when g alone was, (1, 1), (1, 1) and (2, 1).
     f = BilinearForm.from_rows([[2, 1, 0], [1, 3, 5], [0, 5, Fraction(7, 2)]])
     g = f.direct_sum(HYPERBOLIC_PLANE)
     ldl = count(monkeypatch, linalg, "_certify_ldl")
@@ -250,31 +256,32 @@ def test_a_form_is_diagonalized_and_classed_once_across_calls(monkeypatch):
     classes = count(monkeypatch, core, "square_class")
     assert equivalent(f, g)
     ranks = len(forms.pivots(f).entries) + len(forms.pivots(g).entries)
-    assert (ldl[0], certificates[0], classes[0]) == (1, 1, ranks) == (1, 1, 8)
+    assert (ldl[0], certificates[0], classes[0]) == (2, 0, ranks) == (2, 0, 8)
     inv, cls = invariants(f), witt_class_of(f)
-    assert (ldl[0], certificates[0], classes[0]) == (1, 1, ranks)
+    assert (ldl[0], certificates[0], classes[0]) == (2, 0, ranks)
     twin = BilinearForm(f.field, f.symmetry, f.gram)
     assert twin == f and (invariants(twin), witt_class_of(twin)) == (inv, cls)
-    assert (ldl[0], certificates[0], classes[0]) == (2, 1, ranks + 3)
+    assert (ldl[0], certificates[0], classes[0]) == (3, 0, ranks + 3)
 
 
 def test_pivots_take_no_diagonalization_where_every_leading_minor_is_nonzero(monkeypatch):
-    # a zero leading minor and a degenerate form go to diagonalize, which
-    # keeps its result, and pivots then reads that; a diagonal Gram's no-loop
+    # a zero leading minor and a degenerate form take the same pivoted pass
+    # (they went to diagonalize, one run each); a diagonal Gram's no-loop
     # diagonalization is kept first, so diagonalize returns it and
     # _diagonalized, which tested its diagonality a second time, does not run
     runs = count(monkeypatch, forms, "_diagonalized")
     ldl = count(monkeypatch, Mat, "ldl_pivots")
-    cases = [([[2, 1], [1, 3]], 0, 1, forms.Pivots), ([[0, 1], [1, 0]], 1, 1, forms.Diagonalization),
-             ([[1, 2], [2, 4]], 1, 1, forms.Diagonalization), ([[2, 0], [0, -3]], 0, 0, forms.Diagonalization)]
-    for rows, diagonalized, eliminated, kind in cases:
+    cases = [([[2, 1], [1, 3]], 1, forms.Pivots, 0), ([[0, 1], [1, 0]], 1, forms.Pivots, 0),
+             ([[1, 2], [2, 4]], 1, forms.Pivots, 1), ([[0, 0], [0, 0]], 1, forms.Pivots, 2),
+             ([[2, 0], [0, -3]], 0, forms.Diagonalization, 0)]
+    for rows, eliminated, kind, radical_dim in cases:
         runs[0] = ldl[0] = 0
         f = BilinearForm.from_rows(rows)
         piv = forms.pivots(f)
-        assert (runs[0], ldl[0], type(piv)) == (diagonalized, eliminated, kind), rows
-        assert forms.pivots(f) is piv and (runs[0], ldl[0]) == (diagonalized, eliminated)
+        assert (runs[0], ldl[0], type(piv), piv.radical_dim) == (0, eliminated, kind, radical_dim), rows
+        assert forms.pivots(f) is piv and (runs[0], ldl[0]) == (0, eliminated)
         if kind is forms.Diagonalization:
-            assert diagonalize(f) is piv and runs[0] == diagonalized
+            assert diagonalize(f) is piv and runs[0] == 0
     kept = BilinearForm.from_rows([[2, 1], [1, 3]])
     diag = diagonalize(kept)
     runs[0] = ldl[0] = 0
@@ -336,7 +343,9 @@ def test_common_core_eliminates_each_differential_once_outside_its_witnesses(mon
     # the core reads the cohomologies of F and F' off the validation reports
     # of verify_witness, and those of G and G' off its d d = 0 test; building
     # all four again eliminated each differential twice.  The two constructed
-    # degree-0 witnesses have no differentials, so their own checks add none
+    # degree-0 witnesses have no differentials, so their own checks add none,
+    # and the quotients by their empty subspaces eliminate nothing (the rref
+    # calls read 39 when each took an rref of I and the solve of an inverse)
     ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3, 5]), Random(3), 2)
     w = truncation_witness(ext)
     differentials = {id(d): (name, i) for name, cx in (("G", w.g), ("G'", w.g_prime), ("F'", ext.complex))
@@ -346,6 +355,7 @@ def test_common_core_eliminates_each_differential_once_outside_its_witnesses(mon
     rref = Mat.rref
     monkeypatch.setattr(Mat, "rref", lambda a: eliminated.update([differentials.get(id(a))]) or rref(a))
     cobordism.witness_common_core(w)
+    assert sum(eliminated.values()) == 35
     del eliminated[None]
     assert eliminated == dict.fromkeys(differentials.values(), 1)
 
@@ -372,6 +382,9 @@ def test_quotient_data_eliminates_the_subspace_once(monkeypatch):
     monkeypatch.setattr(Mat, "rref", spy)
     cobordism.quotient_data(4, sub)
     assert eliminated[4, 2] == 0 and eliminated[4, 6] == 1  # sub alone never; [sub | I] once
+    eliminated.clear()
+    assert cobordism.quotient_data(3, Mat.zeros(3, 0)) == (Mat.identity(3), Mat.identity(3))
+    assert not eliminated  # an empty subspace: I and I, with no elimination
 
 
 def test_cohomology_eliminates_each_differential_once(monkeypatch):

@@ -381,7 +381,8 @@ forms._certify_congruence = lambda cols, gram, diag: certify_congruence(cols[:2]
 print(fired(lambda: diagonalize(BilinearForm.from_rows(gram))))
 forms._certify_congruence = certify_congruence
 
-# the LDL^T pivots of that Gram, whose leading minors are 1, 1 and -1
+# the LDL^T pivots of that Gram, whose leading minors are 1, 1 and -1, so
+# the pass makes no move and T = sG
 certify_ldl = linalg._certify_ldl
 def corrupted(u, cols):  # a wrong U: entry (0, 2), above the diagonal, gains 1
     u = [list(r) for r in u]
@@ -389,6 +390,14 @@ def corrupted(u, cols):  # a wrong U: entry (0, 2), above the diagonal, gains 1
     certify_ldl(u, cols)
 linalg._certify_ldl = corrupted
 print(fired(lambda: Mat.from_rows(gram).ldl_pivots()))
+# a zero diagonal: the pass adds column 2 to column 1, row 2 to row 1, swaps
+# that pair into place 0, and swaps again at step 1
+def corrupted(u, cols):  # a wrong T = P^T sG P: entry (1, 2) gains 1
+    cols = [list(c) for c in cols]
+    cols[1][2] += 1
+    certify_ldl(u, cols)
+linalg._certify_ldl = corrupted
+print(fired(lambda: Mat.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 0]]).ldl_pivots()))
 linalg._certify_ldl = certify_ldl
 
 # k = m = 1: the congruence is C = [[1, X, Y], [0, 1, 0], [0, 0, 1]] with X = -2, Y = -1/2
@@ -472,7 +481,8 @@ def test_certificates_fire_under_python_O():
     assert out.stdout.splitlines() == [
         "diagonalization certificate failed: P^T G P is not the diagonal D",
         "diagonalization certificate failed: P^T G P is not the diagonal D",
-        "LDL^T certificate failed: sG is not U^T diag(1 / (b_(k-1) b_k)) U",
+        "LDL^T certificate failed: entry (0, 2) of P^T sG P is not that of U^T diag(1 / (b_(k-1) b_k)) U",
+        "LDL^T certificate failed: entry (1, 2) of P^T sG P is not that of U^T diag(1 / (b_(k-1) b_k)) U",
         "metabolic reduction certificate failed: A and B are not cleared",
         "metabolic reduction certificate failed: A and B are not cleared",
         "metabolic reduction certificate failed: A and B are not cleared",

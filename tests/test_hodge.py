@@ -709,19 +709,27 @@ def test_the_signature_reader_matches_the_certified_diagonalization(case):
 def test_a_pairing_with_a_zero_leading_minor_is_compared_through_the_fallback(monkeypatch):
     # weight 2, h^(2,0) = h^(1,1) = h^(0,2) = 1, S = diag(-1, -1, 1) in the
     # frame, moved to the basis e_1 + e_3, e_2, e_3: there S(e_1 + e_3, e_1 + e_3)
-    # = 0 is the leading 1-minor, so S's signature comes off its pivots, which
-    # fall back to its diagonalization
+    # = 0 is the leading 1-minor, so S's signature comes off its pivots: the
+    # leading-minor pass stops at the zero, and one pivoted LDL^T pass
+    # follows, with no diagonalization (one ran, after an LDL^T pass that
+    # stopped at the same zero)
     h, s, s_prime = random_polarization_pair(Random(41), 2, 3)
     p = Mat.from_rows([[1, 0, 0], [0, 1, 0], [1, 0, 1]])  # columns: the new basis
     p_inv = p.inv()
     moved = HodgeStructure(2, 3, [HodgePiece(q.p, q.q, p_inv * q.re, p_inv * q.im) for q in h.pieces])
     s_moved, s_prime_moved = (f.congruent_by(p) for f in (s, s_prime))
     assert list(s_moved.gram.leading_minors()) == [0]
-    runs = []
+    runs, passes = [], []
     diagonalized = forms._diagonalized
     monkeypatch.setattr(forms, "_diagonalized", lambda f: runs.append(f) or diagonalized(f))
+    for name in ("leading_minors", "ldl_pivots"):
+        def spy(a, read=getattr(Mat, name), name=name):
+            if a is s_moved.gram:
+                passes.append(name)
+            return read(a)
+        monkeypatch.setattr(Mat, name, spy)
     pair = compare_polarizations(moved, s_moved, s_prime_moved)
-    assert s_moved in runs
+    assert runs == [] and passes == ["leading_minors", "ldl_pivots"]
     before = compare_polarizations(h, s, s_prime)
     assert pair.certified and before.certified
     assert pair.signature_s == before.signature_s == (1, 2)

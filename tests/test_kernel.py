@@ -37,7 +37,8 @@ matrix, live here too.  The certificate's g = gcd(p, p') is also checked
 against the route that read it back through ``int_poly`` and divided every
 term by it, and the first nonpositive leading minor against the field-loop
 determinants of the leading blocks, and the LDL^T pivots against their
-ratios and the pivot loop's square classes.  ``identity`` and ``hstack``
+ratios and the pivot loop's square classes, and, past a zero leading minor,
+its Witt class, signature and radical.  ``identity`` and ``hstack``
 build the integer forms they built entry by entry and over the lcm of every
 row pair.
 """
@@ -103,7 +104,7 @@ from wittpoint.poly import (
     poly_degree,
     poly_normalize,
 )
-from wittpoint.witt import WittClassFp, WittClassQ, _class_of_entries, _fp_class, fp_class_of, psi
+from wittpoint.witt import WittClassFp, WittClassQ, _class_of_entries, _fp_class, fp_class_of, psi, witt_class_of
 from test_forms import hasse_of_entries, replay, symmetric_from_lower, transvection
 
 EXAMPLES = settings(max_examples=150, deadline=None)
@@ -1244,18 +1245,32 @@ def ldl_cases(draw):
 @example(case=(Mat.zeros(1, 1), None))
 @example(case=(Mat.from_rows([[0, 1], [1, 0]]), None))
 def test_ldl_pivots_give_the_diagonalization_classes(case):
+    # where every leading minor is nonzero the pass makes no move, and,
     # position by position, each pivot has the square class of the entry the
-    # pivot loop makes there, so the signature and the rank agree too
+    # pivot loop makes there; elsewhere it pivots (it returned None there),
+    # and the Witt class, the signature and the radical agree
     gram, expected = case
     got = gram.ldl_pivots()
-    assert got == expected and (got is None or all(type(e) is Fraction for e in got))
+    assert all(type(e) is Fraction and e for e in got)
     diag = diagonalize(BilinearForm(RATIONAL, 1, gram))
-    if got is not None:
-        assert (diag.radical_dim, diag.rank) == (0, len(got))
-        assert tuple(map(square_class, got)) == diag.classes
-        assert Pivots(got, 0).signature() == diag.signature()
+    piv = Pivots(got, gram.n - len(got))
+    assert (piv.signature(), piv.radical_dim) == (diag.signature(), diag.radical_dim)
+    assert witt_class_of(BilinearForm.from_diagonal(got)) == witt_class_of(BilinearForm.from_diagonal(diag.entries))
+    if expected is not None:
+        assert got == expected and piv.classes == diag.classes
     kept = pivots(BilinearForm(RATIONAL, 1, gram))  # a fresh form, with no diagonalization kept
-    assert (kept.classes, kept.signature(), kept.radical_dim) == (diag.classes, diag.signature(), diag.radical_dim)
+    assert (kept.entries, kept.radical_dim) == (got, piv.radical_dim)
+
+
+def test_ldl_pivots_pivot_past_a_zero_leading_minor():
+    # a zero first diagonal entry is swapped past; an all-zero diagonal takes
+    # column and row j into i at the first nonzero (i, j), for the entry
+    # 2 a_ij, and a zero trailing block is the radical
+    cases = [([[0, 0], [0, 0]], ()), ([[1, 2], [2, 4]], (1,)), ([[0, 1], [1, 3]], (3, Fraction(-1, 3))),
+             ([[0, 1], [1, 0]], (2, Fraction(-1, 2))), ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], (2, Fraction(-1, 2))),
+             ([[0, 2, 0], [2, 0, 0], [0, 0, 5]], (5, 4, -1)), ([[0, 0], [0, Fraction(1, 3)]], (Fraction(1, 3),))]
+    for rows, expected in cases:
+        assert Mat.from_rows(rows).ldl_pivots() == expected, rows
 
 
 @EXAMPLES

@@ -150,17 +150,17 @@ CHAIN_STREAM_DIGESTS = {
 
 # runs of _diagonalized in making those items, and in running pickled copies
 # of them, as the timed passes do; the runs read 180 and 180 when every Witt
-# class took a diagonalization, and 65 and 70 when the pivots of a diagonal
-# Gram matrix took one
-CHAIN_STREAM_DIAGONALIZATIONS = {20260810: (237, 36), 1: (255, 43)}
+# class took a diagonalization, 65 and 70 when the pivots of a diagonal Gram
+# matrix took one, and 36 and 43 when a zero leading minor did
+CHAIN_STREAM_DIAGONALIZATIONS = {20260810: (237, 0), 1: (255, 0)}
 
 
 def test_chain_stream_repeats_its_digest(monkeypatch, tmp_path):
     # the generators' stream, hashed by value: repr reads the fields alone, so
     # what a form or a matrix keeps beside them does not enter.  Set-up's
-    # height check diagonalizes; a Witt class takes LDL^T pivots where every
-    # leading minor is nonzero, or the no-loop diagonalization of a diagonal
-    # Gram matrix, so only the others are diagonalized
+    # height check diagonalizes; a Witt class takes the pivots of one pivoted
+    # LDL^T pass, or the no-loop diagonalization of a diagonal Gram matrix,
+    # so the timed passes diagonalize nothing
     workloads = load_workloads(monkeypatch)
     runs = []
     diagonalized = forms._diagonalized
@@ -192,10 +192,11 @@ def test_comparison_outputs_repeat_their_digest(monkeypatch, tmp_path):
     workloads = load_workloads(monkeypatch)
     items = list(islice(workloads.WORKLOADS["polarization_pairs"].stream(41, tmp_path), 56))
     # no pairing here has a zero leading minor, so Jacobi's rule reads every
-    # signature and the diagonalization fallback never runs
+    # signature and no form's pivots are taken
     runs = []
-    diagonalized = forms._diagonalized
+    diagonalized, ldl_pivots = forms._diagonalized, Mat.ldl_pivots
     monkeypatch.setattr(forms, "_diagonalized", lambda f: runs.append(f) or diagonalized(f))
+    monkeypatch.setattr(Mat, "ldl_pivots", lambda a: runs.append(a) or ldl_pivots(a))
     lines = [comparison_line(compare_polarizations(*item.data)) for item in items]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COMPARISON_DIGEST
     assert runs == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittpoint.cobordism import random_invertible, random_nondegenerate_form
-from wittpoint.forms import HYPERBOLIC_PLANE, RATIONAL, SYMMETRIC, BilinearForm, diagonalize, radical_split
+from wittpoint.forms import HYPERBOLIC_PLANE, RATIONAL, SYMMETRIC, BilinearForm, Pivots, diagonalize, radical_split
 from wittpoint.linalg import Mat
 from wittpoint.witt import (
     WittClassFp,
@@ -21,7 +21,7 @@ from wittpoint.witt import (
     psi,
     witt_class_of,
 )
-from test_kernel import rationals
+from test_kernel import ldl_cases, rationals
 
 
 def fp_group_table(p: int) -> dict:
@@ -164,12 +164,76 @@ def psi_grams(draw):
 @settings(max_examples=300, deadline=None)
 @given(gram=psi_grams(), p=st.sampled_from([2, 3, 5, 7, 11, 13]), k=st.sampled_from([0, 1]))
 def test_psi_reads_the_same_class_off_pivots_as_off_a_diagonalization(gram, p, k):
-    # psi reads a form's pivots: LDL^T pivots where every leading minor is
-    # nonzero, which differ from the diagonalization's entries by squares, and
-    # the diagonalization itself elsewhere.  Each form is fresh, so neither
-    # call reads what the other kept
+    # psi reads a form's pivots, from one pivoted LDL^T pass: where every
+    # leading minor is nonzero they differ from the diagonalization's entries
+    # by squares, and elsewhere they may not, place by place, but give the
+    # same residue.  Each form is fresh, so neither call reads what the other
+    # kept
     assert psi(BilinearForm(RATIONAL, SYMMETRIC, gram), p, k) == psi(
         diagonalize(BilinearForm(RATIONAL, SYMMETRIC, gram)).entries, p, k)
+
+
+@st.composite
+def pivot_grams(draw):
+    """A symmetric rational Gram matrix of a drawn kind: from ``psi_grams`` or
+    ``ldl_cases``; one with an all-zero diagonal, any entries off it; a sum
+    of hyperbolic blocks [[0, a], [a, 0]] with its basis permuted, so its
+    diagonal is zero too; or a degenerate one, Q^T G Q for a Q with fewer
+    rows than columns."""
+    kind = draw(st.sampled_from(["psi", "ldl", "zero diagonal", "hyperbolic", "degenerate"]))
+    if kind == "psi":
+        return draw(psi_grams())
+    if kind == "ldl":
+        return draw(ldl_cases())[0]
+    n = draw(st.integers(1, 6))
+    if kind == "hyperbolic":
+        blocks = [draw(rationals.filter(bool)) for _ in range(n // 2)]
+        gram = Mat.zeros(0, 0)
+        for a in blocks:
+            gram = gram.direct_sum(Mat(2, 2, [[Fraction(0), a], [a, Fraction(0)]]))
+        order = draw(st.permutations(range(gram.n)))
+        return gram.submatrix(order, order)
+    upper = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    rows = [[upper[min(i, j)][max(i, j)] if i != j or kind == "degenerate" else Fraction(0)
+             for j in range(n)] for i in range(n)]
+    gram = Mat(n, n, rows)
+    if kind == "zero diagonal":
+        return gram
+    r = draw(st.integers(0, n - 1))
+    q = Mat(r, n, [[Fraction(draw(st.integers(-2, 2))) for _ in range(n)] for _ in range(r)])
+    return q.T * gram.submatrix(range(r), range(r)) * q
+
+
+def adds_a_column(gram: Mat) -> bool:
+    """Whether symmetric elimination over Q, with the pivot policy of
+    ``diagonalize`` (the first nonzero diagonal entry, swapped in), meets a
+    nonzero trailing block with a zero diagonal, where it adds a column."""
+    a = [list(r) for r in gram.rows]
+    while a:
+        i = next((i for i in range(len(a)) if a[i][i]), None)
+        if i is None:
+            return any(map(any, a))
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[i] = row[i], row[0]
+        p = a[0][0]
+        a = [[x - r[0] * y / p for x, y in zip(r[1:], a[0][1:])] for r in a[1:]]
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram=pivot_grams())
+def test_pivoted_ldl_pivots_give_the_witt_class_of_a_diagonalization(gram):
+    # the pass pivots as diagonalize does, but an added column puts the
+    # bordered minor 2 a_ij on the diagonal, not the pivot loop's scaled
+    # entry, so square classes agree place by place only where none is added
+    got = gram.ldl_pivots()
+    diag = diagonalize(BilinearForm(RATIONAL, SYMMETRIC, gram))
+    piv = Pivots(got, gram.n - len(got))
+    assert (piv.signature(), piv.radical_dim) == (diag.signature(), diag.radical_dim)
+    assert witt_class_of(BilinearForm.from_diagonal(got)) == witt_class_of(BilinearForm.from_diagonal(diag.entries))
+    if not adds_a_column(gram):
+        assert piv.classes == diag.classes
 
 
 def test_witt_class_spec_examples():
