@@ -47,6 +47,8 @@ def _load(path: str):
         raise SchemaError("$", f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"malformed JSON in {path}: {exc}")
+    except RecursionError:
+        raise SchemaError("$", f"JSON in {path} is nested too deeply to read")
 
 
 def _unique_keys(pairs) -> dict:

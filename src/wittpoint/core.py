@@ -7,15 +7,15 @@ setting: the primes below TRIAL_CUTOFF that divide n are read off one gcd of n
 with their product (Bernstein, "How to find smooth parts of integers", 2004)
 and divided out, each one's power by repeated squaring (``_int_split``),
 then Miller-Rabin and Brent's rho run on what is left, each factorization
-checked by multiplying it back.  It runs on
-the integer num*den of each diagonal entry, never on a product of entries: a
-square class carries the odd-exponent primes of its entry, products of classes
-combine those prime sets, and the callers that hold an entry's class read the
+checked by multiplying it back.  It runs on the integer num*den of each diagonal
+entry, never on a product of entries: a square class carries the odd-exponent
+primes of its entry, a product of classes combines those prime sets in one pass
+(``SquareClass.product``), and the callers that hold an entry's class read the
 local symbols and Witt residues off its squarefree kernel, the signed product of
 those primes, whose valuation at every place is 0 or 1 and whose unit at one of
-its primes p is kernel // p.  Sturm root counting takes one remainder
-sequence, the Sturm chain of the input: it ends in gcd(p, p'), and its terms
-divided by that gcd count the distinct roots and give the squarefree part.
+its primes p is kernel // p.  Sturm root counting takes one remainder sequence,
+the Sturm chain of the input: it ends in gcd(p, p'), and its terms divided by
+that gcd count the distinct roots and give the squarefree part.
 """
 
 from __future__ import annotations
@@ -210,14 +210,15 @@ def _rho_split(n: int) -> tuple[int, int]:
 
 def factor(n: int) -> dict[int, int]:
     """Prime factorization of |n|, n nonzero, as {prime: exponent} in ascending
-    order, counted into a plain dict and checked by multiplying it back."""
+    order, counted off the ascending prime list, which is checked by multiplying it back."""
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
+    primes = _prime_factors(n)
     out = {}
-    for p in _prime_factors(n):
+    for p in primes:
         out[p] = out.get(p, 0) + 1
-    if prod(p**e for p, e in out.items()) != n:
+    if prod(primes) != n:
         raise CertificateError(
             f"factorization certificate failed: {tuple(out.items())} does not multiply back to {n}")
     return out
@@ -228,7 +229,8 @@ class SquareClass(Frozen):
 
     It carries the primes dividing its representative in ``_primes``, which
     is not a field, so a product of classes is the symmetric difference of
-    their prime sets and factors nothing.
+    their prime sets and factors nothing; ``product`` takes it in one pass
+    and multiplies one representative out.
     """
 
     def __init__(self, representative: int):
@@ -256,6 +258,15 @@ class SquareClass(Frozen):
     def __neg__(self) -> "SquareClass":
         return SquareClass._of_primes(-self._sign(), self._primes)
 
+    @staticmethod
+    def product(classes) -> "SquareClass":
+        """The product of the classes, 1 for none, in one pass over their signs and prime sets."""
+        negative, primes = False, set()
+        for c in classes:
+            negative ^= c.representative < 0
+            primes ^= c._primes
+        return SquareClass._of_primes(-1 if negative else 1, frozenset(primes))
+
     def prime_support(self) -> list[int]:
         return sorted(self._primes)
 
@@ -280,9 +291,9 @@ def square_class(a) -> SquareClass:
     anything else is coerced, and a float refused."""
     if not isinstance(a, Fraction):
         a = _rational(a)
-    if a == 0:
+    n = prod(a.as_integer_ratio())  # a and n = num * den differ by the square den^2
+    if not n:
         raise ValueError("zero has no square class")
-    n = a.numerator * a.denominator  # a and n*d differ by the square d^2
     odd = frozenset(p for p, e in factor(n).items() if e % 2)
     return SquareClass._of_primes(-1 if n < 0 else 1, odd)
 

@@ -92,9 +92,6 @@ class BilinearForm(Frozen):
         return bool(self.gram.det())
 
 
-HYPERBOLIC_PLANE = BilinearForm.from_rows([[0, 1], [1, 0]])
-
-
 class Pivots(Frozen):
     """Nonzero entries d and a radical dimension r such that a symmetric form
     is congruent to diag(d, 0...0), with r zeros: the pivots of a pivoted
@@ -285,6 +282,11 @@ def _certify_congruence(cols, gram, diag) -> None:
                 raise CertificateError("diagonalization certificate failed: P^T G P is not the diagonal D")
 
 
+HYPERBOLIC_PLANE = BilinearForm.from_rows([[0, 1], [1, 0]])
+# the shared constant keeps its pivots, their classes and its diagonalization from load on, so no call adds to it
+pivots(HYPERBOLIC_PLANE).classes, diagonalize(HYPERBOLIC_PLANE).classes
+
+
 class FormInvariants(Frozen):
     """Complete rational-equivalence invariants of a nondegenerate form."""
 
@@ -322,9 +324,6 @@ def _hasse_symbols(classes, places) -> dict:
     return out
 
 
-_ONE = SquareClass._of_primes(1, frozenset())  # the unit class, built without factoring
-
-
 def invariants(f: BilinearForm) -> FormInvariants:
     """Rank, signature, discriminant, and Hasse symbols of a nondegenerate
     symmetric form over Q."""
@@ -337,7 +336,7 @@ def invariants(f: BilinearForm) -> FormInvariants:
     return FormInvariants(
         rank=piv.rank,
         signature=piv.signature(),
-        discriminant=prod(classes, start=_ONE),
+        discriminant=SquareClass.product(classes),
         hasse=_hasse_symbols(classes, _places_of(classes)),
     )
 

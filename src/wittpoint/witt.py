@@ -38,7 +38,6 @@ from .core import (
 from .forms import (
     SKEW,
     BilinearForm,
-    _ONE,
     _hasse_symbols,
     pivots,
     symplectic_reduce,
@@ -131,19 +130,19 @@ def fp_class_of(entries, p: int) -> WittClassFp:
     units = [residue_mod(e, p) for e in entries]
     if 0 in units:
         raise ValueError("diagonal entries must be nonzero mod p")
-    return _fp_class(units, p)
+    return _fp_class(len(units), prod(units), p)
 
 
-def _fp_class(units, p: int) -> WittClassFp:
-    """Class of <units> in W(F_p), unchecked: p is a prime (2 gives the rank
-    parity) and no unit is 0 mod p.  It reads their number and the parity of
-    their nonresidues (Serre, ch. IV, 1.7), even iff their product is a residue."""
+def _fp_class(count: int, product: int, p: int) -> WittClassFp:
+    """Class in W(F_p) of ``count`` units whose product is ``product``, unchecked: p is
+    a prime (2 gives the rank parity), and a product 0 mod p raises ``ValueError``.  It
+    reads the parity of the nonresidues (Serre, ch. IV, 1.7), even iff the product is a residue."""
     if p == 2:
-        return WittClassFp._of(2, len(units) % 2)
-    even = is_residue(prod(units), p)
+        return WittClassFp._of(2, count % 2)
+    even = is_residue(product, p)
     if p % 4 == 3:
-        return WittClassFp._of(p, (len(units) - (0 if even else 2)) % 4)
-    return WittClassFp._of(p, (len(units) % 2, even))
+        return WittClassFp._of(p, (count - (0 if even else 2)) % 4)
+    return WittClassFp._of(p, (count % 2, even))
 
 
 def _split_at(e: Fraction, p: int) -> tuple[int, int]:
@@ -169,7 +168,8 @@ def psi(form_or_entries, p: int, k: int) -> WittClassFp:
         entries = [_rational(e) for e in form_or_entries]
         if any(e == 0 for e in entries):
             raise ValueError("diagonal entries must be nonzero")
-    return _fp_class([u for v, u in (_split_at(e, p) for e in entries) if v == k], p)
+    units = [u for v, u in (_split_at(e, p) for e in entries) if v == k]
+    return _fp_class(len(units), prod(units), p)
 
 
 class WittClassQ(Frozen):
@@ -199,7 +199,7 @@ class WittClassQ(Frozen):
     @classmethod
     def _of(cls, signature: int, residues: tuple) -> "WittClassQ":
         """The class of a canonical residue tuple, built without checking it
-        again: for ``make``, which filters and sorts its residues itself."""
+        again: for ``make`` and ``_class_of_entries``, which filter and sort it."""
         out = object.__new__(cls)
         out.__dict__.update(signature=signature, residues=residues)
         return out
@@ -261,16 +261,19 @@ def _class_of_entries(entries, classes) -> WittClassQ:
     classes: the residue psi(entries, p, 1) reads the entries with p among their
     primes, each at the unit k // p of its squarefree kernel k, which differs from
     the entry's unit at p by a square and so gives the same class in W(F_p)."""
-    signature = _signature(entries)
-    units = {}  # p -> unit residues of the entries of odd valuation at p
+    units = {}  # p -> (number, product mod p) of those units, in one pass over the classes
     for c in classes:
         k = c.representative
-        for p in c.prime_support():
-            units.setdefault(p, []).append(k // p % p)
-    return WittClassQ.make(signature, {p: _fp_class(us, p) for p, us in units.items()})
+        for p in c._primes:
+            n, u = units.get(p, (0, 1))
+            units[p] = n + 1, k // p * u % p
+    residues = ((p, _fp_class(*units[p], p)) for p in sorted(units))
+    return WittClassQ._of(_signature(entries), tuple((p, r) for p, r in residues if not r.is_zero()))
 
 
 # -- equality oracles ---------------------------------------------------
+# the entries <1, -1> of a hyperbolic plane and their classes, the padding of the Hasse route
+_PLANE, _PLANE_CLASSES = (Fraction(1), Fraction(-1)), (SquareClass.product(()), -SquareClass.product(()))
 
 
 def _hasse_route_entries(ef: tuple, classes_f: tuple, eg: tuple, classes_g: tuple) -> bool:
@@ -278,14 +281,14 @@ def _hasse_route_entries(ef: tuple, classes_f: tuple, eg: tuple, classes_g: tupl
     if (len(ef) - len(eg)) % 2:
         return False
     half = abs(len(ef) - len(eg)) // 2
-    pad, pad_classes = (Fraction(1), Fraction(-1)) * half, (_ONE, -_ONE) * half
+    pad, pad_classes = _PLANE * half, _PLANE_CLASSES * half
     if len(ef) < len(eg):
         ef, classes_f = ef + pad, classes_f + pad_classes
     else:
         eg, classes_g = eg + pad, classes_g + pad_classes
     if _signature(ef) != _signature(eg):
         return False
-    if prod(classes_f, start=_ONE) != prod(classes_g, start=_ONE):
+    if SquareClass.product(classes_f) != SquareClass.product(classes_g):
         return False
     places = _places_of(classes_f + classes_g)
     return _hasse_symbols(classes_f, places) == _hasse_symbols(classes_g, places)

@@ -118,7 +118,7 @@ def test_equivalent_diagonalizes_each_form_once(monkeypatch):
     # a diagonal Gram is diagonalized, with no pivot loop; the hyperbolic
     # plane, whose diagonal is zero, takes one pivoted LDL^T pass (it was
     # diagonalized, and the counts read 2 and 4).  It is a fresh form, as
-    # HYPERBOLIC_PLANE keeps the pivots an earlier test took
+    # HYPERBOLIC_PLANE keeps the pivots it took when forms was loaded
     diagonalizations = count(monkeypatch, forms, "diagonalize")
     ldl = count(monkeypatch, Mat, "ldl_pivots")
     assert equivalent(BilinearForm.from_rows(HYPERBOLIC_PLANE.gram.rows), BilinearForm.from_diagonal([3, -3]))
@@ -178,6 +178,42 @@ def test_invariants_takes_one_legendre_symbol_per_odd_place(monkeypatch):
         assert set(hasse) == finite | {"real"}
         assert symbols[0] == len(finite) - 1
     assert hilbert[0] == 0
+
+
+def test_a_discriminant_builds_one_square_class(monkeypatch):
+    # with the classes kept, invariants builds its discriminant and nothing
+    # else, and the Hasse route one discriminant per form: a product of
+    # classes multiplies one representative out, and the hyperbolic padding
+    # of f (ranks 3 and 5) was built at import
+    f = BilinearForm.from_diagonal([3 * 1009, -5 * 1013, Fraction(7, 2)])
+    g = BilinearForm.from_diagonal([Fraction(5 * 1013 * 4, 9), -7 * 8, 3 * 1009 * 25, 11, -11])
+    h = f.direct_sum(HYPERBOLIC_PLANE)
+    for form in (f, g, h):
+        assert forms.pivots(form).classes
+    built = count(monkeypatch, core.SquareClass, "_of_primes")
+    discriminant = invariants(f).discriminant
+    assert built[0] == 1 and discriminant == core.square_class(-3 * 1009 * 5 * 1013 * 14)
+    for other, verdict in ((g, False), (h, True)):
+        built[0] = 0
+        assert equivalent(f, other) is verdict
+        assert built[0] == 2
+
+
+def test_a_wrong_discriminant_makes_the_oracles_disagree(monkeypatch):
+    # the Hasse route's discriminants come from SquareClass.product alone and
+    # the residue route reads none, so a product that flips the sign of the
+    # first discriminant it builds, f's, makes them disagree on an equal pair
+    product, calls = core.SquareClass.product, [0]
+
+    def flipped(classes):
+        calls[0] += 1
+        return -product(classes) if calls[0] == 1 else product(classes)
+
+    monkeypatch.setattr(core.SquareClass, "product", staticmethod(flipped))
+    f = BilinearForm.from_diagonal([3 * 1009, -5 * 1013, Fraction(7, 2)])
+    with pytest.raises(CertificateError, match="residue and Hasse equality oracles disagree"):
+        equivalent(f, f.direct_sum(HYPERBOLIC_PLANE))
+    assert calls[0] == 2
 
 
 def test_no_legendre_symbol_at_a_place_outside_every_class(monkeypatch):

@@ -83,6 +83,20 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     assert "$.gram" in capsys.readouterr().err
 
 
+def test_a_too_deeply_nested_document_is_an_input_error(tmp_path, capsys):
+    # json raises RecursionError on it, which left a traceback, not an input error
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    message = f"input error: $: JSON in {deep} is nested too deeply to read\n"
+    assert main(["witt-class", str(deep)]) == 1
+    assert capsys.readouterr() == ("", message)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-m", "wittpoint.cli", "witt-class", str(deep)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", message)
+
+
 def test_unreadable_and_ambiguous_documents_are_input_errors(tmp_path, capsys):
     # a repeated key, in a form or deep in a witness map, would let its last value win
     form = tmp_path / "dup.json"

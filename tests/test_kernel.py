@@ -1674,8 +1674,13 @@ def ref_fp_class(units, p: int) -> WittClassFp:
 @EXAMPLES
 @given(data=st.data(), p=st.sampled_from((3, 5, 7, 13, 10007, 99991)))
 def test_fp_class_matches_one_residue_test_per_unit(data, p):
+    # _fp_class reads the units' number and product, which need not be reduced
+    # mod p; a product 0 mod p is refused, as a unit 0 mod p was
     units = data.draw(st.lists(st.integers(1, p - 1), max_size=8))
-    assert repr(_fp_class(units, p)) == repr(ref_fp_class(units, p))
+    lifts = [u + p * data.draw(st.integers(-3, 3)) for u in units]
+    assert repr(_fp_class(len(lifts), prod(lifts), p)) == repr(ref_fp_class(units, p))
+    with pytest.raises(ValueError, match="zero is neither residue nor nonresidue"):
+        _fp_class(len(units) + 1, p * prod(units), p)
 
 
 @EXAMPLES
@@ -1684,6 +1689,23 @@ def test_invariants_hasse_matches_the_per_pair_symbols(f):
     f = radical_split(f).nondegenerate
     entries = diagonalize(f).entries
     assert list(invariants(f).hasse.items()) == list(ref_hasse_of_entries(entries).items())
+
+
+@EXAMPLES
+@given(data=st.data(), values=st.lists(st.one_of(local_rationals, wide_rationals), max_size=6))
+def test_square_class_product_is_the_fold_of_products(data, values):
+    # repeated primes come from repeated and shared values, negative entries
+    # from a drawn sign; none gives the unit class
+    values = data.draw(st.permutations(values + values[:2] + [-v for v in values[2:3]]))
+    classes = [square_class(v) for v in values]
+    got = SquareClass.product(classes)
+    fold = SquareClass(1)
+    for c in classes:
+        fold = fold * c
+    assert got == fold == square_class(prod(values, start=Fraction(1)))
+    assert got._primes == fold._primes == SquareClass(got.representative)._primes
+    assert repr(got) == repr(fold) and hash(got) == hash(fold)
+    assert (SquareClass.product(()), SquareClass.product(iter(classes))) == (SquareClass(1), got)
 
 
 @EXAMPLES

@@ -9,11 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittpoint.cobordism import random_invertible, random_nondegenerate_form
-from wittpoint.forms import HYPERBOLIC_PLANE, RATIONAL, SYMMETRIC, BilinearForm, Pivots, diagonalize, radical_split
+from wittpoint.core import _primes_below, square_class
+from wittpoint.forms import (
+    HYPERBOLIC_PLANE,
+    RATIONAL,
+    SYMMETRIC,
+    BilinearForm,
+    Pivots,
+    diagonalize,
+    pivots,
+    radical_split,
+)
 from wittpoint.linalg import Mat
 from wittpoint.witt import (
     WittClassFp,
     WittClassQ,
+    _class_of_entries,
     classes_equal_hasse_route,
     classes_equal_residue_route,
     equivalent,
@@ -171,6 +182,37 @@ def test_psi_reads_the_same_class_off_pivots_as_off_a_diagonalization(gram, p, k
     # kept
     assert psi(BilinearForm(RATIONAL, SYMMETRIC, gram), p, k) == psi(
         diagonalize(BilinearForm(RATIONAL, SYMMETRIC, gram)).entries, p, k)
+
+
+def ref_class_from_psi(entries, classes) -> WittClassQ:
+    """The class of <entries> from its signature and psi(entries, p, 1) at every
+    prime of the classes, through the checking constructor."""
+    residues = [(p, psi(entries, p, 1)) for p in sorted(set().union(*(c._primes for c in classes)))]
+    signature = sum(1 if e > 0 else -1 for e in entries)
+    return WittClassQ(signature, tuple((p, c) for p, c in residues if not c.is_zero()))
+
+
+BIG_PRIMES = [p for p in _primes_below(10**5) if p > 10**3]
+# like the entries of oracle_heights: a sign, a small prime or 1, a prime in
+# [1e3, 1e5) or 1, and a rational square
+oracle_entries = st.builds(
+    lambda sign, small, big, num, den: sign * small * big * Fraction(num, den) ** 2,
+    st.sampled_from((1, -1)), st.sampled_from((1, 2, 3, 5, 7, 11, 13)),
+    st.one_of(st.just(1), st.sampled_from(BIG_PRIMES)), st.integers(1, 30), st.integers(1, 30),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), entries=st.lists(oracle_entries, max_size=6), gram=psi_grams())
+def test_class_of_entries_matches_the_residues_of_psi(data, entries, gram):
+    # repeated entries share their primes; a form's pivots may be degenerate
+    # or pass a zero leading minor, and the radical is left out
+    entries = data.draw(st.permutations(entries + entries[:2]))
+    piv = pivots(BilinearForm(RATIONAL, SYMMETRIC, gram))
+    for es in (entries, list(piv.entries)):
+        classes = [square_class(e) for e in es]
+        assert repr(_class_of_entries(es, classes)) == repr(ref_class_from_psi(es, classes))
+    assert _class_of_entries(piv.entries, piv.classes) == witt_class_of(BilinearForm(RATIONAL, SYMMETRIC, gram))
 
 
 @st.composite
