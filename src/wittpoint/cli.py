@@ -126,7 +126,7 @@ def _cmd_metabolic_reduce(args) -> Outcome:
 def _cmd_complex_class(args) -> Outcome:
     from .cobordism import validate
     cpx = jsonio.complex_from_json(_load(args.complex))
-    report = validate(cpx, diagonalize_h0=True)  # a symmetric H^0 form comes with its pivots kept
+    report = validate(cpx)
     if not report.ok:
         raise ValueError(f"invalid complex: {report.problems}")
     h0 = report.h0_form

@@ -34,7 +34,6 @@ from .forms import (
     BilinearForm,
     BlockMetabolicForm,
     diagonalize,
-    pivots,
 )
 from .linalg import Mat, complement_in_kernel, extend_to_complement
 from .witt import WittClassQ, witt_class_of
@@ -347,11 +346,13 @@ class ComplexReport(Record):
         self.h0_form = h0_form
 
 
-def validate(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexReport:
+def validate(c: SelfDualComplex) -> ComplexReport:
     """Check the four self-dual complex invariants, with witnesses, in this
     order: d d = 0, as the complex's ``Cohomology`` decides it; then the
     involution S_{-i} = (-1)^i eps S_i^T, the pairing chain map, and
-    perfectness on cohomology, one function each.
+    perfectness on cohomology, one function each.  Perfectness is decided
+    at every degree, H^0 included, by the determinant of the induced Gram
+    matrix.
 
     The identities come in mirror pairs.  The involution identity at -i is
     the transpose of the one at i.  Given it, the chain-map defect
@@ -360,12 +361,6 @@ def validate(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexRepo
     reads S_i d(-i-1) = eps (S_{-i-1} d(i))^T.  Each pair is checked once,
     and a failing pair sends the check through every degree, so a report
     lists its problems as the degree-by-degree check does.
-
-    With ``diagonalize_h0``, for a caller that takes the class of the H^0
-    form next, perfectness at degree 0 of a symmetric complex that passed
-    the first three checks is read off the pivots of its H^0 form
-    (``forms.pivots``), which the form keeps for its class, and not off a
-    determinant: the pivoted LDL^T pass behind them counts the radical.
     """
     cx = c.complex
     coh = Cohomology(cx)
@@ -376,8 +371,7 @@ def validate(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexRepo
     h0 = None
     if not problems:  # the involution holds, so the H^0 pairing is eps-symmetric
         h0 = BilinearForm(RATIONAL, c.epsilon, _induced_gram(c.s(0), coh.reps(0), coh.reps(0)))
-    by_pivots = diagonalize_h0 and h0 is not None and c.epsilon == SYMMETRIC
-    induced, imperfect = _perfectness(c, coh, dims, h0, by_pivots)
+    induced, imperfect = _perfectness(c, coh, dims, h0)
     problems += imperfect
     return ComplexReport(ok=not problems, problems=problems, cohomology_dims=dims,
                          induced_pairings=induced, cohomology=coh, h0_form=None if problems else h0)
@@ -436,11 +430,10 @@ def _pairing_chain_map_problems(c: SelfDualComplex, mirrored: bool) -> list:
 
 
 def _perfectness(c: SelfDualComplex, coh: Cohomology, dims: dict[int, int],
-                 h0: BilinearForm | None, by_pivots: bool) -> tuple[dict[int, Mat], list]:
+                 h0: BilinearForm | None) -> tuple[dict[int, Mat], list]:
     """The pairings induced on H^i x H^{-i}, i >= 0, and the problems of
-    those that are not perfect.  The pairing on H^0 is the Gram matrix of
-    ``h0`` when that is given; with ``by_pivots``, it is perfect iff the
-    pivots of ``h0`` leave no radical."""
+    those that are not perfect, at every degree by one determinant.  The
+    pairing on H^0 is the Gram matrix of ``h0`` when that is given."""
     induced, problems = {}, []
     for i in sorted({abs(j) for j in dims} | ({0} if dims else set())):
         hi, hmi = coh.dim(i), coh.dim(-i)
@@ -454,12 +447,8 @@ def _perfectness(c: SelfDualComplex, coh: Cohomology, dims: dict[int, int],
             })
             continue
         gram = h0.gram if i == 0 and h0 is not None else _induced_gram(c.s(i), coh.reps(i), coh.reps(-i))
-        if i == 0 and by_pivots:
-            singular = pivots(h0).radical_dim > 0
-        else:
-            singular = gram.n and not gram.det()
         induced[i] = gram
-        if singular:
+        if gram.n and not gram.det():
             kernel = gram.nullspace()
             problems.append({
                 "check": "perfect_on_cohomology",
@@ -478,8 +467,8 @@ def _induced_gram(s: Mat, left: Mat, right: Mat) -> Mat:
     return left.T * s * right
 
 
-def ensure_valid(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> ComplexReport:
-    report = validate(c, diagonalize_h0=diagonalize_h0)
+def ensure_valid(c: SelfDualComplex) -> ComplexReport:
+    report = validate(c)
     if not report.ok:
         raise ValueError(f"invalid self-dual complex: {report.problems}")
     return report
@@ -487,9 +476,8 @@ def ensure_valid(c: SelfDualComplex, *, diagonalize_h0: bool = False) -> Complex
 
 def h0_form(c: SelfDualComplex) -> BilinearForm:
     """The induced form on H^0 (H^0 = 0 gives the empty form); perfectness
-    makes it nondegenerate.  A symmetric one comes with its pivots kept, as
-    its class reads them next."""
-    return ensure_valid(c, diagonalize_h0=True).h0_form
+    makes it nondegenerate."""
+    return ensure_valid(c).h0_form
 
 
 def cobordism_class(c: SelfDualComplex) -> WittClassQ:

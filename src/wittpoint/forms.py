@@ -283,8 +283,10 @@ def _certify_congruence(cols, gram, diag) -> None:
 
 
 HYPERBOLIC_PLANE = BilinearForm.from_rows([[0, 1], [1, 0]])
-# the shared constant keeps its pivots, their classes and its diagonalization from load on, so no call adds to it
-pivots(HYPERBOLIC_PLANE).classes, diagonalize(HYPERBOLIC_PLANE).classes
+# the shared constant keeps its pivots, their classes, its diagonalization and both views of
+# its Gram matrix and of that congruence from load on, so no call adds to it
+pivots(HYPERBOLIC_PLANE).classes, diagonalize(HYPERBOLIC_PLANE).classes, [
+    (m.rows, m.integer_columns()) for m in (HYPERBOLIC_PLANE.gram, diagonalize(HYPERBOLIC_PLANE).congruence)]
 
 
 class FormInvariants(Frozen):

@@ -580,28 +580,27 @@ def test_validate_of_a_valid_complex_takes_no_transpose(monkeypatch):
     assert products[0] == 2 * (1 + 2)
 
 
-def test_cobordism_class_diagonalizes_its_h0_form_once_and_takes_no_determinant(monkeypatch):
-    # perfectness at degree 0 is read off the H^0 form's pivots, which
-    # witt_class_of reads again from the form: a diagonal H^0 Gram is
-    # diagonalized once, with no pivot loop, and one whose leading minors are
-    # all nonzero takes its LDL^T pivots and no diagonalization (it took one).
-    # The diagonal one is built in pivots, with no _diagonalized run (which
-    # tested its diagonality again and counted 1 before every count below)
+def test_cobordism_class_takes_one_determinant_and_its_h0_pivots_once(monkeypatch):
+    # perfectness is one determinant at every degree, H^0 included, and
+    # witt_class_of then reads the H^0 form's pivots once: a diagonal H^0 Gram
+    # is given its no-loop diagonalization in pivots, with no _diagonalized
+    # run and no LDL^T pass, and one whose leading minors are all nonzero
+    # takes its LDL^T pivots and no diagonalization
     ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
     expected = witt_class_of(BilinearForm.from_diagonal([-2, 3]))
     diagonalizations = count(monkeypatch, forms, "_diagonalized")
     ldl = count(monkeypatch, Mat, "ldl_pivots")
     determinants = count(monkeypatch, Mat, "det")
     assert cobordism_class(ext) == expected
-    assert (diagonalizations[0], ldl[0], determinants[0]) == (0, 0, 0)  # det of the H^0 pairing made (1, 1)
+    assert (diagonalizations[0], ldl[0], determinants[0]) == (0, 0, 1)
     core_form = BilinearForm.from_rows([[2, 1], [1, 3]])
     mixed = acyclic_extension(core_form, Random(2), 2)
     assert cobordism_class(mixed) == witt_class_of(core_form)
-    assert (diagonalizations[0], ldl[0], determinants[0]) == (0, 2, 0)  # one for H^0, one for core_form
-    # a skew H^0 form is not diagonalized: its perfectness keeps its determinant
+    assert (diagonalizations[0], ldl[0], determinants[0]) == (0, 2, 2)  # one LDL^T for H^0, one for core_form
+    # a skew H^0 form is not diagonalized: its class is certified by a symplectic basis
     skew = acyclic_extension(BilinearForm.from_rows([[0, 1], [-1, 0]], symmetry=SKEW), Random(5), 1)
     assert cobordism_class(skew).is_zero()
-    assert (diagonalizations[0], ldl[0], determinants[0]) == (0, 2, 1)
+    assert (diagonalizations[0], ldl[0], determinants[0]) == (0, 2, 3)
 
 
 def test_verify_witness_eliminates_each_differential_of_g_and_g_prime_once(monkeypatch):
@@ -627,7 +626,7 @@ def test_verify_witness_eliminates_each_differential_of_g_and_g_prime_once(monke
 
 
 def test_verify_witness_keeps_its_determinants(monkeypatch):
-    # validate called alone, as verify_witness calls it, tests perfectness by det
+    # validate tests perfectness by det at every degree, for every object of a witness
     ext = acyclic_extension(BilinearForm.from_diagonal([-2, 3]), Random(2), 2)
     witnesses = [truncation_witness(ext),
                  cobordism.congruence_witness(BilinearForm.from_diagonal([2, 3]), Mat.from_rows([[1, 1], [0, 1]]))]

@@ -36,6 +36,7 @@ from wittpoint.forms import BilinearForm
 from wittpoint.hodge import standard_structure
 from wittpoint.linalg import Mat
 from wittpoint.witt import witt_class_of
+from test_cobordism import DEGENERATE_H0
 
 
 def write(tmp_path, name, doc):
@@ -249,6 +250,15 @@ def test_verify_witness_command_accepts_a_homotopy_with_blocks(tmp_path, capsys)
     hpath = write(tmp_path, "wh.json", witness_to_json(w))
     assert main(["verify-witness", hpath]) == 0
     assert capsys.readouterr().out == "witness verifies\n"
+
+
+@pytest.mark.parametrize("form, seed, vector", DEGENERATE_H0)
+def test_complex_class_refuses_a_degenerate_h0_pairing(tmp_path, capsys, form, seed, vector):
+    cpath = write(tmp_path, "c.json", complex_to_json(acyclic_extension(form, Random(seed), 1)))
+    problem = {"check": "perfect_on_cohomology", "degree": 0, "witness_class_vector": vector}
+    for argv in (["complex-class", cpath], ["--json", "complex-class", cpath]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: invalid complex: {[problem]}\n")
 
 
 def test_skew_complex_class_certificate(tmp_path, capsys):

@@ -131,6 +131,29 @@ def test_h0_form_rejects_invalid():
         h0_form(c)
 
 
+# degenerate symmetric H^0 pairings: a radical of dimension 1 inside a larger
+# H^0, one of dimension 2, and one whose first leading minor is zero, each
+# extended by an acyclic complex; the witness is the first nullspace vector
+DEGENERATE_H0 = [
+    (BilinearForm.from_diagonal([2, 0]), 3, ["0", "1"]),
+    (BilinearForm.from_diagonal([0, 3, 0]), 4, ["1", "0", "0"]),
+    (BilinearForm.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), 5, ["0", "0", "1"]),
+]
+
+
+@pytest.mark.parametrize("form, seed, vector", DEGENERATE_H0)
+def test_a_degenerate_h0_pairing_is_reported_with_its_radical_vector(form, seed, vector):
+    c = acyclic_extension(form, Random(seed), 1)
+    problems = [{"check": "perfect_on_cohomology", "degree": 0, "witness_class_vector": vector}]
+    report = validate(c)
+    assert (report.ok, report.problems, report.h0_form) == (False, problems, None)
+    assert report.induced_pairings == {0: form.gram}
+    for route in (h0_form, cobordism_class):
+        with pytest.raises(ValueError) as raised:
+            route(c)
+        assert str(raised.value) == f"invalid self-dual complex: {problems}"
+
+
 def test_truncation_witness_degree_zero_is_identity():
     f = BilinearForm.from_diagonal([3, -1])
     w = truncation_witness(SelfDualComplex.from_form(f))

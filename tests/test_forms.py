@@ -502,16 +502,22 @@ def test_certificates_fire_under_python_O():
 
 HYPERBOLIC_PLANE_CALLS = """
 from wittpoint.forms import HYPERBOLIC_PLANE as H, Pivots, diagonalize, invariants, pivots
+from wittpoint.linalg import Mat
 from wittpoint.witt import equivalent, psi, witt_class_of
 
 def snapshot():
-    # the constant's keys and value identities, and those of what it keeps
+    # the constant's keys and value identities, and those of what it keeps,
+    # with every slot of its Gram matrix and of its kept congruence
     kept = vars(H)
     inner = {key: {name: id(x) for name, x in vars(v).items()} for key, v in kept.items() if isinstance(v, Pivots)}
-    return {key: id(v) for key, v in kept.items()}, inner
+    views = [{name: id(getattr(m, name)) for name in Mat.__slots__}
+             for m in (H.gram, kept["_diagonalization"].congruence)]
+    return {key: id(v) for key, v in kept.items()}, inner, views
 
 before = snapshot()
 pivots(H).classes, diagonalize(H).classes, witt_class_of(H), invariants(H), equivalent(H, H), psi(H, 2, 1)
+for m in (H.gram, diagonalize(H).congruence):
+    m.rows, m.integer_columns()
 print(sorted(vars(H)), snapshot() == before)
 """
 
@@ -519,7 +525,8 @@ print(sorted(vars(H)), snapshot() == before)
 def test_no_public_call_changes_the_hyperbolic_plane():
     # a fresh interpreter, so no earlier call has filled what the shared
     # constant keeps: it keeps its pivots, their classes and its
-    # diagonalization from load on, and every call after reads them
+    # diagonalization from load on, and both lazy views of its Gram matrix
+    # and of that congruence, and every call after reads them
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", HYPERBOLIC_PLANE_CALLS], env=env,

@@ -30,11 +30,11 @@ matrices from rows or from integer forms and read columns as ``.T.rows``.
 No function in ``cobordism`` is longer than 60 lines, so each witness
 condition stays a function of its own.  Every module-level function and
 class of the package is named elsewhere in it or in the benchmark, so no
-code stays that nothing calls.  Every parameter with a boolean default is
-listed in ``OPTIONS`` with the callers that need each value, so a new knob
-comes with its reason.  Outside ``forms``, only ``cobordism``'s height
-check binds ``diagonalize``: every other module reads a form's diagonal
-entries through ``forms.pivots``.  The README's CLI block lists the commands
+code stays that nothing calls.  No parameter has a boolean default: a new
+one must be listed in ``OPTIONS`` with the callers that need each value, so
+a new knob comes with its reason.  Outside ``forms``, only ``cobordism``'s
+height check binds ``diagonalize``: every other module reads a form's
+diagonal entries through ``forms.pivots``.  The README's CLI block lists the commands
 the parser registers, in its order, so the command table and the docs
 cannot drift apart; its package layout block lists every module of the
 package (but ``__init__``) and its ``data/`` folder.
@@ -868,18 +868,8 @@ text = "diagonalize"
 # (module.Class.method.parameter for a method), with the package functions
 # that call with each value.  A flag that says what the code could work out
 # from its inputs is no option: it is computed where it is needed.
-OPTIONS = {
-    "cobordism.validate.diagonalize_h0": {
-        # the CLI reads the class of the H^0 form next, off its kept pivots
-        True: ("cli._cmd_complex_class", "cobordism.ensure_valid"),
-        # verify_witness reads no class, so perfectness keeps its determinant
-        False: ("cobordism._object_failures", "cobordism.ensure_valid"),
-    },
-    "cobordism.ensure_valid.diagonalize_h0": {
-        True: ("cobordism.h0_form",),  # cobordism_class reads the class of its form
-        False: ("cobordism.truncation_witness",),  # reads the cohomology, and no class
-    },
-}
+# There is none: perfectness on cohomology is one determinant at every degree.
+OPTIONS = {}
 
 
 def boolean_options(tree) -> list[str]:
