@@ -1,5 +1,5 @@
 """Exact scalar arithmetic: square classes, p-adic splitting, Hilbert symbols,
-and Sturm root counting.
+Sturm root counting and the sign epsilon.
 
 This is the numeric substrate for every Witt invariant in the package.  All
 arithmetic is exact; nothing here ever touches a float.  Factoring has no
@@ -15,7 +15,8 @@ local symbols and Witt residues off its squarefree kernel, the signed product of
 those primes, whose valuation at every place is 0 or 1 and whose unit at one of
 its primes p is kernel // p.  Sturm root counting takes one remainder sequence,
 the Sturm chain of the input: it ends in gcd(p, p'), and its terms divided by
-that gcd count the distinct roots and give the squarefree part.
+that gcd count the distinct roots and give the squarefree part.  One function
+counts sign changes, the chain's and those of Jacobi's rule in ``hodge``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, isqrt, prod
-from operator import attrgetter
+from operator import attrgetter, ne
 
 REAL_PLACE = "real"
 
@@ -388,6 +389,13 @@ def _places_of(classes) -> list:
     return sorted(primes) + [REAL_PLACE]
 
 
+def epsilon(m: int) -> int:
+    """The sign (-1)^(m(m+1)/2), defined for all integers: the epsilon of the
+    chi_y sign calculus (``genus``), and the sign that normalizes a
+    polarization of weight m (``hodge``)."""
+    return -1 if (m * (m + 1) // 2) % 2 else 1
+
+
 # -- Sturm sequences ----------------------------------------------------
 
 
@@ -408,29 +416,10 @@ class SturmCertificate(Frozen):
         return self.all_real and self.positive_roots == self.distinct_roots
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s * t < 0)
-
-
-def _variations_at_zero(chain) -> int:
-    return _sign_variations([_sign(q[0]) if q else 0 for q in chain])
-
-
-def _variations_at_inf(chain, sign: int) -> int:
-    # sign = +1 for +infinity, -1 for -infinity
-    out = []
-    for q in chain:
-        if not q:
-            out.append(0)
-        else:
-            s = _sign(q[-1])
-            out.append(s if sign > 0 else s * (-1) ** (len(q) - 1))
-    return _sign_variations(out)
+def _sign_changes(values) -> int:
+    """The sign changes in a sequence of integers, zeros left out."""
+    signs = [x > 0 for x in values if x]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def sturm_positive_real_roots(coeffs) -> SturmCertificate:
@@ -458,9 +447,11 @@ def sturm_positive_real_roots(coeffs) -> SturmCertificate:
         chain = [int_poly_quotient(t, g) for t in chain]
     distinct = len(chain[0]) - 1
     # V(a) - V(b) counts the distinct roots in (a, b], so a root at 0 is left
-    # out of the positive count
-    positive = _variations_at_zero(chain) - _variations_at_inf(chain, +1)
-    real = _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
+    # out of the positive count; no term is zero, and at -inf a term has the
+    # sign of its leading coefficient, negated for odd degree
+    at_inf = _sign_changes([t[-1] for t in chain])
+    positive = _sign_changes([t[0] for t in chain]) - at_inf
+    real = _sign_changes([t[-1] if len(t) % 2 else -t[-1] for t in chain]) - at_inf
     return SturmCertificate(
         positive_roots=positive,
         real_roots=real,

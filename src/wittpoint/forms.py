@@ -25,7 +25,7 @@ from .core import (
     legendre,
     square_class,
 )
-from .linalg import Mat, _fraction, extend_to_complement
+from .linalg import Mat, _fraction, _symmetric_pivot, extend_to_complement
 
 RATIONAL = "Q"
 
@@ -134,14 +134,13 @@ class Diagonalization(Pivots):
 def diagonalize(f: BilinearForm) -> Diagonalization:
     """Symmetric Gaussian congruence diagonalization over Q.
 
-    Pivot policy (fixed for golden-test determinism): prefer the first
-    nonzero diagonal entry; on an all-zero diagonal add basis vector j to
-    basis vector i for the lexicographically first (i, j) with G[i][j] != 0.
     The integer pivot loop runs on the Gram matrix times the lcm of its
-    denominators.  Pivot d at step k, with c_i = m[k][i], sends basis column
-    i to u_i = s(d b_i - c_i b_k) / g_i, s = sign d and g_i the content of
-    that column, which keeps reported entries integral for integral input;
-    the trailing block is then filled in one Schur-complement pass,
+    denominators, and each zero (k, k) entry is pivoted by the one policy of
+    ``linalg._symmetric_pivot``, fixed for golden-test determinism.  Pivot d
+    at step k, with c_i = m[k][i], sends basis column i to
+    u_i = s(d b_i - c_i b_k) / g_i, s = sign d and g_i the content of that
+    column, which keeps reported entries integral for integral input; the
+    trailing block is then filled in one Schur-complement pass,
     m_ij -> (a_i a_j m_ij - d c_i c_j) / (g_i g_j) for i <= j, with a_i = |d|
     (a_i = g_i = 1 where c_i = 0).  The certificate B^T (scale G) B = scale D
     runs exactly on its integers; G is symmetric, so it checks entries i <= j.
@@ -176,31 +175,13 @@ def _diagonalized(f: BilinearForm) -> Diagonalization:
 
     # basis[i] is column i of the congruence B, an integer vector; at step k,
     # m[i][j] for k <= i <= j is entry (i, j) of B^T (scale G) B.  The Schur
-    # pass writes only those entries, so a swap or an off-diagonal pivot first
-    # mirrors them below the diagonal.  No entry outside the trailing block is
-    # read again.
-    k = 0
-    while k < n:
-        pivot = next((i for i in range(k, n) if m[i][i] != 0), None)
-        if pivot != k:
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    m[j][i] = m[i][j]
-        if pivot is None:
-            off = next(((i, j) for i in range(k, n) for j in range(k, n) if j != i and m[i][j]), None)
-            if off is None:
-                break  # trailing block is zero: the radical
-            i, j = off  # column i += column j
-            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
-            m[i] = [x + y for x, y in zip(m[i], m[j])]
-            for row in m:
-                row[i] += row[j]
-            pivot = i
-        if pivot != k:
-            basis[k], basis[pivot] = basis[pivot], basis[k]
-            m[k], m[pivot] = m[pivot], m[k]
-            for row in m:
-                row[k], row[pivot] = row[pivot], row[k]
+    # pass writes only those entries, which a pivot move mirrors below the
+    # diagonal first.  No entry outside the trailing block is read again.
+    rank = n
+    for k in range(n):
+        if not m[k][k] and not _symmetric_pivot(k, (m,), (basis,)):
+            rank = k  # the trailing block is zero: the radical
+            break
         d, c, bk, t = m[k][k], m[k], basis[k], k + 1
         if any(c[t:]):  # else b_k pairs to zero with every later column
             ad, s = (d, 1) if d > 0 else (-d, -1)
@@ -219,8 +200,6 @@ def _diagonalized(f: BilinearForm) -> Diagonalization:
                 dci = d * ci
                 m[i][i:] = [(ai * aj * x - dci * cj) // (gi * gj)
                             for x, (aj, cj, gj) in zip(m[i][i:], tail[i - t:])]
-        k += 1
-    rank = k
     diag = [m[i][i] for i in range(rank)]
     _certify_congruence(basis, gram, diag)
     entries = tuple(_fraction(d, scale) for d in diag)
@@ -242,13 +221,13 @@ def pivots(f: BilinearForm) -> Pivots:
     """Diagonal entries of a symmetric form, up to squares, for its Witt class
     and invariants: what they read is the entries' signs and square classes.
 
-    The entries are the pivots of one certified Bareiss pass that pivots as
-    ``diagonalize`` does (``Mat.ldl_pivots``), with the radical dimension
-    n - r after r steps, degenerate Gram matrices included.  Where every
-    leading minor D_k is nonzero they are the LDL^T pivots D_k / D_(k-1),
-    and ``diagonalize``, which pivots in place there, reaches each times a
-    nonzero square at the same position.  Elsewhere the pass swaps and adds
-    basis vectors as the pivot loop does, and an added one may change the
+    The entries are the pivots of one certified Bareiss pass
+    (``Mat.ldl_pivots``), with the radical dimension n - r after r steps,
+    degenerate Gram matrices included.  Where every leading minor D_k is
+    nonzero they are the LDL^T pivots D_k / D_(k-1), and ``diagonalize``,
+    which pivots in place there, reaches each times a nonzero square at the
+    same position.  Elsewhere both take the moves of
+    ``linalg._symmetric_pivot``, and an added basis vector may change the
     square classes place by place, but not the Witt class, the signature or
     the rank; no caller reads an entry by its place.  A diagonal Gram matrix
     is given the no-loop diagonalization to keep first, so ``diagonalize``

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .core import CertificateError, Frozen, Record
+from .core import CertificateError, Frozen, Record, epsilon
 from .forms import BilinearForm
 from .jsonio import loads
 from .witt import psi, witt_class_of
@@ -89,11 +89,6 @@ def format_poly(chi: list[int], var: str = "y") -> str:
     for t in terms[1:]:
         out += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
     return out
-
-
-def epsilon(m: int) -> int:
-    """The sign (-1)^(m(m+1)/2), defined for all integers."""
-    return -1 if (m * (m + 1) // 2) % 2 else 1
 
 
 class PrimitivePiece(Frozen):

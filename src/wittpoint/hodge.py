@@ -39,6 +39,8 @@ from .core import (
     Frozen,
     Record,
     SturmCertificate,
+    _sign_changes,
+    epsilon,
     factor,
     sturm_positive_real_roots,
 )
@@ -185,8 +187,6 @@ def _certified_frame(h: HodgeStructure) -> _Frame | None:
             summands.append(_Summand(piece.p, piece.q, start, k, coords, tuple(pivots)))
         spans.append(span)
     basis = reduce(Mat.hstack, spans, Mat.zeros(n, 0))
-    if basis.n != n:
-        return None
     try:
         inverse = basis if basis == Mat.identity(n) else basis.inv()
     except ValueError:
@@ -479,7 +479,7 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
         sig_s, sig_sp = _signature(s), _signature(s_prime)
     else:
         sig_s = sig_sp = (0, 0)
-    sign = _normalizing_sign(h.weight)
+    sign = epsilon(h.weight)
     for name, (pos, neg) in (("S", sig_s), ("S'", sig_sp)):
         _certify_hodge_index(h, sign * (pos - neg), f"normalized signature of {name}")
     return PolarizationPair(
@@ -493,16 +493,14 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
 def _signature(f: BilinearForm) -> tuple[int, int]:
     """(positive, negative) of a symmetric form by Jacobi's rule: with every
     leading minor D_k of its Gram matrix nonzero, the negative count is the
-    number of sign changes in 1, D_1, ..., D_n, read off one Bareiss pass
-    (``Mat.leading_minors``), which stops at the first zero minor.  There
-    the signature is that of the form's pivots (``forms.pivots``), from one
-    pivoted LDL^T pass."""
-    neg, prev = 0, 1
-    for d in f.gram.leading_minors():
-        if not d:
-            return pivots(f).signature()
-        neg += (d < 0) != (prev < 0)
-        prev = d
+    number of sign changes in 1, D_1, ..., D_n (``core._sign_changes``),
+    read off one Bareiss pass (``Mat.leading_minors``), which stops at the
+    first zero minor.  There the signature is that of the form's pivots
+    (``forms.pivots``), from one pivoted LDL^T pass."""
+    minors = list(f.gram.leading_minors())
+    if not all(minors):
+        return pivots(f).signature()
+    neg = _sign_changes([1, *minors])
     return f.gram.n - neg, neg
 
 
@@ -566,16 +564,9 @@ def pol_class(h: HodgeStructure, s: BilinearForm) -> WittClassQ:
     chk = is_polarization(h, s)
     if not chk.ok:
         raise ValueError(f"not a polarization: {chk.problems}")
-    cls = witt_class_of(s.scaled(_normalizing_sign(h.weight)))
+    cls = witt_class_of(s.scaled(epsilon(h.weight)))
     _certify_hodge_index(h, cls.signature, "class signature")
     return cls
-
-
-def _normalizing_sign(w: int) -> int:
-    """(-1)^(w(w+1)/2), the sign that makes a polarization of weight w the
-    form of the Hodge index theorem (``genus.epsilon``; here, so that loading
-    hodge does not load genus)."""
-    return -1 if w * (w + 1) // 2 % 2 else 1
 
 
 def _certify_hodge_index(h: HodgeStructure, signature: int, what: str) -> None:

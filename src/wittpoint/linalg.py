@@ -97,13 +97,8 @@ class Mat:
                                for i, (x, d) in enumerate(entries)])
 
     @staticmethod
-    def from_columns(cols, m: int | None = None) -> "Mat":
-        """The matrix with the given columns, each of length m (by default,
-        the length of the first column)."""
-        if m is None:
-            if not cols:
-                raise ValueError("need row count for empty column list")
-            m = len(cols[0])
+    def from_columns(cols, m: int) -> "Mat":
+        """The m-row matrix with the given columns, each of length m."""
         if any(len(c) != m for c in cols):
             raise ValueError(f"every column must have length {m}")
         return Mat(m, len(cols), [[_rational(c[i]) for c in cols] for i in range(m)])
@@ -319,20 +314,16 @@ class Mat:
     def ldl_pivots(self) -> tuple[Fraction, ...]:
         """The nonzero entries d of a diag(d, 0...0) congruent to a symmetric
         matrix G, one per step of a Bareiss pass on sG, the integer Gram of
-        ``integer_columns``, that pivots as ``forms.diagonalize`` does.
-
-        Step k swaps in the first nonzero trailing diagonal entry, rows and
-        columns together; on a zero trailing diagonal it first adds column
-        and row j to i at the first nonzero (i, j), for the entry 2 a_ij; a
-        zero trailing block ends the pass after r steps.  Trailing entries
-        are bordered minors, linear in their row and column, so the moves act
-        on them, and on the rows of U above, as on T = P^T sG P, and every
-        division stays exact (Bareiss 1968; the symmetric pivoting of Bunch
-        and Kaufman, *Math. Comp.* 31, 1977).  Only the upper triangle of the
-        trailing block is updated; it is mirrored before a move.  The r rows,
-        cut to their upper triangles, are U, T = U^T diag(1 / (b_(k-1) b_k)) U
-        for b_k = U[k-1][k-1], certified exactly (``_certify_ldl``; Zhou and
-        Jeffrey, *Front. Comput. Sci. China* 2, 2008), and d_k = b_k / (s b_(k-1)).
+        ``integer_columns``, pivoted by ``_symmetric_pivot`` at each zero
+        (k, k) entry, as ``forms.diagonalize`` is; a zero trailing block ends
+        the pass after r steps.  Trailing entries are bordered minors, linear
+        in their row and column, so the moves act on them, and on the rows of
+        U above, as on T = P^T sG P, and every division stays exact (Bareiss
+        1968).  Only the upper triangle of the trailing block is updated.
+        The r rows, cut to their upper triangles, are U, T = U^T diag(1 /
+        (b_(k-1) b_k)) U for b_k = U[k-1][k-1], certified exactly
+        (``_certify_ldl``; Zhou and Jeffrey, *Front. Comput. Sci. China* 2,
+        2008), and d_k = b_k / (s b_(k-1)).
         With no move, T = sG and d_k = D_k / D_(k-1), the LDL^T pivots of G.
         """
         if self.m != self.n:
@@ -345,25 +336,10 @@ class Mat:
         t, prev = cols, 1  # T = P^T sG P, copied at the first move
         for k in range(n):
             if not u[k][k]:
-                pivot = next((i for i in range(k + 1, n) if u[i][i]), None)
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        u[j][i] = u[i][j]
                 t = [list(c) for c in cols] if t is cols else t
-                if pivot is None:
-                    off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if u[i][j]), None)
-                    if off is None:
-                        r = k  # the trailing block is zero: the radical
-                        break
-                    pivot, j = off
-                    for a in (u, t):  # column and row j into i
-                        a[pivot] = list(map(add, a[pivot], a[j]))
-                        for row in a:
-                            row[pivot] += row[j]
-                for a in (u, t):
-                    a[k], a[pivot] = a[pivot], a[k]
-                    for row in a:
-                        row[k], row[pivot] = row[pivot], row[k]
+                if not _symmetric_pivot(k, (u, t), ()):
+                    r = k  # the trailing block is zero: the radical
+                    break
             rk = u[k]
             akk = rk[k]
             for i in range(k + 1, n):  # the upper triangle; the multiplier a[i][k] is a[k][i]
@@ -537,6 +513,46 @@ def _integer_gauss_jordan(a: list[list[int]], n: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _symmetric_pivot(k: int, grams: tuple, columns: tuple) -> bool:
+    """Bring a nonzero entry to (k, k) of a symmetric elimination whose
+    (k, k) entry is zero, in place, or return False if the trailing block,
+    rows and columns k and after, is zero.
+
+    This is the one pivot policy of ``forms.diagonalize`` and
+    ``Mat.ldl_pivots`` (the symmetric pivoting of Bunch and Kaufman, *Math.
+    Comp.* 31, 1977).  Each Gram array is a list of integer rows, symmetric
+    on its trailing block; the first is kept only on and above the diagonal
+    there, so that block is first mirrored below it.  Then the first nonzero
+    trailing diagonal entry is swapped in.  If there is none, row and column
+    j are first added to i at the first nonzero (i, j), i < j, in row order,
+    which makes (i, i) the nonzero 2 g_ij.  Each move, the add and the swap,
+    acts on the rows and columns of every Gram array and on the entries of
+    every list of basis columns.
+    """
+    g = grams[0]
+    n = len(g)
+    for i in range(k, n):
+        for j in range(i + 1, n):
+            g[j][i] = g[i][j]
+    pivot = next((i for i in range(k + 1, n) if g[i][i]), None)
+    if pivot is None:
+        off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if g[i][j]), None)
+        if off is None:
+            return False
+        pivot, j = off
+        for a in (*grams, *columns):  # row and column j into the pivot
+            a[pivot] = list(map(add, a[pivot], a[j]))
+        for a in grams:
+            for row in a:
+                row[pivot] += row[j]
+    for a in (*grams, *columns):
+        a[k], a[pivot] = a[pivot], a[k]
+    for a in grams:
+        for row in a:
+            row[k], row[pivot] = row[pivot], row[k]
+    return True
 
 
 def _certify_ldl(u: list[list[int]], cols: list) -> None:

@@ -38,11 +38,11 @@ from .witt import (
 class SuiteResult(Record):
     """A suite's verdict over its trials, with one entry per failed trial."""
 
-    def __init__(self, name: str, trials: int, passed: bool, failures: list | None = None):
+    def __init__(self, name: str, trials: int, passed: bool, failures: list):
         self.name = name
         self.trials = trials
         self.passed = passed
-        self.failures = [] if failures is None else failures
+        self.failures = failures
 
 
 def suite_congruence_invariance(rng: Random, trials: int) -> SuiteResult:

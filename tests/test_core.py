@@ -115,7 +115,7 @@ def test_hilbert_odd_formula_against_oracle_grid():
 FLOAT_CALLS = {  # every entry point that reads a rational, given 0.1
     "Mat": lambda: Mat(1, 1, [[0.1]]),
     "Mat.from_rows": lambda: Mat.from_rows([[1, 0.1]]),
-    "Mat.from_columns": lambda: Mat.from_columns([[0.1]]),
+    "Mat.from_columns": lambda: Mat.from_columns([[0.1]], m=1),
     "Mat.diag": lambda: Mat.diag([1, 0.1]),
     "Mat.scale": lambda: Mat.identity(2).scale(0.1),
     "from_diagonal": lambda: BilinearForm.from_diagonal([0.1, 1]),

@@ -45,7 +45,7 @@ def _structure(weight, dimension, *pieces):
     for p, q, cols in pieces:
         re, im = ([[Fraction(getattr(complex(z), part)) for z in col] for col in cols]
                   for part in ("real", "imag"))
-        m = None if cols else dimension
+        m = len(cols[0]) if cols else dimension
         built.append(HodgePiece(p, q, Mat.from_columns(re, m=m), Mat.from_columns(im, m=m)))
     return HodgeStructure(weight, dimension, built)
 

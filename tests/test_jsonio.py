@@ -1,18 +1,31 @@
-"""Schema validation: good documents round-trip, bad ones point at the field."""
+"""Schema validation: good documents round-trip, bad ones point at the field.
+
+Every input refusal of ``jsonio`` fires in one table, each at its pointer
+with its exact message, and a guard checks that the table reaches every
+``SchemaError(...)`` the module constructs, so a new refusal comes with
+its row.
+"""
+
+import ast
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wittpoint import jsonio
 from wittpoint.forms import BilinearForm
 from wittpoint.jsonio import (
     SchemaError,
     block_from_json,
+    chain_complex_from_json,
     complex_from_json,
     diamond_from_json,
     fp_class_to_json,
     form_from_json,
     form_to_json,
+    hodge_from_json,
     loads,
+    parse_matrix,
     parse_rational,
     pieces_from_json,
     witness_from_json,
@@ -112,6 +125,132 @@ def test_diamond_entries_are_integers():
             diamond_from_json({"dim": 1, "h": [[1, 2], [value, 1]]})
     with pytest.raises(SchemaError, match=r"^\$\.h: expected a table of Hodge numbers$"):
         diamond_from_json({"dim": 0, "h": ["1"]})
+
+
+# -- every refusal ----------------------------------------------------------
+
+
+SYM = {"symmetry": "symmetric"}
+WITNESS_PARTS = dict.fromkeys(("f", "f_prime", "g", "g_prime", "s2"))
+PIECE = {"p": 0, "q": 0}
+
+# (reader, the smallest document it refuses, the exact error), one row or
+# more for each SchemaError(...) in jsonio, in the order of the module
+REFUSALS = [
+    (pieces_from_json, {"weight": "2"}, "$.weight: expected an integer"),
+    (parse_rational, True, "$: expected a rational, got a boolean"),
+    (parse_matrix, [["0.5"]], "$[0][0]: bad rational string '0.5'"),
+    (parse_matrix, [["1/0"]], "$[0][0]: bad rational string '1/0'"),
+    (parse_matrix, [[1.5]], "$[0][0]: expected a rational string or integer, got float"),
+    (parse_rational, "7" * 5000, "$: an integer of 5000 digits is over the limit of 4300 digits"),
+    (loads, "[%s]" % ("7" * 5000), "$[0]: an integer of 5000 digits is over the limit of 4300 digits"),
+    (parse_matrix, [1], "$: expected a list of rows"),
+    (parse_matrix, [[1], [1, 2]], "$: rows have unequal lengths"),
+    (form_from_json, [], "$: expected an object"),
+    (form_from_json, {"gram": []}, '$.symmetry: expected "symmetric" or "skew"'),
+    (form_from_json, {**SYM, "field": "R", "gram": []}, '$.field: expected "Q"'),
+    (form_from_json, SYM, "$.gram: missing"),
+    (form_from_json, {"symmetry": "skew", "gram": [[1]]},
+     "$.gram: Gram matrix does not match the declared symmetry"),
+    (block_from_json, [], "$: expected an object"),
+    (block_from_json, {"s": [[1]], "b": [[0]]}, "$.a: missing block"),
+    (block_from_json, {"s": [[1, 2], [3, 4]], "a": [], "b": []},
+     "$.s: Gram matrix does not match the declared symmetry"),
+    (block_from_json, {"s": [[1]], "a": [[1, 2]], "b": [[0]]}, "$.a: block A must be symmetric k x k"),
+    (chain_complex_from_json, {"spaces": {"x": 1}}, "$.spaces.x: degree keys must be integers"),
+    (chain_complex_from_json, {"spaces": {"0": 1, "00": 2}}, "$.spaces.00: degree 0 is given twice"),
+    (chain_complex_from_json, {"differentials": []}, "$.differentials: expected an object keyed by degree"),
+    (chain_complex_from_json, [], "$: expected an object"),
+    (chain_complex_from_json, {"spaces": []}, "$.spaces: expected an object keyed by degree"),
+    (chain_complex_from_json, {"spaces": {"0": -1}}, "$.spaces.0: dimensions are nonnegative integers"),
+    (chain_complex_from_json, {"spaces": {"0": 2}, "differentials": {"0": [[1, 0]]}},
+     "$.differentials: differential at degree 0 has shape 1x2, expected 0x2"),
+    (complex_from_json, [], "$: expected an object"),
+    (complex_from_json, {}, '$.symmetry: expected "symmetric" or "skew"'),
+    (complex_from_json, {**SYM, "spaces": {"-1": 1, "1": 1}, "pairing": {"1": [[1]], "-1": [[1]]}},
+     "$.pairing: pairing blocks at degrees 1 and -1 violate the (-1)^i involution symmetry"),
+    (witness_from_json, [], "$: expected an object"),
+    (witness_from_json, {"kind": "null"}, '$.kind: expected "direct" or "direct_subquotient"'),
+    (witness_from_json, {}, "$.f: missing"),
+    (witness_from_json, {**WITNESS_PARTS, "maps": []}, "$.maps: expected an object"),
+    (witness_from_json, {**WITNESS_PARTS, "maps": {}}, "$.maps.pi: missing"),
+    (hodge_from_json, {"weight": 0, "pieces": [{**PIECE, "basis": [[[1]]]}]},
+     "$.pieces[0].basis[0][0]: expected a rational or an [re, im] pair"),
+    (hodge_from_json, [], "$: expected an object"),
+    (hodge_from_json, {"weight": 0, "pieces": []}, "$.pieces: expected a nonempty list"),
+    (hodge_from_json, {"weight": 0, "pieces": [{"p": 0}]}, "$.pieces[0]: expected {p, q, basis}"),
+    (hodge_from_json, {"weight": 0, "pieces": [{**PIECE, "basis": {}}]},
+     "$.pieces[0].basis: expected a list of vectors"),
+    (hodge_from_json, {"weight": 0, "pieces": [{**PIECE, "basis": [1]}]},
+     "$.pieces[0].basis[0]: expected a vector"),
+    (hodge_from_json, {"weight": 0, "pieces": [{**PIECE, "basis": [[1], [1, 0]]}]},
+     "$.pieces[0].basis: vector lengths disagree"),
+    (hodge_from_json, {"weight": 0, "pieces": [PIECE]}, "$.pieces: no basis vectors given"),
+    (diamond_from_json, [], "$: expected an object"),
+    (diamond_from_json, {"dim": -1}, "$.dim: expected a nonnegative integer"),
+    (diamond_from_json, {"dim": 0, "h": "1"}, "$.h: expected a table of Hodge numbers"),
+    (pieces_from_json, [], "$: expected an object"),
+    (pieces_from_json, {"weight": 0, "pieces": {}}, "$.pieces: expected a list"),
+    (pieces_from_json, {"weight": 0, "pieces": [{"j": 0}]}, "$.pieces[0]: expected {j, signature}"),
+    (pieces_from_json, {"weight": 0, "pieces": [{"j": -1, "signature": 0}]},
+     "$.pieces[0]: primitive offset j must be nonnegative"),
+]
+
+
+def schema_error_sites(tree) -> list[int]:
+    """The lines of a module that construct a ``SchemaError``: a call of
+    the name or of an attribute of that name, wherever it stands."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "SchemaError" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_every_input_refusal_fires_at_its_pointer(monkeypatch):
+    made = []
+    init = SchemaError.__init__
+
+    def record(self, pointer, message):
+        caller = sys._getframe(1)
+        made.append((caller.f_code.co_filename, caller.f_lineno))
+        init(self, pointer, message)
+
+    monkeypatch.setattr(SchemaError, "__init__", record)
+    for read, doc, error in REFUSALS:
+        with pytest.raises(SchemaError) as exc:
+            read(doc)
+        assert str(exc.value) == error, (read.__name__, doc)
+    path = jsonio.__file__
+    assert {file for file, _ in made} == {path}
+    sites = schema_error_sites(ast.parse(open(path).read()))
+    reached = {line for _, line in made}
+    assert reached == set(sites), f"give the refusals at these lines a row: {sorted(set(sites) - reached)}"
+
+
+def test_schema_error_walk_sees_every_spelling():
+    source = """
+class SchemaError(ValueError):
+    pass
+def read(doc):
+    if not doc:
+        raise SchemaError("$", "empty")
+    try:
+        return int(doc)
+    except ValueError as exc:
+        raise SchemaError("$", str(exc)) from exc
+def make(pointer):
+    return SchemaError(pointer,
+                       "over two lines")
+check = lambda doc: doc or jsonio.SchemaError("$", "in a lambda")
+errors = [SchemaError(p, "in a comprehension") for p in "ab"]
+def caught():
+    try:
+        pass
+    except SchemaError:
+        raise
+text = "SchemaError(pointer, message)"
+kind = isinstance(ValueError(), SchemaError), SchemaError
+"""
+    assert schema_error_sites(ast.parse(source)) == [6, 10, 12, 14, 15]
 
 
 def test_fp_class_round_trip():

@@ -64,8 +64,7 @@ from wittpoint.core import (
     is_prime,
     _int_split,
     _places_of,
-    _variations_at_inf,
-    _variations_at_zero,
+    _sign_changes,
     legendre,
     relevant_places,
     residue_mod,
@@ -759,6 +758,14 @@ def ref_sturm(coeffs) -> SturmCertificate:
     return SturmCertificate(positive, real, distinct, real == distinct, squarefree)
 
 
+def chain_counts(chain) -> tuple[int, int]:
+    """The distinct roots in (0, inf) and in all of R that a Sturm chain
+    counts, by its sign changes at 0, +inf and -inf."""
+    at_inf = _sign_changes([t[-1] for t in chain])
+    at_minus_inf = _sign_changes([t[-1] * (-1) ** (len(t) - 1) for t in chain])
+    return _sign_changes([t[0] for t in chain]) - at_inf, at_minus_inf - at_inf
+
+
 def two_sequence_sturm(coeffs) -> SturmCertificate:
     """The Sturm certificate by the route one chain replaced: gcd(p, p') as
     the last term of one remainder sequence, then a second sequence, the
@@ -775,8 +782,7 @@ def two_sequence_sturm(coeffs) -> SturmCertificate:
     if distinct == 0:
         return SturmCertificate(0, 0, 0, True, len(g) <= 1, q)
     chain = int_sturm_chain(q)
-    positive = _variations_at_zero(chain) - _variations_at_inf(chain, +1)
-    real = _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
+    positive, real = chain_counts(chain)
     return SturmCertificate(positive, real, distinct, real == distinct, len(g) <= 1, q)
 
 
@@ -790,8 +796,7 @@ def fraction_round_trip_sturm(coeffs) -> SturmCertificate:
     chain = int_sturm_chain(p)
     g = int_poly(chain[-1])
     chain = [int_poly_quotient(t, g) for t in chain]
-    positive = _variations_at_zero(chain) - _variations_at_inf(chain, +1)
-    real = _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
+    positive, real = chain_counts(chain)
     distinct = len(chain[0]) - 1
     return SturmCertificate(positive, real, distinct, real == distinct, len(g) <= 1, chain[0])
 
@@ -1513,7 +1518,7 @@ def test_every_constructor_and_operation_holds_the_integer_form():
     a = Mat(2, 3, rows)
     s = Mat.from_rows([[1, "1/2"], ["-1/3", 0]])
     built = [a, Mat.from_rows(rows), Mat(2, 3, ints=ref_integer_form(a)), Mat.zeros(2, 3),
-             Mat.zeros(0, 2), Mat.identity(2), Mat.diag(["1/2", 3, 0]), Mat.from_columns(a.T.rows),
+             Mat.zeros(0, 2), Mat.identity(2), Mat.diag(["1/2", 3, 0]), Mat.from_columns(a.T.rows, m=a.m),
              a + a, a - a, -a, a.scale("-2/3"), a.scale(0), s * a, a.T, Mat.zeros(0, 2).T,
              a.hstack(a), a.vstack(a), a.direct_sum(s), a.submatrix([1, 0], [2, 0]), a.rref()[0],
              a.nullspace(), a.column_space_basis(), *a.kernel_and_image(), s.solve(a), s.inv()]
@@ -1818,6 +1823,12 @@ def test_sturm_certificate_matches_the_chain_over_q(p):
         for z, f in zip(chain, ref):
             ratio = Fraction(z[-1]) / f[-1]
             assert ratio > 0 and [Fraction(c) for c in z] == [ratio * c for c in f]
+
+
+@EXAMPLES
+@given(values=st.lists(st.integers(-3, 3), max_size=8))
+def test_sign_changes_count_the_nonzero_neighbours_of_opposite_sign(values):
+    assert _sign_changes(values) == ref_sign_variations([(x > 0) - (x < 0) for x in values])
 
 
 def certificate_or_error(certify, coeffs) -> tuple:

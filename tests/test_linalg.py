@@ -43,8 +43,8 @@ def test_nullspace_and_column_space():
 def test_from_columns_refuses_columns_of_another_length():
     assert Mat.from_columns([[1, 2], [3, 4]], m=2) == Mat.from_rows([[1, 3], [2, 4]])
     assert Mat.from_columns([], m=3) == Mat.zeros(3, 0)
-    for cols, m in [([[1, 2], [3, 4, 5]], 3), ([[1, 2], [3, 4, 5]], None), ([[1, 2, 3]], 2),
-                    ([[1, 2, 3], [4, 5]], None)]:
+    for cols, m in [([[1, 2], [3, 4, 5]], 3), ([[1, 2], [3, 4, 5]], 2), ([[1, 2, 3]], 2),
+                    ([[1, 2, 3], [4, 5]], 3)]:
         with pytest.raises(ValueError, match="every column must have length"):
             Mat.from_columns(cols, m=m)
 
