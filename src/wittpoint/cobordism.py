@@ -944,7 +944,7 @@ def _degree0_witness(f: BilinearForm, f_prime: BilinearForm, *, pi: Mat, rho: Ma
 # -- seeded fixture generators ------------------------------------------
 
 
-def random_invertible(rng: Random, n: int, bound: int = 2) -> Mat:
+def random_invertible(rng: Random, n: int, bound: int) -> Mat:
     """Product of unit triangular matrices and a permutation: always invertible.
 
     Sparse (each entry below or above the diagonal is drawn with probability

@@ -51,13 +51,13 @@ def chi_y(d: HodgeDiamond) -> list[int]:
 
 
 class ChiSpecializations(Frozen):
-    def __init__(self, euler: int, arithmetic_genus: int, signature: int, signature_is_middle: bool | None):
+    def __init__(self, euler: int, arithmetic_genus: int, signature: int, signature_is_middle: bool):
         # signature_is_middle is True only when the dimension is even
         self.__dict__.update(euler=euler, arithmetic_genus=arithmetic_genus, signature=signature,
                              signature_is_middle=signature_is_middle)
 
 
-def specialize(chi: list[int], dim: int | None = None) -> ChiSpecializations:
+def specialize(chi: list[int], dim: int) -> ChiSpecializations:
     """Evaluate at y = -1, 0, 1: Euler characteristic, arithmetic genus, and
     (in even dimension) the signature of the middle cohomology."""
     euler = sum(c * (-1) ** k for k, c in enumerate(chi))
@@ -67,7 +67,7 @@ def specialize(chi: list[int], dim: int | None = None) -> ChiSpecializations:
         euler=euler,
         arithmetic_genus=genus,
         signature=sig,
-        signature_is_middle=(dim % 2 == 0) if dim is not None else None,
+        signature_is_middle=dim % 2 == 0,
     )
 
 

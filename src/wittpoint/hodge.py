@@ -29,19 +29,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from itertools import combinations
 from operator import add
 from random import Random
 
 from .core import (
     CertificateError,
-    FactorBoundExceeded,
     Frozen,
     Record,
     SturmCertificate,
     _sign_changes,
     epsilon,
-    factor,
     sturm_positive_real_roots,
 )
 from .forms import (
@@ -52,7 +50,7 @@ from .forms import (
     standard_symplectic_gram,
 )
 from .linalg import Mat
-from .poly import int_poly_at, poly_degree
+from .poly import int_poly_at, int_rational_roots, poly_degree
 from .witt import WittClassQ, witt_class_of
 
 
@@ -449,29 +447,8 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
 
     char = phi.charpoly()
     cert = sturm_positive_real_roots(char)
-    radical = cert.squarefree_part
     semisimple = _semisimple(phi, cert)
-
-    eigenspaces = None
-    try:
-        rational_roots = _rational_roots(radical)
-    except FactorBoundExceeded:  # an end coefficient too hard to factor: not shown to split
-        rational_roots = []
-    if len(rational_roots) == poly_degree(radical):
-        eigenspaces = []
-        total = 0
-        for alpha in sorted(rational_roots):
-            space = (phi - Mat.identity(phi.n).scale(alpha)).nullspace()
-            eigenspaces.append(Eigenspace(eigenvalue=alpha, basis=space))
-            total += space.n
-        if total != phi.n:  # semisimplicity realized by the decomposition
-            raise CertificateError("eigenspace certificate failed: dimensions do not add up")
-        for i in range(len(eigenspaces)):
-            for j in range(i + 1, len(eigenspaces)):
-                prod = eigenspaces[i].basis.T * s.gram * eigenspaces[j].basis
-                if not prod.is_zero():
-                    raise CertificateError("eigenspace certificate failed: "
-                                           "eigenspaces are not S-orthogonal")
+    eigenspaces = _eigenspaces(phi, s, cert)
 
     # both pairings passed their checks, so they share the symmetry of the
     # weight; skew forms all have signature (0, 0)
@@ -488,6 +465,22 @@ def compare_polarizations(h: HodgeStructure, s: BilinearForm,
         preserves_bigrading=preserves, eigenspaces=eigenspaces,
         signature_s=sig_s, signature_s_prime=sig_sp,
     )
+
+
+def _eigenspaces(phi: Mat, s: BilinearForm, cert: SturmCertificate) -> list[Eigenspace] | None:
+    """The eigenspaces of phi, by ascending eigenvalue, when its radical
+    splits over Q (``poly.int_rational_roots``), else None.  Their dimensions
+    add up to n, which realizes semisimplicity, and they are S-orthogonal."""
+    roots = int_rational_roots(cert)
+    if len(roots) != poly_degree(cert.squarefree_part):
+        return None
+    eigenspaces = [Eigenspace(alpha, (phi - Mat.identity(phi.n).scale(alpha)).nullspace())
+                   for alpha in roots]
+    if sum(e.basis.n for e in eigenspaces) != phi.n:
+        raise CertificateError("eigenspace certificate failed: dimensions do not add up")
+    if any(not (a.basis.T * s.gram * b.basis).is_zero() for a, b in combinations(eigenspaces, 2)):
+        raise CertificateError("eigenspace certificate failed: eigenspaces are not S-orthogonal")
+    return eigenspaces
 
 
 def _signature(f: BilinearForm) -> tuple[int, int]:
@@ -510,49 +503,6 @@ def _semisimple(phi: Mat, cert: SturmCertificate) -> bool:
     Cayley-Hamilton, which ``charpoly`` certified on its last step; any other
     radical is checked as an integer identity, d^m * radical(phi) = 0."""
     return cert.squarefree or not any(map(any, int_poly_at(cert.squarefree_part, phi)[1]))
-
-
-def _rational_roots(p: list[int]) -> list[Fraction]:
-    """All rational roots of a nonzero integer polynomial (desk scale).
-
-    A root num/den in lowest terms has num dividing the lowest nonzero
-    coefficient and den the leading one.  Each coprime pair is tested on
-    integers, by the homogenized value sum p_k num^k den^(deg - k); a pair
-    with a common factor is the same number as a coprime pair scanned
-    before it.
-    """
-    if poly_degree(p) <= 0:
-        return []
-    roots = [Fraction(0)] if p[0] == 0 else []
-    nums = _signed_divisors(next(c for c in p if c))
-    dens = _divisors(p[-1])
-    for num in nums:
-        for den in dens:
-            if gcd(num, den) == 1 and _homogenized_value(p, num, den) == 0:
-                roots.append(Fraction(num, den))
-    return roots
-
-
-def _homogenized_value(p: list[int], num: int, den: int) -> int:
-    """den^deg(p) * p(num / den), by Horner."""
-    acc, scale = 0, 1
-    for c in reversed(p):
-        acc = acc * num + c * scale
-        scale *= den
-    return acc
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    divs = [1]
-    for prime, e in factor(n).items():
-        divs = [d * prime**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def _signed_divisors(n: int) -> list[int]:
-    divs = _divisors(n)
-    return [d for pair in ((d, -d) for d in divs) for d in pair]
 
 
 def pol_class(h: HodgeStructure, s: BilinearForm) -> WittClassQ:

@@ -126,10 +126,6 @@ def _first_overlong(node, pointer: str) -> tuple[str, str] | None:
     return None
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def parse_matrix(rows, pointer: str = "$") -> Mat:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError(pointer, "expected a list of rows")
@@ -141,7 +137,7 @@ def parse_matrix(rows, pointer: str = "$") -> Mat:
 
 
 def format_matrix(m: Mat) -> list:
-    return [[format_rational(x) for x in r] for r in m.rows]
+    return [[str(x) for x in r] for r in m.rows]
 
 
 # -- forms ---------------------------------------------------------------
@@ -410,7 +406,7 @@ def hodge_to_json(h: HodgeStructure) -> dict:
             {
                 "p": piece.p,
                 "q": piece.q,
-                "basis": [[[format_rational(x), format_rational(y)] for x, y in zip(re, im)]
+                "basis": [[[str(x), str(y)] for x, y in zip(re, im)]
                           for re, im in zip(piece.re.T.rows, piece.im.T.rows)],
             }
             for piece in sorted(h.pieces, key=lambda x: (-x.p, -x.q))

@@ -1,7 +1,7 @@
 """Exact polynomials over Z, as ascending coefficient lists.
 
-The Sturm chain, the exact quotient and the value at a matrix run on
-integers.  A rational polynomial enters as its primitive integer multiple
+The Sturm chain, the exact quotient, the value at a matrix and the rational
+roots run on integers.  A rational polynomial enters as its primitive integer multiple
 with positive leading coefficient.  The Sturm chain of p is the primitive
 pseudo-remainder sequence of p and p' with every other remainder negated
 (Collins 1967; Cohen, *A Course in Computational Algebraic Number Theory*,
@@ -9,16 +9,18 @@ pseudo-remainder sequence of p and p' with every other remainder negated
 divided only by its positive content, so each term of the chain is a
 positive multiple of the term over Q: it has the same degree, the same
 signs at 0 and at infinity and the same monic form.  That is what the Sturm
-counts of ``core.sturm_positive_real_roots`` read.
+counts of ``core.sturm_positive_real_roots`` read.  The rational roots of
+its certified squarefree part are roots mod a small prime, lifted by Newton
+steps and read back as fractions, so no coefficient is factored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
-from .core import CertificateError
+from .core import CertificateError, SturmCertificate, is_prime
 from .linalg import Mat, _integer_row
 
 
@@ -150,3 +152,55 @@ def int_poly_at(q: list[int], a: Mat) -> tuple[int, list[list[int]]]:
             for i, row in enumerate(acc):
                 row[i] += c * scale
     return scale, acc
+
+
+def int_rational_roots(cert: SturmCertificate) -> list[Fraction]:
+    """The rational roots of the certified squarefree part p, ascending, by
+    p-adic lifting (Loos, *SIAM J. Comput.* 12, 1983).
+
+    A root 0 is taken off, once, as p is squarefree.  q is the least odd
+    prime not dividing lc(p) at which no root of p mod q is a root of p';
+    one exists because p is squarefree, which is why a certificate and not a
+    list is taken.  Newton steps lift each root mod q to one mod m = q^(2^k)
+    > 2 B^2, B = max(|p_0|, lc(p)), and the half-extended Euclid reads back
+    the one n/d with |n|, d <= sqrt(m / 2) (Wang, Guy and Davenport, *SIGSAM
+    Bull.* 16, 1982), kept if p(n/d) = 0 exactly.  A root num/den in lowest
+    terms has den | lc(p), so q does not divide den, and num | p_0: it is a
+    simple root mod q that lifts to it alone, inside the bound.
+    """
+    p = cert.squarefree_part
+    roots = []
+    if p and p[0] == 0:
+        roots, p = [Fraction(0)], p[1:]
+    if len(p) <= 1:
+        return roots
+    dp = int_poly_derivative(p)
+    bound = 2 * max(abs(p[0]), p[-1]) ** 2
+    q = 1
+    while True:
+        q += 2
+        if p[-1] % q and is_prime(q):
+            simple = [x for x in range(q) if _homogenized_value(p, x, 1) % q == 0]
+            if all(_homogenized_value(dp, x, 1) % q for x in simple):
+                break
+    for x in simple:
+        m = q
+        while m <= bound:
+            m *= m
+            x = (x - _homogenized_value(p, x, 1) * pow(_homogenized_value(dp, x, 1), -1, m)) % m
+        limit = isqrt(m // 2)
+        r0, r1, t0, t1 = m, x, 0, 1
+        while r1 > limit:  # r_i = t_i x mod m throughout
+            r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
+        if gcd(r1, t1) == 1 and _homogenized_value(p, r1, t1) == 0:
+            roots.append(Fraction(r1, t1))
+    return sorted(roots)
+
+
+def _homogenized_value(p: list[int], num: int, den: int) -> int:
+    """den^deg(p) * p(num / den), by Horner."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc

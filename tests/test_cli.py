@@ -288,20 +288,26 @@ def test_hodge_commands(tmp_path, capsys):
     assert main(["hodge-check", hpath, bad]) == 2
 
 
-def test_hodge_compare_certifies_a_pair_whose_radical_it_cannot_factor(tmp_path, capsys):
-    # the constant term of the radical, p * q, is beyond Brent's rho
-    p, q = 1000000000000037, 3000000000000037
+def test_hodge_compare_prints_the_eigenvalues_of_a_radical_beyond_factoring(tmp_path, capsys):
+    # the constant term of the radical, p * q, is beyond Brent's rho, and
+    # 720720^3 and its inverse make end coefficients with 23,296 divisors each
+    a = 720720**3
     h, s = standard_structure(0, 2)
-    paths = [write(tmp_path, "h.json", hodge_to_json(h)), write(tmp_path, "s.json", form_to_json(s)),
-             write(tmp_path, "s2.json", form_doc([[p, 0], [0, q]]))]
-    assert main(["--json", "hodge-compare", *paths]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["certified"] is True and doc["semisimple"] is True
-    assert "eigenvalues" not in doc
-    assert main(["hodge-compare", *paths]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == "" and "eigenvalues" not in captured.out
-    assert captured.out.endswith("certified: True\n")
+    for gram, eigenvalues in (([[1000000000000037, 0], [0, 3000000000000037]],
+                               ["1000000000000037", "3000000000000037"]),
+                              ([[a, 0], [0, f"1/{a}"]], [f"1/{a}", str(a)])):
+        paths = [write(tmp_path, "h.json", hodge_to_json(h)), write(tmp_path, "s.json", form_to_json(s)),
+                 write(tmp_path, "s2.json", form_doc(gram))]
+        start = time.perf_counter()
+        assert main(["--json", "hodge-compare", *paths]) == 0
+        assert time.perf_counter() - start < 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certified"] is True and doc["semisimple"] is True
+        assert doc["eigenvalues"] == eigenvalues
+        assert main(["hodge-compare", *paths]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and f"\neigenvalues {', '.join(eigenvalues)}\n" in captured.out
+        assert captured.out.endswith("certified: True\n")
 
 
 def test_metabolic_reduce_points_at_a_bad_bare_gram(tmp_path, capsys):

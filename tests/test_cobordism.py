@@ -532,7 +532,7 @@ def test_random_invertible_draws_and_matrices_are_pinned():
     for s in range(50):
         for n in range(14):
             rng = Random(s)
-            out.append((random_invertible(rng, n), rng.random()))
+            out.append((random_invertible(rng, n, bound=2), rng.random()))
     assert all(p.det() in (1, -1) for p, _ in out)
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == "5754b325b743a71b45aa6986adac4fa6436d0487bca12cf9eaf95dab653a8e15"
@@ -902,7 +902,7 @@ def transported(c, rng):
     and S_i -> g_i^T S_i g_(-i), an isomorphic complex whose kernels are no
     longer spanned by unit vectors."""
     cx = c.complex
-    g = {i: random_invertible(rng, cx.dim(i)) for i in cx.degrees()}
+    g = {i: random_invertible(rng, cx.dim(i), bound=2) for i in cx.degrees()}
     diffs = {i: g[i + 1].inv() * d * g[i] for i, d in cx.differentials.items()}
     pairings = {i: g[i].T * s * g[-i] for i, s in c.pairings.items()}
     return SelfDualComplex(c.epsilon, ChainComplex(cx.spaces, diffs), pairings)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from functools import reduce
 from random import Random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittpoint import forms, hodge
-from wittpoint.core import CertificateError, FactorBoundExceeded, sturm_positive_real_roots
+from wittpoint.core import CertificateError, sturm_positive_real_roots
 from wittpoint.forms import RATIONAL, SKEW, SYMMETRIC, BilinearForm, diagonalize
 from wittpoint.hodge import (
     HodgePiece,
@@ -195,16 +196,34 @@ def test_compare_polarizations_split_spectrum_orthogonal_eigenspaces():
         assert (pair.phi * e.basis) == e.basis.scale(e.eigenvalue)
 
 
-def test_a_radical_too_hard_to_factor_is_not_shown_to_split():
+def assert_split_as_diagonal(pair, values):
+    """phi = diag(values) with distinct values: each eigenvalue has the unit
+    vector at its place as the basis of its eigenspace."""
+    n = len(values)
+    assert pair.certified and pair.semisimple and pair.sturm.positive_roots == n
+    assert [e.eigenvalue for e in pair.eigenspaces] == sorted(values)
+    for e in pair.eigenspaces:
+        k = values.index(e.eigenvalue)
+        assert e.basis == Mat.from_rows([[int(i == k)] for i in range(n)])
+
+
+def test_a_radical_beyond_factoring_splits_by_lifting():
     # phi = diag(p, q) for two primes near 10^15: the radical's constant term
-    # p * q is beyond Brent's rho, but no certificate needs it factored
+    # p * q is beyond Brent's rho, and its roots are lifted, not factored out
     p, q = 1000000000000037, 3000000000000037
     h, s = standard_structure(0, 2)
-    with pytest.raises(FactorBoundExceeded):
-        hodge._rational_roots([p * q, -(p + q), 1])
-    pair = compare_polarizations(h, s, BilinearForm.from_diagonal([p, q]))
-    assert pair.certified and pair.semisimple and pair.sturm.positive_roots == 2
-    assert pair.eigenspaces is None
+    assert_split_as_diagonal(compare_polarizations(h, s, BilinearForm.from_diagonal([p, q])), [p, q])
+
+
+def test_eigenvalues_whose_coefficients_have_many_divisors_are_found_at_once():
+    # phi = diag(a, 1/a): the radical a t^2 - (a^2 + 1) t + a has end
+    # coefficients with 23,296 divisors each, about 10^9 pairs to scan
+    a = 720720**3
+    h, s = standard_structure(0, 2)
+    start = time.perf_counter()
+    pair = compare_polarizations(h, s, BilinearForm.from_diagonal([a, Fraction(1, a)]))
+    assert time.perf_counter() - start < 1
+    assert_split_as_diagonal(pair, [a, Fraction(1, a)])
 
 
 def test_random_pairs_certified_across_weights():

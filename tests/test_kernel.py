@@ -30,10 +30,11 @@ The spectral certificate of ``compare_polarizations`` runs on integers; its
 references are the ``Fraction`` loops it replaced: Faddeev-LeVerrier over
 Q, Euclid's gcd and the squarefree part over Q, the Sturm chain of
 remainders over Q and its sign counts, Horner's rule on ``Fraction``
-matrices, and the rational-root scan that evaluates every candidate as a
-``Fraction``.  The ``Fraction`` polynomial helpers those references use, and
-the rational front ends of the integer gcd, squarefree part and value at a
-matrix, live here too.  The certificate's g = gcd(p, p') is also checked
+matrices, and, for the rational roots that p-adic lifting finds, the scan
+of divisor pairs that evaluates every candidate as a ``Fraction``.  The
+``Fraction`` polynomial helpers those references use, and the rational
+front ends of the integer gcd, squarefree part and value at a matrix, live
+here too.  The certificate's g = gcd(p, p') is also checked
 against the route that read it back through ``int_poly`` and divided every
 term by it, and the first nonpositive leading minor against the field-loop
 determinants of the leading blocks, and the LDL^T pivots against their
@@ -90,7 +91,6 @@ from wittpoint.forms import (
     standard_symplectic_gram,
     symplectic_reduce,
 )
-from wittpoint.hodge import _divisors, _rational_roots, _signed_divisors
 from wittpoint.linalg import Mat, complement_in_kernel, extend_to_complement
 from wittpoint.poly import (
     _content_free,
@@ -99,6 +99,7 @@ from wittpoint.poly import (
     int_poly_derivative,
     int_poly_quotient,
     int_poly_remainder,
+    int_rational_roots,
     int_sturm_chain,
     poly_degree,
     poly_normalize,
@@ -824,6 +825,14 @@ def ref_poly_eval_matrix(p, a: Mat) -> Mat:
     return acc
 
 
+def ref_divisors(n: int) -> list[int]:
+    """The positive divisors of the nonzero n, from its factorization."""
+    divs = [1]
+    for prime, e in factor(abs(n)).items():
+        divs = [d * prime**k for d in divs for k in range(e + 1)]
+    return divs
+
+
 def ref_rational_roots(p) -> list[Fraction]:
     """Every num/den with num | the lowest and den | the leading coefficient
     of the cleared polynomial, evaluated as a Fraction."""
@@ -834,8 +843,8 @@ def ref_rational_roots(p) -> list[Fraction]:
     ints = [int(c * denom) for c in p]
     roots = [Fraction(0)] if ints[0] == 0 else []
     low = next(c for c in ints if c)
-    for num in _signed_divisors(low):
-        for den in _divisors(ints[-1]):
+    for num in (s * d for d in ref_divisors(low) for s in (1, -1)):
+        for den in ref_divisors(ints[-1]):
             cand = Fraction(num, den)
             if poly_eval(p, cand) == 0 and cand not in roots:
                 roots.append(cand)
@@ -1898,9 +1907,29 @@ def test_poly_eval_matrix_matches_horner_over_q(data):
 def test_rational_roots_match_the_fraction_scan(p):
     if not poly_normalize(p):
         return
-    radical = ref_squarefree_part(poly_normalize(p))  # what compare_polarizations scans
+    # p and its radical have the same roots, and each is lifted from the
+    # radical its own certificate holds
+    radical = ref_squarefree_part(poly_normalize(p))
     for q in (radical, p):
-        assert same_list(_rational_roots(int_poly(q)), ref_rational_roots(q))
+        assert same_list(int_rational_roots(sturm_positive_real_roots(q)), sorted(ref_rational_roots(q)))
+
+
+def test_rational_roots_by_lifting_edge_cases():
+    def roots(p):
+        return int_rational_roots(sturm_positive_real_roots(p))
+
+    # B = 2 and q = 3: the root 2 is read back only mod 9 > 2 B^2
+    assert same_list(roots([-2, 1]), [Fraction(2)])
+    # 3 divides the leading coefficient, so q = 5
+    assert same_list(roots([-1, 3]), [Fraction(1, 3)])
+    # the root 0 taken off: B = 5 is read off t - 5, not t^2 - 5 t
+    assert same_list(roots([0, -5, 1]), [Fraction(0), Fraction(5)])
+    # t^2 + 2 has the roots 4 and 5 mod 9, which read back as -1/2 and 1/2
+    assert roots([2, 0, 1]) == []
+    # 2 and 5 are one double root mod 3, so q = 5
+    assert same_list(roots([10, -7, 1]), [Fraction(2), Fraction(5)])
+    # a certificate with no squarefree part, and a constant, have no roots
+    assert int_rational_roots(SturmCertificate(0, 0, 0, True, True)) == [] == roots([7])
 
 
 def test_spectral_certificate_edge_cases(monkeypatch):
@@ -1912,12 +1941,13 @@ def test_spectral_certificate_edge_cases(monkeypatch):
     # a constant is squarefree with no roots, whatever its sign
     for c in ([5], ["-1/2"], [3, 0, 0]):
         assert sturm_positive_real_roots(c) == ref_sturm(c) == SturmCertificate(0, 0, 0, True, True)
-        assert poly_squarefree_part(c) == [Fraction(1)] and _rational_roots(int_poly(c)) == []
+        assert poly_squarefree_part(c) == [Fraction(1)] and int_rational_roots(sturm_positive_real_roots(c)) == []
     # negative leading coefficient, a double root at 0 and a double root at 2
     p = ["0", "0", "-4", "4", "-1"]
     assert sturm_positive_real_roots(p) == ref_sturm(p) == SturmCertificate(1, 2, 2, True, False)
     assert int_poly(p) == [0, 0, 4, -4, 1]
-    assert _rational_roots(int_poly(ref_squarefree_part(poly_normalize(p)))) == [0, 2]
+    for q in (p, ref_squarefree_part(poly_normalize(p))):
+        assert int_rational_roots(sturm_positive_real_roots(q)) == [0, 2]
     # a last chain term that does not divide p, or a chain term the last one
     # does not divide, fails the certificate, not the input
     chain = int_sturm_chain

@@ -175,7 +175,7 @@ def sample_records() -> dict:
     made += [core.sturm_positive_real_roots([Fraction(-2), 0, 1])]
     pieces = [genus.PrimitivePiece(0, 2, 3), genus.PrimitivePiece(2, 2, -1)]
     made += pieces + [genus.HodgeDiamond(1, ((1, 2), (2, 1))), genus.specialize([1, -2, 1], 2),
-                      genus.specialize([1, 0], None), genus.lefschetz_cancellation_check(pieces, 2),
+                      genus.specialize([1, 0], 1), genus.lefschetz_cancellation_check(pieces, 2),
                       genus.example_drivers()]
     made += [selfcheck.suite_congruence_invariance(Random(1), 1),
              selfcheck.SuiteResult("planted", 1, False, [{"trial": 0}])]

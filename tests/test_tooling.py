@@ -27,17 +27,19 @@ and creating each dataclass were a large share of a CLI process's start-up,
 so the record classes build on ``core.Record`` instead.  Only ``jsonio``, the
 input edge, builds a matrix with ``Mat.from_columns``; computations build
 matrices from rows or from integer forms and read columns as ``.T.rows``.
-No function in ``cobordism`` is longer than 60 lines, so each witness
-condition stays a function of its own.  Every module-level function and
-class of the package is named elsewhere in it or in the benchmark, so no
-code stays that nothing calls.  No parameter has a boolean default: a new
-one must be listed in ``OPTIONS`` with the callers that need each value, so
-a new knob comes with its reason.  Outside ``forms``, only ``cobordism``'s
-height check binds ``diagonalize``: every other module reads a form's
-diagonal entries through ``forms.pivots``.  The README's CLI block lists the commands
-the parser registers, in its order, so the command table and the docs
-cannot drift apart; its package layout block lists every module of the
-package (but ``__init__``) and its ``data/`` folder.
+No function in ``cobordism`` or ``hodge`` is longer than 60 lines, so each
+witness condition and each certificate of a comparison stays a function of
+its own.  Every module-level function and class of the package is named
+elsewhere in it or in the benchmark, so no code stays that nothing calls.
+No parameter has a boolean default: a new one must be listed in ``OPTIONS``
+with the callers that need each value, so a new knob comes with its reason.
+Outside ``forms``, only ``cobordism``'s height check binds ``diagonalize``:
+every other module reads a form's diagonal entries through ``forms.pivots``.
+``hodge`` names none of the factoring code: its rational eigenvalues are
+lifted p-adically.  The README's CLI block lists the commands the parser
+registers, in its order, so the command table and the docs cannot drift
+apart; its package layout block lists every module of the package (but
+``__init__``) and its ``data/`` folder.
 """
 
 import argparse
@@ -259,6 +261,12 @@ def test_no_cobordism_function_is_over_sixty_lines():
     path = PACKAGE / "cobordism.py"
     found = long_functions(ast.parse(path.read_text(), filename=str(path)), 60)
     assert not found, f"give each witness condition a function of its own: {found}"
+
+
+def test_no_hodge_function_is_over_sixty_lines():
+    path = PACKAGE / "hodge.py"
+    found = long_functions(ast.parse(path.read_text(), filename=str(path)), 60)
+    assert not found, f"give each certificate of the comparison a function of its own: {found}"
 
 
 def test_long_function_guard_sees_every_spelling():
@@ -816,21 +824,31 @@ if __name__ == "__main__":
         "a.Unused", "a._unused_private", "a.exported", "a.recursive", "a.unused_async"]
 
 
-def diagonalize_bindings(tree) -> list[str]:
-    """The places a module binds or reads ``forms.diagonalize`` by name: an
-    import of it (or of everything) from a ``forms`` module, the attribute
-    ``diagonalize``, or a ``getattr`` of it, as kind:line.  Defining it is
-    no binding, nor is a string in the lazy ``_EXPORTS`` table."""
+def bindings(tree, names: set, module: str | None = None) -> list[str]:
+    """The places a module binds or reads one of ``names``: an import of it
+    (or of everything), from a module whose last part is ``module`` when one
+    is given, the attribute, or a ``getattr`` of it, as kind:line.  Defining
+    one is no binding, nor is a string in the lazy ``_EXPORTS`` table."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "forms":
-            found += [f"import:{node.lineno}" for alias in node.names if alias.name in ("diagonalize", "*")]
-        elif isinstance(node, ast.Attribute) and node.attr == "diagonalize":
+        if isinstance(node, ast.ImportFrom) and module in (None, (node.module or "").rpartition(".")[2]):
+            found += [f"import:{node.lineno}" for alias in node.names if alias.name in names | {"*"}]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             found.append(f"attribute:{node.lineno}")
         elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
-              and any(isinstance(a, ast.Constant) and a.value == "diagonalize" for a in node.args)):
+              and any(isinstance(a, ast.Constant) and a.value in names for a in node.args)):
             found.append(f"getattr:{node.lineno}")
     return found
+
+
+def diagonalize_bindings(tree) -> list[str]:
+    """The places a module binds or reads ``forms.diagonalize``, imported
+    from a ``forms`` module."""
+    return bindings(tree, {"diagonalize"}, "forms")
+
+
+# core's factoring code, imported from any module, as the package re-exports it
+FACTORING = {"factor", "_prime_factors", "_rho_split", "FactorBoundExceeded", "square_class"}
 
 
 def test_only_forms_and_cobordism_bind_diagonalize():
@@ -862,6 +880,32 @@ text = "diagonalize"
 """
     assert sorted(diagonalize_bindings(ast.parse(source))) == [
         "attribute:6", "getattr:7", "import:2", "import:3", "import:4"]
+
+
+def test_hodge_names_no_factoring_code():
+    # rational eigenvalues are lifted p-adically (poly.int_rational_roots), so
+    # no end coefficient is factored and no factoring budget can refuse one
+    path = PACKAGE / "hodge.py"
+    found = bindings(ast.parse(path.read_text(), filename=str(path)), FACTORING)
+    assert not found, f"find rational roots with poly.int_rational_roots: {found}"
+
+
+def test_factoring_guard_sees_every_spelling():
+    source = """
+from .core import factor
+from wittpoint.core import Mat, FactorBoundExceeded as Refused
+from .forms import *
+from . import square_class
+from . import core
+primes = core._prime_factors(n)
+split = getattr(core, "_rho_split")
+from .core import is_prime, SquareClass
+def factor(n): return n
+_EXPORTS = {"core": ("factor",)}
+text = "square_class"
+"""
+    assert sorted(bindings(ast.parse(source), FACTORING)) == [
+        "attribute:7", "getattr:8", "import:2", "import:3", "import:4", "import:5"]
 
 
 # Package parameters with a boolean default, as module.function.parameter
